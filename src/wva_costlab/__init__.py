@@ -84,6 +84,7 @@ from .states import (
     hermitian_eigs,
     ket_from_bloch,
     overlap_sq,
+    postselected_meter,
     tensor,
 )
 from .verify import SUITE_NAMES, SuiteResult, run_suites

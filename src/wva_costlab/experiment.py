@@ -15,6 +15,7 @@ bit-identical for identical configurations regardless of execution order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .fisher import OutcomeModel
 from .postselect import fm_exact, postselect, real_superposition_setup
-from .states import ReferenceBasis, coupling_unitary, tensor
+from .states import ReferenceBasis, postselected_meter
 
 PREPARATION_BUDGET = 10**9
 _DEGENERACY_TOL = 1e-12
@@ -75,6 +76,9 @@ class ExperimentConfig:
     g_max: float = np.pi / 4.0
 
     def __post_init__(self):
+        for name in ("theta", "alpha", "g_true"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractViolationError(f"ExperimentConfig: {name} must be finite")
         if self.n_reps < 1:
             raise ContractViolationError("ExperimentConfig: n_reps must be >= 1")
         if not (0 <= self.master_seed < 2**64):
@@ -140,18 +144,16 @@ class CampaignReport:
 def _readout_probabilities(theta: float, alpha: float, g: float) -> tuple[float, float]:
     """Exact joint probabilities (plus, minus) of a postselected readout.
 
-    Production path: evolve the separable input through the coupling unitary,
-    project the system on the postselection state and the meter on the
-    recombined plus/minus basis. Values below 1e-30 collapse to exact zero.
+    Production path: the exact postselected meter vector of the separable
+    input, projected on the recombined plus/minus basis. Values below 1e-30
+    collapse to exact zero.
     """
     basis = ReferenceBasis.standard()
-    setup_si = basis.superposition(theta)
-    setup_sf = basis.superposition(alpha)
-    phi_mi = basis.superposition(np.pi / 4.0)
-    u = coupling_unitary(basis.sigma(), basis.sigma(), g)
-    joint = u.apply(tensor(setup_si, phi_mi)).amplitudes.reshape(2, 2)
-    meter_vec = setup_sf.amplitudes.conj() @ joint
+    sigma = basis.sigma()
     plus_ket = basis.superposition(np.pi / 4.0)
+    _, meter_vec, _ = postselected_meter(
+        basis.superposition(theta), basis.superposition(alpha), plus_ket, sigma, sigma, g
+    )
     minus_ket = basis.superposition(-np.pi / 4.0)
     p_plus = abs(np.vdot(plus_ket.amplitudes, meter_vec)) ** 2
     p_minus = abs(np.vdot(minus_ket.amplitudes, meter_vec)) ** 2

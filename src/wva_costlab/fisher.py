@@ -2,9 +2,12 @@
 
 Families are plain callables: a pure family maps the parameter to a
 :class:`~wva_costlab.states.Ket` and a mixed family maps it to a
-:class:`~wva_costlab.states.DensityMatrix`. All derivatives are taken by
-central finite differences with a default step of 1e-5 rad; closed forms are
-used only as test oracles, never as a second production path.
+:class:`~wva_costlab.states.DensityMatrix`. The functions here take the
+derivative of an arbitrary family by central finite differences with a
+default step of 1e-5 rad, so :func:`qfi_pure` serves as the generic oracle.
+The collapsed-meter QFI of the weak-value model does not come from here: its
+derivative is known in closed form, and
+:func:`~wva_costlab.postselect.fm_exact` evaluates it exactly.
 """
 
 from __future__ import annotations

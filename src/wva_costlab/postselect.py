@@ -5,14 +5,22 @@ weak values, the collapsed-state QFI and its small-coupling leading order, the
 success-weighted (probabilistic) QFI, and the two canonical postselection
 constructors: the optimal state and a near-orthogonal state.
 
-All quantities are computed exactly through the coupling unitary; no
-small-coupling expansion enters the production path. Leading-order formulas
-are exposed separately so tests and cost accounting can compare the two.
+Every pure-input quantity comes from one exact kernel,
+:func:`~wva_costlab.states.postselected_meter`. It returns the unnormalized
+collapsed meter vector v and its closed-form derivative dv = dv/dg from the
+factorized spectrum of the coupling. The postselection probability is
+p = <v|v>, and the collapsed-state QFI is the pure-state QFI of v / sqrt(p),
+F_m = 4 (<dv|dv>/p - |<v|dv>|^2/p^2) (Braunstein & Caves, PRL 72, 3439
+(1994); Paris, IJQI 7, 125 (2009)), so no finite-difference step enters. No
+small-coupling expansion enters the production path either. Leading-order
+formulas are exposed separately so tests and cost accounting can compare the
+two.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -24,15 +32,14 @@ from .errors import (
     UnsupportedInputError,
     VanishingPostselectionError,
 )
-from .fisher import DEFAULT_STEP, MixedFamily, PureFamily, qfi_pure
+from .fisher import MixedFamily, PureFamily
 from .states import (
     DensityMatrix,
     HermitianOperator,
     Ket,
     ReferenceBasis,
     _phase_fixed,
-    coupling_unitary,
-    tensor,
+    postselected_meter,
 )
 
 P_FLOOR = 1e-14
@@ -48,7 +55,7 @@ class WvaSetup:
     ``psi_si`` may be a ket (the usual coherent preparation) or a density
     matrix diagonal in the eigenbasis of ``A`` for incoherent-input studies.
     The meter must sit at the balance zero point, <M> = 0, with a positive
-    second moment Omega = <M^2>.
+    second moment Omega = <M^2>. The coupling strength must be finite.
     """
 
     psi_si: Union[Ket, DensityMatrix]
@@ -59,6 +66,8 @@ class WvaSetup:
     g: float
 
     def __post_init__(self):
+        if not math.isfinite(self.g):
+            raise ContractViolationError("WvaSetup: coupling strength g must be finite")
         if self.psi_sf.dim != 2 or self.phi_mi.dim != 2 or self.psi_si.dim != 2:
             raise ContractViolationError("WvaSetup: system and meter must be qubits")
         if self.A.dim != 2 or self.M.dim != 2:
@@ -106,30 +115,38 @@ def weak_value(psi_si: Ket, psi_sf: Ket, A: HermitianOperator) -> complex:
     return numer / denom
 
 
-def postselect(setup: WvaSetup) -> PostselectionResult:
-    """Exact postselection through the coupling unitary.
-
-    Evolves the separable input, projects the system onto the postselection
-    state and returns the success probability together with the normalized
-    collapsed meter state. No small-coupling approximation is used.
-    """
+def _pure_meter(setup: WvaSetup, where: str) -> tuple[float, np.ndarray, np.ndarray]:
+    """Kernel output (p, v, dv) for a pure input whose postselection succeeds."""
     if not isinstance(setup.psi_si, Ket):
-        raise UnsupportedInputError(
-            "postselect: mixed system input; use postselect_mixed"
-        )
-    u = coupling_unitary(setup.A, setup.M, setup.g)
-    joint = u.apply(tensor(setup.psi_si, setup.phi_mi)).amplitudes.reshape(2, 2)
-    meter_vec = setup.psi_sf.amplitudes.conj() @ joint
-    p = float(np.real(np.vdot(meter_vec, meter_vec)))
+        raise UnsupportedInputError(f"{where}: mixed system input; use postselect_mixed")
+    p, v, dv = postselected_meter(
+        setup.psi_si, setup.psi_sf, setup.phi_mi, setup.A, setup.M, setup.g
+    )
     if p < P_FLOOR:
         raise VanishingPostselectionError(
-            f"postselect: success probability {p:.3e} below floor {P_FLOOR:g}"
+            f"{where}: success probability {p:.3e} below floor {P_FLOOR:g}"
         )
+    return p, v, dv
+
+
+def _weighted_qfi(p: float, v: np.ndarray, dv: np.ndarray) -> float:
+    """p * F_m = 4 (<dv|dv> - |<v|dv>|^2 / p) of the unnormalized meter vector."""
+    return 4.0 * float(np.real(np.vdot(dv, dv)) - abs(np.vdot(v, dv)) ** 2 / p)
+
+
+def postselect(setup: WvaSetup) -> PostselectionResult:
+    """Exact postselection of a pure system input.
+
+    Projects the evolved system onto the postselection state and returns the
+    success probability together with the normalized collapsed meter state.
+    No small-coupling approximation is used.
+    """
+    p, v, _ = _pure_meter(setup, "postselect")
     try:
         a_w: Optional[complex] = weak_value(setup.psi_si, setup.psi_sf, setup.A)
     except OrthogonalPostselectionError:
         a_w = None
-    return PostselectionResult(p=p, phi_mf=Ket(meter_vec), a_w=a_w)
+    return PostselectionResult(p=p, phi_mf=Ket(v), a_w=a_w)
 
 
 def postselect_mixed(setup: WvaSetup) -> tuple[float, DensityMatrix]:
@@ -172,9 +189,13 @@ def postselected_meter_family(setup: WvaSetup) -> MixedFamily:
     return lambda g: postselect_mixed(setup.at(g))[1]
 
 
-def fm_exact(setup: WvaSetup, step: float = DEFAULT_STEP) -> float:
-    """Exact QFI of the collapsed meter state at the setup's coupling strength."""
-    return qfi_pure(collapsed_meter_family(setup), setup.g, step)
+def fm_exact(setup: WvaSetup) -> float:
+    """Exact QFI of the collapsed meter state at the setup's coupling strength.
+
+    F_m = 4 (<dv|dv>/p - |<v|dv>|^2/p^2) from the kernel's closed-form dv.
+    """
+    p, v, dv = _pure_meter(setup, "fm_exact")
+    return _weighted_qfi(p, v, dv) / p
 
 
 def fm_leading(omega: float, a_w: complex) -> float:
@@ -184,14 +205,14 @@ def fm_leading(omega: float, a_w: complex) -> float:
     return 4.0 * omega * abs(a_w) ** 2
 
 
-def probabilistic_qfi(setup: WvaSetup, step: float = DEFAULT_STEP) -> tuple[float, float]:
+def probabilistic_qfi(setup: WvaSetup) -> tuple[float, float]:
     """Success-weighted QFI of the collapsed meter, exact and leading order.
 
-    Returns (p * F_m, 4 * Omega * |<sf|A|si>|^2). The exact value can approach
-    but never exceed the conventional-scheme QFI.
+    Returns (p * F_m, 4 * Omega * |<sf|A|si>|^2), the exact value as
+    4 (<dv|dv> - |<v|dv>|^2 / p) from one kernel call. It can approach but
+    never exceed the conventional-scheme QFI.
     """
-    res = postselect(setup)
-    exact = res.p * fm_exact(setup, step)
+    exact = _weighted_qfi(*_pure_meter(setup, "probabilistic_qfi"))
     amp = complex(np.vdot(setup.psi_sf.amplitudes, setup.A.entries @ setup.psi_si.amplitudes))
     leading = 4.0 * setup.omega * abs(amp) ** 2
     return exact, leading

@@ -1,13 +1,15 @@
 """Exact complex linear algebra for the qubit-system / qubit-meter model.
 
 Provides normalized state vectors, Hermitian observables, unitaries, density
-matrices, Bloch-sphere geometry and a small deterministic Hermitian
-eigensolver. Only dimensions 2 (single qubit) and 4 (system plus meter) are
-supported; the product space is ordered system-major, meter-minor.
+matrices, Bloch-sphere geometry, a small deterministic Hermitian eigensolver
+and the exact postselection kernel of the coupling exp(-i g A (x) M). Only
+dimensions 2 (single qubit) and 4 (system plus meter) are supported; the
+product space is ordered system-major, meter-minor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -45,8 +47,8 @@ def _check_dim(dim: int, where: str) -> None:
 class Ket:
     """Unit-norm complex state vector of dimension 2 or 4.
 
-    The constructor normalizes its input; a vector of near-zero norm is
-    rejected. Amplitudes are stored read-only.
+    The constructor normalizes its input; a vector of near-zero or non-finite
+    norm is rejected. Amplitudes are stored read-only.
     """
 
     amplitudes: np.ndarray
@@ -55,6 +57,8 @@ class Ket:
         vec = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         _check_dim(vec.size, "Ket")
         norm = float(np.linalg.norm(vec))
+        if not np.isfinite(norm):
+            raise ContractViolationError("Ket: amplitudes must be finite")
         if norm < 1e-12:
             raise ContractViolationError("Ket: cannot normalize a null vector")
         object.__setattr__(self, "amplitudes", _readonly(vec / norm))
@@ -211,7 +215,9 @@ class ReferenceBasis:
         return cls(Ket(np.array([1.0, 0.0])), Ket(np.array([0.0, 1.0])))
 
     def superposition(self, angle: float) -> Ket:
-        """Return cos(angle)*ket0 + sin(angle)*ket1."""
+        """Return cos(angle)*ket0 + sin(angle)*ket1 for a finite angle."""
+        if not math.isfinite(angle):
+            raise ContractViolationError("superposition: angle must be finite")
         vec = np.cos(angle) * self.ket0.amplitudes + np.sin(angle) * self.ket1.amplitudes
         return Ket(vec)
 
@@ -257,6 +263,14 @@ def _phase_fixed(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
+def _eigh(H: HermitianOperator, where: str) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK eigenvalues and eigenvector columns, in no particular order."""
+    try:
+        return np.linalg.eigh(H.entries)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalFailureError(f"{where}: eigensolver failed: {exc}") from exc
+
+
 def hermitian_eigs(H: HermitianOperator) -> tuple[np.ndarray, list[Ket]]:
     """Eigendecomposition of a Hermitian operator with deterministic ordering.
 
@@ -267,10 +281,7 @@ def hermitian_eigs(H: HermitianOperator) -> tuple[np.ndarray, list[Ket]]:
     """
     if not isinstance(H, HermitianOperator):
         H = HermitianOperator(np.asarray(H, dtype=complex))
-    try:
-        vals, vecs = np.linalg.eigh(H.entries)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalFailureError(f"hermitian_eigs: eigensolver failed: {exc}") from exc
+    vals, vecs = _eigh(H, "hermitian_eigs")
 
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
@@ -293,24 +304,64 @@ def hermitian_eigs(H: HermitianOperator) -> tuple[np.ndarray, list[Ket]]:
     return vals.astype(float), [Ket(c) for c in columns]
 
 
-def coupling_unitary(A: HermitianOperator, M: HermitianOperator, g: float) -> UnitaryOperator:
-    """Return exp(-i g A (x) M) for qubit observables A and M.
-
-    Computed by eigendecomposition of the product generator: each eigenvalue
-    is phased by exp(-i g lambda) and the projectors are reassembled.
-    """
+def _qubit_observables(A, M, where: str) -> tuple[HermitianOperator, HermitianOperator]:
     if not isinstance(A, HermitianOperator):
         A = HermitianOperator(np.asarray(A, dtype=complex))
     if not isinstance(M, HermitianOperator):
         M = HermitianOperator(np.asarray(M, dtype=complex))
     if A.dim != 2 or M.dim != 2:
-        raise ModelDimensionError("coupling_unitary: A and M must act on qubits")
-    generator = tensor(A, M)
-    vals, vecs = hermitian_eigs(generator)
-    mat = np.zeros((4, 4), dtype=complex)
-    for lam, v in zip(vals, vecs):
-        mat += np.exp(-1j * g * lam) * v.projector()
-    return UnitaryOperator(mat)
+        raise ModelDimensionError(f"{where}: A and M must act on qubits")
+    return A, M
+
+
+def coupling_unitary(A: HermitianOperator, M: HermitianOperator, g: float) -> UnitaryOperator:
+    """Return exp(-i g A (x) M) for qubit observables A and M.
+
+    With A = sum_i a_i P_i and M = sum_j m_j Q_j, the generator's eigenvectors
+    are the products of the factors' eigenvectors, so
+    U = V exp(-i g a (x) m) V^dagger with V = avecs (x) mvecs. Degenerate
+    spectra need no special ordering.
+    """
+    A, M = _qubit_observables(A, M, "coupling_unitary")
+    a, avecs = _eigh(A, "coupling_unitary")
+    m, mvecs = _eigh(M, "coupling_unitary")
+    vecs = np.kron(avecs, mvecs)
+    return UnitaryOperator((vecs * np.exp(-1j * g * np.kron(a, m))) @ vecs.conj().T)
+
+
+def postselected_meter(
+    psi_si: Ket,
+    psi_sf: Ket,
+    phi_mi: Ket,
+    A: HermitianOperator,
+    M: HermitianOperator,
+    g: float,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Exact postselected meter vector and its derivative in the coupling.
+
+    Returns (p, v, dv): the unnormalized meter vector v = <sf|U(g)|si>|phi>
+    left by projecting the evolved system on ``psi_sf``, its exact derivative
+    dv = dv/dg, and the postselection probability p = <v|v>. The coupling
+    factorizes over the spectra A = sum_i a_i P_i and M = sum_j m_j Q_j, so
+
+        v = sum_j w_j Q_j|phi>,  w_j = sum_i <sf|P_i|si> exp(-i g a_i m_j),
+
+    and dv takes the factor -i a_i m_j into each term. The projector sums do
+    not depend on the eigenbasis chosen inside a degenerate eigenvalue.
+    """
+    if psi_si.dim != 2 or psi_sf.dim != 2 or phi_mi.dim != 2:
+        raise ModelDimensionError("postselected_meter: system and meter must be qubits")
+    A, M = _qubit_observables(A, M, "postselected_meter")
+    a, avecs = _eigh(A, "postselected_meter")
+    m, mvecs = _eigh(M, "postselected_meter")
+    # <sf|p_i><p_i|si> and <q_j|phi> in the eigenbases of A and M
+    sys_amp = (avecs.T @ psi_sf.amplitudes.conj()) * (avecs.conj().T @ psi_si.amplitudes)
+    meter_amp = mvecs.conj().T @ phi_mi.amplitudes
+    generator = np.outer(a, m)
+    phase = np.exp(-1j * g * generator)
+    v = mvecs @ ((sys_amp @ phase) * meter_amp)
+    dv = mvecs @ ((sys_amp @ (-1j * generator * phase)) * meter_amp)
+    return float(np.real(np.vdot(v, v))), v, dv
 
 
 def bloch_of(psi: Ket, basis: ReferenceBasis) -> BlochVector:

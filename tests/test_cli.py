@@ -137,6 +137,13 @@ class TestSimulate:
     def test_missing_required_flag_exits_1(self):
         assert main(["simulate", "--theta", THETA]) == 1
 
+    def test_nan_coupling_exits_1(self, capsys):
+        args = ["simulate", "--theta", THETA, "--alpha", ALPHA, "--g", "nan", "--reps", "20"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+
 
 class TestQfi:
     def test_payload(self, tmp_path):
@@ -151,6 +158,12 @@ class TestQfi:
         assert payload["f_m_leading"] == pytest.approx(4.0, abs=1e-9)
         assert payload["fm_exact"] == pytest.approx(16.0, abs=1e-2)
         assert payload["region"] == "advantage"
+
+    def test_infinite_alpha_exits_1(self, capsys):
+        assert main(["qfi", "--theta", THETA, "--alpha", "inf", "--g", "1e-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_invalid_scenario_exits_1(self):
         orthogonal = str(np.pi / 6 + np.pi / 2)

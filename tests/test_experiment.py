@@ -12,6 +12,8 @@ variance is inflated relative to the information bound, see the campaign
 small-count test).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,14 @@ class TestConfigValidation:
             config(theta=np.pi / 4, alpha=np.pi / 4)
         with pytest.raises(ContractViolationError):
             config(theta=np.pi / 4, alpha=-np.pi / 4)
+
+    @pytest.mark.parametrize("field", ["theta", "alpha", "g"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angles_rejected(self, field, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any trig call
+            with pytest.raises(ContractViolationError, match="finite"):
+                config(**{field: bad})
 
     def test_counts_and_seed_ranges(self):
         with pytest.raises(ContractViolationError):

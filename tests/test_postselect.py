@@ -17,6 +17,8 @@ from wva_costlab import (
     UnsupportedInputError,
     VanishingPostselectionError,
     WvaSetup,
+    cfi_discrete,
+    conditional_outcome_model,
     fm_exact,
     fm_leading,
     hermitian_eigs,
@@ -121,6 +123,11 @@ class TestPostselect:
                     p = postselect(real_superposition_setup(theta, alpha, g)).p
                     assert abs(p - base) <= drift_bound * g * g + 1e-15
 
+    @pytest.mark.parametrize("g", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coupling_rejected(self, g):
+        with pytest.raises(ContractViolationError, match="finite"):
+            real_superposition_setup(np.pi / 6, -np.pi / 6, g)
+
     def test_balance_point_enforced(self):
         with pytest.raises(ContractViolationError):
             WvaSetup(
@@ -167,6 +174,20 @@ class TestCollapsedStateInformation:
             assert diffs[0] >= diffs[1] >= diffs[2]
             assert diffs[2] < 1e-3 * target
 
+    @pytest.mark.parametrize("g", [1e-7, 1e-3])
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-4, 1e-5])
+    def test_near_orthogonal_postselection_is_exact(self, epsilon, g):
+        # Inside the documented epsilon range, where a finite-difference
+        # derivative loses accuracy and at 1e-5 fails outright.
+        theta = np.pi / 6
+        psi_si = BASIS.superposition(theta)
+        psi_sf = near_orthogonal_postselection(psi_si, SIGMA, epsilon)
+        alpha = np.arctan2(psi_sf.amplitudes[1].real, psi_sf.amplitudes[0].real)
+        k = oracle_weak_value(theta, alpha)
+        d = np.cos(g) ** 2 + k**2 * np.sin(g) ** 2
+        setup = WvaSetup(psi_si, psi_sf, BALANCED_METER, SIGMA, SIGMA, g)
+        assert fm_exact(setup) == pytest.approx(4.0 * k**2 / d**2, rel=1e-9)
+
     def test_fm_leading_values(self):
         assert fm_leading(1.0, 2.0) == 16.0
         assert fm_leading(1.0, 0.0) == 0.0
@@ -201,6 +222,16 @@ class TestProbabilisticQfi:
                 setup = real_superposition_setup(theta, alpha, 1e-3)
                 exact, _ = probabilistic_qfi(setup)
                 assert exact <= 4.0 * (1.0 + 1e-3)
+
+
+class TestReturnTypes:
+    def test_public_scalars_are_python_floats(self):
+        setup = real_superposition_setup(np.pi / 6, -np.pi / 5, 0.0349)
+        exact, leading = probabilistic_qfi(setup)
+        model = conditional_outcome_model(np.pi / 6, -np.pi / 5)
+        for value in (postselect(setup).p, fm_exact(setup), exact, leading,
+                      cfi_discrete(model, 0.0349)):
+            assert type(value) is float
 
 
 class TestPostselectionConstructors:

@@ -1,7 +1,10 @@
 """Exact linear-algebra layer: construction invariants, operations, geometry."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +23,7 @@ from wva_costlab import (
     hermitian_eigs,
     ket_from_bloch,
     overlap_sq,
+    postselected_meter,
     tensor,
 )
 
@@ -27,6 +31,15 @@ BASIS = ReferenceBasis.standard()
 
 SIGMA_Y = HermitianOperator(np.array([[0, -1j], [1j, 0]]))
 SIGMA_Z = HermitianOperator(np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+def random_hermitian(rng, dim=2):
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return HermitianOperator((raw + raw.conj().T) / 2.0)
+
+
+def random_ket(rng, dim=2):
+    return Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim))
 
 
 def random_kets(dim=2):
@@ -48,6 +61,18 @@ class TestTypes:
             Ket(np.zeros(2))
         with pytest.raises(ModelDimensionError):
             Ket(np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_ket_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ContractViolationError, match="finite"):
+            Ket(np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+    def test_superposition_rejects_non_finite_angle(self, angle):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from np.cos(inf)
+            with pytest.raises(ContractViolationError, match="finite"):
+                BASIS.superposition(angle)
 
     def test_ket_amplitudes_readonly(self):
         k = Ket(np.array([1.0, 0.0]))
@@ -134,6 +159,47 @@ class TestCouplingUnitary:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ContractViolationError):
             coupling_unitary(np.array([[0.0, 1.0], [0.0, 0.0]]), SIGMA_Z, 0.1)
+
+    def test_matches_matrix_exponential(self):
+        rng = np.random.default_rng(11)
+        degenerate = HermitianOperator(0.7 * np.eye(2))
+        for k in range(20):
+            A = degenerate if k == 0 else random_hermitian(rng)
+            M = random_hermitian(rng)
+            g = rng.uniform(-2.0, 2.0)
+            expected = scipy.linalg.expm(-1j * g * np.kron(A.entries, M.entries))
+            assert np.max(np.abs(coupling_unitary(A, M, g).entries - expected)) < 1e-12
+
+
+class TestPostselectedMeter:
+    """The kernel against U = expm(-i g A (x) M) and dU/dg = -i (A (x) M) U."""
+
+    def dense_reference(self, psi_si, psi_sf, phi_mi, A, M, g):
+        generator = np.kron(A.entries, M.entries)
+        u = scipy.linalg.expm(-1j * g * generator)
+        project = np.kron(psi_sf.amplitudes.conj(), np.eye(2))  # <sf| (x) I
+        joint = np.kron(psi_si.amplitudes, phi_mi.amplitudes)
+        return project @ u @ joint, project @ (-1j * generator) @ u @ joint
+
+    def test_matches_dense_evolution(self):
+        rng = np.random.default_rng(12)
+        degenerate = HermitianOperator(-1.3 * np.eye(2))
+        for k in range(20):
+            A = degenerate if k == 0 else random_hermitian(rng)
+            M = degenerate if k == 1 else random_hermitian(rng)
+            kets = [random_ket(rng) for _ in range(3)]
+            g = rng.uniform(-2.0, 2.0)
+            p, v, dv = postselected_meter(*kets, A, M, g)
+            v_ref, dv_ref = self.dense_reference(*kets, A, M, g)
+            assert np.max(np.abs(v - v_ref)) < 1e-12
+            assert np.max(np.abs(dv - dv_ref)) < 1e-12
+            assert type(p) is float
+            assert p == pytest.approx(np.vdot(v_ref, v_ref).real, abs=1e-12)
+
+    def test_rejects_non_qubit_operands(self):
+        four = Ket(np.ones(4))
+        with pytest.raises(ModelDimensionError):
+            postselected_meter(four, BASIS.ket0, BASIS.ket0, SIGMA_Y, SIGMA_Z, 0.1)
 
 
 class TestBlochGeometry:

@@ -51,7 +51,7 @@ from .postselect import (
     real_superposition_setup,
     weak_regime_margin,
 )
-from .states import ReferenceBasis
+from .states import STANDARD_BASIS
 from .verify import SUITE_NAMES, run_suites
 
 PROG = "wva-costlab"
@@ -134,6 +134,13 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, default=None):
     return config.get(key, default)
 
 
+def _theta_in_domain(theta: float) -> float:
+    """The preparation angle, or a CLI error outside the documented (0, pi/4]."""
+    if not (0.0 < theta <= np.pi / 4.0 + 1e-12):
+        raise _CliError("--theta must lie in (0, pi/4]", 1)
+    return theta
+
+
 def _resolve_rates(args, config) -> CostRates:
     return CostRates(
         r_p=float(_resolve(args, config, "rp", 1.0)),
@@ -143,8 +150,7 @@ def _resolve_rates(args, config) -> CostRates:
 
 
 def _curve_rows(theta: float, rates: CostRates, printed_form: bool) -> list[dict]:
-    basis = ReferenceBasis.standard()
-    coherence = l1_coherence(basis.superposition(theta), basis)
+    coherence = l1_coherence(STANDARD_BASIS.superposition(theta), STANDARD_BASIS)
     samples = boundary_curve(theta, default_alpha_grid(), rates, printed_form=printed_form)
     return [
         {
@@ -164,9 +170,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     theta = _resolve(args, config, "theta")
     if theta is None:
         return _fail("curve requires --theta", 1)
-    theta = float(theta)
-    if not (0.0 < theta <= np.pi / 4.0 + 1e-12):
-        return _fail("--theta must lie in (0, pi/4]", 1)
+    theta = _theta_in_domain(float(theta))
     printed = bool(args.compat_printed_bound or config.get("compat_printed_bound", False))
     fmt = _resolve(args, config, "format", "csv")
     try:
@@ -196,6 +200,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if value is None:
             return _fail(f"simulate requires --{key}", 1)
         required[key] = float(value)
+    _theta_in_domain(required["theta"])
     nu = int(_resolve(args, config, "nu", 700))
     reps = int(_resolve(args, config, "reps", 1000))
     seed = int(_resolve(args, config, "seed", 0))
@@ -253,6 +258,7 @@ def cmd_qfi(args: argparse.Namespace) -> int:
         if value is None:
             return _fail(f"qfi requires --{key}", 1)
         values[key] = float(value)
+    _theta_in_domain(values["theta"])
     try:
         setup = real_superposition_setup(values["theta"], values["alpha"], values["g"])
         result = postselect(setup)
@@ -260,8 +266,7 @@ def cmd_qfi(args: argparse.Namespace) -> int:
         f_exact, f_leading = probabilistic_qfi(setup)
         cfi = cfi_discrete(conditional_outcome_model(values["theta"], values["alpha"]), values["g"])
         omega = setup.omega
-        basis = ReferenceBasis.standard()
-        coherence = l1_coherence(basis.superposition(values["theta"]), basis)
+        coherence = l1_coherence(STANDARD_BASIS.superposition(values["theta"]), STANDARD_BASIS)
         cost = cost_point(4.0 * omega, f_exact, fm, _resolve_rates(args, config))
         payload = {
             **values,

@@ -13,13 +13,14 @@ available behind ``printed_form=True`` so the discrepancy stays demonstrable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ContractViolationError, InfinitePreparationCostError
-from .states import BlochVector, DensityMatrix, Ket, ReferenceBasis, bloch_angle
+from .states import STANDARD_BASIS, BlochVector, DensityMatrix, Ket, ReferenceBasis, bloch_angle
 
 CP_BUCKET_WIDTH = 1e-3
 DEFAULT_ALPHA_COUNT = 721
@@ -28,13 +29,15 @@ ALPHA_SINGULARITY_TOL = 1e-6
 
 @dataclass(frozen=True)
 class CostRates:
-    """Per-sample preparation/detection costs and the conventional sample count."""
+    """Finite per-sample preparation/detection costs and the conventional sample count."""
 
     r_p: float
     r_m: float
     n_samples: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.r_p) and math.isfinite(self.r_m)):
+            raise ContractViolationError("CostRates: rates must be finite")
         if self.r_p <= 0 or self.r_m <= 0 or self.n_samples < 1:
             raise ContractViolationError("CostRates: all fields must be positive")
 
@@ -73,12 +76,16 @@ class TradeoffSample:
 
 
 def l1_coherence(rho: Union[Ket, DensityMatrix], basis: ReferenceBasis) -> float:
-    """l1-norm coherence of a qubit state in the reference basis (2 |rho_01|)."""
-    if isinstance(rho, Ket):
-        rho = DensityMatrix.from_ket(rho)
+    """l1-norm coherence of a qubit state in the reference basis (2 |rho_01|).
+
+    For a ket this is 2 |<0|psi><psi|1>|, with no density matrix built.
+    """
     if rho.dim != 2:
         raise ContractViolationError("l1_coherence: state must be a qubit")
-    off = np.vdot(basis.ket0.amplitudes, rho.entries @ basis.ket1.amplitudes)
+    if isinstance(rho, Ket):
+        off = basis.ket0.inner(rho) * basis.ket1.inner(rho).conjugate()
+    else:
+        off = np.vdot(basis.ket0.amplitudes, rho.entries @ basis.ket1.amplitudes)
     return float(min(2.0 * abs(off), 1.0))
 
 
@@ -137,15 +144,20 @@ def cost_point_geometric(
     )
 
 
+def _clip_unit(x: float) -> float:
+    """Clamp into [0, 1]; NaN passes through."""
+    return min(max(x, 0.0), 1.0)
+
+
 def bound_rhs(coherence: float, printed_form: bool = False) -> float:
     """Right-hand side of the tradeoff bound for a given l1 coherence.
 
     The default (corrected) form is 2 arccos(sqrt(1 - C^2)); the printed
     variant drops the square and is strictly looser.
     """
-    c = float(np.clip(coherence, 0.0, 1.0))
+    c = _clip_unit(float(coherence))
     arg = 1.0 - (c if printed_form else c * c)
-    return 2.0 * float(np.arccos(np.sqrt(np.clip(arg, 0.0, 1.0))))
+    return 2.0 * math.acos(math.sqrt(_clip_unit(arg)))
 
 
 def tradeoff_slack(
@@ -170,8 +182,8 @@ def tradeoff_slack(
     ratio = point.cm_norm / point.cp_norm
     if ratio > 1.0 + 1e-9:
         raise ContractViolationError("tradeoff_slack: cm_norm/cp_norm exceeds 1")
-    prep_angle = 2.0 * np.arccos(np.sqrt(np.clip(1.0 / point.cp_norm, 0.0, 1.0)))
-    meas_angle = 2.0 * np.arccos(np.sqrt(np.clip(ratio, 0.0, 1.0)))
+    prep_angle = 2.0 * math.acos(math.sqrt(_clip_unit(1.0 / point.cp_norm)))
+    meas_angle = 2.0 * math.acos(math.sqrt(_clip_unit(ratio)))
     lhs = abs(prep_angle - meas_angle)
     return bound_rhs(coherence, printed_form) - lhs
 
@@ -204,8 +216,7 @@ def boundary_curve(
     if alphas.size == 0:
         raise ContractViolationError("boundary_curve: empty alpha grid")
 
-    basis = ReferenceBasis.standard()
-    coherence = l1_coherence(basis.superposition(theta), basis)
+    coherence = l1_coherence(STANDARD_BASIS.superposition(theta), STANDARD_BASIS)
 
     buckets: dict[int, TradeoffSample] = {}
     cheapest: Optional[TradeoffSample] = None

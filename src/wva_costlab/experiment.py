@@ -30,7 +30,13 @@ from .errors import (
 )
 from .fisher import OutcomeModel
 from .postselect import fm_exact, postselect, real_superposition_setup
-from .states import ReferenceBasis, postselected_meter
+from .states import (
+    METER_MINUS,
+    METER_PLUS,
+    STANDARD_BASIS,
+    STANDARD_SIGMA,
+    postselected_meter,
+)
 
 PREPARATION_BUDGET = 10**9
 _DEGENERACY_TOL = 1e-12
@@ -65,7 +71,11 @@ Stopping = Union[FixedPostselected, FixedPrepared]
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full configuration of a simulated estimation campaign."""
+    """Full configuration of a simulated estimation campaign.
+
+    Angles must be finite and the true coupling must lie in [0, g_max], the
+    interval on which the maximum-likelihood estimator inverts the readout.
+    """
 
     theta: float
     alpha: float
@@ -85,6 +95,9 @@ class ExperimentConfig:
             raise ContractViolationError("ExperimentConfig: master_seed must fit in 64 bits")
         if not (0.0 < self.g_max <= np.pi / 2.0 - 1e-6):
             raise ContractViolationError("ExperimentConfig: g_max out of range")
+        # The estimator's readout curve is monotone on [0, g_max] only.
+        if not (0.0 <= self.g_true <= self.g_max):
+            raise ContractViolationError("ExperimentConfig: g_true must lie in [0, g_max]")
         # The estimator inverts the conditional readout probability, which is
         # strictly increasing on [0, g_max] only away from these degeneracies.
         if abs(np.cos(self.alpha + self.theta)) <= _DEGENERACY_TOL:
@@ -148,15 +161,16 @@ def _readout_probabilities(theta: float, alpha: float, g: float) -> tuple[float,
     input, projected on the recombined plus/minus basis. Values below 1e-30
     collapse to exact zero.
     """
-    basis = ReferenceBasis.standard()
-    sigma = basis.sigma()
-    plus_ket = basis.superposition(np.pi / 4.0)
     _, meter_vec, _ = postselected_meter(
-        basis.superposition(theta), basis.superposition(alpha), plus_ket, sigma, sigma, g
+        STANDARD_BASIS.superposition(theta),
+        STANDARD_BASIS.superposition(alpha),
+        METER_PLUS,
+        STANDARD_SIGMA,
+        STANDARD_SIGMA,
+        g,
     )
-    minus_ket = basis.superposition(-np.pi / 4.0)
-    p_plus = abs(np.vdot(plus_ket.amplitudes, meter_vec)) ** 2
-    p_minus = abs(np.vdot(minus_ket.amplitudes, meter_vec)) ** 2
+    p_plus = abs(np.vdot(METER_PLUS.amplitudes, meter_vec)) ** 2
+    p_minus = abs(np.vdot(METER_MINUS.amplitudes, meter_vec)) ** 2
     if p_plus < _PROB_FLOOR:
         p_plus = 0.0
     if p_minus < _PROB_FLOOR:
@@ -233,7 +247,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialCounts:
             estimate = int(remaining / p * 1.2) + 64
             chunk = min(max(estimate, 1024), _MAX_CHUNK, PREPARATION_BUDGET - n_prepared)
             hits = rng.random(chunk) < p
-            n_hits = int(hits.sum())
+            n_hits = int(np.count_nonzero(hits))
             if n_hits >= remaining:
                 last = int(np.flatnonzero(hits)[remaining - 1])
                 n_prepared += last + 1
@@ -244,9 +258,9 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialCounts:
         n_postselected = config.stopping.nu
     else:
         n_prepared = config.stopping.n
-        n_postselected = int((rng.random(n_prepared) < p).sum())
+        n_postselected = int(np.count_nonzero(rng.random(n_prepared) < p))
 
-    n_minus = int((rng.random(n_postselected) < q).sum()) if n_postselected else 0
+    n_minus = int(np.count_nonzero(rng.random(n_postselected) < q)) if n_postselected else 0
     return TrialCounts(
         n_prepared=n_prepared,
         n_postselected=n_postselected,
@@ -316,8 +330,7 @@ def run_campaign(
     p_exact = postselect(setup).p
     fm_ex = fm_exact(setup)
 
-    basis = ReferenceBasis.standard()
-    coherence = l1_coherence(basis.superposition(config.theta), basis)
+    coherence = l1_coherence(STANDARD_BASIS.superposition(config.theta), STANDARD_BASIS)
 
     cost_ex = cost_point(4.0 * omega, p_exact * fm_ex, fm_ex, rates)
     slack_ex = tradeoff_slack(cost_ex, coherence)

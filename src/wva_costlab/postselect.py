@@ -34,6 +34,9 @@ from .errors import (
 )
 from .fisher import MixedFamily, PureFamily
 from .states import (
+    METER_PLUS,
+    STANDARD_BASIS,
+    STANDARD_SIGMA,
     DensityMatrix,
     HermitianOperator,
     Ket,
@@ -81,9 +84,9 @@ class WvaSetup:
 
     @property
     def omega(self) -> float:
-        """Second moment of the meter observable in the initial meter state."""
-        m2 = HermitianOperator(self.M.entries @ self.M.entries)
-        return m2.expectation(self.phi_mi)
+        """Second moment <M^2> = ||M phi||^2 of the meter observable in the meter state."""
+        m_phi = self.M.apply(self.phi_mi)
+        return float(np.real(np.vdot(m_phi, m_phi)))
 
     def at(self, g: float) -> "WvaSetup":
         """Copy of this setup with a different coupling strength."""
@@ -286,16 +289,14 @@ def real_superposition_setup(
 
     System prepared as cos(theta)|0> + sin(theta)|1> and postselected onto
     cos(alpha)|0> + sin(alpha)|1>, with the coupling observable diagonal in the
-    same basis and a balanced meter (equal superposition, M diagonal).
+    same basis and a balanced meter (the shared |+> and standard observable).
     """
-    basis = basis or ReferenceBasis.standard()
-    meter_basis = ReferenceBasis.standard()
-    phi_mi = meter_basis.superposition(np.pi / 4.0)
+    basis = basis or STANDARD_BASIS
     return WvaSetup(
         psi_si=basis.superposition(theta),
         psi_sf=basis.superposition(alpha),
-        phi_mi=phi_mi,
-        A=basis.sigma(),
-        M=meter_basis.sigma(),
+        phi_mi=METER_PLUS,
+        A=STANDARD_SIGMA if basis is STANDARD_BASIS else basis.sigma(),
+        M=STANDARD_SIGMA,
         g=g,
     )

@@ -5,10 +5,18 @@ matrices, Bloch-sphere geometry, a small deterministic Hermitian eigensolver
 and the exact postselection kernel of the coupling exp(-i g A (x) M). Only
 dimensions 2 (single qubit) and 4 (system plus meter) are supported; the
 product space is ordered system-major, meter-minor.
+
+The coupling and the kernel never call LAPACK: a qubit observable
+H = h0 I + K splits in closed form into eigenvalues h0 +- |K| with projectors
+(I +- K/|K|)/2, evaluated in Python complex scalars. The LAPACK wrapper
+``_eigh`` serves only :func:`hermitian_eigs`. The standard basis, its
+observable and the balanced meter kets are built once, as read-only module
+constants.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -41,6 +49,17 @@ def _check_dim(dim: int, where: str) -> None:
         raise ModelDimensionError(
             f"{where}: dimension {dim} outside the 2-qubit model (expected 2 or 4)"
         )
+
+
+def _square_entries(entries, where: str) -> np.ndarray:
+    """Complex square matrix of a model dimension with finite entries."""
+    mat = np.asarray(entries, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ContractViolationError(f"{where}: entries must be square")
+    _check_dim(mat.shape[0], where)
+    if not np.isfinite(mat).all():
+        raise ContractViolationError(f"{where}: entries must be finite")
+    return mat
 
 
 @dataclass(frozen=True)
@@ -79,15 +98,12 @@ class Ket:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Hermitian observable on a 2- or 4-dimensional space."""
+    """Hermitian observable on a 2- or 4-dimensional space with finite entries."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ContractViolationError("HermitianOperator: entries must be square")
-        _check_dim(mat.shape[0], "HermitianOperator")
+        mat = _square_entries(self.entries, "HermitianOperator")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
             raise ContractViolationError("HermitianOperator: entries are not Hermitian")
         object.__setattr__(self, "entries", _readonly(mat))
@@ -117,10 +133,7 @@ class UnitaryOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ContractViolationError("UnitaryOperator: entries must be square")
-        _check_dim(mat.shape[0], "UnitaryOperator")
+        mat = _square_entries(self.entries, "UnitaryOperator")
         ident = np.eye(mat.shape[0])
         if np.max(np.abs(mat @ mat.conj().T - ident)) > UNITARY_TOL:
             raise ContractViolationError("UnitaryOperator: entries are not unitary")
@@ -138,15 +151,15 @@ class UnitaryOperator:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Positive unit-trace Hermitian matrix describing a (possibly mixed) state."""
+    """Positive unit-trace Hermitian matrix describing a (possibly mixed) state.
+
+    Non-finite entries are rejected before the eigenvalue check.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ContractViolationError("DensityMatrix: entries must be square")
-        _check_dim(mat.shape[0], "DensityMatrix")
+        mat = _square_entries(self.entries, "DensityMatrix")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
             raise ContractViolationError("DensityMatrix: entries are not Hermitian")
         if abs(np.trace(mat).real - 1.0) > 1e-12 or abs(np.trace(mat).imag) > 1e-12:
@@ -212,7 +225,8 @@ class ReferenceBasis:
 
     @classmethod
     def standard(cls) -> "ReferenceBasis":
-        return cls(Ket(np.array([1.0, 0.0])), Ket(np.array([0.0, 1.0])))
+        """The shared computational basis (|0>, |1>), :data:`STANDARD_BASIS`."""
+        return STANDARD_BASIS
 
     def superposition(self, angle: float) -> Ket:
         """Return cos(angle)*ket0 + sin(angle)*ket1 for a finite angle."""
@@ -233,6 +247,14 @@ class ReferenceBasis:
         s1 = HermitianOperator(p01 + p01.conj().T)
         s2 = HermitianOperator(-1j * p01 + 1j * p01.conj().T)
         return s1, s2, self.sigma()
+
+
+# Built once; every field is a frozen dataclass over a read-only array.
+STANDARD_BASIS = ReferenceBasis(Ket(np.array([1.0, 0.0])), Ket(np.array([0.0, 1.0])))
+STANDARD_SIGMA = STANDARD_BASIS.sigma()
+# The balanced meter |+> = (|0> + |1>)/sqrt(2) and its partner |->.
+METER_PLUS = STANDARD_BASIS.superposition(np.pi / 4.0)
+METER_MINUS = STANDARD_BASIS.superposition(-np.pi / 4.0)
 
 
 KetOrOperator = Union[Ket, HermitianOperator]
@@ -314,19 +336,46 @@ def _qubit_observables(A, M, where: str) -> tuple[HermitianOperator, HermitianOp
     return A, M
 
 
+_Projector = tuple[complex, complex, complex, complex]
+
+
+def _qubit_split(H: HermitianOperator) -> list[tuple[float, _Projector]]:
+    """Closed-form spectral split of a qubit observable, in Python scalars.
+
+    With H = h0 I + K and K traceless, the eigenvalues are h0 +- r with
+    r = |K| and the projectors are (I +- K/r)/2, returned row-major as
+    (P00, P01, P10, P11). When r = 0 the single projector I carries both
+    eigenvalues. The off-diagonal is read from the lower triangle.
+    """
+    (h00, _), (h10, h11) = H.entries.tolist()
+    h0 = 0.5 * (h00.real + h11.real)
+    kz = 0.5 * (h00.real - h11.real)
+    r = math.hypot(kz, h10.real, h10.imag)
+    if r == 0.0:
+        return [(h0, (1.0, 0j, 0j, 1.0))]
+    z, c = kz / r, h10 / r
+    up = 0.5 * c.conjugate()
+    return [
+        (h0 + r, (0.5 * (1.0 + z), up, 0.5 * c, 0.5 * (1.0 - z))),
+        (h0 - r, (0.5 * (1.0 - z), -up, -0.5 * c, 0.5 * (1.0 + z))),
+    ]
+
+
 def coupling_unitary(A: HermitianOperator, M: HermitianOperator, g: float) -> UnitaryOperator:
     """Return exp(-i g A (x) M) for qubit observables A and M.
 
-    With A = sum_i a_i P_i and M = sum_j m_j Q_j, the generator's eigenvectors
-    are the products of the factors' eigenvectors, so
-    U = V exp(-i g a (x) m) V^dagger with V = avecs (x) mvecs. Degenerate
-    spectra need no special ordering.
+    With A = sum_i a_i P_i and M = sum_j m_j Q_j from the closed-form split,
+    U = sum_ij exp(-i g a_i m_j) P_i (x) Q_j. Degenerate spectra contribute
+    a single projector and need no special handling.
     """
     A, M = _qubit_observables(A, M, "coupling_unitary")
-    a, avecs = _eigh(A, "coupling_unitary")
-    m, mvecs = _eigh(M, "coupling_unitary")
-    vecs = np.kron(avecs, mvecs)
-    return UnitaryOperator((vecs * np.exp(-1j * g * np.kron(a, m))) @ vecs.conj().T)
+    u = np.zeros((4, 4), dtype=complex)
+    for a, P in _qubit_split(A):
+        for m, Q in _qubit_split(M):
+            u += cmath.exp(-1j * g * (a * m)) * np.kron(
+                np.reshape(P, (2, 2)), np.reshape(Q, (2, 2))
+            )
+    return UnitaryOperator(u)
 
 
 def postselected_meter(
@@ -342,26 +391,42 @@ def postselected_meter(
     Returns (p, v, dv): the unnormalized meter vector v = <sf|U(g)|si>|phi>
     left by projecting the evolved system on ``psi_sf``, its exact derivative
     dv = dv/dg, and the postselection probability p = <v|v>. The coupling
-    factorizes over the spectra A = sum_i a_i P_i and M = sum_j m_j Q_j, so
+    factorizes over the closed-form spectral splits A = sum_i a_i P_i and
+    M = sum_j m_j Q_j (see :func:`_qubit_split`), so
 
         v = sum_j w_j Q_j|phi>,  w_j = sum_i <sf|P_i|si> exp(-i g a_i m_j),
 
-    and dv takes the factor -i a_i m_j into each term. The projector sums do
-    not depend on the eigenbasis chosen inside a degenerate eigenvalue.
+    and dv takes the factor -i a_i m_j into each term. Everything is
+    evaluated in Python complex scalars; no eigensolver is called, and a
+    degenerate A or M contributes its single projector I.
     """
     if psi_si.dim != 2 or psi_sf.dim != 2 or phi_mi.dim != 2:
         raise ModelDimensionError("postselected_meter: system and meter must be qubits")
     A, M = _qubit_observables(A, M, "postselected_meter")
-    a, avecs = _eigh(A, "postselected_meter")
-    m, mvecs = _eigh(M, "postselected_meter")
-    # <sf|p_i><p_i|si> and <q_j|phi> in the eigenbases of A and M
-    sys_amp = (avecs.T @ psi_sf.amplitudes.conj()) * (avecs.conj().T @ psi_si.amplitudes)
-    meter_amp = mvecs.conj().T @ phi_mi.amplitudes
-    generator = np.outer(a, m)
-    phase = np.exp(-1j * g * generator)
-    v = mvecs @ ((sys_amp @ phase) * meter_amp)
-    dv = mvecs @ ((sys_amp @ (-1j * generator * phase)) * meter_amp)
-    return float(np.real(np.vdot(v, v))), v, dv
+    s0, s1 = psi_si.amplitudes.tolist()
+    f0, f1 = (f.conjugate() for f in psi_sf.amplitudes.tolist())
+    x0, x1 = phi_mi.amplitudes.tolist()
+    # (a_i, <sf|P_i|si>)
+    sys_terms = [
+        (a, f0 * (p00 * s0 + p01 * s1) + f1 * (p10 * s0 + p11 * s1))
+        for a, (p00, p01, p10, p11) in _qubit_split(A)
+    ]
+    v0 = v1 = d0 = d1 = 0j
+    for m, (q00, q01, q10, q11) in _qubit_split(M):
+        w = dw = 0j
+        for a, amp in sys_terms:
+            generator = a * m
+            phase = cmath.exp(-1j * g * generator)
+            w += amp * phase
+            dw += amp * (-1j * generator * phase)
+        y0 = q00 * x0 + q01 * x1  # Q_j|phi>
+        y1 = q10 * x0 + q11 * x1
+        v0 += w * y0
+        v1 += w * y1
+        d0 += dw * y0
+        d1 += dw * y1
+    v = np.array([v0, v1])
+    return float(np.real(np.vdot(v, v))), v, np.array([d0, d1])
 
 
 def bloch_of(psi: Ket, basis: ReferenceBasis) -> BlochVector:

@@ -26,6 +26,8 @@ from .costs import CostPoint, l1_coherence, tradeoff_slack
 from .fisher import qfi_mixed, qfi_spectral_unitary
 from .postselect import WvaSetup, postselected_meter_family
 from .states import (
+    METER_PLUS,
+    STANDARD_SIGMA,
     DensityMatrix,
     HermitianOperator,
     Ket,
@@ -145,7 +147,6 @@ def suite_incoherent_ceiling(
     basis = ReferenceBasis.standard()
     alphas = np.linspace(-np.pi / 2.0 + 0.05, np.pi / 2.0 - 0.05, n_alpha)
     worst_excess = -np.inf
-    phi_mi = basis.superposition(np.pi / 4.0)
     for mu in mus:
         rho = DensityMatrix.mixture([mu, 1.0 - mu], [basis.ket0, basis.ket1])
         for alpha in alphas:
@@ -153,9 +154,9 @@ def suite_incoherent_ceiling(
                 setup = WvaSetup(
                     psi_si=rho,
                     psi_sf=basis.superposition(alpha),
-                    phi_mi=phi_mi,
-                    A=basis.sigma(),
-                    M=basis.sigma(),
+                    phi_mi=METER_PLUS,
+                    A=STANDARD_SIGMA,
+                    M=STANDARD_SIGMA,
                     g=g,
                 )
                 ceiling = 4.0 * setup.omega

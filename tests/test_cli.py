@@ -9,6 +9,7 @@ from wva_costlab.cli import main
 
 THETA = str(np.pi / 6)
 ALPHA = str(-np.pi / 6)
+THETA_DOMAIN_ERROR = "wva-costlab: error: --theta must lie in (0, pi/4]"
 
 
 def read(path):
@@ -145,6 +146,22 @@ class TestSimulate:
         assert len(captured.err.strip().splitlines()) == 1
 
 
+    @pytest.mark.parametrize("g", ["-0.05", "1.2"])
+    def test_coupling_outside_estimator_range_exits_1(self, g, capsys):
+        args = ["simulate", "--theta", THETA, "--alpha", ALPHA, "--g", g, "--reps", "20"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "g_max" in captured.err
+
+    def test_theta_outside_domain_exits_1(self, capsys):
+        assert main(["simulate", "--theta", "1.0", "--alpha", ALPHA, "--g", "0.0349"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [THETA_DOMAIN_ERROR]
+
+
 class TestQfi:
     def test_payload(self, tmp_path):
         out = tmp_path / "qfi.json"
@@ -164,6 +181,17 @@ class TestQfi:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("theta", ["1.0", "0", "-0.3", "nan"])
+    def test_theta_outside_domain_exits_1(self, theta, capsys):
+        assert main(["qfi", "--theta", theta, "--alpha", ALPHA, "--g", "1e-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [THETA_DOMAIN_ERROR]
+
+    def test_non_finite_rate_exits_1(self, capsys):
+        assert main(["qfi", "--theta", THETA, "--alpha", ALPHA, "--g", "1e-3", "--rp", "nan"]) == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     def test_invalid_scenario_exits_1(self):
         orthogonal = str(np.pi / 6 + np.pi / 2)

@@ -51,6 +51,15 @@ class TestCoherence:
         assert got == pytest.approx(0.8660254, abs=1e-7)
 
 
+class TestCostRates:
+    @pytest.mark.parametrize("field", ["r_p", "r_m"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rates_rejected(self, field, bad):
+        fields = {"r_p": 1.0, "r_m": 1.0, "n_samples": 1, field: bad}
+        with pytest.raises(ContractViolationError, match="finite"):
+            CostRates(**fields)
+
+
 class TestCostPoint:
     def test_conventional_scheme_recovered(self):
         point = cost_point(4.0, 4.0, 4.0, RATES)

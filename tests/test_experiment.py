@@ -113,6 +113,18 @@ class TestRunTrial:
         assert run_trial(cfg, 7) == run_trial(cfg, 7)
         assert run_trial(cfg, 7) != run_trial(cfg, 8)
 
+    def test_pinned_trial_stream(self):
+        # Counts of PCG64(SeedSequence((2024, i))) under both stopping rules.
+        expected = {
+            FixedPostselected(700): [(9867, 700, 660, 40), (10510, 700, 657, 43),
+                                     (10085, 700, 649, 51)],
+            FixedPrepared(2000): [(2000, 138, 135, 3), (2000, 139, 128, 11),
+                                  (2000, 145, 139, 6)],
+        }
+        for stopping, rows in expected.items():
+            cfg = ExperimentConfig(np.pi / 6, -np.pi / 4, 0.0698, stopping, 3, 2024)
+            assert [run_trial(cfg, i) for i in range(3)] == [TrialCounts(*r) for r in rows]
+
     def test_counts_are_consistent(self):
         cfg = config(nu=300)
         for i in range(10):
@@ -340,6 +352,16 @@ class TestConfigValidation:
             warnings.simplefilter("error")  # rejected before any trig call
             with pytest.raises(ContractViolationError, match="finite"):
                 config(**{field: bad})
+
+    @pytest.mark.parametrize("g", [-0.05, -1e-12, np.pi / 4.0 + 1e-9, 1.2])
+    def test_coupling_outside_estimator_range_rejected(self, g):
+        with pytest.raises(ContractViolationError, match="g_max"):
+            config(g=g)
+
+    def test_coupling_range_follows_g_max(self):
+        ExperimentConfig(THETA, ALPHA, 0.5, FixedPostselected(10), 1, 1, g_max=0.6)
+        with pytest.raises(ContractViolationError, match="g_max"):
+            ExperimentConfig(THETA, ALPHA, 0.5, FixedPostselected(10), 1, 1, g_max=0.4)
 
     def test_counts_and_seed_ranges(self):
         with pytest.raises(ContractViolationError):

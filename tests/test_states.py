@@ -26,6 +26,7 @@ from wva_costlab import (
     postselected_meter,
     tensor,
 )
+from wva_costlab.states import METER_MINUS, METER_PLUS, STANDARD_BASIS, STANDARD_SIGMA
 
 BASIS = ReferenceBasis.standard()
 
@@ -94,6 +95,25 @@ class TestTypes:
             DensityMatrix(np.eye(2))  # trace 2
         with pytest.raises(ContractViolationError):
             DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_hermitian_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ContractViolationError, match="finite"):
+            HermitianOperator(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_unitary_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ContractViolationError, match="finite"):
+            UnitaryOperator(np.array([[1.0, 0.0], [0.0, bad]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_density_matrix_rejects_non_finite_entries(self, bad):
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # nan * 0 off the support is the input here
+            entries = 0.5 * (np.eye(2) + bad * sigma_x)
+        with pytest.raises(ContractViolationError, match="finite"):
+            DensityMatrix(entries)
 
     def test_reference_basis_orthogonality(self):
         with pytest.raises(ContractViolationError):
@@ -196,10 +216,53 @@ class TestPostselectedMeter:
             assert type(p) is float
             assert p == pytest.approx(np.vdot(v_ref, v_ref).real, abs=1e-12)
 
+    def test_matches_dense_evolution_at_degenerate_and_near_degenerate_observables(self):
+        rng = np.random.default_rng(13)
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        specials = [
+            HermitianOperator(0.4 * np.eye(2)),
+            HermitianOperator(-1.1 * np.eye(2) + 1e-13 * sigma_x),
+        ]
+        for special in specials:
+            for g in (0.0, 1e-3, 1.0):
+                for A, M in ((special, random_hermitian(rng)), (random_hermitian(rng), special),
+                             (special, special)):
+                    kets = [random_ket(rng) for _ in range(3)]
+                    p, v, dv = postselected_meter(*kets, A, M, g)
+                    v_ref, dv_ref = self.dense_reference(*kets, A, M, g)
+                    assert np.max(np.abs(v - v_ref)) < 1e-12
+                    assert np.max(np.abs(dv - dv_ref)) < 1e-12
+                    assert p == pytest.approx(np.vdot(v_ref, v_ref).real, abs=1e-12)
+                    expected = scipy.linalg.expm(-1j * g * np.kron(A.entries, M.entries))
+                    u = coupling_unitary(A, M, g).entries
+                    assert np.max(np.abs(u - expected)) < 1e-12
+
     def test_rejects_non_qubit_operands(self):
         four = Ket(np.ones(4))
         with pytest.raises(ModelDimensionError):
             postselected_meter(four, BASIS.ket0, BASIS.ket0, SIGMA_Y, SIGMA_Z, 0.1)
+
+
+class TestSharedConstants:
+    def test_standard_basis_is_shared(self):
+        assert ReferenceBasis.standard() is STANDARD_BASIS
+        assert np.array_equal(STANDARD_SIGMA.entries, np.diag([1.0, -1.0]))
+        assert np.allclose(METER_PLUS.amplitudes, np.array([1.0, 1.0]) / np.sqrt(2.0))
+        assert np.allclose(METER_MINUS.amplitudes, np.array([1.0, -1.0]) / np.sqrt(2.0))
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            STANDARD_BASIS.ket0.amplitudes,
+            STANDARD_BASIS.ket1.amplitudes,
+            STANDARD_SIGMA.entries,
+            METER_PLUS.amplitudes,
+            METER_MINUS.amplitudes,
+        ],
+    )
+    def test_arrays_are_read_only(self, array):
+        with pytest.raises(ValueError):
+            array[0] = 0.5
 
 
 class TestBlochGeometry:

@@ -51,7 +51,7 @@ from .postselect import (
     real_superposition_setup,
     weak_regime_margin,
 )
-from .states import STANDARD_BASIS
+from .states import STANDARD_BASIS, check_theta
 from .verify import SUITE_NAMES, run_suites
 
 PROG = "wva-costlab"
@@ -136,9 +136,10 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, default=None):
 
 def _theta_in_domain(theta: float) -> float:
     """The preparation angle, or a CLI error outside the documented (0, pi/4]."""
-    if not (0.0 < theta <= np.pi / 4.0 + 1e-12):
-        raise _CliError("--theta must lie in (0, pi/4]", 1)
-    return theta
+    try:
+        return check_theta(theta, "--theta")
+    except WvaError as exc:
+        raise _CliError(str(exc), 1)
 
 
 def _resolve_rates(args, config) -> CostRates:
@@ -327,52 +328,52 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if payload["all_passed"] else 3
 
 
+# Every flag with its argparse settings, and the flags each subcommand reads;
+# a flag outside its subcommand's list is an invalid argument (exit 1).
+# Abbreviations are off, so ``verify --theta`` cannot pass for --theta-grid.
+_FLAGS = {
+    "theta": dict(type=float, help="preparation angle (rad)"),
+    "alpha": dict(type=float, help="postselection angle (rad)"),
+    "g": dict(type=float, help="coupling strength (rad)"),
+    "nu": dict(type=int, help="postselected photons per trial"),
+    "reps": dict(type=int, help="number of repeated trials"),
+    "seed": dict(type=int, help="64-bit master seed"),
+    "rp": dict(type=float, help="preparation cost per sample"),
+    "rm": dict(type=float, help="detection cost per sample"),
+    "n": dict(type=int, help="conventional-scheme sample count"),
+    "out": dict(help="output path (default: stdout)"),
+    "trials-out": dict(dest="trials_out", help="per-trial CSV path"),
+    "format": dict(choices=("csv", "json"), help="output format"),
+    "config": dict(help="JSON config file; flags win"),
+    "compat-printed-bound": dict(
+        action="store_true", help="use the published (unsquared) bound right-hand side"
+    ),
+    "suite": dict(
+        action="append", choices=SUITE_NAMES, help="run only the named suite (repeatable)"
+    ),
+    "theta-grid": dict(
+        dest="theta_grid",
+        type=int,
+        help="number of evenly spaced preparation angles for the bound sweep",
+    ),
+}
+_RATES = ("rp", "rm", "n")
+_COMMANDS = (
+    ("curve", cmd_curve, ("theta", *_RATES, "format", "compat-printed-bound")),
+    ("simulate", cmd_simulate, ("theta", "alpha", "g", "nu", "reps", "seed", *_RATES, "trials-out")),
+    ("qfi", cmd_qfi, ("theta", "alpha", "g", *_RATES)),
+    ("verify", cmd_verify, ("suite", "theta-grid", "seed", "compat-printed-bound")),
+)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog=PROG, description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: _Parser) -> None:
-        p.add_argument("--theta", type=float, help="preparation angle (rad)")
-        p.add_argument("--alpha", type=float, help="postselection angle (rad)")
-        p.add_argument("--g", type=float, help="coupling strength (rad)")
-        p.add_argument("--nu", type=int, help="postselected photons per trial")
-        p.add_argument("--reps", type=int, help="number of repeated trials")
-        p.add_argument("--seed", type=int, help="64-bit master seed")
-        p.add_argument("--rp", type=float, help="preparation cost per sample")
-        p.add_argument("--rm", type=float, help="detection cost per sample")
-        p.add_argument("--n", type=int, help="conventional-scheme sample count")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--trials-out", dest="trials_out", help="per-trial CSV path")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--config", help="JSON config file; flags win")
-        p.add_argument(
-            "--compat-printed-bound",
-            action="store_true",
-            help="use the published (unsquared) bound right-hand side",
-        )
-
-    for name, handler in (
-        ("curve", cmd_curve),
-        ("simulate", cmd_simulate),
-        ("qfi", cmd_qfi),
-        ("verify", cmd_verify),
-    ):
-        p = sub.add_parser(name)
-        add_common(p)
+    for name, handler, flags in _COMMANDS:
+        p = sub.add_parser(name, allow_abbrev=False)
         p.set_defaults(handler=handler)
-        if name == "verify":
-            p.add_argument(
-                "--suite",
-                action="append",
-                choices=SUITE_NAMES,
-                help="run only the named suite (repeatable)",
-            )
-            p.add_argument(
-                "--theta-grid",
-                dest="theta_grid",
-                type=int,
-                help="number of evenly spaced preparation angles for the bound sweep",
-            )
+        for flag in (*flags, "out", "config"):
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 

@@ -20,7 +20,15 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ContractViolationError, InfinitePreparationCostError
-from .states import STANDARD_BASIS, BlochVector, DensityMatrix, Ket, ReferenceBasis, bloch_angle
+from .states import (
+    STANDARD_BASIS,
+    BlochVector,
+    DensityMatrix,
+    Ket,
+    ReferenceBasis,
+    bloch_angle,
+    check_theta,
+)
 
 CP_BUCKET_WIDTH = 1e-3
 DEFAULT_ALPHA_COUNT = 721
@@ -210,8 +218,7 @@ def boundary_curve(
     the left endpoint, so the curve starts at (1, cos^2(2 theta)) and descends
     to the cm = 0 endpoint.
     """
-    if not (0.0 < theta <= np.pi / 4.0 + 1e-12):
-        raise ContractViolationError("boundary_curve: theta must lie in (0, pi/4]")
+    check_theta(theta, "boundary_curve: theta")
     alphas = np.asarray(alpha_grid, dtype=float).reshape(-1)
     if alphas.size == 0:
         raise ContractViolationError("boundary_curve: empty alpha grid")

@@ -11,6 +11,12 @@ empirical information value and an empirical cost point.
 Randomness is fully reproducible: trial ``i`` of a campaign with master seed
 ``s`` draws from PCG64 seeded by ``SeedSequence((s, i))``, so reports are
 bit-identical for identical configurations regardless of execution order.
+
+The readout law comes from one evaluation of the scalar postselection kernel
+per (theta, alpha, g), which also yields the exact derivative of the plus and
+minus probabilities in g. The outcome models hand that derivative to
+:func:`~wva_costlab.fisher.cfi_discrete`, so the readout information is exact
+and needs no finite-difference step.
 """
 
 from __future__ import annotations
@@ -27,21 +33,31 @@ from .errors import (
     ContractViolationError,
     EstimationUndefinedError,
     NonTerminationError,
+    VanishingPostselectionError,
 )
 from .fisher import OutcomeModel
 from .postselect import fm_exact, postselect, real_superposition_setup
 from .states import (
     METER_MINUS,
     METER_PLUS,
+    SIGMA_SPLIT,
     STANDARD_BASIS,
-    STANDARD_SIGMA,
-    postselected_meter,
+    _meter_core,
+    check_theta,
 )
 
 PREPARATION_BUDGET = 10**9
 _DEGENERACY_TOL = 1e-12
 _PROB_FLOOR = 1e-30
 _MAX_CHUNK = 1 << 20
+# Amplitude pairs of the recombined readout basis |+>, |->.
+_READOUT_BASIS = (tuple(METER_PLUS.amplitudes.tolist()), tuple(METER_MINUS.amplitudes.tolist()))
+
+
+def _require_finite(where: str, **values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ContractViolationError(f"{where}: {name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -73,8 +89,9 @@ Stopping = Union[FixedPostselected, FixedPrepared]
 class ExperimentConfig:
     """Full configuration of a simulated estimation campaign.
 
-    Angles must be finite and the true coupling must lie in [0, g_max], the
-    interval on which the maximum-likelihood estimator inverts the readout.
+    Angles must be finite, the preparation angle must lie in (0, pi/4] and
+    the true coupling must lie in [0, g_max], the interval on which the
+    maximum-likelihood estimator inverts the readout.
     """
 
     theta: float
@@ -86,9 +103,10 @@ class ExperimentConfig:
     g_max: float = np.pi / 4.0
 
     def __post_init__(self):
-        for name in ("theta", "alpha", "g_true"):
-            if not math.isfinite(getattr(self, name)):
-                raise ContractViolationError(f"ExperimentConfig: {name} must be finite")
+        _require_finite(
+            "ExperimentConfig", theta=self.theta, alpha=self.alpha, g_true=self.g_true
+        )
+        check_theta(self.theta, "ExperimentConfig: theta")
         if self.n_reps < 1:
             raise ContractViolationError("ExperimentConfig: n_reps must be >= 1")
         if not (0 <= self.master_seed < 2**64):
@@ -134,8 +152,11 @@ class CampaignReport:
 
     ``fm_empirical`` is 1 / (nu * var(g_est)) with nu the per-trial
     postselected count; it is None when the variance is undefined (single
-    repetition) or zero (``degenerate`` set, e.g. estimating g = 0). Cost
-    points use the conventional QFI 4 * Omega as reference.
+    repetition). ``degenerate`` is set, and the empirical information, cost
+    point and slack are None, when the variance of two or more estimates is
+    zero (e.g. estimating g = 0) or every estimate is clipped to the
+    boundary 0 or g_max, where the spread measures the clipping rather than
+    the readout. Cost points use the conventional QFI 4 * Omega as reference.
     """
 
     g_est_mean: float
@@ -153,65 +174,111 @@ class CampaignReport:
     seed_echo: int
 
 
+def _selection_cosines(theta: float, alpha: float, where: str) -> tuple[float, float]:
+    """cos(alpha + theta) and cos(alpha - theta) of finite angles.
+
+    Expanded in cos and sin of each angle, so no sum of two angles can
+    overflow to infinity.
+    """
+    _require_finite(where, theta=theta, alpha=alpha)
+    cc = math.cos(alpha) * math.cos(theta)
+    ss = math.sin(alpha) * math.sin(theta)
+    return cc - ss, cc + ss
+
+
+def _readout(
+    theta: float, alpha: float, g: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Exact joint readout probabilities (plus, minus) and their g-derivatives.
+
+    One evaluation of the scalar postselection kernel for the preparation
+    cos(theta)|0> + sin(theta)|1>, the postselection
+    cos(alpha)|0> + sin(alpha)|1>, the meter |+> and A = M = sigma. The meter
+    vector v and its derivative dv are projected on |+> and |->, and
+    d|<e|v>|^2/dg = 2 Re(conj(<e|v>) <e|dv>). Probabilities below 1e-30
+    collapse to exact zero. Non-finite inputs raise ContractViolationError.
+    """
+    _require_finite("readout", theta=theta, alpha=alpha, g=g)
+    v0, v1, d0, d1 = _meter_core(
+        (math.cos(theta), math.sin(theta)),
+        (math.cos(alpha), math.sin(alpha)),
+        _READOUT_BASIS[0],
+        SIGMA_SPLIT,
+        SIGMA_SPLIT,
+        g,
+    )
+    probabilities = []
+    slopes = []
+    for e0, e1 in _READOUT_BASIS:
+        amp = e0.conjugate() * v0 + e1.conjugate() * v1
+        damp = e0.conjugate() * d0 + e1.conjugate() * d1
+        p = abs(amp) ** 2
+        probabilities.append(p if p >= _PROB_FLOOR else 0.0)
+        slopes.append(2.0 * (amp.conjugate() * damp).real)
+    return (probabilities[0], probabilities[1]), (slopes[0], slopes[1])
+
+
 @lru_cache(maxsize=256)
 def _readout_probabilities(theta: float, alpha: float, g: float) -> tuple[float, float]:
     """Exact joint probabilities (plus, minus) of a postselected readout.
 
-    Production path: the exact postselected meter vector of the separable
-    input, projected on the recombined plus/minus basis. Values below 1e-30
-    collapse to exact zero.
+    The probability half of :func:`_readout`, cached for the trial sampler
+    and the estimator.
     """
-    _, meter_vec, _ = postselected_meter(
-        STANDARD_BASIS.superposition(theta),
-        STANDARD_BASIS.superposition(alpha),
-        METER_PLUS,
-        STANDARD_SIGMA,
-        STANDARD_SIGMA,
-        g,
-    )
-    p_plus = abs(np.vdot(METER_PLUS.amplitudes, meter_vec)) ** 2
-    p_minus = abs(np.vdot(METER_MINUS.amplitudes, meter_vec)) ** 2
-    if p_plus < _PROB_FLOOR:
-        p_plus = 0.0
-    if p_minus < _PROB_FLOOR:
-        p_minus = 0.0
-    return float(p_plus), float(p_minus)
+    return _readout(theta, alpha, g)[0]
 
 
 def outcome_model(theta: float, alpha: float) -> OutcomeModel:
     """Three-outcome model (fail, plus, minus) of one prepared photon.
 
-    Probabilities come from the exact state-vector computation; closed trig
-    forms exist only as test oracles.
+    Probabilities and their exact g-derivatives come from the kernel
+    (:func:`_readout`); closed trig forms exist only as test oracles.
     """
-    if (
-        abs(np.cos(alpha + theta)) < _DEGENERACY_TOL
-        and abs(np.cos(alpha - theta)) < _DEGENERACY_TOL
-    ):
+    c_plus, c_minus = _selection_cosines(theta, alpha, "outcome_model")
+    if abs(c_plus) < _DEGENERACY_TOL and abs(c_minus) < _DEGENERACY_TOL:
         raise ContractViolationError("outcome_model: postselection never succeeds")
 
-    def probs(g: float) -> np.ndarray:
-        p_plus, p_minus = _readout_probabilities(theta, alpha, g)
-        return np.array([1.0 - p_plus - p_minus, p_plus, p_minus])
+    def derivative(g: float) -> tuple[np.ndarray, np.ndarray]:
+        (p_plus, p_minus), (dp_plus, dp_minus) = _readout(theta, alpha, g)
+        return (
+            np.array([1.0 - p_plus - p_minus, p_plus, p_minus]),
+            np.array([-dp_plus - dp_minus, dp_plus, dp_minus]),
+        )
 
-    return OutcomeModel(probabilities=probs, labels=("fail", "plus", "minus"))
+    return OutcomeModel(
+        probabilities=lambda g: derivative(g)[0],
+        labels=("fail", "plus", "minus"),
+        derivative=derivative,
+    )
 
 
 def conditional_outcome_model(theta: float, alpha: float) -> OutcomeModel:
-    """Two-outcome model (plus, minus) conditioned on successful postselection."""
-    if abs(np.cos(alpha + theta)) < _DEGENERACY_TOL or abs(
-        np.cos(alpha - theta)
-    ) < _DEGENERACY_TOL:
+    """Two-outcome model (plus, minus) conditioned on successful postselection.
+
+    With q = p_minus / (p_plus + p_minus), the exact slope is
+    dq/dg = (p_plus dp_minus - p_minus dp_plus) / (p_plus + p_minus)^2.
+    """
+    c_plus, c_minus = _selection_cosines(theta, alpha, "conditional_outcome_model")
+    if abs(c_plus) < _DEGENERACY_TOL or abs(c_minus) < _DEGENERACY_TOL:
         raise ContractViolationError(
             "conditional_outcome_model: degenerate pre/postselection pair"
         )
 
-    def probs(g: float) -> np.ndarray:
-        p_plus, p_minus = _readout_probabilities(theta, alpha, g)
+    def derivative(g: float) -> tuple[np.ndarray, np.ndarray]:
+        (p_plus, p_minus), (dp_plus, dp_minus) = _readout(theta, alpha, g)
         total = p_plus + p_minus
-        return np.array([p_plus / total, p_minus / total])
+        if total <= 0.0:
+            raise VanishingPostselectionError(
+                "conditional_outcome_model: postselection never succeeds at this coupling"
+            )
+        dq = (p_plus * dp_minus - p_minus * dp_plus) / total**2
+        return np.array([p_plus / total, p_minus / total]), np.array([-dq, dq])
 
-    return OutcomeModel(probabilities=probs, labels=("plus", "minus"))
+    return OutcomeModel(
+        probabilities=lambda g: derivative(g)[0],
+        labels=("plus", "minus"),
+        derivative=derivative,
+    )
 
 
 def _trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -316,9 +383,10 @@ def run_campaign(
     else:
         nu_eff = float(np.mean([c.n_postselected for c, _ in per_trial]))
 
-    degenerate = g_var == 0.0
+    all_clipped = all(g in (0.0, config.g_max) for _, g in per_trial)
+    degenerate = g_var is not None and (g_var == 0.0 or all_clipped)
     fm_emp = None
-    if g_var is not None and g_var > 0.0 and nu_eff > 0.0:
+    if g_var is not None and not degenerate and nu_eff > 0.0:
         fm_emp = 1.0 / (nu_eff * g_var)
 
     total_prepared = sum(c.n_prepared for c, _ in per_trial)

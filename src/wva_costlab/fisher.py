@@ -8,6 +8,12 @@ default step of 1e-5 rad, so :func:`qfi_pure` serves as the generic oracle.
 The collapsed-meter QFI of the weak-value model does not come from here: its
 derivative is known in closed form, and
 :func:`~wva_costlab.postselect.fm_exact` evaluates it exactly.
+
+A discrete :class:`OutcomeModel` may carry its exact derivative. Then
+:func:`cfi_discrete` evaluates sum_k (d p_k)^2 / p_k from it, with no
+finite-difference step; the readout models of
+:mod:`~wva_costlab.experiment` do. Models without one fall back to central
+differences.
 """
 
 from __future__ import annotations
@@ -33,23 +39,33 @@ MIN_STEP_OVERLAP = 0.9
 class OutcomeModel:
     """Discrete outcome distribution parameterized by the coupling strength.
 
-    ``probabilities`` maps the parameter to a vector of outcome probabilities
-    that must sum to 1 within 1e-12. ``labels``, when given, names the
-    outcomes in order.
+    ``probabilities`` maps the parameter to a vector of finite outcome
+    probabilities that must sum to 1 within 1e-12. ``labels``, when given,
+    names the outcomes in order. ``derivative``, when given, maps the
+    parameter to the pair (probabilities, d probabilities / d g) in one
+    evaluation; the probabilities it returns pass the same checks.
     """
 
     probabilities: Callable[[float], np.ndarray]
     labels: Optional[tuple[str, ...]] = None
+    derivative: Optional[Callable[[float], tuple[np.ndarray, np.ndarray]]] = None
 
     def __call__(self, g: float) -> np.ndarray:
-        p = np.asarray(self.probabilities(g), dtype=float).reshape(-1)
-        if p.size == 0:
-            raise ContractViolationError("OutcomeModel: empty distribution")
-        if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
-            raise ContractViolationError("OutcomeModel: probability outside [0, 1]")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ContractViolationError("OutcomeModel: probabilities must sum to 1")
-        return np.clip(p, 0.0, 1.0)
+        return _distribution(self.probabilities(g))
+
+
+def _distribution(probabilities) -> np.ndarray:
+    """The checked outcome distribution, clipped into [0, 1]."""
+    p = np.asarray(probabilities, dtype=float).reshape(-1)
+    if p.size == 0:
+        raise ContractViolationError("OutcomeModel: empty distribution")
+    if not np.isfinite(p).all():
+        raise ContractViolationError("OutcomeModel: probabilities must be finite")
+    if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
+        raise ContractViolationError("OutcomeModel: probability outside [0, 1]")
+    if abs(p.sum() - 1.0) > 1e-12:
+        raise ContractViolationError("OutcomeModel: probabilities must sum to 1")
+    return np.clip(p, 0.0, 1.0)
 
 
 def _aligned(reference: Ket, probe: Ket, step: float) -> np.ndarray:
@@ -197,19 +213,32 @@ def qfi_spectral_unitary(
 
 
 def cfi_discrete(model: OutcomeModel, g: float, step: float = DEFAULT_STEP) -> float:
-    """Classical Fisher information sum_k (d p_k)^2 / p_k by central differences.
+    """Classical Fisher information sum_k (d p_k)^2 / p_k of a discrete model.
 
-    Outcomes whose probability stays below 1e-12 at the center point are
-    skipped (their contribution is a 0 * 0/0 limit).
+    A model with a ``derivative`` supplies d p_k / d g exactly, in one
+    evaluation, and ``step`` is not used; any other model is differentiated
+    by central differences with ``step`` (Braunstein & Caves, PRL 72, 3439
+    (1994)). ``step`` must be positive either way. Outcomes whose probability
+    is below 1e-12 at the center point are skipped (their contribution is a
+    0 * 0/0 limit).
     """
     if step <= 0:
         raise ContractViolationError("cfi_discrete: step must be positive")
-    p0 = model(g)
-    pp = model(g + step)
-    pm = model(g - step)
-    if not (p0.size == pp.size == pm.size):
-        raise ContractViolationError("cfi_discrete: outcome count changed across probes")
-    dp = (pp - pm) / (2.0 * step)
+    if model.derivative is not None:
+        probabilities, slope = model.derivative(g)
+        p0 = _distribution(probabilities)
+        dp = np.asarray(slope, dtype=float).reshape(-1)
+        if dp.size != p0.size:
+            raise ContractViolationError("cfi_discrete: derivative and distribution sizes differ")
+        if not np.isfinite(dp).all():
+            raise ContractViolationError("cfi_discrete: derivative must be finite")
+    else:
+        p0 = model(g)
+        pp = model(g + step)
+        pm = model(g - step)
+        if not (p0.size == pp.size == pm.size):
+            raise ContractViolationError("cfi_discrete: outcome count changed across probes")
+        dp = (pp - pm) / (2.0 * step)
     total = 0.0
     for k in range(p0.size):
         if p0[k] < OUTCOME_FLOOR:

@@ -8,7 +8,9 @@ constructors: the optimal state and a near-orthogonal state.
 Every pure-input quantity comes from one exact kernel,
 :func:`~wva_costlab.states.postselected_meter`. It returns the unnormalized
 collapsed meter vector v and its closed-form derivative dv = dv/dg from the
-factorized spectrum of the coupling. The postselection probability is
+factorized spectrum of the coupling. A :class:`WvaSetup` evaluates it at most
+once and caches (p, v, dv), so :func:`postselect`, :func:`fm_exact` and
+:func:`probabilistic_qfi` on one setup share a single evaluation. The postselection probability is
 p = <v|v>, and the collapsed-state QFI is the pure-state QFI of v / sqrt(p),
 F_m = 4 (<dv|dv>/p - |<v|dv>|^2/p^2) (Braunstein & Caves, PRL 72, 3439
 (1994); Paris, IJQI 7, 125 (2009)), so no finite-difference step enters. No
@@ -20,6 +22,7 @@ two.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -42,6 +45,7 @@ from .states import (
     Ket,
     ReferenceBasis,
     _phase_fixed,
+    check_theta,
     postselected_meter,
 )
 
@@ -59,6 +63,11 @@ class WvaSetup:
     matrix diagonal in the eigenbasis of ``A`` for incoherent-input studies.
     The meter must sit at the balance zero point, <M> = 0, with a positive
     second moment Omega = <M^2>. The coupling strength must be finite.
+
+    ``omega`` = ||M phi||^2 is derived once, at construction, and a pure
+    input's kernel output (p, v, dv) at most once, on first use. Neither
+    takes part in equality, hashing or the repr; :meth:`at` and
+    ``dataclasses.replace`` build a fresh instance that derives both anew.
     """
 
     psi_si: Union[Ket, DensityMatrix]
@@ -67,6 +76,7 @@ class WvaSetup:
     A: HermitianOperator
     M: HermitianOperator
     g: float
+    omega: float = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.g):
@@ -79,14 +89,23 @@ class WvaSetup:
             raise ContractViolationError(
                 "WvaSetup: meter must be at the balance zero point (<M> = 0)"
             )
+        m_phi = self.M.apply(self.phi_mi)
+        object.__setattr__(self, "omega", float(np.real(np.vdot(m_phi, m_phi))))
         if self.omega <= 0.0:
             raise ContractViolationError("WvaSetup: <M^2> must be positive")
 
-    @property
-    def omega(self) -> float:
-        """Second moment <M^2> = ||M phi||^2 of the meter observable in the meter state."""
-        m_phi = self.M.apply(self.phi_mi)
-        return float(np.real(np.vdot(m_phi, m_phi)))
+    @functools.cached_property
+    def _meter(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """Kernel output (p, v, dv) of a pure input; see :func:`_pure_meter`.
+
+        Every caller shares the cached arrays, so they are read-only.
+        """
+        p, v, dv = postselected_meter(
+            self.psi_si, self.psi_sf, self.phi_mi, self.A, self.M, self.g
+        )
+        v.setflags(write=False)
+        dv.setflags(write=False)
+        return p, v, dv
 
     def at(self, g: float) -> "WvaSetup":
         """Copy of this setup with a different coupling strength."""
@@ -119,12 +138,14 @@ def weak_value(psi_si: Ket, psi_sf: Ket, A: HermitianOperator) -> complex:
 
 
 def _pure_meter(setup: WvaSetup, where: str) -> tuple[float, np.ndarray, np.ndarray]:
-    """Kernel output (p, v, dv) for a pure input whose postselection succeeds."""
+    """Kernel output (p, v, dv) for a pure input whose postselection succeeds.
+
+    The kernel runs once per setup (the cached ``WvaSetup._meter``); the
+    input and probability-floor checks run on every call.
+    """
     if not isinstance(setup.psi_si, Ket):
         raise UnsupportedInputError(f"{where}: mixed system input; use postselect_mixed")
-    p, v, dv = postselected_meter(
-        setup.psi_si, setup.psi_sf, setup.phi_mi, setup.A, setup.M, setup.g
-    )
+    p, v, dv = setup._meter
     if p < P_FLOOR:
         raise VanishingPostselectionError(
             f"{where}: success probability {p:.3e} below floor {P_FLOOR:g}"
@@ -212,8 +233,8 @@ def probabilistic_qfi(setup: WvaSetup) -> tuple[float, float]:
     """Success-weighted QFI of the collapsed meter, exact and leading order.
 
     Returns (p * F_m, 4 * Omega * |<sf|A|si>|^2), the exact value as
-    4 (<dv|dv> - |<v|dv>|^2 / p) from one kernel call. It can approach but
-    never exceed the conventional-scheme QFI.
+    4 (<dv|dv> - |<v|dv>|^2 / p) from the setup's kernel output. It can
+    approach but never exceed the conventional-scheme QFI.
     """
     exact = _weighted_qfi(*_pure_meter(setup, "probabilistic_qfi"))
     amp = complex(np.vdot(setup.psi_sf.amplitudes, setup.A.entries @ setup.psi_si.amplitudes))
@@ -290,7 +311,9 @@ def real_superposition_setup(
     System prepared as cos(theta)|0> + sin(theta)|1> and postselected onto
     cos(alpha)|0> + sin(alpha)|1>, with the coupling observable diagonal in the
     same basis and a balanced meter (the shared |+> and standard observable).
+    The preparation angle must lie in (0, pi/4] (:func:`check_theta`).
     """
+    check_theta(theta, "real_superposition_setup: theta")
     basis = basis or STANDARD_BASIS
     return WvaSetup(
         psi_si=basis.superposition(theta),

@@ -10,8 +10,12 @@ The coupling and the kernel never call LAPACK: a qubit observable
 H = h0 I + K splits in closed form into eigenvalues h0 +- |K| with projectors
 (I +- K/|K|)/2, evaluated in Python complex scalars. The LAPACK wrapper
 ``_eigh`` serves only :func:`hermitian_eigs`. The standard basis, its
-observable and the balanced meter kets are built once, as read-only module
-constants.
+observable, that observable's split and the balanced meter kets are built
+once, as read-only module constants. The kernel's arithmetic lives in
+``_meter_core``, over plain amplitude pairs, so the standard-basis readout of
+:mod:`~wva_costlab.experiment` runs it without building kets.
+:func:`check_theta` holds the preparation-angle domain (0, pi/4] that the
+scenario constructors and the CLI share.
 """
 
 from __future__ import annotations
@@ -257,6 +261,19 @@ METER_PLUS = STANDARD_BASIS.superposition(np.pi / 4.0)
 METER_MINUS = STANDARD_BASIS.superposition(-np.pi / 4.0)
 
 
+def check_theta(theta: float, where: str) -> float:
+    """Return a preparation angle that lies in the documented domain (0, pi/4].
+
+    The scenario's preparation is cos(theta)|0> + sin(theta)|1>, whose
+    coherence sin(2 theta) covers [0, 1] once on this interval. Anything
+    else, NaN included, raises ``ContractViolationError("<where> must lie in
+    (0, pi/4]")``.
+    """
+    if not (0.0 < theta <= np.pi / 4.0 + 1e-12):
+        raise ContractViolationError(f"{where} must lie in (0, pi/4]")
+    return theta
+
+
 KetOrOperator = Union[Ket, HermitianOperator]
 
 
@@ -361,6 +378,10 @@ def _qubit_split(H: HermitianOperator) -> list[tuple[float, _Projector]]:
     ]
 
 
+# The closed-form split of STANDARD_SIGMA, shared by every standard-basis readout.
+SIGMA_SPLIT = tuple(_qubit_split(STANDARD_SIGMA))
+
+
 def coupling_unitary(A: HermitianOperator, M: HermitianOperator, g: float) -> UnitaryOperator:
     """Return exp(-i g A (x) M) for qubit observables A and M.
 
@@ -376,6 +397,39 @@ def coupling_unitary(A: HermitianOperator, M: HermitianOperator, g: float) -> Un
                 np.reshape(P, (2, 2)), np.reshape(Q, (2, 2))
             )
     return UnitaryOperator(u)
+
+
+def _meter_core(s, f, x, a_split, m_split, g: float) -> tuple[complex, complex, complex, complex]:
+    """Postselected meter vector and its g-derivative, in Python scalars.
+
+    ``s``, ``f`` and ``x`` are the amplitude pairs of the preparation, the
+    postselection and the meter state; ``a_split`` and ``m_split`` are the
+    :func:`_qubit_split` outputs of A and M. Returns (v0, v1, dv0, dv1).
+    Inputs are not validated; :func:`postselected_meter` is the checked entry.
+    """
+    s0, s1 = s
+    f0, f1 = (c.conjugate() for c in f)
+    x0, x1 = x
+    # (a_i, <sf|P_i|si>)
+    sys_terms = [
+        (a, f0 * (p00 * s0 + p01 * s1) + f1 * (p10 * s0 + p11 * s1))
+        for a, (p00, p01, p10, p11) in a_split
+    ]
+    v0 = v1 = d0 = d1 = 0j
+    for m, (q00, q01, q10, q11) in m_split:
+        w = dw = 0j
+        for a, amp in sys_terms:
+            generator = a * m
+            phase = cmath.exp(-1j * g * generator)
+            w += amp * phase
+            dw += amp * (-1j * generator * phase)
+        y0 = q00 * x0 + q01 * x1  # Q_j|phi>
+        y1 = q10 * x0 + q11 * x1
+        v0 += w * y0
+        v1 += w * y1
+        d0 += dw * y0
+        d1 += dw * y1
+    return v0, v1, d0, d1
 
 
 def postselected_meter(
@@ -397,34 +451,20 @@ def postselected_meter(
         v = sum_j w_j Q_j|phi>,  w_j = sum_i <sf|P_i|si> exp(-i g a_i m_j),
 
     and dv takes the factor -i a_i m_j into each term. Everything is
-    evaluated in Python complex scalars; no eigensolver is called, and a
-    degenerate A or M contributes its single projector I.
+    evaluated in Python complex scalars (:func:`_meter_core`); no eigensolver
+    is called, and a degenerate A or M contributes its single projector I.
     """
     if psi_si.dim != 2 or psi_sf.dim != 2 or phi_mi.dim != 2:
         raise ModelDimensionError("postselected_meter: system and meter must be qubits")
     A, M = _qubit_observables(A, M, "postselected_meter")
-    s0, s1 = psi_si.amplitudes.tolist()
-    f0, f1 = (f.conjugate() for f in psi_sf.amplitudes.tolist())
-    x0, x1 = phi_mi.amplitudes.tolist()
-    # (a_i, <sf|P_i|si>)
-    sys_terms = [
-        (a, f0 * (p00 * s0 + p01 * s1) + f1 * (p10 * s0 + p11 * s1))
-        for a, (p00, p01, p10, p11) in _qubit_split(A)
-    ]
-    v0 = v1 = d0 = d1 = 0j
-    for m, (q00, q01, q10, q11) in _qubit_split(M):
-        w = dw = 0j
-        for a, amp in sys_terms:
-            generator = a * m
-            phase = cmath.exp(-1j * g * generator)
-            w += amp * phase
-            dw += amp * (-1j * generator * phase)
-        y0 = q00 * x0 + q01 * x1  # Q_j|phi>
-        y1 = q10 * x0 + q11 * x1
-        v0 += w * y0
-        v1 += w * y1
-        d0 += dw * y0
-        d1 += dw * y1
+    v0, v1, d0, d1 = _meter_core(
+        psi_si.amplitudes.tolist(),
+        psi_sf.amplitudes.tolist(),
+        phi_mi.amplitudes.tolist(),
+        _qubit_split(A),
+        _qubit_split(M),
+        g,
+    )
     v = np.array([v0, v1])
     return float(np.real(np.vdot(v, v))), v, np.array([d0, d1])
 

@@ -138,6 +138,17 @@ class TestSimulate:
     def test_missing_required_flag_exits_1(self):
         assert main(["simulate", "--theta", THETA]) == 1
 
+    def test_all_clipped_campaign_reports_degenerate(self, tmp_path):
+        out = tmp_path / "clipped.json"
+        args = ["simulate", "--theta", "0.5236", "--alpha", "-0.5236", "--g", "0.05",
+                "--nu", "1", "--reps", "50", "--seed", "3", "--out", str(out)]
+        assert main(args) == 0
+        payload = json.loads(read(out))
+        assert payload["degenerate"] is True
+        assert payload["g_est_var"] > 0.0
+        for key in ("fm_empirical", "cp_norm_emp", "cm_norm_emp", "slack_emp"):
+            assert payload[key] is None
+
     def test_nan_coupling_exits_1(self, capsys):
         args = ["simulate", "--theta", THETA, "--alpha", ALPHA, "--g", "nan", "--reps", "20"]
         assert main(args) == 1
@@ -267,3 +278,46 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as err:
             main(["curve", "--bogus", "1"])
         assert err.value.code == 1
+
+
+class TestSubcommandFlags:
+    QFI = ["qfi", "--theta", THETA, "--alpha", ALPHA, "--g", "1e-3"]
+    SIMULATE = ["simulate", "--theta", THETA, "--alpha", ALPHA, "--g", "0.0349", "--reps", "3"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--theta", THETA, "--nu", "5"],
+            ["curve", "--theta", THETA, "--reps", "3"],
+            ["curve", "--theta", THETA, "--seed", "9"],
+            ["curve", "--theta", THETA, "--trials-out", "trials.csv"],
+            ["curve", "--theta", THETA, "--alpha", ALPHA],
+            QFI + ["--nu", "5"],
+            QFI + ["--format", "json"],
+            QFI + ["--compat-printed-bound"],
+            SIMULATE + ["--format", "csv"],
+            SIMULATE + ["--compat-printed-bound"],
+            SIMULATE + ["--suite", "tradeoff-bound"],
+            ["verify", "--theta", THETA],
+            ["verify", "--theta", "3"],  # not an abbreviation of --theta-grid
+            ["verify", "--rp", "2"],
+            ["verify", "--trials-out", "trials.csv"],
+        ],
+    )
+    def test_flag_of_another_subcommand_exits_1(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_documented_invocations_parse(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["curve", "--theta", THETA, "--format", "json", "--rp", "2", "--rm", "1",
+                     "--n", "3", "--compat-printed-bound", "--out", out]) == 0
+        assert main(self.QFI + ["--rp", "2", "--rm", "1", "--n", "3", "--out", out]) == 0
+        assert main(self.SIMULATE + ["--nu", "20", "--seed", "4", "--rp", "2", "--rm", "1",
+                                     "--n", "3", "--trials-out", out + ".csv", "--out", out]) == 0
+        assert main(["verify", "--suite", "overlap-identity", "--seed", "5",
+                     "--compat-printed-bound", "--theta-grid", "3", "--out", out]) == 0

@@ -12,10 +12,13 @@ variance is inflated relative to the information bound, see the campaign
 small-count test).
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wva_costlab import (
     ContractViolationError,
@@ -24,14 +27,20 @@ from wva_costlab import (
     FixedPostselected,
     FixedPrepared,
     TrialCounts,
+    WvaError,
     cfi_discrete,
     conditional_outcome_model,
+    fm_exact,
     hwp_settings,
     mle_g,
     outcome_model,
+    postselect,
+    probabilistic_qfi,
+    real_superposition_setup,
     run_campaign,
     run_trial,
 )
+from wva_costlab.experiment import _readout_probabilities
 
 THETA = np.pi / 6
 ALPHA = -np.pi / 6
@@ -56,6 +65,23 @@ def oracle_minus_joint(theta, alpha, g):
 
 def oracle_q(theta, alpha, g):
     return oracle_minus_joint(theta, alpha, g) / oracle_p(theta, alpha, g)
+
+
+def oracle_conditional_cfi(theta, alpha, g):
+    """(k^2 sin 2g / D^2)^2 / (q (1 - q)), k = cos(a+t)/cos(a-t), D = cos^2 g + k^2 sin^2 g."""
+    k = np.cos(alpha + theta) / np.cos(alpha - theta)
+    d = np.cos(g) ** 2 + k**2 * np.sin(g) ** 2
+    q = k**2 * np.sin(g) ** 2 / d
+    return (k**2 * np.sin(2 * g) / d**2) ** 2 / (q * (1.0 - q))
+
+
+def oracle_joint_cfi(theta, alpha, g):
+    """sum_k p_k'^2 / p_k over (fail, plus, minus) from the closed trig forms."""
+    c_minus, c_plus = np.cos(alpha - theta) ** 2, np.cos(alpha + theta) ** 2
+    plus, minus = c_minus * np.cos(g) ** 2, c_plus * np.sin(g) ** 2
+    d_plus, d_minus = -c_minus * np.sin(2 * g), c_plus * np.sin(2 * g)
+    fail, d_fail = 1.0 - plus - minus, -d_plus - d_minus
+    return d_fail**2 / fail + d_plus**2 / plus + d_minus**2 / minus
 
 
 def config(g=0.0349, nu=700, reps=10, seed=1, theta=THETA, alpha=ALPHA):
@@ -101,6 +127,58 @@ class TestOutcomeModel:
     def test_conditional_readout_information_limit(self):
         model = conditional_outcome_model(THETA, ALPHA)
         assert cfi_discrete(model, 1e-3) == pytest.approx(16.0, rel=0.01)
+
+
+READOUT_POINTS = [
+    (np.pi / 6, -np.pi / 6, 1e-3),
+    (np.pi / 6, -np.pi / 6, 0.0349),
+    (np.pi / 6, -np.pi / 4, 0.0698),
+    (np.pi / 8, 0.4, 0.05),
+    (np.pi / 4, -0.7, 1e-3),
+    (0.3, 0.9, 0.2),
+    (np.pi / 12, -1.2, 0.5),
+]
+
+
+class TestExactReadoutInformation:
+    @pytest.mark.parametrize("theta, alpha, g", READOUT_POINTS)
+    def test_conditional_cfi_matches_closed_form(self, theta, alpha, g):
+        value = cfi_discrete(conditional_outcome_model(theta, alpha), g)
+        assert type(value) is float
+        assert value == pytest.approx(oracle_conditional_cfi(theta, alpha, g), rel=1e-10)
+
+    @pytest.mark.parametrize("theta, alpha, g", READOUT_POINTS)
+    def test_three_outcome_cfi_matches_closed_form(self, theta, alpha, g):
+        value = cfi_discrete(outcome_model(theta, alpha), g)
+        assert value == pytest.approx(oracle_joint_cfi(theta, alpha, g), rel=1e-10)
+
+    def test_derivative_agrees_with_the_cached_probabilities(self):
+        model = conditional_outcome_model(THETA, ALPHA)
+        probabilities, slope = model.derivative(0.0349)
+        plus, minus = _readout_probabilities(THETA, ALPHA, 0.0349)
+        np.testing.assert_allclose(probabilities, [plus / (plus + minus), minus / (plus + minus)],
+                                   rtol=1e-14)
+        assert slope[0] == -slope[1]
+
+    @pytest.mark.parametrize("field", ["theta", "alpha", "g"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_readout_input_rejected(self, field, bad):
+        values = {"theta": THETA, "alpha": ALPHA, "g": 0.0349, field: bad}
+        theta, alpha, g = values["theta"], values["alpha"], values["g"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any trig call
+            with pytest.raises(WvaError):
+                _readout_probabilities(theta, alpha, g)
+            with pytest.raises(WvaError):
+                cfi_discrete(conditional_outcome_model(theta, alpha), g)
+            with pytest.raises(WvaError):
+                outcome_model(theta, alpha)(g)
+
+    def test_huge_finite_angles_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # alpha + theta would overflow to inf
+            model = conditional_outcome_model(1.7e308, 1.7e308)
+            assert math.isfinite(cfi_discrete(model, 0.03))
 
 
 class TestRunTrial:
@@ -247,6 +325,25 @@ class TestRunCampaign:
         assert report.fm_empirical is None
         assert report.cost_empirical is None
 
+    def test_all_clipped_campaign_is_degenerate(self):
+        # nu = 1: every estimate is 0 (a plus photon) or g_max (a minus photon),
+        # so the spread of the estimates measures the clipping, not the readout.
+        cfg = ExperimentConfig(0.5236, -0.5236, 0.05, FixedPostselected(1), 50, 3)
+        report = run_campaign(cfg)
+        estimates = {g for _, g in report.per_trial}
+        assert estimates == {0.0, cfg.g_max}
+        assert report.g_est_var > 0.0
+        assert report.degenerate
+        assert report.fm_empirical is None
+        assert report.cost_empirical is None
+        assert report.slack_empirical is None
+
+    def test_partly_clipped_campaign_is_not_degenerate(self):
+        report = run_campaign(config(nu=50, reps=40, seed=3))
+        assert 0.0 in {g for _, g in report.per_trial}
+        assert not report.degenerate
+        assert report.fm_empirical is not None
+
     def test_single_rep_leaves_variance_undefined(self):
         report = run_campaign(config(reps=1))
         assert report.g_est_var is None
@@ -353,6 +450,14 @@ class TestConfigValidation:
             with pytest.raises(ContractViolationError, match="finite"):
                 config(**{field: bad})
 
+    @pytest.mark.parametrize("theta", [1.2, -0.3, 0.0, np.pi / 4.0 + 1e-9])
+    def test_theta_outside_domain_rejected(self, theta):
+        with pytest.raises(ContractViolationError, match=r"theta must lie in \(0, pi/4\]"):
+            config(theta=theta)
+
+    def test_theta_domain_includes_pi_over_4(self):
+        assert config(theta=np.pi / 4).theta == np.pi / 4
+
     @pytest.mark.parametrize("g", [-0.05, -1e-12, np.pi / 4.0 + 1e-9, 1.2])
     def test_coupling_outside_estimator_range_rejected(self, g):
         with pytest.raises(ContractViolationError, match="g_max"):
@@ -372,3 +477,37 @@ class TestConfigValidation:
             config(seed=-1)
         with pytest.raises(ContractViolationError):
             ExperimentConfig(THETA, ALPHA, 0.03, FixedPostselected(10), 1, 1, g_max=2.0)
+
+
+def _finite_floats_or_wva_error(call):
+    """Run ``call``; it must return a tuple of finite Python floats or raise WvaError."""
+    try:
+        values = call()
+    except WvaError:
+        return
+    for value in values:
+        assert type(value) is float and math.isfinite(value), values
+
+
+ANY_FLOAT = st.one_of(st.floats(), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=ANY_FLOAT, alpha=ANY_FLOAT, g=ANY_FLOAT)
+def test_public_entry_points_return_finite_floats_or_raise_wva_error(theta, alpha, g):
+    def pure_quantities():
+        setup = real_superposition_setup(theta, alpha, g)
+        weighted, leading = probabilistic_qfi(setup)
+        return postselect(setup).p, fm_exact(setup), weighted, leading
+
+    def readout_information():
+        return (cfi_discrete(conditional_outcome_model(theta, alpha), g),)
+
+    def experiment_config():
+        cfg = ExperimentConfig(theta, alpha, g, FixedPostselected(10), 2, 1)
+        return cfg.theta, cfg.alpha, cfg.g_true
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (pure_quantities, readout_information, experiment_config):
+            _finite_floats_or_wva_error(call)

@@ -206,6 +206,71 @@ class TestCfiDiscrete:
         with pytest.raises(ContractViolationError):
             cfi_discrete(bad, 0.0)
 
+    def test_non_finite_distribution_rejected(self):
+        bad = OutcomeModel(lambda g: np.array([np.nan, 0.5]))
+        with pytest.raises(ContractViolationError, match="finite"):
+            cfi_discrete(bad, 0.0)
+
+
+def linear_binomial_with_derivative(calls):
+    """q = (1 + g)/2 with its exact slope; counts each evaluation path."""
+
+    def probabilities(g):
+        calls["probabilities"] += 1
+        return np.array([(1.0 - g) / 2.0, (1.0 + g) / 2.0])
+
+    def derivative(g):
+        calls["derivative"] += 1
+        return probabilities(g), np.array([-0.5, 0.5])
+
+    return OutcomeModel(probabilities, derivative=derivative)
+
+
+class TestCfiDiscreteExactDerivative:
+    def test_derivative_replaces_the_probes(self):
+        calls = {"probabilities": 0, "derivative": 0}
+        model = linear_binomial_with_derivative(calls)
+        # (1/2)^2 / q + (1/2)^2 / (1 - q) at q = 0.6
+        value = cfi_discrete(model, 0.2)
+        assert value == pytest.approx(0.25 / 0.6 + 0.25 / 0.4, rel=1e-15)
+        assert calls == {"probabilities": 1, "derivative": 1}
+
+    def test_returns_python_float(self):
+        model = linear_binomial_with_derivative({"probabilities": 0, "derivative": 0})
+        assert type(cfi_discrete(model, 0.1)) is float
+
+    @pytest.mark.parametrize("step", [0.0, -1e-5])
+    def test_step_still_must_be_positive(self, step):
+        model = linear_binomial_with_derivative({"probabilities": 0, "derivative": 0})
+        with pytest.raises(ContractViolationError, match="step"):
+            cfi_discrete(model, 0.1, step=step)
+
+    def test_derivative_probabilities_pass_the_model_checks(self):
+        bad = OutcomeModel(
+            lambda g: np.array([0.5, 0.5]),
+            derivative=lambda g: (np.array([0.5, 0.4]), np.array([0.0, 0.0])),
+        )
+        with pytest.raises(ContractViolationError, match="sum to 1"):
+            cfi_discrete(bad, 0.0)
+
+    @pytest.mark.parametrize(
+        "slope", [np.array([0.1]), np.array([np.nan, 0.0]), np.array([np.inf, -np.inf])]
+    )
+    def test_malformed_derivative_rejected(self, slope):
+        bad = OutcomeModel(
+            lambda g: np.array([0.5, 0.5]),
+            derivative=lambda g: (np.array([0.5, 0.5]), slope),
+        )
+        with pytest.raises(ContractViolationError):
+            cfi_discrete(bad, 0.0)
+
+    def test_outcome_below_floor_is_skipped(self):
+        model = OutcomeModel(
+            lambda g: np.array([0.0, 1.0]),
+            derivative=lambda g: (np.array([0.0, 1.0]), np.array([1.0, -1.0])),
+        )
+        assert cfi_discrete(model, 0.0) == 1.0
+
 
 class TestProperties:
     def test_non_negativity(self):

@@ -5,6 +5,9 @@ form p(g) = cos^2(g) cos^2(alpha - theta) + sin^2(g) cos^2(alpha + theta);
 the production path computes everything through the coupling unitary.
 """
 
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,8 @@ from wva_costlab import (
 BASIS = ReferenceBasis.standard()
 SIGMA = BASIS.sigma()
 BALANCED_METER = BASIS.superposition(np.pi / 4.0)
+# The package re-exports the function ``postselect`` under the module's name.
+postselect_module = importlib.import_module("wva_costlab.postselect")
 
 
 def oracle_p(theta, alpha, g):
@@ -222,6 +227,75 @@ class TestProbabilisticQfi:
                 setup = real_superposition_setup(theta, alpha, 1e-3)
                 exact, _ = probabilistic_qfi(setup)
                 assert exact <= 4.0 * (1.0 + 1e-3)
+
+
+class TestRealSuperpositionDomain:
+    @pytest.mark.parametrize("theta", [1.2, -0.3, 0.0, np.pi / 4 + 1e-9, np.nan, np.inf])
+    def test_theta_outside_domain_rejected(self, theta):
+        with pytest.raises(ContractViolationError, match=r"theta must lie in \(0, pi/4\]"):
+            real_superposition_setup(theta, -0.5, 0.01)
+
+    def test_theta_domain_includes_pi_over_4(self):
+        assert postselect(real_superposition_setup(np.pi / 4, -0.5, 0.01)).p > 0.0
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Count the postselection-kernel evaluations made through WvaSetup."""
+    calls = []
+    original = postselect_module.postselected_meter
+
+    def counted(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(postselect_module, "postselected_meter", counted)
+    return calls
+
+
+class TestKernelSharing:
+    def test_one_evaluation_per_setup(self, kernel_calls):
+        setup = real_superposition_setup(np.pi / 6, -np.pi / 5, 0.0349)
+        postselect(setup)
+        fm_exact(setup)
+        probabilistic_qfi(setup)
+        postselect(setup)
+        assert kernel_calls == [0.0349]
+        _, v, dv = setup._meter
+        assert not v.flags.writeable and not dv.flags.writeable
+
+    def test_at_and_replace_start_uncached(self, kernel_calls):
+        setup = real_superposition_setup(np.pi / 6, -np.pi / 5, 0.0349)
+        fm_exact(setup)
+        other = setup.at(0.02)
+        fm_exact(other)
+        fm_exact(dataclasses.replace(setup, psi_sf=BASIS.superposition(-np.pi / 4)))
+        assert kernel_calls == [0.0349, 0.02, 0.0349]
+        assert fm_exact(other) == fm_exact(real_superposition_setup(np.pi / 6, -np.pi / 5, 0.02))
+
+    def test_cached_values_stay_outside_equality_and_hash(self):
+        setup = real_superposition_setup(np.pi / 6, -np.pi / 5, 0.0349)
+        fresh = setup.at(setup.g)
+        fm_exact(setup)
+        assert setup == fresh
+        assert setup != setup.at(0.02)
+        assert repr(setup) == repr(fresh)
+        for candidate in (setup, fresh):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(candidate)  # the Ket fields hold arrays
+
+    def test_checks_run_on_every_call(self):
+        theta = 0.4
+        vanishing = real_superposition_setup(theta, theta + np.pi / 2, 0.0)
+        mixed = dataclasses.replace(
+            real_superposition_setup(theta, -theta, 0.01),
+            psi_si=DensityMatrix.mixture([0.5, 0.5], [BASIS.ket0, BASIS.ket1]),
+        )
+        for _ in range(2):
+            with pytest.raises(VanishingPostselectionError):
+                fm_exact(vanishing)
+            with pytest.raises(UnsupportedInputError):
+                probabilistic_qfi(mixed)
 
 
 class TestReturnTypes:

@@ -18,6 +18,8 @@ from .costs import (
     cost_point_geometric,
     default_alpha_grid,
     l1_coherence,
+    leading_costs,
+    preparation_coherence,
     tradeoff_slack,
 )
 from .errors import (

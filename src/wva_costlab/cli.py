@@ -12,8 +12,9 @@ Outputs are deterministic for a fixed configuration (seed included): CSV uses
 numbers or null, and every file ends with a newline. Exit codes: 0 success,
 1 invalid arguments, 2 I/O failure, 3 verification failure.
 
-Options may also be supplied as a JSON object via ``--config PATH``;
-explicit command-line flags win over config-file values.
+Options may also be supplied as a JSON object via ``--config PATH``, keyed by
+flag name with '_' for '-'. A key the subcommand does not take, or a value its
+flag would reject, exits 1. Explicit command-line flags win over config values.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .costs import (
     classify_region,
     cost_point,
     default_alpha_grid,
-    l1_coherence,
+    preparation_coherence,
     tradeoff_slack,
 )
 from .errors import WvaError
@@ -51,7 +52,7 @@ from .postselect import (
     real_superposition_setup,
     weak_regime_margin,
 )
-from .states import STANDARD_BASIS, check_theta
+from .states import check_theta
 from .verify import SUITE_NAMES, run_suites
 
 PROG = "wva-costlab"
@@ -127,31 +128,56 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return config.get(key, default)
+def _config_value(key: str, value, spec: dict):
+    """A config-file value parsed as its flag would parse it, or an error naming the key."""
+    kind = spec.get("action")
+    items = value if kind == "append" and isinstance(value, list) else [value]
+    if kind == "store_true":
+        parsed = [value] if isinstance(value, bool) else []
+    else:  # each JSON string or number becomes the token the flag would read
+        try:
+            parsed = [spec.get("type", str)(str(v)) for v in items if type(v) in (str, int, float)]
+        except ValueError:
+            parsed = []
+    choices = spec.get("choices", parsed)
+    if not 0 < len(parsed) == len(items) or any(v not in choices for v in parsed):
+        raise _CliError(f"config key {key!r}: invalid value {value!r}", 1)
+    return parsed if kind == "append" else parsed[0]
 
 
-def _theta_in_domain(theta: float) -> float:
-    """The preparation angle, or a CLI error outside the documented (0, pi/4]."""
-    try:
-        return check_theta(theta, "--theta")
-    except WvaError as exc:
-        raise _CliError(str(exc), 1)
+def _resolve_args(args: argparse.Namespace) -> None:
+    """Fill what the command line left unset from --config, then from the defaults.
+
+    A config key is checked as the flag it names would be. The scenario flags
+    (theta, alpha, g) are required wherever they are accepted, and theta must
+    lie in the documented (0, pi/4].
+    """
+    _, flags, defaults = _COMMANDS[args.command]
+    dests = {flag.replace("-", "_"): flag for flag in (*flags, "out")}
+    config = {}
+    for key, value in _load_config(args.config).items():
+        if key not in dests:
+            raise _CliError(f"config key {key!r} is not an option of {args.command}", 1)
+        config[key] = _config_value(key, value, _FLAGS[dests[key]])
+    for dest, value in {**defaults, **config}.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+    for key in ("theta", "alpha", "g"):
+        if key in flags and getattr(args, key) is None:
+            raise _CliError(f"{args.command} requires --{key}", 1)
+    if "theta" in flags:
+        try:
+            check_theta(args.theta, "--theta")
+        except WvaError as exc:
+            raise _CliError(str(exc), 1)
 
 
-def _resolve_rates(args, config) -> CostRates:
-    return CostRates(
-        r_p=float(_resolve(args, config, "rp", 1.0)),
-        r_m=float(_resolve(args, config, "rm", 1.0)),
-        n_samples=int(_resolve(args, config, "n", 1)),
-    )
+def _rates(args) -> CostRates:
+    return CostRates(r_p=args.rp, r_m=args.rm, n_samples=args.n)
 
 
 def _curve_rows(theta: float, rates: CostRates, printed_form: bool) -> list[dict]:
-    coherence = l1_coherence(STANDARD_BASIS.superposition(theta), STANDARD_BASIS)
+    coherence = preparation_coherence(theta)
     samples = boundary_curve(theta, default_alpha_grid(), rates, printed_form=printed_form)
     return [
         {
@@ -167,18 +193,11 @@ def _curve_rows(theta: float, rates: CostRates, printed_form: bool) -> list[dict
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    theta = _resolve(args, config, "theta")
-    if theta is None:
-        return _fail("curve requires --theta", 1)
-    theta = _theta_in_domain(float(theta))
-    printed = bool(args.compat_printed_bound or config.get("compat_printed_bound", False))
-    fmt = _resolve(args, config, "format", "csv")
     try:
-        rows = _curve_rows(theta, _resolve_rates(args, config), printed)
+        rows = _curve_rows(args.theta, _rates(args), args.compat_printed_bound)
     except WvaError as exc:
         return _fail(str(exc), 1)
-    if fmt == "json":
+    if args.format == "json":
         text = _json_text(rows)
     else:
         lines = ["theta,coherence_l1,alpha,cp_norm,cm_norm,slack"]
@@ -190,41 +209,30 @@ def cmd_curve(args: argparse.Namespace) -> int:
                 )
             )
         text = "\n".join(lines) + "\n"
-    return _emit(text, _resolve(args, config, "out"))
+    return _emit(text, args.out)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    required = {}
-    for key in ("theta", "alpha", "g"):
-        value = _resolve(args, config, key)
-        if value is None:
-            return _fail(f"simulate requires --{key}", 1)
-        required[key] = float(value)
-    _theta_in_domain(required["theta"])
-    nu = int(_resolve(args, config, "nu", 700))
-    reps = int(_resolve(args, config, "reps", 1000))
-    seed = int(_resolve(args, config, "seed", 0))
     try:
         exp_config = ExperimentConfig(
-            theta=required["theta"],
-            alpha=required["alpha"],
-            g_true=required["g"],
-            stopping=FixedPostselected(nu),
-            n_reps=reps,
-            master_seed=seed,
+            theta=args.theta,
+            alpha=args.alpha,
+            g_true=args.g,
+            stopping=FixedPostselected(args.nu),
+            n_reps=args.reps,
+            master_seed=args.seed,
         )
-        report = run_campaign(exp_config, _resolve_rates(args, config))
+        report = run_campaign(exp_config, _rates(args))
     except WvaError as exc:
         return _fail(str(exc), 1)
 
     payload = {
-        "g_true": required["g"],
-        "theta": required["theta"],
-        "alpha": required["alpha"],
-        "nu": nu,
-        "n_reps": reps,
-        "seed": seed,
+        "g_true": args.g,
+        "theta": args.theta,
+        "alpha": args.alpha,
+        "nu": args.nu,
+        "n_reps": args.reps,
+        "seed": args.seed,
         "g_est_mean": report.g_est_mean,
         "g_est_var": report.g_est_var,
         "fm_empirical": report.fm_empirical,
@@ -237,29 +245,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "degenerate": report.degenerate,
     }
 
-    trials_out = _resolve(args, config, "trials_out")
-    if trials_out is not None:
+    if args.trials_out is not None:
         lines = ["trial,n_prepared,n_postselected,n_plus,n_minus,g_est"]
         for index, (counts, g_est) in enumerate(report.per_trial):
             lines.append(
                 f"{index},{counts.n_prepared},{counts.n_postselected},"
                 f"{counts.n_plus},{counts.n_minus},{_fmt(g_est)}"
             )
-        status = _emit("\n".join(lines) + "\n", trials_out)
+        status = _emit("\n".join(lines) + "\n", args.trials_out)
         if status != 0:
             return status
-    return _emit(_json_text(payload), _resolve(args, config, "out"))
+    return _emit(_json_text(payload), args.out)
 
 
 def cmd_qfi(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    values = {}
-    for key in ("theta", "alpha", "g"):
-        value = _resolve(args, config, key)
-        if value is None:
-            return _fail(f"qfi requires --{key}", 1)
-        values[key] = float(value)
-    _theta_in_domain(values["theta"])
+    values = {key: getattr(args, key) for key in ("theta", "alpha", "g")}
     try:
         setup = real_superposition_setup(values["theta"], values["alpha"], values["g"])
         result = postselect(setup)
@@ -267,8 +267,8 @@ def cmd_qfi(args: argparse.Namespace) -> int:
         f_exact, f_leading = probabilistic_qfi(setup)
         cfi = cfi_discrete(conditional_outcome_model(values["theta"], values["alpha"]), values["g"])
         omega = setup.omega
-        coherence = l1_coherence(STANDARD_BASIS.superposition(values["theta"]), STANDARD_BASIS)
-        cost = cost_point(4.0 * omega, f_exact, fm, _resolve_rates(args, config))
+        coherence = preparation_coherence(values["theta"])
+        cost = cost_point(4.0 * omega, f_exact, fm, _rates(args))
         payload = {
             **values,
             "omega": omega,
@@ -290,25 +290,18 @@ def cmd_qfi(args: argparse.Namespace) -> int:
         }
     except WvaError as exc:
         return _fail(str(exc), 1)
-    return _emit(_json_text(payload), _resolve(args, config, "out"))
+    return _emit(_json_text(payload), args.out)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    names = args.suite or config.get("suite")
-    if isinstance(names, str):
-        names = [names]
-    theta_count = _resolve(args, config, "theta_grid")
-    printed = bool(args.compat_printed_bound or config.get("compat_printed_bound", False))
-    seed = int(_resolve(args, config, "seed", 20240))
     try:
         results = run_suites(
-            names=names,
-            theta_count=int(theta_count) if theta_count is not None else None,
-            printed_form=printed,
-            seed=seed,
+            names=args.suite,
+            theta_count=args.theta_grid,
+            printed_form=args.compat_printed_bound,
+            seed=args.seed,
         )
-    except ValueError as exc:
+    except WvaError as exc:
         return _fail(str(exc), 1)
     payload = {
         "suites": [
@@ -322,15 +315,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ],
         "all_passed": all(r.passed for r in results),
     }
-    status = _emit(_json_text(payload), _resolve(args, config, "out"))
+    status = _emit(_json_text(payload), args.out)
     if status != 0:
         return status
     return 0 if payload["all_passed"] else 3
 
 
-# Every flag with its argparse settings, and the flags each subcommand reads;
-# a flag outside its subcommand's list is an invalid argument (exit 1).
-# Abbreviations are off, so ``verify --theta`` cannot pass for --theta-grid.
+# Every flag with its argparse settings, and the flags and defaults of each
+# subcommand; a flag outside its subcommand's list is an invalid argument
+# (exit 1), and so is a --config key outside it. Every flag parses to None when
+# absent, so config values and then defaults fill only what the command line
+# left unset. Abbreviations are off, so ``verify --theta`` cannot pass for
+# --theta-grid.
 _FLAGS = {
     "theta": dict(type=float, help="preparation angle (rad)"),
     "alpha": dict(type=float, help="postselection angle (rad)"),
@@ -342,36 +338,39 @@ _FLAGS = {
     "rm": dict(type=float, help="detection cost per sample"),
     "n": dict(type=int, help="conventional-scheme sample count"),
     "out": dict(help="output path (default: stdout)"),
-    "trials-out": dict(dest="trials_out", help="per-trial CSV path"),
+    "trials-out": dict(help="per-trial CSV path"),
     "format": dict(choices=("csv", "json"), help="output format"),
     "config": dict(help="JSON config file; flags win"),
     "compat-printed-bound": dict(
-        action="store_true", help="use the published (unsquared) bound right-hand side"
+        action="store_true",
+        default=None,
+        help="use the published (unsquared) bound right-hand side",
     ),
     "suite": dict(
         action="append", choices=SUITE_NAMES, help="run only the named suite (repeatable)"
     ),
     "theta-grid": dict(
-        dest="theta_grid",
-        type=int,
-        help="number of evenly spaced preparation angles for the bound sweep",
+        type=int, help="number of evenly spaced preparation angles for the bound sweep"
     ),
 }
 _RATES = ("rp", "rm", "n")
-_COMMANDS = (
-    ("curve", cmd_curve, ("theta", *_RATES, "format", "compat-printed-bound")),
-    ("simulate", cmd_simulate, ("theta", "alpha", "g", "nu", "reps", "seed", *_RATES, "trials-out")),
-    ("qfi", cmd_qfi, ("theta", "alpha", "g", *_RATES)),
-    ("verify", cmd_verify, ("suite", "theta-grid", "seed", "compat-printed-bound")),
-)
+_RATE_DEFAULTS = {"rp": 1.0, "rm": 1.0, "n": 1}
+_COMMANDS = {
+    "curve": (cmd_curve, ("theta", *_RATES, "format", "compat-printed-bound"),
+              {**_RATE_DEFAULTS, "format": "csv", "compat_printed_bound": False}),
+    "simulate": (cmd_simulate, ("theta", "alpha", "g", "nu", "reps", "seed", *_RATES, "trials-out"),
+                 {**_RATE_DEFAULTS, "nu": 700, "reps": 1000, "seed": 0}),
+    "qfi": (cmd_qfi, ("theta", "alpha", "g", *_RATES), _RATE_DEFAULTS),
+    "verify": (cmd_verify, ("suite", "theta-grid", "seed", "compat-printed-bound"),
+               {"seed": 20240, "compat_printed_bound": False}),
+}
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog=PROG, description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, flags in _COMMANDS:
+    for name, (_, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
-        p.set_defaults(handler=handler)
         for flag in (*flags, "out", "config"):
             p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
@@ -381,7 +380,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        _resolve_args(args)
+        return _COMMANDS[args.command][0](args)
     except _CliError as exc:
         return _fail(str(exc), exc.code)
 

@@ -6,6 +6,10 @@ costs follow by scaling. The tradeoff bound relates the two normalized costs
 to the l1-norm coherence of the initial system state; its right-hand side is
 2 arccos(sqrt(1 - C^2)).
 
+Each ingredient has one definition: :func:`leading_costs` (the leading-order
+cp, cm), :meth:`CostPoint.scaled` (raw costs from normalized ones) and
+:func:`preparation_coherence` (the l1 coherence of the preparation).
+
 A published variant of the bound omits the square on the coherence. That
 variant is strictly looser and cannot be saturated by physical points; it is
 available behind ``printed_form=True`` so the discrepancy stays demonstrable.
@@ -73,6 +77,12 @@ class CostPoint:
                 "CostPoint: cm_norm/cp_norm is a probability and cannot exceed 1"
             )
 
+    @classmethod
+    def scaled(cls, cp_norm: float, cm_norm: float, rates: CostRates) -> "CostPoint":
+        """The point at normalized costs (cp_norm, cm_norm), raw costs scaled by ``rates``."""
+        n = rates.n_samples
+        return cls(cp_norm, cm_norm, cp_norm * rates.r_p * n, cm_norm * rates.r_m * n, cp_norm * n)
+
 
 @dataclass(frozen=True)
 class TradeoffSample:
@@ -97,6 +107,11 @@ def l1_coherence(rho: Union[Ket, DensityMatrix], basis: ReferenceBasis) -> float
     return float(min(2.0 * abs(off), 1.0))
 
 
+def preparation_coherence(theta: float) -> float:
+    """l1 coherence (sin 2 theta) of cos(theta)|0> + sin(theta)|1>, built from the ket."""
+    return l1_coherence(STANDARD_BASIS.superposition(theta), STANDARD_BASIS)
+
+
 def cost_point(F: float, fm: float, Fm: float, rates: CostRates) -> CostPoint:
     """Costs of reaching the conventional accuracy target by postselection.
 
@@ -110,16 +125,7 @@ def cost_point(F: float, fm: float, Fm: float, rates: CostRates) -> CostPoint:
         raise InfinitePreparationCostError(
             "cost_point: success-weighted QFI is zero; postselection carries no signal"
         )
-    cp_norm = F / fm
-    cm_norm = F / Fm
-    n = rates.n_samples
-    return CostPoint(
-        cp_norm=cp_norm,
-        cm_norm=cm_norm,
-        cp_raw=cp_norm * rates.r_p * n,
-        cm_raw=cm_norm * rates.r_m * n,
-        n_wva=cp_norm * n,
-    )
+    return CostPoint.scaled(F / fm, F / Fm, rates)
 
 
 def cost_point_geometric(
@@ -140,21 +146,17 @@ def cost_point_geometric(
             "cost_point_geometric: postselection is orthogonal to the signal direction"
         )
     c13 = np.cos(theta_13 / 2.0) ** 2
-    cp_norm = 1.0 / c12
-    cm_norm = c13 / c12
-    n = rates.n_samples
-    return CostPoint(
-        cp_norm=cp_norm,
-        cm_norm=cm_norm,
-        cp_raw=cp_norm * rates.r_p * n,
-        cm_raw=cm_norm * rates.r_m * n,
-        n_wva=cp_norm * n,
-    )
+    return CostPoint.scaled(1.0 / c12, c13 / c12, rates)
 
 
 def _clip_unit(x: float) -> float:
     """Clamp into [0, 1]; NaN passes through."""
     return min(max(x, 0.0), 1.0)
+
+
+def _angle(x: float) -> float:
+    """2 arccos(sqrt(x)), with x clamped into [0, 1] first."""
+    return 2.0 * math.acos(math.sqrt(_clip_unit(x)))
 
 
 def bound_rhs(coherence: float, printed_form: bool = False) -> float:
@@ -164,25 +166,18 @@ def bound_rhs(coherence: float, printed_form: bool = False) -> float:
     variant drops the square and is strictly looser.
     """
     c = _clip_unit(float(coherence))
-    arg = 1.0 - (c if printed_form else c * c)
-    return 2.0 * math.acos(math.sqrt(_clip_unit(arg)))
+    return _angle(1.0 - (c if printed_form else c * c))
 
 
-def tradeoff_slack(
-    point: CostPoint,
-    coherence: float,
-    rates: Optional[CostRates] = None,
-    printed_form: bool = False,
-) -> float:
+def tradeoff_slack(point: CostPoint, coherence: float, printed_form: bool = False) -> float:
     """Slack (RHS - LHS, radians) of the coherence bound at one cost point.
 
-    LHS = |2 arccos(sqrt(R_p N / C_p)) - 2 arccos(sqrt(C_m R_p / (C_p R_m)))|;
-    on normalized axes the rate factors cancel, so ``rates`` is accepted only
-    for signature compatibility. All arccos/sqrt arguments are clamped into
-    [0, 1] first. Physical points have non-negative slack; empirical points
-    may dip below by their statistical error.
+    LHS = |2 arccos(sqrt(R_p N / C_p)) - 2 arccos(sqrt(C_m R_p / (C_p R_m)))|,
+    evaluated on the normalized axes, where the rate factors cancel. All
+    arccos/sqrt arguments are clamped into [0, 1] first. Physical points have
+    non-negative slack; empirical points may dip below by their statistical
+    error.
     """
-    del rates  # normalized coordinates make the rate factors cancel
     if not (-1e-9 <= coherence <= 1.0 + 1e-9):
         raise ContractViolationError("tradeoff_slack: coherence must lie in [0, 1]")
     if point.cp_norm <= 0:
@@ -190,9 +185,7 @@ def tradeoff_slack(
     ratio = point.cm_norm / point.cp_norm
     if ratio > 1.0 + 1e-9:
         raise ContractViolationError("tradeoff_slack: cm_norm/cp_norm exceeds 1")
-    prep_angle = 2.0 * math.acos(math.sqrt(_clip_unit(1.0 / point.cp_norm)))
-    meas_angle = 2.0 * math.acos(math.sqrt(_clip_unit(ratio)))
-    lhs = abs(prep_angle - meas_angle)
+    lhs = abs(_angle(1.0 / point.cp_norm) - _angle(ratio))
     return bound_rhs(coherence, printed_form) - lhs
 
 
@@ -203,6 +196,19 @@ def default_alpha_grid(count: int = DEFAULT_ALPHA_COUNT) -> np.ndarray:
     return np.linspace(-np.pi / 2.0, np.pi / 2.0, count)
 
 
+def leading_costs(theta: float, alpha: float) -> Optional[tuple[float, float]]:
+    """Leading-order normalized costs (cp, cm) at one postselection angle.
+
+    cp = 1 / cos^2(alpha + theta) and cm = cos^2(alpha - theta) / cos^2(alpha + theta).
+    None where |cos(alpha + theta)| < ALPHA_SINGULARITY_TOL, as cp diverges there.
+    """
+    c_plus = np.cos(alpha + theta)
+    if abs(c_plus) < ALPHA_SINGULARITY_TOL:
+        return None
+    c_minus = np.cos(alpha - theta)
+    return 1.0 / c_plus**2, c_minus**2 / c_plus**2
+
+
 def boundary_curve(
     theta: float,
     alpha_grid: Sequence[float],
@@ -211,61 +217,44 @@ def boundary_curve(
 ) -> list[TradeoffSample]:
     """Lower envelope of leading-order cost points over a postselection sweep.
 
-    For every grid angle the leading-order normalized costs are
-    cp = 1 / cos^2(alpha + theta) and cm = cos^2(alpha - theta) * cp; the
-    envelope keeps the minimal cm per cp bucket and prunes dominated points so
-    cm is non-increasing in cp. The minimum-cost sample is always retained as
-    the left endpoint, so the curve starts at (1, cos^2(2 theta)) and descends
-    to the cm = 0 endpoint.
+    Every grid angle contributes its :func:`leading_costs`; the envelope keeps
+    the minimal cm per cp bucket and prunes dominated points so cm is
+    non-increasing in cp. The minimum-cost sample is always retained as the
+    left endpoint, so the curve starts at (1, cos^2(2 theta)) and descends to
+    the cm = 0 endpoint. Only the returned samples get a cost point and slack.
     """
     check_theta(theta, "boundary_curve: theta")
     alphas = np.asarray(alpha_grid, dtype=float).reshape(-1)
-    if alphas.size == 0:
-        raise ContractViolationError("boundary_curve: empty alpha grid")
+    if alphas.size == 0 or not np.all(np.isfinite(alphas)):
+        raise ContractViolationError("boundary_curve: alpha grid must be non-empty and finite")
 
-    coherence = l1_coherence(STANDARD_BASIS.superposition(theta), STANDARD_BASIS)
-
-    buckets: dict[int, TradeoffSample] = {}
-    cheapest: Optional[TradeoffSample] = None
+    # (alpha, cp, cm) per cp bucket, and the cheapest one overall
+    buckets: dict[int, tuple] = {}
+    cheapest = None
     for alpha in alphas:
-        c_plus = np.cos(alpha + theta)
-        if abs(c_plus) < ALPHA_SINGULARITY_TOL:
+        costs = leading_costs(theta, alpha)
+        if costs is None:
             continue
-        c_minus = np.cos(alpha - theta)
-        cp_norm = 1.0 / c_plus**2
-        cm_norm = c_minus**2 / c_plus**2
-        n = rates.n_samples
-        point = CostPoint(
-            cp_norm=cp_norm,
-            cm_norm=cm_norm,
-            cp_raw=cp_norm * rates.r_p * n,
-            cm_raw=cm_norm * rates.r_m * n,
-            n_wva=cp_norm * n,
-        )
-        sample = TradeoffSample(
-            alpha=float(alpha),
-            cost=point,
-            slack=tradeoff_slack(point, coherence, printed_form=printed_form),
-        )
-        key = int(round(cp_norm / CP_BUCKET_WIDTH))
+        sample = (alpha, *costs)
+        key = int(round(sample[1] / CP_BUCKET_WIDTH))
         best = buckets.get(key)
-        if best is None or sample.cost.cm_norm < best.cost.cm_norm:
+        if best is None or sample[2] < best[2]:
             buckets[key] = sample
-        if cheapest is None or (
-            sample.cost.cp_norm,
-            sample.cost.cm_norm,
-        ) < (cheapest.cost.cp_norm, cheapest.cost.cm_norm):
+        if cheapest is None or sample[1:] < cheapest[1:]:
             cheapest = sample
 
-    envelope = sorted(buckets.values(), key=lambda s: s.cost.cp_norm)
+    envelope = sorted(buckets.values(), key=lambda s: s[1])
     if cheapest is not None and envelope and envelope[0] is not cheapest:
         envelope.insert(0, cheapest)
+    coherence = preparation_coherence(theta)
     pruned: list[TradeoffSample] = []
     best_cm = np.inf
-    for sample in envelope:
-        if sample.cost.cm_norm < best_cm:
-            pruned.append(sample)
-            best_cm = sample.cost.cm_norm
+    for alpha, cp_norm, cm_norm in envelope:
+        if cm_norm < best_cm:
+            point = CostPoint.scaled(cp_norm, cm_norm, rates)
+            slack = tradeoff_slack(point, coherence, printed_form=printed_form)
+            pruned.append(TradeoffSample(alpha=float(alpha), cost=point, slack=slack))
+            best_cm = cm_norm
     return pruned
 
 

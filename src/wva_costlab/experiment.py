@@ -28,7 +28,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .costs import CostPoint, CostRates, cost_point, l1_coherence, tradeoff_slack
+from .costs import CostPoint, CostRates, cost_point, preparation_coherence, tradeoff_slack
 from .errors import (
     ContractViolationError,
     EstimationUndefinedError,
@@ -41,7 +41,6 @@ from .states import (
     METER_MINUS,
     METER_PLUS,
     SIGMA_SPLIT,
-    STANDARD_BASIS,
     _meter_core,
     check_theta,
 )
@@ -398,7 +397,7 @@ def run_campaign(
     p_exact = postselect(setup).p
     fm_ex = fm_exact(setup)
 
-    coherence = l1_coherence(STANDARD_BASIS.superposition(config.theta), STANDARD_BASIS)
+    coherence = preparation_coherence(config.theta)
 
     cost_ex = cost_point(4.0 * omega, p_exact * fm_ex, fm_ex, rates)
     slack_ex = tradeoff_slack(cost_ex, coherence)

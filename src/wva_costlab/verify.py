@@ -22,7 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import CostPoint, l1_coherence, tradeoff_slack
+from .costs import (
+    CostPoint,
+    CostRates,
+    default_alpha_grid,
+    leading_costs,
+    preparation_coherence,
+    tradeoff_slack,
+)
+from .errors import ContractViolationError
 from .fisher import qfi_mixed, qfi_spectral_unitary
 from .postselect import WvaSetup, postselected_meter_family
 from .states import (
@@ -48,12 +56,18 @@ DEFAULT_THETAS = (
     np.pi / 4.5,
     np.pi / 4,
 )
-SUITE_NAMES = (
-    "overlap-identity",
-    "tradeoff-bound",
-    "incoherent-ceiling",
-    "oracle-agreement",
-)
+
+# name -> suite called with (thetas, printed_form, seed); each lambda looks its
+# suite function up by name when it runs, so a rebound module attribute is used
+_SUITES = {
+    "overlap-identity": lambda thetas, printed, seed: suite_overlap_identity(seed=seed),
+    "tradeoff-bound": lambda thetas, printed, seed: suite_tradeoff_bound(
+        thetas, printed_form=printed
+    ),
+    "incoherent-ceiling": lambda thetas, printed, seed: suite_incoherent_ceiling(),
+    "oracle-agreement": lambda thetas, printed, seed: suite_oracle_agreement(seed=seed),
+}
+SUITE_NAMES = tuple(_SUITES)
 
 
 @dataclass(frozen=True)
@@ -67,7 +81,7 @@ class SuiteResult:
 def theta_grid(count: int) -> np.ndarray:
     """Evenly spaced preparation angles spanning [pi/16, pi/4]."""
     if count < 1:
-        raise ValueError("theta_grid: count must be >= 1")
+        raise ContractViolationError("theta_grid: count must be >= 1")
     if count == 1:
         return np.array([np.pi / 4.0])
     return np.linspace(np.pi / 16.0, np.pi / 4.0, count)
@@ -102,21 +116,21 @@ def suite_tradeoff_bound(
     n_alpha: int = 721,
     printed_form: bool = False,
 ) -> SuiteResult:
-    """Soundness and saturation of the coherence bound over the full sweep."""
-    basis = ReferenceBasis.standard()
-    alphas = np.linspace(-np.pi / 2.0, np.pi / 2.0, n_alpha)
+    """Soundness and saturation of the coherence bound over the full sweep.
+
+    Angles with |cos(alpha + theta)| < 1e-3, that is cp > 1e6, are skipped.
+    """
+    unit_rates = CostRates(1.0, 1.0, 1)
     min_slack = np.inf
     max_sat_gap = 0.0
     checked = 0
     for theta in thetas:
-        coherence = l1_coherence(basis.superposition(theta), basis)
-        for alpha in alphas:
-            c_plus = np.cos(alpha + theta)
-            if abs(c_plus) < 1e-3:
+        coherence = preparation_coherence(theta)
+        for alpha in default_alpha_grid(n_alpha):
+            costs = leading_costs(theta, alpha)
+            if costs is None or costs[0] > 1e6:
                 continue
-            cp = 1.0 / c_plus**2
-            cm = np.cos(alpha - theta) ** 2 * cp
-            point = CostPoint(cp_norm=cp, cm_norm=cm, cp_raw=cp, cm_raw=cm, n_wva=cp)
+            point = CostPoint.scaled(*costs, unit_rates)
             slack = tradeoff_slack(point, coherence, printed_form=printed_form)
             min_slack = min(min_slack, slack)
             checked += 1
@@ -232,17 +246,7 @@ def run_suites(
     """Run the selected suites (all of them by default) and return their results."""
     selected = tuple(names) if names else SUITE_NAMES
     for name in selected:
-        if name not in SUITE_NAMES:
-            raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+        if name not in _SUITES:
+            raise ContractViolationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     thetas = DEFAULT_THETAS if theta_count is None else theta_grid(theta_count)
-    results = []
-    for name in selected:
-        if name == "overlap-identity":
-            results.append(suite_overlap_identity(seed=seed))
-        elif name == "tradeoff-bound":
-            results.append(suite_tradeoff_bound(thetas=thetas, printed_form=printed_form))
-        elif name == "incoherent-ceiling":
-            results.append(suite_incoherent_ceiling())
-        elif name == "oracle-agreement":
-            results.append(suite_oracle_agreement(seed=seed))
-    return results
+    return [_SUITES[name](thetas, printed_form, seed) for name in selected]

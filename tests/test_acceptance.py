@@ -20,6 +20,7 @@ import pytest
 from scipy.stats import binom
 
 import wva_costlab as w
+from wva_costlab.verify import suite_overlap_identity, suite_tradeoff_bound
 
 THETAS = (np.pi / 16, np.pi / 12, np.pi / 8, np.pi / 6, np.pi / 5, np.pi / 4.5, np.pi / 4)
 BASIS = w.ReferenceBasis.standard()
@@ -68,13 +69,8 @@ def _campaign(theta, alpha, g, seed=BENCH_SEED, reps=BENCH_REPS):
 def test_c01_overlap_identity():
     """1000 random ket pairs satisfy the Bloch half-angle overlap identity."""
     start = time.perf_counter()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(1000):
-        a = w.Ket(rng.normal(size=2) + 1j * rng.normal(size=2))
-        b = w.Ket(rng.normal(size=2) + 1j * rng.normal(size=2))
-        angle = w.bloch_angle(w.bloch_of(a, BASIS), w.bloch_of(b, BASIS))
-        worst = max(worst, abs(w.overlap_sq(a, b) - np.cos(angle / 2.0) ** 2))
+    suite = suite_overlap_identity(n_pairs=1000, seed=101)
+    worst = suite.detail["worst_abs_error"]
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 1.0
     _verdict(1, ok, f"worst error {worst:.2e}, {elapsed:.2f}s")
@@ -192,21 +188,11 @@ def test_c05_incoherent_inputs_grant_no_advantage():
 def test_c06_tradeoff_bound_soundness_and_endpoints():
     """The coherence bound holds on the full sweep and the curve endpoints match."""
     start = time.perf_counter()
-    min_slack = np.inf
-    max_sat_gap = 0.0
-    for theta in THETAS:
-        coherence = w.l1_coherence(BASIS.superposition(theta), BASIS)
-        for alpha in w.default_alpha_grid():
-            c_plus = np.cos(alpha + theta)
-            if abs(c_plus) < 1e-3:
-                continue
-            cp = 1.0 / c_plus**2
-            cm = np.cos(alpha - theta) ** 2 * cp
-            point = w.CostPoint(cp, cm, cp, cm, cp)
-            slack = w.tradeoff_slack(point, coherence)
-            min_slack = min(min_slack, slack)
-            if theta - np.pi / 2 <= alpha <= -theta:
-                max_sat_gap = max(max_sat_gap, abs(slack))
+    suite = suite_tradeoff_bound(thetas=THETAS)
+    min_slack = suite.worst_slack
+    max_sat_gap = suite.detail["saturation_gap"]
+    assert suite.detail["points"] == 5040
+    assert suite.detail["sound"] and suite.detail["saturated"]
 
     curve_pi6 = w.boundary_curve(np.pi / 6, w.default_alpha_grid(), UNIT_RATES)
     curve_pi4 = w.boundary_curve(np.pi / 4, w.default_alpha_grid(), UNIT_RATES)

@@ -247,6 +247,10 @@ class TestVerify:
             main(["verify", "--suite", "bogus"])
         assert err.value.code == 1
 
+    def test_empty_theta_grid_exits_1_with_one_line(self, capsys):
+        assert main(["verify", "--suite", "tradeoff-bound", "--theta-grid", "0"]) == 1
+        assert capsys.readouterr().err == "wva-costlab: error: theta_grid: count must be >= 1\n"
+
 
 class TestConfigFile:
     def test_flags_win_over_config(self, tmp_path):
@@ -266,6 +270,68 @@ class TestConfigFile:
 
     def test_bad_config_exits_1(self, tmp_path):
         assert main(["curve", "--config", str(tmp_path / "nope.json"), "--theta", THETA]) == 1
+
+
+class TestConfigValidation:
+    """A config key is checked as the flag it names: exit 1, one line naming the key."""
+
+    SCENARIO = {"theta": 0.5, "alpha": -0.5, "g": 0.0349, "reps": 3}
+
+    def run(self, tmp_path, capsys, command, config, *flags):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out.txt"
+        code = main([command, "--config", str(cfg), "--out", str(out), *flags])
+        return code, capsys.readouterr().err, out.exists()
+
+    def assert_rejected(self, result, key):
+        code, err, wrote = result
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("wva-costlab: error: ")
+        assert f"config key {key!r}" in err
+        assert "Traceback" not in err and not wrote
+
+    def test_non_numeric_theta(self, tmp_path, capsys):
+        self.assert_rejected(self.run(tmp_path, capsys, "curve", {"theta": "abc"}), "theta")
+
+    def test_non_integer_nu(self, tmp_path, capsys):
+        config = {**self.SCENARIO, "nu": "x"}
+        self.assert_rejected(self.run(tmp_path, capsys, "simulate", config), "nu")
+
+    def test_key_of_another_subcommand(self, tmp_path, capsys):
+        result = self.run(tmp_path, capsys, "curve", {"theta": 0.5, "nu": 5})
+        self.assert_rejected(result, "nu")
+        assert "not an option of curve" in result[1]
+
+    def test_format_outside_choices(self, tmp_path, capsys):
+        config = {"theta": 0.5, "format": "xml"}
+        self.assert_rejected(self.run(tmp_path, capsys, "curve", config), "format")
+
+    @pytest.mark.parametrize("value", ["yes", 1, None])
+    def test_non_boolean_compat_flag(self, value, tmp_path, capsys):
+        config = {"theta": 0.5, "compat_printed_bound": value}
+        self.assert_rejected(self.run(tmp_path, capsys, "curve", config), "compat_printed_bound")
+
+    @pytest.mark.parametrize("value", ["bogus", ["overlap-identity", "bogus"], []])
+    def test_unknown_suite(self, value, tmp_path, capsys):
+        self.assert_rejected(self.run(tmp_path, capsys, "verify", {"suite": value}), "suite")
+
+    def test_valid_values_parse_as_their_flags(self, tmp_path, capsys):
+        config = {"theta": "0.5", "compat_printed_bound": True, "format": "json", "n": 3}
+        code, _, wrote = self.run(tmp_path, capsys, "curve", config)
+        assert code == 0 and wrote
+        rows = json.loads(read(tmp_path / "out.txt"))
+        assert rows[0]["theta"] == 0.5
+        assert max(row["slack"] for row in rows) > 0.1  # the published, unsaturated form
+        code, _, _ = self.run(tmp_path, capsys, "verify", {"suite": "overlap-identity", "seed": 5})
+        assert code == 0
+        payload = json.loads(read(tmp_path / "out.txt"))
+        assert [suite["name"] for suite in payload["suites"]] == ["overlap-identity"]
+
+    def test_flags_win_over_valid_config(self, tmp_path, capsys):
+        config = {**self.SCENARIO, "seed": 7}
+        assert self.run(tmp_path, capsys, "simulate", config, "--seed", "0")[0] == 0
+        assert json.loads(read(tmp_path / "out.txt"))["seed"] == 0
 
 
 class TestArgumentErrors:

@@ -1,5 +1,8 @@
 """Cost accounting, coherence, the tradeoff bound, and boundary curves."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,8 +21,11 @@ from wva_costlab import (
     cost_point_geometric,
     default_alpha_grid,
     l1_coherence,
+    leading_costs,
+    preparation_coherence,
     tradeoff_slack,
 )
+from wva_costlab.verify import theta_grid
 
 BASIS = ReferenceBasis.standard()
 RATES = CostRates(r_p=2.0, r_m=3.0, n_samples=500)
@@ -49,6 +55,12 @@ class TestCoherence:
         got = l1_coherence(BASIS.superposition(np.pi / 6), BASIS)
         assert got == pytest.approx(np.sin(np.pi / 3), abs=1e-12)
         assert got == pytest.approx(0.8660254, abs=1e-7)
+
+    def test_preparation_coherence_is_the_ket_built_value(self):
+        thetas = [*theta_grid(50), *np.random.default_rng(11).uniform(1e-9, np.pi / 4, 1000)]
+        for theta in thetas:
+            expected = l1_coherence(BASIS.superposition(theta), BASIS)
+            assert preparation_coherence(theta) == expected
 
 
 class TestCostRates:
@@ -189,7 +201,42 @@ class TestTradeoffSlack:
             assert max(gaps) <= 1e-6
 
 
+class TestLeadingCosts:
+    def test_none_exactly_where_cp_diverges(self):
+        rng = np.random.default_rng(3)
+        for theta in (np.pi / 16, 0.3, np.pi / 6, np.pi / 4):
+            # grid angles plus angles within 1e-6 of the pole alpha = pi/2 - theta
+            near = np.pi / 2 - theta + rng.uniform(-2e-6, 2e-6, 200)
+            for alpha in (*default_alpha_grid(), *near):
+                c_plus = np.cos(alpha + theta)
+                costs = leading_costs(theta, alpha)
+                assert (costs is None) == (abs(c_plus) < 1e-6)
+                if costs is not None:
+                    assert costs == (1.0 / c_plus**2, np.cos(alpha - theta) ** 2 / c_plus**2)
+
+    def test_scaled_matches_hand_built_raw_costs(self):
+        for cp, cm in ((1.0, 0.25), (1.7, 0.3), (4.2, 4.2)):
+            n = RATES.n_samples
+            hand = CostPoint(cp, cm, cp * RATES.r_p * n, cm * RATES.r_m * n, cp * n)
+            assert CostPoint.scaled(cp, cm, RATES) == hand
+
+
+BOUNDARY_FIXTURE = Path(__file__).parent / "data" / "boundary_curve.json"
+
+
 class TestBoundaryCurve:
+    @pytest.mark.parametrize("case", json.loads(BOUNDARY_FIXTURE.read_text()))
+    def test_pinned_envelope(self, case):
+        # rows (alpha, cp_norm, cm_norm, slack) recorded from the per-angle
+        # implementation that built a cost point and a slack at every angle
+        samples = boundary_curve(
+            case["theta"], default_alpha_grid(), UNIT_RATES, printed_form=case["printed_form"]
+        )
+        assert [s.alpha for s in samples] == [row[0] for row in case["rows"]]
+        got = [x for s in samples for x in (s.cost.cp_norm, s.cost.cm_norm, s.slack)]
+        want = [x for row in case["rows"] for x in row[1:]]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
     def test_maximal_coherence_reaches_origin_corner(self):
         samples = boundary_curve(np.pi / 4, default_alpha_grid(), UNIT_RATES)
         first = samples[0]
@@ -238,6 +285,11 @@ class TestBoundaryCurve:
     def test_empty_grid_rejected(self):
         with pytest.raises(ContractViolationError):
             boundary_curve(np.pi / 6, [], UNIT_RATES)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        with pytest.raises(ContractViolationError):
+            boundary_curve(np.pi / 6, [0.1, bad], UNIT_RATES)
 
     def test_theta_domain(self):
         with pytest.raises(ContractViolationError):

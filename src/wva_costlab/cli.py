@@ -20,6 +20,7 @@ flag would reject, exits 1. Explicit command-line flags win over config values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -176,18 +177,14 @@ def _rates(args) -> CostRates:
     return CostRates(r_p=args.rp, r_m=args.rm, n_samples=args.n)
 
 
+_CURVE_KEYS = ("theta", "coherence_l1", "alpha", "cp_norm", "cm_norm", "slack")
+
+
 def _curve_rows(theta: float, rates: CostRates, printed_form: bool) -> list[dict]:
     coherence = preparation_coherence(theta)
     samples = boundary_curve(theta, default_alpha_grid(), rates, printed_form=printed_form)
     return [
-        {
-            "theta": theta,
-            "coherence_l1": coherence,
-            "alpha": s.alpha,
-            "cp_norm": s.cost.cp_norm,
-            "cm_norm": s.cost.cm_norm,
-            "slack": s.slack,
-        }
+        dict(zip(_CURVE_KEYS, (theta, coherence, s.alpha, s.cost.cp_norm, s.cost.cm_norm, s.slack)))
         for s in samples
     ]
 
@@ -200,14 +197,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if args.format == "json":
         text = _json_text(rows)
     else:
-        lines = ["theta,coherence_l1,alpha,cp_norm,cm_norm,slack"]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    _fmt(row[k])
-                    for k in ("theta", "coherence_l1", "alpha", "cp_norm", "cm_norm", "slack")
-                )
-            )
+        lines = [",".join(_CURVE_KEYS)]
+        lines += [",".join(_fmt(row[k]) for k in _CURVE_KEYS) for row in rows]
         text = "\n".join(lines) + "\n"
     return _emit(text, args.out)
 
@@ -304,15 +295,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except WvaError as exc:
         return _fail(str(exc), 1)
     payload = {
-        "suites": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "worst_slack": r.worst_slack,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
+        "suites": [dataclasses.asdict(r) for r in results],
         "all_passed": all(r.passed for r in results),
     }
     status = _emit(_json_text(payload), args.out)

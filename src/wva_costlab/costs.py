@@ -70,6 +70,9 @@ class CostPoint:
     n_wva: float
 
     def __post_init__(self):
+        fields = (self.cp_norm, self.cm_norm, self.cp_raw, self.cm_raw, self.n_wva)
+        if not all(math.isfinite(value) for value in fields):
+            raise ContractViolationError("CostPoint: costs must be finite")
         if self.cp_norm <= 0 or self.cm_norm < 0:
             raise ContractViolationError("CostPoint: costs must be non-negative")
         if self.cm_norm > self.cp_norm * (1.0 + 1e-9):
@@ -180,11 +183,7 @@ def tradeoff_slack(point: CostPoint, coherence: float, printed_form: bool = Fals
     """
     if not (-1e-9 <= coherence <= 1.0 + 1e-9):
         raise ContractViolationError("tradeoff_slack: coherence must lie in [0, 1]")
-    if point.cp_norm <= 0:
-        raise ContractViolationError("tradeoff_slack: cp_norm must be positive")
-    ratio = point.cm_norm / point.cp_norm
-    if ratio > 1.0 + 1e-9:
-        raise ContractViolationError("tradeoff_slack: cm_norm/cp_norm exceeds 1")
+    ratio = point.cm_norm / point.cp_norm  # in [0, 1 + 1e-9] by CostPoint's checks
     lhs = abs(_angle(1.0 / point.cp_norm) - _angle(ratio))
     return bound_rhs(coherence, printed_form) - lhs
 

@@ -17,6 +17,10 @@ F_m = 4 (<dv|dv>/p - |<v|dv>|^2/p^2) (Braunstein & Caves, PRL 72, 3439
 small-coupling expansion enters the production path either. Leading-order
 formulas are exposed separately so tests and cost accounting can compare the
 two.
+
+A density-matrix input gets K = V rho_s V^dag and dK from the same kernel on
+the basis kets, cached beside (p, v, dv); its F_m is the Bloch-form qubit QFI
+of K / p (Zhong et al., PRA 87, 022337 (2013)), again with no eigensolve.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .errors import (
     UnsupportedInputError,
     VanishingPostselectionError,
 )
-from .fisher import MixedFamily, PureFamily
+from .fisher import RANK_CUTOFF, MixedFamily, PureFamily
 from .states import (
     METER_PLUS,
     STANDARD_BASIS,
@@ -44,6 +48,7 @@ from .states import (
     HermitianOperator,
     Ket,
     ReferenceBasis,
+    _meter_operator,
     _phase_fixed,
     check_theta,
     postselected_meter,
@@ -59,13 +64,13 @@ WEAK_REGIME_LIMIT = 0.1
 class WvaSetup:
     """Pre/postselection pair, meter state, coupling observables and strength.
 
-    ``psi_si`` may be a ket (the usual coherent preparation) or a density
-    matrix diagonal in the eigenbasis of ``A`` for incoherent-input studies.
+    ``psi_si`` may be a ket (the usual coherent preparation) or any qubit
+    density matrix: incoherent, partially coherent or maximally mixed.
     The meter must sit at the balance zero point, <M> = 0, with a positive
     second moment Omega = <M^2>. The coupling strength must be finite.
 
-    ``omega`` = ||M phi||^2 is derived once, at construction, and a pure
-    input's kernel output (p, v, dv) at most once, on first use. Neither
+    ``omega`` = ||M phi||^2 is derived once, at construction, and the kernel
+    output ((p, v, dv) or (p, K, dK, det K)) at most once, on first use. Neither
     takes part in equality, hashing or the repr; :meth:`at` and
     ``dataclasses.replace`` build a fresh instance that derives both anew.
     """
@@ -96,16 +101,23 @@ class WvaSetup:
 
     @functools.cached_property
     def _meter(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """Kernel output (p, v, dv) of a pure input; see :func:`_pure_meter`.
-
-        Every caller shares the cached arrays, so they are read-only.
-        """
+        """Kernel output (p, v, dv) of a ket input; callers share the read-only arrays."""
         p, v, dv = postselected_meter(
             self.psi_si, self.psi_sf, self.phi_mi, self.A, self.M, self.g
         )
         v.setflags(write=False)
         dv.setflags(write=False)
         return p, v, dv
+
+    @functools.cached_property
+    def _operator(self) -> tuple[float, np.ndarray, np.ndarray, float]:
+        """Kernel output (p, K, dK, det K) of a density-matrix input, read-only as above."""
+        p, K, dK, det_k = _meter_operator(
+            self.psi_si, self.psi_sf, self.phi_mi, self.A, self.M, self.g
+        )
+        K.setflags(write=False)
+        dK.setflags(write=False)
+        return p, K, dK, det_k
 
     def at(self, g: float) -> "WvaSetup":
         """Copy of this setup with a different coupling strength."""
@@ -137,20 +149,39 @@ def weak_value(psi_si: Ket, psi_sf: Ket, A: HermitianOperator) -> complex:
     return numer / denom
 
 
-def _pure_meter(setup: WvaSetup, where: str) -> tuple[float, np.ndarray, np.ndarray]:
-    """Kernel output (p, v, dv) for a pure input whose postselection succeeds.
-
-    The kernel runs once per setup (the cached ``WvaSetup._meter``); the
-    input and probability-floor checks run on every call.
-    """
-    if not isinstance(setup.psi_si, Ket):
+def _kernel(setup: WvaSetup, where: str, pure: bool = False) -> tuple:
+    """Cached kernel output of a ket or (unless ``pure``) density matrix; checks run every call."""
+    if isinstance(setup.psi_si, Ket):
+        out = setup._meter
+    elif pure:
         raise UnsupportedInputError(f"{where}: mixed system input; use postselect_mixed")
-    p, v, dv = setup._meter
-    if p < P_FLOOR:
+    else:
+        out = setup._operator
+    if out[0] < P_FLOOR:
         raise VanishingPostselectionError(
-            f"{where}: success probability {p:.3e} below floor {P_FLOOR:g}"
+            f"{where}: success probability {out[0]:.3e} below floor {P_FLOOR:g}"
         )
-    return p, v, dv
+    return out
+
+
+def _bloch_qfi(p: float, K: np.ndarray, dK: np.ndarray, det_k: float) -> float:
+    """Qubit QFI |dr|^2 + (r.dr)^2 / (1 - |r|^2) of K / p, with r its Bloch vector.
+
+    The gap 1 - |r|^2 = 4 det K / p^2 = 4 l (1 - l) comes from the product
+    form of det K. :func:`~wva_costlab.fisher.qfi_mixed` drops the smaller
+    eigenvalue l's term when 2 l <= RANK_CUTOFF, and so does this below
+    gap = 2 * RANK_CUTOFF, where F = |dr|^2.
+    """
+    (k00, _), (k10, k11) = K.tolist()
+    (d00, _), (d10, d11) = dK.tolist()
+    dp = (d00 + d11).real
+    r = (2.0 * k10.real / p, 2.0 * k10.imag / p, (k00 - k11).real / p)
+    dr = [(s - c * dp) / p for s, c in zip((2 * d10.real, 2 * d10.imag, (d00 - d11).real), r)]
+    grad_sq = sum(d * d for d in dr)
+    gap = 4.0 * det_k / (p * p)
+    if gap <= 2.0 * RANK_CUTOFF:
+        return grad_sq
+    return grad_sq + sum(c * d for c, d in zip(r, dr)) ** 2 / gap
 
 
 def _weighted_qfi(p: float, v: np.ndarray, dv: np.ndarray) -> float:
@@ -165,7 +196,7 @@ def postselect(setup: WvaSetup) -> PostselectionResult:
     success probability together with the normalized collapsed meter state.
     No small-coupling approximation is used.
     """
-    p, v, _ = _pure_meter(setup, "postselect")
+    p, v, _ = _kernel(setup, "postselect", pure=True)
     try:
         a_w: Optional[complex] = weak_value(setup.psi_si, setup.psi_sf, setup.A)
     except OrthogonalPostselectionError:
@@ -174,33 +205,15 @@ def postselect(setup: WvaSetup) -> PostselectionResult:
 
 
 def postselect_mixed(setup: WvaSetup) -> tuple[float, DensityMatrix]:
-    """Postselection for a mixed system input, as a convex mixture of branches.
+    """Exact postselection of any system input: (p, collapsed meter state).
 
-    The input density matrix is resolved in its eigenbasis; each eigenvector
-    branch is postselected exactly and the collapsed meter states are mixed
-    with weights (branch weight) * (branch success probability) / p.
+    A density matrix gives (Tr K, K / Tr K) from the cached K = V rho_s V^dag.
     """
     if isinstance(setup.psi_si, Ket):
         p_res = postselect(setup)
         return p_res.p, DensityMatrix.from_ket(p_res.phi_mf)
-    weights, branches = setup.psi_si.eigensystem()
-    total_p = 0.0
-    pieces: list[tuple[float, Ket]] = []
-    for w, branch in zip(weights, branches):
-        if w <= P_FLOOR:
-            continue
-        try:
-            res = postselect(dataclasses.replace(setup, psi_si=branch))
-        except VanishingPostselectionError:
-            continue
-        total_p += w * res.p
-        pieces.append((w * res.p, res.phi_mf))
-    if total_p < P_FLOOR:
-        raise VanishingPostselectionError(
-            "postselect_mixed: total success probability below floor"
-        )
-    mat = sum(wp / total_p * phi.projector() for wp, phi in pieces)
-    return total_p, DensityMatrix(mat)
+    p, K, _, _ = _kernel(setup, "postselect_mixed")
+    return p, DensityMatrix(K / p)
 
 
 def collapsed_meter_family(setup: WvaSetup) -> PureFamily:
@@ -216,9 +229,12 @@ def postselected_meter_family(setup: WvaSetup) -> MixedFamily:
 def fm_exact(setup: WvaSetup) -> float:
     """Exact QFI of the collapsed meter state at the setup's coupling strength.
 
-    F_m = 4 (<dv|dv>/p - |<v|dv>|^2/p^2) from the kernel's closed-form dv.
+    F_m = 4 (<dv|dv>/p - |<v|dv>|^2/p^2) from the kernel's closed-form dv, or
+    for a density-matrix input the Bloch form of :func:`_bloch_qfi`.
     """
-    p, v, dv = _pure_meter(setup, "fm_exact")
+    if not isinstance(setup.psi_si, Ket):
+        return _bloch_qfi(*_kernel(setup, "fm_exact"))
+    p, v, dv = _kernel(setup, "fm_exact")
     return _weighted_qfi(p, v, dv) / p
 
 
@@ -236,7 +252,7 @@ def probabilistic_qfi(setup: WvaSetup) -> tuple[float, float]:
     4 (<dv|dv> - |<v|dv>|^2 / p) from the setup's kernel output. It can
     approach but never exceed the conventional-scheme QFI.
     """
-    exact = _weighted_qfi(*_pure_meter(setup, "probabilistic_qfi"))
+    exact = _weighted_qfi(*_kernel(setup, "probabilistic_qfi", pure=True))
     amp = complex(np.vdot(setup.psi_sf.amplitudes, setup.A.entries @ setup.psi_si.amplitudes))
     leading = 4.0 * setup.omega * abs(amp) ** 2
     return exact, leading

@@ -6,14 +6,15 @@ and the exact postselection kernel of the coupling exp(-i g A (x) M). Only
 dimensions 2 (single qubit) and 4 (system plus meter) are supported; the
 product space is ordered system-major, meter-minor.
 
-The coupling and the kernel never call LAPACK: a qubit observable
-H = h0 I + K splits in closed form into eigenvalues h0 +- |K| with projectors
-(I +- K/|K|)/2, evaluated in Python complex scalars. The LAPACK wrapper
-``_eigh`` serves only :func:`hermitian_eigs`. The standard basis, its
-observable, that observable's split and the balanced meter kets are built
-once, as read-only module constants. The kernel's arithmetic lives in
-``_meter_core``, over plain amplitude pairs, so the standard-basis readout of
-:mod:`~wva_costlab.experiment` runs it without building kets.
+The coupling, the kernel and the qubit density-matrix check never call
+LAPACK: a qubit observable H = h0 I + K splits in closed form into
+eigenvalues h0 +- |K| with projectors (I +- K/|K|)/2, evaluated in Python
+complex scalars. LAPACK serves only :func:`hermitian_eigs`. The standard
+basis, its observable, that observable's split and the balanced meter kets
+are built once, as read-only module constants. The kernel's arithmetic lives
+in ``_meter_core``, over plain amplitude pairs, so the standard-basis readout
+of :mod:`~wva_costlab.experiment` runs it without building kets, and
+``_meter_operator`` runs it on the basis kets for a density-matrix input.
 :func:`check_theta` holds the preparation-angle domain (0, pi/4] that the
 scenario constructors and the CLI share.
 """
@@ -64,6 +65,13 @@ def _square_entries(entries, where: str) -> np.ndarray:
     if not np.isfinite(mat).all():
         raise ContractViolationError(f"{where}: entries must be finite")
     return mat
+
+
+def _qubit_parts(entries: np.ndarray) -> tuple[float, float, complex, float]:
+    """(h0, kz, h10, r) of a qubit H = h0 I + K: eigenvalues h0 +- r, h10 below the diagonal."""
+    (h00, _), (h10, h11) = entries.tolist()
+    kz = 0.5 * (h00.real - h11.real)
+    return 0.5 * (h00.real + h11.real), kz, h10, math.hypot(kz, h10.real, h10.imag)
 
 
 @dataclass(frozen=True)
@@ -157,7 +165,7 @@ class UnitaryOperator:
 class DensityMatrix:
     """Positive unit-trace Hermitian matrix describing a (possibly mixed) state.
 
-    Non-finite entries are rejected before the eigenvalue check.
+    Non-finite entries are rejected before the (for a qubit, closed-form) eigenvalue check.
     """
 
     entries: np.ndarray
@@ -166,9 +174,15 @@ class DensityMatrix:
         mat = _square_entries(self.entries, "DensityMatrix")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
             raise ContractViolationError("DensityMatrix: entries are not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > 1e-12 or abs(np.trace(mat).imag) > 1e-12:
+        trace = complex(np.trace(mat))
+        if abs(trace.real - 1.0) > 1e-12 or abs(trace.imag) > 1e-12:
             raise ContractViolationError("DensityMatrix: trace must be 1")
-        if np.min(np.linalg.eigvalsh(mat)) < EIGENVALUE_FLOOR:
+        if mat.shape[0] == 2:
+            h0, _, _, r = _qubit_parts(mat)
+            lowest = h0 - r
+        else:
+            lowest = np.min(np.linalg.eigvalsh(mat))
+        if lowest < EIGENVALUE_FLOOR:
             raise ContractViolationError("DensityMatrix: negative eigenvalue")
         object.__setattr__(self, "entries", _readonly(mat))
 
@@ -190,9 +204,6 @@ class DensityMatrix:
             raise ContractViolationError("mixture: weights must be a distribution")
         mat = sum(wk * k.projector() for wk, k in zip(w, kets))
         return cls(mat)
-
-    def eigensystem(self) -> tuple[np.ndarray, list[Ket]]:
-        return hermitian_eigs(HermitianOperator(self.entries))
 
 
 @dataclass(frozen=True)
@@ -245,13 +256,6 @@ class ReferenceBasis:
             self.ket0.projector() - self.ket1.projector()
         )
 
-    def pauli_triple(self) -> tuple[HermitianOperator, HermitianOperator, HermitianOperator]:
-        """Right-handed Pauli triple (s1, s2, s3) with s3 = sigma()."""
-        p01 = np.outer(self.ket0.amplitudes, self.ket1.amplitudes.conj())
-        s1 = HermitianOperator(p01 + p01.conj().T)
-        s2 = HermitianOperator(-1j * p01 + 1j * p01.conj().T)
-        return s1, s2, self.sigma()
-
 
 # Built once; every field is a frozen dataclass over a read-only array.
 STANDARD_BASIS = ReferenceBasis(Ket(np.array([1.0, 0.0])), Ket(np.array([0.0, 1.0])))
@@ -302,14 +306,6 @@ def _phase_fixed(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _eigh(H: HermitianOperator, where: str) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK eigenvalues and eigenvector columns, in no particular order."""
-    try:
-        return np.linalg.eigh(H.entries)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalFailureError(f"{where}: eigensolver failed: {exc}") from exc
-
-
 def hermitian_eigs(H: HermitianOperator) -> tuple[np.ndarray, list[Ket]]:
     """Eigendecomposition of a Hermitian operator with deterministic ordering.
 
@@ -320,7 +316,10 @@ def hermitian_eigs(H: HermitianOperator) -> tuple[np.ndarray, list[Ket]]:
     """
     if not isinstance(H, HermitianOperator):
         H = HermitianOperator(np.asarray(H, dtype=complex))
-    vals, vecs = _eigh(H, "hermitian_eigs")
+    try:
+        vals, vecs = np.linalg.eigh(H.entries)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalFailureError(f"hermitian_eigs: eigensolver failed: {exc}") from exc
 
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
@@ -364,10 +363,7 @@ def _qubit_split(H: HermitianOperator) -> list[tuple[float, _Projector]]:
     (P00, P01, P10, P11). When r = 0 the single projector I carries both
     eigenvalues. The off-diagonal is read from the lower triangle.
     """
-    (h00, _), (h10, h11) = H.entries.tolist()
-    h0 = 0.5 * (h00.real + h11.real)
-    kz = 0.5 * (h00.real - h11.real)
-    r = math.hypot(kz, h10.real, h10.imag)
+    h0, kz, h10, r = _qubit_parts(H.entries)
     if r == 0.0:
         return [(h0, (1.0, 0j, 0j, 1.0))]
     z, c = kz / r, h10 / r
@@ -467,6 +463,29 @@ def postselected_meter(
     )
     v = np.array([v0, v1])
     return float(np.real(np.vdot(v, v))), v, np.array([d0, d1])
+
+
+def _meter_operator(rho_s, psi_sf, phi_mi, A, M, g: float):
+    """(p, K, dK, det K) of a density-matrix input: K = V rho_s V^dag, dK/dg, p = Tr K.
+
+    :func:`_meter_core` on the basis kets gives the columns of V = <sf|U(g)|.>|phi>
+    and dV; det K = |det V|^2 det rho_s stays accurate where K is nearly pure.
+    """
+    f, x = psi_sf.amplitudes.tolist(), phi_mi.amplitudes.tolist()
+    a_split, m_split = _qubit_split(A), _qubit_split(M)
+    a0, a1, da0, da1 = _meter_core((1.0, 0.0), f, x, a_split, m_split, g)
+    b0, b1, db0, db1 = _meter_core((0.0, 1.0), f, x, a_split, m_split, g)
+    (r00, r01), (r10, r11) = rho_s.entries.tolist()
+
+    def form(u0, u1, w0, w1):  # u rho_s w^dag for rows u, w of V or dV
+        return (u0 * r00 + u1 * r10) * w0.conjugate() + (u0 * r01 + u1 * r11) * w1.conjugate()
+
+    k00, k11, k10 = form(a0, b0, a0, b0).real, form(a1, b1, a1, b1).real, form(a1, b1, a0, b0)
+    d00, d11 = 2.0 * form(da0, db0, a0, b0).real, 2.0 * form(da1, db1, a1, b1).real
+    d10 = form(da1, db1, a0, b0) + form(da0, db0, a1, b1).conjugate()
+    det_k = abs(a0 * b1 - b0 * a1) ** 2 * (r00.real * r11.real - abs(r10) ** 2)
+    K = np.array([[k00, k10.conjugate()], [k10, k11]])
+    return k00 + k11, K, np.array([[d00, d10.conjugate()], [d10, d11]]), det_k
 
 
 def bloch_of(psi: Ket, basis: ReferenceBasis) -> BlochVector:

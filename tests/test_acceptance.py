@@ -175,7 +175,8 @@ def test_c05_incoherent_inputs_grant_no_advantage():
                     M=SIGMA,
                     g=g,
                 )
-                fm = w.qfi_mixed(w.postselected_meter_family(setup), g)
+                fm = w.fm_exact(setup)
+                assert abs(fm - w.qfi_mixed(w.postselected_meter_family(setup), g)) <= 1e-6
                 worst = max(worst, fm - 4.0)
                 p, _ = w.postselect_mixed(setup)
                 point = w.cost_point(4.0, p * fm, fm, UNIT_RATES)

@@ -102,6 +102,15 @@ class TestCostPoint:
         with pytest.raises(ContractViolationError):
             CostPoint(1.0, 1.5, 1.0, 1.5, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", range(5))
+    def test_non_finite_costs_rejected(self, field, bad):
+        # a NaN cm_norm would otherwise classify as 'trivial'
+        values = [2.0, 0.5, 2.0, 0.5, 2.0]
+        values[field] = bad
+        with pytest.raises(ContractViolationError, match="finite"):
+            CostPoint(*values)
+
 
 class TestGeometricCosts:
     def test_aligned_vectors_give_unit_cost(self):

@@ -108,6 +108,15 @@ class TestQfiProductCoupling:
         with pytest.raises(UnsupportedInputError):
             qfi_product_coupling(rho, BALANCED_METER, SIGMA, SIGMA)
 
+    def test_mixed_input_commuting_with_degenerate_A(self):
+        # every basis is an eigenbasis of A = 2 I, so any mixed input qualifies
+        rho = DensityMatrix(
+            0.5 * BASIS.superposition(0.3).projector()
+            + 0.5 * BASIS.superposition(1.1).projector()
+        )
+        doubled = HermitianOperator(2.0 * np.eye(2))
+        assert qfi_product_coupling(rho, BALANCED_METER, doubled, SIGMA) == pytest.approx(16.0)
+
     def test_mixed_diagonal_needs_balanced_meter(self):
         rho = DensityMatrix.mixture([0.3, 0.7], [BASIS.ket0, BASIS.ket1])
         with pytest.raises(UnsupportedInputError):

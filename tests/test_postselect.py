@@ -7,18 +7,25 @@ the production path computes everything through the coupling unitary.
 
 import dataclasses
 import importlib
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wva_costlab import (
     ContractViolationError,
     DensityMatrix,
+    HermitianOperator,
     Ket,
     OrthogonalPostselectionError,
     ReferenceBasis,
     UnsupportedInputError,
     VanishingPostselectionError,
+    WvaError,
     WvaSetup,
     cfi_discrete,
     conditional_outcome_model,
@@ -44,6 +51,8 @@ SIGMA = BASIS.sigma()
 BALANCED_METER = BASIS.superposition(np.pi / 4.0)
 # The package re-exports the function ``postselect`` under the module's name.
 postselect_module = importlib.import_module("wva_costlab.postselect")
+states_module = importlib.import_module("wva_costlab.states")
+FIXTURE = Path(__file__).resolve().parent / "data" / "postselect_mixed_fixture.json"
 
 
 def oracle_p(theta, alpha, g):
@@ -454,3 +463,139 @@ class TestIncoherentInput:
         from wva_costlab import qfi_pure
 
         assert qfi_pure(purified, g) == pytest.approx(4.0, abs=1e-6)
+
+
+def _complex(pairs):
+    arr = np.asarray(pairs, dtype=float)
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _bloch_density(rx, ry, rz):
+    return DensityMatrix(0.5 * np.array([[1 + rz, rx - 1j * ry], [rx + 1j * ry, 1 - rz]]))
+
+
+def _mixed_sld_oracle(setup):
+    return qfi_mixed(postselected_meter_family(setup), setup.g)
+
+
+UNIT = st.floats(-1.0, 1.0)
+
+
+class TestMixedKernel:
+    """postselect_mixed and fm_exact of a density matrix from K = V rho_s V^dag."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        radius=st.floats(0.0, 1.0 - 1e-13),
+        polar=st.floats(0.0, math.pi),
+        azimuth=st.floats(0.0, 2.0 * math.pi),
+        sf=st.tuples(UNIT, UNIT, UNIT, UNIT),
+        # below g ~ 1e-4 the oracle's central difference loses digits on the
+        # small eigenvalue (see test_small_coupling_matches_oracle_precision)
+        g=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
+    )
+    def test_fm_exact_matches_sld_oracle(self, radius, polar, azimuth, sf, g):
+        sin_polar = math.sin(polar)
+        rho = _bloch_density(
+            radius * sin_polar * math.cos(azimuth),
+            radius * sin_polar * math.sin(azimuth),
+            radius * math.cos(polar),
+        )
+        try:
+            psi_sf = Ket(np.array([sf[0] + 1j * sf[1], sf[2] + 1j * sf[3]]))
+            setup = WvaSetup(rho, psi_sf, BALANCED_METER, SIGMA, SIGMA, g)
+            got = fm_exact(setup)
+        except WvaError:
+            return
+        assert type(got) is float
+        assert got == pytest.approx(_mixed_sld_oracle(setup), rel=1e-6)
+
+    @pytest.mark.parametrize("g", [1e-6, 1e-5, 1e-4])
+    def test_small_coupling_matches_oracle_precision(self, g):
+        # K(0) has rank 1, so the small eigenvalue grows like g^2 and the
+        # oracle's difference quotient of it carries a ~1e-10 / g error
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            r = rng.normal(size=3)
+            r *= rng.uniform() ** (1.0 / 3.0) / np.linalg.norm(r)
+            sf = Ket(rng.normal(size=2) + 1j * rng.normal(size=2))
+            setup = WvaSetup(_bloch_density(*r), sf, BALANCED_METER, SIGMA, SIGMA, g)
+            assert fm_exact(setup) == pytest.approx(_mixed_sld_oracle(setup), rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "alphas",
+        [
+            np.linspace(-np.pi / 2.0 + 0.05, np.pi / 2.0 - 0.05, 13),  # the suite's grid
+            np.linspace(-1.4, 1.4, 13),  # C05's grid
+        ],
+    )
+    def test_incoherent_inputs_stay_under_the_ceiling(self, alphas):
+        # the suite grid's middle angle is 2.2e-16, a near-pure collapsed state
+        # whose purity gap is pure rounding
+        for mu in np.round(np.arange(0.1, 0.95, 0.1), 2):
+            rho = DensityMatrix.mixture([mu, 1.0 - mu], [BASIS.ket0, BASIS.ket1])
+            for alpha in alphas:
+                for g in (1e-3, 0.0349, 0.1):
+                    setup = WvaSetup(
+                        rho, BASIS.superposition(alpha), BALANCED_METER, SIGMA, SIGMA, g
+                    )
+                    assert fm_exact(setup) <= 4.0 * setup.omega + 1e-12
+
+    def test_postselect_mixed_matches_recorded_branch_mixture(self):
+        # recorded from the eigenbranch-mixture implementation this kernel replaced
+        cases = json.loads(FIXTURE.read_text())["cases"]
+        assert len(cases) == 200
+        for case in cases:
+            setup = WvaSetup(
+                psi_si=DensityMatrix(_complex(case["rho_s"])),
+                psi_sf=Ket(_complex(case["psi_sf"])),
+                phi_mi=BALANCED_METER,
+                A=HermitianOperator(_complex(case["A"])),
+                M=SIGMA,
+                g=case["g"],
+            )
+            p, rho_m = postselect_mixed(setup)
+            assert abs(p - case["p"]) <= 1e-13
+            assert np.max(np.abs(rho_m.entries - _complex(case["entries"]))) <= 1e-13
+
+    def test_one_kernel_evaluation_per_setup(self, monkeypatch):
+        calls = []
+        original = states_module._meter_core
+
+        def counted(s, *args):
+            calls.append(tuple(s))
+            return original(s, *args)
+
+        monkeypatch.setattr(states_module, "_meter_core", counted)
+        setup = WvaSetup(
+            _bloch_density(0.3, -0.2, 0.4), BASIS.superposition(-0.6), BALANCED_METER,
+            SIGMA, SIGMA, 0.0349,
+        )
+        p, rho_m = postselect_mixed(setup)
+        fm = fm_exact(setup)
+        assert postselect_mixed(setup)[0] == p and fm_exact(setup) == fm
+        assert calls == [(1.0, 0.0), (0.0, 1.0)]  # V's two columns, once
+        _, K, dK, _ = setup._operator
+        assert not K.flags.writeable and not dK.flags.writeable
+        assert rho_m.entries == pytest.approx(K / p)
+        fm_exact(setup.at(0.02))
+        assert len(calls) == 4
+
+    def test_matches_pure_kernel_on_a_projector(self):
+        setup = real_superposition_setup(np.pi / 6, -np.pi / 5, 0.0349)
+        as_matrix = dataclasses.replace(setup, psi_si=DensityMatrix.from_ket(setup.psi_si))
+        p_mixed, rho_m = postselect_mixed(as_matrix)
+        res = postselect(setup)
+        assert p_mixed == pytest.approx(res.p, rel=1e-14)
+        assert rho_m.entries == pytest.approx(res.phi_mf.projector(), abs=1e-14)
+        assert fm_exact(as_matrix) == pytest.approx(fm_exact(setup), rel=1e-12)
+
+    def test_floor_checked_on_every_call(self):
+        setup = WvaSetup(
+            DensityMatrix.from_ket(BASIS.ket1), BASIS.ket0, BALANCED_METER, SIGMA, SIGMA, 0.0
+        )
+        for _ in range(2):
+            with pytest.raises(VanishingPostselectionError, match="postselect_mixed"):
+                postselect_mixed(setup)
+            with pytest.raises(VanishingPostselectionError, match="fm_exact"):
+                fm_exact(setup)

@@ -106,6 +106,25 @@ class TestTypes:
         with pytest.raises(ContractViolationError, match="finite"):
             UnitaryOperator(np.array([[1.0, 0.0], [0.0, bad]]))
 
+    @pytest.mark.parametrize("lowest, accepted", [(-2e-10, False), (-5e-11, True)])
+    def test_qubit_positivity_floor_matches_eigvalsh(self, lowest, accepted):
+        # diag(1 - lowest, lowest) in a complex basis: the closed-form
+        # eigenvalue sits on the same side of the floor as eigvalsh's
+        a, b = Ket(np.array([0.6, 0.8j])), Ket(np.array([0.8, -0.6j]))
+        reflection = a.projector() - b.projector()
+        mat = reflection @ np.diag([1.0 - lowest, lowest]) @ reflection
+        assert np.min(np.linalg.eigvalsh(mat)) == pytest.approx(lowest, abs=1e-15)
+        if accepted:
+            DensityMatrix(mat)
+        else:
+            with pytest.raises(ContractViolationError, match="negative eigenvalue"):
+                DensityMatrix(mat)
+
+    def test_two_qubit_positivity_still_checked(self):
+        with pytest.raises(ContractViolationError, match="negative eigenvalue"):
+            DensityMatrix(np.diag([0.5, 0.5 + 2e-10, 0.0, -2e-10]))
+        DensityMatrix(np.diag([0.5, 0.5 + 5e-11, 0.0, -5e-11]))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_density_matrix_rejects_non_finite_entries(self, bad):
         sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])

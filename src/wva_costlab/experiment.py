@@ -40,7 +40,7 @@ from .postselect import fm_exact, postselect, real_superposition_setup
 from .states import (
     METER_MINUS,
     METER_PLUS,
-    SIGMA_SPLIT,
+    STANDARD_SIGMA,
     _meter_core,
     check_theta,
 )
@@ -117,11 +117,14 @@ class ExperimentConfig:
             raise ContractViolationError("ExperimentConfig: g_true must lie in [0, g_max]")
         # The estimator inverts the conditional readout probability, which is
         # strictly increasing on [0, g_max] only away from these degeneracies.
-        if abs(np.cos(self.alpha + self.theta)) <= _DEGENERACY_TOL:
+        plus_dead, minus_dead = _degenerate(
+            np.cos(self.alpha + self.theta), np.cos(self.alpha - self.theta)
+        )
+        if plus_dead:
             raise ContractViolationError(
                 "ExperimentConfig: cos(alpha + theta) = 0 leaves no readout signal"
             )
-        if abs(np.cos(self.alpha - self.theta)) <= _DEGENERACY_TOL:
+        if minus_dead:
             raise ContractViolationError(
                 "ExperimentConfig: cos(alpha - theta) = 0 starves postselection at g = 0"
             )
@@ -185,6 +188,18 @@ def _selection_cosines(theta: float, alpha: float, where: str) -> tuple[float, f
     return cc - ss, cc + ss
 
 
+def _degenerate(c_plus: float, c_minus: float, strict: bool = False) -> tuple[bool, bool]:
+    """Whether cos(alpha + theta) and cos(alpha - theta) count as zero.
+
+    The one pre/postselection degeneracy test: |c| <= 1e-12, or |c| < 1e-12
+    when ``strict``. Callers choose how to compute the cosines and whether one
+    or both vanishing is fatal.
+    """
+    if strict:
+        return abs(c_plus) < _DEGENERACY_TOL, abs(c_minus) < _DEGENERACY_TOL
+    return abs(c_plus) <= _DEGENERACY_TOL, abs(c_minus) <= _DEGENERACY_TOL
+
+
 def _readout(
     theta: float, alpha: float, g: float
 ) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -202,8 +217,8 @@ def _readout(
         (math.cos(theta), math.sin(theta)),
         (math.cos(alpha), math.sin(alpha)),
         _READOUT_BASIS[0],
-        SIGMA_SPLIT,
-        SIGMA_SPLIT,
+        STANDARD_SIGMA._split,
+        STANDARD_SIGMA._split,
         g,
     )
     probabilities = []
@@ -233,8 +248,7 @@ def outcome_model(theta: float, alpha: float) -> OutcomeModel:
     Probabilities and their exact g-derivatives come from the kernel
     (:func:`_readout`); closed trig forms exist only as test oracles.
     """
-    c_plus, c_minus = _selection_cosines(theta, alpha, "outcome_model")
-    if abs(c_plus) < _DEGENERACY_TOL and abs(c_minus) < _DEGENERACY_TOL:
+    if all(_degenerate(*_selection_cosines(theta, alpha, "outcome_model"), strict=True)):
         raise ContractViolationError("outcome_model: postselection never succeeds")
 
     def derivative(g: float) -> tuple[np.ndarray, np.ndarray]:
@@ -257,8 +271,8 @@ def conditional_outcome_model(theta: float, alpha: float) -> OutcomeModel:
     With q = p_minus / (p_plus + p_minus), the exact slope is
     dq/dg = (p_plus dp_minus - p_minus dp_plus) / (p_plus + p_minus)^2.
     """
-    c_plus, c_minus = _selection_cosines(theta, alpha, "conditional_outcome_model")
-    if abs(c_plus) < _DEGENERACY_TOL or abs(c_minus) < _DEGENERACY_TOL:
+    cosines = _selection_cosines(theta, alpha, "conditional_outcome_model")
+    if any(_degenerate(*cosines, strict=True)):
         raise ContractViolationError(
             "conditional_outcome_model: degenerate pre/postselection pair"
         )
@@ -347,7 +361,7 @@ def mle_g(counts: TrialCounts, theta: float, alpha: float, g_max: float = np.pi 
         raise EstimationUndefinedError("mle_g: no postselected samples")
     c_plus = np.cos(alpha + theta)
     c_minus = np.cos(alpha - theta)
-    if abs(c_plus) <= _DEGENERACY_TOL or abs(c_minus) <= _DEGENERACY_TOL:
+    if any(_degenerate(c_plus, c_minus)):
         raise ContractViolationError("mle_g: degenerate configuration")
     q_hat = counts.n_minus / counts.n_postselected
     if q_hat == 0.0:

@@ -21,6 +21,12 @@ two.
 A density-matrix input gets K = V rho_s V^dag and dK from the same kernel on
 the basis kets, cached beside (p, v, dv); its F_m is the Bloch-form qubit QFI
 of K / p (Zhong et al., PRA 87, 022337 (2013)), again with no eigensolve.
+
+The meter families that the finite-difference oracles of
+:mod:`~wva_costlab.fisher` probe (:func:`collapsed_meter_family`,
+:func:`postselected_meter_family`) run only the kernel at each probe g, with
+the finite-g and probability-floor checks of ``setup.at(g)`` but no new
+:class:`WvaSetup`; a probe equals the ``setup.at(g)`` path bit for bit.
 """
 
 from __future__ import annotations
@@ -149,14 +155,24 @@ def weak_value(psi_si: Ket, psi_sf: Ket, A: HermitianOperator) -> complex:
     return numer / denom
 
 
-def _kernel(setup: WvaSetup, where: str, pure: bool = False) -> tuple:
-    """Cached kernel output of a ket or (unless ``pure``) density matrix; checks run every call."""
-    if isinstance(setup.psi_si, Ket):
-        out = setup._meter
-    elif pure:
+def _kernel(setup: WvaSetup, where: str, pure: bool = False, g: Optional[float] = None) -> tuple:
+    """Kernel output of a ket or (unless ``pure``) density-matrix input; checks run every call.
+
+    Without ``g`` this is the setup's cached output. With ``g`` the kernel runs
+    afresh at that coupling behind the finite-g check of ``setup.at(g)``, and
+    no :class:`WvaSetup` is built: the setup's other fields were checked when
+    it was built and do not depend on g.
+    """
+    if g is not None and not math.isfinite(g):
+        raise ContractViolationError("WvaSetup: coupling strength g must be finite")
+    ket_input = isinstance(setup.psi_si, Ket)
+    if pure and not ket_input:
         raise UnsupportedInputError(f"{where}: mixed system input; use postselect_mixed")
+    if g is None:
+        out = setup._meter if ket_input else setup._operator
     else:
-        out = setup._operator
+        kernel = postselected_meter if ket_input else _meter_operator
+        out = kernel(setup.psi_si, setup.psi_sf, setup.phi_mi, setup.A, setup.M, g)
     if out[0] < P_FLOOR:
         raise VanishingPostselectionError(
             f"{where}: success probability {out[0]:.3e} below floor {P_FLOOR:g}"
@@ -217,13 +233,29 @@ def postselect_mixed(setup: WvaSetup) -> tuple[float, DensityMatrix]:
 
 
 def collapsed_meter_family(setup: WvaSetup) -> PureFamily:
-    """Map g -> collapsed meter ket, for Fisher-information evaluation."""
-    return lambda g: postselect(setup.at(g)).phi_mf
+    """Map g -> collapsed meter ket, for Fisher-information evaluation.
+
+    A probe runs the kernel once at g and equals ``postselect(setup.at(g)).phi_mf``
+    bit for bit, errors included.
+    """
+    return lambda g: Ket(_kernel(setup, "postselect", pure=True, g=g)[1])
 
 
 def postselected_meter_family(setup: WvaSetup) -> MixedFamily:
-    """Map g -> postselected meter density matrix (mixed system inputs allowed)."""
-    return lambda g: postselect_mixed(setup.at(g))[1]
+    """Map g -> postselected meter density matrix (mixed system inputs allowed).
+
+    A probe runs the kernel at g, once for a ket and once per basis ket for a
+    density matrix, and equals ``postselect_mixed(setup.at(g))[1]`` bit for
+    bit, errors included.
+    """
+    if isinstance(setup.psi_si, Ket):
+        return lambda g: DensityMatrix.from_ket(Ket(_kernel(setup, "postselect", g=g)[1]))
+
+    def family(g: float) -> DensityMatrix:
+        p, K, _, _ = _kernel(setup, "postselect_mixed", g=g)
+        return DensityMatrix(K / p)
+
+    return family
 
 
 def fm_exact(setup: WvaSetup) -> float:

@@ -9,10 +9,15 @@ product space is ordered system-major, meter-minor.
 The coupling, the kernel and the qubit density-matrix check never call
 LAPACK: a qubit observable H = h0 I + K splits in closed form into
 eigenvalues h0 +- |K| with projectors (I +- K/|K|)/2, evaluated in Python
-complex scalars. LAPACK serves only :func:`hermitian_eigs`. The standard
-basis, its observable, that observable's split and the balanced meter kets
-are built once, as read-only module constants. The kernel's arithmetic lives
-in ``_meter_core``, over plain amplitude pairs, so the standard-basis readout
+complex scalars and cached on the observable, so each observable is split
+once. LAPACK serves only :func:`hermitian_eigs` and the 4x4 positivity
+check. The matrix types store a read-only complex copy of their input, read
+it once with ``tolist()`` and check finiteness, Hermiticity and trace in
+Python scalars. Kets and matrices compare by value (equal stored arrays) and
+stay unhashable. The standard basis, its observable and the balanced meter
+kets are built once, as module constants, and :meth:`ReferenceBasis.sigma`
+builds its observable once per basis. The kernel's arithmetic lives in
+``_meter_core``, over plain amplitude pairs, so the standard-basis readout
 of :mod:`~wva_costlab.experiment` runs it without building kets, and
 ``_meter_operator`` runs it on the basis kets for a density-matrix input.
 :func:`check_theta` holds the preparation-angle domain (0, pi/4] that the
@@ -22,6 +27,8 @@ scenario constructors and the CLI share.
 from __future__ import annotations
 
 import cmath
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -56,26 +63,62 @@ def _check_dim(dim: int, where: str) -> None:
         )
 
 
-def _square_entries(entries, where: str) -> np.ndarray:
-    """Complex square matrix of a model dimension with finite entries."""
-    mat = np.asarray(entries, dtype=complex)
+# Flat row-major index pairs (ij, ji) of the upper triangle, diagonal included.
+_UPPER = {n: [(n * i + j, n * j + i) for i in range(n) for j in range(i, n)] for n in _VALID_DIMS}
+# A qubit projector, row-major (P00, P01, P10, P11).
+_Projector = tuple[complex, complex, complex, complex]
+
+
+def _square_entries(
+    entries, where: str, hermitian: bool = True
+) -> tuple[np.ndarray, list[complex]]:
+    """Read-only complex square matrix of a model dimension, checked in Python scalars.
+
+    The matrix is read once, row-major, with ``tolist()``. Every entry must be
+    finite; with ``hermitian`` each |H_ij - conj(H_ji)| must also stay within
+    HERMITIAN_TOL. Returns the array to store and its flat entries.
+    """
+    mat = _readonly(entries)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ContractViolationError(f"{where}: entries must be square")
     _check_dim(mat.shape[0], where)
-    if not np.isfinite(mat).all():
+    flat = mat.ravel().tolist()
+    if not all(map(cmath.isfinite, flat)):
         raise ContractViolationError(f"{where}: entries must be finite")
-    return mat
+    if hermitian:
+        try:
+            skew = max([abs(flat[ij] - flat[ji].conjugate()) for ij, ji in _UPPER[mat.shape[0]]])
+        except OverflowError:  # |z| beyond the float range, where numpy gives inf
+            skew = math.inf
+        if skew > HERMITIAN_TOL:
+            raise ContractViolationError(f"{where}: entries are not Hermitian")
+    return mat, flat
 
 
-def _qubit_parts(entries: np.ndarray) -> tuple[float, float, complex, float]:
+def _qubit_parts(flat: list[complex]) -> tuple[float, float, complex, float]:
     """(h0, kz, h10, r) of a qubit H = h0 I + K: eigenvalues h0 +- r, h10 below the diagonal."""
-    (h00, _), (h10, h11) = entries.tolist()
+    h00, _, h10, h11 = flat
     kz = 0.5 * (h00.real - h11.real)
     return 0.5 * (h00.real + h11.real), kz, h10, math.hypot(kz, h10.real, h10.imag)
 
 
-@dataclass(frozen=True)
-class Ket:
+class _ArrayValue:
+    """Value equality for the frozen types that hold one read-only array.
+
+    Two instances of one class are equal when their stored arrays are equal
+    entry by entry. Like the arrays, the instances are unhashable: defining
+    ``__eq__`` sets ``__hash__`` to None.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        name = dataclasses.fields(self)[0].name
+        return bool(np.array_equal(getattr(self, name), getattr(other, name)))
+
+
+@dataclass(frozen=True, eq=False)
+class Ket(_ArrayValue):
     """Unit-norm complex state vector of dimension 2 or 4.
 
     The constructor normalizes its input; a vector of near-zero or non-finite
@@ -108,17 +151,38 @@ class Ket:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-@dataclass(frozen=True)
-class HermitianOperator:
-    """Hermitian observable on a 2- or 4-dimensional space with finite entries."""
+@dataclass(frozen=True, eq=False)
+class HermitianOperator(_ArrayValue):
+    """Hermitian observable on a 2- or 4-dimensional space with finite entries.
+
+    A qubit observable's closed-form spectral split is derived at most once,
+    on first use, and takes no part in equality or the repr.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = _square_entries(self.entries, "HermitianOperator")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
-            raise ContractViolationError("HermitianOperator: entries are not Hermitian")
-        object.__setattr__(self, "entries", _readonly(mat))
+        mat, _ = _square_entries(self.entries, "HermitianOperator")
+        object.__setattr__(self, "entries", mat)
+
+    @functools.cached_property
+    def _split(self) -> tuple[tuple[float, _Projector], ...]:
+        """Closed-form spectral split of a qubit observable, in Python scalars.
+
+        With H = h0 I + K and K traceless, the eigenvalues are h0 +- r with
+        r = |K| and the projectors are (I +- K/r)/2, returned row-major as
+        (P00, P01, P10, P11). When r = 0 the single projector I carries both
+        eigenvalues. The off-diagonal is read from the lower triangle.
+        """
+        h0, kz, h10, r = _qubit_parts(self.entries.ravel().tolist())
+        if r == 0.0:
+            return ((h0, (1.0, 0j, 0j, 1.0)),)
+        z, c = kz / r, h10 / r
+        up = 0.5 * c.conjugate()
+        return (
+            (h0 + r, (0.5 * (1.0 + z), up, 0.5 * c, 0.5 * (1.0 - z))),
+            (h0 - r, (0.5 * (1.0 - z), -up, -0.5 * c, 0.5 * (1.0 + z))),
+        )
 
     @property
     def dim(self) -> int:
@@ -138,18 +202,18 @@ class HermitianOperator:
         return float(np.real(val))
 
 
-@dataclass(frozen=True)
-class UnitaryOperator:
+@dataclass(frozen=True, eq=False)
+class UnitaryOperator(_ArrayValue):
     """Unitary matrix on a 2- or 4-dimensional space (U U† = I within 1e-10)."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = _square_entries(self.entries, "UnitaryOperator")
+        mat, _ = _square_entries(self.entries, "UnitaryOperator", hermitian=False)
         ident = np.eye(mat.shape[0])
         if np.max(np.abs(mat @ mat.conj().T - ident)) > UNITARY_TOL:
             raise ContractViolationError("UnitaryOperator: entries are not unitary")
-        object.__setattr__(self, "entries", _readonly(mat))
+        object.__setattr__(self, "entries", mat)
 
     @property
     def dim(self) -> int:
@@ -161,8 +225,8 @@ class UnitaryOperator:
         return Ket(self.entries @ psi.amplitudes)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+@dataclass(frozen=True, eq=False)
+class DensityMatrix(_ArrayValue):
     """Positive unit-trace Hermitian matrix describing a (possibly mixed) state.
 
     Non-finite entries are rejected before the (for a qubit, closed-form) eigenvalue check.
@@ -171,20 +235,22 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = _square_entries(self.entries, "DensityMatrix")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
-            raise ContractViolationError("DensityMatrix: entries are not Hermitian")
-        trace = complex(np.trace(mat))
+        mat, flat = _square_entries(self.entries, "DensityMatrix")
+        # np.trace's summation order, so the accept/reject line is numpy's too
+        if len(flat) == 4:
+            trace = flat[0] + flat[3]
+        else:
+            trace = (flat[0] + flat[5]) + (flat[10] + flat[15])
         if abs(trace.real - 1.0) > 1e-12 or abs(trace.imag) > 1e-12:
             raise ContractViolationError("DensityMatrix: trace must be 1")
-        if mat.shape[0] == 2:
-            h0, _, _, r = _qubit_parts(mat)
+        if len(flat) == 4:
+            h0, _, _, r = _qubit_parts(flat)
             lowest = h0 - r
         else:
             lowest = np.min(np.linalg.eigvalsh(mat))
         if lowest < EIGENVALUE_FLOOR:
             raise ContractViolationError("DensityMatrix: negative eigenvalue")
-        object.__setattr__(self, "entries", _readonly(mat))
+        object.__setattr__(self, "entries", mat)
 
     @property
     def dim(self) -> int:
@@ -251,10 +317,12 @@ class ReferenceBasis:
         return Ket(vec)
 
     def sigma(self) -> HermitianOperator:
-        """The observable with eigenvalue +1 on ket0 and -1 on ket1."""
-        return HermitianOperator(
-            self.ket0.projector() - self.ket1.projector()
-        )
+        """The observable with eigenvalue +1 on ket0 and -1 on ket1, built once per basis."""
+        return self._sigma
+
+    @functools.cached_property
+    def _sigma(self) -> HermitianOperator:
+        return HermitianOperator(self.ket0.projector() - self.ket1.projector())
 
 
 # Built once; every field is a frozen dataclass over a read-only array.
@@ -352,43 +420,17 @@ def _qubit_observables(A, M, where: str) -> tuple[HermitianOperator, HermitianOp
     return A, M
 
 
-_Projector = tuple[complex, complex, complex, complex]
-
-
-def _qubit_split(H: HermitianOperator) -> list[tuple[float, _Projector]]:
-    """Closed-form spectral split of a qubit observable, in Python scalars.
-
-    With H = h0 I + K and K traceless, the eigenvalues are h0 +- r with
-    r = |K| and the projectors are (I +- K/r)/2, returned row-major as
-    (P00, P01, P10, P11). When r = 0 the single projector I carries both
-    eigenvalues. The off-diagonal is read from the lower triangle.
-    """
-    h0, kz, h10, r = _qubit_parts(H.entries)
-    if r == 0.0:
-        return [(h0, (1.0, 0j, 0j, 1.0))]
-    z, c = kz / r, h10 / r
-    up = 0.5 * c.conjugate()
-    return [
-        (h0 + r, (0.5 * (1.0 + z), up, 0.5 * c, 0.5 * (1.0 - z))),
-        (h0 - r, (0.5 * (1.0 - z), -up, -0.5 * c, 0.5 * (1.0 + z))),
-    ]
-
-
-# The closed-form split of STANDARD_SIGMA, shared by every standard-basis readout.
-SIGMA_SPLIT = tuple(_qubit_split(STANDARD_SIGMA))
-
-
 def coupling_unitary(A: HermitianOperator, M: HermitianOperator, g: float) -> UnitaryOperator:
     """Return exp(-i g A (x) M) for qubit observables A and M.
 
-    With A = sum_i a_i P_i and M = sum_j m_j Q_j from the closed-form split,
+    With A = sum_i a_i P_i and M = sum_j m_j Q_j from the cached closed-form split,
     U = sum_ij exp(-i g a_i m_j) P_i (x) Q_j. Degenerate spectra contribute
     a single projector and need no special handling.
     """
     A, M = _qubit_observables(A, M, "coupling_unitary")
     u = np.zeros((4, 4), dtype=complex)
-    for a, P in _qubit_split(A):
-        for m, Q in _qubit_split(M):
+    for a, P in A._split:
+        for m, Q in M._split:
             u += cmath.exp(-1j * g * (a * m)) * np.kron(
                 np.reshape(P, (2, 2)), np.reshape(Q, (2, 2))
             )
@@ -400,7 +442,7 @@ def _meter_core(s, f, x, a_split, m_split, g: float) -> tuple[complex, complex, 
 
     ``s``, ``f`` and ``x`` are the amplitude pairs of the preparation, the
     postselection and the meter state; ``a_split`` and ``m_split`` are the
-    :func:`_qubit_split` outputs of A and M. Returns (v0, v1, dv0, dv1).
+    cached spectral splits ``HermitianOperator._split`` of A and M. Returns (v0, v1, dv0, dv1).
     Inputs are not validated; :func:`postselected_meter` is the checked entry.
     """
     s0, s1 = s
@@ -442,7 +484,7 @@ def postselected_meter(
     left by projecting the evolved system on ``psi_sf``, its exact derivative
     dv = dv/dg, and the postselection probability p = <v|v>. The coupling
     factorizes over the closed-form spectral splits A = sum_i a_i P_i and
-    M = sum_j m_j Q_j (see :func:`_qubit_split`), so
+    M = sum_j m_j Q_j (see ``HermitianOperator._split``), so
 
         v = sum_j w_j Q_j|phi>,  w_j = sum_i <sf|P_i|si> exp(-i g a_i m_j),
 
@@ -457,8 +499,8 @@ def postselected_meter(
         psi_si.amplitudes.tolist(),
         psi_sf.amplitudes.tolist(),
         phi_mi.amplitudes.tolist(),
-        _qubit_split(A),
-        _qubit_split(M),
+        A._split,
+        M._split,
         g,
     )
     v = np.array([v0, v1])
@@ -472,7 +514,7 @@ def _meter_operator(rho_s, psi_sf, phi_mi, A, M, g: float):
     and dV; det K = |det V|^2 det rho_s stays accurate where K is nearly pure.
     """
     f, x = psi_sf.amplitudes.tolist(), phi_mi.amplitudes.tolist()
-    a_split, m_split = _qubit_split(A), _qubit_split(M)
+    a_split, m_split = A._split, M._split
     a0, a1, da0, da1 = _meter_core((1.0, 0.0), f, x, a_split, m_split, g)
     b0, b1, db0, db1 = _meter_core((0.0, 1.0), f, x, a_split, m_split, g)
     (r00, r01), (r10, r11) = rho_s.entries.tolist()

@@ -40,7 +40,7 @@ from wva_costlab import (
     run_campaign,
     run_trial,
 )
-from wva_costlab.experiment import _readout_probabilities
+from wva_costlab.experiment import _degenerate, _readout_probabilities
 
 THETA = np.pi / 6
 ALPHA = -np.pi / 6
@@ -511,3 +511,37 @@ def test_public_entry_points_return_finite_floats_or_raise_wva_error(theta, alph
         warnings.simplefilter("error")
         for call in (pure_quantities, readout_information, experiment_config):
             _finite_floats_or_wva_error(call)
+
+
+class TestDegeneracyRules:
+    """One helper decides when cos(alpha +- theta) vanishes; each caller keeps its rule."""
+
+    THETA = np.pi / 6
+    PLUS_ZERO = np.pi / 2 - np.pi / 6  # cos(alpha + theta) vanishes
+    MINUS_ZERO = np.pi / 2 + np.pi / 6  # cos(alpha - theta) vanishes
+
+    def test_boundary_is_inclusive_unless_strict(self):
+        assert _degenerate(1e-12, -1e-12) == (True, True)
+        assert _degenerate(1e-12, -1e-12, strict=True) == (False, False)
+        assert _degenerate(2e-12, 0.0, strict=True) == (False, True)
+        assert _degenerate(math.nan, 0.5) == (False, False)
+
+    def test_outcome_model_needs_both_to_vanish(self):
+        for alpha in (self.PLUS_ZERO, self.MINUS_ZERO):
+            outcome_model(self.THETA, alpha)
+        with pytest.raises(ContractViolationError, match="never succeeds"):
+            outcome_model(np.pi / 2, 0.0)
+
+    def test_conditional_model_and_mle_reject_either(self):
+        counts = TrialCounts(n_prepared=20, n_postselected=10, n_plus=9, n_minus=1)
+        for alpha in (self.PLUS_ZERO, self.MINUS_ZERO):
+            with pytest.raises(ContractViolationError, match="degenerate pre/postselection"):
+                conditional_outcome_model(self.THETA, alpha)
+            with pytest.raises(ContractViolationError, match="mle_g: degenerate"):
+                mle_g(counts, self.THETA, alpha)
+
+    def test_config_names_the_vanishing_side(self):
+        with pytest.raises(ContractViolationError, match="no readout signal"):
+            config(theta=self.THETA, alpha=self.PLUS_ZERO)
+        with pytest.raises(ContractViolationError, match="starves postselection"):
+            config(theta=self.THETA, alpha=self.MINUS_ZERO)

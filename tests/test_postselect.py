@@ -28,6 +28,7 @@ from wva_costlab import (
     WvaError,
     WvaSetup,
     cfi_discrete,
+    collapsed_meter_family,
     conditional_outcome_model,
     fm_exact,
     fm_leading,
@@ -599,3 +600,105 @@ class TestMixedKernel:
                 postselect_mixed(setup)
             with pytest.raises(VanishingPostselectionError, match="fm_exact"):
                 fm_exact(setup)
+
+
+def _fixture_setups():
+    for case in json.loads(FIXTURE.read_text())["cases"]:
+        yield WvaSetup(
+            psi_si=DensityMatrix(_complex(case["rho_s"])),
+            psi_sf=Ket(_complex(case["psi_sf"])),
+            phi_mi=BALANCED_METER,
+            A=HermitianOperator(_complex(case["A"])),
+            M=SIGMA,
+            g=case["g"],
+        )
+
+
+class TestMeterFamilies:
+    """A family probe runs only the kernel, and equals the setup.at(g) path bit for bit."""
+
+    def test_mixed_probes_equal_postselect_mixed_at_g(self):
+        for setup in _fixture_setups():
+            family = postselected_meter_family(setup)
+            for g in (setup.g, setup.g + 1e-5, setup.g - 1e-5):
+                got = family(g).entries
+                assert got.tobytes() == postselect_mixed(setup.at(g))[1].entries.tobytes()
+
+    def test_pure_probes_equal_postselect_at_g(self):
+        for setup in _fixture_setups():
+            pure = WvaSetup(
+                Ket(np.array([0.8, 0.6j])), setup.psi_sf, setup.phi_mi, setup.A, setup.M, setup.g
+            )
+            collapsed = collapsed_meter_family(pure)
+            meter = postselected_meter_family(pure)
+            for g in (pure.g, pure.g + 1e-5, pure.g - 1e-5):
+                expected = postselect(pure.at(g)).phi_mf
+                assert collapsed(g).amplitudes.tobytes() == expected.amplitudes.tobytes()
+                as_matrix = postselect_mixed(pure.at(g))[1].entries
+                assert meter(g).entries.tobytes() == as_matrix.tobytes()
+
+    @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coupling_rejected(self, g):
+        mixed = dataclasses.replace(
+            real_superposition_setup(0.4, -0.4, 0.01), psi_si=_bloch_density(0.2, 0.0, 0.3)
+        )
+        pure = real_superposition_setup(0.4, -0.4, 0.01)
+        for family in (
+            postselected_meter_family(mixed),
+            postselected_meter_family(pure),
+            collapsed_meter_family(pure),
+        ):
+            with pytest.raises(ContractViolationError, match="coupling strength g must be finite"):
+                family(g)
+
+    def test_vanishing_and_mixed_probes_rejected(self):
+        sigma_x = HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        # orthogonal pre/postselection: p = sin^2 g vanishes only at g = 0
+        vanishing = WvaSetup(BASIS.ket1, BASIS.ket0, BALANCED_METER, sigma_x, SIGMA, 0.1)
+        vanishing_mixed = dataclasses.replace(
+            vanishing, psi_si=DensityMatrix.from_ket(BASIS.ket1)
+        )
+        for family, where in (
+            (collapsed_meter_family(vanishing), "postselect"),
+            (postselected_meter_family(vanishing), "postselect"),
+            (postselected_meter_family(vanishing_mixed), "postselect_mixed"),
+        ):
+            family(0.1)  # finite coupling still postselects
+            with pytest.raises(VanishingPostselectionError, match=f"^{where}: success"):
+                family(0.0)
+        with pytest.raises(UnsupportedInputError, match="use postselect_mixed"):
+            collapsed_meter_family(vanishing_mixed)(0.1)
+
+    @pytest.mark.parametrize("mixed, cores", [(True, 2), (False, 1)])
+    def test_probe_runs_the_kernel_and_builds_no_setup(self, monkeypatch, mixed, cores):
+        setup = real_superposition_setup(np.pi / 6, -np.pi / 5, 0.0349)
+        if mixed:
+            setup = dataclasses.replace(setup, psi_si=_bloch_density(0.3, -0.2, 0.4))
+        family = postselected_meter_family(setup)
+        calls, built = [], []
+        original_core = states_module._meter_core
+        original_init = WvaSetup.__post_init__
+        monkeypatch.setattr(
+            states_module, "_meter_core", lambda *a: calls.append(1) or original_core(*a)
+        )
+        monkeypatch.setattr(
+            WvaSetup, "__post_init__", lambda self: built.append(1) or original_init(self)
+        )
+        family(0.02)
+        assert (len(calls), built) == (cores, [])
+        if not mixed:
+            collapsed_meter_family(setup)(0.02)
+            assert (len(calls), built) == (2 * cores, [])
+
+
+class TestSetupEquality:
+    def test_equal_values_compare_equal(self):
+        # independently built kets and observables, no shared objects
+        a = real_superposition_setup(0.5, -0.5, 0.01)
+        b = real_superposition_setup(0.5, -0.5, 0.01)
+        assert a.psi_si is not b.psi_si
+        assert a == b
+        assert a != real_superposition_setup(0.5, -0.5 + 1e-15, 0.01)
+        mixed = dataclasses.replace(a, psi_si=_bloch_density(0.1, 0.2, 0.3))
+        assert mixed == dataclasses.replace(b, psi_si=_bloch_density(0.1, 0.2, 0.3))
+        assert mixed != a

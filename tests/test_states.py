@@ -1,5 +1,6 @@
 """Exact linear-algebra layer: construction invariants, operations, geometry."""
 
+import math
 import warnings
 
 import numpy as np
@@ -377,3 +378,183 @@ class TestHermitianEigs:
         for v in vecs:
             first = next(x for x in v.amplitudes if abs(x) > 1e-12)
             assert first.real > 0 and abs(first.imag) < 1e-12
+
+
+def _numpy_checks(entries, where):
+    """The numpy accept/reject checks the scalar validator replaced, kept as its oracle."""
+    mat = np.asarray(entries, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ContractViolationError(f"{where}: entries must be square")
+    if mat.shape[0] not in (2, 4):
+        raise ModelDimensionError(
+            f"{where}: dimension {mat.shape[0]} outside the 2-qubit model (expected 2 or 4)"
+        )
+    if not np.isfinite(mat).all():
+        raise ContractViolationError(f"{where}: entries must be finite")
+    if where == "UnitaryOperator":
+        if np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))) > 1e-10:
+            raise ContractViolationError("UnitaryOperator: entries are not unitary")
+        return
+    with np.errstate(over="ignore"):
+        skew = np.max(np.abs(mat - mat.conj().T))
+    if skew > 1e-12:
+        raise ContractViolationError(f"{where}: entries are not Hermitian")
+    if where == "HermitianOperator":
+        return
+    trace = complex(np.trace(mat))
+    if abs(trace.real - 1.0) > 1e-12 or abs(trace.imag) > 1e-12:
+        raise ContractViolationError("DensityMatrix: trace must be 1")
+    if mat.shape[0] == 2:
+        (h00, _), (h10, h11) = mat.tolist()
+        kz = 0.5 * (h00.real - h11.real)
+        lowest = 0.5 * (h00.real + h11.real) - math.hypot(kz, h10.real, h10.imag)
+    else:
+        lowest = np.min(np.linalg.eigvalsh(mat))
+    if lowest < -1e-10:
+        raise ContractViolationError("DensityMatrix: negative eigenvalue")
+
+
+def _verdict(check, entries):
+    try:
+        check(entries)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc), str(exc)
+    return None
+
+
+def _random_state(rng, dim, lowest=None):
+    """Random density matrix; with ``lowest``, its smallest eigenvalue is set to that."""
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    unitary, _ = np.linalg.qr(raw)
+    spectrum = rng.uniform(0.05, 1.0, size=dim)
+    spectrum /= spectrum.sum()
+    if lowest is not None:
+        spectrum[0] = 0.0
+        spectrum *= (1.0 - lowest) / spectrum.sum()
+        spectrum[0] = lowest
+    return unitary @ np.diag(spectrum) @ unitary.conj().T
+
+
+def _straddling_matrices(seed, dim):
+    """Matrices on both sides of each tolerance, then non-finite entries in every slot."""
+    rng = np.random.default_rng(seed)
+    factors = lambda: rng.uniform(0.5, 1.5)  # noqa: E731
+    out = []
+    for _ in range(40):
+        # Hermitian 1e-12: one entry pair skewed by about the tolerance
+        mat = _random_state(rng, dim)
+        i, j = rng.integers(dim, size=2)
+        mat[i, j] += 1e-12 * factors() * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        out.append(mat)
+        # trace 1e-12: real or imaginary excess spread over the diagonal
+        mat = _random_state(rng, dim)
+        # (an imaginary excess also skews the diagonal, by 2|shift|/dim per entry)
+        mat += 1e-12 * factors() * rng.choice([1.0, -1.0, 1j, -1j]) / dim * np.eye(dim)
+        out.append(mat)
+        # eigenvalue floor -1e-10
+        out.append(_random_state(rng, dim, lowest=-1e-10 * factors()))
+    base = _random_state(rng, dim)
+    skewed = base.copy()
+    skewed[0, -1] += 1.0  # not Hermitian either: the finite check must still come first
+    for start in (base, skewed):
+        for k in range(dim * dim):
+            for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)):
+                mat = start.copy()
+                mat.flat[k] = bad
+                out.append(mat)
+    huge = np.eye(dim, dtype=complex) / dim
+    huge[0, 1] = complex(1.5e308, 1.5e308)  # |H01 - conj(H10)| beyond the float range
+    out.append(huge)
+    out.append(np.eye(dim, dtype=complex)[:, :1])  # not square
+    out.append(np.eye(3) / 3.0)  # outside the model
+    return out
+
+
+class TestScalarValidator:
+    """The scalar accept/reject checks agree with the numpy checks they replaced."""
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_exception_type_and_message_as_numpy(self, dim, seed):
+        verdicts = []
+        for mat in _straddling_matrices(seed, dim):
+            for cls in (HermitianOperator, DensityMatrix, UnitaryOperator):
+                name = cls.__name__
+                with np.errstate(over="ignore", invalid="ignore"):  # U U^dag of huge entries
+                    expected = _verdict(lambda m: _numpy_checks(m, name), mat)
+                    assert _verdict(cls, mat) == expected, (name, mat)
+                verdicts.append(expected)
+        messages = {v[1].split(": ", 1)[1] if v else "accepted" for v in verdicts}
+        # every tolerance was met on both sides
+        assert {
+            "accepted",
+            "entries must be finite",
+            "entries are not Hermitian",
+            "trace must be 1",
+            "negative eigenvalue",
+        } <= messages
+
+    def test_stored_entries_unchanged(self):
+        rng = np.random.default_rng(4)
+        for dim in (2, 4):
+            mat = _random_state(rng, dim)
+            for cls in (HermitianOperator, DensityMatrix):
+                stored = cls(mat).entries
+                assert stored.dtype == complex and not stored.flags.writeable
+                assert stored.tobytes() == np.asarray(mat, dtype=complex).tobytes()
+
+
+class TestCachedDerivations:
+    def test_split_derived_once_per_observable(self, monkeypatch):
+        import wva_costlab.states as states_module
+
+        calls = []
+        original = states_module._qubit_parts
+        monkeypatch.setattr(
+            states_module, "_qubit_parts", lambda flat: calls.append(1) or original(flat)
+        )
+        A = HermitianOperator(np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.7]]))
+        M = HermitianOperator(np.array([[1.0, 0.0], [0.0, -1.0]]))
+        coupling_unitary(A, M, 0.1)
+        postselected_meter(BASIS.ket0, BASIS.superposition(0.4), METER_PLUS, A, M, 0.2)
+        coupling_unitary(A, M, 0.3)
+        assert len(calls) == 2  # one split each for A and M
+        assert A._split is A._split
+
+    def test_cached_split_and_sigma_stay_outside_equality_and_repr(self):
+        fresh_basis = ReferenceBasis(Ket(np.array([1.0, 0.0])), Ket(np.array([0.0, 1.0])))
+        sigma = STANDARD_BASIS.sigma()
+        assert sigma is STANDARD_SIGMA and sigma is STANDARD_BASIS.sigma()
+        assert fresh_basis.sigma() is fresh_basis.sigma()
+        fresh = HermitianOperator(np.diag([1.0, -1.0]))
+        STANDARD_SIGMA._split
+        assert "_split" in vars(STANDARD_SIGMA) and "_split" not in vars(fresh)
+        assert STANDARD_SIGMA == fresh and repr(STANDARD_SIGMA) == repr(fresh)
+        unbuilt = ReferenceBasis(Ket(np.array([1.0, 0.0])), Ket(np.array([0.0, 1.0])))
+        assert "_sigma" in vars(fresh_basis) and "_sigma" not in vars(unbuilt)
+        assert fresh_basis == unbuilt and repr(fresh_basis) == repr(unbuilt)
+
+
+class TestValueEquality:
+    """Ket and the operator types compare their stored arrays exactly and stay unhashable."""
+
+    def test_equal_arrays_compare_equal(self):
+        mat = np.array([[0.6, 0.1j], [-0.1j, 0.4]])
+        for cls, value in (
+            (Ket, np.array([0.6, 0.8j])),
+            (HermitianOperator, mat),
+            (DensityMatrix, mat),
+            (UnitaryOperator, np.array([[0.0, 1.0], [1.0, 0.0]])),
+        ):
+            a, b = cls(value), cls(value.copy())
+            assert a == b and not (a != b)
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(a)
+
+    def test_different_arrays_or_types_compare_unequal(self):
+        mat = np.diag([0.5, 0.5])
+        assert HermitianOperator(mat) != DensityMatrix(mat)
+        assert DensityMatrix(mat) != DensityMatrix(np.diag([0.5 + 1e-15, 0.5 - 1e-15]))
+        assert Ket(np.array([1.0, 0.0])) != Ket(np.array([-1.0, 0.0]))  # global phase counts
+        assert Ket(np.array([1.0, 0.0])) != Ket(np.array([1.0, 0.0, 0.0, 0.0]))
+        assert Ket(np.array([1.0, 0.0])) != (1.0, 0.0)

@@ -21,7 +21,6 @@ import wva_costlab as w
 
 theta = np.pi / 6
 basis = w.ReferenceBasis.standard()
-rates = w.CostRates(1.0, 1.0, 1)
 
 print("== one trial under the microscope ==")
 config = w.ExperimentConfig(
@@ -45,8 +44,7 @@ print(f"{'g':>7} {'alpha':>8} | {'p_emp':>7} {'fm_emp':>8} {'fm_exact':>8} "
 for g in (0.0349, 0.0698):
     for alpha in (-np.pi / 6, -np.pi / 5, -np.pi / 4.5, -np.pi / 4):
         report = w.run_campaign(
-            w.ExperimentConfig(theta, alpha, g, w.FixedPostselected(700), 1000, 1),
-            rates,
+            w.ExperimentConfig(theta, alpha, g, w.FixedPostselected(700), 1000, 1)
         )
         print(
             f"{g:7.4f} {alpha:8.4f} | {report.p_empirical:7.4f}"
@@ -63,11 +61,9 @@ print("small-count inflation described in the module docstring.")
 
 print("\n== determinism ==")
 again = w.run_campaign(
-    w.ExperimentConfig(theta, -np.pi / 6, 0.0349, w.FixedPostselected(700), 1000, 1),
-    rates,
+    w.ExperimentConfig(theta, -np.pi / 6, 0.0349, w.FixedPostselected(700), 1000, 1)
 )
 first = w.run_campaign(
-    w.ExperimentConfig(theta, -np.pi / 6, 0.0349, w.FixedPostselected(700), 1000, 1),
-    rates,
+    w.ExperimentConfig(theta, -np.pi / 6, 0.0349, w.FixedPostselected(700), 1000, 1)
 )
 print(f"two campaigns with the same master seed are identical: {again == first}")

@@ -12,6 +12,10 @@ Outputs are deterministic for a fixed configuration (seed included): CSV uses
 numbers or null, and every file ends with a newline. Exit codes: 0 success,
 1 invalid arguments, 2 I/O failure, 3 verification failure.
 
+Costs are reported only on the normalized axes cp = C_p/(R_p N) and
+cm = C_m/(R_m N), where the per-sample rates and the sample count cancel, so
+no subcommand takes a rate.
+
 Options may also be supplied as a JSON object via ``--config PATH``, keyed by
 flag name with '_' for '-'. A key the subcommand does not take, or a value its
 flag would reject, exits 1. Explicit command-line flags win over config values.
@@ -29,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import (
-    CostRates,
+    UNIT_RATES,
     boundary_curve,
     classify_region,
     cost_point,
@@ -173,16 +177,12 @@ def _resolve_args(args: argparse.Namespace) -> None:
             raise _CliError(str(exc), 1)
 
 
-def _rates(args) -> CostRates:
-    return CostRates(r_p=args.rp, r_m=args.rm, n_samples=args.n)
-
-
 _CURVE_KEYS = ("theta", "coherence_l1", "alpha", "cp_norm", "cm_norm", "slack")
 
 
-def _curve_rows(theta: float, rates: CostRates, printed_form: bool) -> list[dict]:
+def _curve_rows(theta: float, printed_form: bool) -> list[dict]:
     coherence = preparation_coherence(theta)
-    samples = boundary_curve(theta, default_alpha_grid(), rates, printed_form=printed_form)
+    samples = boundary_curve(theta, default_alpha_grid(), printed_form=printed_form)
     return [
         dict(zip(_CURVE_KEYS, (theta, coherence, s.alpha, s.cost.cp_norm, s.cost.cm_norm, s.slack)))
         for s in samples
@@ -191,7 +191,7 @@ def _curve_rows(theta: float, rates: CostRates, printed_form: bool) -> list[dict
 
 def cmd_curve(args: argparse.Namespace) -> int:
     try:
-        rows = _curve_rows(args.theta, _rates(args), args.compat_printed_bound)
+        rows = _curve_rows(args.theta, args.compat_printed_bound)
     except WvaError as exc:
         return _fail(str(exc), 1)
     if args.format == "json":
@@ -213,7 +213,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             n_reps=args.reps,
             master_seed=args.seed,
         )
-        report = run_campaign(exp_config, _rates(args))
+        report = run_campaign(exp_config)
     except WvaError as exc:
         return _fail(str(exc), 1)
 
@@ -259,7 +259,7 @@ def cmd_qfi(args: argparse.Namespace) -> int:
         cfi = cfi_discrete(conditional_outcome_model(values["theta"], values["alpha"]), values["g"])
         omega = setup.omega
         coherence = preparation_coherence(values["theta"])
-        cost = cost_point(4.0 * omega, f_exact, fm, _rates(args))
+        cost = cost_point(4.0 * omega, f_exact, fm, UNIT_RATES)
         payload = {
             **values,
             "omega": omega,
@@ -309,7 +309,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # (exit 1), and so is a --config key outside it. Every flag parses to None when
 # absent, so config values and then defaults fill only what the command line
 # left unset. Abbreviations are off, so ``verify --theta`` cannot pass for
-# --theta-grid.
+# --theta-grid. There is no rate flag: every cost column is normalized.
 _FLAGS = {
     "theta": dict(type=float, help="preparation angle (rad)"),
     "alpha": dict(type=float, help="postselection angle (rad)"),
@@ -317,9 +317,6 @@ _FLAGS = {
     "nu": dict(type=int, help="postselected photons per trial"),
     "reps": dict(type=int, help="number of repeated trials"),
     "seed": dict(type=int, help="64-bit master seed"),
-    "rp": dict(type=float, help="preparation cost per sample"),
-    "rm": dict(type=float, help="detection cost per sample"),
-    "n": dict(type=int, help="conventional-scheme sample count"),
     "out": dict(help="output path (default: stdout)"),
     "trials-out": dict(help="per-trial CSV path"),
     "format": dict(choices=("csv", "json"), help="output format"),
@@ -336,14 +333,12 @@ _FLAGS = {
         type=int, help="number of evenly spaced preparation angles for the bound sweep"
     ),
 }
-_RATES = ("rp", "rm", "n")
-_RATE_DEFAULTS = {"rp": 1.0, "rm": 1.0, "n": 1}
 _COMMANDS = {
-    "curve": (cmd_curve, ("theta", *_RATES, "format", "compat-printed-bound"),
-              {**_RATE_DEFAULTS, "format": "csv", "compat_printed_bound": False}),
-    "simulate": (cmd_simulate, ("theta", "alpha", "g", "nu", "reps", "seed", *_RATES, "trials-out"),
-                 {**_RATE_DEFAULTS, "nu": 700, "reps": 1000, "seed": 0}),
-    "qfi": (cmd_qfi, ("theta", "alpha", "g", *_RATES), _RATE_DEFAULTS),
+    "curve": (cmd_curve, ("theta", "format", "compat-printed-bound"),
+              {"format": "csv", "compat_printed_bound": False}),
+    "simulate": (cmd_simulate, ("theta", "alpha", "g", "nu", "reps", "seed", "trials-out"),
+                 {"nu": 700, "reps": 1000, "seed": 0}),
+    "qfi": (cmd_qfi, ("theta", "alpha", "g"), {}),
     "verify": (cmd_verify, ("suite", "theta-grid", "seed", "compat-printed-bound"),
                {"seed": 20240, "compat_printed_bound": False}),
 }

@@ -54,6 +54,10 @@ class CostRates:
             raise ContractViolationError("CostRates: all fields must be positive")
 
 
+# the rates of the tool's own sweeps and campaigns, which report normalized costs only
+UNIT_RATES = CostRates(1.0, 1.0, 1)
+
+
 @dataclass(frozen=True)
 class CostPoint:
     """Normalized and raw preparation/measurement costs of one scheme.
@@ -188,11 +192,9 @@ def tradeoff_slack(point: CostPoint, coherence: float, printed_form: bool = Fals
     return bound_rhs(coherence, printed_form) - lhs
 
 
-def default_alpha_grid(count: int = DEFAULT_ALPHA_COUNT) -> np.ndarray:
-    """Postselection-angle grid spanning [-pi/2, pi/2]."""
-    if count < 2:
-        raise ContractViolationError("default_alpha_grid: need at least 2 points")
-    return np.linspace(-np.pi / 2.0, np.pi / 2.0, count)
+def default_alpha_grid() -> np.ndarray:
+    """Postselection-angle grid of DEFAULT_ALPHA_COUNT angles spanning [-pi/2, pi/2]."""
+    return np.linspace(-np.pi / 2.0, np.pi / 2.0, DEFAULT_ALPHA_COUNT)
 
 
 def leading_costs(theta: float, alpha: float) -> Optional[tuple[float, float]]:
@@ -209,10 +211,7 @@ def leading_costs(theta: float, alpha: float) -> Optional[tuple[float, float]]:
 
 
 def boundary_curve(
-    theta: float,
-    alpha_grid: Sequence[float],
-    rates: CostRates,
-    printed_form: bool = False,
+    theta: float, alpha_grid: Sequence[float], *, printed_form: bool = False
 ) -> list[TradeoffSample]:
     """Lower envelope of leading-order cost points over a postselection sweep.
 
@@ -220,7 +219,9 @@ def boundary_curve(
     the minimal cm per cp bucket and prunes dominated points so cm is
     non-increasing in cp. The minimum-cost sample is always retained as the
     left endpoint, so the curve starts at (1, cos^2(2 theta)) and descends to
-    the cm = 0 endpoint. Only the returned samples get a cost point and slack.
+    the cm = 0 endpoint. Only the returned samples get a cost point and slack;
+    their raw costs are at UNIT_RATES. ``printed_form`` is keyword-only, so a
+    stray third positional argument cannot select the printed form.
     """
     check_theta(theta, "boundary_curve: theta")
     alphas = np.asarray(alpha_grid, dtype=float).reshape(-1)
@@ -250,7 +251,7 @@ def boundary_curve(
     best_cm = np.inf
     for alpha, cp_norm, cm_norm in envelope:
         if cm_norm < best_cm:
-            point = CostPoint.scaled(cp_norm, cm_norm, rates)
+            point = CostPoint.scaled(cp_norm, cm_norm, UNIT_RATES)
             slack = tradeoff_slack(point, coherence, printed_form=printed_form)
             pruned.append(TradeoffSample(alpha=float(alpha), cost=point, slack=slack))
             best_cm = cm_norm

@@ -28,7 +28,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .costs import CostPoint, CostRates, cost_point, preparation_coherence, tradeoff_slack
+from .costs import UNIT_RATES, CostPoint, cost_point, preparation_coherence, tradeoff_slack
 from .errors import (
     ContractViolationError,
     EstimationUndefinedError,
@@ -260,7 +260,6 @@ def outcome_model(theta: float, alpha: float) -> OutcomeModel:
 
     return OutcomeModel(
         probabilities=lambda g: derivative(g)[0],
-        labels=("fail", "plus", "minus"),
         derivative=derivative,
     )
 
@@ -289,7 +288,6 @@ def conditional_outcome_model(theta: float, alpha: float) -> OutcomeModel:
 
     return OutcomeModel(
         probabilities=lambda g: derivative(g)[0],
-        labels=("plus", "minus"),
         derivative=derivative,
     )
 
@@ -374,13 +372,11 @@ def mle_g(counts: TrialCounts, theta: float, alpha: float, g_max: float = np.pi 
     return float(np.arctan(np.sqrt(tan_sq)))
 
 
-def run_campaign(
-    config: ExperimentConfig, rates: CostRates = CostRates(1.0, 1.0, 1)
-) -> CampaignReport:
+def run_campaign(config: ExperimentConfig) -> CampaignReport:
     """Run all trials of a campaign and aggregate the estimation statistics.
 
     Aggregation runs in trial-index order with fixed-order summation, so the
-    report is a pure function of the configuration.
+    report is a pure function of the configuration. Raw costs are at UNIT_RATES.
     """
     per_trial: list[tuple[TrialCounts, float]] = []
     for index in range(config.n_reps):
@@ -413,12 +409,12 @@ def run_campaign(
 
     coherence = preparation_coherence(config.theta)
 
-    cost_ex = cost_point(4.0 * omega, p_exact * fm_ex, fm_ex, rates)
+    cost_ex = cost_point(4.0 * omega, p_exact * fm_ex, fm_ex, UNIT_RATES)
     slack_ex = tradeoff_slack(cost_ex, coherence)
     cost_emp = None
     slack_emp = None
     if fm_emp is not None:
-        cost_emp = cost_point(4.0 * omega, p_emp * fm_emp, fm_emp, rates)
+        cost_emp = cost_point(4.0 * omega, p_emp * fm_emp, fm_emp, UNIT_RATES)
         slack_emp = tradeoff_slack(cost_emp, coherence)
 
     return CampaignReport(

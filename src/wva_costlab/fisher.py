@@ -41,14 +41,12 @@ class OutcomeModel:
     """Discrete outcome distribution parameterized by the coupling strength.
 
     ``probabilities`` maps the parameter to a vector of finite outcome
-    probabilities that must sum to 1 within 1e-12. ``labels``, when given,
-    names the outcomes in order. ``derivative``, when given, maps the
-    parameter to the pair (probabilities, d probabilities / d g) in one
-    evaluation; the probabilities it returns pass the same checks.
+    probabilities that must sum to 1 within 1e-12. ``derivative``, when given,
+    maps the parameter to the pair (probabilities, d probabilities / d g) in
+    one evaluation; the probabilities it returns pass the same checks.
     """
 
     probabilities: Callable[[float], np.ndarray]
-    labels: Optional[tuple[str, ...]] = None
     derivative: Optional[Callable[[float], tuple[np.ndarray, np.ndarray]]] = None
 
     def __call__(self, g: float) -> np.ndarray:

@@ -53,7 +53,6 @@ from .states import (
     DensityMatrix,
     HermitianOperator,
     Ket,
-    ReferenceBasis,
     _meter_operator,
     _phase_fixed,
     check_theta,
@@ -334,27 +333,21 @@ def near_orthogonal_postselection(psi_si: Ket, A: HermitianOperator, epsilon: fl
     return plus if aw_plus > aw_minus else minus
 
 
-def weak_regime_margin(setup: WvaSetup, a_w: Optional[complex] = None) -> float:
+def weak_regime_margin(setup: WvaSetup) -> float:
     """Size of g |A_w| Omega; the weak-value description needs this << 1."""
-    if a_w is None:
-        if not isinstance(setup.psi_si, Ket):
-            raise UnsupportedInputError("weak_regime_margin: needs a pure system input")
-        a_w = weak_value(setup.psi_si, setup.psi_sf, setup.A)
+    if not isinstance(setup.psi_si, Ket):
+        raise UnsupportedInputError("weak_regime_margin: needs a pure system input")
+    a_w = weak_value(setup.psi_si, setup.psi_sf, setup.A)
     return abs(setup.g) * abs(a_w) * setup.omega
 
 
-def in_weak_regime(setup: WvaSetup, a_w: Optional[complex] = None) -> bool:
+def in_weak_regime(setup: WvaSetup) -> bool:
     """Whether the setup sits inside the quantitative weak-value regime."""
-    return weak_regime_margin(setup, a_w) < WEAK_REGIME_LIMIT
+    return weak_regime_margin(setup) < WEAK_REGIME_LIMIT
 
 
-def real_superposition_setup(
-    theta: float,
-    alpha: float,
-    g: float,
-    basis: Optional[ReferenceBasis] = None,
-) -> WvaSetup:
-    """Standard scenario: real pre/postselection superpositions of the basis states.
+def real_superposition_setup(theta: float, alpha: float, g: float) -> WvaSetup:
+    """Standard scenario: real pre/postselection superpositions of the standard basis states.
 
     System prepared as cos(theta)|0> + sin(theta)|1> and postselected onto
     cos(alpha)|0> + sin(alpha)|1>, with the coupling observable diagonal in the
@@ -362,12 +355,11 @@ def real_superposition_setup(
     The preparation angle must lie in (0, pi/4] (:func:`check_theta`).
     """
     check_theta(theta, "real_superposition_setup: theta")
-    basis = basis or STANDARD_BASIS
     return WvaSetup(
-        psi_si=basis.superposition(theta),
-        psi_sf=basis.superposition(alpha),
+        psi_si=STANDARD_BASIS.superposition(theta),
+        psi_sf=STANDARD_BASIS.superposition(alpha),
         phi_mi=METER_PLUS,
-        A=STANDARD_SIGMA if basis is STANDARD_BASIS else basis.sigma(),
+        A=STANDARD_SIGMA,
         M=STANDARD_SIGMA,
         g=g,
     )

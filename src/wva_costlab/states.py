@@ -211,7 +211,9 @@ class UnitaryOperator(_ArrayValue):
     def __post_init__(self):
         mat, _ = _square_entries(self.entries, "UnitaryOperator", hermitian=False)
         ident = np.eye(mat.shape[0])
-        if np.max(np.abs(mat @ mat.conj().T - ident)) > UNITARY_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = np.max(np.abs(mat @ mat.conj().T - ident))
+        if not residual <= UNITARY_TOL:  # a U U† that overflows holds NaN: reject it too
             raise ContractViolationError("UnitaryOperator: entries are not unitary")
         object.__setattr__(self, "entries", mat)
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import (
+    UNIT_RATES,
     CostPoint,
-    CostRates,
     default_alpha_grid,
     leading_costs,
     preparation_coherence,
@@ -88,14 +88,15 @@ def theta_grid(count: int) -> np.ndarray:
     return np.linspace(np.pi / 16.0, np.pi / 4.0, count)
 
 
-def random_ket(rng: np.random.Generator, dim: int = 2) -> Ket:
-    return Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+def random_ket(rng: np.random.Generator) -> Ket:
+    return Ket(rng.normal(size=2) + 1j * rng.normal(size=2))
 
 
-def suite_overlap_identity(n_pairs: int = 1000, seed: int = 20240) -> SuiteResult:
-    """Squared overlap vs cos^2 of half the Bloch angle on random ket pairs."""
+def suite_overlap_identity(seed: int) -> SuiteResult:
+    """Squared overlap vs cos^2 of half the Bloch angle on 1000 random qubit ket pairs."""
     rng = np.random.default_rng(seed)
     basis = ReferenceBasis.standard()
+    n_pairs = 1000
     worst = 0.0
     for _ in range(n_pairs):
         a = random_ket(rng)
@@ -112,26 +113,22 @@ def suite_overlap_identity(n_pairs: int = 1000, seed: int = 20240) -> SuiteResul
     )
 
 
-def suite_tradeoff_bound(
-    thetas=DEFAULT_THETAS,
-    n_alpha: int = 721,
-    printed_form: bool = False,
-) -> SuiteResult:
+def suite_tradeoff_bound(thetas=DEFAULT_THETAS, printed_form: bool = False) -> SuiteResult:
     """Soundness and saturation of the coherence bound over the full sweep.
 
-    Angles with |cos(alpha + theta)| < 1e-3, that is cp > 1e6, are skipped.
+    Each theta is swept over :func:`default_alpha_grid`; angles with
+    |cos(alpha + theta)| < 1e-3, that is cp > 1e6, are skipped.
     """
-    unit_rates = CostRates(1.0, 1.0, 1)
     min_slack = np.inf
     max_sat_gap = 0.0
     checked = 0
     for theta in thetas:
         coherence = preparation_coherence(theta)
-        for alpha in default_alpha_grid(n_alpha):
+        for alpha in default_alpha_grid():
             costs = leading_costs(theta, alpha)
             if costs is None or costs[0] > 1e6:
                 continue
-            point = CostPoint.scaled(*costs, unit_rates)
+            point = CostPoint.scaled(*costs, UNIT_RATES)
             slack = tradeoff_slack(point, coherence, printed_form=printed_form)
             min_slack = min(min_slack, slack)
             checked += 1
@@ -153,19 +150,19 @@ def suite_tradeoff_bound(
     )
 
 
-def suite_incoherent_ceiling(
-    mus=tuple(np.round(np.arange(0.1, 0.95, 0.1), 2)),
-    n_alpha: int = 13,
-    gs=(1e-3, 0.0349, 0.1),
-) -> SuiteResult:
-    """The exact meter QFI (:func:`fm_exact`) of incoherent inputs stays at or below 4 Omega."""
+def suite_incoherent_ceiling() -> SuiteResult:
+    """The exact meter QFI (:func:`fm_exact`) of incoherent inputs stays at or below 4 Omega.
+
+    Swept over the populations mu = 0.1, ..., 0.9, 13 postselection angles and
+    three couplings.
+    """
     basis = ReferenceBasis.standard()
-    alphas = np.linspace(-np.pi / 2.0 + 0.05, np.pi / 2.0 - 0.05, n_alpha)
+    alphas = np.linspace(-np.pi / 2.0 + 0.05, np.pi / 2.0 - 0.05, 13)
     worst_excess = -np.inf
-    for mu in mus:
+    for mu in np.round(np.arange(0.1, 0.95, 0.1), 2):
         rho = DensityMatrix.mixture([mu, 1.0 - mu], [basis.ket0, basis.ket1])
         for alpha in alphas:
-            for g in gs:
+            for g in (1e-3, 0.0349, 0.1):
                 sf = basis.superposition(alpha)
                 setup = WvaSetup(rho, sf, METER_PLUS, STANDARD_SIGMA, STANDARD_SIGMA, g)
                 ceiling = 4.0 * setup.omega
@@ -191,9 +188,10 @@ def _random_orthonormal(rng: np.random.Generator, dim: int, count: int) -> list[
     return [Ket(q[:, k]) for k in range(count)]
 
 
-def suite_oracle_agreement(n_instances: int = 100, seed: int = 777) -> SuiteResult:
-    """Spectral unitary-family QFI vs the SLD computation on random mixtures."""
+def suite_oracle_agreement(seed: int) -> SuiteResult:
+    """Spectral unitary-family QFI vs the SLD computation on 100 random mixtures."""
     rng = np.random.default_rng(seed)
+    n_instances = 100
     worst = 0.0
     for _ in range(n_instances):
         dim = int(rng.choice([2, 4]))

@@ -38,3 +38,11 @@ def test_readout_law_is_an_lru_cache():
 
     assert hasattr(experiment._readout_probabilities, "cache_info")
     assert hasattr(experiment._readout_probabilities, "__wrapped__")
+
+
+def test_suite_details_carry_the_counts_the_tracer_sums():
+    from wva_costlab import run_suites
+
+    keys = load_tracer()._POINT_KEYS
+    counts = {key: r.detail[key] for r in run_suites() for key in keys if key in r.detail}
+    assert counts == {"pairs": 1000, "points": 5040, "instances": 100}

@@ -200,10 +200,6 @@ class TestQfi:
         assert captured.out == ""
         assert captured.err.strip().splitlines() == [THETA_DOMAIN_ERROR]
 
-    def test_non_finite_rate_exits_1(self, capsys):
-        assert main(["qfi", "--theta", THETA, "--alpha", ALPHA, "--g", "1e-3", "--rp", "nan"]) == 1
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1
-
     def test_invalid_scenario_exits_1(self):
         orthogonal = str(np.pi / 6 + np.pi / 2)
         assert main(["qfi", "--theta", THETA, "--alpha", orthogonal, "--g", "0"]) == 1
@@ -298,9 +294,10 @@ class TestConfigValidation:
         config = {**self.SCENARIO, "nu": "x"}
         self.assert_rejected(self.run(tmp_path, capsys, "simulate", config), "nu")
 
-    def test_key_of_another_subcommand(self, tmp_path, capsys):
-        result = self.run(tmp_path, capsys, "curve", {"theta": 0.5, "nu": 5})
-        self.assert_rejected(result, "nu")
+    @pytest.mark.parametrize("key, value", [("nu", 5), ("rp", 2)])
+    def test_key_of_another_subcommand(self, key, value, tmp_path, capsys):
+        result = self.run(tmp_path, capsys, "curve", {"theta": 0.5, key: value})
+        self.assert_rejected(result, key)
         assert "not an option of curve" in result[1]
 
     def test_format_outside_choices(self, tmp_path, capsys):
@@ -317,7 +314,7 @@ class TestConfigValidation:
         self.assert_rejected(self.run(tmp_path, capsys, "verify", {"suite": value}), "suite")
 
     def test_valid_values_parse_as_their_flags(self, tmp_path, capsys):
-        config = {"theta": "0.5", "compat_printed_bound": True, "format": "json", "n": 3}
+        config = {"theta": "0.5", "compat_printed_bound": True, "format": "json"}
         code, _, wrote = self.run(tmp_path, capsys, "curve", config)
         assert code == 0 and wrote
         rows = json.loads(read(tmp_path / "out.txt"))
@@ -358,12 +355,15 @@ class TestSubcommandFlags:
             ["curve", "--theta", THETA, "--seed", "9"],
             ["curve", "--theta", THETA, "--trials-out", "trials.csv"],
             ["curve", "--theta", THETA, "--alpha", ALPHA],
+            ["curve", "--theta", THETA, "--n", "3"],
             QFI + ["--nu", "5"],
+            QFI + ["--rp", "2"],
             QFI + ["--format", "json"],
             QFI + ["--compat-printed-bound"],
             SIMULATE + ["--format", "csv"],
             SIMULATE + ["--compat-printed-bound"],
             SIMULATE + ["--suite", "tradeoff-bound"],
+            SIMULATE + ["--rm", "1"],
             ["verify", "--theta", THETA],
             ["verify", "--theta", "3"],  # not an abbreviation of --theta-grid
             ["verify", "--rp", "2"],
@@ -380,10 +380,10 @@ class TestSubcommandFlags:
 
     def test_documented_invocations_parse(self, tmp_path):
         out = str(tmp_path / "out")
-        assert main(["curve", "--theta", THETA, "--format", "json", "--rp", "2", "--rm", "1",
-                     "--n", "3", "--compat-printed-bound", "--out", out]) == 0
-        assert main(self.QFI + ["--rp", "2", "--rm", "1", "--n", "3", "--out", out]) == 0
-        assert main(self.SIMULATE + ["--nu", "20", "--seed", "4", "--rp", "2", "--rm", "1",
-                                     "--n", "3", "--trials-out", out + ".csv", "--out", out]) == 0
+        assert main(["curve", "--theta", THETA, "--format", "json", "--compat-printed-bound",
+                     "--out", out]) == 0
+        assert main(self.QFI + ["--out", out]) == 0
+        assert main(self.SIMULATE + ["--nu", "20", "--seed", "4", "--trials-out", out + ".csv",
+                                     "--out", out]) == 0
         assert main(["verify", "--suite", "overlap-identity", "--seed", "5",
                      "--compat-printed-bound", "--theta-grid", "3", "--out", out]) == 0

@@ -89,6 +89,11 @@ class TestTypes:
         UnitaryOperator(np.eye(2))
         with pytest.raises(ContractViolationError):
             UnitaryOperator(np.array([[1.0, 0.0], [0.0, 2.0]]))
+        # finite entries whose U U† overflows: rejected, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match="not unitary"):
+                UnitaryOperator(np.array([[0.5, 1.5e308 + 1.5e308j], [0, 0.5]]))
 
     def test_density_matrix_validation(self):
         DensityMatrix(np.eye(2) / 2.0)
@@ -392,7 +397,7 @@ def _numpy_checks(entries, where):
     if not np.isfinite(mat).all():
         raise ContractViolationError(f"{where}: entries must be finite")
     if where == "UnitaryOperator":
-        if np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))) > 1e-10:
+        if not np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))) <= 1e-10:
             raise ContractViolationError("UnitaryOperator: entries are not unitary")
         return
     with np.errstate(over="ignore"):

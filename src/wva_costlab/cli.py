@@ -15,10 +15,6 @@ numbers or null, and every file ends with a newline. Exit codes: 0 success,
 Costs are reported only on the normalized axes cp = C_p/(R_p N) and
 cm = C_m/(R_m N), where the per-sample rates and the sample count cancel, so
 no subcommand takes a rate.
-
-Options may also be supplied as a JSON object via ``--config PATH``, keyed by
-flag name with '_' for '-'. A key the subcommand does not take, or a value its
-flag would reject, exits 1. Explicit command-line flags win over config values.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from .costs import (
     preparation_coherence,
     tradeoff_slack,
 )
-from .errors import WvaError
+from .errors import ContractViolationError, WvaError
 from .experiment import (
     ExperimentConfig,
     FixedPostselected,
@@ -58,7 +54,7 @@ from .postselect import (
     weak_regime_margin,
 )
 from .states import check_theta
-from .verify import SUITE_NAMES, run_suites
+from .verify import DEFAULT_SEED, SUITE_NAMES, run_suites
 
 PROG = "wva-costlab"
 
@@ -67,7 +63,6 @@ class _Parser(argparse.ArgumentParser):
     """Argument parser with the documented exit code for invalid arguments."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
@@ -107,74 +102,18 @@ def _emit(text: str, out_path: Optional[str]) -> int:
     return 0
 
 
-class _CliError(Exception):
-    """Raised by helpers to abort a command with a message and exit code."""
-
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
-def _load_config(path: Optional[str]) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _CliError(f"cannot read config {path}: {exc}", 1)
-    if not isinstance(data, dict):
-        raise _CliError(f"config {path} must hold a JSON object", 1)
-    return data
-
-
-def _fail(message: str, code: int) -> int:
-    print(f"{PROG}: error: {message}", file=sys.stderr)
-    return code
-
-
-def _config_value(key: str, value, spec: dict):
-    """A config-file value parsed as its flag would parse it, or an error naming the key."""
-    kind = spec.get("action")
-    items = value if kind == "append" and isinstance(value, list) else [value]
-    if kind == "store_true":
-        parsed = [value] if isinstance(value, bool) else []
-    else:  # each JSON string or number becomes the token the flag would read
-        try:
-            parsed = [spec.get("type", str)(str(v)) for v in items if type(v) in (str, int, float)]
-        except ValueError:
-            parsed = []
-    choices = spec.get("choices", parsed)
-    if not 0 < len(parsed) == len(items) or any(v not in choices for v in parsed):
-        raise _CliError(f"config key {key!r}: invalid value {value!r}", 1)
-    return parsed if kind == "append" else parsed[0]
-
-
 def _resolve_args(args: argparse.Namespace) -> None:
-    """Fill what the command line left unset from --config, then from the defaults.
+    """Check the scenario flags of the command.
 
-    A config key is checked as the flag it names would be. The scenario flags
-    (theta, alpha, g) are required wherever they are accepted, and theta must
+    theta, alpha and g are required wherever they are accepted, and theta must
     lie in the documented (0, pi/4].
     """
-    _, flags, defaults = _COMMANDS[args.command]
-    dests = {flag.replace("-", "_"): flag for flag in (*flags, "out")}
-    config = {}
-    for key, value in _load_config(args.config).items():
-        if key not in dests:
-            raise _CliError(f"config key {key!r} is not an option of {args.command}", 1)
-        config[key] = _config_value(key, value, _FLAGS[dests[key]])
-    for dest, value in {**defaults, **config}.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
+    flags = _COMMANDS[args.command][1]
     for key in ("theta", "alpha", "g"):
         if key in flags and getattr(args, key) is None:
-            raise _CliError(f"{args.command} requires --{key}", 1)
+            raise ContractViolationError(f"{args.command} requires --{key}")
     if "theta" in flags:
-        try:
-            check_theta(args.theta, "--theta")
-        except WvaError as exc:
-            raise _CliError(str(exc), 1)
+        check_theta(args.theta, "--theta")
 
 
 _CURVE_KEYS = ("theta", "coherence_l1", "alpha", "cp_norm", "cm_norm", "slack")
@@ -190,10 +129,7 @@ def _curve_rows(theta: float, printed_form: bool) -> list[dict]:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    try:
-        rows = _curve_rows(args.theta, args.compat_printed_bound)
-    except WvaError as exc:
-        return _fail(str(exc), 1)
+    rows = _curve_rows(args.theta, args.compat_printed_bound)
     if args.format == "json":
         text = _json_text(rows)
     else:
@@ -204,18 +140,15 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        exp_config = ExperimentConfig(
-            theta=args.theta,
-            alpha=args.alpha,
-            g_true=args.g,
-            stopping=FixedPostselected(args.nu),
-            n_reps=args.reps,
-            master_seed=args.seed,
-        )
-        report = run_campaign(exp_config)
-    except WvaError as exc:
-        return _fail(str(exc), 1)
+    exp_config = ExperimentConfig(
+        theta=args.theta,
+        alpha=args.alpha,
+        g_true=args.g,
+        stopping=FixedPostselected(args.nu),
+        n_reps=args.reps,
+        master_seed=args.seed,
+    )
+    report = run_campaign(exp_config)
 
     payload = {
         "g_true": args.g,
@@ -251,49 +184,43 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_qfi(args: argparse.Namespace) -> int:
     values = {key: getattr(args, key) for key in ("theta", "alpha", "g")}
-    try:
-        setup = real_superposition_setup(values["theta"], values["alpha"], values["g"])
-        result = postselect(setup)
-        fm = fm_exact(setup)
-        f_exact, f_leading = probabilistic_qfi(setup)
-        cfi = cfi_discrete(conditional_outcome_model(values["theta"], values["alpha"]), values["g"])
-        omega = setup.omega
-        coherence = preparation_coherence(values["theta"])
-        cost = cost_point(4.0 * omega, f_exact, fm, UNIT_RATES)
-        payload = {
-            **values,
-            "omega": omega,
-            "qfi_conventional": 4.0 * omega,
-            "a_w_real": result.a_w.real if result.a_w is not None else None,
-            "a_w_imag": result.a_w.imag if result.a_w is not None else None,
-            "p_exact": result.p,
-            "fm_exact": fm,
-            "fm_leading": fm_leading(omega, result.a_w) if result.a_w is not None else None,
-            "f_m_exact": f_exact,
-            "f_m_leading": f_leading,
-            "cfi_conditional": cfi,
-            "weak_regime_margin": weak_regime_margin(setup) if result.a_w is not None else None,
-            "coherence_l1": coherence,
-            "cp_norm": cost.cp_norm,
-            "cm_norm": cost.cm_norm,
-            "slack": tradeoff_slack(cost, coherence),
-            "region": classify_region(cost),
-        }
-    except WvaError as exc:
-        return _fail(str(exc), 1)
+    setup = real_superposition_setup(values["theta"], values["alpha"], values["g"])
+    result = postselect(setup)
+    fm = fm_exact(setup)
+    f_exact, f_leading = probabilistic_qfi(setup)
+    cfi = cfi_discrete(conditional_outcome_model(values["theta"], values["alpha"]), values["g"])
+    omega = setup.omega
+    coherence = preparation_coherence(values["theta"])
+    cost = cost_point(4.0 * omega, f_exact, fm, UNIT_RATES)
+    payload = {
+        **values,
+        "omega": omega,
+        "qfi_conventional": 4.0 * omega,
+        "a_w_real": result.a_w.real if result.a_w is not None else None,
+        "a_w_imag": result.a_w.imag if result.a_w is not None else None,
+        "p_exact": result.p,
+        "fm_exact": fm,
+        "fm_leading": fm_leading(omega, result.a_w) if result.a_w is not None else None,
+        "f_m_exact": f_exact,
+        "f_m_leading": f_leading,
+        "cfi_conditional": cfi,
+        "weak_regime_margin": weak_regime_margin(setup) if result.a_w is not None else None,
+        "coherence_l1": coherence,
+        "cp_norm": cost.cp_norm,
+        "cm_norm": cost.cm_norm,
+        "slack": tradeoff_slack(cost, coherence),
+        "region": classify_region(cost),
+    }
     return _emit(_json_text(payload), args.out)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        results = run_suites(
-            names=args.suite,
-            theta_count=args.theta_grid,
-            printed_form=args.compat_printed_bound,
-            seed=args.seed,
-        )
-    except WvaError as exc:
-        return _fail(str(exc), 1)
+    results = run_suites(
+        names=args.suite,
+        theta_count=args.theta_grid,
+        printed_form=args.compat_printed_bound,
+        seed=args.seed,
+    )
     payload = {
         "suites": [dataclasses.asdict(r) for r in results],
         "all_passed": all(r.passed for r in results),
@@ -306,9 +233,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # Every flag with its argparse settings, and the flags and defaults of each
 # subcommand; a flag outside its subcommand's list is an invalid argument
-# (exit 1), and so is a --config key outside it. Every flag parses to None when
-# absent, so config values and then defaults fill only what the command line
-# left unset. Abbreviations are off, so ``verify --theta`` cannot pass for
+# (exit 1). A flag with no default here or in its subcommand's defaults is
+# None when absent. Abbreviations are off, so ``verify --theta`` cannot pass for
 # --theta-grid. There is no rate flag: every cost column is normalized.
 _FLAGS = {
     "theta": dict(type=float, help="preparation angle (rad)"),
@@ -320,11 +246,8 @@ _FLAGS = {
     "out": dict(help="output path (default: stdout)"),
     "trials-out": dict(help="per-trial CSV path"),
     "format": dict(choices=("csv", "json"), help="output format"),
-    "config": dict(help="JSON config file; flags win"),
     "compat-printed-bound": dict(
-        action="store_true",
-        default=None,
-        help="use the published (unsquared) bound right-hand side",
+        action="store_true", help="use the published (unsquared) bound right-hand side"
     ),
     "suite": dict(
         action="append", choices=SUITE_NAMES, help="run only the named suite (repeatable)"
@@ -334,34 +257,34 @@ _FLAGS = {
     ),
 }
 _COMMANDS = {
-    "curve": (cmd_curve, ("theta", "format", "compat-printed-bound"),
-              {"format": "csv", "compat_printed_bound": False}),
+    "curve": (cmd_curve, ("theta", "format", "compat-printed-bound"), {"format": "csv"}),
     "simulate": (cmd_simulate, ("theta", "alpha", "g", "nu", "reps", "seed", "trials-out"),
                  {"nu": 700, "reps": 1000, "seed": 0}),
     "qfi": (cmd_qfi, ("theta", "alpha", "g"), {}),
     "verify": (cmd_verify, ("suite", "theta-grid", "seed", "compat-printed-bound"),
-               {"seed": 20240, "compat_printed_bound": False}),
+               {"seed": DEFAULT_SEED}),
 }
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog=PROG, description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags, _) in _COMMANDS.items():
+    for name, (_, flags, defaults) in _COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
-        for flag in (*flags, "out", "config"):
+        for flag in (*flags, "out"):
             p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(**defaults)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _resolve_args(args)
         return _COMMANDS[args.command][0](args)
-    except _CliError as exc:
-        return _fail(str(exc), exc.code)
+    except WvaError as exc:
+        print(f"{PROG}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

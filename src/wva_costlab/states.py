@@ -41,7 +41,6 @@ from .errors import (
     NumericalFailureError,
 )
 
-NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10

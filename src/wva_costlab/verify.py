@@ -55,6 +55,7 @@ DEFAULT_THETAS = (
     np.pi / 4.5,
     np.pi / 4,
 )
+DEFAULT_SEED = 20240
 
 # name -> suite called with (thetas, printed_form, seed); each lambda looks its
 # suite function up by name when it runs, so a rebound module attribute is used
@@ -226,7 +227,7 @@ def run_suites(
     names=None,
     theta_count: int | None = None,
     printed_form: bool = False,
-    seed: int = 20240,
+    seed: int = DEFAULT_SEED,
 ) -> list[SuiteResult]:
     """Run the selected suites (all of them by default) and return their results."""
     selected = tuple(names) if names else SUITE_NAMES

@@ -1,6 +1,7 @@
-"""Command-line interface: formats, exit codes, determinism, config merging."""
+"""Command-line interface: formats, exit codes, determinism, per-subcommand flags."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -248,99 +249,90 @@ class TestVerify:
         assert capsys.readouterr().err == "wva-costlab: error: theta_grid: count must be >= 1\n"
 
 
-class TestConfigFile:
-    def test_flags_win_over_config(self, tmp_path):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"theta": 0.1, "format": "json"}))
-        out = tmp_path / "curve.json"
-        code = main(["curve", "--config", str(cfg), "--theta", THETA, "--out", str(out)])
-        assert code == 0
-        rows = json.loads(read(out))
-        assert rows[0]["theta"] == pytest.approx(np.pi / 6)
+class TestArgumentErrors:
+    """Every invalid argument exits 1 with one error line and writes nothing."""
 
-    def test_config_supplies_missing_values(self, tmp_path):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"theta": np.pi / 6}))
-        out = tmp_path / "curve.csv"
-        assert main(["curve", "--config", str(cfg), "--out", str(out)]) == 0
+    @staticmethod
+    def assert_one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"wva-costlab( \w+)?: error: [^\n]+\n", err), err
 
-    def test_bad_config_exits_1(self, tmp_path):
-        assert main(["curve", "--config", str(tmp_path / "nope.json"), "--theta", THETA]) == 1
+    def test_unknown_command_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["frobnicate"])
+        assert err.value.code == 1
+        self.assert_one_error_line(capsys)
+
+    def test_unknown_flag_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["curve", "--bogus", "1"])
+        assert err.value.code == 1
+        self.assert_one_error_line(capsys)
 
 
 class TestConfigValidation:
-    """A config key is checked as the flag it names: exit 1, one line naming the key."""
+    """Each value the old config file could set is checked by its flag.
 
-    SCENARIO = {"theta": 0.5, "alpha": -0.5, "g": 0.0349, "reps": 3}
+    A bad value exits 1 with one error line naming the flag and writes no file.
+    """
 
-    def run(self, tmp_path, capsys, command, config, *flags):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(config))
+    SCENARIO = ["--theta", "0.5", "--alpha", "-0.5", "--g", "0.0349", "--reps", "3"]
+
+    def run(self, tmp_path, capsys, command, *flags):
         out = tmp_path / "out.txt"
-        code = main([command, "--config", str(cfg), "--out", str(out), *flags])
+        try:
+            code = main([command, "--out", str(out), *flags])
+        except SystemExit as exit_:
+            code = exit_.code
         return code, capsys.readouterr().err, out.exists()
 
-    def assert_rejected(self, result, key):
+    def assert_rejected(self, result, flag):
         code, err, wrote = result
         assert code == 1
-        assert err.count("\n") == 1 and err.startswith("wva-costlab: error: ")
-        assert f"config key {key!r}" in err
+        assert re.fullmatch(r"wva-costlab( \w+)?: error: [^\n]+\n", err), err
+        assert flag in err
         assert "Traceback" not in err and not wrote
 
     def test_non_numeric_theta(self, tmp_path, capsys):
-        self.assert_rejected(self.run(tmp_path, capsys, "curve", {"theta": "abc"}), "theta")
+        self.assert_rejected(self.run(tmp_path, capsys, "curve", "--theta", "abc"), "--theta")
 
     def test_non_integer_nu(self, tmp_path, capsys):
-        config = {**self.SCENARIO, "nu": "x"}
-        self.assert_rejected(self.run(tmp_path, capsys, "simulate", config), "nu")
+        result = self.run(tmp_path, capsys, "simulate", *self.SCENARIO, "--nu", "x")
+        self.assert_rejected(result, "--nu")
 
     @pytest.mark.parametrize("key, value", [("nu", 5), ("rp", 2)])
     def test_key_of_another_subcommand(self, key, value, tmp_path, capsys):
-        result = self.run(tmp_path, capsys, "curve", {"theta": 0.5, key: value})
-        self.assert_rejected(result, key)
-        assert "not an option of curve" in result[1]
+        result = self.run(tmp_path, capsys, "curve", "--theta", "0.5", f"--{key}", str(value))
+        self.assert_rejected(result, f"--{key}")
+        assert "unrecognized arguments" in result[1]
 
     def test_format_outside_choices(self, tmp_path, capsys):
-        config = {"theta": 0.5, "format": "xml"}
-        self.assert_rejected(self.run(tmp_path, capsys, "curve", config), "format")
+        result = self.run(tmp_path, capsys, "curve", "--theta", "0.5", "--format", "xml")
+        self.assert_rejected(result, "--format")
 
     @pytest.mark.parametrize("value", ["yes", 1, None])
     def test_non_boolean_compat_flag(self, value, tmp_path, capsys):
-        config = {"theta": 0.5, "compat_printed_bound": value}
-        self.assert_rejected(self.run(tmp_path, capsys, "curve", config), "compat_printed_bound")
+        flag = f"--compat-printed-bound={value}"
+        result = self.run(tmp_path, capsys, "curve", "--theta", "0.5", flag)
+        self.assert_rejected(result, "--compat-printed-bound")
 
     @pytest.mark.parametrize("value", ["bogus", ["overlap-identity", "bogus"], []])
     def test_unknown_suite(self, value, tmp_path, capsys):
-        self.assert_rejected(self.run(tmp_path, capsys, "verify", {"suite": value}), "suite")
+        names = [value] if isinstance(value, str) else value
+        flags = [flag for name in names for flag in ("--suite", name)] or ["--suite"]
+        self.assert_rejected(self.run(tmp_path, capsys, "verify", *flags), "--suite")
 
     def test_valid_values_parse_as_their_flags(self, tmp_path, capsys):
-        config = {"theta": "0.5", "compat_printed_bound": True, "format": "json"}
-        code, _, wrote = self.run(tmp_path, capsys, "curve", config)
+        flags = ["--theta", "0.5", "--compat-printed-bound", "--format", "json"]
+        code, _, wrote = self.run(tmp_path, capsys, "curve", *flags)
         assert code == 0 and wrote
         rows = json.loads(read(tmp_path / "out.txt"))
         assert rows[0]["theta"] == 0.5
         assert max(row["slack"] for row in rows) > 0.1  # the published, unsaturated form
-        code, _, _ = self.run(tmp_path, capsys, "verify", {"suite": "overlap-identity", "seed": 5})
+        code, _, _ = self.run(tmp_path, capsys, "verify", "--suite", "overlap-identity", "--seed", "5")
         assert code == 0
         payload = json.loads(read(tmp_path / "out.txt"))
         assert [suite["name"] for suite in payload["suites"]] == ["overlap-identity"]
-
-    def test_flags_win_over_valid_config(self, tmp_path, capsys):
-        config = {**self.SCENARIO, "seed": 7}
-        assert self.run(tmp_path, capsys, "simulate", config, "--seed", "0")[0] == 0
-        assert json.loads(read(tmp_path / "out.txt"))["seed"] == 0
-
-
-class TestArgumentErrors:
-    def test_unknown_command_exits_1(self):
-        with pytest.raises(SystemExit) as err:
-            main(["frobnicate"])
-        assert err.value.code == 1
-
-    def test_unknown_flag_exits_1(self):
-        with pytest.raises(SystemExit) as err:
-            main(["curve", "--bogus", "1"])
-        assert err.value.code == 1
 
 
 class TestSubcommandFlags:
@@ -368,6 +360,10 @@ class TestSubcommandFlags:
             ["verify", "--theta", "3"],  # not an abbreviation of --theta-grid
             ["verify", "--rp", "2"],
             ["verify", "--trials-out", "trials.csv"],
+            ["curve", "--theta", THETA, "--config", "x.json", "--out", "out.csv"],
+            QFI + ["--config", "x.json", "--out", "out.json"],
+            SIMULATE + ["--config", "x.json", "--out", "out.json"],
+            ["verify", "--config", "x.json", "--out", "out.json"],
         ],
     )
     def test_flag_of_another_subcommand_exits_1(self, argv, tmp_path, monkeypatch, capsys):
@@ -375,7 +371,9 @@ class TestSubcommandFlags:
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 1
-        assert "unrecognized arguments" in capsys.readouterr().err
+        stderr = capsys.readouterr().err
+        assert stderr.count("\n") == 1
+        assert stderr.startswith("wva-costlab: error: unrecognized arguments")
         assert list(tmp_path.iterdir()) == []
 
     def test_documented_invocations_parse(self, tmp_path):

@@ -1,10 +1,12 @@
-"""Every narrative walkthrough in demos/ runs to completion.
+"""Every narrative walkthrough in demos/, and the README's library tour, runs to completion.
 
-Each demo runs as its own process against the package in src/, so a library
-signature change that a demo still calls the old way shows up here.
+Each runs as its own process against the package in src/, under ``-W error``,
+so a library signature change that a demo or the README still calls the old
+way, or a stray warning, shows up here.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,15 +17,26 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def run_clean(*args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stdout + done.stderr
+
+
 def test_demos_exist():
     assert DEMOS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    assert "Traceback" not in done.stdout + done.stderr
+    run_clean(str(demo))
+
+
+def test_readme_library_tour_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (tour,) = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    run_clean("-c", tour)

@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -169,6 +170,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "degenerate": report.degenerate,
     }
 
+    text = _json_text(payload)
     if args.trials_out is not None:
         lines = ["trial,n_prepared,n_postselected,n_plus,n_minus,g_est"]
         for index, (counts, g_est) in enumerate(report.per_trial):
@@ -179,7 +181,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         status = _emit("\n".join(lines) + "\n", args.trials_out)
         if status != 0:
             return status
-    return _emit(_json_text(payload), args.out)
+    status = _emit(text, args.out)
+    if status != 0 and args.trials_out is not None:
+        os.remove(args.trials_out)  # no partial output: the report could not be written
+    return status
 
 
 def cmd_qfi(args: argparse.Namespace) -> int:

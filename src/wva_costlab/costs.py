@@ -31,6 +31,7 @@ from .states import (
     Ket,
     ReferenceBasis,
     bloch_angle,
+    check_count,
     check_theta,
 )
 
@@ -50,8 +51,9 @@ class CostRates:
     def __post_init__(self):
         if not (math.isfinite(self.r_p) and math.isfinite(self.r_m)):
             raise ContractViolationError("CostRates: rates must be finite")
-        if self.r_p <= 0 or self.r_m <= 0 or self.n_samples < 1:
+        if self.r_p <= 0 or self.r_m <= 0:
             raise ContractViolationError("CostRates: all fields must be positive")
+        check_count(self.n_samples, "CostRates: n_samples")
 
 
 # the rates of the tool's own sweeps and campaigns, which report normalized costs only
@@ -170,8 +172,11 @@ def bound_rhs(coherence: float, printed_form: bool = False) -> float:
     """Right-hand side of the tradeoff bound for a given l1 coherence.
 
     The default (corrected) form is 2 arccos(sqrt(1 - C^2)); the printed
-    variant drops the square and is strictly looser.
+    variant drops the square and is strictly looser. A coherence outside [0, 1]
+    (within 1e-9), NaN included, raises ContractViolationError.
     """
+    if not (-1e-9 <= coherence <= 1.0 + 1e-9):
+        raise ContractViolationError("tradeoff bound: coherence must lie in [0, 1]")
     c = _clip_unit(float(coherence))
     return _angle(1.0 - (c if printed_form else c * c))
 
@@ -183,10 +188,8 @@ def tradeoff_slack(point: CostPoint, coherence: float, printed_form: bool = Fals
     evaluated on the normalized axes, where the rate factors cancel. All
     arccos/sqrt arguments are clamped into [0, 1] first. Physical points have
     non-negative slack; empirical points may dip below by their statistical
-    error.
+    error. The coherence is checked as in :func:`bound_rhs`.
     """
-    if not (-1e-9 <= coherence <= 1.0 + 1e-9):
-        raise ContractViolationError("tradeoff_slack: coherence must lie in [0, 1]")
     ratio = point.cm_norm / point.cp_norm  # in [0, 1 + 1e-9] by CostPoint's checks
     lhs = abs(_angle(1.0 / point.cp_norm) - _angle(ratio))
     return bound_rhs(coherence, printed_form) - lhs
@@ -202,7 +205,10 @@ def leading_costs(theta: float, alpha: float) -> Optional[tuple[float, float]]:
 
     cp = 1 / cos^2(alpha + theta) and cm = cos^2(alpha - theta) / cos^2(alpha + theta).
     None where |cos(alpha + theta)| < ALPHA_SINGULARITY_TOL, as cp diverges there.
+    Non-finite angles raise ContractViolationError.
     """
+    if not (math.isfinite(theta) and math.isfinite(alpha)):
+        raise ContractViolationError("leading_costs: angles must be finite")
     c_plus = np.cos(alpha + theta)
     if abs(c_plus) < ALPHA_SINGULARITY_TOL:
         return None

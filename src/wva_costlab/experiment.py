@@ -42,6 +42,7 @@ from .states import (
     METER_PLUS,
     STANDARD_SIGMA,
     _meter_core,
+    check_count,
     check_theta,
 )
 
@@ -66,8 +67,7 @@ class FixedPostselected:
     nu: int
 
     def __post_init__(self):
-        if self.nu < 1:
-            raise ContractViolationError("FixedPostselected: nu must be >= 1")
+        check_count(self.nu, "FixedPostselected: nu")
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,7 @@ class FixedPrepared:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ContractViolationError("FixedPrepared: n must be >= 1")
+        check_count(self.n, "FixedPrepared: n")
 
 
 Stopping = Union[FixedPostselected, FixedPrepared]
@@ -106,9 +105,8 @@ class ExperimentConfig:
             "ExperimentConfig", theta=self.theta, alpha=self.alpha, g_true=self.g_true
         )
         check_theta(self.theta, "ExperimentConfig: theta")
-        if self.n_reps < 1:
-            raise ContractViolationError("ExperimentConfig: n_reps must be >= 1")
-        if not (0 <= self.master_seed < 2**64):
+        check_count(self.n_reps, "ExperimentConfig: n_reps")
+        if check_count(self.master_seed, "ExperimentConfig: master_seed", minimum=0) >= 2**64:
             raise ContractViolationError("ExperimentConfig: master_seed must fit in 64 bits")
         if not (0.0 < self.g_max <= np.pi / 2.0 - 1e-6):
             raise ContractViolationError("ExperimentConfig: g_max out of range")
@@ -304,6 +302,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialCounts:
     conditional plus/minus law. The Bernoulli stream is consumed in
     preparation order, then in readout order.
     """
+    check_count(trial_index, "run_trial: trial_index", minimum=0)
     rng = _trial_rng(config.master_seed, trial_index)
     p_plus, p_minus = _readout_probabilities(config.theta, config.alpha, config.g_true)
     p = p_plus + p_minus
@@ -440,7 +439,9 @@ def hwp_settings(theta: float, alpha: float, g: float) -> dict[str, float]:
     Documentation-grade mapping: the meter plate sits at pi/8, the preparation
     plate at pi/8 - theta/2, the two coupling plates at +-g/2, and the
     postselection plate mirrors the preparation convention at pi/8 - alpha/2.
+    Non-finite angles raise ContractViolationError.
     """
+    _require_finite("hwp_settings", theta=theta, alpha=alpha, g=g)
     return {
         "meter_hwp": np.pi / 8.0,
         "hwp1": np.pi / 8.0 - theta / 2.0,

@@ -14,11 +14,13 @@ A discrete :class:`OutcomeModel` may carry its exact derivative. Then
 :func:`cfi_discrete` evaluates sum_k (d p_k)^2 / p_k from it, with no
 finite-difference step; the readout models of
 :mod:`~wva_costlab.experiment` do. Models without one fall back to central
-differences.
+differences. The outcome checks and the sum run on one ``tolist()`` in
+Python scalars, keeping numpy's summation order and its ``**`` rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -50,21 +52,22 @@ class OutcomeModel:
     derivative: Optional[Callable[[float], tuple[np.ndarray, np.ndarray]]] = None
 
     def __call__(self, g: float) -> np.ndarray:
-        return _distribution(self.probabilities(g))
+        return np.array(_distribution(self.probabilities(g)))
 
 
-def _distribution(probabilities) -> np.ndarray:
-    """The checked outcome distribution, clipped into [0, 1]."""
+def _distribution(probabilities) -> list[float]:
+    """The checked distribution clipped into [0, 1], as Python floats; the sum is numpy's."""
     p = np.asarray(probabilities, dtype=float).reshape(-1)
-    if p.size == 0:
+    values = p.tolist()
+    if not values:
         raise ContractViolationError("OutcomeModel: empty distribution")
-    if not np.isfinite(p).all():
+    if not all(map(math.isfinite, values)):
         raise ContractViolationError("OutcomeModel: probabilities must be finite")
-    if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
+    if min(values) < -1e-12 or max(values) > 1.0 + 1e-12:
         raise ContractViolationError("OutcomeModel: probability outside [0, 1]")
     if abs(p.sum() - 1.0) > 1e-12:
         raise ContractViolationError("OutcomeModel: probabilities must sum to 1")
-    return np.clip(p, 0.0, 1.0)
+    return [min(max(v, 0.0), 1.0) for v in values]  # np.clip's result, -0.0 included
 
 
 def _aligned(reference: Ket, probe: Ket, step: float) -> np.ndarray:
@@ -143,23 +146,24 @@ def qfi_product_coupling(
 def qfi_mixed(family: MixedFamily, g: float, step: float = DEFAULT_STEP) -> float:
     """QFI of a density-matrix family via the symmetric-logarithmic-derivative sum.
 
-    Eigendecomposes rho(g) and evaluates
-    F = sum_{i,j} 2 |<i|d rho|j>|^2 / (lambda_i + lambda_j)
-    over pairs with lambda_i + lambda_j above the rank cutoff.
+    Evaluates F = sum_{i,j} 2 |<i|d rho|j>|^2 / (lambda_i + lambda_j) over the
+    eigenpairs of rho(g) with lambda_i + lambda_j above the rank cutoff. On the
+    postselected meter families it is trusted only for g >= 1e-3 and a smaller
+    eigenvalue above about 1e-8: that eigenvalue grows like g^2, and below that
+    its term is lost under the cutoff or to the difference quotient's rounding.
     """
     if step <= 0:
         raise ContractViolationError("qfi_mixed: step must be positive")
     rho0 = family(g)
     drho = (family(g + step).entries - family(g - step).entries) / (2.0 * step)
     lam, vecs = np.linalg.eigh(rho0.entries)
-    cross = vecs.conj().T @ drho @ vecs
+    lam, cross = lam.tolist(), (vecs.conj().T @ drho @ vecs).tolist()
     total = 0.0
-    for i in range(lam.size):
-        for j in range(lam.size):
-            denom = lam[i] + lam[j]
-            if denom > RANK_CUTOFF:
-                total += 2.0 * abs(cross[i, j]) ** 2 / denom
-    return float(total)
+    for li, row in zip(lam, cross):
+        for lj, c in zip(lam, row):
+            if li + lj > RANK_CUTOFF:
+                total += 2.0 * abs(c) ** 2 / (li + lj)
+    return total
 
 
 def qfi_spectral_unitary(
@@ -214,26 +218,26 @@ def cfi_discrete(model: OutcomeModel, g: float, step: float = DEFAULT_STEP) -> f
     is below 1e-12 at the center point are skipped (their contribution is a
     0 * 0/0 limit).
     """
-    if step <= 0:
-        raise ContractViolationError("cfi_discrete: step must be positive")
+    if not 0.0 < step < math.inf:
+        raise ContractViolationError("cfi_discrete: step must be positive and finite")
     if model.derivative is not None:
         probabilities, slope = model.derivative(g)
         p0 = _distribution(probabilities)
-        dp = np.asarray(slope, dtype=float).reshape(-1)
-        if dp.size != p0.size:
+        dp = np.asarray(slope, dtype=float).reshape(-1).tolist()
+        if len(dp) != len(p0):
             raise ContractViolationError("cfi_discrete: derivative and distribution sizes differ")
-        if not np.isfinite(dp).all():
+        if not all(map(math.isfinite, dp)):
             raise ContractViolationError("cfi_discrete: derivative must be finite")
     else:
-        p0 = model(g)
-        pp = model(g + step)
-        pm = model(g - step)
-        if not (p0.size == pp.size == pm.size):
+        p0, pp, pm = (_distribution(model.probabilities(x)) for x in (g, g + step, g - step))
+        if not (len(p0) == len(pp) == len(pm)):
             raise ContractViolationError("cfi_discrete: outcome count changed across probes")
-        dp = (pp - pm) / (2.0 * step)
+        dp = [(a - b) / (2.0 * step) for a, b in zip(pp, pm)]
     total = 0.0
-    for k in range(p0.size):
-        if p0[k] < OUTCOME_FLOOR:
-            continue
-        total += dp[k] ** 2 / p0[k]
-    return float(total)
+    try:
+        for dk, pk in zip(dp, p0):
+            if pk >= OUTCOME_FLOOR:
+                total += dk ** 2 / pk  # ** as numpy's scalar power: dk * dk rounds differently
+    except OverflowError:  # Python's ** raises where numpy's overflowed to inf
+        total = math.inf
+    return total

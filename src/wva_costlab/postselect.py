@@ -9,18 +9,20 @@ Every pure-input quantity comes from one exact kernel,
 :func:`~wva_costlab.states.postselected_meter`. It returns the unnormalized
 collapsed meter vector v and its closed-form derivative dv = dv/dg from the
 factorized spectrum of the coupling. A :class:`WvaSetup` evaluates it at most
-once and caches (p, v, dv), so :func:`postselect`, :func:`fm_exact` and
-:func:`probabilistic_qfi` on one setup share a single evaluation. The postselection probability is
-p = <v|v>, and the collapsed-state QFI is the pure-state QFI of v / sqrt(p),
-F_m = 4 (<dv|dv>/p - |<v|dv>|^2/p^2) (Braunstein & Caves, PRL 72, 3439
-(1994); Paris, IJQI 7, 125 (2009)), so no finite-difference step enters. No
-small-coupling expansion enters the production path either. Leading-order
-formulas are exposed separately so tests and cost accounting can compare the
-two.
+once and caches (p, v, dv), and next to it the signal amplitude <sf|A|si> and
+the weighted QFI p F_m, so :func:`postselect`, :func:`fm_exact` and
+:func:`probabilistic_qfi` on one setup share one derivation of each. The
+postselection probability is p = <v|v>, and the collapsed-state QFI is the
+pure-state QFI of v / sqrt(p), F_m = 4 (<dv|dv>/p - |<v|dv>|^2/p^2)
+(Braunstein & Caves, PRL 72, 3439 (1994); Paris, IJQI 7, 125 (2009)), so no
+finite-difference step enters. No small-coupling expansion enters the
+production path either. Leading-order formulas are exposed separately so
+tests and cost accounting can compare the two.
 
 A density-matrix input gets K = V rho_s V^dag and dK from the same kernel on
 the basis kets, cached beside (p, v, dv); its F_m is the Bloch-form qubit QFI
-of K / p (Zhong et al., PRA 87, 022337 (2013)), again with no eigensolve.
+of K / p (Zhong et al., PRA 87, 022337 (2013)), again with no eigensolve, and
+its purity term comes from det V in closed form, with no rank cutoff.
 
 The meter families that the finite-difference oracles of
 :mod:`~wva_costlab.fisher` probe (:func:`collapsed_meter_family`,
@@ -31,6 +33,7 @@ the finite-g and probability-floor checks of ``setup.at(g)`` but no new
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 import math
@@ -45,7 +48,7 @@ from .errors import (
     UnsupportedInputError,
     VanishingPostselectionError,
 )
-from .fisher import RANK_CUTOFF, MixedFamily, PureFamily
+from .fisher import MixedFamily, PureFamily
 from .states import (
     METER_PLUS,
     STANDARD_BASIS,
@@ -55,6 +58,7 @@ from .states import (
     Ket,
     _meter_operator,
     _phase_fixed,
+    _readonly,
     check_theta,
     postselected_meter,
 )
@@ -75,7 +79,7 @@ class WvaSetup:
     second moment Omega = <M^2>. The coupling strength must be finite.
 
     ``omega`` = ||M phi||^2 is derived once, at construction, and the kernel
-    output ((p, v, dv) or (p, K, dK, det K)) at most once, on first use. Neither
+    output ((p, v, dv) or (p, K, dK, det parts)) at most once, on first use. Neither
     takes part in equality, hashing or the repr; :meth:`at` and
     ``dataclasses.replace`` build a fresh instance that derives both anew.
     """
@@ -95,11 +99,11 @@ class WvaSetup:
             raise ContractViolationError("WvaSetup: system and meter must be qubits")
         if self.A.dim != 2 or self.M.dim != 2:
             raise ContractViolationError("WvaSetup: A and M must act on qubits")
-        if abs(self.M.expectation(self.phi_mi)) > BALANCE_TOL:
+        m_phi = self.M.entries @ self.phi_mi.amplitudes  # M|phi>, for <M> and Omega
+        if abs(np.vdot(self.phi_mi.amplitudes, m_phi).real) > BALANCE_TOL:
             raise ContractViolationError(
                 "WvaSetup: meter must be at the balance zero point (<M> = 0)"
             )
-        m_phi = self.M.apply(self.phi_mi)
         object.__setattr__(self, "omega", float(np.real(np.vdot(m_phi, m_phi))))
         if self.omega <= 0.0:
             raise ContractViolationError("WvaSetup: <M^2> must be positive")
@@ -110,19 +114,25 @@ class WvaSetup:
         p, v, dv = postselected_meter(
             self.psi_si, self.psi_sf, self.phi_mi, self.A, self.M, self.g
         )
-        v.setflags(write=False)
-        dv.setflags(write=False)
-        return p, v, dv
+        return p, _readonly(v), _readonly(dv)
 
     @functools.cached_property
-    def _operator(self) -> tuple[float, np.ndarray, np.ndarray, float]:
-        """Kernel output (p, K, dK, det K) of a density-matrix input, read-only as above."""
-        p, K, dK, det_k = _meter_operator(
+    def _signal(self) -> complex:
+        """<sf|A|si> of a ket input: the weak value's numerator and the leading-order signal."""
+        return _amplitude(self.psi_si, self.psi_sf, self.A)
+
+    @functools.cached_property
+    def _weighted(self) -> float:
+        """p * F_m of a ket input from the cached (p, v, dv); read only past the P_FLOOR check."""
+        return _weighted_qfi(*self._meter)
+
+    @functools.cached_property
+    def _operator(self) -> tuple[float, np.ndarray, np.ndarray, tuple]:
+        """Kernel output (p, K, dK, det parts) of a density-matrix input, read-only as above."""
+        p, K, dK, det_parts = _meter_operator(
             self.psi_si, self.psi_sf, self.phi_mi, self.A, self.M, self.g
         )
-        K.setflags(write=False)
-        dK.setflags(write=False)
-        return p, K, dK, det_k
+        return p, _readonly(K), _readonly(dK), det_parts
 
     def at(self, g: float) -> "WvaSetup":
         """Copy of this setup with a different coupling strength."""
@@ -143,15 +153,25 @@ class PostselectionResult:
     a_w: Optional[complex]
 
 
-def weak_value(psi_si: Ket, psi_sf: Ket, A: HermitianOperator) -> complex:
-    """Weak value <sf|A|si> / <sf|si> of the system observable."""
+def _amplitude(psi_si: Ket, psi_sf: Ket, A: HermitianOperator) -> complex:
+    """<sf|A|si>, the weak value's numerator."""
+    return complex(np.vdot(psi_sf.amplitudes, A.entries @ psi_si.amplitudes))
+
+
+def _overlap(psi_si: Ket, psi_sf: Ket) -> complex:
+    """<sf|si>, the weak value's denominator; orthogonal beyond OVERLAP_FLOOR raises."""
     denom = psi_sf.inner(psi_si)
     if abs(denom) < OVERLAP_FLOOR:
         raise OrthogonalPostselectionError(
             "weak_value: pre- and postselection are orthogonal"
         )
-    numer = complex(np.vdot(psi_sf.amplitudes, A.entries @ psi_si.amplitudes))
-    return numer / denom
+    return denom
+
+
+def weak_value(psi_si: Ket, psi_sf: Ket, A: HermitianOperator) -> complex:
+    """Weak value <sf|A|si> / <sf|si> of the system observable."""
+    denom = _overlap(psi_si, psi_sf)
+    return _amplitude(psi_si, psi_sf, A) / denom
 
 
 def _kernel(setup: WvaSetup, where: str, pure: bool = False, g: Optional[float] = None) -> tuple:
@@ -179,24 +199,21 @@ def _kernel(setup: WvaSetup, where: str, pure: bool = False, g: Optional[float] 
     return out
 
 
-def _bloch_qfi(p: float, K: np.ndarray, dK: np.ndarray, det_k: float) -> float:
+def _bloch_qfi(p: float, K: np.ndarray, dK: np.ndarray, det_parts: tuple) -> float:
     """Qubit QFI |dr|^2 + (r.dr)^2 / (1 - |r|^2) of K / p, with r its Bloch vector.
 
-    The gap 1 - |r|^2 = 4 det K / p^2 = 4 l (1 - l) comes from the product
-    form of det K. :func:`~wva_costlab.fisher.qfi_mixed` drops the smaller
-    eigenvalue l's term when 2 l <= RANK_CUTOFF, and so does this below
-    gap = 2 * RANK_CUTOFF, where F = |dr|^2.
+    With ``det_parts`` = (det rho_s, E, dE) and E^2 = |det V|^2, 1 - |r|^2 = 4 det rho_s E^2 / p^2,
+    so the second term is exactly 4 det rho_s (dE - E dp/p)^2 / p^2: no 1/gap, no rank cutoff.
+    At E = 0 (K pure, as at g = 0) that is its limit, so F is continuous in g; the rank-1
+    state's own SLD QFI is |dr|^2 alone (Safranek, PRA 95, 052320 (2017)).
     """
     (k00, _), (k10, k11) = K.tolist()
     (d00, _), (d10, d11) = dK.tolist()
     dp = (d00 + d11).real
     r = (2.0 * k10.real / p, 2.0 * k10.imag / p, (k00 - k11).real / p)
     dr = [(s - c * dp) / p for s, c in zip((2 * d10.real, 2 * d10.imag, (d00 - d11).real), r)]
-    grad_sq = sum(d * d for d in dr)
-    gap = 4.0 * det_k / (p * p)
-    if gap <= 2.0 * RANK_CUTOFF:
-        return grad_sq
-    return grad_sq + sum(c * d for c, d in zip(r, dr)) ** 2 / gap
+    det_rho, e, de = det_parts
+    return sum(d * d for d in dr) + 4.0 * det_rho * (de - e * dp / p) ** 2 / (p * p)
 
 
 def _weighted_qfi(p: float, v: np.ndarray, dv: np.ndarray) -> float:
@@ -213,7 +230,7 @@ def postselect(setup: WvaSetup) -> PostselectionResult:
     """
     p, v, _ = _kernel(setup, "postselect", pure=True)
     try:
-        a_w: Optional[complex] = weak_value(setup.psi_si, setup.psi_sf, setup.A)
+        a_w: Optional[complex] = setup._signal / _overlap(setup.psi_si, setup.psi_sf)
     except OrthogonalPostselectionError:
         a_w = None
     return PostselectionResult(p=p, phi_mf=Ket(v), a_w=a_w)
@@ -265,14 +282,14 @@ def fm_exact(setup: WvaSetup) -> float:
     """
     if not isinstance(setup.psi_si, Ket):
         return _bloch_qfi(*_kernel(setup, "fm_exact"))
-    p, v, dv = _kernel(setup, "fm_exact")
-    return _weighted_qfi(p, v, dv) / p
+    p = _kernel(setup, "fm_exact")[0]
+    return setup._weighted / p
 
 
 def fm_leading(omega: float, a_w: complex) -> float:
     """Leading-order collapsed-state QFI, 4 * Omega * |A_w|^2."""
-    if omega <= 0:
-        raise ContractViolationError("fm_leading: omega must be positive")
+    if not (0.0 < omega < math.inf and cmath.isfinite(a_w)):
+        raise ContractViolationError("fm_leading: omega must be positive and finite, a_w finite")
     return 4.0 * omega * abs(a_w) ** 2
 
 
@@ -283,10 +300,8 @@ def probabilistic_qfi(setup: WvaSetup) -> tuple[float, float]:
     4 (<dv|dv> - |<v|dv>|^2 / p) from the setup's kernel output. It can
     approach but never exceed the conventional-scheme QFI.
     """
-    exact = _weighted_qfi(*_kernel(setup, "probabilistic_qfi", pure=True))
-    amp = complex(np.vdot(setup.psi_sf.amplitudes, setup.A.entries @ setup.psi_si.amplitudes))
-    leading = 4.0 * setup.omega * abs(amp) ** 2
-    return exact, leading
+    _kernel(setup, "probabilistic_qfi", pure=True)
+    return setup._weighted, 4.0 * setup.omega * abs(setup._signal) ** 2
 
 
 def optimal_postselection(psi_si: Ket, A: HermitianOperator) -> Ket:
@@ -337,7 +352,7 @@ def weak_regime_margin(setup: WvaSetup) -> float:
     """Size of g |A_w| Omega; the weak-value description needs this << 1."""
     if not isinstance(setup.psi_si, Ket):
         raise UnsupportedInputError("weak_regime_margin: needs a pure system input")
-    a_w = weak_value(setup.psi_si, setup.psi_sf, setup.A)
+    a_w = setup._signal / _overlap(setup.psi_si, setup.psi_sf)
     return abs(setup.g) * abs(a_w) * setup.omega
 
 

@@ -13,15 +13,21 @@ complex scalars and cached on the observable, so each observable is split
 once. LAPACK serves only :func:`hermitian_eigs` and the 4x4 positivity
 check. The matrix types store a read-only complex copy of their input, read
 it once with ``tolist()`` and check finiteness, Hermiticity and trace in
-Python scalars. Kets and matrices compare by value (equal stored arrays) and
-stay unhashable. The standard basis, its observable and the balanced meter
-kets are built once, as module constants, and :meth:`ReferenceBasis.sigma`
-builds its observable once per basis. The kernel's arithmetic lives in
-``_meter_core``, over plain amplitude pairs, so the standard-basis readout
-of :mod:`~wva_costlab.experiment` runs it without building kets, and
-``_meter_operator`` runs it on the basis kets for a density-matrix input.
+Python scalars. A :class:`Ket` checks its norm in Python scalars too, but
+takes the norm as ``np.linalg.norm`` does (BLAS ``ddot`` over the real and
+imaginary parts, which fuses multiply-adds), since a Python or ``math.hypot``
+norm differs in the last bit; it stores one read-only array. Kets and
+matrices compare by value (equal stored arrays) and stay unhashable. The
+standard basis, its observable and the balanced meter kets are built once,
+as module constants; a basis builds its observable and its amplitude pairs,
+which :meth:`ReferenceBasis.superposition` combines in Python, once. The
+kernel's arithmetic lives in ``_meter_core``, over plain amplitude pairs, so
+the standard-basis readout of :mod:`~wva_costlab.experiment` runs it without
+building kets, and ``_meter_operator`` runs it on the basis kets for a
+density-matrix input.
 :func:`check_theta` holds the preparation-angle domain (0, pi/4] that the
-scenario constructors and the CLI share.
+scenario constructors and the CLI share, and :func:`check_count` the integer
+counts of campaigns, cost rates and grids.
 """
 
 from __future__ import annotations
@@ -50,9 +56,9 @@ _VALID_DIMS = (2, 4)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex, copy=True)
-    out.setflags(write=False)
-    return out
+    """Mark ``arr`` read-only and return it."""
+    arr.setflags(write=False)
+    return arr
 
 
 def _check_dim(dim: int, where: str) -> None:
@@ -77,7 +83,7 @@ def _square_entries(
     finite; with ``hermitian`` each |H_ij - conj(H_ji)| must also stay within
     HERMITIAN_TOL. Returns the array to store and its flat entries.
     """
-    mat = _readonly(entries)
+    mat = _readonly(np.array(entries, dtype=complex))
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ContractViolationError(f"{where}: entries must be square")
     _check_dim(mat.shape[0], where)
@@ -127,10 +133,10 @@ class Ket(_ArrayValue):
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        vec = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        vec = np.asarray(self.amplitudes, dtype=complex).ravel()
         _check_dim(vec.size, "Ket")
-        norm = float(np.linalg.norm(vec))
-        if not np.isfinite(norm):
+        norm = math.sqrt(vec.real.dot(vec.real) + vec.imag.dot(vec.imag))  # np.linalg.norm's sum
+        if not math.isfinite(norm):
             raise ContractViolationError("Ket: amplitudes must be finite")
         if norm < 1e-12:
             raise ContractViolationError("Ket: cannot normalize a null vector")
@@ -282,6 +288,8 @@ class BlochVector:
     r3: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r1, self.r2, self.r3))):
+            raise ContractViolationError("BlochVector: components must be finite")
         if self.norm() > 1.0 + 1e-12:
             raise ContractViolationError("BlochVector: norm exceeds 1")
 
@@ -314,8 +322,13 @@ class ReferenceBasis:
         """Return cos(angle)*ket0 + sin(angle)*ket1 for a finite angle."""
         if not math.isfinite(angle):
             raise ContractViolationError("superposition: angle must be finite")
-        vec = np.cos(angle) * self.ket0.amplitudes + np.sin(angle) * self.ket1.amplitudes
-        return Ket(vec)
+        c, s = float(np.cos(angle)), float(np.sin(angle))
+        return Ket(np.array([c * a + s * b for a, b in self._pairs]))
+
+    @functools.cached_property
+    def _pairs(self) -> list[tuple[complex, complex]]:
+        """(<k|ket0>, <k|ket1>) for k = 0, 1, in Python complex scalars."""
+        return list(zip(self.ket0.amplitudes.tolist(), self.ket1.amplitudes.tolist()))
 
     def sigma(self) -> HermitianOperator:
         """The observable with eigenvalue +1 on ket0 and -1 on ket1, built once per basis."""
@@ -345,6 +358,15 @@ def check_theta(theta: float, where: str) -> float:
     if not (0.0 < theta <= np.pi / 4.0 + 1e-12):
         raise ContractViolationError(f"{where} must lie in (0, pi/4]")
     return theta
+
+
+def check_count(count, where: str, minimum: int = 1):
+    """Return a Python or numpy integer, not a bool, of at least ``minimum``; else raise."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ContractViolationError(f"{where} must be an integer")
+    if count < minimum:
+        raise ContractViolationError(f"{where} must be >= {minimum}")
+    return count
 
 
 KetOrOperator = Union[Ket, HermitianOperator]
@@ -509,10 +531,12 @@ def postselected_meter(
 
 
 def _meter_operator(rho_s, psi_sf, phi_mi, A, M, g: float):
-    """(p, K, dK, det K) of a density-matrix input: K = V rho_s V^dag, dK/dg, p = Tr K.
+    """(p, K, dK, (det rho_s, E, dE)) of a density-matrix input: K = V rho_s V^dag, p = Tr K.
 
     :func:`_meter_core` on the basis kets gives the columns of V = <sf|U(g)|.>|phi>
-    and dV; det K = |det V|^2 det rho_s stays accurate where K is nearly pure.
+    and dV. By Cauchy-Binet over A = sum_i a_i P_i and M = sum_j m_j Q_j, |det V| = |E| with
+    E = 2 |det(P_0 sf, P_1 sf) det(Q_0 phi, Q_1 phi)| sin(g (a_0 - a_1)(m_0 - m_1) / 2),
+    or E = 0 for a degenerate A or M: smooth in g and exactly 0 where V has rank 1.
     """
     f, x = psi_sf.amplitudes.tolist(), phi_mi.amplitudes.tolist()
     a_split, m_split = A._split, M._split
@@ -523,12 +547,20 @@ def _meter_operator(rho_s, psi_sf, phi_mi, A, M, g: float):
     def form(u0, u1, w0, w1):  # u rho_s w^dag for rows u, w of V or dV
         return (u0 * r00 + u1 * r10) * w0.conjugate() + (u0 * r01 + u1 * r11) * w1.conjugate()
 
+    def wedge(P, u):  # |det(P u, (I - P) u)| of a qubit projector P
+        return abs((P[0] * u[0] + P[1] * u[1]) * u[1] - (P[2] * u[0] + P[3] * u[1]) * u[0])
+
     k00, k11, k10 = form(a0, b0, a0, b0).real, form(a1, b1, a1, b1).real, form(a1, b1, a0, b0)
     d00, d11 = 2.0 * form(da0, db0, a0, b0).real, 2.0 * form(da1, db1, a1, b1).real
     d10 = form(da1, db1, a0, b0) + form(da0, db0, a1, b1).conjugate()
-    det_k = abs(a0 * b1 - b0 * a1) ** 2 * (r00.real * r11.real - abs(r10) ** 2)
+    e = de = 0.0
+    if len(a_split) == 2 and len(m_split) == 2:
+        (a_0, P0), (a_1, _), (m_0, Q0), (m_1, _) = *a_split, *m_split
+        scale, d = wedge(P0, f) * wedge(Q0, x), (a_0 - a_1) * (m_0 - m_1)
+        e, de = 2.0 * scale * math.sin(0.5 * g * d), scale * d * math.cos(0.5 * g * d)
     K = np.array([[k00, k10.conjugate()], [k10, k11]])
-    return k00 + k11, K, np.array([[d00, d10.conjugate()], [d10, d11]]), det_k
+    dK = np.array([[d00, d10.conjugate()], [d10, d11]])
+    return k00 + k11, K, dK, (r00.real * r11.real - abs(r10) ** 2, e, de)
 
 
 def bloch_of(psi: Ket, basis: ReferenceBasis) -> BlochVector:

@@ -43,6 +43,7 @@ from .states import (
     UnitaryOperator,
     bloch_angle,
     bloch_of,
+    check_count,
     overlap_sq,
 )
 
@@ -80,11 +81,7 @@ class SuiteResult:
 
 def theta_grid(count: int) -> np.ndarray:
     """Evenly spaced preparation angles spanning [pi/16, pi/4]."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-        raise ContractViolationError("theta_grid: count must be an integer")
-    if count < 1:
-        raise ContractViolationError("theta_grid: count must be >= 1")
-    if count == 1:
+    if check_count(count, "theta_grid: count") == 1:
         return np.array([np.pi / 4.0])
     return np.linspace(np.pi / 16.0, np.pi / 4.0, count)
 

@@ -120,6 +120,13 @@ class TestSimulate:
         trial0 = lines[1].split(",")
         assert trial0[0] == "0" and int(trial0[2]) == 80
 
+    def test_unwritable_report_leaves_no_trials_file(self, tmp_path, capsys):
+        trials = tmp_path / "trials.csv"
+        report = tmp_path / "missing-dir" / "r.json"
+        assert main(self.ARGS + ["--trials-out", str(trials), "--out", str(report)]) == 2
+        assert not trials.exists() and list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err.startswith(f"wva-costlab: cannot write {report}")
+
     def test_single_rep_reports_nulls(self, tmp_path):
         out = tmp_path / "single.json"
         args = [a if a != "60" else "1" for a in self.ARGS]

@@ -1,12 +1,14 @@
 """Cost accounting, coherence, the tradeoff bound, and boundary curves."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wva_costlab import (
+    BlochVector,
     ContractViolationError,
     CostPoint,
     CostRates,
@@ -14,12 +16,17 @@ from wva_costlab import (
     InfinitePreparationCostError,
     ReferenceBasis,
     bloch_of,
+    bloch_angle,
     bound_rhs,
     boundary_curve,
+    cfi_discrete,
     classify_region,
+    conditional_outcome_model,
     cost_point,
     cost_point_geometric,
     default_alpha_grid,
+    fm_leading,
+    hwp_settings,
     l1_coherence,
     leading_costs,
     preparation_coherence,
@@ -70,6 +77,49 @@ class TestCostRates:
         fields = {"r_p": 1.0, "r_m": 1.0, "n_samples": 1, field: bad}
         with pytest.raises(ContractViolationError, match="finite"):
             CostRates(**fields)
+
+
+    @pytest.mark.parametrize("bad", [1.5, math.nan, True, 0, np.float64(2.0)])
+    def test_sample_count_must_be_a_positive_integer(self, bad):
+        with pytest.raises(ContractViolationError, match="n_samples"):
+            CostRates(1.0, 1.0, bad)
+        assert CostRates(1.0, 1.0, np.int64(3)).n_samples == 3
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bound_rhs(math.nan),
+        lambda: bound_rhs(2.0),
+        lambda: fm_leading(math.nan, 1.0),
+        lambda: fm_leading(1.0, math.nan),
+        lambda: fm_leading(1.0, complex(1.0, math.inf)),
+        lambda: hwp_settings(math.nan, 0.0, 0.0),
+        lambda: hwp_settings(0.0, 0.0, math.inf),
+        lambda: BlochVector(math.nan, 0.0, 0.0),
+        lambda: bloch_angle(BlochVector(1.0, 0.0, 0.0), BlochVector(0.0, math.nan, 1.0)),
+        lambda: leading_costs(math.nan, 0.0),
+        lambda: leading_costs(0.5, math.inf),
+        lambda: cfi_discrete(conditional_outcome_model(0.5, -0.5), 0.01, step=math.nan),
+        lambda: cfi_discrete(conditional_outcome_model(0.5, -0.5), 0.01, step=math.inf),
+    ],
+    ids=[
+        "bound_rhs-nan", "bound_rhs-2", "fm_leading-omega-nan", "fm_leading-a_w-nan",
+        "fm_leading-a_w-inf", "hwp_settings-theta-nan", "hwp_settings-g-inf", "BlochVector-nan",
+        "bloch_angle-nan", "leading_costs-theta-nan", "leading_costs-alpha-inf",
+        "cfi_discrete-step-nan", "cfi_discrete-step-inf",
+    ],
+)
+def test_non_finite_or_out_of_range_scalars_raise(call):
+    with pytest.raises(ContractViolationError):
+        call()
+
+
+def test_scalar_helpers_keep_their_domain_edges():
+    assert hwp_settings(0.0, 0.0, 0.0)["hwp1"] == np.pi / 8.0  # theta = 0 stays valid here
+    assert bound_rhs(1.0 + 1e-10) == bound_rhs(1.0) == math.pi
+    assert bound_rhs(-1e-10) == bound_rhs(0.0) == 0.0
+    assert fm_leading(0.5, 2.0) == 8.0
 
 
 class TestCostPoint:

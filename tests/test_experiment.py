@@ -479,6 +479,37 @@ class TestConfigValidation:
             ExperimentConfig(THETA, ALPHA, 0.03, FixedPostselected(10), 1, 1, g_max=2.0)
 
 
+class TestIntegerCounts:
+    """Counts, seeds and trial indices are integers: Python or numpy, never bool."""
+
+    @pytest.mark.parametrize("bad", [2.5, 10.5, math.nan, math.inf, True, np.float64(3.0), "3"])
+    def test_non_integral_stopping_counts_rejected(self, bad):
+        for stopping, name in ((FixedPostselected, "nu"), (FixedPrepared, "n")):
+            with pytest.raises(ContractViolationError, match=f": {name} must be an integer"):
+                stopping(bad)
+
+    @pytest.mark.parametrize("field, name", [("reps", "n_reps"), ("seed", "master_seed")])
+    @pytest.mark.parametrize("bad", [2.5, math.nan, False, np.float64(2.0)])
+    def test_non_integral_campaign_counts_rejected(self, field, name, bad):
+        with pytest.raises(ContractViolationError, match=f"{name} must be an integer"):
+            config(**{field: bad})
+
+    def test_negative_or_fractional_trial_index_rejected(self):
+        with pytest.raises(ContractViolationError, match="trial_index must be >= 0"):
+            run_trial(config(), -1)
+        with pytest.raises(ContractViolationError, match="trial_index must be an integer"):
+            run_trial(config(), 1.5)
+
+    def test_numpy_integers_accepted(self):
+        as_numpy = ExperimentConfig(
+            THETA, ALPHA, 0.0349, FixedPrepared(np.int64(300)), np.int32(4), np.uint64(9)
+        )
+        as_python = ExperimentConfig(THETA, ALPHA, 0.0349, FixedPrepared(300), 4, 9)
+        assert run_campaign(as_numpy) == run_campaign(as_python)
+        assert run_trial(as_python, np.int64(2)) == run_trial(as_python, 2)
+        assert FixedPostselected(np.int16(5)).nu == 5
+
+
 def _finite_floats_or_wva_error(call):
     """Run ``call``; it must return a tuple of finite Python floats or raise WvaError."""
     try:

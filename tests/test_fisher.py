@@ -1,5 +1,7 @@
 """Fisher information operations against closed-form and cross-method oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,10 @@ from wva_costlab import (
     UnsupportedInputError,
     cfi_discrete,
     collapsed_meter_family,
+    conditional_outcome_model,
     coupling_unitary,
     hermitian_eigs,
+    outcome_model,
     qfi_mixed,
     qfi_product_coupling,
     qfi_pure,
@@ -155,6 +159,32 @@ class TestQfiMixed:
             )
             assert qfi_mixed(postselected_meter_family(setup), 1e-3) <= 4.0 + 1e-4
 
+    def test_sld_sum_same_bits_as_the_numpy_loop(self):
+        rng = np.random.default_rng(6)
+        for dim in (2, 4):
+            for _ in range(50):
+                raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                unitary, _ = np.linalg.qr(raw)
+                spectrum = rng.dirichlet(np.ones(dim))
+                spectrum[0] *= rng.choice([1.0, 1e-11])  # one term under the rank cutoff
+                spectrum /= spectrum.sum()
+                rho0 = unitary @ np.diag(spectrum) @ unitary.conj().T
+                h, hv = np.linalg.eigh(raw + raw.conj().T)
+
+                def family(g, rho0=rho0, h=h, hv=hv):  # exp(-i g H) rho0 exp(i g H)
+                    u = hv @ np.diag(np.exp(-1j * g * h)) @ hv.conj().T
+                    return DensityMatrix(u @ rho0 @ u.conj().T)
+
+                lam, vecs = np.linalg.eigh(family(0.0).entries)
+                drho = (family(1e-5).entries - family(-1e-5).entries) / 2e-5
+                cross = vecs.conj().T @ drho @ vecs
+                expected = 0.0
+                for i in range(dim):
+                    for j in range(dim):
+                        if lam[i] + lam[j] > 1e-10:
+                            expected += 2.0 * abs(cross[i, j]) ** 2 / (lam[i] + lam[j])
+                assert qfi_mixed(family, 0.0).hex() == float(expected).hex()
+
 
 class TestQfiSpectralUnitary:
     def test_pure_term_matches_qfi_pure(self):
@@ -279,6 +309,140 @@ class TestCfiDiscreteExactDerivative:
             derivative=lambda g: (np.array([0.0, 1.0]), np.array([1.0, -1.0])),
         )
         assert cfi_discrete(model, 0.0) == 1.0
+
+
+def _numpy_distribution(probabilities):
+    """The numpy outcome checks the scalar ones replaced, kept as their oracle."""
+    p = np.asarray(probabilities, dtype=float).reshape(-1)
+    if p.size == 0:
+        raise ContractViolationError("OutcomeModel: empty distribution")
+    if not np.isfinite(p).all():
+        raise ContractViolationError("OutcomeModel: probabilities must be finite")
+    if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
+        raise ContractViolationError("OutcomeModel: probability outside [0, 1]")
+    if abs(p.sum() - 1.0) > 1e-12:
+        raise ContractViolationError("OutcomeModel: probabilities must sum to 1")
+    return np.clip(p, 0.0, 1.0)
+
+
+def _numpy_cfi(model, g, step=1e-5):
+    """The numpy cfi_discrete body the scalar one replaced, for a valid step."""
+    if model.derivative is not None:
+        probabilities, slope = model.derivative(g)
+        p0 = _numpy_distribution(probabilities)
+        dp = np.asarray(slope, dtype=float).reshape(-1)
+        if dp.size != p0.size:
+            raise ContractViolationError("cfi_discrete: derivative and distribution sizes differ")
+        if not np.isfinite(dp).all():
+            raise ContractViolationError("cfi_discrete: derivative must be finite")
+    else:
+        p0, pp, pm = (_numpy_distribution(model.probabilities(x)) for x in (g, g + step, g - step))
+        if not (p0.size == pp.size == pm.size):
+            raise ContractViolationError("cfi_discrete: outcome count changed across probes")
+        dp = (pp - pm) / (2.0 * step)
+    total = 0.0
+    for k in range(p0.size):
+        if p0[k] < 1e-12:
+            continue
+        total += dp[k] ** 2 / p0[k]
+    return float(total)
+
+
+def _outcome(call):
+    """A float's bits, an array's bytes, or the exception type and message."""
+    try:
+        with np.errstate(over="ignore"):
+            value = call()
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc), str(exc)
+    return value.hex() if isinstance(value, float) else value.tobytes()
+
+
+def _distributions(seed):
+    """Seeded distributions, the 1e-12 range and sum edges, non-finite entries, bad sizes."""
+    rng = np.random.default_rng(seed)
+    out = [rng.dirichlet(np.ones(k)) for k in rng.integers(1, 6, size=200)]
+    for edge in (-1e-12, 1.0 + 1e-12):  # one entry either side of the range edge
+        for factor in (1.0 - 1e-4, 1.0, 1.0 + 1e-4):
+            value = edge * factor if edge < 0 else 1.0 + (edge - 1.0) * factor
+            out.append(np.array([value, 1.0 - value]))
+    for excess in (1e-12 * (1.0 - 1e-3), 1e-12 * (1.0 + 1e-3)):  # sum either side of 1 +- 1e-12
+        out += [np.array([0.3, 0.7 + excess]), np.array([0.3, 0.7 - excess])]
+    for magnitude in 10.0 ** np.arange(-300.0, 301.0, 50.0):
+        out += [np.array([magnitude, 1.0 - magnitude]), np.array([1.0, magnitude])]
+    base = rng.dirichlet(np.ones(3))
+    for k in range(3):
+        for bad in (np.nan, np.inf, -np.inf):
+            p = base.copy()
+            p[k] = bad
+            out.append(p)
+    out += [np.array([-0.0, 1.0]), np.array([]), [[0.25, 0.25], [0.25, 0.25]]]
+    return out
+
+
+class TestScalarOutcomeChecks:
+    """The outcome checks and the CFI sum agree bit for bit with the numpy code they replaced."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_distribution_same_bytes_exception_type_and_message(self, seed):
+        messages = set()
+        for p in _distributions(seed):
+            expected = _outcome(lambda: _numpy_distribution(p))
+            assert _outcome(lambda: OutcomeModel(lambda g: p)(0.0)) == expected, p
+            messages.add(expected[1] if isinstance(expected, tuple) else "accepted")
+        assert messages == {
+            "accepted",
+            "OutcomeModel: empty distribution",
+            "OutcomeModel: probabilities must be finite",
+            "OutcomeModel: probability outside [0, 1]",
+            "OutcomeModel: probabilities must sum to 1",
+        }
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_cfi_same_bits_exception_type_and_message(self, seed):
+        rng = np.random.default_rng(seed)
+        messages = set()
+        for p in _distributions(seed):
+            size = np.asarray(p).size
+            slopes = [rng.normal(size=size) * 10.0 ** rng.uniform(-300.0, 300.0),
+                      rng.normal(size=size + 1)]
+            for k in range(size):
+                for bad in (np.nan, np.inf, -np.inf):
+                    slope = rng.normal(size=size)
+                    slope[k] = bad
+                    slopes.append(slope)
+            for slope in slopes:
+                model = OutcomeModel(lambda g: p, derivative=lambda g: (p, slope))
+                expected = _outcome(lambda: _numpy_cfi(model, 0.0))
+                assert _outcome(lambda: cfi_discrete(model, 0.0)) == expected, (p, slope)
+                messages.add(expected[1] if isinstance(expected, tuple) else "accepted")
+            # central differences of a model moving along a seeded direction
+            drift = rng.normal(size=size) * 1e-3
+            moving = OutcomeModel(lambda g: np.asarray(p) + g * drift)
+            expected = _outcome(lambda: _numpy_cfi(moving, 0.0, 1e-4))
+            assert _outcome(lambda: cfi_discrete(moving, 0.0, 1e-4)) == expected
+        assert {
+            "accepted",
+            "cfi_discrete: derivative and distribution sizes differ",
+            "cfi_discrete: derivative must be finite",
+        } <= messages
+
+    def test_readout_models_same_bits(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            theta, alpha = rng.uniform(0.01, np.pi / 4.0), rng.uniform(-1.5, 1.5)
+            g = 10.0 ** rng.uniform(-6.0, 0.0)
+            for model in (conditional_outcome_model(theta, alpha), outcome_model(theta, alpha)):
+                expected = _outcome(lambda: _numpy_cfi(model, g))
+                assert _outcome(lambda: cfi_discrete(model, g)) == expected
+                assert model(g).tobytes() == _numpy_distribution(model.probabilities(g)).tobytes()
+
+    def test_overflowing_information_is_inf_without_a_warning(self):
+        model = OutcomeModel(
+            lambda g: np.array([0.5, 0.5]),
+            derivative=lambda g: (np.array([0.5, 0.5]), np.array([1e200, -1e200])),
+        )
+        assert cfi_discrete(model, 0.0) == math.inf
 
 
 class TestProperties:

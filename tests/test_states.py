@@ -509,6 +509,92 @@ class TestScalarValidator:
                 assert stored.tobytes() == np.asarray(mat, dtype=complex).tobytes()
 
 
+def _numpy_ket(amplitudes):
+    """The numpy Ket normalisation the scalar one replaced, kept as its oracle."""
+    vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    if vec.size not in (2, 4):
+        raise ModelDimensionError(
+            f"Ket: dimension {vec.size} outside the 2-qubit model (expected 2 or 4)"
+        )
+    norm = float(np.linalg.norm(vec))
+    if not np.isfinite(norm):
+        raise ContractViolationError("Ket: amplitudes must be finite")
+    if norm < 1e-12:
+        raise ContractViolationError("Ket: cannot normalize a null vector")
+    return vec / norm
+
+
+def _ket_outcome(build, amplitudes):
+    """Stored bytes, or the exception type and message; numpy overflow stays quiet."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return build(amplitudes).tobytes()
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc), str(exc)
+
+
+def _ket_inputs(seed):
+    """Seeded vectors from 1e-300 to 1e300, the 1e-12 norm edge, non-finite entries, bad sizes."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(400):
+        dim = rng.choice([2, 4])
+        scale = 10.0 ** rng.uniform(-300.0, 300.0)
+        vec = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * scale
+        out += [vec, vec.real, vec.imag.astype(complex)]
+    for factor in (0.999999, 1.0, 1.000001):  # a norm either side of 1e-12
+        out.append(np.array([0.6e-12, 0.8e-12j]) * factor)
+    for dim in (2, 4):
+        base = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        for k in range(dim):
+            for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)):
+                vec = base.copy()
+                vec[k] = bad
+                out.append(vec)
+    matrix = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    out += [matrix[:, 1], matrix[:2, :2], [0.6, 0.8], (1, 1j), np.zeros(2), np.ones(3), []]
+    return out
+
+
+class TestScalarKet:
+    """Ket's normalisation and superposition agree bit for bit with the numpy code they replaced."""
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_same_bytes_exception_type_and_message_as_numpy(self, seed):
+        outcomes = set()
+        for vec in _ket_inputs(seed):
+            expected = _ket_outcome(_numpy_ket, vec)
+            assert _ket_outcome(lambda v: Ket(v).amplitudes, vec) == expected, vec
+            outcomes.add(expected[1] if isinstance(expected, tuple) else "accepted")
+        assert outcomes == {
+            "accepted",
+            "Ket: amplitudes must be finite",
+            "Ket: cannot normalize a null vector",
+            "Ket: dimension 3 outside the 2-qubit model (expected 2 or 4)",
+            "Ket: dimension 0 outside the 2-qubit model (expected 2 or 4)",
+        }
+
+    def test_amplitudes_stored_once_and_read_only(self):
+        vec = np.array([0.6, 0.8j])
+        ket = Ket(vec)
+        assert not ket.amplitudes.flags.writeable and ket.amplitudes.flags.owndata
+        assert ket.amplitudes is not vec
+
+    def test_superposition_matches_numpy(self):
+        rng = np.random.default_rng(8)
+        bases = [BASIS] + [
+            ReferenceBasis(*(Ket(col) for col in np.linalg.qr(
+                rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0].T))
+            for _ in range(20)
+        ]
+        for basis in bases:
+            for angle in [0.0, np.pi / 4.0, -np.pi / 2.0, *rng.uniform(-10.0, 10.0, 50)]:
+                expected = _numpy_ket(
+                    np.cos(angle) * basis.ket0.amplitudes + np.sin(angle) * basis.ket1.amplitudes
+                )
+                assert basis.superposition(angle).amplitudes.tobytes() == expected.tobytes()
+
+
 class TestCachedDerivations:
     def test_split_derived_once_per_observable(self, monkeypatch):
         import wva_costlab.states as states_module

@@ -84,7 +84,6 @@ from .states import (
     bloch_of,
     coupling_unitary,
     hermitian_eigs,
-    ket_from_bloch,
     overlap_sq,
     postselected_meter,
     tensor,

@@ -216,7 +216,8 @@ def cfi_discrete(model: OutcomeModel, g: float, step: float = DEFAULT_STEP) -> f
     by central differences with ``step`` (Braunstein & Caves, PRL 72, 3439
     (1994)). ``step`` must be positive either way. Outcomes whose probability
     is below 1e-12 at the center point are skipped (their contribution is a
-    0 * 0/0 limit).
+    0 * 0/0 limit). A finite model whose information overflows the float
+    range raises ``ContractViolationError``.
     """
     if not 0.0 < step < math.inf:
         raise ContractViolationError("cfi_discrete: step must be positive and finite")
@@ -238,6 +239,8 @@ def cfi_discrete(model: OutcomeModel, g: float, step: float = DEFAULT_STEP) -> f
         for dk, pk in zip(dp, p0):
             if pk >= OUTCOME_FLOOR:
                 total += dk ** 2 / pk  # ** as numpy's scalar power: dk * dk rounds differently
-    except OverflowError:  # Python's ** raises where numpy's overflowed to inf
+    except OverflowError:  # Python's ** raises on overflow
         total = math.inf
+    if not math.isfinite(total):  # / and + overflow to inf without raising
+        raise ContractViolationError("cfi_discrete: information overflows the float range")
     return total

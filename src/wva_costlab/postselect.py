@@ -19,16 +19,21 @@ finite-difference step enters. No small-coupling expansion enters the
 production path either. Leading-order formulas are exposed separately so
 tests and cost accounting can compare the two.
 
-A density-matrix input gets K = V rho_s V^dag and dK from the same kernel on
-the basis kets, cached beside (p, v, dv); its F_m is the Bloch-form qubit QFI
-of K / p (Zhong et al., PRA 87, 022337 (2013)), again with no eigensolve, and
-its purity term comes from det V in closed form, with no rank cutoff.
+A density-matrix input gets K = V rho_s V^dag from the same kernel on the
+basis kets, and the setup caches it with the collapsed state K / p that
+:func:`postselect_mixed` returns. Only :func:`fm_exact` reads dK and the
+determinant term, so the setup forms them from the cached kernel parts on
+that first read. F_m is the Bloch-form qubit QFI of K / p (Zhong et al., PRA
+87, 022337 (2013)), again with no eigensolve, and its purity term comes from
+det V in closed form, with no rank cutoff.
 
 The meter families that the finite-difference oracles of
 :mod:`~wva_costlab.fisher` probe (:func:`collapsed_meter_family`,
 :func:`postselected_meter_family`) run only the kernel at each probe g, with
 the finite-g and probability-floor checks of ``setup.at(g)`` but no new
-:class:`WvaSetup`; a probe equals the ``setup.at(g)`` path bit for bit.
+:class:`WvaSetup`; a probe equals the ``setup.at(g)`` path bit for bit. A
+probe at the setup's own coupling, sign included, runs the checks and returns
+the setup's cached state instead of running the kernel again.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ from .states import (
     HermitianOperator,
     Ket,
     _meter_operator,
+    _meter_slope,
     _phase_fixed,
     _readonly,
     check_theta,
@@ -78,10 +84,13 @@ class WvaSetup:
     The meter must sit at the balance zero point, <M> = 0, with a positive
     second moment Omega = <M^2>. The coupling strength must be finite.
 
-    ``omega`` = ||M phi||^2 is derived once, at construction, and the kernel
-    output ((p, v, dv) or (p, K, dK, det parts)) at most once, on first use. Neither
-    takes part in equality, hashing or the repr; :meth:`at` and
-    ``dataclasses.replace`` build a fresh instance that derives both anew.
+    ``omega`` = ||M phi||^2 is derived once, at construction. Each kernel
+    output is derived at most once, on first use, and only when a caller reads
+    it: (p, v, dv) of a ket; (p, K, parts) of a density matrix, with dK and the
+    determinant term (``_slope``) that only :func:`fm_exact` reads; and the
+    collapsed meter state that :func:`postselect_mixed` and the meter families
+    return. None of them takes part in equality, hashing or the repr; :meth:`at`
+    and ``dataclasses.replace`` build a fresh instance that derives them anew.
     """
 
     psi_si: Union[Ket, DensityMatrix]
@@ -127,12 +136,29 @@ class WvaSetup:
         return _weighted_qfi(*self._meter)
 
     @functools.cached_property
-    def _operator(self) -> tuple[float, np.ndarray, np.ndarray, tuple]:
-        """Kernel output (p, K, dK, det parts) of a density-matrix input, read-only as above."""
-        p, K, dK, det_parts = _meter_operator(
-            self.psi_si, self.psi_sf, self.phi_mi, self.A, self.M, self.g
-        )
-        return p, _readonly(K), _readonly(dK), det_parts
+    def _operator(self) -> tuple[float, np.ndarray, tuple]:
+        """Kernel output (p, K, parts) of a density-matrix input, K read-only as above."""
+        p, K, parts = _meter_operator(self.psi_si, self.psi_sf, self.phi_mi, self.A, self.M, self.g)
+        return p, _readonly(K), parts
+
+    @functools.cached_property
+    def _slope(self) -> tuple[np.ndarray, tuple[float, float, float]]:
+        """(dK, (det rho_s, E, dE)) of a density-matrix input from the cached parts."""
+        dK, det_parts = _meter_slope(self._operator[2])
+        return _readonly(dK), det_parts
+
+    @functools.cached_property
+    def _collapsed_ket(self) -> Ket:
+        """Collapsed meter ket v / sqrt(p) of a ket input; read only past the P_FLOOR check."""
+        return Ket(self._meter[1])
+
+    @functools.cached_property
+    def _collapsed(self) -> DensityMatrix:
+        """Collapsed meter state of either input; read only past the P_FLOOR check."""
+        if isinstance(self.psi_si, Ket):
+            return DensityMatrix.from_ket(self._collapsed_ket)
+        p, K, _ = self._operator
+        return DensityMatrix(K / p)
 
     def at(self, g: float) -> "WvaSetup":
         """Copy of this setup with a different coupling strength."""
@@ -199,6 +225,14 @@ def _kernel(setup: WvaSetup, where: str, pure: bool = False, g: Optional[float] 
     return out
 
 
+def _own_coupling(setup: WvaSetup, g: float) -> bool:
+    """Whether a probe at g may read the setup's cache: g is setup.g, sign included.
+
+    NaN never is, and -0.0 against 0.0 is not: the kernel's phases keep the sign of a zero.
+    """
+    return g == setup.g and math.copysign(1.0, g) == math.copysign(1.0, setup.g)
+
+
 def _bloch_qfi(p: float, K: np.ndarray, dK: np.ndarray, det_parts: tuple) -> float:
     """Qubit QFI |dr|^2 + (r.dr)^2 / (1 - |r|^2) of K / p, with r its Bloch vector.
 
@@ -240,21 +274,27 @@ def postselect_mixed(setup: WvaSetup) -> tuple[float, DensityMatrix]:
     """Exact postselection of any system input: (p, collapsed meter state).
 
     A density matrix gives (Tr K, K / Tr K) from the cached K = V rho_s V^dag.
+    The state is the setup's cached one, the same object on every call.
     """
-    if isinstance(setup.psi_si, Ket):
-        p_res = postselect(setup)
-        return p_res.p, DensityMatrix.from_ket(p_res.phi_mf)
-    p, K, _, _ = _kernel(setup, "postselect_mixed")
-    return p, DensityMatrix(K / p)
+    where = "postselect" if isinstance(setup.psi_si, Ket) else "postselect_mixed"
+    return _kernel(setup, where)[0], setup._collapsed
 
 
 def collapsed_meter_family(setup: WvaSetup) -> PureFamily:
     """Map g -> collapsed meter ket, for Fisher-information evaluation.
 
     A probe runs the kernel once at g and equals ``postselect(setup.at(g)).phi_mf``
-    bit for bit, errors included.
+    bit for bit, errors included. At the setup's own coupling it runs the checks
+    and returns the setup's cached ket.
     """
-    return lambda g: Ket(_kernel(setup, "postselect", pure=True, g=g)[1])
+
+    def family(g: float) -> Ket:
+        if _own_coupling(setup, g):
+            _kernel(setup, "postselect", pure=True)
+            return setup._collapsed_ket
+        return Ket(_kernel(setup, "postselect", pure=True, g=g)[1])
+
+    return family
 
 
 def postselected_meter_family(setup: WvaSetup) -> MixedFamily:
@@ -262,14 +302,20 @@ def postselected_meter_family(setup: WvaSetup) -> MixedFamily:
 
     A probe runs the kernel at g, once for a ket and once per basis ket for a
     density matrix, and equals ``postselect_mixed(setup.at(g))[1]`` bit for
-    bit, errors included.
+    bit, errors included. At the setup's own coupling it runs the checks and
+    returns the setup's cached state, the one :func:`postselect_mixed` returns.
     """
-    if isinstance(setup.psi_si, Ket):
-        return lambda g: DensityMatrix.from_ket(Ket(_kernel(setup, "postselect", g=g)[1]))
+    ket_input = isinstance(setup.psi_si, Ket)
+    where = "postselect" if ket_input else "postselect_mixed"
 
     def family(g: float) -> DensityMatrix:
-        p, K, _, _ = _kernel(setup, "postselect_mixed", g=g)
-        return DensityMatrix(K / p)
+        if _own_coupling(setup, g):
+            _kernel(setup, where)
+            return setup._collapsed
+        out = _kernel(setup, where, g=g)
+        if ket_input:
+            return DensityMatrix.from_ket(Ket(out[1]))
+        return DensityMatrix(out[1] / out[0])
 
     return family
 
@@ -281,7 +327,8 @@ def fm_exact(setup: WvaSetup) -> float:
     for a density-matrix input the Bloch form of :func:`_bloch_qfi`.
     """
     if not isinstance(setup.psi_si, Ket):
-        return _bloch_qfi(*_kernel(setup, "fm_exact"))
+        p, K, _ = _kernel(setup, "fm_exact")
+        return _bloch_qfi(p, K, *setup._slope)
     p = _kernel(setup, "fm_exact")[0]
     return setup._weighted / p
 

@@ -24,7 +24,9 @@ which :meth:`ReferenceBasis.superposition` combines in Python, once. The
 kernel's arithmetic lives in ``_meter_core``, over plain amplitude pairs, so
 the standard-basis readout of :mod:`~wva_costlab.experiment` runs it without
 building kets, and ``_meter_operator`` runs it on the basis kets for a
-density-matrix input.
+density-matrix input. That returns K = V rho_s V^dag with the parts it was
+formed from; ``_meter_slope`` forms dK and the determinant term from those
+parts, so a caller that reads only K pays for neither.
 :func:`check_theta` holds the preparation-angle domain (0, pi/4] that the
 scenario constructors and the CLI share, and :func:`check_count` the integer
 counts of campaigns, cost rates and grids.
@@ -290,7 +292,8 @@ class BlochVector:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.r1, self.r2, self.r3))):
             raise ContractViolationError("BlochVector: components must be finite")
-        if self.norm() > 1.0 + 1e-12:
+        # |r_i| <= |r|: checking the components first moves no edge and keeps norm() finite
+        if max(map(abs, (self.r1, self.r2, self.r3))) > 1.0 + 1e-12 or self.norm() > 1.0 + 1e-12:
             raise ContractViolationError("BlochVector: norm exceeds 1")
 
     def as_array(self) -> np.ndarray:
@@ -530,37 +533,56 @@ def postselected_meter(
     return float(np.real(np.vdot(v, v))), v, np.array([d0, d1])
 
 
+def _sandwich(r, u0, u1, w0, w1):
+    """u rho_s w^dag for rows u, w of V or dV, with ``r`` = (r00, r01, r10, r11) of rho_s."""
+    r00, r01, r10, r11 = r
+    return (u0 * r00 + u1 * r10) * w0.conjugate() + (u0 * r01 + u1 * r11) * w1.conjugate()
+
+
 def _meter_operator(rho_s, psi_sf, phi_mi, A, M, g: float):
-    """(p, K, dK, (det rho_s, E, dE)) of a density-matrix input: K = V rho_s V^dag, p = Tr K.
+    """(p, K, parts) of a density-matrix input: K = V rho_s V^dag and p = Tr K.
 
     :func:`_meter_core` on the basis kets gives the columns of V = <sf|U(g)|.>|phi>
-    and dV. By Cauchy-Binet over A = sum_i a_i P_i and M = sum_j m_j Q_j, |det V| = |E| with
-    E = 2 |det(P_0 sf, P_1 sf) det(Q_0 phi, Q_1 phi)| sin(g (a_0 - a_1)(m_0 - m_1) / 2),
-    or E = 0 for a degenerate A or M: smooth in g and exactly 0 where V has rank 1.
+    and dV. ``parts`` keeps what :func:`_meter_slope` needs for dK and the
+    determinant term, so a caller that reads only K pays for neither: the
+    entries of rho_s, the amplitudes of sf and phi, the splits of A and M, g and
+    the two column results.
     """
     f, x = psi_sf.amplitudes.tolist(), phi_mi.amplitudes.tolist()
     a_split, m_split = A._split, M._split
-    a0, a1, da0, da1 = _meter_core((1.0, 0.0), f, x, a_split, m_split, g)
-    b0, b1, db0, db1 = _meter_core((0.0, 1.0), f, x, a_split, m_split, g)
-    (r00, r01), (r10, r11) = rho_s.entries.tolist()
+    col0 = a0, a1, _, _ = _meter_core((1.0, 0.0), f, x, a_split, m_split, g)
+    col1 = b0, b1, _, _ = _meter_core((0.0, 1.0), f, x, a_split, m_split, g)
+    r = tuple(rho_s.entries.ravel().tolist())
+    k00, k11 = _sandwich(r, a0, b0, a0, b0).real, _sandwich(r, a1, b1, a1, b1).real
+    k10 = _sandwich(r, a1, b1, a0, b0)
+    K = np.array([[k00, k10.conjugate()], [k10, k11]])
+    return k00 + k11, K, (r, f, x, a_split, m_split, g, col0, col1)
 
-    def form(u0, u1, w0, w1):  # u rho_s w^dag for rows u, w of V or dV
-        return (u0 * r00 + u1 * r10) * w0.conjugate() + (u0 * r01 + u1 * r11) * w1.conjugate()
+
+def _meter_slope(parts) -> tuple[np.ndarray, tuple[float, float, float]]:
+    """(dK, (det rho_s, E, dE)) from the ``parts`` of :func:`_meter_operator`.
+
+    dK = dV rho_s V^dag + V rho_s dV^dag. By Cauchy-Binet over A = sum_i a_i P_i
+    and M = sum_j m_j Q_j, |det V| = |E| with
+    E = 2 |det(P_0 sf, P_1 sf) det(Q_0 phi, Q_1 phi)| sin(g (a_0 - a_1)(m_0 - m_1) / 2),
+    or E = 0 for a degenerate A or M: smooth in g and exactly 0 where V has rank 1.
+    """
+    r, f, x, a_split, m_split, g, (a0, a1, da0, da1), (b0, b1, db0, db1) = parts
 
     def wedge(P, u):  # |det(P u, (I - P) u)| of a qubit projector P
         return abs((P[0] * u[0] + P[1] * u[1]) * u[1] - (P[2] * u[0] + P[3] * u[1]) * u[0])
 
-    k00, k11, k10 = form(a0, b0, a0, b0).real, form(a1, b1, a1, b1).real, form(a1, b1, a0, b0)
-    d00, d11 = 2.0 * form(da0, db0, a0, b0).real, 2.0 * form(da1, db1, a1, b1).real
-    d10 = form(da1, db1, a0, b0) + form(da0, db0, a1, b1).conjugate()
+    d00 = 2.0 * _sandwich(r, da0, db0, a0, b0).real
+    d11 = 2.0 * _sandwich(r, da1, db1, a1, b1).real
+    d10 = _sandwich(r, da1, db1, a0, b0) + _sandwich(r, da0, db0, a1, b1).conjugate()
     e = de = 0.0
     if len(a_split) == 2 and len(m_split) == 2:
         (a_0, P0), (a_1, _), (m_0, Q0), (m_1, _) = *a_split, *m_split
         scale, d = wedge(P0, f) * wedge(Q0, x), (a_0 - a_1) * (m_0 - m_1)
         e, de = 2.0 * scale * math.sin(0.5 * g * d), scale * d * math.cos(0.5 * g * d)
-    K = np.array([[k00, k10.conjugate()], [k10, k11]])
+    r00, _, r10, r11 = r
     dK = np.array([[d00, d10.conjugate()], [d10, d11]])
-    return k00 + k11, K, dK, (r00.real * r11.real - abs(r10) ** 2, e, de)
+    return dK, (r00.real * r11.real - abs(r10) ** 2, e, de)
 
 
 def bloch_of(psi: Ket, basis: ReferenceBasis) -> BlochVector:
@@ -571,19 +593,6 @@ def bloch_of(psi: Ket, basis: ReferenceBasis) -> BlochVector:
     c1 = basis.ket1.inner(psi)
     z = c0.conjugate() * c1
     return BlochVector(2.0 * z.real, 2.0 * z.imag, abs(c0) ** 2 - abs(c1) ** 2)
-
-
-def ket_from_bloch(r: BlochVector, basis: ReferenceBasis) -> Ket:
-    """Rebuild a pure qubit ket from a unit Bloch vector (inverse of bloch_of)."""
-    if abs(r.norm() - 1.0) > BLOCH_UNIT_TOL:
-        raise ContractViolationError("ket_from_bloch: Bloch vector must be unit norm")
-    polar = np.arccos(np.clip(r.r3, -1.0, 1.0))
-    azimuth = np.arctan2(r.r2, r.r1)
-    vec = (
-        np.cos(polar / 2.0) * basis.ket0.amplitudes
-        + np.exp(1j * azimuth) * np.sin(polar / 2.0) * basis.ket1.amplitudes
-    )
-    return Ket(vec)
 
 
 def overlap_sq(a: Ket, b: Ket) -> float:

@@ -1,7 +1,5 @@
 """Fisher information operations against closed-form and cross-method oracles."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -345,6 +343,8 @@ def _numpy_cfi(model, g, step=1e-5):
         if p0[k] < 1e-12:
             continue
         total += dp[k] ** 2 / p0[k]
+    if not np.isfinite(total):  # where numpy overflowed to inf, the library raises
+        raise ContractViolationError("cfi_discrete: information overflows the float range")
     return float(total)
 
 
@@ -425,6 +425,7 @@ class TestScalarOutcomeChecks:
             "accepted",
             "cfi_discrete: derivative and distribution sizes differ",
             "cfi_discrete: derivative must be finite",
+            "cfi_discrete: information overflows the float range",
         } <= messages
 
     def test_readout_models_same_bits(self):
@@ -437,12 +438,21 @@ class TestScalarOutcomeChecks:
                 assert _outcome(lambda: cfi_discrete(model, g)) == expected
                 assert model(g).tobytes() == _numpy_distribution(model.probabilities(g)).tobytes()
 
-    def test_overflowing_information_is_inf_without_a_warning(self):
+    @pytest.mark.parametrize(
+        "probabilities, slope",
+        [
+            ([0.5, 0.5], [1e200, -1e200]),  # dk ** 2 overflows
+            ([1e-12, 1.0 - 1e-12], [1e150, -1e150]),  # dk ** 2 / pk overflows
+            ([0.5, 0.5], [7e153, -7e153]),  # each term is finite, their sum is not
+        ],
+    )
+    def test_overflowing_information_raises(self, probabilities, slope):
         model = OutcomeModel(
-            lambda g: np.array([0.5, 0.5]),
-            derivative=lambda g: (np.array([0.5, 0.5]), np.array([1e200, -1e200])),
+            lambda g: np.array(probabilities),
+            derivative=lambda g: (np.array(probabilities), np.array(slope)),
         )
-        assert cfi_discrete(model, 0.0) == math.inf
+        with pytest.raises(ContractViolationError, match="overflows the float range"):
+            cfi_discrete(model, 0.0)
 
 
 class TestProperties:

@@ -495,6 +495,50 @@ def _bloch_density(rx, ry, rz):
     return DensityMatrix(0.5 * np.array([[1 + rz, rx - 1j * ry], [rx + 1j * ry, 1 - rz]]))
 
 
+def _eager_meter_operator(rho_s, psi_sf, phi_mi, A, M, g):
+    """The eager kernel that formed dK and the determinant term on every call, as a reference."""
+    f, x = psi_sf.amplitudes.tolist(), phi_mi.amplitudes.tolist()
+    a_split, m_split = A._split, M._split
+    a0, a1, da0, da1 = states_module._meter_core((1.0, 0.0), f, x, a_split, m_split, g)
+    b0, b1, db0, db1 = states_module._meter_core((0.0, 1.0), f, x, a_split, m_split, g)
+    (r00, r01), (r10, r11) = rho_s.entries.tolist()
+
+    def form(u0, u1, w0, w1):
+        return (u0 * r00 + u1 * r10) * w0.conjugate() + (u0 * r01 + u1 * r11) * w1.conjugate()
+
+    def wedge(P, u):
+        return abs((P[0] * u[0] + P[1] * u[1]) * u[1] - (P[2] * u[0] + P[3] * u[1]) * u[0])
+
+    k00, k11, k10 = form(a0, b0, a0, b0).real, form(a1, b1, a1, b1).real, form(a1, b1, a0, b0)
+    d00, d11 = 2.0 * form(da0, db0, a0, b0).real, 2.0 * form(da1, db1, a1, b1).real
+    d10 = form(da1, db1, a0, b0) + form(da0, db0, a1, b1).conjugate()
+    e = de = 0.0
+    if len(a_split) == 2 and len(m_split) == 2:
+        (a_0, P0), (a_1, _), (m_0, Q0), (m_1, _) = *a_split, *m_split
+        scale, d = wedge(P0, f) * wedge(Q0, x), (a_0 - a_1) * (m_0 - m_1)
+        e, de = 2.0 * scale * math.sin(0.5 * g * d), scale * d * math.cos(0.5 * g * d)
+    K = np.array([[k00, k10.conjugate()], [k10, k11]])
+    dK = np.array([[d00, d10.conjugate()], [d10, d11]])
+    return k00 + k11, K, dK, (r00.real * r11.real - abs(r10) ** 2, e, de)
+
+
+def _seeded_mixed_setups(seed, count):
+    """Random Bloch-ball inputs, complex sf, complex or degenerate A, g with both zeros."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        direction = rng.normal(size=3)
+        r = direction / np.linalg.norm(direction) * rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
+        h = rng.normal(size=4)
+        A = HermitianOperator(np.array([[h[0], h[1] - 1j * h[2]], [h[1] + 1j * h[2], h[3]]]))
+        if k % 10 == 0:
+            A = HermitianOperator(np.eye(2) * h[0])  # degenerate: E = 0
+        g = (0.0, -0.0, 1e-9, -1e-3)[k % 4] if k % 5 == 0 else rng.uniform(-0.7, 0.7)
+        yield WvaSetup(
+            _bloch_density(*r), Ket(rng.normal(size=2) + 1j * rng.normal(size=2)),
+            BALANCED_METER, A, SIGMA, g,
+        )
+
+
 def _mixed_sld_oracle(setup):
     return qfi_mixed(postselected_meter_family(setup), setup.g)
 
@@ -638,11 +682,77 @@ class TestMixedKernel:
         fm = fm_exact(setup)
         assert postselect_mixed(setup)[0] == p and fm_exact(setup) == fm
         assert calls == [(1.0, 0.0), (0.0, 1.0)]  # V's two columns, once
-        _, K, dK, _ = setup._operator
+        _, K, _ = setup._operator
+        dK, _ = setup._slope
         assert not K.flags.writeable and not dK.flags.writeable
         assert rho_m.entries == pytest.approx(K / p)
         fm_exact(setup.at(0.02))
         assert len(calls) == 4
+
+    def test_lazy_kernel_same_bits_as_the_eager_one(self):
+        for setup in _seeded_mixed_setups(11, 400):
+            args = (setup.psi_si, setup.psi_sf, setup.phi_mi, setup.A, setup.M, setup.g)
+            p_ref, K_ref, dK_ref, det_ref = _eager_meter_operator(*args)
+            p, K, parts = states_module._meter_operator(*args)
+            dK, det_parts = states_module._meter_slope(parts)
+            assert (p.hex(), K.tobytes()) == (p_ref.hex(), K_ref.tobytes())
+            assert dK.tobytes() == dK_ref.tobytes()
+            assert [x.hex() for x in det_parts] == [x.hex() for x in det_ref]  # signed zeros too
+            if p_ref >= postselect_module.P_FLOOR:
+                expected = postselect_module._bloch_qfi(p_ref, K_ref, dK_ref, det_ref)
+                assert fm_exact(setup).hex() == expected.hex()
+
+    def test_slope_formed_only_by_fm_exact(self, monkeypatch):
+        cores, slopes = [], []
+        original_core, original_slope = states_module._meter_core, postselect_module._meter_slope
+        monkeypatch.setattr(
+            states_module, "_meter_core", lambda *a: cores.append(1) or original_core(*a)
+        )
+        monkeypatch.setattr(
+            postselect_module, "_meter_slope", lambda *a: slopes.append(1) or original_slope(*a)
+        )
+        setup = WvaSetup(
+            _bloch_density(0.3, -0.2, 0.4), BASIS.superposition(-0.6), BALANCED_METER,
+            SIGMA, SIGMA, 0.0349,
+        )
+        p, rho_m = postselect_mixed(setup)
+        qfi = qfi_mixed(postselected_meter_family(setup), setup.g)
+        assert (len(cores), len(slopes)) == (2 + 4, 0)  # g - h and g + h run afresh; g is cached
+        fm = fm_exact(setup)
+        assert fm_exact(setup) == fm and postselect_mixed(setup) == (p, rho_m)
+        assert (len(cores), len(slopes)) == (6, 1)
+        assert fm == pytest.approx(qfi, rel=1e-6)
+
+    def test_own_coupling_probe_returns_the_cached_state(self, monkeypatch):
+        mixed = WvaSetup(
+            _bloch_density(0.3, -0.2, 0.4), BASIS.superposition(-0.6), BALANCED_METER,
+            SIGMA, SIGMA, 0.0349,
+        )
+        pure = real_superposition_setup(np.pi / 6, -np.pi / 5, 0.0349)
+        cached = postselect_mixed(mixed)[1], postselect_mixed(pure)[1]
+        calls = []
+        original = states_module._meter_core
+        monkeypatch.setattr(states_module, "_meter_core", lambda *a: calls.append(1) or original(*a))
+        assert postselected_meter_family(mixed)(0.0349) is cached[0]
+        assert postselected_meter_family(pure)(0.0349) is cached[1]
+        collapsed = collapsed_meter_family(pure)
+        assert collapsed(0.0349) is collapsed(0.0349)
+        assert collapsed(0.0349).amplitudes.tobytes() == postselect(pure).phi_mf.amplitudes.tobytes()
+        assert calls == []
+
+    @pytest.mark.parametrize("g, probe", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_other_signed_zero_runs_afresh(self, monkeypatch, g, probe):
+        setup = WvaSetup(
+            _bloch_density(0.3, -0.2, 0.4), Ket(np.array([1j, 1.0 + 0.25j])), BALANCED_METER,
+            SIGMA, SIGMA, g,
+        )
+        cached = postselect_mixed(setup)[1]
+        calls = []
+        original = states_module._meter_core
+        monkeypatch.setattr(states_module, "_meter_core", lambda *a: calls.append(1) or original(*a))
+        got = postselected_meter_family(setup)(probe)
+        assert got is not cached and len(calls) == 2
+        assert got.entries.tobytes() == postselect_mixed(setup.at(probe))[1].entries.tobytes()
 
     def test_matches_pure_kernel_on_a_projector(self):
         setup = real_superposition_setup(np.pi / 6, -np.pi / 5, 0.0349)
@@ -713,10 +823,12 @@ class TestMeterFamilies:
             with pytest.raises(ContractViolationError, match="coupling strength g must be finite"):
                 family(g)
 
-    def test_vanishing_and_mixed_probes_rejected(self):
+    @pytest.mark.parametrize("own", [0.1, 0.0])
+    def test_vanishing_and_mixed_probes_rejected(self, own):
         sigma_x = HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        # orthogonal pre/postselection: p = sin^2 g vanishes only at g = 0
-        vanishing = WvaSetup(BASIS.ket1, BASIS.ket0, BALANCED_METER, sigma_x, SIGMA, 0.1)
+        # orthogonal pre/postselection: p = sin^2 g vanishes only at g = 0; a probe at
+        # the setup's own coupling reads its cache and still runs the checks every time
+        vanishing = WvaSetup(BASIS.ket1, BASIS.ket0, BALANCED_METER, sigma_x, SIGMA, own)
         vanishing_mixed = dataclasses.replace(
             vanishing, psi_si=DensityMatrix.from_ket(BASIS.ket1)
         )
@@ -726,10 +838,12 @@ class TestMeterFamilies:
             (postselected_meter_family(vanishing_mixed), "postselect_mixed"),
         ):
             family(0.1)  # finite coupling still postselects
-            with pytest.raises(VanishingPostselectionError, match=f"^{where}: success"):
-                family(0.0)
-        with pytest.raises(UnsupportedInputError, match="use postselect_mixed"):
-            collapsed_meter_family(vanishing_mixed)(0.1)
+            for g in (0.0, 0.0, -0.0):
+                with pytest.raises(VanishingPostselectionError, match=f"^{where}: success"):
+                    family(g)
+        for _ in range(2):
+            with pytest.raises(UnsupportedInputError, match="use postselect_mixed"):
+                collapsed_meter_family(vanishing_mixed)(own)
 
     @pytest.mark.parametrize("mixed, cores", [(True, 2), (False, 1)])
     def test_probe_runs_the_kernel_and_builds_no_setup(self, monkeypatch, mixed, cores):

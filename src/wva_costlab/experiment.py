@@ -11,6 +11,12 @@ empirical information value and an empirical cost point.
 Randomness is fully reproducible: trial ``i`` of a campaign with master seed
 ``s`` draws from PCG64 seeded by ``SeedSequence((s, i))``, so reports are
 bit-identical for identical configurations regardless of execution order.
+Seed and index must each fit in 64 bits. The SeedSequence hash is computed
+here on numpy arrays, once per block of 256 consecutive indices, and numpy's
+PCG64 seeds itself from each trial's row; the stream is numpy's to the bit.
+Zero-padding the entropy to the hash pool is exact: ``(s, i)`` is at most 4
+32-bit words, and SeedSequence hashes 0 into every pool slot past its
+entropy. ``numpy.random`` is imported on the first trial, not on import.
 
 The readout law comes from one evaluation of the scalar postselection kernel
 per (theta, alpha, g), which also yields the exact derivative of the plus and
@@ -290,8 +296,100 @@ def conditional_outcome_model(theta: float, alpha: float) -> OutcomeModel:
     )
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx, after
+# M. E. O'Neill's seed_seq_fe), for a pool of 4 words.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_SEED_BLOCK = 256
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit little-endian words SeedSequence takes from 0 <= n < 2**64."""
+    return [n & _MASK32, n >> 32] if n >> 32 else [n]
+
+
+@lru_cache(maxsize=64)
+def _seed_block(master_seed: int, block: int) -> np.ndarray:
+    """PCG64 seed words of trials ``256 * block`` to ``256 * block + 255``.
+
+    Row j equals ``SeedSequence((master_seed, 256 * block + j))
+    .generate_state(4, np.uint64)``: numpy's hash run on uint32 columns, one
+    row per trial. A block never straddles 2**32, so every index in it has
+    the same number of words. The entropy is at most 4 words, and
+    ``mix_entropy`` hashes 0 into each pool slot past the entropy, so
+    zero-padding it to the pool size gives the same pool. Read-only.
+    """
+    first = block * _SEED_BLOCK
+    index = np.uint64(first) + np.arange(_SEED_BLOCK, dtype=np.uint64)
+    columns = [np.full(_SEED_BLOCK, word, dtype=np.uint32) for word in _words(master_seed)]
+    columns.append(index.astype(np.uint32))
+    if first >> 32:
+        columns.append((index >> 32).astype(np.uint32))
+    columns += [np.zeros(_SEED_BLOCK, dtype=np.uint32)] * (_POOL_SIZE - len(columns))
+
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(column) for column in columns]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+
+    state = np.empty((_SEED_BLOCK, 2 * _POOL_SIZE), dtype=np.uint32)
+    hash_const = _INIT_B
+    for k in range(2 * _POOL_SIZE):
+        value = pool[k % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state[:, k] = value ^ (value >> _XSHIFT)
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    words.flags.writeable = False
+    return words
+
+
+@lru_cache(maxsize=None)
+def _block_seed_type() -> type:
+    """An ISeedSequence that hands PCG64 one row of a seed block.
+
+    Built on first use, so importing this module does not import numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class BlockSeed(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return BlockSeed
+
+
 def _trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed, trial_index))))
+    """Trial ``i``'s generator: ``PCG64(SeedSequence((s, i)))``, bit for bit.
+
+    The SeedSequence hash runs once per block of 256 trial indices
+    (:func:`_seed_block`), and numpy's PCG64 seeds itself from the row of
+    this trial. Both arguments lie in [0, 2**64).
+    """
+    block, offset = divmod(int(trial_index), _SEED_BLOCK)
+    words = _seed_block(int(master_seed), block)[offset]
+    return np.random.Generator(np.random.PCG64(_block_seed_type()(words)))
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialCounts:
@@ -302,7 +400,8 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialCounts:
     conditional plus/minus law. The Bernoulli stream is consumed in
     preparation order, then in readout order.
     """
-    check_count(trial_index, "run_trial: trial_index", minimum=0)
+    if int(check_count(trial_index, "run_trial: trial_index", minimum=0)) >= 2**64:
+        raise ContractViolationError("run_trial: trial_index must fit in 64 bits")
     rng = _trial_rng(config.master_seed, trial_index)
     p_plus, p_minus = _readout_probabilities(config.theta, config.alpha, config.g_true)
     p = p_plus + p_minus

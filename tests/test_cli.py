@@ -1,7 +1,11 @@
 """Command-line interface: formats, exit codes, determinism, per-subcommand flags."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,3 +396,21 @@ class TestSubcommandFlags:
                                      "--out", out]) == 0
         assert main(["verify", "--suite", "overlap-identity", "--seed", "5",
                      "--compat-printed-bound", "--theta-grid", "3", "--out", out]) == 0
+
+
+def test_qfi_and_curve_leave_numpy_random_unimported(tmp_path):
+    # numpy.random costs every CLI process about 15 ms to import; only the
+    # trial sampler needs it, so it is imported on the first trial.
+    code = (
+        "import sys\n"
+        "from wva_costlab.cli import main\n"
+        f"assert main(['qfi', '--theta', {THETA!r}, '--alpha', {ALPHA!r}, '--g', '1e-3']) == 0\n"
+        f"assert main(['curve', '--theta', {THETA!r}, '--out', {str(tmp_path / 'c.csv')!r}]) == 0\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

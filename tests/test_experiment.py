@@ -40,7 +40,7 @@ from wva_costlab import (
     run_campaign,
     run_trial,
 )
-from wva_costlab.experiment import _degenerate, _readout_probabilities
+from wva_costlab.experiment import _degenerate, _readout_probabilities, _trial_rng
 
 THETA = np.pi / 6
 ALPHA = -np.pi / 6
@@ -203,6 +203,22 @@ class TestRunTrial:
             cfg = ExperimentConfig(np.pi / 6, -np.pi / 4, 0.0698, stopping, 3, 2024)
             assert [run_trial(cfg, i) for i in range(3)] == [TrialCounts(*r) for r in rows]
 
+    def test_pinned_stream_across_a_seed_block_edge(self):
+        # Counts of trials 254-258 under a two-word seed, recorded with numpy's
+        # own PCG64(SeedSequence((s, i))) constructor; they straddle index 256.
+        expected = {
+            FixedPostselected(700): [(9872, 700, 656, 44), (10156, 700, 644, 56),
+                                     (10188, 700, 662, 38), (10507, 700, 650, 50),
+                                     (9748, 700, 666, 34)],
+            FixedPrepared(2000): [(2000, 142, 133, 9), (2000, 136, 128, 8),
+                                  (2000, 151, 144, 7), (2000, 141, 135, 6),
+                                  (2000, 133, 126, 7)],
+        }
+        for stopping, rows in expected.items():
+            cfg = ExperimentConfig(np.pi / 6, -np.pi / 4, 0.0698, stopping, 3, 2**40 + 7)
+            got = [run_trial(cfg, i) for i in range(254, 259)]
+            assert got == [TrialCounts(*r) for r in rows]
+
     def test_counts_are_consistent(self):
         cfg = config(nu=300)
         for i in range(10):
@@ -256,6 +272,37 @@ class TestRunTrial:
         )
         with pytest.raises(NonTerminationError):
             run_trial(cfg, 0)
+
+
+def numpy_trial_state(seed, index):
+    return np.random.PCG64(np.random.SeedSequence((seed, index))).state
+
+
+class TestTrialStream:
+    """The block-seeded generator is numpy's PCG64(SeedSequence((s, i))), bit for bit."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1] + [
+        int(s) for s in np.random.default_rng(13).integers(0, 2**64, 50, dtype=np.uint64)
+    ]
+    INDICES = [0, 1, 255, 256, 257, 511, 512, 2**32 - 1, 2**32, 2**64 - 1]
+
+    def test_matches_numpy_on_word_and_block_edges(self):
+        for seed in self.SEEDS:
+            for index in self.INDICES:
+                state = _trial_rng(seed, index).bit_generator.state
+                assert state == numpy_trial_state(seed, index), (seed, index)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), index=st.integers(0, 2**64 - 1))
+    def test_matches_numpy_everywhere(self, seed, index):
+        assert _trial_rng(seed, index).bit_generator.state == numpy_trial_state(seed, index)
+
+    def test_drawing_leaves_the_cached_seed_words_unchanged(self):
+        first = _trial_rng(2**40 + 7, 300)
+        first.random(5000)
+        first.bit_generator.advance(12345)
+        again = _trial_rng(2**40 + 7, 300).bit_generator.state
+        assert again == numpy_trial_state(2**40 + 7, 300)
 
 
 class TestMleG:
@@ -499,6 +546,28 @@ class TestIntegerCounts:
             run_trial(config(), -1)
         with pytest.raises(ContractViolationError, match="trial_index must be an integer"):
             run_trial(config(), 1.5)
+
+    def test_trial_index_must_fit_in_64_bits(self):
+        cfg = ExperimentConfig(THETA, ALPHA, 0.0349, FixedPrepared(300), 1, 5)
+        assert run_trial(cfg, 2**64 - 1).n_prepared == 300
+        with pytest.raises(ContractViolationError, match="trial_index must fit in 64 bits"):
+            run_trial(cfg, 2**64)
+
+    def test_numpy_seed_and_index_give_the_python_counts(self):
+        for seed, numpy_seeds in ((9, (np.int64(9), np.uint64(9))),
+                                  (2**40 + 7, (np.int64(2**40 + 7), np.uint64(2**40 + 7))),
+                                  (2**64 - 1, (np.uint64(2**64 - 1),))):
+            as_python = ExperimentConfig(THETA, ALPHA, 0.0349, FixedPostselected(50), 1, seed)
+            for index in (0, 255, 256, 2**40):
+                expected = run_trial(as_python, index)
+                assert run_trial(as_python, np.int64(index)) == expected
+                assert run_trial(as_python, np.uint64(index)) == expected
+                for numpy_seed in numpy_seeds:
+                    as_numpy = ExperimentConfig(
+                        THETA, ALPHA, 0.0349, FixedPostselected(50), 1, numpy_seed
+                    )
+                    assert run_trial(as_numpy, index) == expected
+                    assert run_trial(as_numpy, np.uint64(index)) == expected
 
     def test_numpy_integers_accepted(self):
         as_numpy = ExperimentConfig(

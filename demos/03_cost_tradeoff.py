@@ -20,7 +20,7 @@ rates = w.CostRates(r_p=1.0, r_m=1.0, n_samples=1)
 print("== boundary curves for three preparations ==")
 for theta in (np.pi / 8, np.pi / 6, np.pi / 4):
     coherence = w.l1_coherence(basis.superposition(theta), basis)
-    curve = w.boundary_curve(theta, w.default_alpha_grid())
+    curve = w.boundary_curve(theta)
     head, tail = curve[0].cost, curve[-1].cost
     print(
         f"theta = {theta:.4f}  C_l1 = {coherence:.4f}: "
@@ -53,7 +53,7 @@ for alpha in (-0.8, 0.0, 0.9):
 
 print("\n== the published form of the bound cannot be saturated ==")
 theta = np.pi / 8
-printed = w.boundary_curve(theta, w.default_alpha_grid(), printed_form=True)
+printed = w.boundary_curve(theta, printed_form=True)
 print(
     f"theta = pi/8 with the unsquared right-hand side: the saturating branch"
     f" misses the bound by up to {max(s.slack for s in printed):.3f} rad"

@@ -34,7 +34,6 @@ from .costs import (
     boundary_curve,
     classify_region,
     cost_point,
-    default_alpha_grid,
     preparation_coherence,
     tradeoff_slack,
 )
@@ -122,7 +121,7 @@ _CURVE_KEYS = ("theta", "coherence_l1", "alpha", "cp_norm", "cm_norm", "slack")
 
 def _curve_rows(theta: float, printed_form: bool) -> list[dict]:
     coherence = preparation_coherence(theta)
-    samples = boundary_curve(theta, default_alpha_grid(), printed_form=printed_form)
+    samples = boundary_curve(theta, printed_form=printed_form)
     return [
         dict(zip(_CURVE_KEYS, (theta, coherence, s.alpha, s.cost.cp_norm, s.cost.cm_norm, s.slack)))
         for s in samples

@@ -9,6 +9,7 @@ to the l1-norm coherence of the initial system state; its right-hand side is
 Each ingredient has one definition: :func:`leading_costs` (the leading-order
 cp, cm), :meth:`CostPoint.scaled` (raw costs from normalized ones) and
 :func:`preparation_coherence` (the l1 coherence of the preparation).
+:func:`boundary_curve` sweeps :func:`default_alpha_grid`.
 
 A published variant of the bound omits the square on the coherence. That
 variant is strictly looser and cannot be saturated by physical points; it is
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .states import (
     bloch_angle,
     check_count,
     check_theta,
+    selection_cosines,
 )
 
 CP_BUCKET_WIDTH = 1e-3
@@ -126,8 +128,10 @@ def cost_point(F: float, fm: float, Fm: float, rates: CostRates) -> CostPoint:
 
     C_p = (F / f_m) R_p N and C_m = (F / F_m) R_m N, where F is the
     conventional per-sample QFI, f_m the success-weighted postselected QFI and
-    F_m the collapsed-state QFI.
+    F_m the collapsed-state QFI. All three must be finite.
     """
+    if not (math.isfinite(F) and math.isfinite(fm) and math.isfinite(Fm)):
+        raise ContractViolationError("cost_point: F, fm and Fm must be finite")
     if F <= 0 or Fm <= 0:
         raise ContractViolationError("cost_point: F and Fm must be positive")
     if fm <= 0:
@@ -205,39 +209,31 @@ def leading_costs(theta: float, alpha: float) -> Optional[tuple[float, float]]:
 
     cp = 1 / cos^2(alpha + theta) and cm = cos^2(alpha - theta) / cos^2(alpha + theta).
     None where |cos(alpha + theta)| < ALPHA_SINGULARITY_TOL, as cp diverges there.
-    Non-finite angles raise ContractViolationError.
+    The angles pass :func:`~wva_costlab.states.selection_cosines`.
     """
-    if not (math.isfinite(theta) and math.isfinite(alpha)):
-        raise ContractViolationError("leading_costs: angles must be finite")
-    c_plus = np.cos(alpha + theta)
+    c_plus, c_minus = selection_cosines(theta, alpha, "leading_costs")
     if abs(c_plus) < ALPHA_SINGULARITY_TOL:
         return None
-    c_minus = np.cos(alpha - theta)
     return 1.0 / c_plus**2, c_minus**2 / c_plus**2
 
 
-def boundary_curve(
-    theta: float, alpha_grid: Sequence[float], *, printed_form: bool = False
-) -> list[TradeoffSample]:
-    """Lower envelope of leading-order cost points over a postselection sweep.
+def boundary_curve(theta: float, *, printed_form: bool = False) -> list[TradeoffSample]:
+    """Lower envelope of leading-order cost points over the postselection sweep.
 
-    Every grid angle contributes its :func:`leading_costs`; the envelope keeps
-    the minimal cm per cp bucket and prunes dominated points so cm is
-    non-increasing in cp. The minimum-cost sample is always retained as the
-    left endpoint, so the curve starts at (1, cos^2(2 theta)) and descends to
-    the cm = 0 endpoint. Only the returned samples get a cost point and slack;
-    their raw costs are at UNIT_RATES. ``printed_form`` is keyword-only, so a
-    stray third positional argument cannot select the printed form.
+    Each angle of :func:`default_alpha_grid` contributes its
+    :func:`leading_costs`; the envelope keeps the minimal cm per cp bucket and
+    prunes dominated points so cm is non-increasing in cp. The minimum-cost
+    sample is always retained as the left endpoint, so the curve starts at
+    (1, cos^2(2 theta)) and descends to the cm = 0 endpoint. Only the returned
+    samples get a cost point and slack; their raw costs are at UNIT_RATES.
+    ``printed_form`` is keyword-only, so a stray second positional argument
+    cannot select the printed form.
     """
     check_theta(theta, "boundary_curve: theta")
-    alphas = np.asarray(alpha_grid, dtype=float).reshape(-1)
-    if alphas.size == 0 or not np.all(np.isfinite(alphas)):
-        raise ContractViolationError("boundary_curve: alpha grid must be non-empty and finite")
-
     # (alpha, cp, cm) per cp bucket, and the cheapest one overall
     buckets: dict[int, tuple] = {}
     cheapest = None
-    for alpha in alphas:
+    for alpha in default_alpha_grid():
         costs = leading_costs(theta, alpha)
         if costs is None:
             continue

@@ -23,6 +23,12 @@ per (theta, alpha, g), which also yields the exact derivative of the plus and
 minus probabilities in g. The outcome models hand that derivative to
 :func:`~wva_costlab.fisher.cfi_discrete`, so the readout information is exact
 and needs no finite-difference step.
+
+:class:`ExperimentConfig`, the outcome models and :func:`mle_g` take their
+angles through :func:`~wva_costlab.states.selection_cosines` and share one
+degeneracy test, |cos(alpha +- theta)| <= 1e-12; each decides whether one or
+both vanishing is fatal. The estimator inverts the readout on [0, G_MAX], where
+it is strictly increasing in g.
 """
 
 from __future__ import annotations
@@ -49,10 +55,12 @@ from .states import (
     STANDARD_SIGMA,
     _meter_core,
     check_count,
-    check_theta,
+    check_seed,
+    selection_cosines,
 )
 
 PREPARATION_BUDGET = 10**9
+G_MAX = np.pi / 4.0
 _DEGENERACY_TOL = 1e-12
 _PROB_FLOOR = 1e-30
 _MAX_CHUNK = 1 << 20
@@ -93,9 +101,9 @@ Stopping = Union[FixedPostselected, FixedPrepared]
 class ExperimentConfig:
     """Full configuration of a simulated estimation campaign.
 
-    Angles must be finite, the preparation angle must lie in (0, pi/4] and
-    the true coupling must lie in [0, g_max], the interval on which the
-    maximum-likelihood estimator inverts the readout.
+    The angles must pass :func:`~wva_costlab.states.selection_cosines` and
+    the true coupling must lie in [0, g_max] with g_max = :data:`G_MAX`, the
+    interval on which the maximum-likelihood estimator inverts the readout.
     """
 
     theta: float
@@ -104,26 +112,17 @@ class ExperimentConfig:
     stopping: Stopping
     n_reps: int
     master_seed: int
-    g_max: float = np.pi / 4.0
 
     def __post_init__(self):
-        _require_finite(
-            "ExperimentConfig", theta=self.theta, alpha=self.alpha, g_true=self.g_true
-        )
-        check_theta(self.theta, "ExperimentConfig: theta")
+        cosines = selection_cosines(self.theta, self.alpha, "ExperimentConfig")
+        _require_finite("ExperimentConfig", g_true=self.g_true)
         check_count(self.n_reps, "ExperimentConfig: n_reps")
-        if check_count(self.master_seed, "ExperimentConfig: master_seed", minimum=0) >= 2**64:
-            raise ContractViolationError("ExperimentConfig: master_seed must fit in 64 bits")
-        if not (0.0 < self.g_max <= np.pi / 2.0 - 1e-6):
-            raise ContractViolationError("ExperimentConfig: g_max out of range")
-        # The estimator's readout curve is monotone on [0, g_max] only.
-        if not (0.0 <= self.g_true <= self.g_max):
+        check_seed(self.master_seed, "ExperimentConfig: master_seed")
+        if not (0.0 <= self.g_true <= G_MAX):
             raise ContractViolationError("ExperimentConfig: g_true must lie in [0, g_max]")
         # The estimator inverts the conditional readout probability, which is
         # strictly increasing on [0, g_max] only away from these degeneracies.
-        plus_dead, minus_dead = _degenerate(
-            np.cos(self.alpha + self.theta), np.cos(self.alpha - self.theta)
-        )
+        plus_dead, minus_dead = _degenerate(*cosines)
         if plus_dead:
             raise ContractViolationError(
                 "ExperimentConfig: cos(alpha + theta) = 0 leaves no readout signal"
@@ -161,7 +160,7 @@ class CampaignReport:
     repetition). ``degenerate`` is set, and the empirical information, cost
     point and slack are None, when the variance of two or more estimates is
     zero (e.g. estimating g = 0) or every estimate is clipped to the
-    boundary 0 or g_max, where the spread measures the clipping rather than
+    boundary 0 or G_MAX, where the spread measures the clipping rather than
     the readout. Cost points use the conventional QFI 4 * Omega as reference.
     """
 
@@ -180,27 +179,8 @@ class CampaignReport:
     seed_echo: int
 
 
-def _selection_cosines(theta: float, alpha: float, where: str) -> tuple[float, float]:
-    """cos(alpha + theta) and cos(alpha - theta) of finite angles.
-
-    Expanded in cos and sin of each angle, so no sum of two angles can
-    overflow to infinity.
-    """
-    _require_finite(where, theta=theta, alpha=alpha)
-    cc = math.cos(alpha) * math.cos(theta)
-    ss = math.sin(alpha) * math.sin(theta)
-    return cc - ss, cc + ss
-
-
-def _degenerate(c_plus: float, c_minus: float, strict: bool = False) -> tuple[bool, bool]:
-    """Whether cos(alpha + theta) and cos(alpha - theta) count as zero.
-
-    The one pre/postselection degeneracy test: |c| <= 1e-12, or |c| < 1e-12
-    when ``strict``. Callers choose how to compute the cosines and whether one
-    or both vanishing is fatal.
-    """
-    if strict:
-        return abs(c_plus) < _DEGENERACY_TOL, abs(c_minus) < _DEGENERACY_TOL
+def _degenerate(c_plus: float, c_minus: float) -> tuple[bool, bool]:
+    """Whether each of cos(alpha + theta), cos(alpha - theta) counts as zero: |c| <= 1e-12."""
     return abs(c_plus) <= _DEGENERACY_TOL, abs(c_minus) <= _DEGENERACY_TOL
 
 
@@ -252,7 +232,7 @@ def outcome_model(theta: float, alpha: float) -> OutcomeModel:
     Probabilities and their exact g-derivatives come from the kernel
     (:func:`_readout`); closed trig forms exist only as test oracles.
     """
-    if all(_degenerate(*_selection_cosines(theta, alpha, "outcome_model"), strict=True)):
+    if all(_degenerate(*selection_cosines(theta, alpha, "outcome_model"))):
         raise ContractViolationError("outcome_model: postselection never succeeds")
 
     def derivative(g: float) -> tuple[np.ndarray, np.ndarray]:
@@ -274,8 +254,8 @@ def conditional_outcome_model(theta: float, alpha: float) -> OutcomeModel:
     With q = p_minus / (p_plus + p_minus), the exact slope is
     dq/dg = (p_plus dp_minus - p_minus dp_plus) / (p_plus + p_minus)^2.
     """
-    cosines = _selection_cosines(theta, alpha, "conditional_outcome_model")
-    if any(_degenerate(*cosines, strict=True)):
+    cosines = selection_cosines(theta, alpha, "conditional_outcome_model")
+    if any(_degenerate(*cosines)):
         raise ContractViolationError(
             "conditional_outcome_model: degenerate pre/postselection pair"
         )
@@ -400,8 +380,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialCounts:
     conditional plus/minus law. The Bernoulli stream is consumed in
     preparation order, then in readout order.
     """
-    if int(check_count(trial_index, "run_trial: trial_index", minimum=0)) >= 2**64:
-        raise ContractViolationError("run_trial: trial_index must fit in 64 bits")
+    check_seed(trial_index, "run_trial: trial_index")
     rng = _trial_rng(config.master_seed, trial_index)
     p_plus, p_minus = _readout_probabilities(config.theta, config.alpha, config.g_true)
     p = p_plus + p_minus
@@ -445,20 +424,22 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialCounts:
     )
 
 
-def mle_g(counts: TrialCounts, theta: float, alpha: float, g_max: float = np.pi / 4.0) -> float:
+def mle_g(counts: TrialCounts, theta: float, alpha: float, g_max: float = G_MAX) -> float:
     """Maximum-likelihood estimate of the coupling from one trial's counts.
 
     The conditional minus-fraction is a strictly increasing function of the
     coupling on [0, g_max], so the binomial MLE is its closed-form inverse at
     the observed fraction, clipped to the boundary: an empty minus count maps
-    to 0 and a fraction at or above the g_max value maps to g_max.
+    to 0 and a fraction at or above the g_max value maps to g_max. Neither
+    cosine may vanish, and g_max must lie in (0, pi/2 - 1e-6].
     """
-    if counts.n_postselected < 1:
-        raise EstimationUndefinedError("mle_g: no postselected samples")
-    c_plus = np.cos(alpha + theta)
-    c_minus = np.cos(alpha - theta)
+    c_plus, c_minus = selection_cosines(theta, alpha, "mle_g")
     if any(_degenerate(c_plus, c_minus)):
         raise ContractViolationError("mle_g: degenerate configuration")
+    if not (0.0 < g_max <= np.pi / 2.0 - 1e-6):
+        raise ContractViolationError("mle_g: g_max out of range")
+    if counts.n_postselected < 1:
+        raise EstimationUndefinedError("mle_g: no postselected samples")
     q_hat = counts.n_minus / counts.n_postselected
     if q_hat == 0.0:
         return 0.0
@@ -479,7 +460,7 @@ def run_campaign(config: ExperimentConfig) -> CampaignReport:
     per_trial: list[tuple[TrialCounts, float]] = []
     for index in range(config.n_reps):
         counts = run_trial(config, index)
-        per_trial.append((counts, mle_g(counts, config.theta, config.alpha, config.g_max)))
+        per_trial.append((counts, mle_g(counts, config.theta, config.alpha)))
 
     estimates = np.array([g for _, g in per_trial])
     g_mean = float(estimates.mean())
@@ -490,7 +471,7 @@ def run_campaign(config: ExperimentConfig) -> CampaignReport:
     else:
         nu_eff = float(np.mean([c.n_postselected for c, _ in per_trial]))
 
-    all_clipped = all(g in (0.0, config.g_max) for _, g in per_trial)
+    all_clipped = all(g in (0.0, G_MAX) for _, g in per_trial)
     degenerate = g_var is not None and (g_var == 0.0 or all_clipped)
     fm_emp = None
     if g_var is not None and not degenerate and nu_eff > 0.0:

@@ -27,9 +27,10 @@ building kets, and ``_meter_operator`` runs it on the basis kets for a
 density-matrix input. That returns K = V rho_s V^dag with the parts it was
 formed from; ``_meter_slope`` forms dK and the determinant term from those
 parts, so a caller that reads only K pays for neither.
-:func:`check_theta` holds the preparation-angle domain (0, pi/4] that the
-scenario constructors and the CLI share, and :func:`check_count` the integer
-counts of campaigns, cost rates and grids.
+Each scenario input domain is decided in one function: :func:`check_theta`
+(theta in (0, pi/4]), :func:`selection_cosines` (finite angles and their
+cos(alpha +- theta)), :func:`check_count` (integer counts) and
+:func:`check_seed` (64-bit seeds and trial indices).
 """
 
 from __future__ import annotations
@@ -363,6 +364,19 @@ def check_theta(theta: float, where: str) -> float:
     return theta
 
 
+def selection_cosines(theta: float, alpha: float, where: str) -> tuple[float, float]:
+    """Return cos(alpha + theta), cos(alpha - theta) of finite angles; else raise.
+
+    theta must also pass :func:`check_theta`, so alpha +- theta cannot overflow
+    and no trig call warns.
+    """
+    for name, angle in (("theta", theta), ("alpha", alpha)):
+        if not math.isfinite(angle):
+            raise ContractViolationError(f"{where}: {name} must be finite")
+    check_theta(theta, f"{where}: theta")
+    return np.cos(alpha + theta), np.cos(alpha - theta)
+
+
 def check_count(count, where: str, minimum: int = 1):
     """Return a Python or numpy integer, not a bool, of at least ``minimum``; else raise."""
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
@@ -370,6 +384,13 @@ def check_count(count, where: str, minimum: int = 1):
     if count < minimum:
         raise ContractViolationError(f"{where} must be >= {minimum}")
     return count
+
+
+def check_seed(value, where: str):
+    """Return a Python or numpy integer in [0, 2**64), the range of a 64-bit seed; else raise."""
+    if int(check_count(value, where, minimum=0)) >= 2**64:
+        raise ContractViolationError(f"{where} must fit in 64 bits")
+    return value
 
 
 KetOrOperator = Union[Ket, HermitianOperator]

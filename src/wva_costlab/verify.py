@@ -44,6 +44,7 @@ from .states import (
     bloch_angle,
     bloch_of,
     check_count,
+    check_seed,
     overlap_sq,
 )
 
@@ -226,7 +227,8 @@ def run_suites(
     printed_form: bool = False,
     seed: int = DEFAULT_SEED,
 ) -> list[SuiteResult]:
-    """Run the selected suites (all of them by default) and return their results."""
+    """Run the selected suites (all by default) with a 64-bit ``seed``; return their results."""
+    check_seed(seed, "run_suites: seed")
     selected = tuple(names) if names else SUITE_NAMES
     for name in selected:
         if name not in _SUITES:

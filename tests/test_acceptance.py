@@ -195,8 +195,8 @@ def test_c06_tradeoff_bound_soundness_and_endpoints():
     assert suite.detail["points"] == 5040
     assert suite.detail["sound"] and suite.detail["saturated"]
 
-    curve_pi6 = w.boundary_curve(np.pi / 6, w.default_alpha_grid())
-    curve_pi4 = w.boundary_curve(np.pi / 4, w.default_alpha_grid())
+    curve_pi6 = w.boundary_curve(np.pi / 6)
+    curve_pi4 = w.boundary_curve(np.pi / 4)
     endpoint_pi6 = (curve_pi6[0].cost.cp_norm, curve_pi6[0].cost.cm_norm)
     endpoint_pi4 = (curve_pi4[0].cost.cp_norm, curve_pi4[0].cost.cm_norm)
     elapsed = time.perf_counter() - start
@@ -225,7 +225,7 @@ def test_c06_tradeoff_bound_soundness_and_endpoints():
 def test_c07_published_bound_counterexample():
     """Compatibility mode shows the published bound form cannot be saturated."""
     theta = np.pi / 8
-    printed = w.boundary_curve(theta, w.default_alpha_grid(), printed_form=True)
+    printed = w.boundary_curve(theta, printed_form=True)
     worst_gap = max(s.slack for s in printed)
     suite = w.run_suites(names=["tradeoff-bound"], printed_form=True)[0]
     ok = worst_gap > 0.1 and not suite.passed

@@ -255,6 +255,16 @@ class TestVerify:
             main(["verify", "--suite", "bogus"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("seed, reason", [("-1", "must be >= 0"),
+                                              (str(2**64), "must fit in 64 bits")])
+    def test_seed_outside_64_bits_exits_1_with_one_line(self, seed, reason, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        assert main(["verify", "--seed", seed, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"wva-costlab: error: run_suites: seed {reason}\n"
+        assert not out.exists()
+
     def test_empty_theta_grid_exits_1_with_one_line(self, capsys):
         assert main(["verify", "--suite", "tradeoff-bound", "--theta-grid", "0"]) == 1
         assert capsys.readouterr().err == "wva-costlab: error: theta_grid: count must be >= 1\n"

@@ -148,6 +148,15 @@ class TestCostPoint:
         with pytest.raises(InfinitePreparationCostError):
             cost_point(4.0, 0.0, 16.0, UNIT_RATES)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", range(3))
+    def test_non_finite_information_rejected(self, field, bad):
+        # an infinite Fm would give cm_norm = 0, which classifies as 'advantage'
+        values = [4.0, 1.0, 4.0]
+        values[field] = bad
+        with pytest.raises(ContractViolationError, match="cost_point: F, fm and Fm must be finite"):
+            cost_point(*values, UNIT_RATES)
+
     def test_success_ratio_capped(self):
         with pytest.raises(ContractViolationError):
             CostPoint(1.0, 1.5, 1.0, 1.5, 1.0)
@@ -288,45 +297,43 @@ class TestBoundaryCurve:
     def test_pinned_envelope(self, case):
         # rows (alpha, cp_norm, cm_norm, slack) recorded from the per-angle
         # implementation that built a cost point and a slack at every angle
-        samples = boundary_curve(
-            case["theta"], default_alpha_grid(), printed_form=case["printed_form"]
-        )
+        samples = boundary_curve(case["theta"], printed_form=case["printed_form"])
         assert [s.alpha for s in samples] == [row[0] for row in case["rows"]]
         got = [x for s in samples for x in (s.cost.cp_norm, s.cost.cm_norm, s.slack)]
         want = [x for row in case["rows"] for x in row[1:]]
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_maximal_coherence_reaches_origin_corner(self):
-        samples = boundary_curve(np.pi / 4, default_alpha_grid())
+        samples = boundary_curve(np.pi / 4)
         first = samples[0]
         assert first.cost.cp_norm == pytest.approx(1.0, abs=1e-9)
         assert first.cost.cm_norm == pytest.approx(0.0, abs=1e-9)
 
     def test_partial_coherence_floor(self):
-        samples = boundary_curve(np.pi / 6, default_alpha_grid())
+        samples = boundary_curve(np.pi / 6)
         first = samples[0]
         assert first.cost.cp_norm == pytest.approx(1.0, abs=1e-9)
         assert first.cost.cm_norm == pytest.approx(0.25, abs=1e-9)
 
     def test_vanishing_coherence_gives_no_advantage(self):
-        samples = boundary_curve(1e-10, default_alpha_grid())
+        samples = boundary_curve(1e-10)
         assert all(s.cost.cm_norm >= 1.0 - 1e-6 for s in samples)
 
     def test_monotone_envelope(self):
         for theta in (np.pi / 8, np.pi / 5):
-            samples = boundary_curve(theta, default_alpha_grid())
+            samples = boundary_curve(theta)
             cps = [s.cost.cp_norm for s in samples]
             cms = [s.cost.cm_norm for s in samples]
             assert cps == sorted(cps)
             assert all(cms[i] >= cms[i + 1] for i in range(len(cms) - 1))
 
     def test_envelope_saturates_bound(self):
-        samples = boundary_curve(np.pi / 6, default_alpha_grid())
+        samples = boundary_curve(np.pi / 6)
         assert max(abs(s.slack) for s in samples) <= 1e-6
 
     def test_reaches_vanishing_measurement_cost(self):
         theta = np.pi / 5
-        samples = boundary_curve(theta, default_alpha_grid())
+        samples = boundary_curve(theta)
         last = samples[-1]
         assert last.cost.cm_norm <= 1e-9
         assert last.cost.cp_norm == pytest.approx(1.0 / np.sin(2 * theta) ** 2, rel=1e-9)
@@ -334,31 +341,22 @@ class TestBoundaryCurve:
     def test_min_measurement_cost_falls_with_coherence(self):
         floors = []
         for theta in THETA_GRID:
-            samples = boundary_curve(theta, default_alpha_grid())
+            samples = boundary_curve(theta)
             floors.append(samples[0].cost.cm_norm)
         assert all(floors[i] > floors[i + 1] for i in range(len(floors) - 1))
         for theta, floor in zip(THETA_GRID, floors):
             coherence = l1_coherence(BASIS.superposition(theta), BASIS)
             assert floor == pytest.approx(1.0 - coherence**2, abs=1e-9)
 
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ContractViolationError):
-            boundary_curve(np.pi / 6, [])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_grid_rejected(self, bad):
-        with pytest.raises(ContractViolationError):
-            boundary_curve(np.pi / 6, [0.1, bad])
-
     def test_theta_domain(self):
         with pytest.raises(ContractViolationError):
-            boundary_curve(0.0, default_alpha_grid())
+            boundary_curve(0.0)
         with pytest.raises(ContractViolationError):
-            boundary_curve(1.0, default_alpha_grid())
+            boundary_curve(1.0)
 
     def test_printed_form_is_keyword_only(self):
         with pytest.raises(TypeError):
-            boundary_curve(np.pi / 6, default_alpha_grid(), UNIT_RATES)
+            boundary_curve(np.pi / 6, True)
 
 
 class TestExactVersusLeadingOrder:
@@ -386,9 +384,9 @@ class TestPublishedVariantCounterexample:
         # the published right-hand side cannot be met with equality: at
         # theta = pi/8 the saturating branch misses it by more than 0.1 rad
         theta = np.pi / 8
-        samples = boundary_curve(theta, default_alpha_grid(), printed_form=True)
+        samples = boundary_curve(theta, printed_form=True)
         assert max(s.slack for s in samples) > 0.1
-        corrected = boundary_curve(theta, default_alpha_grid())
+        corrected = boundary_curve(theta)
         assert max(abs(s.slack) for s in corrected) <= 1e-6
 
 

@@ -32,6 +32,7 @@ from wva_costlab import (
     conditional_outcome_model,
     fm_exact,
     hwp_settings,
+    leading_costs,
     mle_g,
     outcome_model,
     postselect,
@@ -40,7 +41,7 @@ from wva_costlab import (
     run_campaign,
     run_trial,
 )
-from wva_costlab.experiment import _degenerate, _readout_probabilities, _trial_rng
+from wva_costlab.experiment import G_MAX, _degenerate, _readout_probabilities, _trial_rng
 
 THETA = np.pi / 6
 ALPHA = -np.pi / 6
@@ -176,9 +177,12 @@ class TestExactReadoutInformation:
 
     def test_huge_finite_angles_raise_no_warning(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # alpha + theta would overflow to inf
-            model = conditional_outcome_model(1.7e308, 1.7e308)
+            warnings.simplefilter("error")
+            # a huge alpha stays finite: theta <= pi/4 cannot push alpha + theta to inf
+            model = conditional_outcome_model(THETA, 1.7e308)
             assert math.isfinite(cfi_discrete(model, 0.03))
+            with pytest.raises(ContractViolationError, match=r"theta must lie in \(0, pi/4\]"):
+                conditional_outcome_model(1.7e308, 1.7e308)
 
 
 class TestRunTrial:
@@ -373,12 +377,12 @@ class TestRunCampaign:
         assert report.cost_empirical is None
 
     def test_all_clipped_campaign_is_degenerate(self):
-        # nu = 1: every estimate is 0 (a plus photon) or g_max (a minus photon),
+        # nu = 1: every estimate is 0 (a plus photon) or G_MAX (a minus photon),
         # so the spread of the estimates measures the clipping, not the readout.
         cfg = ExperimentConfig(0.5236, -0.5236, 0.05, FixedPostselected(1), 50, 3)
         report = run_campaign(cfg)
         estimates = {g for _, g in report.per_trial}
-        assert estimates == {0.0, cfg.g_max}
+        assert estimates == {0.0, G_MAX}
         assert report.g_est_var > 0.0
         assert report.degenerate
         assert report.fm_empirical is None
@@ -511,9 +515,16 @@ class TestConfigValidation:
             config(g=g)
 
     def test_coupling_range_follows_g_max(self):
-        ExperimentConfig(THETA, ALPHA, 0.5, FixedPostselected(10), 1, 1, g_max=0.6)
+        # a campaign's range is the constant G_MAX; mle_g's ceiling follows its own g_max
+        ExperimentConfig(THETA, ALPHA, G_MAX, FixedPostselected(10), 1, 1)
         with pytest.raises(ContractViolationError, match="g_max"):
-            ExperimentConfig(THETA, ALPHA, 0.5, FixedPostselected(10), 1, 1, g_max=0.4)
+            ExperimentConfig(THETA, ALPHA, np.nextafter(G_MAX, 1.0), FixedPostselected(10), 1, 1)
+        all_minus = TrialCounts(1000, 700, 0, 700)
+        assert mle_g(all_minus, THETA, ALPHA, g_max=0.6) == 0.6
+        assert mle_g(all_minus, THETA, ALPHA, g_max=np.pi / 2 - 1e-6) == np.pi / 2 - 1e-6
+        for g_max in (-1.0, 0.0, np.pi / 2, 10.0, math.nan, math.inf):
+            with pytest.raises(ContractViolationError, match="mle_g: g_max out of range"):
+                mle_g(all_minus, THETA, ALPHA, g_max=g_max)
 
     def test_counts_and_seed_ranges(self):
         with pytest.raises(ContractViolationError):
@@ -522,8 +533,10 @@ class TestConfigValidation:
             FixedPrepared(0)
         with pytest.raises(ContractViolationError):
             config(seed=-1)
-        with pytest.raises(ContractViolationError):
-            ExperimentConfig(THETA, ALPHA, 0.03, FixedPostselected(10), 1, 1, g_max=2.0)
+        with pytest.raises(ContractViolationError, match="master_seed must fit in 64 bits"):
+            config(seed=2**64)
+        with pytest.raises(ContractViolationError, match="g_max out of range"):
+            mle_g(TrialCounts(20, 10, 9, 1), THETA, ALPHA, g_max=2.0)
 
 
 class TestIntegerCounts:
@@ -620,17 +633,17 @@ class TestDegeneracyRules:
     PLUS_ZERO = np.pi / 2 - np.pi / 6  # cos(alpha + theta) vanishes
     MINUS_ZERO = np.pi / 2 + np.pi / 6  # cos(alpha - theta) vanishes
 
-    def test_boundary_is_inclusive_unless_strict(self):
+    def test_boundary_is_inclusive(self):
         assert _degenerate(1e-12, -1e-12) == (True, True)
-        assert _degenerate(1e-12, -1e-12, strict=True) == (False, False)
-        assert _degenerate(2e-12, 0.0, strict=True) == (False, True)
+        assert _degenerate(np.nextafter(1e-12, 1.0), 0.0) == (False, True)
+        assert _degenerate(0.5, -np.nextafter(1e-12, 1.0)) == (False, False)
         assert _degenerate(math.nan, 0.5) == (False, False)
 
     def test_outcome_model_needs_both_to_vanish(self):
         for alpha in (self.PLUS_ZERO, self.MINUS_ZERO):
             outcome_model(self.THETA, alpha)
         with pytest.raises(ContractViolationError, match="never succeeds"):
-            outcome_model(np.pi / 2, 0.0)
+            outcome_model(1e-13, np.pi / 2)  # both cosines are about 1e-13
 
     def test_conditional_model_and_mle_reject_either(self):
         counts = TrialCounts(n_prepared=20, n_postselected=10, n_plus=9, n_minus=1)
@@ -645,3 +658,162 @@ class TestDegeneracyRules:
             config(theta=self.THETA, alpha=self.PLUS_ZERO)
         with pytest.raises(ContractViolationError, match="starves postselection"):
             config(theta=self.THETA, alpha=self.MINUS_ZERO)
+
+
+# The domain and cosine code that mle_g, leading_costs and the outcome models
+# each carried before states.selection_cosines decided it once: the reference
+# that every in-domain answer is compared against.
+def reference_selection_cosines(theta, alpha):
+    cc = math.cos(alpha) * math.cos(theta)
+    ss = math.sin(alpha) * math.sin(theta)
+    return cc - ss, cc + ss
+
+
+def reference_degenerate(c_plus, c_minus, strict=False):
+    if strict:
+        return abs(c_plus) < 1e-12, abs(c_minus) < 1e-12
+    return abs(c_plus) <= 1e-12, abs(c_minus) <= 1e-12
+
+
+def reference_mle_g(counts, theta, alpha, g_max=np.pi / 4.0):
+    if counts.n_postselected < 1:
+        raise EstimationUndefinedError("mle_g: no postselected samples")
+    c_plus = np.cos(alpha + theta)
+    c_minus = np.cos(alpha - theta)
+    if any(reference_degenerate(c_plus, c_minus)):
+        raise ContractViolationError("mle_g: degenerate configuration")
+    q_hat = counts.n_minus / counts.n_postselected
+    if q_hat == 0.0:
+        return 0.0
+    p_plus_max, p_minus_max = _readout_probabilities(theta, alpha, g_max)
+    q_max = p_minus_max / (p_plus_max + p_minus_max)
+    if q_hat >= q_max:
+        return float(g_max)
+    tan_sq = q_hat / (1.0 - q_hat) * (c_minus**2 / c_plus**2)
+    return float(np.arctan(np.sqrt(tan_sq)))
+
+
+def reference_leading_costs(theta, alpha):
+    c_plus = np.cos(alpha + theta)
+    if abs(c_plus) < 1e-6:
+        return None
+    c_minus = np.cos(alpha - theta)
+    return 1.0 / c_plus**2, c_minus**2 / c_plus**2
+
+
+def reference_outcome_rejects(theta, alpha, conditional):
+    rule = any if conditional else all
+    return rule(reference_degenerate(*reference_selection_cosines(theta, alpha), strict=True))
+
+
+def outcome_error(build, theta, alpha):
+    """The type of error ``build(theta, alpha)`` raises, or None when it returns a model."""
+    try:
+        build(theta, alpha)
+    except WvaError as exc:
+        return type(exc)
+    return None
+
+
+def near_tolerance(theta, alpha):
+    """Whether a cosine lies within rounding of the degeneracy tolerance 1e-12.
+
+    There the outcome models' decision may move: their rule went from strict to
+    inclusive and their cosines from the expanded cos/sin form to cos(alpha +- theta).
+    """
+    cosines = (*reference_selection_cosines(theta, alpha), np.cos(alpha + theta),
+               np.cos(alpha - theta))
+    return any(abs(abs(c) - 1e-12) <= 1e-15 for c in cosines)
+
+
+def assert_matches_reference(theta, alpha, counts, g_max):
+    try:
+        expected = reference_mle_g(counts, theta, alpha, g_max)
+    except WvaError as exc:
+        with pytest.raises(type(exc)):
+            mle_g(counts, theta, alpha, g_max)
+    else:
+        got = mle_g(counts, theta, alpha, g_max)
+        assert got == expected and type(got) is float, (theta, alpha, counts, g_max)
+    assert leading_costs(theta, alpha) == reference_leading_costs(theta, alpha)
+    if not near_tolerance(theta, alpha):
+        for build, conditional in ((outcome_model, False), (conditional_outcome_model, True)):
+            rejected = reference_outcome_rejects(theta, alpha, conditional)
+            error = outcome_error(build, theta, alpha)
+            assert error is (ContractViolationError if rejected else None), (theta, alpha)
+
+
+def in_domain_points(seed, count):
+    """Seeded (theta, alpha) pairs: random ones, and ones with a cosine near +-1e-12 or near 0."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(count):
+        theta = np.pi / 4 - rng.uniform(0.0, np.pi / 4)
+        points.append((theta, rng.uniform(-np.pi / 2, np.pi / 2)))
+        # cos(alpha + theta) is about d at alpha = pi/2 - theta - d and at -pi/2 - theta + d;
+        # cos(alpha - theta) is about d at alpha = pi/2 + theta - d
+        d = rng.choice([-1.0, 1.0]) * 1e-12 * rng.choice([0.5, 0.99, 1.01, 2.0, rng.uniform(0, 3)])
+        points.append((theta, np.pi / 2 - theta - d))
+        points.append((theta, np.pi / 2 + theta - d))
+        points.append((theta, -np.pi / 2 - theta + d))
+        points.append((theta, np.pi / 2 - theta + rng.uniform(-2e-6, 2e-6)))  # the cp pole
+    return points
+
+
+class TestSelectionDomain:
+    """Every in-domain answer is the one the per-caller checks gave; the rest raise."""
+
+    COUNTS = (TrialCounts(700, 700, 700, 0), TrialCounts(2800, 700, 696, 4),
+              TrialCounts(1000, 700, 350, 350), TrialCounts(1000, 700, 0, 700))
+
+    def test_seeded_points_match_the_reference(self):
+        points = in_domain_points(2024, 60)
+        assert sum(near_tolerance(*p) for p in points) == 0  # every decision is compared
+        for i, (theta, alpha) in enumerate(points):
+            g_max = (np.pi / 4, 0.3, 0.6, 1.2)[i % 4]
+            assert_matches_reference(theta, alpha, self.COUNTS[i % 4], g_max)
+
+    def test_reference_sees_both_decisions(self):
+        points = in_domain_points(2024, 60)
+        decisions = {reference_outcome_rejects(*p, conditional=True) for p in points}
+        assert decisions == {True, False}
+        assert {reference_leading_costs(*p) is None for p in points} == {True, False}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        theta=st.floats(1e-300, np.pi / 4),
+        alpha=st.one_of(st.floats(-4.0, 4.0), st.floats(-1e300, 1e300)),
+        offset=st.one_of(st.none(), st.floats(-3e-12, 3e-12)),
+        n_minus=st.integers(0, 50),
+        g_max=st.sampled_from([np.pi / 4, 0.05, 0.6, np.pi / 2 - 1e-6]),
+    )
+    def test_property_matches_the_reference(self, theta, alpha, offset, n_minus, g_max):
+        if offset is not None:  # put cos(alpha + theta) at about offset
+            alpha = np.pi / 2 - theta - offset
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = TrialCounts(100, 50, 50 - n_minus, n_minus)
+            assert_matches_reference(theta, alpha, counts, g_max)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: mle_g(TrialCounts(10, 10, 10, 0), math.nan, 0.3),
+            lambda: mle_g(TrialCounts(20, 10, 9, 1), 5.0, -0.3),
+            lambda: mle_g(TrialCounts(20, 10, 9, 1), 0.5, -0.3, g_max=-1.0),
+            lambda: mle_g(TrialCounts(20, 10, 9, 1), 0.5, -0.3, g_max=10.0),
+            lambda: leading_costs(1e308, 1e308),
+            lambda: leading_costs(5.0, 0.3),
+            lambda: outcome_model(5.0, -0.5),
+            lambda: conditional_outcome_model(-0.3, 0.2),
+            lambda: mle_g(TrialCounts(20, 10, 9, 1), 0.5, math.inf),
+        ],
+        ids=["mle-theta-nan", "mle-theta-5", "mle-g_max-neg", "mle-g_max-10",
+             "leading-huge", "leading-theta-5", "outcome-theta-5", "conditional-theta-neg",
+             "mle-alpha-inf"],
+    )
+    def test_out_of_domain_raises_without_a_warning(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError):
+                call()

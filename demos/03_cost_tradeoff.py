@@ -32,9 +32,7 @@ print("the left endpoint shows the floor: min C_m/(R_m N) = 1 - C_l1^2 at C_p = 
 
 print("\n== a few named cost points (theta = pi/6, leading order) ==")
 for alpha in (-np.pi / 6, -np.pi / 4, -np.pi / 3):
-    f_m = 4 * np.cos(alpha + np.pi / 6) ** 2
-    big = f_m / np.cos(alpha - np.pi / 6) ** 2
-    point = w.cost_point(4.0, f_m, big, rates)
+    point = w.CostPoint.scaled(*w.leading_costs(np.pi / 6, alpha), rates)
     slack = w.tradeoff_slack(point, w.l1_coherence(basis.superposition(np.pi / 6), basis))
     print(
         f"alpha = {alpha:+.4f}: (cp, cm) = ({point.cp_norm:.4f}, {point.cm_norm:.4f})"

@@ -5,7 +5,8 @@ Subcommands
 curve      Emit the cost-tradeoff boundary curve for one preparation angle.
 simulate   Run a seeded photon-counting campaign and report its statistics.
 qfi        Report the information quantities of one (theta, alpha, g) scenario.
-verify     Run the invariant suites and summarize pass/fail per suite.
+verify     Run the invariant suites, each on its one fixed panel, and summarize
+           pass/fail per suite.
 
 Outputs are deterministic for a fixed configuration (seed included): CSV uses
 9 significant digits with '.' as decimal separator, JSON contains only finite
@@ -219,12 +220,7 @@ def cmd_qfi(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_suites(
-        names=args.suite,
-        theta_count=args.theta_grid,
-        printed_form=args.compat_printed_bound,
-        seed=args.seed,
-    )
+    results = run_suites(args.suite, printed_form=args.compat_printed_bound, seed=args.seed)
     payload = {
         "suites": [dataclasses.asdict(r) for r in results],
         "all_passed": all(r.passed for r in results),
@@ -238,8 +234,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # Every flag with its argparse settings, and the flags and defaults of each
 # subcommand; a flag outside its subcommand's list is an invalid argument
 # (exit 1). A flag with no default here or in its subcommand's defaults is
-# None when absent. Abbreviations are off, so ``verify --theta`` cannot pass for
-# --theta-grid. There is no rate flag: every cost column is normalized.
+# None when absent. Abbreviations are off. There is no rate flag: every cost
+# column is normalized.
 _FLAGS = {
     "theta": dict(type=float, help="preparation angle (rad)"),
     "alpha": dict(type=float, help="postselection angle (rad)"),
@@ -256,16 +252,13 @@ _FLAGS = {
     "suite": dict(
         action="append", choices=SUITE_NAMES, help="run only the named suite (repeatable)"
     ),
-    "theta-grid": dict(
-        type=int, help="number of evenly spaced preparation angles for the bound sweep"
-    ),
 }
 _COMMANDS = {
     "curve": (cmd_curve, ("theta", "format", "compat-printed-bound"), {"format": "csv"}),
     "simulate": (cmd_simulate, ("theta", "alpha", "g", "nu", "reps", "seed", "trials-out"),
                  {"nu": 700, "reps": 1000, "seed": 0}),
     "qfi": (cmd_qfi, ("theta", "alpha", "g"), {}),
-    "verify": (cmd_verify, ("suite", "theta-grid", "seed", "compat-printed-bound"),
+    "verify": (cmd_verify, ("suite", "seed", "compat-printed-bound"),
                {"seed": DEFAULT_SEED}),
 }
 

@@ -74,6 +74,13 @@ def _require_finite(where: str, **values: float) -> None:
             raise ContractViolationError(f"{where}: {name} must be finite")
 
 
+def _check_coupling(where: str, name: str, g: float) -> None:
+    """A scenario coupling must be finite and lie in [0, G_MAX]."""
+    _require_finite(where, **{name: g})
+    if not (0.0 <= g <= G_MAX):
+        raise ContractViolationError(f"{where}: {name} must lie in [0, g_max]")
+
+
 @dataclass(frozen=True)
 class FixedPostselected:
     """Stop a trial once ``nu`` photons have passed postselection."""
@@ -101,9 +108,11 @@ Stopping = Union[FixedPostselected, FixedPrepared]
 class ExperimentConfig:
     """Full configuration of a simulated estimation campaign.
 
-    The angles must pass :func:`~wva_costlab.states.selection_cosines` and
-    the true coupling must lie in [0, g_max] with g_max = :data:`G_MAX`, the
-    interval on which the maximum-likelihood estimator inverts the readout.
+    The angles must pass :func:`~wva_costlab.states.selection_cosines`, the
+    true coupling must lie in [0, g_max] with g_max = :data:`G_MAX`, the
+    interval on which the maximum-likelihood estimator inverts the readout,
+    and ``stopping`` must be a :class:`FixedPostselected` or
+    :class:`FixedPrepared` rule.
     """
 
     theta: float
@@ -115,11 +124,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         cosines = selection_cosines(self.theta, self.alpha, "ExperimentConfig")
-        _require_finite("ExperimentConfig", g_true=self.g_true)
+        _check_coupling("ExperimentConfig", "g_true", self.g_true)
+        if not isinstance(self.stopping, (FixedPostselected, FixedPrepared)):
+            raise ContractViolationError(
+                "ExperimentConfig: stopping must be FixedPostselected or FixedPrepared"
+            )
         check_count(self.n_reps, "ExperimentConfig: n_reps")
         check_seed(self.master_seed, "ExperimentConfig: master_seed")
-        if not (0.0 <= self.g_true <= G_MAX):
-            raise ContractViolationError("ExperimentConfig: g_true must lie in [0, g_max]")
         # The estimator inverts the conditional readout probability, which is
         # strictly increasing on [0, g_max] only away from these degeneracies.
         plus_dead, minus_dead = _degenerate(*cosines)
@@ -135,7 +146,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialCounts:
-    """Photon counts of one trial: prepared, postselected, and readout split."""
+    """Non-negative integer photon counts of one trial: prepared, postselected, readout split."""
 
     n_prepared: int
     n_postselected: int
@@ -143,8 +154,10 @@ class TrialCounts:
     n_minus: int
 
     def __post_init__(self):
-        if min(self.n_prepared, self.n_postselected, self.n_plus, self.n_minus) < 0:
-            raise ContractViolationError("TrialCounts: counts must be non-negative")
+        check_count(self.n_prepared, "TrialCounts: n_prepared", minimum=0)
+        check_count(self.n_postselected, "TrialCounts: n_postselected", minimum=0)
+        check_count(self.n_plus, "TrialCounts: n_plus", minimum=0)
+        check_count(self.n_minus, "TrialCounts: n_minus", minimum=0)
         if self.n_plus + self.n_minus != self.n_postselected:
             raise ContractViolationError("TrialCounts: readout counts must sum up")
         if self.n_postselected > self.n_prepared:
@@ -519,9 +532,12 @@ def hwp_settings(theta: float, alpha: float, g: float) -> dict[str, float]:
     Documentation-grade mapping: the meter plate sits at pi/8, the preparation
     plate at pi/8 - theta/2, the two coupling plates at +-g/2, and the
     postselection plate mirrors the preparation convention at pi/8 - alpha/2.
-    Non-finite angles raise ContractViolationError.
+    The scenario domain is :class:`ExperimentConfig`'s: the angles must pass
+    :func:`~wva_costlab.states.selection_cosines` and g must lie in
+    [0, :data:`G_MAX`]; anything else raises ContractViolationError.
     """
-    _require_finite("hwp_settings", theta=theta, alpha=alpha, g=g)
+    selection_cosines(theta, alpha, "hwp_settings")
+    _check_coupling("hwp_settings", "g", g)
     return {
         "meter_hwp": np.pi / 8.0,
         "hwp1": np.pi / 8.0 - theta / 2.0,

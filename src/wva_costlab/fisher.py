@@ -3,19 +3,20 @@
 Families are plain callables: a pure family maps the parameter to a
 :class:`~wva_costlab.states.Ket` and a mixed family maps it to a
 :class:`~wva_costlab.states.DensityMatrix`. The functions here take the
-derivative of an arbitrary family by central finite differences with a
-default step of 1e-5 rad, so :func:`qfi_pure` and :func:`qfi_mixed` serve as
-the generic oracles. The collapsed-meter QFI of the weak-value model does not
-come from here, for pure or mixed system inputs: its derivative is known in
-closed form, and :func:`~wva_costlab.postselect.fm_exact` evaluates it
-exactly.
+derivative of an arbitrary family by central finite differences with one
+fixed step, :data:`STEP` = 1e-5 rad, so :func:`qfi_pure` and :func:`qfi_mixed`
+serve as the generic oracles; no caller chooses the step. The collapsed-meter
+QFI of the weak-value model does not come from here, for pure or mixed system
+inputs: its derivative is known in closed form, and
+:func:`~wva_costlab.postselect.fm_exact` evaluates it exactly.
 
 A discrete :class:`OutcomeModel` may carry its exact derivative. Then
 :func:`cfi_discrete` evaluates sum_k (d p_k)^2 / p_k from it, with no
 finite-difference step; the readout models of
 :mod:`~wva_costlab.experiment` do. Models without one fall back to central
-differences. The outcome checks and the sum run on one ``tolist()`` in
-Python scalars, keeping numpy's summation order and its ``**`` rounding.
+differences with :data:`STEP`. The outcome checks and the sum run on one
+``tolist()`` in Python scalars, keeping numpy's summation order and its ``**``
+rounding.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .states import DensityMatrix, HermitianOperator, Ket, UnitaryOperator
 PureFamily = Callable[[float], Ket]
 MixedFamily = Callable[[float], DensityMatrix]
 
-DEFAULT_STEP = 1e-5
+STEP = 1e-5
 RANK_CUTOFF = 1e-10
 OUTCOME_FLOOR = 1e-12
 MIN_STEP_OVERLAP = 0.9
@@ -70,29 +71,28 @@ def _distribution(probabilities) -> list[float]:
     return [min(max(v, 0.0), 1.0) for v in values]  # np.clip's result, -0.0 included
 
 
-def _aligned(reference: Ket, probe: Ket, step: float) -> np.ndarray:
+def _aligned(reference: Ket, probe: Ket) -> np.ndarray:
     """Phase-align a probe ket so its overlap with the reference is real-positive."""
     z = reference.inner(probe)
     if abs(z) < MIN_STEP_OVERLAP:
         raise StepTooLargeError(
-            f"qfi_pure: |<psi(g)|psi(g+-h)>| = {abs(z):.3f} < {MIN_STEP_OVERLAP};"
-            f" reduce step {step:g}"
+            f"qfi_pure: |<psi(g)|psi(g+-h)>| = {abs(z):.3f} < {MIN_STEP_OVERLAP}"
+            f" at h = {STEP:g}; the family moves too fast for a central difference"
         )
     return probe.amplitudes * (z.conjugate() / abs(z))
 
 
-def qfi_pure(family: PureFamily, g: float, step: float = DEFAULT_STEP) -> float:
+def qfi_pure(family: PureFamily, g: float) -> float:
     """Quantum Fisher information of a pure-state family at parameter ``g``.
 
     F = 4 (<d psi|d psi> - |<psi|d psi>|^2) with the derivative taken by a
-    central difference after phase alignment of the probe states.
+    central difference with :data:`STEP` after phase alignment of the probe
+    states.
     """
-    if step <= 0:
-        raise ContractViolationError("qfi_pure: step must be positive")
     psi0 = family(g)
-    plus = _aligned(psi0, family(g + step), step)
-    minus = _aligned(psi0, family(g - step), step)
-    dpsi = (plus - minus) / (2.0 * step)
+    plus = _aligned(psi0, family(g + STEP))
+    minus = _aligned(psi0, family(g - STEP))
+    dpsi = (plus - minus) / (2.0 * STEP)
     grad_sq = float(np.real(np.vdot(dpsi, dpsi)))
     berry = abs(np.vdot(psi0.amplitudes, dpsi)) ** 2
     return 4.0 * (grad_sq - float(berry))
@@ -143,19 +143,18 @@ def qfi_product_coupling(
     return 4.0 * a2.expectation(rho_s) * mean_m2
 
 
-def qfi_mixed(family: MixedFamily, g: float, step: float = DEFAULT_STEP) -> float:
+def qfi_mixed(family: MixedFamily, g: float) -> float:
     """QFI of a density-matrix family via the symmetric-logarithmic-derivative sum.
 
     Evaluates F = sum_{i,j} 2 |<i|d rho|j>|^2 / (lambda_i + lambda_j) over the
-    eigenpairs of rho(g) with lambda_i + lambda_j above the rank cutoff. On the
+    eigenpairs of rho(g) with lambda_i + lambda_j above the rank cutoff, and
+    d rho from a central difference with :data:`STEP`. On the
     postselected meter families it is trusted only for g >= 1e-3 and a smaller
     eigenvalue above about 1e-8: that eigenvalue grows like g^2, and below that
     its term is lost under the cutoff or to the difference quotient's rounding.
     """
-    if step <= 0:
-        raise ContractViolationError("qfi_mixed: step must be positive")
     rho0 = family(g)
-    drho = (family(g + step).entries - family(g - step).entries) / (2.0 * step)
+    drho = (family(g + STEP).entries - family(g - STEP).entries) / (2.0 * STEP)
     lam, vecs = np.linalg.eigh(rho0.entries)
     lam, cross = lam.tolist(), (vecs.conj().T @ drho @ vecs).tolist()
     total = 0.0
@@ -171,7 +170,6 @@ def qfi_spectral_unitary(
     vectors: Sequence[Ket],
     u_family: Callable[[float], UnitaryOperator],
     g: float,
-    step: float = DEFAULT_STEP,
 ) -> float:
     """QFI of U(g) rho U(g)^dagger from the spectral decomposition of rho.
 
@@ -180,7 +178,8 @@ def qfi_spectral_unitary(
     term vanishes and
     F = sum_i 4 lambda_i <v_i|(dU^dag)(dU)|v_i>
       - sum_{i,j} (8 lambda_i lambda_j / (lambda_i + lambda_j))
-        |<v_i|U^dag dU|v_j>|^2.
+        |<v_i|U^dag dU|v_j>|^2,
+    with dU from a central difference with :data:`STEP`.
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.size != len(vectors) or lam.size == 0:
@@ -192,7 +191,7 @@ def qfi_spectral_unitary(
         raise ContractViolationError("qfi_spectral_unitary: vectors not orthonormal")
 
     u0 = u_family(g).entries
-    du = (u_family(g + step).entries - u_family(g - step).entries) / (2.0 * step)
+    du = (u_family(g + STEP).entries - u_family(g - STEP).entries) / (2.0 * STEP)
     kinetic = du.conj().T @ du
     w = u0.conj().T @ du
 
@@ -208,19 +207,16 @@ def qfi_spectral_unitary(
     return float(total)
 
 
-def cfi_discrete(model: OutcomeModel, g: float, step: float = DEFAULT_STEP) -> float:
+def cfi_discrete(model: OutcomeModel, g: float) -> float:
     """Classical Fisher information sum_k (d p_k)^2 / p_k of a discrete model.
 
     A model with a ``derivative`` supplies d p_k / d g exactly, in one
-    evaluation, and ``step`` is not used; any other model is differentiated
-    by central differences with ``step`` (Braunstein & Caves, PRL 72, 3439
-    (1994)). ``step`` must be positive either way. Outcomes whose probability
-    is below 1e-12 at the center point are skipped (their contribution is a
-    0 * 0/0 limit). A finite model whose information overflows the float
-    range raises ``ContractViolationError``.
+    evaluation; any other model is differentiated by central differences
+    with :data:`STEP` (Braunstein & Caves, PRL 72, 3439 (1994)). Outcomes
+    whose probability is below 1e-12 at the center point are skipped (their
+    contribution is a 0 * 0/0 limit). A finite model whose information
+    overflows the float range raises ``ContractViolationError``.
     """
-    if not 0.0 < step < math.inf:
-        raise ContractViolationError("cfi_discrete: step must be positive and finite")
     if model.derivative is not None:
         probabilities, slope = model.derivative(g)
         p0 = _distribution(probabilities)
@@ -230,10 +226,10 @@ def cfi_discrete(model: OutcomeModel, g: float, step: float = DEFAULT_STEP) -> f
         if not all(map(math.isfinite, dp)):
             raise ContractViolationError("cfi_discrete: derivative must be finite")
     else:
-        p0, pp, pm = (_distribution(model.probabilities(x)) for x in (g, g + step, g - step))
+        p0, pp, pm = (_distribution(model.probabilities(x)) for x in (g, g + STEP, g - STEP))
         if not (len(p0) == len(pp) == len(pm)):
             raise ContractViolationError("cfi_discrete: outcome count changed across probes")
-        dp = [(a - b) / (2.0 * step) for a, b in zip(pp, pm)]
+        dp = [(a - b) / (2.0 * STEP) for a, b in zip(pp, pm)]
     total = 0.0
     try:
         for dk, pk in zip(dp, p0):

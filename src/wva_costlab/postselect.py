@@ -334,10 +334,16 @@ def fm_exact(setup: WvaSetup) -> float:
 
 
 def fm_leading(omega: float, a_w: complex) -> float:
-    """Leading-order collapsed-state QFI, 4 * Omega * |A_w|^2."""
+    """Leading-order collapsed-state QFI, 4 * Omega * |A_w|^2, which must be finite."""
     if not (0.0 < omega < math.inf and cmath.isfinite(a_w)):
         raise ContractViolationError("fm_leading: omega must be positive and finite, a_w finite")
-    return 4.0 * omega * abs(a_w) ** 2
+    try:  # in Python scalars, so a numpy input cannot warn on overflow
+        value = 4.0 * float(omega) * abs(complex(a_w)) ** 2
+    except OverflowError:  # Python's ** raises on overflow
+        value = math.inf
+    if value == math.inf:  # * overflows to inf without raising
+        raise ContractViolationError("fm_leading: 4 Omega |A_w|^2 overflows the float range")
+    return value
 
 
 def probabilistic_qfi(setup: WvaSetup) -> tuple[float, float]:

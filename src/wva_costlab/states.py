@@ -272,10 +272,12 @@ class DensityMatrix(_ArrayValue):
 
     @classmethod
     def mixture(cls, weights: Sequence[float], kets: Sequence[Ket]) -> "DensityMatrix":
-        """Return the convex mixture sum_k w_k |k><k| (weights must sum to 1)."""
+        """Return the convex mixture sum_k w_k |k><k| of same-size kets (weights sum to 1)."""
         w = np.asarray(weights, dtype=float)
         if w.size != len(kets) or w.size == 0:
             raise ContractViolationError("mixture: weights and kets must match")
+        if len({k.dim for k in kets}) > 1:
+            raise ModelDimensionError("mixture: kets must share one dimension")
         if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-12:
             raise ContractViolationError("mixture: weights must be a distribution")
         mat = sum(wk * k.projector() for wk, k in zip(w, kets))

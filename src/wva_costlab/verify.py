@@ -1,11 +1,13 @@
 """Batch verification suites for the toolkit's executable invariants.
 
-Each suite replays one family of model-level identities over a deterministic
-sweep and reports the worst observed slack together with a pass/fail verdict:
+Each suite replays one family of model-level identities over one fixed,
+deterministic panel (random panels are drawn from the run's seed) and reports
+the worst observed slack together with a pass/fail verdict:
 
 * ``overlap-identity``: squared ket overlaps equal the Bloch half-angle form.
 * ``tradeoff-bound``: the coherence bound holds on the full postselection
-  sweep and is saturated on the coplanar branch.
+  sweep of the seven :data:`DEFAULT_THETAS` and is saturated on the coplanar
+  branch.
 * ``incoherent-ceiling``: the exact postselected meter QFI of incoherent
   inputs never exceeds the conventional value 4 * Omega.
 * ``oracle-agreement``: the spectral unitary-family QFI formula agrees with
@@ -43,7 +45,6 @@ from .states import (
     UnitaryOperator,
     bloch_angle,
     bloch_of,
-    check_count,
     check_seed,
     overlap_sq,
 )
@@ -59,15 +60,13 @@ DEFAULT_THETAS = (
 )
 DEFAULT_SEED = 20240
 
-# name -> suite called with (thetas, printed_form, seed); each lambda looks its
-# suite function up by name when it runs, so a rebound module attribute is used
+# name -> suite called with (printed_form, seed); each lambda looks its suite
+# function up by name when it runs, so a rebound module attribute is used
 _SUITES = {
-    "overlap-identity": lambda thetas, printed, seed: suite_overlap_identity(seed=seed),
-    "tradeoff-bound": lambda thetas, printed, seed: suite_tradeoff_bound(
-        thetas, printed_form=printed
-    ),
-    "incoherent-ceiling": lambda thetas, printed, seed: suite_incoherent_ceiling(),
-    "oracle-agreement": lambda thetas, printed, seed: suite_oracle_agreement(seed=seed),
+    "overlap-identity": lambda printed, seed: suite_overlap_identity(seed=seed),
+    "tradeoff-bound": lambda printed, seed: suite_tradeoff_bound(printed_form=printed),
+    "incoherent-ceiling": lambda printed, seed: suite_incoherent_ceiling(),
+    "oracle-agreement": lambda printed, seed: suite_oracle_agreement(seed=seed),
 }
 SUITE_NAMES = tuple(_SUITES)
 
@@ -78,13 +77,6 @@ class SuiteResult:
     passed: bool
     worst_slack: float
     detail: dict = field(default_factory=dict)
-
-
-def theta_grid(count: int) -> np.ndarray:
-    """Evenly spaced preparation angles spanning [pi/16, pi/4]."""
-    if check_count(count, "theta_grid: count") == 1:
-        return np.array([np.pi / 4.0])
-    return np.linspace(np.pi / 16.0, np.pi / 4.0, count)
 
 
 def random_ket(rng: np.random.Generator) -> Ket:
@@ -112,16 +104,17 @@ def suite_overlap_identity(seed: int) -> SuiteResult:
     )
 
 
-def suite_tradeoff_bound(thetas=DEFAULT_THETAS, printed_form: bool = False) -> SuiteResult:
+def suite_tradeoff_bound(printed_form: bool = False) -> SuiteResult:
     """Soundness and saturation of the coherence bound over the full sweep.
 
-    Each theta is swept over :func:`default_alpha_grid`; angles with
+    Each theta of :data:`DEFAULT_THETAS` is swept over
+    :func:`default_alpha_grid`; angles with
     |cos(alpha + theta)| < 1e-3, that is cp > 1e6, are skipped.
     """
     min_slack = np.inf
     max_sat_gap = 0.0
     checked = 0
-    for theta in thetas:
+    for theta in DEFAULT_THETAS:
         coherence = preparation_coherence(theta)
         for alpha in default_alpha_grid():
             costs = leading_costs(theta, alpha)
@@ -222,10 +215,7 @@ def suite_oracle_agreement(seed: int) -> SuiteResult:
 
 
 def run_suites(
-    names=None,
-    theta_count: int | None = None,
-    printed_form: bool = False,
-    seed: int = DEFAULT_SEED,
+    names=None, printed_form: bool = False, seed: int = DEFAULT_SEED
 ) -> list[SuiteResult]:
     """Run the selected suites (all by default) with a 64-bit ``seed``; return their results."""
     check_seed(seed, "run_suites: seed")
@@ -233,5 +223,4 @@ def run_suites(
     for name in selected:
         if name not in _SUITES:
             raise ContractViolationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    thetas = DEFAULT_THETAS if theta_count is None else theta_grid(theta_count)
-    return [_SUITES[name](thetas, printed_form, seed) for name in selected]
+    return [_SUITES[name](printed_form, seed) for name in selected]

@@ -20,7 +20,7 @@ import pytest
 from scipy.stats import binom
 
 import wva_costlab as w
-from wva_costlab.verify import suite_overlap_identity, suite_tradeoff_bound
+from wva_costlab.verify import DEFAULT_THETAS, suite_overlap_identity, suite_tradeoff_bound
 
 THETAS = (np.pi / 16, np.pi / 12, np.pi / 8, np.pi / 6, np.pi / 5, np.pi / 4.5, np.pi / 4)
 BASIS = w.ReferenceBasis.standard()
@@ -83,7 +83,7 @@ def test_c02_conventional_information_reproduction():
     start = time.perf_counter()
     worst = 0.0
     for theta in THETAS:
-        numeric = w.qfi_pure(_product_family(theta), 0.0349, step=1e-4)
+        numeric = w.qfi_pure(_product_family(theta), 0.0349)
         closed = w.qfi_product_coupling(
             BASIS.superposition(theta), BALANCED_METER, SIGMA, SIGMA
         )
@@ -189,7 +189,8 @@ def test_c05_incoherent_inputs_grant_no_advantage():
 def test_c06_tradeoff_bound_soundness_and_endpoints():
     """The coherence bound holds on the full sweep and the curve endpoints match."""
     start = time.perf_counter()
-    suite = suite_tradeoff_bound(thetas=THETAS)
+    assert DEFAULT_THETAS == THETAS  # the suite's one panel is the criterion's
+    suite = suite_tradeoff_bound()
     min_slack = suite.worst_slack
     max_sat_gap = suite.detail["saturation_gap"]
     assert suite.detail["points"] == 5040

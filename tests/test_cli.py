@@ -231,13 +231,6 @@ class TestVerify:
         payload = json.loads(read(out))
         assert [s["name"] for s in payload["suites"]] == ["overlap-identity"]
 
-    def test_theta_grid_override(self, tmp_path):
-        out = tmp_path / "grid.json"
-        code = main(
-            ["verify", "--suite", "tradeoff-bound", "--theta-grid", "3", "--out", str(out)]
-        )
-        assert code == 0
-
     def test_published_bound_compat_fails(self, tmp_path):
         out = tmp_path / "compat.json"
         code = main(
@@ -264,10 +257,6 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == f"wva-costlab: error: run_suites: seed {reason}\n"
         assert not out.exists()
-
-    def test_empty_theta_grid_exits_1_with_one_line(self, capsys):
-        assert main(["verify", "--suite", "tradeoff-bound", "--theta-grid", "0"]) == 1
-        assert capsys.readouterr().err == "wva-costlab: error: theta_grid: count must be >= 1\n"
 
 
 class TestArgumentErrors:
@@ -378,13 +367,14 @@ class TestSubcommandFlags:
             SIMULATE + ["--suite", "tradeoff-bound"],
             SIMULATE + ["--rm", "1"],
             ["verify", "--theta", THETA],
-            ["verify", "--theta", "3"],  # not an abbreviation of --theta-grid
+            ["verify", "--se", "3"],  # not an abbreviation of --seed
             ["verify", "--rp", "2"],
             ["verify", "--trials-out", "trials.csv"],
             ["curve", "--theta", THETA, "--config", "x.json", "--out", "out.csv"],
             QFI + ["--config", "x.json", "--out", "out.json"],
             SIMULATE + ["--config", "x.json", "--out", "out.json"],
             ["verify", "--config", "x.json", "--out", "out.json"],
+            ["verify", "--suite", "tradeoff-bound", "--theta-grid", "3"],  # the panel is fixed
         ],
     )
     def test_flag_of_another_subcommand_exits_1(self, argv, tmp_path, monkeypatch, capsys):
@@ -405,7 +395,7 @@ class TestSubcommandFlags:
         assert main(self.SIMULATE + ["--nu", "20", "--seed", "4", "--trials-out", out + ".csv",
                                      "--out", out]) == 0
         assert main(["verify", "--suite", "overlap-identity", "--seed", "5",
-                     "--compat-printed-bound", "--theta-grid", "3", "--out", out]) == 0
+                     "--compat-printed-bound", "--out", out]) == 0
 
 
 def test_qfi_and_curve_leave_numpy_random_unimported(tmp_path):

@@ -19,9 +19,7 @@ from wva_costlab import (
     bloch_angle,
     bound_rhs,
     boundary_curve,
-    cfi_discrete,
     classify_region,
-    conditional_outcome_model,
     cost_point,
     cost_point_geometric,
     default_alpha_grid,
@@ -32,7 +30,6 @@ from wva_costlab import (
     preparation_coherence,
     tradeoff_slack,
 )
-from wva_costlab.verify import theta_grid
 
 BASIS = ReferenceBasis.standard()
 RATES = CostRates(r_p=2.0, r_m=3.0, n_samples=500)
@@ -64,7 +61,10 @@ class TestCoherence:
         assert got == pytest.approx(0.8660254, abs=1e-7)
 
     def test_preparation_coherence_is_the_ket_built_value(self):
-        thetas = [*theta_grid(50), *np.random.default_rng(11).uniform(1e-9, np.pi / 4, 1000)]
+        thetas = [
+            *np.linspace(np.pi / 16, np.pi / 4, 50),
+            *np.random.default_rng(11).uniform(1e-9, np.pi / 4, 1000),
+        ]
         for theta in thetas:
             expected = l1_coherence(BASIS.superposition(theta), BASIS)
             assert preparation_coherence(theta) == expected
@@ -95,19 +95,16 @@ class TestCostRates:
         lambda: fm_leading(1.0, math.nan),
         lambda: fm_leading(1.0, complex(1.0, math.inf)),
         lambda: hwp_settings(math.nan, 0.0, 0.0),
-        lambda: hwp_settings(0.0, 0.0, math.inf),
+        lambda: hwp_settings(0.5, 0.0, math.inf),
         lambda: BlochVector(math.nan, 0.0, 0.0),
         lambda: bloch_angle(BlochVector(1.0, 0.0, 0.0), BlochVector(0.0, math.nan, 1.0)),
         lambda: leading_costs(math.nan, 0.0),
         lambda: leading_costs(0.5, math.inf),
-        lambda: cfi_discrete(conditional_outcome_model(0.5, -0.5), 0.01, step=math.nan),
-        lambda: cfi_discrete(conditional_outcome_model(0.5, -0.5), 0.01, step=math.inf),
     ],
     ids=[
         "bound_rhs-nan", "bound_rhs-2", "fm_leading-omega-nan", "fm_leading-a_w-nan",
         "fm_leading-a_w-inf", "hwp_settings-theta-nan", "hwp_settings-g-inf", "BlochVector-nan",
         "bloch_angle-nan", "leading_costs-theta-nan", "leading_costs-alpha-inf",
-        "cfi_discrete-step-nan", "cfi_discrete-step-inf",
     ],
 )
 def test_non_finite_or_out_of_range_scalars_raise(call):
@@ -116,7 +113,13 @@ def test_non_finite_or_out_of_range_scalars_raise(call):
 
 
 def test_scalar_helpers_keep_their_domain_edges():
-    assert hwp_settings(0.0, 0.0, 0.0)["hwp1"] == np.pi / 8.0  # theta = 0 stays valid here
+    # hwp_settings takes the campaign's domain: theta in (0, pi/4], g in [0, G_MAX = pi/4]
+    assert hwp_settings(np.pi / 4.0, 0.0, 0.0)["hwp1"] == np.pi / 8.0 - np.pi / 8.0
+    assert hwp_settings(1e-9, 0.0, np.pi / 4.0)["hwp2"] == np.pi / 8.0
+    for theta, g in ((0.0, 0.0), (np.nextafter(np.pi / 4.0 + 1e-12, 1.0), 0.0),
+                     (0.5, -1e-300), (0.5, np.nextafter(np.pi / 4.0, 1.0))):
+        with pytest.raises(ContractViolationError):
+            hwp_settings(theta, 0.0, g)
     assert bound_rhs(1.0 + 1e-10) == bound_rhs(1.0) == math.pi
     assert bound_rhs(-1e-10) == bound_rhs(0.0) == 0.0
     assert fm_leading(0.5, 2.0) == 8.0

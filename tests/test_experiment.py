@@ -482,8 +482,26 @@ class TestWavePlateSettings:
         assert settings["hwp3"] == pytest.approx(-0.01745, abs=5e-6)
         assert settings["hwp4"] == pytest.approx(np.pi / 8 + np.pi / 12)
 
-    def test_zero_angle_matches_meter_convention(self):
-        assert hwp_settings(0.0, 0.0, 0.0)["hwp1"] == pytest.approx(np.pi / 8)
+    def test_largest_angle_matches_meter_convention(self):
+        # theta = pi/4, the top of the domain, puts the preparation plate at 0
+        assert hwp_settings(np.pi / 4, 0.0, 0.0)["hwp1"] == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "theta, alpha, g, message",
+        [
+            (0.0, 0.0, 0.0, "theta must lie in"),
+            (5.0, 0.0, 0.0, "theta must lie in"),
+            (0.5, np.inf, 0.0, "alpha must be finite"),
+            (0.5, -0.5, 3.0, r"g must lie in \[0, g_max\]"),
+            (0.5, -0.5, -0.01, r"g must lie in \[0, g_max\]"),
+            (0.5, -0.5, np.nan, "g must be finite"),
+        ],
+    )
+    def test_outside_the_campaign_domain_rejected(self, theta, alpha, g, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match=message):
+                hwp_settings(theta, alpha, g)
 
 
 class TestConfigValidation:
@@ -581,6 +599,32 @@ class TestIntegerCounts:
                     )
                     assert run_trial(as_numpy, index) == expected
                     assert run_trial(as_numpy, np.uint64(index)) == expected
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ((10.5, 10.5, 5.5, 5.0), "n_prepared must be an integer"),  # mle_g gave 0.4757
+            ((math.nan, 1, 1, 0), "n_prepared must be an integer"),
+            ((10, 10.0, 5, 5), "n_postselected must be an integer"),
+            ((10, 10, True, 9), "n_plus must be an integer"),
+            ((10, 10, 5, "5"), "n_minus must be an integer"),
+            ((10, 10, 11, -1), "n_minus must be >= 0"),
+        ],
+    )
+    def test_trial_counts_are_non_negative_integers(self, counts, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match=message):
+                TrialCounts(*counts)
+        assert TrialCounts(np.int64(10), np.uint32(4), np.int8(1), 3).n_postselected == 4
+
+    @pytest.mark.parametrize("stopping", [700, None, "nu", (700,)])
+    def test_stopping_must_be_a_rule(self, stopping):
+        # a bare count used to construct and then end in AttributeError in run_campaign
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match="stopping must be"):
+                ExperimentConfig(0.5, -0.5, 0.03, stopping, 10, 1)
 
     def test_numpy_integers_accepted(self):
         as_numpy = ExperimentConfig(

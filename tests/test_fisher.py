@@ -1,5 +1,7 @@
 """Fisher information operations against closed-form and cross-method oracles."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from wva_costlab import (
     collapsed_meter_family,
     conditional_outcome_model,
     coupling_unitary,
+    fisher,
     hermitian_eigs,
     outcome_model,
     qfi_mixed,
@@ -55,9 +58,7 @@ class TestQfiPure:
     @pytest.mark.parametrize("theta", [np.pi / 16, np.pi / 8, np.pi / 6, np.pi / 4])
     def test_product_family_reaches_four(self, theta):
         # with <sigma^2> = 1 and a balanced meter the family carries QFI 4
-        assert qfi_pure(product_family(theta), 0.0349, step=1e-4) == pytest.approx(
-            4.0, abs=1e-6
-        )
+        assert qfi_pure(product_family(theta), 0.0349) == pytest.approx(4.0, abs=1e-6)
 
     def test_collapsed_meter_approaches_leading_order(self):
         setup = real_superposition_setup(np.pi / 6, -np.pi / 6, 1e-4)
@@ -68,13 +69,42 @@ class TestQfiPure:
         assert qfi_mixed(rho_fam, 1e-4) == pytest.approx(value, abs=1e-6)
 
     def test_step_too_large(self):
-        fam = lambda g: Ket(np.array([np.cos(50 * g), np.sin(50 * g)]))
-        with pytest.raises(StepTooLargeError):
-            qfi_pure(fam, 0.0, step=0.05)
+        # the fixed step of 1e-5 turns this family by 1 rad: overlap cos(1) < 0.9
+        fam = lambda g: Ket(np.array([np.cos(1e5 * g), np.sin(1e5 * g)]))
+        with pytest.raises(StepTooLargeError, match="moves too fast") as err:
+            qfi_pure(fam, 0.0)
+        assert "reduce step" not in str(err.value)
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(ContractViolationError):
-            qfi_pure(product_family(0.3), 0.0, step=0.0)
+
+class TestFixedStep:
+    """Every central difference uses the one module step; no caller can pick a harmful one."""
+
+    def test_no_oracle_takes_a_step(self):
+        for fn in (qfi_pure, qfi_mixed, qfi_spectral_unitary, cfi_discrete, fisher._aligned):
+            assert "step" not in inspect.signature(fn).parameters, fn.__name__
+        assert fisher.STEP == 1e-5 and not hasattr(fisher, "DEFAULT_STEP")
+
+    # Each family below carries information 4; a caller-chosen step of 2 pi,
+    # pi, 1e300 or 0 made these oracles return about 0 or NaN.
+    PROBE = tensor(BASIS.superposition(0.5), BALANCED_METER)
+
+    def test_qfi_pure_family(self):
+        fam = lambda g: coupling_unitary(SIGMA, SIGMA, g).apply(self.PROBE)
+        assert qfi_pure(fam, 0.1) == pytest.approx(4.0, abs=1e-6)
+
+    def test_cfi_discrete_model(self):
+        model = OutcomeModel(lambda g: [np.cos(g) ** 2, np.sin(g) ** 2])
+        assert cfi_discrete(model, 0.3) == pytest.approx(4.0, abs=1e-6)
+
+    def test_qfi_mixed_family(self):
+        plus = tensor(BASIS.ket0, BALANCED_METER)
+        fam = lambda g: DensityMatrix.from_ket(coupling_unitary(SIGMA, SIGMA, g).apply(plus))
+        assert qfi_mixed(fam, 0.1) == pytest.approx(4.0, abs=1e-6)
+
+    def test_qfi_spectral_unitary_family(self):
+        plus = tensor(BASIS.ket0, BALANCED_METER)
+        fam = lambda g: coupling_unitary(SIGMA, SIGMA, g)
+        assert qfi_spectral_unitary([1.0], [plus], fam, 0.1) == pytest.approx(4.0, abs=1e-6)
 
 
 class TestQfiProductCoupling:
@@ -98,9 +128,7 @@ class TestQfiProductCoupling:
             # oracle: direct expectations, 4(<A^2><M^2> - <A>^2<M>^2) with <M> = 0
             assert got == pytest.approx(4.0, abs=1e-12)
             # full-family cross-check
-            assert qfi_pure(product_family(theta), 0.2, step=1e-5) == pytest.approx(
-                got, abs=1e-6
-            )
+            assert qfi_pure(product_family(theta), 0.2) == pytest.approx(got, abs=1e-6)
 
     def test_mixed_non_diagonal_rejected(self):
         rho = DensityMatrix(
@@ -276,12 +304,6 @@ class TestCfiDiscreteExactDerivative:
         model = linear_binomial_with_derivative({"probabilities": 0, "derivative": 0})
         assert type(cfi_discrete(model, 0.1)) is float
 
-    @pytest.mark.parametrize("step", [0.0, -1e-5])
-    def test_step_still_must_be_positive(self, step):
-        model = linear_binomial_with_derivative({"probabilities": 0, "derivative": 0})
-        with pytest.raises(ContractViolationError, match="step"):
-            cfi_discrete(model, 0.1, step=step)
-
     def test_derivative_probabilities_pass_the_model_checks(self):
         bad = OutcomeModel(
             lambda g: np.array([0.5, 0.5]),
@@ -323,8 +345,9 @@ def _numpy_distribution(probabilities):
     return np.clip(p, 0.0, 1.0)
 
 
-def _numpy_cfi(model, g, step=1e-5):
-    """The numpy cfi_discrete body the scalar one replaced, for a valid step."""
+def _numpy_cfi(model, g):
+    """The numpy cfi_discrete body the scalar one replaced, at the fixed step 1e-5."""
+    step = 1e-5
     if model.derivative is not None:
         probabilities, slope = model.derivative(g)
         p0 = _numpy_distribution(probabilities)
@@ -419,8 +442,8 @@ class TestScalarOutcomeChecks:
             # central differences of a model moving along a seeded direction
             drift = rng.normal(size=size) * 1e-3
             moving = OutcomeModel(lambda g: np.asarray(p) + g * drift)
-            expected = _outcome(lambda: _numpy_cfi(moving, 0.0, 1e-4))
-            assert _outcome(lambda: cfi_discrete(moving, 0.0, 1e-4)) == expected
+            expected = _outcome(lambda: _numpy_cfi(moving, 0.0))
+            assert _outcome(lambda: cfi_discrete(moving, 0.0)) == expected
         assert {
             "accepted",
             "cfi_discrete: derivative and distribution sizes differ",

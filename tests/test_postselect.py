@@ -9,6 +9,7 @@ import dataclasses
 import importlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,20 @@ class TestCollapsedStateInformation:
         assert fm_leading(1.0, -9.399) == pytest.approx(353.4, abs=0.1)
         with pytest.raises(ContractViolationError):
             fm_leading(0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "omega, a_w",
+        [(1e308, 10.0), (1.0, complex(1e200, 1e200)), (1.0, complex(1.5e308, 1.5e308)),
+         (np.float64(1e308), np.complex128(10.0))],
+        ids=["product-overflows", "square-overflows", "modulus-overflows", "numpy-scalars"],
+    )
+    def test_fm_leading_that_overflows_raises(self, omega, a_w):
+        # finite inputs used to give inf, or a raw OverflowError from |A_w| ** 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match="overflows the float range"):
+                fm_leading(omega, a_w)
+        assert fm_leading(1e290, 1e4) == 4.0 * 1e290 * 1e4**2
 
 
 class TestProbabilisticQfi:

@@ -63,6 +63,15 @@ class TestTypes:
         with pytest.raises(ModelDimensionError):
             Ket(np.ones(3))
 
+    def test_mixture_of_kets_of_different_sizes_rejected(self):
+        # a qubit and a two-qubit ket used to end in numpy's broadcast ValueError
+        qubit = STANDARD_BASIS.ket0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelDimensionError, match="one dimension"):
+                DensityMatrix.mixture([0.5, 0.5], [qubit, tensor(qubit, STANDARD_BASIS.ket1)])
+        assert DensityMatrix.mixture([1.0], [tensor(qubit, qubit)]).dim == 4
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_ket_rejects_non_finite_amplitudes(self, bad):
         with pytest.raises(ContractViolationError, match="finite"):

@@ -1,28 +1,20 @@
-"""Verification suites: argument errors."""
+"""Verification suites: argument errors and the fixed panels."""
 
-import numpy as np
+import inspect
+
 import pytest
 
-from wva_costlab import ContractViolationError, WvaError, run_suites
-from wva_costlab.verify import theta_grid
+from wva_costlab import ContractViolationError, WvaError, run_suites, verify
 
 
-@pytest.mark.parametrize("call", [lambda: run_suites(names=["bogus"]), lambda: theta_grid(0)])
-def test_bad_arguments_raise_contract_violations(call):
+def test_unknown_suite_raises_a_contract_violation():
     with pytest.raises(ContractViolationError) as err:
-        call()
+        run_suites(names=["bogus"])
     assert isinstance(err.value, WvaError)
 
 
-
-@pytest.mark.parametrize("count", [2.5, "3", 3.0, True])
-def test_non_integer_theta_counts_raise_contract_violations(count):
-    with pytest.raises(ContractViolationError, match="integer"):
-        run_suites(names=["tradeoff-bound"], theta_count=count)
-
-
-@pytest.mark.parametrize("count", [3, np.int64(3)])
-def test_integer_theta_counts_accepted(count):
-    (result,) = run_suites(names=["tradeoff-bound"], theta_count=count)
-    assert result.passed
-    assert list(theta_grid(count)) == list(np.linspace(np.pi / 16.0, np.pi / 4.0, 3))
+def test_tradeoff_suite_has_one_panel():
+    # C06 checks the 5040 points of that panel
+    assert not hasattr(verify, "theta_grid")
+    assert list(inspect.signature(run_suites).parameters) == ["names", "printed_form", "seed"]
+    assert list(inspect.signature(verify.suite_tradeoff_bound).parameters) == ["printed_form"]

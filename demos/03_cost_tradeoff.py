@@ -45,7 +45,7 @@ rho = w.DensityMatrix.mixture([0.3, 0.7], [basis.ket0, basis.ket1])
 for alpha in (-0.8, 0.0, 0.9):
     setup = w.WvaSetup(rho, basis.superposition(alpha), meter, basis.sigma(), basis.sigma(), 0.0349)
     p, _ = w.postselect_mixed(setup)
-    fm = w.qfi_mixed(w.postselected_meter_family(setup), setup.g)
+    fm = w.fm_exact(setup)
     point = w.cost_point(4.0, p * fm, fm, rates)
     print(f"alpha = {alpha:+.2f}: cm_norm = {point.cm_norm:.6f} -> {w.classify_region(point)}")
 

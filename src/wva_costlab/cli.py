@@ -49,6 +49,7 @@ from .fisher import cfi_discrete
 from .postselect import (
     fm_exact,
     fm_leading,
+    in_weak_regime,
     postselect,
     probabilistic_qfi,
     real_superposition_setup,
@@ -210,6 +211,7 @@ def cmd_qfi(args: argparse.Namespace) -> int:
         "f_m_leading": f_leading,
         "cfi_conditional": cfi,
         "weak_regime_margin": weak_regime_margin(setup) if result.a_w is not None else None,
+        "in_weak_regime": in_weak_regime(setup) if result.a_w is not None else None,
         "coherence_l1": coherence,
         "cp_norm": cost.cp_norm,
         "cm_norm": cost.cm_norm,

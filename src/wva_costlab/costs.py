@@ -176,13 +176,15 @@ def bound_rhs(coherence: float, printed_form: bool = False) -> float:
     """Right-hand side of the tradeoff bound for a given l1 coherence.
 
     The default (corrected) form is 2 arccos(sqrt(1 - C^2)); the printed
-    variant drops the square and is strictly looser. A coherence outside [0, 1]
+    variant drops the square and is strictly looser. Both are evaluated as
+    2 arcsin(C) and 2 arcsin(sqrt(C)), the same angles on [0, 1], so a small
+    coherence is not lost in 1 - C^2 rounding to 1. A coherence outside [0, 1]
     (within 1e-9), NaN included, raises ContractViolationError.
     """
     if not (-1e-9 <= coherence <= 1.0 + 1e-9):
         raise ContractViolationError("tradeoff bound: coherence must lie in [0, 1]")
     c = _clip_unit(float(coherence))
-    return _angle(1.0 - (c if printed_form else c * c))
+    return 2.0 * math.asin(math.sqrt(c) if printed_form else c)
 
 
 def tradeoff_slack(point: CostPoint, coherence: float, printed_form: bool = False) -> float:
@@ -211,10 +213,28 @@ def leading_costs(theta: float, alpha: float) -> Optional[tuple[float, float]]:
     None where |cos(alpha + theta)| < ALPHA_SINGULARITY_TOL, as cp diverges there.
     The angles pass :func:`~wva_costlab.states.selection_cosines`.
     """
-    c_plus, c_minus = selection_cosines(theta, alpha, "leading_costs")
+    return _costs_of_cosines(*selection_cosines(theta, alpha, "leading_costs"))
+
+
+def _costs_of_cosines(c_plus: float, c_minus: float) -> Optional[tuple[float, float]]:
+    """:func:`leading_costs` from the cosines cos(alpha + theta), cos(alpha - theta)."""
     if abs(c_plus) < ALPHA_SINGULARITY_TOL:
         return None
     return 1.0 / c_plus**2, c_minus**2 / c_plus**2
+
+
+def _leading_sweep(theta: float, where: str):
+    """(alpha, cp, cm) of :func:`leading_costs` at each angle of :func:`default_alpha_grid`.
+
+    Singular angles (None) are skipped. theta is checked once, as ``<where>: theta``,
+    and the grid's angles are finite, so each angle takes the cosines of
+    :func:`~wva_costlab.states.selection_cosines` without its checks.
+    """
+    check_theta(theta, f"{where}: theta")
+    for alpha in default_alpha_grid():
+        costs = _costs_of_cosines(np.cos(alpha + theta), np.cos(alpha - theta))
+        if costs is not None:
+            yield alpha, *costs
 
 
 def boundary_curve(theta: float, *, printed_form: bool = False) -> list[TradeoffSample]:
@@ -229,15 +249,10 @@ def boundary_curve(theta: float, *, printed_form: bool = False) -> list[Tradeoff
     ``printed_form`` is keyword-only, so a stray second positional argument
     cannot select the printed form.
     """
-    check_theta(theta, "boundary_curve: theta")
     # (alpha, cp, cm) per cp bucket, and the cheapest one overall
     buckets: dict[int, tuple] = {}
     cheapest = None
-    for alpha in default_alpha_grid():
-        costs = leading_costs(theta, alpha)
-        if costs is None:
-            continue
-        sample = (alpha, *costs)
+    for sample in _leading_sweep(theta, "boundary_curve"):
         key = int(round(sample[1] / CP_BUCKET_WIDTH))
         best = buckets.get(key)
         if best is None or sample[2] < best[2]:

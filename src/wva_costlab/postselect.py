@@ -19,13 +19,15 @@ finite-difference step enters. No small-coupling expansion enters the
 production path either. Leading-order formulas are exposed separately so
 tests and cost accounting can compare the two.
 
-A density-matrix input gets K = V rho_s V^dag from the same kernel on the
-basis kets, and the setup caches it with the collapsed state K / p that
-:func:`postselect_mixed` returns. Only :func:`fm_exact` reads dK and the
-determinant term, so the setup forms them from the cached kernel parts on
-that first read. F_m is the Bloch-form qubit QFI of K / p (Zhong et al., PRA
-87, 022337 (2013)), again with no eigensolve, and its purity term comes from
-det V in closed form, with no rank cutoff.
+A density-matrix input gets K = V rho_s V^dag from one value-only pass over
+both columns of V (``states._meter_columns``), and the setup caches it with
+the collapsed state K / p that :func:`postselect_mixed` returns and the
+kernel's inputs (``parts``). Only :func:`fm_exact` reads dK and the
+determinant term, so on that first read the setup runs the full kernel on
+the basis kets from ``parts`` (``states._meter_slope``). F_m is the
+Bloch-form qubit QFI of K / p (Zhong et al., PRA 87, 022337 (2013)), again
+with no eigensolve, and its purity term comes from det V in closed form,
+with no rank cutoff.
 
 The meter families that the finite-difference oracles of
 :mod:`~wva_costlab.fisher` probe (:func:`collapsed_meter_family`,
@@ -137,13 +139,13 @@ class WvaSetup:
 
     @functools.cached_property
     def _operator(self) -> tuple[float, np.ndarray, tuple]:
-        """Kernel output (p, K, parts) of a density-matrix input, K read-only as above."""
+        """(p, K, parts) of a density-matrix input, K read-only as above; parts are the inputs."""
         p, K, parts = _meter_operator(self.psi_si, self.psi_sf, self.phi_mi, self.A, self.M, self.g)
         return p, _readonly(K), parts
 
     @functools.cached_property
     def _slope(self) -> tuple[np.ndarray, tuple[float, float, float]]:
-        """(dK, (det rho_s, E, dE)) of a density-matrix input from the cached parts."""
+        """(dK, (det rho_s, E, dE)) of a density-matrix input, from the full kernel on the parts."""
         dK, det_parts = _meter_slope(self._operator[2])
         return _readonly(dK), det_parts
 
@@ -300,8 +302,8 @@ def collapsed_meter_family(setup: WvaSetup) -> PureFamily:
 def postselected_meter_family(setup: WvaSetup) -> MixedFamily:
     """Map g -> postselected meter density matrix (mixed system inputs allowed).
 
-    A probe runs the kernel at g, once for a ket and once per basis ket for a
-    density matrix, and equals ``postselect_mixed(setup.at(g))[1]`` bit for
+    A probe runs the kernel once at g, for a density matrix its value-only pass
+    over both columns of V, and equals ``postselect_mixed(setup.at(g))[1]`` bit for
     bit, errors included. At the setup's own coupling it runs the checks and
     returns the setup's cached state, the one :func:`postselect_mixed` returns.
     """

@@ -23,10 +23,13 @@ as module constants; a basis builds its observable and its amplitude pairs,
 which :meth:`ReferenceBasis.superposition` combines in Python, once. The
 kernel's arithmetic lives in ``_meter_core``, over plain amplitude pairs, so
 the standard-basis readout of :mod:`~wva_costlab.experiment` runs it without
-building kets, and ``_meter_operator`` runs it on the basis kets for a
-density-matrix input. That returns K = V rho_s V^dag with the parts it was
-formed from; ``_meter_slope`` forms dK and the determinant term from those
-parts, so a caller that reads only K pays for neither.
+building kets. For a density-matrix input, ``_meter_operator`` takes the two
+columns of V from ``_meter_columns``, a value-only pass with the core's
+expressions that evaluates each phase once for both columns, and returns
+K = V rho_s V^dag with the inputs it was formed from (``parts``: rho_s, sf,
+phi, the splits and g). ``_meter_slope`` runs ``_meter_core`` on the basis
+kets from those parts and forms dK and the determinant term, so a caller
+that reads only K forms no derivative.
 Each scenario input domain is decided in one function: :func:`check_theta`
 (theta in (0, pi/4]), :func:`selection_cosines` (finite angles and their
 cos(alpha +- theta)), :func:`check_count` (integer counts) and
@@ -556,6 +559,43 @@ def postselected_meter(
     return float(np.real(np.vdot(v, v))), v, np.array([d0, d1])
 
 
+def _meter_columns(
+    f, x, a_split, m_split, g: float
+) -> tuple[complex, complex, complex, complex]:
+    """The two columns (a0, a1, b0, b1) of V = <sf|U(g)|.>|phi>, values only, in Python scalars.
+
+    Bit for bit the v of :func:`_meter_core` on the basis kets (1, 0) and (0, 1):
+    the same expressions in the same order, but each phase exp(-i g a_i m_j) is
+    evaluated once for both columns and no derivative is formed.
+    """
+    f0, f1 = (c.conjugate() for c in f)
+    x0, x1 = x
+    # (a_i, <sf|P_i|0>, <sf|P_i|1>): _meter_core's <sf|P_i|si> with the basis amplitudes
+    # written in, since dropping the products by 1.0 and 0.0 is not proved to keep signed zeros
+    sys_terms = [
+        (
+            a,
+            f0 * (p00 * 1.0 + p01 * 0.0) + f1 * (p10 * 1.0 + p11 * 0.0),
+            f0 * (p00 * 0.0 + p01 * 1.0) + f1 * (p10 * 0.0 + p11 * 1.0),
+        )
+        for a, (p00, p01, p10, p11) in a_split
+    ]
+    a0 = a1 = b0 = b1 = 0j
+    for m, (q00, q01, q10, q11) in m_split:
+        u = w = 0j
+        for a, amp0, amp1 in sys_terms:
+            phase = cmath.exp(-1j * g * (a * m))
+            u += amp0 * phase
+            w += amp1 * phase
+        y0 = q00 * x0 + q01 * x1  # Q_j|phi>
+        y1 = q10 * x0 + q11 * x1
+        a0 += u * y0
+        a1 += u * y1
+        b0 += w * y0
+        b1 += w * y1
+    return a0, a1, b0, b1
+
+
 def _sandwich(r, u0, u1, w0, w1):
     """u rho_s w^dag for rows u, w of V or dV, with ``r`` = (r00, r01, r10, r11) of rho_s."""
     r00, r01, r10, r11 = r
@@ -565,32 +605,33 @@ def _sandwich(r, u0, u1, w0, w1):
 def _meter_operator(rho_s, psi_sf, phi_mi, A, M, g: float):
     """(p, K, parts) of a density-matrix input: K = V rho_s V^dag and p = Tr K.
 
-    :func:`_meter_core` on the basis kets gives the columns of V = <sf|U(g)|.>|phi>
-    and dV. ``parts`` keeps what :func:`_meter_slope` needs for dK and the
-    determinant term, so a caller that reads only K pays for neither: the
-    entries of rho_s, the amplitudes of sf and phi, the splits of A and M, g and
-    the two column results.
+    :func:`_meter_columns` gives the two columns of V = <sf|U(g)|.>|phi> in one
+    value-only pass. ``parts`` = (entries of rho_s, amplitudes of sf and phi,
+    splits of A and M, g) is what :func:`_meter_slope` needs for dK and the
+    determinant term, so a caller that reads only K forms no derivative.
     """
     f, x = psi_sf.amplitudes.tolist(), phi_mi.amplitudes.tolist()
     a_split, m_split = A._split, M._split
-    col0 = a0, a1, _, _ = _meter_core((1.0, 0.0), f, x, a_split, m_split, g)
-    col1 = b0, b1, _, _ = _meter_core((0.0, 1.0), f, x, a_split, m_split, g)
+    a0, a1, b0, b1 = _meter_columns(f, x, a_split, m_split, g)
     r = tuple(rho_s.entries.ravel().tolist())
     k00, k11 = _sandwich(r, a0, b0, a0, b0).real, _sandwich(r, a1, b1, a1, b1).real
     k10 = _sandwich(r, a1, b1, a0, b0)
     K = np.array([[k00, k10.conjugate()], [k10, k11]])
-    return k00 + k11, K, (r, f, x, a_split, m_split, g, col0, col1)
+    return k00 + k11, K, (r, f, x, a_split, m_split, g)
 
 
 def _meter_slope(parts) -> tuple[np.ndarray, tuple[float, float, float]]:
     """(dK, (det rho_s, E, dE)) from the ``parts`` of :func:`_meter_operator`.
 
-    dK = dV rho_s V^dag + V rho_s dV^dag. By Cauchy-Binet over A = sum_i a_i P_i
-    and M = sum_j m_j Q_j, |det V| = |E| with
+    :func:`_meter_core` on the basis kets gives the columns of V and dV, so only
+    this function forms a derivative. dK = dV rho_s V^dag + V rho_s dV^dag. By
+    Cauchy-Binet over A = sum_i a_i P_i and M = sum_j m_j Q_j, |det V| = |E| with
     E = 2 |det(P_0 sf, P_1 sf) det(Q_0 phi, Q_1 phi)| sin(g (a_0 - a_1)(m_0 - m_1) / 2),
     or E = 0 for a degenerate A or M: smooth in g and exactly 0 where V has rank 1.
     """
-    r, f, x, a_split, m_split, g, (a0, a1, da0, da1), (b0, b1, db0, db1) = parts
+    r, f, x, a_split, m_split, g = parts
+    a0, a1, da0, da1 = _meter_core((1.0, 0.0), f, x, a_split, m_split, g)
+    b0, b1, db0, db1 = _meter_core((0.0, 1.0), f, x, a_split, m_split, g)
 
     def wedge(P, u):  # |det(P u, (I - P) u)| of a qubit projector P
         return abs((P[0] * u[0] + P[1] * u[1]) * u[1] - (P[2] * u[0] + P[3] * u[1]) * u[0])

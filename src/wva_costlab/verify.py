@@ -27,8 +27,7 @@ import numpy as np
 from .costs import (
     UNIT_RATES,
     CostPoint,
-    default_alpha_grid,
-    leading_costs,
+    _leading_sweep,
     preparation_coherence,
     tradeoff_slack,
 )
@@ -116,11 +115,10 @@ def suite_tradeoff_bound(printed_form: bool = False) -> SuiteResult:
     checked = 0
     for theta in DEFAULT_THETAS:
         coherence = preparation_coherence(theta)
-        for alpha in default_alpha_grid():
-            costs = leading_costs(theta, alpha)
-            if costs is None or costs[0] > 1e6:
+        for alpha, cp_norm, cm_norm in _leading_sweep(theta, "tradeoff-bound"):
+            if cp_norm > 1e6:
                 continue
-            point = CostPoint.scaled(*costs, UNIT_RATES)
+            point = CostPoint.scaled(cp_norm, cm_norm, UNIT_RATES)
             slack = tradeoff_slack(point, coherence, printed_form=printed_form)
             min_slack = min(min_slack, slack)
             checked += 1

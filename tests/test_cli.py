@@ -198,6 +198,17 @@ class TestQfi:
         assert payload["f_m_leading"] == pytest.approx(4.0, abs=1e-9)
         assert payload["fm_exact"] == pytest.approx(16.0, abs=1e-2)
         assert payload["region"] == "advantage"
+        assert payload["weak_regime_margin"] == pytest.approx(2e-3, rel=1e-6)
+        assert payload["in_weak_regime"] is True
+
+    def test_weak_regime_flag_follows_the_margin(self, tmp_path):
+        # margin g |A_w| Omega with A_w = 2: inside the limit 0.1 at g = 0.0349, outside at 0.06
+        out = tmp_path / "qfi.json"
+        for g, margin, inside in (("0.0349", 0.0698, True), ("0.06", 0.12, False)):
+            assert main(["qfi", "--theta", THETA, "--alpha", ALPHA, "--g", g, "--out", str(out)]) == 0
+            payload = json.loads(read(out))
+            assert payload["weak_regime_margin"] == pytest.approx(margin, rel=1e-6)
+            assert payload["in_weak_regime"] is inside
 
     def test_infinite_alpha_exits_1(self, capsys):
         assert main(["qfi", "--theta", THETA, "--alpha", "inf", "--g", "1e-3"]) == 1

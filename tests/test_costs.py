@@ -125,6 +125,14 @@ def test_scalar_helpers_keep_their_domain_edges():
     assert fm_leading(0.5, 2.0) == 8.0
 
 
+@pytest.mark.parametrize("c", [1e-300, 1e-12, 1e-9, 1e-7])
+def test_bound_keeps_a_small_coherence(c):
+    # 1 - C^2 rounds to 1 below C ~ 1e-8, where 2 arccos(sqrt(1 - C^2)) gave 0.0;
+    # 2 arcsin(C) = 2 C (1 + C^2 / 6 + ...)
+    assert bound_rhs(c) == pytest.approx(2.0 * c, rel=1e-12)
+    assert bound_rhs(c, printed_form=True) == pytest.approx(2.0 * math.sqrt(c), rel=1e-7)
+
+
 class TestCostPoint:
     def test_conventional_scheme_recovered(self):
         point = cost_point(4.0, 4.0, 4.0, RATES)

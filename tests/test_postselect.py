@@ -537,6 +537,19 @@ def _eager_meter_operator(rho_s, psi_sf, phi_mi, A, M, g):
     return k00 + k11, K, dK, (r00.real * r11.real - abs(r10) ** 2, e, de)
 
 
+def _count_kernels(monkeypatch):
+    """Lists that grow by one per call of the value-only column pass and of the full kernel."""
+    columns, cores = [], []
+    original_columns, original_core = states_module._meter_columns, states_module._meter_core
+    monkeypatch.setattr(
+        states_module, "_meter_columns", lambda *a: columns.append(1) or original_columns(*a)
+    )
+    monkeypatch.setattr(
+        states_module, "_meter_core", lambda *a: cores.append(1) or original_core(*a)
+    )
+    return columns, cores
+
+
 def _seeded_mixed_setups(seed, count):
     """Random Bloch-ball inputs, complex sf, complex or degenerate A, g with both zeros."""
     rng = np.random.default_rng(seed)
@@ -681,14 +694,17 @@ class TestMixedKernel:
             assert np.max(np.abs(rho_m.entries - _complex(case["entries"]))) <= 1e-13
 
     def test_one_kernel_evaluation_per_setup(self, monkeypatch):
-        calls = []
-        original = states_module._meter_core
+        calls, columns = [], []
+        original, original_columns = states_module._meter_core, states_module._meter_columns
 
         def counted(s, *args):
             calls.append(tuple(s))
             return original(s, *args)
 
         monkeypatch.setattr(states_module, "_meter_core", counted)
+        monkeypatch.setattr(
+            states_module, "_meter_columns", lambda *a: columns.append(1) or original_columns(*a)
+        )
         setup = WvaSetup(
             _bloch_density(0.3, -0.2, 0.4), BASIS.superposition(-0.6), BALANCED_METER,
             SIGMA, SIGMA, 0.0349,
@@ -696,13 +712,14 @@ class TestMixedKernel:
         p, rho_m = postselect_mixed(setup)
         fm = fm_exact(setup)
         assert postselect_mixed(setup)[0] == p and fm_exact(setup) == fm
-        assert calls == [(1.0, 0.0), (0.0, 1.0)]  # V's two columns, once
+        # V's two columns in one pass, and dV's on the basis kets, once each
+        assert (len(columns), calls) == (1, [(1.0, 0.0), (0.0, 1.0)])
         _, K, _ = setup._operator
         dK, _ = setup._slope
         assert not K.flags.writeable and not dK.flags.writeable
         assert rho_m.entries == pytest.approx(K / p)
         fm_exact(setup.at(0.02))
-        assert len(calls) == 4
+        assert (len(columns), len(calls)) == (2, 4)
 
     def test_lazy_kernel_same_bits_as_the_eager_one(self):
         for setup in _seeded_mixed_setups(11, 400):
@@ -718,11 +735,8 @@ class TestMixedKernel:
                 assert fm_exact(setup).hex() == expected.hex()
 
     def test_slope_formed_only_by_fm_exact(self, monkeypatch):
-        cores, slopes = [], []
-        original_core, original_slope = states_module._meter_core, postselect_module._meter_slope
-        monkeypatch.setattr(
-            states_module, "_meter_core", lambda *a: cores.append(1) or original_core(*a)
-        )
+        (columns, cores), slopes = _count_kernels(monkeypatch), []
+        original_slope = postselect_module._meter_slope
         monkeypatch.setattr(
             postselect_module, "_meter_slope", lambda *a: slopes.append(1) or original_slope(*a)
         )
@@ -731,12 +745,36 @@ class TestMixedKernel:
             SIGMA, SIGMA, 0.0349,
         )
         p, rho_m = postselect_mixed(setup)
+        assert (len(columns), len(cores), len(slopes)) == (1, 0, 0)
         qfi = qfi_mixed(postselected_meter_family(setup), setup.g)
-        assert (len(cores), len(slopes)) == (2 + 4, 0)  # g - h and g + h run afresh; g is cached
+        # g - h and g + h run afresh; g is cached
+        assert (len(columns), len(cores), len(slopes)) == (1 + 2, 0, 0)
         fm = fm_exact(setup)
         assert fm_exact(setup) == fm and postselect_mixed(setup) == (p, rho_m)
-        assert (len(cores), len(slopes)) == (6, 1)
+        assert (len(columns), len(cores), len(slopes)) == (3, 2, 1)  # dV's two columns, once
         assert fm == pytest.approx(qfi, rel=1e-6)
+
+    @pytest.mark.parametrize("degenerate", [None, "A", "M"])
+    def test_value_columns_same_bits_as_the_core(self, degenerate):
+        # one pass over both basis kets equals the derivative kernel's v on each, signed zeros too
+        rng = np.random.default_rng(16)
+        for k in range(100):
+            f = (rng.normal(size=2) + 1j * rng.normal(size=2)).tolist()
+            x = (rng.normal(size=2) + 1j * rng.normal(size=2)).tolist()
+            splits = []
+            for name in ("A", "M"):
+                h = rng.normal(size=4)
+                H = np.array([[h[0], h[1] - 1j * h[2]], [h[1] + 1j * h[2], h[3]]])
+                if name == degenerate:
+                    H = np.eye(2) * h[0]  # the single projector I
+                splits.append(HermitianOperator(H)._split)
+            g = (0.0, -0.0, -rng.uniform(0.0, 2.0), 1.3)[k % 4]
+            a0, a1, _, _ = states_module._meter_core((1.0, 0.0), f, x, *splits, g)
+            b0, b1, _, _ = states_module._meter_core((0.0, 1.0), f, x, *splits, g)
+            got = states_module._meter_columns(f, x, *splits, g)
+            assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+                (z.real.hex(), z.imag.hex()) for z in (a0, a1, b0, b1)
+            ]
 
     def test_own_coupling_probe_returns_the_cached_state(self, monkeypatch):
         mixed = WvaSetup(
@@ -762,11 +800,9 @@ class TestMixedKernel:
             SIGMA, SIGMA, g,
         )
         cached = postselect_mixed(setup)[1]
-        calls = []
-        original = states_module._meter_core
-        monkeypatch.setattr(states_module, "_meter_core", lambda *a: calls.append(1) or original(*a))
+        columns, cores = _count_kernels(monkeypatch)
         got = postselected_meter_family(setup)(probe)
-        assert got is not cached and len(calls) == 2
+        assert got is not cached and (len(columns), len(cores)) == (1, 0)
         assert got.entries.tobytes() == postselect_mixed(setup.at(probe))[1].entries.tobytes()
 
     def test_matches_pure_kernel_on_a_projector(self):
@@ -860,26 +896,24 @@ class TestMeterFamilies:
             with pytest.raises(UnsupportedInputError, match="use postselect_mixed"):
                 collapsed_meter_family(vanishing_mixed)(own)
 
-    @pytest.mark.parametrize("mixed, cores", [(True, 2), (False, 1)])
+    @pytest.mark.parametrize("mixed, cores", [(True, 0), (False, 1)])
     def test_probe_runs_the_kernel_and_builds_no_setup(self, monkeypatch, mixed, cores):
         setup = real_superposition_setup(np.pi / 6, -np.pi / 5, 0.0349)
         if mixed:
             setup = dataclasses.replace(setup, psi_si=_bloch_density(0.3, -0.2, 0.4))
         family = postselected_meter_family(setup)
-        calls, built = [], []
-        original_core = states_module._meter_core
+        built = []
+        columns, calls = _count_kernels(monkeypatch)
         original_init = WvaSetup.__post_init__
-        monkeypatch.setattr(
-            states_module, "_meter_core", lambda *a: calls.append(1) or original_core(*a)
-        )
         monkeypatch.setattr(
             WvaSetup, "__post_init__", lambda self: built.append(1) or original_init(self)
         )
         family(0.02)
-        assert (len(calls), built) == (cores, [])
+        # a density matrix takes both columns of V from one value-only pass
+        assert (len(columns), len(calls), built) == (int(mixed), cores, [])
         if not mixed:
             collapsed_meter_family(setup)(0.02)
-            assert (len(calls), built) == (2 * cores, [])
+            assert (len(columns), len(calls), built) == (0, 2 * cores, [])
 
 
 class TestSetupEquality:

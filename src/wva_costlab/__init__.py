@@ -15,7 +15,6 @@ from .costs import (
     bound_rhs,
     classify_region,
     cost_point,
-    cost_point_geometric,
     default_alpha_grid,
     l1_coherence,
     leading_costs,
@@ -44,7 +43,6 @@ from .experiment import (
     conditional_outcome_model,
     hwp_settings,
     mle_g,
-    outcome_model,
     run_campaign,
     run_trial,
 )

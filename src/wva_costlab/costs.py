@@ -7,7 +7,8 @@ to the l1-norm coherence of the initial system state; its right-hand side is
 2 arccos(sqrt(1 - C^2)).
 
 Each ingredient has one definition: :func:`leading_costs` (the leading-order
-cp, cm), :meth:`CostPoint.scaled` (raw costs from normalized ones) and
+cp, cm; the paper's Bloch-angle form of them is a test oracle only),
+:meth:`CostPoint.scaled` (raw costs from normalized ones) and
 :func:`preparation_coherence` (the l1 coherence of the preparation).
 :func:`boundary_curve` sweeps :func:`default_alpha_grid`.
 
@@ -27,11 +28,9 @@ import numpy as np
 from .errors import ContractViolationError, InfinitePreparationCostError
 from .states import (
     STANDARD_BASIS,
-    BlochVector,
     DensityMatrix,
     Ket,
     ReferenceBasis,
-    bloch_angle,
     check_count,
     check_theta,
     selection_cosines,
@@ -139,27 +138,6 @@ def cost_point(F: float, fm: float, Fm: float, rates: CostRates) -> CostPoint:
             "cost_point: success-weighted QFI is zero; postselection carries no signal"
         )
     return CostPoint.scaled(F / fm, F / Fm, rates)
-
-
-def cost_point_geometric(
-    r1: BlochVector, r2: BlochVector, r3: BlochVector, rates: CostRates
-) -> CostPoint:
-    """Leading-order costs from Bloch geometry.
-
-    ``r1``, ``r2``, ``r3`` are the Bloch vectors of the postselection state,
-    of A applied to the initial state, and of the initial state. Then
-    C_p = R_p N / cos^2(angle(r1, r2) / 2) and
-    C_m = (C_p / R_p) cos^2(angle(r1, r3) / 2) R_m.
-    """
-    theta_12 = bloch_angle(r1, r2)
-    theta_13 = bloch_angle(r1, r3)
-    c12 = np.cos(theta_12 / 2.0) ** 2
-    if c12 < 1e-15:
-        raise InfinitePreparationCostError(
-            "cost_point_geometric: postselection is orthogonal to the signal direction"
-        )
-    c13 = np.cos(theta_13 / 2.0) ** 2
-    return CostPoint.scaled(1.0 / c12, c13 / c12, rates)
 
 
 def _clip_unit(x: float) -> float:

@@ -20,15 +20,15 @@ entropy. ``numpy.random`` is imported on the first trial, not on import.
 
 The readout law comes from one evaluation of the scalar postselection kernel
 per (theta, alpha, g), which also yields the exact derivative of the plus and
-minus probabilities in g. The outcome models hand that derivative to
-:func:`~wva_costlab.fisher.cfi_discrete`, so the readout information is exact
-and needs no finite-difference step.
+minus probabilities in g. The conditional outcome model hands that derivative
+to :func:`~wva_costlab.fisher.cfi_discrete`, so the readout information is
+exact and needs no finite-difference step.
 
-:class:`ExperimentConfig`, the outcome models and :func:`mle_g` take their
-angles through :func:`~wva_costlab.states.selection_cosines` and share one
-degeneracy test, |cos(alpha +- theta)| <= 1e-12; each decides whether one or
-both vanishing is fatal. The estimator inverts the readout on [0, G_MAX], where
-it is strictly increasing in g.
+:class:`ExperimentConfig`, the conditional outcome model and :func:`mle_g`
+take their angles through :func:`~wva_costlab.states.selection_cosines` and
+share one degeneracy test, |cos(alpha +- theta)| <= 1e-12; each rejects a pair
+where either cosine vanishes. The estimator inverts the readout on [0, G_MAX],
+where it is strictly increasing in g.
 """
 
 from __future__ import annotations
@@ -174,7 +174,8 @@ class CampaignReport:
     point and slack are None, when the variance of two or more estimates is
     zero (e.g. estimating g = 0) or every estimate is clipped to the
     boundary 0 or G_MAX, where the spread measures the clipping rather than
-    the readout. Cost points use the conventional QFI 4 * Omega as reference.
+    the readout. The empirical cost point uses the conventional QFI 4 * Omega
+    as reference; ``fm_exact`` and ``p_exact`` are the exact values at g_true.
     """
 
     g_est_mean: float
@@ -184,12 +185,9 @@ class CampaignReport:
     fm_exact: float
     p_exact: float
     cost_empirical: Optional[CostPoint]
-    cost_exact: CostPoint
     slack_empirical: Optional[float]
-    slack_exact: float
     degenerate: bool
     per_trial: tuple[tuple[TrialCounts, float], ...]
-    seed_echo: int
 
 
 def _degenerate(c_plus: float, c_minus: float) -> tuple[bool, bool]:
@@ -237,28 +235,6 @@ def _readout_probabilities(theta: float, alpha: float, g: float) -> tuple[float,
     and the estimator.
     """
     return _readout(theta, alpha, g)[0]
-
-
-def outcome_model(theta: float, alpha: float) -> OutcomeModel:
-    """Three-outcome model (fail, plus, minus) of one prepared photon.
-
-    Probabilities and their exact g-derivatives come from the kernel
-    (:func:`_readout`); closed trig forms exist only as test oracles.
-    """
-    if all(_degenerate(*selection_cosines(theta, alpha, "outcome_model"))):
-        raise ContractViolationError("outcome_model: postselection never succeeds")
-
-    def derivative(g: float) -> tuple[np.ndarray, np.ndarray]:
-        (p_plus, p_minus), (dp_plus, dp_minus) = _readout(theta, alpha, g)
-        return (
-            np.array([1.0 - p_plus - p_minus, p_plus, p_minus]),
-            np.array([-dp_plus - dp_minus, dp_plus, dp_minus]),
-        )
-
-    return OutcomeModel(
-        probabilities=lambda g: derivative(g)[0],
-        derivative=derivative,
-    )
 
 
 def conditional_outcome_model(theta: float, alpha: float) -> OutcomeModel:
@@ -499,15 +475,11 @@ def run_campaign(config: ExperimentConfig) -> CampaignReport:
     p_exact = postselect(setup).p
     fm_ex = fm_exact(setup)
 
-    coherence = preparation_coherence(config.theta)
-
-    cost_ex = cost_point(4.0 * omega, p_exact * fm_ex, fm_ex, UNIT_RATES)
-    slack_ex = tradeoff_slack(cost_ex, coherence)
     cost_emp = None
     slack_emp = None
     if fm_emp is not None:
         cost_emp = cost_point(4.0 * omega, p_emp * fm_emp, fm_emp, UNIT_RATES)
-        slack_emp = tradeoff_slack(cost_emp, coherence)
+        slack_emp = tradeoff_slack(cost_emp, preparation_coherence(config.theta))
 
     return CampaignReport(
         g_est_mean=g_mean,
@@ -517,12 +489,9 @@ def run_campaign(config: ExperimentConfig) -> CampaignReport:
         fm_exact=fm_ex,
         p_exact=p_exact,
         cost_empirical=cost_emp,
-        cost_exact=cost_ex,
         slack_empirical=slack_emp,
-        slack_exact=slack_ex,
         degenerate=bool(degenerate),
         per_trial=tuple(per_trial),
-        seed_echo=config.master_seed,
     )
 
 

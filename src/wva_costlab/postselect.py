@@ -14,7 +14,8 @@ the weighted QFI p F_m, so :func:`postselect`, :func:`fm_exact` and
 :func:`probabilistic_qfi` on one setup share one derivation of each. The
 postselection probability is p = <v|v>, and the collapsed-state QFI is the
 pure-state QFI of v / sqrt(p), F_m = 4 (<dv|dv>/p - |<v|dv>|^2/p^2)
-(Braunstein & Caves, PRL 72, 3439 (1994); Paris, IJQI 7, 125 (2009)), so no
+(Braunstein & Caves, PRL 72, 3439 (1994); Paris, IJQI 7, 125 (2009)), taken
+as 4 |v0 dv1 - v1 dv0|^2 / p^2 so that it cannot cancel below 0, and no
 finite-difference step enters. No small-coupling expansion enters the
 production path either. Leading-order formulas are exposed separately so
 tests and cost accounting can compare the two.
@@ -253,8 +254,14 @@ def _bloch_qfi(p: float, K: np.ndarray, dK: np.ndarray, det_parts: tuple) -> flo
 
 
 def _weighted_qfi(p: float, v: np.ndarray, dv: np.ndarray) -> float:
-    """p * F_m = 4 (<dv|dv> - |<v|dv>|^2 / p) of the unnormalized meter vector."""
-    return 4.0 * float(np.real(np.vdot(dv, dv)) - abs(np.vdot(v, dv)) ** 2 / p)
+    """p * F_m = 4 (<dv|dv> - |<v|dv>|^2 / p) of the unnormalized qubit meter vector.
+
+    Evaluated as 4 |v0 dv1 - v1 dv0|^2 / p, equal by Lagrange's identity, which is
+    non-negative by construction; the difference of the two terms cancels to garbage
+    near orthogonal postselection, where v and dv are nearly parallel.
+    """
+    (v0, v1), (d0, d1) = v.tolist(), dv.tolist()
+    return 4.0 * abs(v0 * d1 - v1 * d0) ** 2 / p
 
 
 def postselect(setup: WvaSetup) -> PostselectionResult:
@@ -264,12 +271,12 @@ def postselect(setup: WvaSetup) -> PostselectionResult:
     success probability together with the normalized collapsed meter state.
     No small-coupling approximation is used.
     """
-    p, v, _ = _kernel(setup, "postselect", pure=True)
+    p = _kernel(setup, "postselect", pure=True)[0]
     try:
         a_w: Optional[complex] = setup._signal / _overlap(setup.psi_si, setup.psi_sf)
     except OrthogonalPostselectionError:
         a_w = None
-    return PostselectionResult(p=p, phi_mf=Ket(v), a_w=a_w)
+    return PostselectionResult(p=p, phi_mf=setup._collapsed_ket, a_w=a_w)
 
 
 def postselect_mixed(setup: WvaSetup) -> tuple[float, DensityMatrix]:
@@ -325,7 +332,7 @@ def postselected_meter_family(setup: WvaSetup) -> MixedFamily:
 def fm_exact(setup: WvaSetup) -> float:
     """Exact QFI of the collapsed meter state at the setup's coupling strength.
 
-    F_m = 4 (<dv|dv>/p - |<v|dv>|^2/p^2) from the kernel's closed-form dv, or
+    F_m = 4 |v0 dv1 - v1 dv0|^2 / p^2 from the kernel's closed-form dv, or
     for a density-matrix input the Bloch form of :func:`_bloch_qfi`.
     """
     if not isinstance(setup.psi_si, Ket):
@@ -352,7 +359,7 @@ def probabilistic_qfi(setup: WvaSetup) -> tuple[float, float]:
     """Success-weighted QFI of the collapsed meter, exact and leading order.
 
     Returns (p * F_m, 4 * Omega * |<sf|A|si>|^2), the exact value as
-    4 (<dv|dv> - |<v|dv>|^2 / p) from the setup's kernel output. It can
+    4 |v0 dv1 - v1 dv0|^2 / p from the setup's kernel output. It can
     approach but never exceed the conventional-scheme QFI.
     """
     _kernel(setup, "probabilistic_qfi", pure=True)

@@ -227,6 +227,31 @@ class TestQfi:
         orthogonal = str(np.pi / 6 + np.pi / 2)
         assert main(["qfi", "--theta", THETA, "--alpha", orthogonal, "--g", "0"]) == 1
 
+    # At g = 4.047e-4 the readout information is F_m too, but its plus outcome
+    # (8e-18) is under cfi_discrete's 1e-12 outcome floor, so cfi_conditional is not.
+    @pytest.mark.parametrize(
+        "g, fm_exact, region, readout_is_fm",
+        [("1.485e-7", 10965.425272478, "advantage", True),
+         ("4.047e-4", 1.98791859e-10, "trivial", False)],
+    )
+    def test_pair_inside_the_overlap_floor_reports_null_weak_value_fields(
+        self, g, fm_exact, region, readout_is_fm, capsys
+    ):
+        # |<sf|si>| = 9.9993e-13 is under the weak value's 1e-12 overlap floor, while
+        # |cos(alpha - theta)| = 1.00003e-12 is just over the readout's 1e-12 degeneracy
+        # edge. F_m = 4 |<sf|si>|^2 cos^2(alpha + theta) / p^2; eps = |<sf|si>| is the
+        # difference of amplitudes near 0.43, so the kernel resolves it to about 1e-4.
+        argv = ["qfi", "--theta", "0.5235987755982988", "--alpha", "-1.0471975511975977"]
+        assert main([*argv, "--g", g]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for key in ("a_w_real", "a_w_imag", "fm_leading", "weak_regime_margin", "in_weak_regime"):
+            assert payload[key] is None
+        assert payload["fm_exact"] == pytest.approx(fm_exact, rel=1e-3)
+        assert payload["f_m_exact"] == pytest.approx(payload["p_exact"] * fm_exact, rel=1e-3)
+        assert payload["region"] == region
+        if readout_is_fm:
+            assert payload["cfi_conditional"] == pytest.approx(payload["fm_exact"], rel=1e-12)
+
 
 class TestVerify:
     def test_all_suites_pass(self, tmp_path):

@@ -21,7 +21,6 @@ from wva_costlab import (
     boundary_curve,
     classify_region,
     cost_point,
-    cost_point_geometric,
     default_alpha_grid,
     fm_leading,
     hwp_settings,
@@ -38,11 +37,10 @@ UNIT_RATES = CostRates(1.0, 1.0, 1)
 THETA_GRID = (np.pi / 16, np.pi / 12, np.pi / 8, np.pi / 6, np.pi / 5, np.pi / 4.5, np.pi / 4)
 
 
-def leading_point(theta, alpha, rates=UNIT_RATES):
+def leading_point(theta, alpha):
     cp = 1.0 / np.cos(alpha + theta) ** 2
     cm = np.cos(alpha - theta) ** 2 * cp
-    n = rates.n_samples
-    return CostPoint(cp, cm, cp * rates.r_p * n, cm * rates.r_m * n, cp * n)
+    return CostPoint(cp, cm, cp, cm, cp)
 
 
 class TestCoherence:
@@ -182,22 +180,36 @@ class TestCostPoint:
             CostPoint(*values)
 
 
+def geometric_costs(theta, alpha):
+    """The paper's Bloch-angle form of the leading-order costs, or None where cp diverges.
+
+    With r1, r2, r3 the Bloch vectors of the postselection, of sigma applied to
+    the input and of the input: cp = 1 / cos^2(angle(r1, r2) / 2) and
+    cm = cos^2(angle(r1, r3) / 2) / cos^2(angle(r1, r2) / 2).
+    """
+    r1 = bloch_of(BASIS.superposition(alpha), BASIS)
+    r2 = bloch_of(BASIS.superposition(-theta), BASIS)
+    r3 = bloch_of(BASIS.superposition(theta), BASIS)
+    c12 = math.cos(bloch_angle(r1, r2) / 2.0) ** 2
+    if c12 < 1e-15:
+        return None
+    return 1.0 / c12, math.cos(bloch_angle(r1, r3) / 2.0) ** 2 / c12
+
+
 class TestGeometricCosts:
+    """leading_costs against the Bloch-angle statement of the same costs."""
+
     def test_aligned_vectors_give_unit_cost(self):
+        # r1 = r2: postselecting on sigma applied to the input
         theta = np.pi / 6
-        r2 = bloch_of(BASIS.superposition(-theta), BASIS)  # sigma applied to input
-        r3 = bloch_of(BASIS.superposition(theta), BASIS)
-        point = cost_point_geometric(r2, r2, r3, UNIT_RATES)
-        assert point.cp_norm == pytest.approx(1.0, abs=1e-12)
+        assert geometric_costs(theta, -theta)[0] == pytest.approx(1.0, abs=1e-12)
+        assert leading_costs(theta, -theta)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_optimal_point_matches_information_costs(self):
         theta = np.pi / 6
-        r1 = bloch_of(BASIS.superposition(-theta), BASIS)
-        r2 = bloch_of(BASIS.superposition(-theta), BASIS)
-        r3 = bloch_of(BASIS.superposition(theta), BASIS)
-        point = cost_point_geometric(r1, r2, r3, UNIT_RATES)
-        assert point.cp_norm == pytest.approx(1.0, abs=1e-9)
-        assert point.cm_norm == pytest.approx(0.25, abs=1e-9)
+        for cp, cm in (geometric_costs(theta, -theta), leading_costs(theta, -theta)):
+            assert cp == pytest.approx(1.0, abs=1e-9)
+            assert cm == pytest.approx(0.25, abs=1e-9)
 
     def test_agrees_with_information_form_on_sweep(self):
         rng = np.random.default_rng(8)
@@ -206,21 +218,14 @@ class TestGeometricCosts:
             alpha = rng.uniform(-1.2, 1.2)
             if abs(np.cos(alpha + theta)) < 1e-3:
                 continue
-            r1 = bloch_of(BASIS.superposition(alpha), BASIS)
-            r2 = bloch_of(BASIS.superposition(-theta), BASIS)
-            r3 = bloch_of(BASIS.superposition(theta), BASIS)
-            geometric = cost_point_geometric(r1, r2, r3, RATES)
-            reference = leading_point(theta, alpha, RATES)
-            assert geometric.cp_norm == pytest.approx(reference.cp_norm, rel=1e-9)
-            assert geometric.cm_norm == pytest.approx(reference.cm_norm, abs=1e-9)
+            geometric, leading = geometric_costs(theta, alpha), leading_costs(theta, alpha)
+            assert geometric[0] == pytest.approx(leading[0], rel=1e-9)
+            assert geometric[1] == pytest.approx(leading[1], abs=1e-9)
 
-    def test_orthogonal_signal_direction_rejected(self):
+    def test_orthogonal_signal_direction_has_no_cost(self):
         theta = np.pi / 6
-        r1 = bloch_of(BASIS.superposition(np.pi / 2 - theta), BASIS)
-        r2 = bloch_of(BASIS.superposition(-theta), BASIS)
-        r3 = bloch_of(BASIS.superposition(theta), BASIS)
-        with pytest.raises(InfinitePreparationCostError):
-            cost_point_geometric(r1, r2, r3, UNIT_RATES)
+        assert geometric_costs(theta, np.pi / 2 - theta) is None
+        assert leading_costs(theta, np.pi / 2 - theta) is None
 
 
 class TestTradeoffSlack:

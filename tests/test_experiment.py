@@ -34,14 +34,13 @@ from wva_costlab import (
     hwp_settings,
     leading_costs,
     mle_g,
-    outcome_model,
     postselect,
     probabilistic_qfi,
     real_superposition_setup,
     run_campaign,
     run_trial,
 )
-from wva_costlab.experiment import G_MAX, _degenerate, _readout_probabilities, _trial_rng
+from wva_costlab.experiment import G_MAX, _degenerate, _readout, _readout_probabilities, _trial_rng
 
 THETA = np.pi / 6
 ALPHA = -np.pi / 6
@@ -76,15 +75,6 @@ def oracle_conditional_cfi(theta, alpha, g):
     return (k**2 * np.sin(2 * g) / d**2) ** 2 / (q * (1.0 - q))
 
 
-def oracle_joint_cfi(theta, alpha, g):
-    """sum_k p_k'^2 / p_k over (fail, plus, minus) from the closed trig forms."""
-    c_minus, c_plus = np.cos(alpha - theta) ** 2, np.cos(alpha + theta) ** 2
-    plus, minus = c_minus * np.cos(g) ** 2, c_plus * np.sin(g) ** 2
-    d_plus, d_minus = -c_minus * np.sin(2 * g), c_plus * np.sin(2 * g)
-    fail, d_fail = 1.0 - plus - minus, -d_plus - d_minus
-    return d_fail**2 / fail + d_plus**2 / plus + d_minus**2 / minus
-
-
 def config(g=0.0349, nu=700, reps=10, seed=1, theta=THETA, alpha=ALPHA):
     return ExperimentConfig(
         theta=theta,
@@ -96,17 +86,22 @@ def config(g=0.0349, nu=700, reps=10, seed=1, theta=THETA, alpha=ALPHA):
     )
 
 
-class TestOutcomeModel:
+def oracle_joint_slopes(theta, alpha, g):
+    """d/dg of the joint plus and minus probabilities cos^2(a-t) cos^2 g, cos^2(a+t) sin^2 g."""
+    sin_2g = np.sin(2 * g)
+    return -np.cos(alpha - theta) ** 2 * sin_2g, np.cos(alpha + theta) ** 2 * sin_2g
+
+
+class TestReadout:
+    """The joint readout law (plus, minus) and its slopes, against the closed trig forms."""
+
     def test_identity_evolution(self):
-        model = outcome_model(THETA, 0.4)
-        fail, plus, minus = model(0.0)
+        (plus, minus), _ = _readout(THETA, 0.4, 0.0)
         assert minus == 0.0
         assert plus == pytest.approx(np.cos(0.4 - THETA) ** 2, abs=1e-12)
-        assert fail == pytest.approx(1.0 - plus, abs=1e-12)
 
     def test_example_values(self):
-        model = outcome_model(THETA, ALPHA)
-        fail, plus, minus = model(0.0349)
+        (plus, minus), _ = _readout(THETA, ALPHA, 0.0349)
         assert plus + minus == pytest.approx(0.2509131, abs=1e-6)
         assert minus / (plus + minus) == pytest.approx(0.0048523, abs=1e-6)
 
@@ -116,14 +111,9 @@ class TestOutcomeModel:
             theta = rng.uniform(0.05, np.pi / 4)
             alpha = rng.uniform(-1.3, 1.3)
             g = rng.uniform(-0.4, 0.4)
-            fail, plus, minus = outcome_model(theta, alpha)(g)
+            (plus, minus), _ = _readout(theta, alpha, g)
             assert plus + minus == pytest.approx(oracle_p(theta, alpha, g), abs=1e-12)
             assert minus == pytest.approx(oracle_minus_joint(theta, alpha, g), abs=1e-12)
-            assert fail + plus + minus == pytest.approx(1.0, abs=1e-12)
-
-    def test_degenerate_configuration_rejected(self):
-        with pytest.raises(ContractViolationError):
-            outcome_model(np.pi / 2, 0.0)  # both cosines vanish, p identically 0
 
     def test_conditional_readout_information_limit(self):
         model = conditional_outcome_model(THETA, ALPHA)
@@ -149,9 +139,9 @@ class TestExactReadoutInformation:
         assert value == pytest.approx(oracle_conditional_cfi(theta, alpha, g), rel=1e-10)
 
     @pytest.mark.parametrize("theta, alpha, g", READOUT_POINTS)
-    def test_three_outcome_cfi_matches_closed_form(self, theta, alpha, g):
-        value = cfi_discrete(outcome_model(theta, alpha), g)
-        assert value == pytest.approx(oracle_joint_cfi(theta, alpha, g), rel=1e-10)
+    def test_joint_slopes_match_closed_form(self, theta, alpha, g):
+        _, slopes = _readout(theta, alpha, g)
+        np.testing.assert_allclose(slopes, oracle_joint_slopes(theta, alpha, g), rtol=1e-10)
 
     def test_derivative_agrees_with_the_cached_probabilities(self):
         model = conditional_outcome_model(THETA, ALPHA)
@@ -172,8 +162,6 @@ class TestExactReadoutInformation:
                 _readout_probabilities(theta, alpha, g)
             with pytest.raises(WvaError):
                 cfi_discrete(conditional_outcome_model(theta, alpha), g)
-            with pytest.raises(WvaError):
-                outcome_model(theta, alpha)(g)
 
     def test_huge_finite_angles_raise_no_warning(self):
         with warnings.catch_warnings():
@@ -469,7 +457,6 @@ class TestRunCampaign:
         prepared = sum(c.n_prepared for c, _ in report.per_trial)
         postselected = sum(c.n_postselected for c, _ in report.per_trial)
         assert report.p_empirical == pytest.approx(postselected / prepared)
-        assert report.seed_echo == 8
 
 
 class TestWavePlateSettings:
@@ -683,12 +670,6 @@ class TestDegeneracyRules:
         assert _degenerate(0.5, -np.nextafter(1e-12, 1.0)) == (False, False)
         assert _degenerate(math.nan, 0.5) == (False, False)
 
-    def test_outcome_model_needs_both_to_vanish(self):
-        for alpha in (self.PLUS_ZERO, self.MINUS_ZERO):
-            outcome_model(self.THETA, alpha)
-        with pytest.raises(ContractViolationError, match="never succeeds"):
-            outcome_model(1e-13, np.pi / 2)  # both cosines are about 1e-13
-
     def test_conditional_model_and_mle_reject_either(self):
         counts = TrialCounts(n_prepared=20, n_postselected=10, n_plus=9, n_minus=1)
         for alpha in (self.PLUS_ZERO, self.MINUS_ZERO):
@@ -745,9 +726,8 @@ def reference_leading_costs(theta, alpha):
     return 1.0 / c_plus**2, c_minus**2 / c_plus**2
 
 
-def reference_outcome_rejects(theta, alpha, conditional):
-    rule = any if conditional else all
-    return rule(reference_degenerate(*reference_selection_cosines(theta, alpha), strict=True))
+def reference_outcome_rejects(theta, alpha):
+    return any(reference_degenerate(*reference_selection_cosines(theta, alpha), strict=True))
 
 
 def outcome_error(build, theta, alpha):
@@ -781,10 +761,9 @@ def assert_matches_reference(theta, alpha, counts, g_max):
         assert got == expected and type(got) is float, (theta, alpha, counts, g_max)
     assert leading_costs(theta, alpha) == reference_leading_costs(theta, alpha)
     if not near_tolerance(theta, alpha):
-        for build, conditional in ((outcome_model, False), (conditional_outcome_model, True)):
-            rejected = reference_outcome_rejects(theta, alpha, conditional)
-            error = outcome_error(build, theta, alpha)
-            assert error is (ContractViolationError if rejected else None), (theta, alpha)
+        rejected = reference_outcome_rejects(theta, alpha)
+        error = outcome_error(conditional_outcome_model, theta, alpha)
+        assert error is (ContractViolationError if rejected else None), (theta, alpha)
 
 
 def in_domain_points(seed, count):
@@ -819,7 +798,7 @@ class TestSelectionDomain:
 
     def test_reference_sees_both_decisions(self):
         points = in_domain_points(2024, 60)
-        decisions = {reference_outcome_rejects(*p, conditional=True) for p in points}
+        decisions = {reference_outcome_rejects(*p) for p in points}
         assert decisions == {True, False}
         assert {reference_leading_costs(*p) is None for p in points} == {True, False}
 
@@ -848,12 +827,11 @@ class TestSelectionDomain:
             lambda: mle_g(TrialCounts(20, 10, 9, 1), 0.5, -0.3, g_max=10.0),
             lambda: leading_costs(1e308, 1e308),
             lambda: leading_costs(5.0, 0.3),
-            lambda: outcome_model(5.0, -0.5),
             lambda: conditional_outcome_model(-0.3, 0.2),
             lambda: mle_g(TrialCounts(20, 10, 9, 1), 0.5, math.inf),
         ],
         ids=["mle-theta-nan", "mle-theta-5", "mle-g_max-neg", "mle-g_max-10",
-             "leading-huge", "leading-theta-5", "outcome-theta-5", "conditional-theta-neg",
+             "leading-huge", "leading-theta-5", "conditional-theta-neg",
              "mle-alpha-inf"],
     )
     def test_out_of_domain_raises_without_a_warning(self, call):

@@ -20,7 +20,6 @@ from wva_costlab import (
     coupling_unitary,
     fisher,
     hermitian_eigs,
-    outcome_model,
     qfi_mixed,
     qfi_product_coupling,
     qfi_pure,
@@ -456,10 +455,10 @@ class TestScalarOutcomeChecks:
         for _ in range(300):
             theta, alpha = rng.uniform(0.01, np.pi / 4.0), rng.uniform(-1.5, 1.5)
             g = 10.0 ** rng.uniform(-6.0, 0.0)
-            for model in (conditional_outcome_model(theta, alpha), outcome_model(theta, alpha)):
-                expected = _outcome(lambda: _numpy_cfi(model, g))
-                assert _outcome(lambda: cfi_discrete(model, g)) == expected
-                assert model(g).tobytes() == _numpy_distribution(model.probabilities(g)).tobytes()
+            model = conditional_outcome_model(theta, alpha)
+            expected = _outcome(lambda: _numpy_cfi(model, g))
+            assert _outcome(lambda: cfi_discrete(model, g)) == expected
+            assert model(g).tobytes() == _numpy_distribution(model.probabilities(g)).tobytes()
 
     @pytest.mark.parametrize(
         "probabilities, slope",

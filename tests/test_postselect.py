@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wva_costlab import (
@@ -47,6 +47,7 @@ from wva_costlab import (
     weak_regime_margin,
     weak_value,
 )
+from wva_costlab.fisher import RANK_CUTOFF, STEP
 
 BASIS = ReferenceBasis.standard()
 SIGMA = BASIS.sigma()
@@ -190,6 +191,18 @@ class TestCollapsedStateInformation:
             assert diffs[0] >= diffs[1] >= diffs[2]
             assert diffs[2] < 1e-3 * target
 
+    def test_orthogonal_postselection_follows_the_inverse_quartic_law(self):
+        # |<sf|si>| = eps ~ 1e-12, so v and dv are nearly parallel and
+        # F_m = 4 eps^2 cos^2(a+t) / p^2 with p = cos^2(a+t) sin^2 g to 1e-10 here.
+        # The kernel forms eps from amplitudes near 0.43, so it resolves eps to
+        # about 1e-4 relative: the ratios hold to 1.3e-4.
+        theta, alpha = 0.5235987755982988, -1.0471975511975977
+        gs = np.unique(np.append(np.geomspace(1.485e-7, 0.7, 60), [4.047e-4, 1.326e-3, 0.0349]))
+        fm = np.array([fm_exact(real_superposition_setup(theta, alpha, g)) for g in gs])
+        assert np.all(fm > 0.0)
+        law = (np.sin(gs[1:]) / np.sin(gs[:-1])) ** 4
+        np.testing.assert_allclose(fm[:-1] / fm[1:], law, rtol=1e-3)
+
     @pytest.mark.parametrize("g", [1e-7, 1e-3])
     @pytest.mark.parametrize("epsilon", [1e-3, 1e-4, 1e-5])
     def test_near_orthogonal_postselection_is_exact(self, epsilon, g):
@@ -308,6 +321,10 @@ class TestKernelSharing:
         assert counts == {"_amplitude": 1, "_weighted_qfi": 1}
         assert result.a_w == weak_value(setup.psi_si, setup.psi_sf, setup.A)
         assert fm == exact / result.p
+
+    def test_postselect_returns_the_cached_collapsed_ket(self):
+        setup = real_superposition_setup(np.pi / 6, -np.pi / 5, 0.0349)
+        assert postselect(setup).phi_mf is collapsed_meter_family(setup)(setup.g)
 
     def test_at_and_replace_start_uncached(self, kernel_calls):
         setup = real_superposition_setup(np.pi / 6, -np.pi / 5, 0.0349)
@@ -568,7 +585,21 @@ def _seeded_mixed_setups(seed, count):
 
 
 def _mixed_sld_oracle(setup):
-    return qfi_mixed(postselected_meter_family(setup), setup.g)
+    """SLD QFI of the postselected meter family, with a 5-point derivative at fisher.STEP.
+
+    The same sum as ``qfi_mixed``, whose 3-point difference has an O(STEP^2)
+    truncation error that reaches 1e-6 relative on near-pure collapsed states;
+    this stencil's is O(STEP^4).
+    """
+    family, g, h = postselected_meter_family(setup), setup.g, STEP
+    rho = {k: family(g + k * h).entries for k in (-2, -1, 0, 1, 2)}
+    drho = (8.0 * (rho[1] - rho[-1]) - (rho[2] - rho[-2])) / (12.0 * h)
+    lam, vecs = np.linalg.eigh(rho[0])
+    cross = vecs.conj().T @ drho @ vecs
+    return sum(
+        2.0 * abs(cross[i, j]) ** 2 / (lam[i] + lam[j])
+        for i in range(2) for j in range(2) if lam[i] + lam[j] > RANK_CUTOFF
+    )
 
 
 UNIT = st.floats(-1.0, 1.0)
@@ -587,6 +618,10 @@ class TestMixedKernel:
         # (see test_small_coupling_joins_the_oracle_checked_value)
         g=st.floats(1e-3, 0.5),
     )
+    # a near-pure collapsed state (eigenvalues 0.021, 0.979), where a 3-point oracle is
+    # off by 1.5e-6 relative
+    @example(radius=0.99999, polar=1.734375, azimuth=0.0, sf=(-0.515625, 0.0, 0.4375, 0.0),
+             g=0.015625)
     def test_fm_exact_matches_sld_oracle(self, radius, polar, azimuth, sf, g):
         sin_polar = math.sin(polar)
         rho = _bloch_density(

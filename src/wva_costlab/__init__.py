@@ -47,7 +47,6 @@ from .experiment import (
     run_trial,
 )
 from .fisher import (
-    OutcomeModel,
     cfi_discrete,
     qfi_mixed,
     qfi_product_coupling,

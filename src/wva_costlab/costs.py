@@ -258,8 +258,7 @@ def classify_region(point: CostPoint) -> str:
 
     Points on the divide count as trivial. The divide is applied with a 1e-6
     band so that a point that sits on the divide in exact arithmetic (for
-    example |A_w| = 1, where F_m = 4 Omega) cannot cross to the advantage side
-    through rounding, or through a QFI estimated by finite differences on a
-    mixed family (noise around 1e-8).
+    example |A_w| = 1, or an incoherent input, where F_m = 4 Omega) cannot
+    cross to the advantage side through rounding.
     """
     return "advantage" if point.cm_norm < 1.0 - 1e-6 else "trivial"

@@ -20,9 +20,10 @@ entropy. ``numpy.random`` is imported on the first trial, not on import.
 
 The readout law comes from one evaluation of the scalar postselection kernel
 per (theta, alpha, g), which also yields the exact derivative of the plus and
-minus probabilities in g. The conditional outcome model hands that derivative
-to :func:`~wva_costlab.fisher.cfi_discrete`, so the readout information is
-exact and needs no finite-difference step.
+minus probabilities in g. The conditional outcome model is a plain law
+``g -> (probabilities, slopes)`` that hands that derivative to
+:func:`~wva_costlab.fisher.cfi_discrete`, so the readout information is exact
+and needs no finite-difference step.
 
 :class:`ExperimentConfig`, the conditional outcome model and :func:`mle_g`
 take their angles through :func:`~wva_costlab.states.selection_cosines` and
@@ -47,7 +48,7 @@ from .errors import (
     NonTerminationError,
     VanishingPostselectionError,
 )
-from .fisher import OutcomeModel
+from .fisher import OutcomeLaw
 from .postselect import fm_exact, postselect, real_superposition_setup
 from .states import (
     METER_MINUS,
@@ -56,6 +57,7 @@ from .states import (
     _meter_core,
     check_count,
     check_seed,
+    finite_real,
     selection_cosines,
 )
 
@@ -68,15 +70,9 @@ _MAX_CHUNK = 1 << 20
 _READOUT_BASIS = (tuple(METER_PLUS.amplitudes.tolist()), tuple(METER_MINUS.amplitudes.tolist()))
 
 
-def _require_finite(where: str, **values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ContractViolationError(f"{where}: {name} must be finite")
-
-
 def _check_coupling(where: str, name: str, g: float) -> None:
     """A scenario coupling must be finite and lie in [0, G_MAX]."""
-    _require_finite(where, **{name: g})
+    finite_real(g, where, name)
     if not (0.0 <= g <= G_MAX):
         raise ContractViolationError(f"{where}: {name} must lie in [0, g_max]")
 
@@ -207,7 +203,8 @@ def _readout(
     d|<e|v>|^2/dg = 2 Re(conj(<e|v>) <e|dv>). Probabilities below 1e-30
     collapse to exact zero. Non-finite inputs raise ContractViolationError.
     """
-    _require_finite("readout", theta=theta, alpha=alpha, g=g)
+    for name, value in (("theta", theta), ("alpha", alpha), ("g", g)):
+        finite_real(value, "readout", name)
     v0, v1, d0, d1 = _meter_core(
         (math.cos(theta), math.sin(theta)),
         (math.cos(alpha), math.sin(alpha)),
@@ -237,11 +234,12 @@ def _readout_probabilities(theta: float, alpha: float, g: float) -> tuple[float,
     return _readout(theta, alpha, g)[0]
 
 
-def conditional_outcome_model(theta: float, alpha: float) -> OutcomeModel:
-    """Two-outcome model (plus, minus) conditioned on successful postselection.
+def conditional_outcome_model(theta: float, alpha: float) -> OutcomeLaw:
+    """Two-outcome readout law (plus, minus) conditioned on successful postselection.
 
-    With q = p_minus / (p_plus + p_minus), the exact slope is
-    dq/dg = (p_plus dp_minus - p_minus dp_plus) / (p_plus + p_minus)^2.
+    Returns ``g -> ((1 - q, q), (-dq/dg, dq/dg))`` for
+    :func:`~wva_costlab.fisher.cfi_discrete`, with q = p_minus / (p_plus + p_minus)
+    and the exact slope dq/dg = (p_plus dp_minus - p_minus dp_plus) / (p_plus + p_minus)^2.
     """
     cosines = selection_cosines(theta, alpha, "conditional_outcome_model")
     if any(_degenerate(*cosines)):
@@ -249,7 +247,7 @@ def conditional_outcome_model(theta: float, alpha: float) -> OutcomeModel:
             "conditional_outcome_model: degenerate pre/postselection pair"
         )
 
-    def derivative(g: float) -> tuple[np.ndarray, np.ndarray]:
+    def law(g: float) -> tuple[tuple[float, float], tuple[float, float]]:
         (p_plus, p_minus), (dp_plus, dp_minus) = _readout(theta, alpha, g)
         total = p_plus + p_minus
         if total <= 0.0:
@@ -257,12 +255,9 @@ def conditional_outcome_model(theta: float, alpha: float) -> OutcomeModel:
                 "conditional_outcome_model: postselection never succeeds at this coupling"
             )
         dq = (p_plus * dp_minus - p_minus * dp_plus) / total**2
-        return np.array([p_plus / total, p_minus / total]), np.array([-dq, dq])
+        return (p_plus / total, p_minus / total), (-dq, dq)
 
-    return OutcomeModel(
-        probabilities=lambda g: derivative(g)[0],
-        derivative=derivative,
-    )
+    return law
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx, after

@@ -69,6 +69,7 @@ from .states import (
     _phase_fixed,
     _readonly,
     check_theta,
+    finite_real,
     postselected_meter,
 )
 
@@ -105,8 +106,7 @@ class WvaSetup:
     omega: float = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not math.isfinite(self.g):
-            raise ContractViolationError("WvaSetup: coupling strength g must be finite")
+        finite_real(self.g, "WvaSetup", "coupling strength g")
         if self.psi_sf.dim != 2 or self.phi_mi.dim != 2 or self.psi_si.dim != 2:
             raise ContractViolationError("WvaSetup: system and meter must be qubits")
         if self.A.dim != 2 or self.M.dim != 2:
@@ -211,8 +211,8 @@ def _kernel(setup: WvaSetup, where: str, pure: bool = False, g: Optional[float] 
     no :class:`WvaSetup` is built: the setup's other fields were checked when
     it was built and do not depend on g.
     """
-    if g is not None and not math.isfinite(g):
-        raise ContractViolationError("WvaSetup: coupling strength g must be finite")
+    if g is not None:
+        finite_real(g, "WvaSetup", "coupling strength g")
     ket_input = isinstance(setup.psi_si, Ket)
     if pure and not ket_input:
         raise UnsupportedInputError(f"{where}: mixed system input; use postselect_mixed")

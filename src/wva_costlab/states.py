@@ -30,10 +30,11 @@ K = V rho_s V^dag with the inputs it was formed from (``parts``: rho_s, sf,
 phi, the splits and g). ``_meter_slope`` runs ``_meter_core`` on the basis
 kets from those parts and forms dK and the determinant term, so a caller
 that reads only K forms no derivative.
-Each scenario input domain is decided in one function: :func:`check_theta`
-(theta in (0, pi/4]), :func:`selection_cosines` (finite angles and their
-cos(alpha +- theta)), :func:`check_count` (integer counts) and
-:func:`check_seed` (64-bit seeds and trial indices).
+Each scenario input domain is decided in one function: :func:`finite_real`
+(finite reals; an integer beyond the float range is not one),
+:func:`check_theta` (theta in (0, pi/4]), :func:`selection_cosines` (finite
+angles and their cos(alpha +- theta)), :func:`check_count` (integer counts)
+and :func:`check_seed` (64-bit seeds and trial indices).
 """
 
 from __future__ import annotations
@@ -59,6 +60,21 @@ EIGENVALUE_FLOOR = -1e-10
 BLOCH_UNIT_TOL = 1e-10
 
 _VALID_DIMS = (2, 4)
+
+
+def finite_real(value, *what: str) -> float:
+    """Return a finite real as a Python float, a float with its bits; else raise.
+
+    NaN, +-inf and an integer beyond the float range, where ``float()``
+    overflows, raise ``ContractViolationError`` with the parts of ``what``
+    joined by ": " and "must be finite", e.g. "hwp_settings: g must be finite".
+    """
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ContractViolationError(f"{': '.join(what)} must be finite")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -296,8 +312,8 @@ class BlochVector:
     r3: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.r1, self.r2, self.r3))):
-            raise ContractViolationError("BlochVector: components must be finite")
+        for r in (self.r1, self.r2, self.r3):
+            finite_real(r, "BlochVector", "components")
         # |r_i| <= |r|: checking the components first moves no edge and keeps norm() finite
         if max(map(abs, (self.r1, self.r2, self.r3))) > 1.0 + 1e-12 or self.norm() > 1.0 + 1e-12:
             raise ContractViolationError("BlochVector: norm exceeds 1")
@@ -329,8 +345,7 @@ class ReferenceBasis:
 
     def superposition(self, angle: float) -> Ket:
         """Return cos(angle)*ket0 + sin(angle)*ket1 for a finite angle."""
-        if not math.isfinite(angle):
-            raise ContractViolationError("superposition: angle must be finite")
+        angle = finite_real(angle, "superposition", "angle")
         c, s = float(np.cos(angle)), float(np.sin(angle))
         return Ket(np.array([c * a + s * b for a, b in self._pairs]))
 
@@ -375,9 +390,8 @@ def selection_cosines(theta: float, alpha: float, where: str) -> tuple[float, fl
     theta must also pass :func:`check_theta`, so alpha +- theta cannot overflow
     and no trig call warns.
     """
-    for name, angle in (("theta", theta), ("alpha", alpha)):
-        if not math.isfinite(angle):
-            raise ContractViolationError(f"{where}: {name} must be finite")
+    theta = finite_real(theta, where, "theta")
+    alpha = finite_real(alpha, where, "alpha")
     check_theta(theta, f"{where}: theta")
     return np.cos(alpha + theta), np.cos(alpha - theta)
 

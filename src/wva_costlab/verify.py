@@ -158,7 +158,7 @@ def suite_incoherent_ceiling() -> SuiteResult:
                 ceiling = 4.0 * setup.omega
                 value = fm_exact(setup)
                 worst_excess = max(worst_excess, value - ceiling)
-    tol = 1e-4
+    tol = 1e-12
     return SuiteResult(
         name="incoherent-ceiling",
         passed=worst_excess <= tol,

@@ -227,15 +227,14 @@ class TestQfi:
         orthogonal = str(np.pi / 6 + np.pi / 2)
         assert main(["qfi", "--theta", THETA, "--alpha", orthogonal, "--g", "0"]) == 1
 
-    # At g = 4.047e-4 the readout information is F_m too, but its plus outcome
-    # (8e-18) is under cfi_discrete's 1e-12 outcome floor, so cfi_conditional is not.
+    # At g = 4.047e-4 the readout information is F_m too, although its plus
+    # outcome has conditional probability 8e-18: only an outcome with p = 0 is skipped.
     @pytest.mark.parametrize(
-        "g, fm_exact, region, readout_is_fm",
-        [("1.485e-7", 10965.425272478, "advantage", True),
-         ("4.047e-4", 1.98791859e-10, "trivial", False)],
+        "g, fm_exact, region",
+        [("1.485e-7", 10965.425272478, "advantage"), ("4.047e-4", 1.98791859e-10, "trivial")],
     )
     def test_pair_inside_the_overlap_floor_reports_null_weak_value_fields(
-        self, g, fm_exact, region, readout_is_fm, capsys
+        self, g, fm_exact, region, capsys
     ):
         # |<sf|si>| = 9.9993e-13 is under the weak value's 1e-12 overlap floor, while
         # |cos(alpha - theta)| = 1.00003e-12 is just over the readout's 1e-12 degeneracy
@@ -249,8 +248,7 @@ class TestQfi:
         assert payload["fm_exact"] == pytest.approx(fm_exact, rel=1e-3)
         assert payload["f_m_exact"] == pytest.approx(payload["p_exact"] * fm_exact, rel=1e-3)
         assert payload["region"] == region
-        if readout_is_fm:
-            assert payload["cfi_conditional"] == pytest.approx(payload["fm_exact"], rel=1e-12)
+        assert payload["cfi_conditional"] == pytest.approx(payload["fm_exact"], rel=1e-12)
 
 
 class TestVerify:

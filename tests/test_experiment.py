@@ -144,12 +144,38 @@ class TestExactReadoutInformation:
         np.testing.assert_allclose(slopes, oracle_joint_slopes(theta, alpha, g), rtol=1e-10)
 
     def test_derivative_agrees_with_the_cached_probabilities(self):
-        model = conditional_outcome_model(THETA, ALPHA)
-        probabilities, slope = model.derivative(0.0349)
+        law = conditional_outcome_model(THETA, ALPHA)
+        probabilities, slope = law(0.0349)
         plus, minus = _readout_probabilities(THETA, ALPHA, 0.0349)
         np.testing.assert_allclose(probabilities, [plus / (plus + minus), minus / (plus + minus)],
                                    rtol=1e-14)
         assert slope[0] == -slope[1]
+
+    def test_conditional_readout_information_is_fm_exact(self):
+        """The conditional readout carries the whole collapsed-meter QFI: cfi == fm_exact.
+
+        A seeded panel with |cos(alpha +- theta)| > 1e-2 and log-uniform g in
+        [1e-8, 0.7], plus its worst corner, g = 1e-8 at |cos(alpha + theta)|
+        just above 1e-2. The readout's minus amplitude, about
+        g cos(alpha + theta), keeps a rounding residue of about one ulp out of
+        phase with it, whose square adds to the minus probability: a relative
+        error of about (eps / (g cos(alpha + theta)))^2 in q and in the
+        information, 1.7e-12 at worst seen (g = 1.15e-8, |cos| = 0.011).
+        Elsewhere the two agree within 1e-12 relative.
+        """
+        rng = np.random.default_rng(41)
+        corner = (0.7255152730522272, np.pi / 2 - 0.7255152730522272 + 0.0100002, 1e-8)
+        panel = [corner]
+        while len(panel) < 400:
+            theta, alpha = rng.uniform(1e-3, np.pi / 4), rng.uniform(-np.pi / 2, np.pi / 2)
+            if min(abs(np.cos(alpha + theta)), abs(np.cos(alpha - theta))) > 1e-2:
+                panel.append((theta, alpha, 10.0 ** rng.uniform(-8.0, np.log10(0.7))))
+        eps = np.finfo(float).eps
+        for theta, alpha, g in panel:
+            readout = cfi_discrete(conditional_outcome_model(theta, alpha), g)
+            exact = fm_exact(real_superposition_setup(theta, alpha, g))
+            rounding = (eps / (g * abs(np.cos(alpha + theta)))) ** 2
+            assert abs(readout / exact - 1.0) <= 1e-12 + rounding, (theta, alpha, g)
 
     @pytest.mark.parametrize("field", ["theta", "alpha", "g"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,6 +1,8 @@
 """Fisher information operations against closed-form and cross-method oracles."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from wva_costlab import (
     DensityMatrix,
     HermitianOperator,
     Ket,
-    OutcomeModel,
     ReferenceBasis,
     StepTooLargeError,
     UnsupportedInputError,
@@ -83,17 +84,33 @@ class TestFixedStep:
             assert "step" not in inspect.signature(fn).parameters, fn.__name__
         assert fisher.STEP == 1e-5 and not hasattr(fisher, "DEFAULT_STEP")
 
+    def test_only_the_oracles_read_the_step(self):
+        """No exact quantity depends on the step: only the four oracle bodies read it."""
+        readers = {"qfi_pure", "qfi_mixed", "qfi_spectral_unitary", "_aligned"}
+        found = []
+        for path in sorted(Path(fisher.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                owner = getattr(top, "name", None)
+                for node in ast.walk(top):
+                    if isinstance(node, ast.ImportFrom):
+                        reads = any(alias.name == "STEP" for alias in node.names)
+                    elif isinstance(node, ast.Attribute):
+                        reads = node.attr == "STEP"
+                    elif isinstance(node, ast.Name) and path.stem == "fisher":
+                        reads = node.id == "STEP" and isinstance(node.ctx, ast.Load)
+                    else:
+                        reads = False
+                    if reads and not (path.stem == "fisher" and owner in readers):
+                        found.append(f"{path.name}:{node.lineno} in {owner}")
+        assert found == []
+
     # Each family below carries information 4; a caller-chosen step of 2 pi,
-    # pi, 1e300 or 0 made these oracles return about 0 or NaN.
+    # 1e300 or 0 made these oracles return about 0 or NaN.
     PROBE = tensor(BASIS.superposition(0.5), BALANCED_METER)
 
     def test_qfi_pure_family(self):
         fam = lambda g: coupling_unitary(SIGMA, SIGMA, g).apply(self.PROBE)
         assert qfi_pure(fam, 0.1) == pytest.approx(4.0, abs=1e-6)
-
-    def test_cfi_discrete_model(self):
-        model = OutcomeModel(lambda g: [np.cos(g) ** 2, np.sin(g) ** 2])
-        assert cfi_discrete(model, 0.3) == pytest.approx(4.0, abs=1e-6)
 
     def test_qfi_mixed_family(self):
         plus = tensor(BASIS.ket0, BALANCED_METER)
@@ -249,120 +266,89 @@ class TestQfiSpectralUnitary:
             qfi_spectral_unitary([0.5, 0.5], vectors, u_fam, 0.1)
 
 
+def linear_binomial(g):
+    """q = (1 + g)/2 with its exact slope."""
+    return [(1.0 - g) / 2.0, (1.0 + g) / 2.0], [-0.5, 0.5]
+
+
 class TestCfiDiscrete:
     def test_linear_binomial(self):
-        model = OutcomeModel(lambda g: np.array([(1.0 - g) / 2.0, (1.0 + g) / 2.0]))
         # binomial information q'^2 / (q (1-q)) = (1/4) / (1/4) = 1 at g = 0
-        assert cfi_discrete(model, 0.0) == pytest.approx(1.0, abs=1e-8)
-
-    def test_constant_model_is_zero(self):
-        model = OutcomeModel(lambda g: np.array([0.25, 0.75]))
-        assert cfi_discrete(model, 0.1) == 0.0
-
-    def test_conditional_readout_saturates_leading_order(self):
-        from wva_costlab import conditional_outcome_model
-
-        model = conditional_outcome_model(np.pi / 6, -np.pi / 6)
-        assert cfi_discrete(model, 1e-3) == pytest.approx(16.0, rel=0.01)
-
-    def test_distribution_validated(self):
-        bad = OutcomeModel(lambda g: np.array([0.5, 0.4]))
-        with pytest.raises(ContractViolationError):
-            cfi_discrete(bad, 0.0)
-
-    def test_non_finite_distribution_rejected(self):
-        bad = OutcomeModel(lambda g: np.array([np.nan, 0.5]))
-        with pytest.raises(ContractViolationError, match="finite"):
-            cfi_discrete(bad, 0.0)
-
-
-def linear_binomial_with_derivative(calls):
-    """q = (1 + g)/2 with its exact slope; counts each evaluation path."""
-
-    def probabilities(g):
-        calls["probabilities"] += 1
-        return np.array([(1.0 - g) / 2.0, (1.0 + g) / 2.0])
-
-    def derivative(g):
-        calls["derivative"] += 1
-        return probabilities(g), np.array([-0.5, 0.5])
-
-    return OutcomeModel(probabilities, derivative=derivative)
-
-
-class TestCfiDiscreteExactDerivative:
-    def test_derivative_replaces_the_probes(self):
-        calls = {"probabilities": 0, "derivative": 0}
-        model = linear_binomial_with_derivative(calls)
+        assert cfi_discrete(linear_binomial, 0.0) == 1.0
         # (1/2)^2 / q + (1/2)^2 / (1 - q) at q = 0.6
-        value = cfi_discrete(model, 0.2)
-        assert value == pytest.approx(0.25 / 0.6 + 0.25 / 0.4, rel=1e-15)
-        assert calls == {"probabilities": 1, "derivative": 1}
+        expected = 0.25 / 0.6 + 0.25 / 0.4
+        assert cfi_discrete(linear_binomial, 0.2) == pytest.approx(expected, rel=1e-15)
+
+    def test_one_law_evaluation(self):
+        calls = []
+        law = lambda g: calls.append(g) or linear_binomial(g)
+        cfi_discrete(law, 0.2)
+        assert calls == [0.2]
 
     def test_returns_python_float(self):
-        model = linear_binomial_with_derivative({"probabilities": 0, "derivative": 0})
-        assert type(cfi_discrete(model, 0.1)) is float
+        assert type(cfi_discrete(linear_binomial, 0.1)) is float
+        law = lambda g: (np.array([0.25, 0.75]), np.array([0.5, -0.5]))
+        assert type(cfi_discrete(law, 0.1)) is float
 
-    def test_derivative_probabilities_pass_the_model_checks(self):
-        bad = OutcomeModel(
-            lambda g: np.array([0.5, 0.5]),
-            derivative=lambda g: (np.array([0.5, 0.4]), np.array([0.0, 0.0])),
-        )
-        with pytest.raises(ContractViolationError, match="sum to 1"):
-            cfi_discrete(bad, 0.0)
+    def test_constant_law_is_zero(self):
+        assert cfi_discrete(lambda g: ([0.25, 0.75], [0.0, 0.0]), 0.1) == 0.0
 
-    @pytest.mark.parametrize(
-        "slope", [np.array([0.1]), np.array([np.nan, 0.0]), np.array([np.inf, -np.inf])]
-    )
+    def test_conditional_readout_saturates_leading_order(self):
+        law = conditional_outcome_model(np.pi / 6, -np.pi / 6)
+        assert cfi_discrete(law, 1e-3) == pytest.approx(16.0, rel=0.01)
+
+    def test_distribution_validated(self):
+        with pytest.raises(ContractViolationError, match="^cfi_discrete: .* must sum to 1$"):
+            cfi_discrete(lambda g: ([0.5, 0.4], [0.0, 0.0]), 0.0)
+
+    def test_non_finite_distribution_rejected(self):
+        with pytest.raises(ContractViolationError, match="^cfi_discrete: .* must be finite$"):
+            cfi_discrete(lambda g: ([np.nan, 0.5], [0.0, 0.0]), 0.0)
+
+    @pytest.mark.parametrize("slope", [[0.1], [np.nan, 0.0], [np.inf, -np.inf]])
     def test_malformed_derivative_rejected(self, slope):
-        bad = OutcomeModel(
-            lambda g: np.array([0.5, 0.5]),
-            derivative=lambda g: (np.array([0.5, 0.5]), slope),
-        )
-        with pytest.raises(ContractViolationError):
-            cfi_discrete(bad, 0.0)
+        with pytest.raises(ContractViolationError, match="cfi_discrete: derivative"):
+            cfi_discrete(lambda g: ([0.5, 0.5], slope), 0.0)
 
-    def test_outcome_below_floor_is_skipped(self):
-        model = OutcomeModel(
-            lambda g: np.array([0.0, 1.0]),
-            derivative=lambda g: (np.array([0.0, 1.0]), np.array([1.0, -1.0])),
-        )
-        assert cfi_discrete(model, 0.0) == 1.0
+    @pytest.mark.parametrize("zero", [0.0, -0.0, -1e-13])
+    def test_zero_probability_outcome_is_skipped(self, zero):
+        # -1e-13 is inside the 1e-12 range tolerance and is clipped to 0
+        assert cfi_discrete(lambda g: ([zero, 1.0 - zero], [1.0, -1.0]), 0.0) == 1.0
+
+    @pytest.mark.parametrize("rare", [1e-13, 1e-20, 1e-300])
+    def test_rare_outcome_keeps_its_term(self, rare):
+        # (d p)^2 / p = 100 for the rare outcome; its partner adds 100 * rare / (1 - rare)
+        slope = 10.0 * np.sqrt(rare)
+        value = cfi_discrete(lambda g: ([rare, 1.0 - rare], [slope, -slope]), 0.0)
+        assert value == pytest.approx(100.0, rel=1e-12)
 
 
 def _numpy_distribution(probabilities):
     """The numpy outcome checks the scalar ones replaced, kept as their oracle."""
     p = np.asarray(probabilities, dtype=float).reshape(-1)
     if p.size == 0:
-        raise ContractViolationError("OutcomeModel: empty distribution")
+        raise ContractViolationError("cfi_discrete: empty distribution")
     if not np.isfinite(p).all():
-        raise ContractViolationError("OutcomeModel: probabilities must be finite")
+        raise ContractViolationError("cfi_discrete: probabilities must be finite")
     if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
-        raise ContractViolationError("OutcomeModel: probability outside [0, 1]")
+        raise ContractViolationError("cfi_discrete: probability outside [0, 1]")
     if abs(p.sum() - 1.0) > 1e-12:
-        raise ContractViolationError("OutcomeModel: probabilities must sum to 1")
+        raise ContractViolationError("cfi_discrete: probabilities must sum to 1")
     return np.clip(p, 0.0, 1.0)
 
 
-def _numpy_cfi(model, g):
-    """The numpy cfi_discrete body the scalar one replaced, at the fixed step 1e-5."""
-    step = 1e-5
-    if model.derivative is not None:
-        probabilities, slope = model.derivative(g)
-        p0 = _numpy_distribution(probabilities)
-        dp = np.asarray(slope, dtype=float).reshape(-1)
-        if dp.size != p0.size:
-            raise ContractViolationError("cfi_discrete: derivative and distribution sizes differ")
-        if not np.isfinite(dp).all():
-            raise ContractViolationError("cfi_discrete: derivative must be finite")
-    else:
-        p0, pp, pm = (_numpy_distribution(model.probabilities(x)) for x in (g, g + step, g - step))
-        if not (p0.size == pp.size == pm.size):
-            raise ContractViolationError("cfi_discrete: outcome count changed across probes")
-        dp = (pp - pm) / (2.0 * step)
+def _numpy_cfi(law, g):
+    """The numpy cfi_discrete body the scalar one replaced, skipping only p_k == 0."""
+    probabilities, slope = law(g)
+    p0 = _numpy_distribution(probabilities)
+    dp = np.asarray(slope, dtype=float).reshape(-1)
+    if dp.size != p0.size:
+        raise ContractViolationError("cfi_discrete: derivative and distribution sizes differ")
+    if not np.isfinite(dp).all():
+        raise ContractViolationError("cfi_discrete: derivative must be finite")
     total = 0.0
     for k in range(p0.size):
-        if p0[k] < 1e-12:
+        if p0[k] == 0.0:
             continue
         total += dp[k] ** 2 / p0[k]
     if not np.isfinite(total):  # where numpy overflowed to inf, the library raises
@@ -410,14 +396,14 @@ class TestScalarOutcomeChecks:
         messages = set()
         for p in _distributions(seed):
             expected = _outcome(lambda: _numpy_distribution(p))
-            assert _outcome(lambda: OutcomeModel(lambda g: p)(0.0)) == expected, p
+            assert _outcome(lambda: np.array(fisher._distribution(p))) == expected, p
             messages.add(expected[1] if isinstance(expected, tuple) else "accepted")
         assert messages == {
             "accepted",
-            "OutcomeModel: empty distribution",
-            "OutcomeModel: probabilities must be finite",
-            "OutcomeModel: probability outside [0, 1]",
-            "OutcomeModel: probabilities must sum to 1",
+            "cfi_discrete: empty distribution",
+            "cfi_discrete: probabilities must be finite",
+            "cfi_discrete: probability outside [0, 1]",
+            "cfi_discrete: probabilities must sum to 1",
         }
 
     @pytest.mark.parametrize("seed", [3, 4])
@@ -434,15 +420,10 @@ class TestScalarOutcomeChecks:
                     slope[k] = bad
                     slopes.append(slope)
             for slope in slopes:
-                model = OutcomeModel(lambda g: p, derivative=lambda g: (p, slope))
-                expected = _outcome(lambda: _numpy_cfi(model, 0.0))
-                assert _outcome(lambda: cfi_discrete(model, 0.0)) == expected, (p, slope)
+                law = lambda g: (p, slope)
+                expected = _outcome(lambda: _numpy_cfi(law, 0.0))
+                assert _outcome(lambda: cfi_discrete(law, 0.0)) == expected, (p, slope)
                 messages.add(expected[1] if isinstance(expected, tuple) else "accepted")
-            # central differences of a model moving along a seeded direction
-            drift = rng.normal(size=size) * 1e-3
-            moving = OutcomeModel(lambda g: np.asarray(p) + g * drift)
-            expected = _outcome(lambda: _numpy_cfi(moving, 0.0))
-            assert _outcome(lambda: cfi_discrete(moving, 0.0)) == expected
         assert {
             "accepted",
             "cfi_discrete: derivative and distribution sizes differ",
@@ -455,10 +436,9 @@ class TestScalarOutcomeChecks:
         for _ in range(300):
             theta, alpha = rng.uniform(0.01, np.pi / 4.0), rng.uniform(-1.5, 1.5)
             g = 10.0 ** rng.uniform(-6.0, 0.0)
-            model = conditional_outcome_model(theta, alpha)
-            expected = _outcome(lambda: _numpy_cfi(model, g))
-            assert _outcome(lambda: cfi_discrete(model, g)) == expected
-            assert model(g).tobytes() == _numpy_distribution(model.probabilities(g)).tobytes()
+            law = conditional_outcome_model(theta, alpha)
+            expected = _outcome(lambda: _numpy_cfi(law, g))
+            assert _outcome(lambda: cfi_discrete(law, g)) == expected
 
     @pytest.mark.parametrize(
         "probabilities, slope",
@@ -469,12 +449,8 @@ class TestScalarOutcomeChecks:
         ],
     )
     def test_overflowing_information_raises(self, probabilities, slope):
-        model = OutcomeModel(
-            lambda g: np.array(probabilities),
-            derivative=lambda g: (np.array(probabilities), np.array(slope)),
-        )
         with pytest.raises(ContractViolationError, match="overflows the float range"):
-            cfi_discrete(model, 0.0)
+            cfi_discrete(lambda g: (np.array(probabilities), np.array(slope)), 0.0)
 
 
 class TestProperties:
@@ -499,8 +475,6 @@ class TestProperties:
                 assert p * fm_exact(setup) <= 4.0 * (1.0 + 1e-3)
 
     def test_data_processing_inequality(self):
-        from wva_costlab import conditional_outcome_model
-
         for theta, alpha, g in [
             (np.pi / 6, -np.pi / 6, 0.0349),
             (np.pi / 6, -np.pi / 4, 0.02),

@@ -26,7 +26,16 @@ from wva_costlab import (
     postselected_meter,
     tensor,
 )
-from wva_costlab.states import METER_MINUS, METER_PLUS, STANDARD_BASIS, STANDARD_SIGMA
+from wva_costlab.costs import leading_costs, preparation_coherence
+from wva_costlab.experiment import hwp_settings
+from wva_costlab.postselect import real_superposition_setup
+from wva_costlab.states import (
+    METER_MINUS,
+    METER_PLUS,
+    STANDARD_BASIS,
+    STANDARD_SIGMA,
+    finite_real,
+)
 
 BASIS = ReferenceBasis.standard()
 
@@ -312,6 +321,59 @@ class TestSharedConstants:
     def test_arrays_are_read_only(self, array):
         with pytest.raises(ValueError):
             array[0] = 0.5
+
+
+class TestFiniteReal:
+    """One decision of "finite real", which a big integer cannot escape."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: BASIS.superposition(2**1100), "superposition: angle must be finite"),
+            (lambda: BlochVector(2**1100, 0, 0), "BlochVector: components must be finite"),
+            (lambda: leading_costs(0.5, 2**1100), "leading_costs: alpha must be finite"),
+            (lambda: hwp_settings(0.5, 0.1, 2**1100), "hwp_settings: g must be finite"),
+            (lambda: real_superposition_setup(0.5, 0.1, 2**1100),
+             "WvaSetup: coupling strength g must be finite"),
+            (lambda: preparation_coherence(2**1100), "superposition: angle must be finite"),
+        ],
+        ids=["superposition", "BlochVector", "leading_costs", "hwp_settings",
+             "real_superposition_setup", "preparation_coherence"],
+    )
+    def test_integer_beyond_the_float_range_is_not_finite(self, call, message):
+        # float() and math.isfinite overflow on such an integer
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match=message):
+                call()
+
+    def test_integer_inside_the_float_range_is_its_float(self):
+        # numpy's cos takes no Python int beyond int64, so the angle must reach it as a float
+        big = 2**70
+        assert BASIS.superposition(big) == BASIS.superposition(float(big))
+        assert preparation_coherence(big) == preparation_coherence(float(big))
+        setup = real_superposition_setup(0.5, big, 0.01)
+        assert setup.psi_sf == BASIS.superposition(float(big))
+
+    def test_floats_keep_their_bits(self):
+        rng = np.random.default_rng(3)
+        scaled = rng.normal(size=50) * 10.0 ** rng.integers(-300, 300, size=50)
+        values = [0.0, -0.0, 5e-324, -1.7976931348623157e308, *scaled]
+        for x in values:
+            assert finite_real(x, "x").hex() == float(x).hex()
+            assert finite_real(np.float64(x), "x").hex() == float(x).hex()
+            assert type(finite_real(np.float64(x), "x")) is float
+        assert finite_real(3, "x") == 3.0 and type(finite_real(3, "x")) is float
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, 2**1024, -(2**1100)],
+        ids=["nan", "inf", "-inf", "2**1024", "-2**1100"],
+    )
+    def test_not_finite_raises(self, bad):
+        with pytest.raises(ContractViolationError, match="^x must be finite$"):
+            finite_real(bad, "x")
+        with pytest.raises(ContractViolationError, match="^where: x must be finite$"):
+            finite_real(bad, "where", "x")
 
 
 class TestBlochGeometry:

@@ -56,7 +56,6 @@ from .fisher import (
 from .postselect import (
     PostselectionResult,
     WvaSetup,
-    collapsed_meter_family,
     fm_exact,
     fm_leading,
     in_weak_regime,

@@ -33,6 +33,7 @@ from .states import (
     ReferenceBasis,
     check_count,
     check_theta,
+    finite_real,
     selection_cosines,
 )
 
@@ -50,8 +51,8 @@ class CostRates:
     n_samples: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.r_p) and math.isfinite(self.r_m)):
-            raise ContractViolationError("CostRates: rates must be finite")
+        for rate in (self.r_p, self.r_m):
+            finite_real(rate, "CostRates", "rates")
         if self.r_p <= 0 or self.r_m <= 0:
             raise ContractViolationError("CostRates: all fields must be positive")
         check_count(self.n_samples, "CostRates: n_samples")
@@ -78,8 +79,8 @@ class CostPoint:
 
     def __post_init__(self):
         fields = (self.cp_norm, self.cm_norm, self.cp_raw, self.cm_raw, self.n_wva)
-        if not all(math.isfinite(value) for value in fields):
-            raise ContractViolationError("CostPoint: costs must be finite")
+        for value in fields:
+            finite_real(value, "CostPoint", "costs")
         if self.cp_norm <= 0 or self.cm_norm < 0:
             raise ContractViolationError("CostPoint: costs must be non-negative")
         if self.cm_norm > self.cp_norm * (1.0 + 1e-9):
@@ -129,8 +130,8 @@ def cost_point(F: float, fm: float, Fm: float, rates: CostRates) -> CostPoint:
     conventional per-sample QFI, f_m the success-weighted postselected QFI and
     F_m the collapsed-state QFI. All three must be finite.
     """
-    if not (math.isfinite(F) and math.isfinite(fm) and math.isfinite(Fm)):
-        raise ContractViolationError("cost_point: F, fm and Fm must be finite")
+    for value in (F, fm, Fm):
+        finite_real(value, "cost_point", "F, fm and Fm")
     if F <= 0 or Fm <= 0:
         raise ContractViolationError("cost_point: F and Fm must be positive")
     if fm <= 0:
@@ -156,12 +157,14 @@ def bound_rhs(coherence: float, printed_form: bool = False) -> float:
     The default (corrected) form is 2 arccos(sqrt(1 - C^2)); the printed
     variant drops the square and is strictly looser. Both are evaluated as
     2 arcsin(C) and 2 arcsin(sqrt(C)), the same angles on [0, 1], so a small
-    coherence is not lost in 1 - C^2 rounding to 1. A coherence outside [0, 1]
-    (within 1e-9), NaN included, raises ContractViolationError.
+    coherence is not lost in 1 - C^2 rounding to 1. A coherence that is not a
+    finite real (:func:`~wva_costlab.states.finite_real`) or lies outside
+    [0, 1] (within 1e-9) raises ContractViolationError.
     """
-    if not (-1e-9 <= coherence <= 1.0 + 1e-9):
+    c = finite_real(coherence, "tradeoff bound", "coherence")
+    if not (-1e-9 <= c <= 1.0 + 1e-9):
         raise ContractViolationError("tradeoff bound: coherence must lie in [0, 1]")
-    c = _clip_unit(float(coherence))
+    c = _clip_unit(c)
     return 2.0 * math.asin(math.sqrt(c) if printed_form else c)
 
 

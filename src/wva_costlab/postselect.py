@@ -22,21 +22,18 @@ tests and cost accounting can compare the two.
 
 A density-matrix input gets K = V rho_s V^dag from one value-only pass over
 both columns of V (``states._meter_columns``), and the setup caches it with
-the collapsed state K / p that :func:`postselect_mixed` returns and the
-kernel's inputs (``parts``). Only :func:`fm_exact` reads dK and the
-determinant term, so on that first read the setup runs the full kernel on
-the basis kets from ``parts`` (``states._meter_slope``). F_m is the
-Bloch-form qubit QFI of K / p (Zhong et al., PRA 87, 022337 (2013)), again
-with no eigensolve, and its purity term comes from det V in closed form,
-with no rank cutoff.
+the collapsed state K / p that :func:`postselect_mixed` returns. Only
+:func:`fm_exact` needs the derivative: on its first call the setup runs
+``states._meter_qfi``, the full kernel on the basis kets and the Bloch-form
+qubit QFI of K / p, with no eigensolve and no rank cutoff, and caches F_m.
 
-The meter families that the finite-difference oracles of
-:mod:`~wva_costlab.fisher` probe (:func:`collapsed_meter_family`,
-:func:`postselected_meter_family`) run only the kernel at each probe g, with
-the finite-g and probability-floor checks of ``setup.at(g)`` but no new
-:class:`WvaSetup`; a probe equals the ``setup.at(g)`` path bit for bit. A
-probe at the setup's own coupling, sign included, runs the checks and returns
-the setup's cached state instead of running the kernel again.
+The meter family that the finite-difference oracles of
+:mod:`~wva_costlab.fisher` probe (:func:`postselected_meter_family`) runs only
+the kernel at each probe g, with the finite-g and probability-floor checks of
+``setup.at(g)`` but no new :class:`WvaSetup`; a probe equals the
+``setup.at(g)`` path bit for bit. A probe at the setup's own coupling, sign
+included, runs the checks and returns the setup's cached state instead of
+running the kernel again.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ from .errors import (
     UnsupportedInputError,
     VanishingPostselectionError,
 )
-from .fisher import MixedFamily, PureFamily
+from .fisher import MixedFamily
 from .states import (
     METER_PLUS,
     STANDARD_BASIS,
@@ -65,7 +62,7 @@ from .states import (
     HermitianOperator,
     Ket,
     _meter_operator,
-    _meter_slope,
+    _meter_qfi,
     _phase_fixed,
     _readonly,
     check_theta,
@@ -84,17 +81,19 @@ class WvaSetup:
     """Pre/postselection pair, meter state, coupling observables and strength.
 
     ``psi_si`` may be a ket (the usual coherent preparation) or any qubit
-    density matrix: incoherent, partially coherent or maximally mixed.
+    density matrix: incoherent, partially coherent or maximally mixed;
+    ``psi_sf`` and ``phi_mi`` are kets and ``A`` and ``M`` Hermitian
+    operators, and a field of another type raises ContractViolationError.
     The meter must sit at the balance zero point, <M> = 0, with a positive
-    second moment Omega = <M^2>. The coupling strength must be finite.
+    second moment Omega = <M^2>. The coupling strength must be a finite real.
 
     ``omega`` = ||M phi||^2 is derived once, at construction. Each kernel
     output is derived at most once, on first use, and only when a caller reads
-    it: (p, v, dv) of a ket; (p, K, parts) of a density matrix, with dK and the
-    determinant term (``_slope``) that only :func:`fm_exact` reads; and the
-    collapsed meter state that :func:`postselect_mixed` and the meter families
-    return. None of them takes part in equality, hashing or the repr; :meth:`at`
-    and ``dataclasses.replace`` build a fresh instance that derives them anew.
+    it: (p, v, dv) of a ket; (p, K) of a density matrix, and its F_m
+    (``_fm``), which only :func:`fm_exact` reads; and the collapsed meter state
+    that :func:`postselect_mixed` and the meter family return. None of them
+    takes part in equality, hashing or the repr; :meth:`at` and
+    ``dataclasses.replace`` build a fresh instance that derives them anew.
     """
 
     psi_si: Union[Ket, DensityMatrix]
@@ -107,6 +106,13 @@ class WvaSetup:
 
     def __post_init__(self):
         finite_real(self.g, "WvaSetup", "coupling strength g")
+        if not (isinstance(self.psi_si, (Ket, DensityMatrix)) and isinstance(self.psi_sf, Ket)
+                and isinstance(self.phi_mi, Ket) and isinstance(self.A, HermitianOperator)
+                and isinstance(self.M, HermitianOperator)):
+            raise ContractViolationError(
+                "WvaSetup: psi_si must be a Ket or DensityMatrix, psi_sf and phi_mi Kets,"
+                " A and M HermitianOperators"
+            )
         if self.psi_sf.dim != 2 or self.phi_mi.dim != 2 or self.psi_si.dim != 2:
             raise ContractViolationError("WvaSetup: system and meter must be qubits")
         if self.A.dim != 2 or self.M.dim != 2:
@@ -139,16 +145,15 @@ class WvaSetup:
         return _weighted_qfi(*self._meter)
 
     @functools.cached_property
-    def _operator(self) -> tuple[float, np.ndarray, tuple]:
-        """(p, K, parts) of a density-matrix input, K read-only as above; parts are the inputs."""
-        p, K, parts = _meter_operator(self.psi_si, self.psi_sf, self.phi_mi, self.A, self.M, self.g)
-        return p, _readonly(K), parts
+    def _operator(self) -> tuple[float, np.ndarray]:
+        """(p, K) of a density-matrix input, K read-only as above."""
+        p, K = _meter_operator(self.psi_si, self.psi_sf, self.phi_mi, self.A, self.M, self.g)
+        return p, _readonly(K)
 
     @functools.cached_property
-    def _slope(self) -> tuple[np.ndarray, tuple[float, float, float]]:
-        """(dK, (det rho_s, E, dE)) of a density-matrix input, from the full kernel on the parts."""
-        dK, det_parts = _meter_slope(self._operator[2])
-        return _readonly(dK), det_parts
+    def _fm(self) -> float:
+        """F_m of a density-matrix input; read only past the P_FLOOR check."""
+        return _meter_qfi(self.psi_si, self.psi_sf, self.phi_mi, self.A, self.M, self.g)
 
     @functools.cached_property
     def _collapsed_ket(self) -> Ket:
@@ -160,7 +165,7 @@ class WvaSetup:
         """Collapsed meter state of either input; read only past the P_FLOOR check."""
         if isinstance(self.psi_si, Ket):
             return DensityMatrix.from_ket(self._collapsed_ket)
-        p, K, _ = self._operator
+        p, K = self._operator
         return DensityMatrix(K / p)
 
     def at(self, g: float) -> "WvaSetup":
@@ -236,23 +241,6 @@ def _own_coupling(setup: WvaSetup, g: float) -> bool:
     return g == setup.g and math.copysign(1.0, g) == math.copysign(1.0, setup.g)
 
 
-def _bloch_qfi(p: float, K: np.ndarray, dK: np.ndarray, det_parts: tuple) -> float:
-    """Qubit QFI |dr|^2 + (r.dr)^2 / (1 - |r|^2) of K / p, with r its Bloch vector.
-
-    With ``det_parts`` = (det rho_s, E, dE) and E^2 = |det V|^2, 1 - |r|^2 = 4 det rho_s E^2 / p^2,
-    so the second term is exactly 4 det rho_s (dE - E dp/p)^2 / p^2: no 1/gap, no rank cutoff.
-    At E = 0 (K pure, as at g = 0) that is its limit, so F is continuous in g; the rank-1
-    state's own SLD QFI is |dr|^2 alone (Safranek, PRA 95, 052320 (2017)).
-    """
-    (k00, _), (k10, k11) = K.tolist()
-    (d00, _), (d10, d11) = dK.tolist()
-    dp = (d00 + d11).real
-    r = (2.0 * k10.real / p, 2.0 * k10.imag / p, (k00 - k11).real / p)
-    dr = [(s - c * dp) / p for s, c in zip((2 * d10.real, 2 * d10.imag, (d00 - d11).real), r)]
-    det_rho, e, de = det_parts
-    return sum(d * d for d in dr) + 4.0 * det_rho * (de - e * dp / p) ** 2 / (p * p)
-
-
 def _weighted_qfi(p: float, v: np.ndarray, dv: np.ndarray) -> float:
     """p * F_m = 4 (<dv|dv> - |<v|dv>|^2 / p) of the unnormalized qubit meter vector.
 
@@ -289,23 +277,6 @@ def postselect_mixed(setup: WvaSetup) -> tuple[float, DensityMatrix]:
     return _kernel(setup, where)[0], setup._collapsed
 
 
-def collapsed_meter_family(setup: WvaSetup) -> PureFamily:
-    """Map g -> collapsed meter ket, for Fisher-information evaluation.
-
-    A probe runs the kernel once at g and equals ``postselect(setup.at(g)).phi_mf``
-    bit for bit, errors included. At the setup's own coupling it runs the checks
-    and returns the setup's cached ket.
-    """
-
-    def family(g: float) -> Ket:
-        if _own_coupling(setup, g):
-            _kernel(setup, "postselect", pure=True)
-            return setup._collapsed_ket
-        return Ket(_kernel(setup, "postselect", pure=True, g=g)[1])
-
-    return family
-
-
 def postselected_meter_family(setup: WvaSetup) -> MixedFamily:
     """Map g -> postselected meter density matrix (mixed system inputs allowed).
 
@@ -333,12 +304,11 @@ def fm_exact(setup: WvaSetup) -> float:
     """Exact QFI of the collapsed meter state at the setup's coupling strength.
 
     F_m = 4 |v0 dv1 - v1 dv0|^2 / p^2 from the kernel's closed-form dv, or
-    for a density-matrix input the Bloch form of :func:`_bloch_qfi`.
+    for a density-matrix input the Bloch form of ``states._meter_qfi``.
     """
-    if not isinstance(setup.psi_si, Ket):
-        p, K, _ = _kernel(setup, "fm_exact")
-        return _bloch_qfi(p, K, *setup._slope)
     p = _kernel(setup, "fm_exact")[0]
+    if not isinstance(setup.psi_si, Ket):
+        return setup._fm
     return setup._weighted / p
 
 

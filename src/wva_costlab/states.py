@@ -26,12 +26,12 @@ the standard-basis readout of :mod:`~wva_costlab.experiment` runs it without
 building kets. For a density-matrix input, ``_meter_operator`` takes the two
 columns of V from ``_meter_columns``, a value-only pass with the core's
 expressions that evaluates each phase once for both columns, and returns
-K = V rho_s V^dag with the inputs it was formed from (``parts``: rho_s, sf,
-phi, the splits and g). ``_meter_slope`` runs ``_meter_core`` on the basis
-kets from those parts and forms dK and the determinant term, so a caller
-that reads only K forms no derivative.
+K = V rho_s V^dag. ``_meter_qfi`` runs ``_meter_core`` on the basis kets and
+returns F_m of the collapsed state K / p, so only a caller that asks for F_m
+forms a derivative.
 Each scenario input domain is decided in one function: :func:`finite_real`
-(finite reals; an integer beyond the float range is not one),
+(finite reals; an integer beyond the float range is not one, and neither is a
+complex, None or a str),
 :func:`check_theta` (theta in (0, pi/4]), :func:`selection_cosines` (finite
 angles and their cos(alpha +- theta)), :func:`check_count` (integer counts)
 and :func:`check_seed` (64-bit seeds and trial indices).
@@ -43,6 +43,7 @@ import cmath
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -62,18 +63,31 @@ BLOCH_UNIT_TOL = 1e-10
 _VALID_DIMS = (2, 4)
 
 
-def finite_real(value, *what: str) -> float:
-    """Return a finite real as a Python float, a float with its bits; else raise.
+def _real(value, what: tuple[str, ...]) -> float:
+    """A ``numbers.Real`` as a Python float with its bits, +-inf beyond the float range.
 
-    NaN, +-inf and an integer beyond the float range, where ``float()``
-    overflows, raise ``ContractViolationError`` with the parts of ``what``
-    joined by ": " and "must be finite", e.g. "hwp_settings: g must be finite".
+    A complex (even with a zero imaginary part), None or a str (never parsed)
+    raises ``ContractViolationError("<what joined by ': '> must be real")``.
     """
+    if not isinstance(value, (float, numbers.Real)):  # a float subclass skips the ABC check
+        raise ContractViolationError(f"{': '.join(what)} must be real")
     try:
-        if math.isfinite(value):
-            return float(value)
-    except OverflowError:
-        pass
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
+def finite_real(value, *what: str) -> float:
+    """Return a finite real as a Python float with its bits; else raise ContractViolationError.
+
+    A non-real raises as in :func:`_real`; NaN, +-inf and an integer beyond the
+    float range raise "<what joined by ': '> must be finite", e.g.
+    "hwp_settings: g must be finite".
+    """
+    if type(value) is not float:  # the fast path: a Python float is real
+        value = _real(value, what)
+    if math.isfinite(value):
+        return value
     raise ContractViolationError(f"{': '.join(what)} must be finite")
 
 
@@ -375,10 +389,13 @@ def check_theta(theta: float, where: str) -> float:
     """Return a preparation angle that lies in the documented domain (0, pi/4].
 
     The scenario's preparation is cos(theta)|0> + sin(theta)|1>, whose
-    coherence sin(2 theta) covers [0, 1] once on this interval. Anything
-    else, NaN included, raises ``ContractViolationError("<where> must lie in
-    (0, pi/4]")``.
+    coherence sin(2 theta) covers [0, 1] once on this interval. A value that
+    is not real raises as in :func:`finite_real`; any other value outside the
+    interval, NaN and +-inf included, raises ``ContractViolationError("<where>
+    must lie in (0, pi/4]")``. Returns the angle as a Python float.
     """
+    if type(theta) is not float:
+        theta = _real(theta, (where,))
     if not (0.0 < theta <= np.pi / 4.0 + 1e-12):
         raise ContractViolationError(f"{where} must lie in (0, pi/4]")
     return theta
@@ -616,51 +633,56 @@ def _sandwich(r, u0, u1, w0, w1):
     return (u0 * r00 + u1 * r10) * w0.conjugate() + (u0 * r01 + u1 * r11) * w1.conjugate()
 
 
-def _meter_operator(rho_s, psi_sf, phi_mi, A, M, g: float):
-    """(p, K, parts) of a density-matrix input: K = V rho_s V^dag and p = Tr K.
+def _meter_operator(rho_s, psi_sf, phi_mi, A, M, g: float) -> tuple[float, np.ndarray]:
+    """(p, K) of a density-matrix input: K = V rho_s V^dag and p = Tr K.
 
     :func:`_meter_columns` gives the two columns of V = <sf|U(g)|.>|phi> in one
-    value-only pass. ``parts`` = (entries of rho_s, amplitudes of sf and phi,
-    splits of A and M, g) is what :func:`_meter_slope` needs for dK and the
-    determinant term, so a caller that reads only K forms no derivative.
+    value-only pass, so a caller that reads only K forms no derivative.
     """
-    f, x = psi_sf.amplitudes.tolist(), phi_mi.amplitudes.tolist()
-    a_split, m_split = A._split, M._split
-    a0, a1, b0, b1 = _meter_columns(f, x, a_split, m_split, g)
+    a0, a1, b0, b1 = _meter_columns(
+        psi_sf.amplitudes.tolist(), phi_mi.amplitudes.tolist(), A._split, M._split, g
+    )
     r = tuple(rho_s.entries.ravel().tolist())
     k00, k11 = _sandwich(r, a0, b0, a0, b0).real, _sandwich(r, a1, b1, a1, b1).real
     k10 = _sandwich(r, a1, b1, a0, b0)
-    K = np.array([[k00, k10.conjugate()], [k10, k11]])
-    return k00 + k11, K, (r, f, x, a_split, m_split, g)
+    return k00 + k11, np.array([[k00, k10.conjugate()], [k10, k11]])
 
 
-def _meter_slope(parts) -> tuple[np.ndarray, tuple[float, float, float]]:
-    """(dK, (det rho_s, E, dE)) from the ``parts`` of :func:`_meter_operator`.
+def _meter_qfi(rho_s, psi_sf, phi_mi, A, M, g: float) -> float:
+    """F_m of a density-matrix input: the Bloch-form qubit QFI of K / p, in Python scalars.
 
-    :func:`_meter_core` on the basis kets gives the columns of V and dV, so only
-    this function forms a derivative. dK = dV rho_s V^dag + V rho_s dV^dag. By
-    Cauchy-Binet over A = sum_i a_i P_i and M = sum_j m_j Q_j, |det V| = |E| with
-    E = 2 |det(P_0 sf, P_1 sf) det(Q_0 phi, Q_1 phi)| sin(g (a_0 - a_1)(m_0 - m_1) / 2),
-    or E = 0 for a degenerate A or M: smooth in g and exactly 0 where V has rank 1.
+    :func:`_meter_core` on the basis kets gives the columns of V and dV, so
+    K = V rho_s V^dag (bit for bit that of :func:`_meter_operator`) and
+    dK = dV rho_s V^dag + h.c. With r the Bloch vector of K / p, F_m is
+    |dr|^2 + (r.dr)^2 / (1 - |r|^2) (Zhong et al., PRA 87, 022337 (2013)). By Cauchy-Binet,
+    |det V| = |E| with E = 2 |det(P_0 sf, P_1 sf) det(Q_0 phi, Q_1 phi)| sin(g d / 2) and
+    d = (a_0 - a_1)(m_0 - m_1), or E = 0 for a degenerate A or M, so 1 - |r|^2 =
+    4 det rho_s E^2 / p^2 and the second term is 4 det rho_s (dE - E dp/p)^2 / p^2: no 1/gap,
+    no rank cutoff, and continuous at E = 0 (K pure, as at g = 0), where the rank-1 state's
+    SLD QFI is |dr|^2 alone (Safranek, PRA 95, 052320 (2017)). Needs p > 0.
     """
-    r, f, x, a_split, m_split, g = parts
+    f, x = psi_sf.amplitudes.tolist(), phi_mi.amplitudes.tolist()
+    a_split, m_split = A._split, M._split
     a0, a1, da0, da1 = _meter_core((1.0, 0.0), f, x, a_split, m_split, g)
     b0, b1, db0, db1 = _meter_core((0.0, 1.0), f, x, a_split, m_split, g)
-
-    def wedge(P, u):  # |det(P u, (I - P) u)| of a qubit projector P
-        return abs((P[0] * u[0] + P[1] * u[1]) * u[1] - (P[2] * u[0] + P[3] * u[1]) * u[0])
-
+    r = tuple(rho_s.entries.ravel().tolist())
+    k00, k11 = _sandwich(r, a0, b0, a0, b0).real, _sandwich(r, a1, b1, a1, b1).real
+    k10 = _sandwich(r, a1, b1, a0, b0)
     d00 = 2.0 * _sandwich(r, da0, db0, a0, b0).real
     d11 = 2.0 * _sandwich(r, da1, db1, a1, b1).real
     d10 = _sandwich(r, da1, db1, a0, b0) + _sandwich(r, da0, db0, a1, b1).conjugate()
     e = de = 0.0
     if len(a_split) == 2 and len(m_split) == 2:
         (a_0, P0), (a_1, _), (m_0, Q0), (m_1, _) = *a_split, *m_split
-        scale, d = wedge(P0, f) * wedge(Q0, x), (a_0 - a_1) * (m_0 - m_1)
+        scale, d = 1.0, (a_0 - a_1) * (m_0 - m_1)
+        for P, u in ((P0, f), (Q0, x)):  # times |det(P u, (I - P) u)| of each projector
+            scale *= abs((P[0] * u[0] + P[1] * u[1]) * u[1] - (P[2] * u[0] + P[3] * u[1]) * u[0])
         e, de = 2.0 * scale * math.sin(0.5 * g * d), scale * d * math.cos(0.5 * g * d)
-    r00, _, r10, r11 = r
-    dK = np.array([[d00, d10.conjugate()], [d10, d11]])
-    return dK, (r00.real * r11.real - abs(r10) ** 2, e, de)
+    p, dp = k00 + k11, d00 + d11
+    bloch = (2.0 * k10.real / p, 2.0 * k10.imag / p, (k00 - k11) / p)
+    dr = [(s - c * dp) / p for s, c in zip((2 * d10.real, 2 * d10.imag, d00 - d11), bloch)]
+    det_rho = r[0].real * r[3].real - abs(r[2]) ** 2
+    return sum(d * d for d in dr) + 4.0 * det_rho * (de - e * dp / p) ** 2 / (p * p)
 
 
 def bloch_of(psi: Ket, basis: ReferenceBasis) -> BlochVector:

@@ -2,8 +2,10 @@
 
 Each runs as its own process against the package in src/, under ``-W error``,
 so a library signature change that a demo or the README still calls the old
-way, or a stray warning, shows up here. The README's command-line examples
-are parsed, not run, so a removed or renamed flag shows up too.
+way, or a stray warning, shows up here. Each demo's stdout must also equal its
+pinned copy in tests/data/pinned/ byte for byte (``test_pinned_outputs.py``
+says how to rewrite it). The README's command-line examples are parsed, not
+run, so a removed or renamed flag shows up too.
 """
 
 import os
@@ -17,6 +19,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PINNED = ROOT / "tests" / "data" / "pinned"
 
 
 def run_clean(*args):
@@ -27,6 +30,7 @@ def run_clean(*args):
     )
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stdout + done.stderr
+    return done.stdout
 
 
 def test_demos_exist():
@@ -35,7 +39,8 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
-    run_clean(str(demo))
+    out = run_clean(str(demo))
+    assert out == (PINNED / f"demo_{demo.stem}.txt").read_text(encoding="utf-8")
 
 
 def test_readme_library_tour_runs():

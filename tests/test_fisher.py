@@ -16,11 +16,11 @@ from wva_costlab import (
     StepTooLargeError,
     UnsupportedInputError,
     cfi_discrete,
-    collapsed_meter_family,
     conditional_outcome_model,
     coupling_unitary,
     fisher,
     hermitian_eigs,
+    postselect,
     qfi_mixed,
     qfi_product_coupling,
     qfi_pure,
@@ -62,7 +62,7 @@ class TestQfiPure:
 
     def test_collapsed_meter_approaches_leading_order(self):
         setup = real_superposition_setup(np.pi / 6, -np.pi / 6, 1e-4)
-        fam = collapsed_meter_family(setup)
+        fam = lambda g: postselect(setup.at(g)).phi_mf
         value = qfi_pure(fam, 1e-4)
         assert value == pytest.approx(16.0, abs=1e-3)
         rho_fam = lambda g: DensityMatrix.from_ket(fam(g))
@@ -465,7 +465,7 @@ class TestProperties:
             assert qfi_mixed(mixed_product_family(rho), rng.uniform(-0.5, 0.5)) >= -1e-8
 
     def test_success_weighted_information_cannot_beat_conventional(self):
-        from wva_costlab import postselect, fm_exact
+        from wva_costlab import fm_exact
 
         g = 1e-3
         for theta in (np.pi / 12, np.pi / 6, np.pi / 4):
@@ -481,7 +481,7 @@ class TestProperties:
             (np.pi / 8, 0.4, 0.05),
         ]:
             setup = real_superposition_setup(theta, alpha, g)
-            meter_qfi = qfi_pure(collapsed_meter_family(setup), g)
+            meter_qfi = qfi_pure(lambda gp: postselect(setup.at(gp)).phi_mf, g)
             readout_cfi = cfi_discrete(conditional_outcome_model(theta, alpha), g)
             assert readout_cfi <= meter_qfi + 1e-6
 

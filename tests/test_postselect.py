@@ -29,7 +29,6 @@ from wva_costlab import (
     WvaError,
     WvaSetup,
     cfi_discrete,
-    collapsed_meter_family,
     conditional_outcome_model,
     fm_exact,
     fm_leading,
@@ -144,6 +143,25 @@ class TestPostselect:
     def test_non_finite_coupling_rejected(self, g):
         with pytest.raises(ContractViolationError, match="finite"):
             real_superposition_setup(np.pi / 6, -np.pi / 6, g)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("psi_si", np.array([1.0, 0.0])),
+            ("psi_si", HermitianOperator(np.eye(2))),
+            ("psi_sf", DensityMatrix(np.eye(2) / 2.0)),
+            ("phi_mi", np.array([1.0, 1.0])),
+            ("A", np.eye(2)),
+            ("M", np.diag([1.0, -1.0])),
+        ],
+        ids=["psi_si-array", "psi_si-operator", "psi_sf-density", "phi_mi-array", "A-array",
+             "M-array"],
+    )
+    def test_field_of_the_wrong_type_rejected(self, field, bad):
+        fields = dict(psi_si=Ket([1, 0]), psi_sf=Ket([1, 1]), phi_mi=Ket([1, 1]), A=SIGMA,
+                      M=SIGMA, g=0.1)
+        with pytest.raises(ContractViolationError, match="^WvaSetup: psi_si must be a Ket or"):
+            WvaSetup(**{**fields, field: bad})
 
     def test_balance_point_enforced(self):
         with pytest.raises(ContractViolationError):
@@ -324,7 +342,7 @@ class TestKernelSharing:
 
     def test_postselect_returns_the_cached_collapsed_ket(self):
         setup = real_superposition_setup(np.pi / 6, -np.pi / 5, 0.0349)
-        assert postselect(setup).phi_mf is collapsed_meter_family(setup)(setup.g)
+        assert postselect(setup).phi_mf is postselect(setup).phi_mf
 
     def test_at_and_replace_start_uncached(self, kernel_calls):
         setup = real_superposition_setup(np.pi / 6, -np.pi / 5, 0.0349)
@@ -554,6 +572,21 @@ def _eager_meter_operator(rho_s, psi_sf, phi_mi, A, M, g):
     return k00 + k11, K, dK, (r00.real * r11.real - abs(r10) ** 2, e, de)
 
 
+def _bloch_qfi(p, K, dK, det_parts):
+    """The Bloch-form qubit QFI of K / p from the eager kernel's output, as a reference.
+
+    |dr|^2 + 4 det rho_s (dE - E dp/p)^2 / p^2, with r the Bloch vector of K / p
+    and ``det_parts`` = (det rho_s, E, dE).
+    """
+    (k00, _), (k10, k11) = K.tolist()
+    (d00, _), (d10, d11) = dK.tolist()
+    dp = (d00 + d11).real
+    r = (2.0 * k10.real / p, 2.0 * k10.imag / p, (k00 - k11).real / p)
+    dr = [(s - c * dp) / p for s, c in zip((2 * d10.real, 2 * d10.imag, (d00 - d11).real), r)]
+    det_rho, e, de = det_parts
+    return sum(d * d for d in dr) + 4.0 * det_rho * (de - e * dp / p) ** 2 / (p * p)
+
+
 def _count_kernels(monkeypatch):
     """Lists that grow by one per call of the value-only column pass and of the full kernel."""
     columns, cores = [], []
@@ -677,7 +710,7 @@ class TestMixedKernel:
     @given(
         mu=st.floats(0.0, 1.0),
         sf=st.tuples(UNIT, UNIT, UNIT, UNIT),
-        g=st.one_of(st.just(0.0), st.floats(0.0, 1e-4), st.floats(0.0, 0.5)),
+        g=st.one_of(st.just(0.0), st.floats(-1e-4, 1e-4), st.floats(-1.5, 1.5)),
     )
     def test_incoherent_input_saturates_the_ceiling_at_every_coupling(self, mu, sf, g):
         # With rho_s diagonal in the eigenbasis of A = M = sigma_z, the meter
@@ -690,7 +723,35 @@ class TestMixedKernel:
             got = fm_exact(WvaSetup(rho, psi_sf, BALANCED_METER, SIGMA, SIGMA, g))
         except WvaError:
             return
-        assert got == pytest.approx(4.0, rel=1e-9)
+        assert got == pytest.approx(4.0, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        radius=st.floats(0.0, 1.0 - 1e-13),
+        polar=st.floats(0.0, math.pi),
+        azimuth=st.floats(0.0, 2.0 * math.pi),
+        sf=st.tuples(UNIT, UNIT, UNIT, UNIT),
+        g=st.floats(-1.5, 1.5),
+    )
+    def test_weighted_information_never_exceeds_the_conventional(
+        self, radius, polar, azimuth, sf, g
+    ):
+        # Information conservation over the whole Bloch ball: postselection can
+        # concentrate the conventional information 4 Omega into fewer samples,
+        # but p F_m never exceeds it, for any mixed and coherent preparation.
+        sin_polar = math.sin(polar)
+        rho = _bloch_density(
+            radius * sin_polar * math.cos(azimuth),
+            radius * sin_polar * math.sin(azimuth),
+            radius * math.cos(polar),
+        )
+        try:
+            psi_sf = Ket(np.array([sf[0] + 1j * sf[1], sf[2] + 1j * sf[3]]))
+            setup = WvaSetup(rho, psi_sf, BALANCED_METER, SIGMA, SIGMA, g)
+            weighted = postselect_mixed(setup)[0] * fm_exact(setup)
+        except WvaError:
+            return
+        assert weighted <= 4.0 * setup.omega * (1.0 + 1e-12)
 
     @pytest.mark.parametrize(
         "alphas",
@@ -749,9 +810,8 @@ class TestMixedKernel:
         assert postselect_mixed(setup)[0] == p and fm_exact(setup) == fm
         # V's two columns in one pass, and dV's on the basis kets, once each
         assert (len(columns), calls) == (1, [(1.0, 0.0), (0.0, 1.0)])
-        _, K, _ = setup._operator
-        dK, _ = setup._slope
-        assert not K.flags.writeable and not dK.flags.writeable
+        _, K = setup._operator
+        assert not K.flags.writeable
         assert rho_m.entries == pytest.approx(K / p)
         fm_exact(setup.at(0.02))
         assert (len(columns), len(calls)) == (2, 4)
@@ -760,20 +820,18 @@ class TestMixedKernel:
         for setup in _seeded_mixed_setups(11, 400):
             args = (setup.psi_si, setup.psi_sf, setup.phi_mi, setup.A, setup.M, setup.g)
             p_ref, K_ref, dK_ref, det_ref = _eager_meter_operator(*args)
-            p, K, parts = states_module._meter_operator(*args)
-            dK, det_parts = states_module._meter_slope(parts)
-            assert (p.hex(), K.tobytes()) == (p_ref.hex(), K_ref.tobytes())
-            assert dK.tobytes() == dK_ref.tobytes()
-            assert [x.hex() for x in det_parts] == [x.hex() for x in det_ref]  # signed zeros too
+            p, K = states_module._meter_operator(*args)
+            assert (p.hex(), K.tobytes()) == (p_ref.hex(), K_ref.tobytes())  # signed zeros too
             if p_ref >= postselect_module.P_FLOOR:
-                expected = postselect_module._bloch_qfi(p_ref, K_ref, dK_ref, det_ref)
+                expected = _bloch_qfi(p_ref, K_ref, dK_ref, det_ref)
+                assert states_module._meter_qfi(*args).hex() == expected.hex()
                 assert fm_exact(setup).hex() == expected.hex()
 
     def test_slope_formed_only_by_fm_exact(self, monkeypatch):
         (columns, cores), slopes = _count_kernels(monkeypatch), []
-        original_slope = postselect_module._meter_slope
+        original_qfi = postselect_module._meter_qfi
         monkeypatch.setattr(
-            postselect_module, "_meter_slope", lambda *a: slopes.append(1) or original_slope(*a)
+            postselect_module, "_meter_qfi", lambda *a: slopes.append(1) or original_qfi(*a)
         )
         setup = WvaSetup(
             _bloch_density(0.3, -0.2, 0.4), BASIS.superposition(-0.6), BALANCED_METER,
@@ -823,9 +881,6 @@ class TestMixedKernel:
         monkeypatch.setattr(states_module, "_meter_core", lambda *a: calls.append(1) or original(*a))
         assert postselected_meter_family(mixed)(0.0349) is cached[0]
         assert postselected_meter_family(pure)(0.0349) is cached[1]
-        collapsed = collapsed_meter_family(pure)
-        assert collapsed(0.0349) is collapsed(0.0349)
-        assert collapsed(0.0349).amplitudes.tobytes() == postselect(pure).phi_mf.amplitudes.tobytes()
         assert calls == []
 
     @pytest.mark.parametrize("g, probe", [(0.0, -0.0), (-0.0, 0.0)])
@@ -887,11 +942,8 @@ class TestMeterFamilies:
             pure = WvaSetup(
                 Ket(np.array([0.8, 0.6j])), setup.psi_sf, setup.phi_mi, setup.A, setup.M, setup.g
             )
-            collapsed = collapsed_meter_family(pure)
             meter = postselected_meter_family(pure)
             for g in (pure.g, pure.g + 1e-5, pure.g - 1e-5):
-                expected = postselect(pure.at(g)).phi_mf
-                assert collapsed(g).amplitudes.tobytes() == expected.amplitudes.tobytes()
                 as_matrix = postselect_mixed(pure.at(g))[1].entries
                 assert meter(g).entries.tobytes() == as_matrix.tobytes()
 
@@ -904,7 +956,6 @@ class TestMeterFamilies:
         for family in (
             postselected_meter_family(mixed),
             postselected_meter_family(pure),
-            collapsed_meter_family(pure),
         ):
             with pytest.raises(ContractViolationError, match="coupling strength g must be finite"):
                 family(g)
@@ -919,7 +970,6 @@ class TestMeterFamilies:
             vanishing, psi_si=DensityMatrix.from_ket(BASIS.ket1)
         )
         for family, where in (
-            (collapsed_meter_family(vanishing), "postselect"),
             (postselected_meter_family(vanishing), "postselect"),
             (postselected_meter_family(vanishing_mixed), "postselect_mixed"),
         ):
@@ -929,7 +979,7 @@ class TestMeterFamilies:
                     family(g)
         for _ in range(2):
             with pytest.raises(UnsupportedInputError, match="use postselect_mixed"):
-                collapsed_meter_family(vanishing_mixed)(own)
+                postselect(vanishing_mixed)
 
     @pytest.mark.parametrize("mixed, cores", [(True, 0), (False, 1)])
     def test_probe_runs_the_kernel_and_builds_no_setup(self, monkeypatch, mixed, cores):
@@ -946,9 +996,6 @@ class TestMeterFamilies:
         family(0.02)
         # a density matrix takes both columns of V from one value-only pass
         assert (len(columns), len(calls), built) == (int(mixed), cores, [])
-        if not mixed:
-            collapsed_meter_family(setup)(0.02)
-            assert (len(columns), len(calls), built) == (0, 2 * cores, [])
 
 
 class TestSetupEquality:

@@ -26,8 +26,25 @@ from wva_costlab import (
     postselected_meter,
     tensor,
 )
-from wva_costlab.costs import leading_costs, preparation_coherence
-from wva_costlab.experiment import hwp_settings
+from wva_costlab.costs import (
+    UNIT_RATES,
+    CostPoint,
+    CostRates,
+    boundary_curve,
+    bound_rhs,
+    cost_point,
+    leading_costs,
+    preparation_coherence,
+    tradeoff_slack,
+)
+from wva_costlab.experiment import (
+    ExperimentConfig,
+    FixedPostselected,
+    TrialCounts,
+    conditional_outcome_model,
+    hwp_settings,
+    mle_g,
+)
 from wva_costlab.postselect import real_superposition_setup
 from wva_costlab.states import (
     METER_MINUS,
@@ -374,6 +391,51 @@ class TestFiniteReal:
             finite_real(bad, "x")
         with pytest.raises(ContractViolationError, match="^where: x must be finite$"):
             finite_real(bad, "where", "x")
+
+    @pytest.mark.parametrize(
+        "bad", [1j, 0j, np.complex128(0.5), None, "0.5", b"0.5"],
+        ids=["complex", "complex-zero", "numpy-complex-real-valued", "None", "str", "bytes"],
+    )
+    def test_not_real_raises(self, bad):
+        # a complex with a zero imaginary part is not real, and a string is never parsed
+        with pytest.raises(ContractViolationError, match="^where: x must be real$"):
+            finite_real(bad, "where", "x")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: leading_costs(0.5, 1j),
+            lambda: real_superposition_setup(0.5, 0.1, 1j),
+            lambda: real_superposition_setup("0.5", 0.1, 0.01),
+            lambda: real_superposition_setup(None, 0.1, 0.01),
+            lambda: real_superposition_setup(0.5, np.complex128(0.1 + 5j), 0.01),
+            lambda: boundary_curve(None),
+            lambda: BlochVector(None, 0, 0),
+            lambda: hwp_settings(0.5, 0.1, "0.1"),
+            lambda: ExperimentConfig(None, 0.1, 0.01, FixedPostselected(5), 2, 1),
+            lambda: mle_g(TrialCounts(10, 10, 5, 5), 0.5, 1j),
+            lambda: conditional_outcome_model(0.5, "x"),
+            lambda: preparation_coherence(1j),
+            lambda: bound_rhs("0.5"),
+            lambda: tradeoff_slack(cost_point(4.0, 1.0, 4.0, UNIT_RATES), None),
+            lambda: CostRates("1", 1, 1),
+            lambda: cost_point(4.0, "1", 1.0, UNIT_RATES),
+            lambda: CostPoint(1.0, 0.5, 1.0, 0.5, 1j),
+        ],
+        ids=[
+            "leading_costs", "real_superposition_setup-g", "real_superposition_setup-theta-str",
+            "real_superposition_setup-theta-None", "real_superposition_setup-alpha-numpy-complex",
+            "boundary_curve", "BlochVector", "hwp_settings", "ExperimentConfig", "mle_g",
+            "conditional_outcome_model", "preparation_coherence", "bound_rhs", "tradeoff_slack",
+            "CostRates", "cost_point", "CostPoint",
+        ],
+    )
+    def test_scenario_entry_points_reject_non_real_scalars(self, call):
+        # not a bare TypeError, and a numpy complex is not cast to its real part with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match="must be real$"):
+                call()
 
 
 class TestBlochGeometry:

@@ -81,7 +81,6 @@ from .states import (
     coupling_unitary,
     hermitian_eigs,
     overlap_sq,
-    postselected_meter,
     tensor,
 )
 from .verify import SUITE_NAMES, SuiteResult, run_suites

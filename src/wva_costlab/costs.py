@@ -119,7 +119,11 @@ def l1_coherence(rho: Union[Ket, DensityMatrix], basis: ReferenceBasis) -> float
 
 
 def preparation_coherence(theta: float) -> float:
-    """l1 coherence (sin 2 theta) of cos(theta)|0> + sin(theta)|1>, built from the ket."""
+    """l1 coherence (sin 2 theta) of cos(theta)|0> + sin(theta)|1>, built from the ket.
+
+    theta must lie in (0, pi/4] (:func:`~wva_costlab.states.check_theta`).
+    """
+    theta = check_theta(theta, "preparation_coherence: theta")
     return l1_coherence(STANDARD_BASIS.superposition(theta), STANDARD_BASIS)
 
 

@@ -19,11 +19,11 @@ Zero-padding the entropy to the hash pool is exact: ``(s, i)`` is at most 4
 entropy. ``numpy.random`` is imported on the first trial, not on import.
 
 The readout law comes from one evaluation of the scalar postselection kernel
-per (theta, alpha, g), which also yields the exact derivative of the plus and
-minus probabilities in g. The conditional outcome model is a plain law
-``g -> (probabilities, slopes)`` that hands that derivative to
-:func:`~wva_costlab.fisher.cfi_discrete`, so the readout information is exact
-and needs no finite-difference step.
+``postselect._meter_core`` per (theta, alpha, g), which also yields the exact
+derivative of the plus and minus probabilities in g. The conditional outcome
+model is a plain law ``g -> (probabilities, slopes)`` that hands that
+derivative to :func:`~wva_costlab.fisher.cfi_discrete`, so the readout
+information is exact and needs no finite-difference step.
 
 :class:`ExperimentConfig`, the conditional outcome model and :func:`mle_g`
 take their angles through :func:`~wva_costlab.states.selection_cosines` and
@@ -49,12 +49,11 @@ from .errors import (
     VanishingPostselectionError,
 )
 from .fisher import OutcomeLaw
-from .postselect import fm_exact, postselect, real_superposition_setup
+from .postselect import _meter_core, fm_exact, postselect, real_superposition_setup
 from .states import (
     METER_MINUS,
     METER_PLUS,
     STANDARD_SIGMA,
-    _meter_core,
     check_count,
     check_seed,
     finite_real,

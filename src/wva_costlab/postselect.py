@@ -5,13 +5,24 @@ weak values, the collapsed-state QFI and its small-coupling leading order, the
 success-weighted (probabilistic) QFI, and the two canonical postselection
 constructors: the optimal state and a near-orthogonal state.
 
-Every pure-input quantity comes from one exact kernel,
-:func:`~wva_costlab.states.postselected_meter`. It returns the unnormalized
-collapsed meter vector v and its closed-form derivative dv = dv/dg from the
-factorized spectrum of the coupling. A :class:`WvaSetup` evaluates it at most
-once and caches (p, v, dv), and next to it the signal amplitude <sf|A|si> and
-the weighted QFI p F_m, so :func:`postselect`, :func:`fm_exact` and
-:func:`probabilistic_qfi` on one setup share one derivation of each. The
+Every quantity comes from one exact kernel, kept here beside the setup that
+caches it. The coupling exp(-i g A (x) M) factorizes over the closed-form
+spectral splits A = sum_i a_i P_i and M = sum_j m_j Q_j
+(``HermitianOperator._split``), so the unnormalized collapsed meter vector is
+
+    v = <sf|U(g)|si>|phi> = sum_j w_j Q_j|phi>,  w_j = sum_i <sf|P_i|si> exp(-i g a_i m_j),
+
+and its derivative dv = dv/dg takes the factor -i a_i m_j into each term.
+``_meter_core`` evaluates both in Python complex scalars over plain amplitude
+pairs, with no eigensolver; a degenerate A or M contributes its single
+projector I. It checks nothing: a :class:`WvaSetup` checks its inputs once, at
+construction, and the standard-basis readout of
+:mod:`~wva_costlab.experiment` calls the core on amplitude pairs directly.
+
+A setup evaluates the kernel at most once (``_evaluate``) and caches its
+output. For a ket that is (p, v, dv), and next to it the signal amplitude
+<sf|A|si> and the weighted QFI p F_m, so :func:`postselect`, :func:`fm_exact`
+and :func:`probabilistic_qfi` on one setup share one derivation of each. The
 postselection probability is p = <v|v>, and the collapsed-state QFI is the
 pure-state QFI of v / sqrt(p), F_m = 4 (<dv|dv>/p - |<v|dv>|^2/p^2)
 (Braunstein & Caves, PRL 72, 3439 (1994); Paris, IJQI 7, 125 (2009)), taken
@@ -20,12 +31,13 @@ finite-difference step enters. No small-coupling expansion enters the
 production path either. Leading-order formulas are exposed separately so
 tests and cost accounting can compare the two.
 
-A density-matrix input gets K = V rho_s V^dag from one value-only pass over
-both columns of V (``states._meter_columns``), and the setup caches it with
-the collapsed state K / p that :func:`postselect_mixed` returns. Only
-:func:`fm_exact` needs the derivative: on its first call the setup runs
-``states._meter_qfi``, the full kernel on the basis kets and the Bloch-form
-qubit QFI of K / p, with no eigensolve and no rank cutoff, and caches F_m.
+A density-matrix input gets (p, K) with K = V rho_s V^dag from
+``_meter_columns``, one value-only pass over both columns of V with the
+core's expressions, and the setup caches it with the collapsed state K / p
+that :func:`postselect_mixed` returns. Only :func:`fm_exact` needs the
+derivative: on its first call the setup runs ``_meter_qfi``, the full kernel
+on the basis kets and the Bloch-form qubit QFI of K / p, with no eigensolve
+and no rank cutoff, and caches F_m.
 
 The meter family that the finite-difference oracles of
 :mod:`~wva_costlab.fisher` probe (:func:`postselected_meter_family`) runs only
@@ -61,19 +73,150 @@ from .states import (
     DensityMatrix,
     HermitianOperator,
     Ket,
-    _meter_operator,
-    _meter_qfi,
     _phase_fixed,
     _readonly,
     check_theta,
     finite_real,
-    postselected_meter,
 )
 
 P_FLOOR = 1e-14
 OVERLAP_FLOOR = 1e-12
 BALANCE_TOL = 1e-10
 WEAK_REGIME_LIMIT = 0.1
+
+
+def _meter_core(s, f, x, a_split, m_split, g: float) -> tuple[complex, complex, complex, complex]:
+    """Postselected meter vector and its g-derivative, in Python scalars.
+
+    ``s``, ``f`` and ``x`` are the amplitude pairs of the preparation, the
+    postselection and the meter state; ``a_split`` and ``m_split`` are the
+    cached spectral splits ``HermitianOperator._split`` of A and M. Returns (v0, v1, dv0, dv1).
+    Inputs are not validated; :class:`WvaSetup` checks them once, at construction.
+    """
+    s0, s1 = s
+    f0, f1 = (c.conjugate() for c in f)
+    x0, x1 = x
+    # (a_i, <sf|P_i|si>)
+    sys_terms = [
+        (a, f0 * (p00 * s0 + p01 * s1) + f1 * (p10 * s0 + p11 * s1))
+        for a, (p00, p01, p10, p11) in a_split
+    ]
+    v0 = v1 = d0 = d1 = 0j
+    for m, (q00, q01, q10, q11) in m_split:
+        w = dw = 0j
+        for a, amp in sys_terms:
+            generator = a * m
+            phase = cmath.exp(-1j * g * generator)
+            w += amp * phase
+            dw += amp * (-1j * generator * phase)
+        y0 = q00 * x0 + q01 * x1  # Q_j|phi>
+        y1 = q10 * x0 + q11 * x1
+        v0 += w * y0
+        v1 += w * y1
+        d0 += dw * y0
+        d1 += dw * y1
+    return v0, v1, d0, d1
+
+
+def _meter_columns(
+    f, x, a_split, m_split, g: float
+) -> tuple[complex, complex, complex, complex]:
+    """The two columns (a0, a1, b0, b1) of V = <sf|U(g)|.>|phi>, values only, in Python scalars.
+
+    Bit for bit the v of :func:`_meter_core` on the basis kets (1, 0) and (0, 1):
+    the same expressions in the same order, but each phase exp(-i g a_i m_j) is
+    evaluated once for both columns and no derivative is formed.
+    """
+    f0, f1 = (c.conjugate() for c in f)
+    x0, x1 = x
+    # (a_i, <sf|P_i|0>, <sf|P_i|1>): _meter_core's <sf|P_i|si> with the basis amplitudes
+    # written in, since dropping the products by 1.0 and 0.0 is not proved to keep signed zeros
+    sys_terms = [
+        (
+            a,
+            f0 * (p00 * 1.0 + p01 * 0.0) + f1 * (p10 * 1.0 + p11 * 0.0),
+            f0 * (p00 * 0.0 + p01 * 1.0) + f1 * (p10 * 0.0 + p11 * 1.0),
+        )
+        for a, (p00, p01, p10, p11) in a_split
+    ]
+    a0 = a1 = b0 = b1 = 0j
+    for m, (q00, q01, q10, q11) in m_split:
+        u = w = 0j
+        for a, amp0, amp1 in sys_terms:
+            phase = cmath.exp(-1j * g * (a * m))
+            u += amp0 * phase
+            w += amp1 * phase
+        y0 = q00 * x0 + q01 * x1  # Q_j|phi>
+        y1 = q10 * x0 + q11 * x1
+        a0 += u * y0
+        a1 += u * y1
+        b0 += w * y0
+        b1 += w * y1
+    return a0, a1, b0, b1
+
+
+def _sandwich(r, u0, u1, w0, w1):
+    """u rho_s w^dag for rows u, w of V or dV, with ``r`` = (r00, r01, r10, r11) of rho_s."""
+    r00, r01, r10, r11 = r
+    return (u0 * r00 + u1 * r10) * w0.conjugate() + (u0 * r01 + u1 * r11) * w1.conjugate()
+
+
+def _evaluate(setup: "WvaSetup", g: float) -> tuple:
+    """Kernel output at g: (p, v, dv) of a ket input, (p, K) of a density matrix.
+
+    For a ket, p = <v|v>. For a density matrix, :func:`_meter_columns` gives the
+    two columns of V = <sf|U(g)|.>|phi> in one value-only pass, so no derivative
+    is formed, and K = V rho_s V^dag with p = Tr K. The arrays are read-only, so
+    callers may share them.
+    """
+    f, x = setup.psi_sf.amplitudes.tolist(), setup.phi_mi.amplitudes.tolist()
+    a_split, m_split = setup.A._split, setup.M._split
+    if isinstance(setup.psi_si, Ket):
+        v0, v1, d0, d1 = _meter_core(setup.psi_si.amplitudes.tolist(), f, x, a_split, m_split, g)
+        v = np.array([v0, v1])
+        return float(np.real(np.vdot(v, v))), _readonly(v), _readonly(np.array([d0, d1]))
+    a0, a1, b0, b1 = _meter_columns(f, x, a_split, m_split, g)
+    r = tuple(setup.psi_si.entries.ravel().tolist())
+    k00, k11 = _sandwich(r, a0, b0, a0, b0).real, _sandwich(r, a1, b1, a1, b1).real
+    k10 = _sandwich(r, a1, b1, a0, b0)
+    return k00 + k11, _readonly(np.array([[k00, k10.conjugate()], [k10, k11]]))
+
+
+def _meter_qfi(setup: "WvaSetup") -> float:
+    """F_m of a density-matrix setup: the Bloch-form qubit QFI of K / p, in Python scalars.
+
+    :func:`_meter_core` on the basis kets gives the columns of V and dV, so
+    K = V rho_s V^dag (bit for bit that of :func:`_evaluate`) and
+    dK = dV rho_s V^dag + h.c. With r the Bloch vector of K / p, F_m is
+    |dr|^2 + (r.dr)^2 / (1 - |r|^2) (Zhong et al., PRA 87, 022337 (2013)). By Cauchy-Binet,
+    |det V| = |E| with E = 2 |det(P_0 sf, P_1 sf) det(Q_0 phi, Q_1 phi)| sin(g d / 2) and
+    d = (a_0 - a_1)(m_0 - m_1), or E = 0 for a degenerate A or M, so 1 - |r|^2 =
+    4 det rho_s E^2 / p^2 and the second term is 4 det rho_s (dE - E dp/p)^2 / p^2: no 1/gap,
+    no rank cutoff, and continuous at E = 0 (K pure, as at g = 0), where the rank-1 state's
+    SLD QFI is |dr|^2 alone (Safranek, PRA 95, 052320 (2017)). Needs p > 0.
+    """
+    f, x, g = setup.psi_sf.amplitudes.tolist(), setup.phi_mi.amplitudes.tolist(), setup.g
+    a_split, m_split = setup.A._split, setup.M._split
+    a0, a1, da0, da1 = _meter_core((1.0, 0.0), f, x, a_split, m_split, g)
+    b0, b1, db0, db1 = _meter_core((0.0, 1.0), f, x, a_split, m_split, g)
+    r = tuple(setup.psi_si.entries.ravel().tolist())
+    k00, k11 = _sandwich(r, a0, b0, a0, b0).real, _sandwich(r, a1, b1, a1, b1).real
+    k10 = _sandwich(r, a1, b1, a0, b0)
+    d00 = 2.0 * _sandwich(r, da0, db0, a0, b0).real
+    d11 = 2.0 * _sandwich(r, da1, db1, a1, b1).real
+    d10 = _sandwich(r, da1, db1, a0, b0) + _sandwich(r, da0, db0, a1, b1).conjugate()
+    e = de = 0.0
+    if len(a_split) == 2 and len(m_split) == 2:
+        (a_0, P0), (a_1, _), (m_0, Q0), (m_1, _) = *a_split, *m_split
+        scale, d = 1.0, (a_0 - a_1) * (m_0 - m_1)
+        for P, u in ((P0, f), (Q0, x)):  # times |det(P u, (I - P) u)| of each projector
+            scale *= abs((P[0] * u[0] + P[1] * u[1]) * u[1] - (P[2] * u[0] + P[3] * u[1]) * u[0])
+        e, de = 2.0 * scale * math.sin(0.5 * g * d), scale * d * math.cos(0.5 * g * d)
+    p, dp = k00 + k11, d00 + d11
+    bloch = (2.0 * k10.real / p, 2.0 * k10.imag / p, (k00 - k11) / p)
+    dr = [(s - c * dp) / p for s, c in zip((2 * d10.real, 2 * d10.imag, d00 - d11), bloch)]
+    det_rho = r[0].real * r[3].real - abs(r[2]) ** 2
+    return sum(d * d for d in dr) + 4.0 * det_rho * (de - e * dp / p) ** 2 / (p * p)
 
 
 @dataclass(frozen=True)
@@ -87,13 +230,15 @@ class WvaSetup:
     The meter must sit at the balance zero point, <M> = 0, with a positive
     second moment Omega = <M^2>. The coupling strength must be a finite real.
 
-    ``omega`` = ||M phi||^2 is derived once, at construction. Each kernel
-    output is derived at most once, on first use, and only when a caller reads
-    it: (p, v, dv) of a ket; (p, K) of a density matrix, and its F_m
-    (``_fm``), which only :func:`fm_exact` reads; and the collapsed meter state
-    that :func:`postselect_mixed` and the meter family return. None of them
-    takes part in equality, hashing or the repr; :meth:`at` and
-    ``dataclasses.replace`` build a fresh instance that derives them anew.
+    These checks run once, here; the kernel checks nothing. ``omega`` =
+    ||M phi||^2 is derived at construction. Each kernel output is derived at
+    most once, on first use, and only when a caller reads it: ``_out``, which
+    is (p, v, dv) of a ket or (p, K) of a density matrix (:func:`_evaluate`);
+    the F_m of a density matrix (``_fm``), which only :func:`fm_exact` reads;
+    and the collapsed meter state that :func:`postselect_mixed` and the meter
+    family return. None of them takes part in equality, hashing or the repr;
+    :meth:`at` and ``dataclasses.replace`` build a fresh instance that derives
+    them anew.
     """
 
     psi_si: Union[Ket, DensityMatrix]
@@ -127,12 +272,9 @@ class WvaSetup:
             raise ContractViolationError("WvaSetup: <M^2> must be positive")
 
     @functools.cached_property
-    def _meter(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """Kernel output (p, v, dv) of a ket input; callers share the read-only arrays."""
-        p, v, dv = postselected_meter(
-            self.psi_si, self.psi_sf, self.phi_mi, self.A, self.M, self.g
-        )
-        return p, _readonly(v), _readonly(dv)
+    def _out(self) -> tuple:
+        """Kernel output at the setup's coupling, (p, v, dv) or (p, K) (:func:`_evaluate`)."""
+        return _evaluate(self, self.g)
 
     @functools.cached_property
     def _signal(self) -> complex:
@@ -142,30 +284,24 @@ class WvaSetup:
     @functools.cached_property
     def _weighted(self) -> float:
         """p * F_m of a ket input from the cached (p, v, dv); read only past the P_FLOOR check."""
-        return _weighted_qfi(*self._meter)
-
-    @functools.cached_property
-    def _operator(self) -> tuple[float, np.ndarray]:
-        """(p, K) of a density-matrix input, K read-only as above."""
-        p, K = _meter_operator(self.psi_si, self.psi_sf, self.phi_mi, self.A, self.M, self.g)
-        return p, _readonly(K)
+        return _weighted_qfi(*self._out)
 
     @functools.cached_property
     def _fm(self) -> float:
         """F_m of a density-matrix input; read only past the P_FLOOR check."""
-        return _meter_qfi(self.psi_si, self.psi_sf, self.phi_mi, self.A, self.M, self.g)
+        return _meter_qfi(self)
 
     @functools.cached_property
     def _collapsed_ket(self) -> Ket:
         """Collapsed meter ket v / sqrt(p) of a ket input; read only past the P_FLOOR check."""
-        return Ket(self._meter[1])
+        return Ket(self._out[1])
 
     @functools.cached_property
     def _collapsed(self) -> DensityMatrix:
         """Collapsed meter state of either input; read only past the P_FLOOR check."""
         if isinstance(self.psi_si, Ket):
             return DensityMatrix.from_ket(self._collapsed_ket)
-        p, K = self._operator
+        p, K = self._out
         return DensityMatrix(K / p)
 
     def at(self, g: float) -> "WvaSetup":
@@ -218,14 +354,9 @@ def _kernel(setup: WvaSetup, where: str, pure: bool = False, g: Optional[float] 
     """
     if g is not None:
         finite_real(g, "WvaSetup", "coupling strength g")
-    ket_input = isinstance(setup.psi_si, Ket)
-    if pure and not ket_input:
+    if pure and not isinstance(setup.psi_si, Ket):
         raise UnsupportedInputError(f"{where}: mixed system input; use postselect_mixed")
-    if g is None:
-        out = setup._meter if ket_input else setup._operator
-    else:
-        kernel = postselected_meter if ket_input else _meter_operator
-        out = kernel(setup.psi_si, setup.psi_sf, setup.phi_mi, setup.A, setup.M, g)
+    out = setup._out if g is None else _evaluate(setup, g)
     if out[0] < P_FLOOR:
         raise VanishingPostselectionError(
             f"{where}: success probability {out[0]:.3e} below floor {P_FLOOR:g}"
@@ -304,7 +435,7 @@ def fm_exact(setup: WvaSetup) -> float:
     """Exact QFI of the collapsed meter state at the setup's coupling strength.
 
     F_m = 4 |v0 dv1 - v1 dv0|^2 / p^2 from the kernel's closed-form dv, or
-    for a density-matrix input the Bloch form of ``states._meter_qfi``.
+    for a density-matrix input the Bloch form of ``_meter_qfi``.
     """
     p = _kernel(setup, "fm_exact")[0]
     if not isinstance(setup.psi_si, Ket):

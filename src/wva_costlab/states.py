@@ -2,39 +2,33 @@
 
 Provides normalized state vectors, Hermitian observables, unitaries, density
 matrices, Bloch-sphere geometry, a small deterministic Hermitian eigensolver
-and the exact postselection kernel of the coupling exp(-i g A (x) M). Only
-dimensions 2 (single qubit) and 4 (system plus meter) are supported; the
-product space is ordered system-major, meter-minor.
+and the dense coupling unitary exp(-i g A (x) M). Only dimensions 2 (single
+qubit) and 4 (system plus meter) are supported; the product space is ordered
+system-major, meter-minor.
 
-The coupling, the kernel and the qubit density-matrix check never call
-LAPACK: a qubit observable H = h0 I + K splits in closed form into
-eigenvalues h0 +- |K| with projectors (I +- K/|K|)/2, evaluated in Python
-complex scalars and cached on the observable, so each observable is split
-once. LAPACK serves only :func:`hermitian_eigs` and the 4x4 positivity
-check. The matrix types store a read-only complex copy of their input, read
-it once with ``tolist()`` and check finiteness, Hermiticity and trace in
-Python scalars. A :class:`Ket` checks its norm in Python scalars too, but
-takes the norm as ``np.linalg.norm`` does (BLAS ``ddot`` over the real and
-imaginary parts, which fuses multiply-adds), since a Python or ``math.hypot``
-norm differs in the last bit; it stores one read-only array. Kets and
-matrices compare by value (equal stored arrays) and stay unhashable. The
-standard basis, its observable and the balanced meter kets are built once,
-as module constants; a basis builds its observable and its amplitude pairs,
-which :meth:`ReferenceBasis.superposition` combines in Python, once. The
-kernel's arithmetic lives in ``_meter_core``, over plain amplitude pairs, so
-the standard-basis readout of :mod:`~wva_costlab.experiment` runs it without
-building kets. For a density-matrix input, ``_meter_operator`` takes the two
-columns of V from ``_meter_columns``, a value-only pass with the core's
-expressions that evaluates each phase once for both columns, and returns
-K = V rho_s V^dag. ``_meter_qfi`` runs ``_meter_core`` on the basis kets and
-returns F_m of the collapsed state K / p, so only a caller that asks for F_m
-forms a derivative.
+The coupling and the qubit density-matrix check never call LAPACK: a qubit
+observable H = h0 I + K splits in closed form into eigenvalues h0 +- |K| with
+projectors (I +- K/|K|)/2, evaluated in Python complex scalars and cached on
+the observable, so each observable is split once; the postselection kernel of
+:mod:`~wva_costlab.postselect` reads the same split. LAPACK serves only
+:func:`hermitian_eigs` and the 4x4 positivity check. The matrix types store a
+read-only complex copy of their input, read it once with ``tolist()`` and
+check finiteness, Hermiticity and trace in Python scalars. A :class:`Ket`
+checks its norm in Python scalars too, but takes the norm as
+``np.linalg.norm`` does (BLAS ``ddot`` over the real and imaginary parts,
+which fuses multiply-adds), since a Python or ``math.hypot`` norm differs in
+the last bit; it stores one read-only array. Kets and matrices compare by
+value (equal stored arrays) and stay unhashable. The standard basis, its
+observable and the balanced meter kets are built once, as module constants; a
+basis builds its observable and its amplitude pairs, which
+:meth:`ReferenceBasis.superposition` combines in Python, once.
+
 Each scenario input domain is decided in one function: :func:`finite_real`
 (finite reals; an integer beyond the float range is not one, and neither is a
-complex, None or a str),
-:func:`check_theta` (theta in (0, pi/4]), :func:`selection_cosines` (finite
-angles and their cos(alpha +- theta)), :func:`check_count` (integer counts)
-and :func:`check_seed` (64-bit seeds and trial indices).
+bool, a complex, None or a str), :func:`check_theta` (theta in (0, pi/4]),
+:func:`selection_cosines` (finite angles and their cos(alpha +- theta)),
+:func:`check_count` (integer counts) and :func:`check_seed` (64-bit seeds and
+trial indices).
 """
 
 from __future__ import annotations
@@ -66,10 +60,11 @@ _VALID_DIMS = (2, 4)
 def _real(value, what: tuple[str, ...]) -> float:
     """A ``numbers.Real`` as a Python float with its bits, +-inf beyond the float range.
 
-    A complex (even with a zero imaginary part), None or a str (never parsed)
-    raises ``ContractViolationError("<what joined by ': '> must be real")``.
+    A bool, a complex (even with a zero imaginary part), None or a str (never
+    parsed) raises ``ContractViolationError("<what joined by ': '> must be real")``.
     """
-    if not isinstance(value, (float, numbers.Real)):  # a float subclass skips the ABC check
+    # a float subclass skips the ABC check; a bool is a numbers.Real, but not a real input
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
         raise ContractViolationError(f"{': '.join(what)} must be real")
     try:
         return float(value)
@@ -493,24 +488,20 @@ def hermitian_eigs(H: HermitianOperator) -> tuple[np.ndarray, list[Ket]]:
     return vals.astype(float), [Ket(c) for c in columns]
 
 
-def _qubit_observables(A, M, where: str) -> tuple[HermitianOperator, HermitianOperator]:
-    if not isinstance(A, HermitianOperator):
-        A = HermitianOperator(np.asarray(A, dtype=complex))
-    if not isinstance(M, HermitianOperator):
-        M = HermitianOperator(np.asarray(M, dtype=complex))
-    if A.dim != 2 or M.dim != 2:
-        raise ModelDimensionError(f"{where}: A and M must act on qubits")
-    return A, M
-
-
 def coupling_unitary(A: HermitianOperator, M: HermitianOperator, g: float) -> UnitaryOperator:
     """Return exp(-i g A (x) M) for qubit observables A and M.
 
     With A = sum_i a_i P_i and M = sum_j m_j Q_j from the cached closed-form split,
     U = sum_ij exp(-i g a_i m_j) P_i (x) Q_j. Degenerate spectra contribute
-    a single projector and need no special handling.
+    a single projector and need no special handling. A and M may be given as
+    arrays, which must be Hermitian.
     """
-    A, M = _qubit_observables(A, M, "coupling_unitary")
+    if not isinstance(A, HermitianOperator):
+        A = HermitianOperator(np.asarray(A, dtype=complex))
+    if not isinstance(M, HermitianOperator):
+        M = HermitianOperator(np.asarray(M, dtype=complex))
+    if A.dim != 2 or M.dim != 2:
+        raise ModelDimensionError("coupling_unitary: A and M must act on qubits")
     u = np.zeros((4, 4), dtype=complex)
     for a, P in A._split:
         for m, Q in M._split:
@@ -518,171 +509,6 @@ def coupling_unitary(A: HermitianOperator, M: HermitianOperator, g: float) -> Un
                 np.reshape(P, (2, 2)), np.reshape(Q, (2, 2))
             )
     return UnitaryOperator(u)
-
-
-def _meter_core(s, f, x, a_split, m_split, g: float) -> tuple[complex, complex, complex, complex]:
-    """Postselected meter vector and its g-derivative, in Python scalars.
-
-    ``s``, ``f`` and ``x`` are the amplitude pairs of the preparation, the
-    postselection and the meter state; ``a_split`` and ``m_split`` are the
-    cached spectral splits ``HermitianOperator._split`` of A and M. Returns (v0, v1, dv0, dv1).
-    Inputs are not validated; :func:`postselected_meter` is the checked entry.
-    """
-    s0, s1 = s
-    f0, f1 = (c.conjugate() for c in f)
-    x0, x1 = x
-    # (a_i, <sf|P_i|si>)
-    sys_terms = [
-        (a, f0 * (p00 * s0 + p01 * s1) + f1 * (p10 * s0 + p11 * s1))
-        for a, (p00, p01, p10, p11) in a_split
-    ]
-    v0 = v1 = d0 = d1 = 0j
-    for m, (q00, q01, q10, q11) in m_split:
-        w = dw = 0j
-        for a, amp in sys_terms:
-            generator = a * m
-            phase = cmath.exp(-1j * g * generator)
-            w += amp * phase
-            dw += amp * (-1j * generator * phase)
-        y0 = q00 * x0 + q01 * x1  # Q_j|phi>
-        y1 = q10 * x0 + q11 * x1
-        v0 += w * y0
-        v1 += w * y1
-        d0 += dw * y0
-        d1 += dw * y1
-    return v0, v1, d0, d1
-
-
-def postselected_meter(
-    psi_si: Ket,
-    psi_sf: Ket,
-    phi_mi: Ket,
-    A: HermitianOperator,
-    M: HermitianOperator,
-    g: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Exact postselected meter vector and its derivative in the coupling.
-
-    Returns (p, v, dv): the unnormalized meter vector v = <sf|U(g)|si>|phi>
-    left by projecting the evolved system on ``psi_sf``, its exact derivative
-    dv = dv/dg, and the postselection probability p = <v|v>. The coupling
-    factorizes over the closed-form spectral splits A = sum_i a_i P_i and
-    M = sum_j m_j Q_j (see ``HermitianOperator._split``), so
-
-        v = sum_j w_j Q_j|phi>,  w_j = sum_i <sf|P_i|si> exp(-i g a_i m_j),
-
-    and dv takes the factor -i a_i m_j into each term. Everything is
-    evaluated in Python complex scalars (:func:`_meter_core`); no eigensolver
-    is called, and a degenerate A or M contributes its single projector I.
-    """
-    if psi_si.dim != 2 or psi_sf.dim != 2 or phi_mi.dim != 2:
-        raise ModelDimensionError("postselected_meter: system and meter must be qubits")
-    A, M = _qubit_observables(A, M, "postselected_meter")
-    v0, v1, d0, d1 = _meter_core(
-        psi_si.amplitudes.tolist(),
-        psi_sf.amplitudes.tolist(),
-        phi_mi.amplitudes.tolist(),
-        A._split,
-        M._split,
-        g,
-    )
-    v = np.array([v0, v1])
-    return float(np.real(np.vdot(v, v))), v, np.array([d0, d1])
-
-
-def _meter_columns(
-    f, x, a_split, m_split, g: float
-) -> tuple[complex, complex, complex, complex]:
-    """The two columns (a0, a1, b0, b1) of V = <sf|U(g)|.>|phi>, values only, in Python scalars.
-
-    Bit for bit the v of :func:`_meter_core` on the basis kets (1, 0) and (0, 1):
-    the same expressions in the same order, but each phase exp(-i g a_i m_j) is
-    evaluated once for both columns and no derivative is formed.
-    """
-    f0, f1 = (c.conjugate() for c in f)
-    x0, x1 = x
-    # (a_i, <sf|P_i|0>, <sf|P_i|1>): _meter_core's <sf|P_i|si> with the basis amplitudes
-    # written in, since dropping the products by 1.0 and 0.0 is not proved to keep signed zeros
-    sys_terms = [
-        (
-            a,
-            f0 * (p00 * 1.0 + p01 * 0.0) + f1 * (p10 * 1.0 + p11 * 0.0),
-            f0 * (p00 * 0.0 + p01 * 1.0) + f1 * (p10 * 0.0 + p11 * 1.0),
-        )
-        for a, (p00, p01, p10, p11) in a_split
-    ]
-    a0 = a1 = b0 = b1 = 0j
-    for m, (q00, q01, q10, q11) in m_split:
-        u = w = 0j
-        for a, amp0, amp1 in sys_terms:
-            phase = cmath.exp(-1j * g * (a * m))
-            u += amp0 * phase
-            w += amp1 * phase
-        y0 = q00 * x0 + q01 * x1  # Q_j|phi>
-        y1 = q10 * x0 + q11 * x1
-        a0 += u * y0
-        a1 += u * y1
-        b0 += w * y0
-        b1 += w * y1
-    return a0, a1, b0, b1
-
-
-def _sandwich(r, u0, u1, w0, w1):
-    """u rho_s w^dag for rows u, w of V or dV, with ``r`` = (r00, r01, r10, r11) of rho_s."""
-    r00, r01, r10, r11 = r
-    return (u0 * r00 + u1 * r10) * w0.conjugate() + (u0 * r01 + u1 * r11) * w1.conjugate()
-
-
-def _meter_operator(rho_s, psi_sf, phi_mi, A, M, g: float) -> tuple[float, np.ndarray]:
-    """(p, K) of a density-matrix input: K = V rho_s V^dag and p = Tr K.
-
-    :func:`_meter_columns` gives the two columns of V = <sf|U(g)|.>|phi> in one
-    value-only pass, so a caller that reads only K forms no derivative.
-    """
-    a0, a1, b0, b1 = _meter_columns(
-        psi_sf.amplitudes.tolist(), phi_mi.amplitudes.tolist(), A._split, M._split, g
-    )
-    r = tuple(rho_s.entries.ravel().tolist())
-    k00, k11 = _sandwich(r, a0, b0, a0, b0).real, _sandwich(r, a1, b1, a1, b1).real
-    k10 = _sandwich(r, a1, b1, a0, b0)
-    return k00 + k11, np.array([[k00, k10.conjugate()], [k10, k11]])
-
-
-def _meter_qfi(rho_s, psi_sf, phi_mi, A, M, g: float) -> float:
-    """F_m of a density-matrix input: the Bloch-form qubit QFI of K / p, in Python scalars.
-
-    :func:`_meter_core` on the basis kets gives the columns of V and dV, so
-    K = V rho_s V^dag (bit for bit that of :func:`_meter_operator`) and
-    dK = dV rho_s V^dag + h.c. With r the Bloch vector of K / p, F_m is
-    |dr|^2 + (r.dr)^2 / (1 - |r|^2) (Zhong et al., PRA 87, 022337 (2013)). By Cauchy-Binet,
-    |det V| = |E| with E = 2 |det(P_0 sf, P_1 sf) det(Q_0 phi, Q_1 phi)| sin(g d / 2) and
-    d = (a_0 - a_1)(m_0 - m_1), or E = 0 for a degenerate A or M, so 1 - |r|^2 =
-    4 det rho_s E^2 / p^2 and the second term is 4 det rho_s (dE - E dp/p)^2 / p^2: no 1/gap,
-    no rank cutoff, and continuous at E = 0 (K pure, as at g = 0), where the rank-1 state's
-    SLD QFI is |dr|^2 alone (Safranek, PRA 95, 052320 (2017)). Needs p > 0.
-    """
-    f, x = psi_sf.amplitudes.tolist(), phi_mi.amplitudes.tolist()
-    a_split, m_split = A._split, M._split
-    a0, a1, da0, da1 = _meter_core((1.0, 0.0), f, x, a_split, m_split, g)
-    b0, b1, db0, db1 = _meter_core((0.0, 1.0), f, x, a_split, m_split, g)
-    r = tuple(rho_s.entries.ravel().tolist())
-    k00, k11 = _sandwich(r, a0, b0, a0, b0).real, _sandwich(r, a1, b1, a1, b1).real
-    k10 = _sandwich(r, a1, b1, a0, b0)
-    d00 = 2.0 * _sandwich(r, da0, db0, a0, b0).real
-    d11 = 2.0 * _sandwich(r, da1, db1, a1, b1).real
-    d10 = _sandwich(r, da1, db1, a0, b0) + _sandwich(r, da0, db0, a1, b1).conjugate()
-    e = de = 0.0
-    if len(a_split) == 2 and len(m_split) == 2:
-        (a_0, P0), (a_1, _), (m_0, Q0), (m_1, _) = *a_split, *m_split
-        scale, d = 1.0, (a_0 - a_1) * (m_0 - m_1)
-        for P, u in ((P0, f), (Q0, x)):  # times |det(P u, (I - P) u)| of each projector
-            scale *= abs((P[0] * u[0] + P[1] * u[1]) * u[1] - (P[2] * u[0] + P[3] * u[1]) * u[0])
-        e, de = 2.0 * scale * math.sin(0.5 * g * d), scale * d * math.cos(0.5 * g * d)
-    p, dp = k00 + k11, d00 + d11
-    bloch = (2.0 * k10.real / p, 2.0 * k10.imag / p, (k00 - k11) / p)
-    dr = [(s - c * dp) / p for s, c in zip((2 * d10.real, 2 * d10.imag, d00 - d11), bloch)]
-    det_rho = r[0].real * r[3].real - abs(r[2]) ** 2
-    return sum(d * d for d in dr) + 4.0 * det_rho * (de - e * dp / p) ** 2 / (p * p)
 
 
 def bloch_of(psi: Ket, basis: ReferenceBasis) -> BlochVector:

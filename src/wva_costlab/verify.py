@@ -107,8 +107,9 @@ def suite_tradeoff_bound(printed_form: bool = False) -> SuiteResult:
     """Soundness and saturation of the coherence bound over the full sweep.
 
     Each theta of :data:`DEFAULT_THETAS` is swept over
-    :func:`default_alpha_grid`; angles with
-    |cos(alpha + theta)| < 1e-3, that is cp > 1e6, are skipped.
+    :func:`default_alpha_grid`, less the singular angle that
+    :func:`~wva_costlab.costs.leading_costs` maps to None (each of these thetas
+    puts one grid angle there), so 720 points per theta.
     """
     min_slack = np.inf
     max_sat_gap = 0.0
@@ -116,8 +117,6 @@ def suite_tradeoff_bound(printed_form: bool = False) -> SuiteResult:
     for theta in DEFAULT_THETAS:
         coherence = preparation_coherence(theta)
         for alpha, cp_norm, cm_norm in _leading_sweep(theta, "tradeoff-bound"):
-            if cp_norm > 1e6:
-                continue
             point = CostPoint.scaled(cp_norm, cm_norm, UNIT_RATES)
             slack = tradeoff_slack(point, coherence, printed_form=printed_form)
             min_slack = min(min_slack, slack)

@@ -14,6 +14,7 @@ from wva_costlab import (
     CostRates,
     DensityMatrix,
     InfinitePreparationCostError,
+    Ket,
     ReferenceBasis,
     bloch_of,
     bloch_angle,
@@ -53,6 +54,10 @@ class TestCoherence:
             1.0, abs=1e-12
         )
 
+    def test_l1_coherence_needs_a_qubit(self):
+        with pytest.raises(ContractViolationError, match="^l1_coherence: state must be a qubit$"):
+            l1_coherence(Ket(np.ones(4)), BASIS)
+
     def test_partial_coherence(self):
         got = l1_coherence(BASIS.superposition(np.pi / 6), BASIS)
         assert got == pytest.approx(np.sin(np.pi / 3), abs=1e-12)
@@ -67,6 +72,14 @@ class TestCoherence:
             expected = l1_coherence(BASIS.superposition(theta), BASIS)
             assert preparation_coherence(theta) == expected
 
+    @pytest.mark.parametrize("theta", [5.0, -0.3])
+    def test_preparation_coherence_keeps_the_theta_domain(self, theta):
+        # outside the domain |sin 2 theta| is 0.544 and 0.565, which these once returned
+        with pytest.raises(
+            ContractViolationError, match=r"^preparation_coherence: theta must lie in \(0, pi/4\]$"
+        ):
+            preparation_coherence(theta)
+
 
 class TestCostRates:
     @pytest.mark.parametrize("field", ["r_p", "r_m"])
@@ -76,6 +89,13 @@ class TestCostRates:
         with pytest.raises(ContractViolationError, match="finite"):
             CostRates(**fields)
 
+
+    @pytest.mark.parametrize("field", ["r_p", "r_m"])
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -2.0])
+    def test_non_positive_rates_rejected(self, field, bad):
+        fields = {"r_p": 1.0, "r_m": 1.0, "n_samples": 1, field: bad}
+        with pytest.raises(ContractViolationError, match="^CostRates: all fields must be positive"):
+            CostRates(**fields)
 
     @pytest.mark.parametrize("bad", [1.5, math.nan, True, 0, np.float64(2.0)])
     def test_sample_count_must_be_a_positive_integer(self, bad):
@@ -132,6 +152,15 @@ def test_bound_keeps_a_small_coherence(c):
 
 
 class TestCostPoint:
+    def test_negative_measurement_cost_rejected(self):
+        with pytest.raises(ContractViolationError, match="^CostPoint: costs must be non-negative$"):
+            CostPoint(1.0, -0.5, 1.0, -0.5, 1.0)
+
+    @pytest.mark.parametrize("F, Fm", [(0.0, 4.0), (-4.0, 4.0), (4.0, 0.0), (4.0, -1.0)])
+    def test_non_positive_information_rejected(self, F, Fm):
+        with pytest.raises(ContractViolationError, match="^cost_point: F and Fm must be positive$"):
+            cost_point(F, 1.0, Fm, UNIT_RATES)
+
     def test_conventional_scheme_recovered(self):
         point = cost_point(4.0, 4.0, 4.0, RATES)
         assert point.cp_norm == pytest.approx(1.0)

@@ -40,7 +40,14 @@ from wva_costlab import (
     run_campaign,
     run_trial,
 )
-from wva_costlab.experiment import G_MAX, _degenerate, _readout, _readout_probabilities, _trial_rng
+from wva_costlab.experiment import (
+    _MAX_CHUNK,
+    G_MAX,
+    _degenerate,
+    _readout,
+    _readout_probabilities,
+    _trial_rng,
+)
 
 THETA = np.pi / 6
 ALPHA = -np.pi / 6
@@ -236,6 +243,32 @@ class TestRunTrial:
             cfg = ExperimentConfig(np.pi / 6, -np.pi / 4, 0.0698, stopping, 3, 2**40 + 7)
             got = [run_trial(cfg, i) for i in range(254, 259)]
             assert got == [TrialCounts(*r) for r in rows]
+
+    def test_quota_beyond_one_chunk(self):
+        # p ~ 1e-4, so 700 hits need about 6.6 million preparations, drawn in chunks of
+        # at most _MAX_CHUNK; a test-local replay of the documented chunk rule on the
+        # trial's own generator gives the same counts
+        theta, alpha, g = np.pi / 6, np.pi / 6 - np.pi / 2 + 0.01, 1e-3
+        cfg = ExperimentConfig(theta, alpha, g, FixedPostselected(700), 1, 3)
+        counts = run_trial(cfg, 0)
+        assert counts == TrialCounts(6612099, 700, 695, 5)
+
+        p_plus, p_minus = _readout_probabilities(theta, alpha, g)
+        p = p_plus + p_minus
+        rng, remaining, prepared, full_chunks = _trial_rng(3, 0), 700, 0, 0
+        while remaining > 0:
+            chunk = min(max(int(remaining / p * 1.2) + 64, 1024), _MAX_CHUNK)
+            hits = np.flatnonzero(rng.random(chunk) < p)
+            if hits.size >= remaining:
+                prepared += int(hits[remaining - 1]) + 1
+                remaining = 0
+            else:
+                prepared += chunk
+                remaining -= hits.size
+                full_chunks += 1
+        n_minus = int(np.count_nonzero(rng.random(700) < p_minus / p))
+        assert full_chunks == 6 and prepared > 6 * _MAX_CHUNK
+        assert counts == TrialCounts(prepared, 700, 700 - n_minus, n_minus)
 
     def test_counts_are_consistent(self):
         cfg = config(nu=300)

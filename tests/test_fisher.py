@@ -163,6 +163,16 @@ class TestQfiProductCoupling:
         doubled = HermitianOperator(2.0 * np.eye(2))
         assert qfi_product_coupling(rho, BALANCED_METER, doubled, SIGMA) == pytest.approx(16.0)
 
+    @pytest.mark.parametrize(
+        "system, meter",
+        [(tensor(BASIS.ket0, BALANCED_METER), BALANCED_METER),
+         (BASIS.ket0, tensor(BASIS.ket0, BALANCED_METER))],
+        ids=["system", "meter"],
+    )
+    def test_non_qubit_input_rejected(self, system, meter):
+        with pytest.raises(ContractViolationError, match="system and meter must be qubits"):
+            qfi_product_coupling(system, meter, SIGMA, SIGMA)
+
     def test_mixed_diagonal_needs_balanced_meter(self):
         rho = DensityMatrix.mixture([0.3, 0.7], [BASIS.ket0, BASIS.ket1])
         with pytest.raises(UnsupportedInputError):
@@ -258,6 +268,20 @@ class TestQfiSpectralUnitary:
             )
             spectral = qfi_spectral_unitary(weights, vectors, u_fam, 0.2)
             assert spectral == pytest.approx(qfi_mixed(fam, 0.2), abs=1e-6)
+
+    @pytest.mark.parametrize("weights, count", [([1.0], 2), ([0.5, 0.5], 1), ([], 0)])
+    def test_weights_and_vectors_must_match(self, weights, count):
+        vectors = [tensor(BASIS.ket0, BALANCED_METER), tensor(BASIS.ket1, BALANCED_METER)][:count]
+        u_fam = lambda g: coupling_unitary(SIGMA, SIGMA, g)
+        with pytest.raises(ContractViolationError, match="lambdas/vectors mismatch"):
+            qfi_spectral_unitary(weights, vectors, u_fam, 0.1)
+
+    @pytest.mark.parametrize("weights", [[0.5, 0.4], [1.2, -0.2], [0.7, 0.7]])
+    def test_weights_must_be_a_distribution(self, weights):
+        vectors = [tensor(BASIS.ket0, BALANCED_METER), tensor(BASIS.ket1, BALANCED_METER)]
+        u_fam = lambda g: coupling_unitary(SIGMA, SIGMA, g)
+        with pytest.raises(ContractViolationError, match="weights must be a distribution"):
+            qfi_spectral_unitary(weights, vectors, u_fam, 0.1)
 
     def test_non_orthonormal_rejected(self):
         u_fam = lambda g: coupling_unitary(SIGMA, SIGMA, g)

@@ -5,6 +5,7 @@ form p(g) = cos^2(g) cos^2(alpha - theta) + sin^2(g) cos^2(alpha + theta);
 the production path computes everything through the coupling unitary.
 """
 
+import ast
 import dataclasses
 import importlib
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +32,7 @@ from wva_costlab import (
     WvaSetup,
     cfi_discrete,
     conditional_outcome_model,
+    coupling_unitary,
     fm_exact,
     fm_leading,
     hermitian_eigs,
@@ -53,7 +56,6 @@ SIGMA = BASIS.sigma()
 BALANCED_METER = BASIS.superposition(np.pi / 4.0)
 # The package re-exports the function ``postselect`` under the module's name.
 postselect_module = importlib.import_module("wva_costlab.postselect")
-states_module = importlib.import_module("wva_costlab.states")
 FIXTURE = Path(__file__).resolve().parent / "data" / "postselect_mixed_fixture.json"
 
 
@@ -173,6 +175,31 @@ class TestPostselect:
                 M=SIGMA,
                 g=0.1,
             )
+
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("psi_si", Ket(np.ones(4)), "system and meter must be qubits"),
+            ("psi_si", DensityMatrix(np.eye(4) / 4.0), "system and meter must be qubits"),
+            ("psi_sf", Ket(np.ones(4)), "system and meter must be qubits"),
+            ("phi_mi", Ket(np.ones(4)), "system and meter must be qubits"),
+            ("A", HermitianOperator(np.diag([1.0, -1.0, 1.0, -1.0])), "A and M must act on qubits"),
+            ("M", HermitianOperator(np.diag([1.0, -1.0, 1.0, -1.0])), "A and M must act on qubits"),
+        ],
+        ids=["psi_si-ket", "psi_si-density", "psi_sf", "phi_mi", "A", "M"],
+    )
+    def test_non_qubit_field_rejected(self, field, bad, message):
+        # the kernel checks nothing, so this is the one dimension check on its path
+        fields = dict(psi_si=Ket([1, 0]), psi_sf=Ket([1, 1]), phi_mi=BALANCED_METER, A=SIGMA,
+                      M=SIGMA, g=0.1)
+        with pytest.raises(ContractViolationError, match=f"^WvaSetup: {message}$"):
+            WvaSetup(**{**fields, field: bad})
+
+    def test_meter_without_second_moment_rejected(self):
+        # M = diag(1, 0) annihilates |1>: <M> = 0 passes, Omega = <M^2> = 0 does not
+        with pytest.raises(ContractViolationError, match=r"^WvaSetup: <M\^2> must be positive$"):
+            WvaSetup(BASIS.ket0, BASIS.ket0, BASIS.ket1, SIGMA,
+                     HermitianOperator(np.diag([1.0, 0.0])), 0.1)
 
 
 class TestCollapsedStateInformation:
@@ -295,17 +322,75 @@ class TestRealSuperpositionDomain:
         assert postselect(real_superposition_setup(np.pi / 4, -0.5, 0.01)).p > 0.0
 
 
+def _random_hermitian(rng):
+    raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return HermitianOperator((raw + raw.conj().T) / 2.0)
+
+
+def _random_ket(rng):
+    return Ket(rng.normal(size=2) + 1j * rng.normal(size=2))
+
+
+class TestMeterCore:
+    """The kernel body against U = expm(-i g A (x) M) and dU/dg = -i (A (x) M) U."""
+
+    def core(self, psi_si, psi_sf, phi_mi, A, M, g):
+        amplitudes = (k.amplitudes.tolist() for k in (psi_si, psi_sf, phi_mi))
+        v0, v1, d0, d1 = postselect_module._meter_core(*amplitudes, A._split, M._split, g)
+        return np.array([v0, v1]), np.array([d0, d1])
+
+    def dense_reference(self, psi_si, psi_sf, phi_mi, A, M, g):
+        generator = np.kron(A.entries, M.entries)
+        u = scipy.linalg.expm(-1j * g * generator)
+        project = np.kron(psi_sf.amplitudes.conj(), np.eye(2))  # <sf| (x) I
+        joint = np.kron(psi_si.amplitudes, phi_mi.amplitudes)
+        return project @ u @ joint, project @ (-1j * generator) @ u @ joint
+
+    def test_matches_dense_evolution(self):
+        rng = np.random.default_rng(12)
+        degenerate = HermitianOperator(-1.3 * np.eye(2))
+        for k in range(20):
+            A = degenerate if k == 0 else _random_hermitian(rng)
+            M = degenerate if k == 1 else _random_hermitian(rng)
+            kets = [_random_ket(rng) for _ in range(3)]
+            g = rng.uniform(-2.0, 2.0)
+            v, dv = self.core(*kets, A, M, g)
+            v_ref, dv_ref = self.dense_reference(*kets, A, M, g)
+            assert np.max(np.abs(v - v_ref)) < 1e-12
+            assert np.max(np.abs(dv - dv_ref)) < 1e-12
+
+    def test_matches_dense_evolution_at_degenerate_and_near_degenerate_observables(self):
+        rng = np.random.default_rng(13)
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        specials = [
+            HermitianOperator(0.4 * np.eye(2)),
+            HermitianOperator(-1.1 * np.eye(2) + 1e-13 * sigma_x),
+        ]
+        for special in specials:
+            for g in (0.0, 1e-3, 1.0):
+                for A, M in ((special, _random_hermitian(rng)), (_random_hermitian(rng), special),
+                             (special, special)):
+                    kets = [_random_ket(rng) for _ in range(3)]
+                    v, dv = self.core(*kets, A, M, g)
+                    v_ref, dv_ref = self.dense_reference(*kets, A, M, g)
+                    assert np.max(np.abs(v - v_ref)) < 1e-12
+                    assert np.max(np.abs(dv - dv_ref)) < 1e-12
+                    expected = scipy.linalg.expm(-1j * g * np.kron(A.entries, M.entries))
+                    u = coupling_unitary(A, M, g).entries
+                    assert np.max(np.abs(u - expected)) < 1e-12
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Count the postselection-kernel evaluations made through WvaSetup."""
     calls = []
-    original = postselect_module.postselected_meter
+    original = postselect_module._meter_core
 
     def counted(*args):
         calls.append(args[-1])
         return original(*args)
 
-    monkeypatch.setattr(postselect_module, "postselected_meter", counted)
+    monkeypatch.setattr(postselect_module, "_meter_core", counted)
     return calls
 
 
@@ -317,7 +402,7 @@ class TestKernelSharing:
         probabilistic_qfi(setup)
         postselect(setup)
         assert kernel_calls == [0.0349]
-        _, v, dv = setup._meter
+        _, v, dv = setup._out
         assert not v.flags.writeable and not dv.flags.writeable
 
     def test_signal_and_weighted_qfi_derived_once_per_setup(self, monkeypatch):
@@ -453,6 +538,10 @@ class TestPostselectionConstructors:
         with pytest.raises(ContractViolationError):
             near_orthogonal_postselection(psi, SIGMA, 1.0)
 
+    def test_optimal_rejects_an_annihilated_input(self):
+        with pytest.raises(ContractViolationError, match="A annihilates the input"):
+            optimal_postselection(BASIS.ket1, HermitianOperator(np.diag([1.0, 0.0])))
+
     def test_near_orthogonal_rejects_eigenstate(self):
         with pytest.raises(UnsupportedInputError):
             near_orthogonal_postselection(BASIS.ket0, SIGMA, 0.1)
@@ -466,6 +555,13 @@ class TestWeakRegime:
         strong = real_superposition_setup(np.pi / 6, np.radians(115.0), 0.02)
         assert weak_regime_margin(strong) > 0.1
         assert not in_weak_regime(strong)
+
+    def test_margin_needs_a_pure_input(self):
+        pure = real_superposition_setup(np.pi / 6, -np.pi / 6, 0.0349)
+        mixed = dataclasses.replace(pure, psi_si=_bloch_density(0.3, 0.0, 0.0))
+        for check in (weak_regime_margin, in_weak_regime):
+            with pytest.raises(UnsupportedInputError, match="needs a pure system input"):
+                check(mixed)
 
 
 class TestIncoherentInput:
@@ -549,8 +645,8 @@ def _eager_meter_operator(rho_s, psi_sf, phi_mi, A, M, g):
     """The eager kernel that formed dK and the determinant term on every call, as a reference."""
     f, x = psi_sf.amplitudes.tolist(), phi_mi.amplitudes.tolist()
     a_split, m_split = A._split, M._split
-    a0, a1, da0, da1 = states_module._meter_core((1.0, 0.0), f, x, a_split, m_split, g)
-    b0, b1, db0, db1 = states_module._meter_core((0.0, 1.0), f, x, a_split, m_split, g)
+    a0, a1, da0, da1 = postselect_module._meter_core((1.0, 0.0), f, x, a_split, m_split, g)
+    b0, b1, db0, db1 = postselect_module._meter_core((0.0, 1.0), f, x, a_split, m_split, g)
     (r00, r01), (r10, r11) = rho_s.entries.tolist()
 
     def form(u0, u1, w0, w1):
@@ -590,12 +686,13 @@ def _bloch_qfi(p, K, dK, det_parts):
 def _count_kernels(monkeypatch):
     """Lists that grow by one per call of the value-only column pass and of the full kernel."""
     columns, cores = [], []
-    original_columns, original_core = states_module._meter_columns, states_module._meter_core
+    original_columns = postselect_module._meter_columns
+    original_core = postselect_module._meter_core
     monkeypatch.setattr(
-        states_module, "_meter_columns", lambda *a: columns.append(1) or original_columns(*a)
+        postselect_module, "_meter_columns", lambda *a: columns.append(1) or original_columns(*a)
     )
     monkeypatch.setattr(
-        states_module, "_meter_core", lambda *a: cores.append(1) or original_core(*a)
+        postselect_module, "_meter_core", lambda *a: cores.append(1) or original_core(*a)
     )
     return columns, cores
 
@@ -791,15 +888,17 @@ class TestMixedKernel:
 
     def test_one_kernel_evaluation_per_setup(self, monkeypatch):
         calls, columns = [], []
-        original, original_columns = states_module._meter_core, states_module._meter_columns
+        original = postselect_module._meter_core
+        original_columns = postselect_module._meter_columns
 
         def counted(s, *args):
             calls.append(tuple(s))
             return original(s, *args)
 
-        monkeypatch.setattr(states_module, "_meter_core", counted)
+        monkeypatch.setattr(postselect_module, "_meter_core", counted)
         monkeypatch.setattr(
-            states_module, "_meter_columns", lambda *a: columns.append(1) or original_columns(*a)
+            postselect_module, "_meter_columns",
+            lambda *a: columns.append(1) or original_columns(*a),
         )
         setup = WvaSetup(
             _bloch_density(0.3, -0.2, 0.4), BASIS.superposition(-0.6), BALANCED_METER,
@@ -810,7 +909,7 @@ class TestMixedKernel:
         assert postselect_mixed(setup)[0] == p and fm_exact(setup) == fm
         # V's two columns in one pass, and dV's on the basis kets, once each
         assert (len(columns), calls) == (1, [(1.0, 0.0), (0.0, 1.0)])
-        _, K = setup._operator
+        _, K = setup._out
         assert not K.flags.writeable
         assert rho_m.entries == pytest.approx(K / p)
         fm_exact(setup.at(0.02))
@@ -820,11 +919,11 @@ class TestMixedKernel:
         for setup in _seeded_mixed_setups(11, 400):
             args = (setup.psi_si, setup.psi_sf, setup.phi_mi, setup.A, setup.M, setup.g)
             p_ref, K_ref, dK_ref, det_ref = _eager_meter_operator(*args)
-            p, K = states_module._meter_operator(*args)
+            p, K = postselect_module._evaluate(setup, setup.g)
             assert (p.hex(), K.tobytes()) == (p_ref.hex(), K_ref.tobytes())  # signed zeros too
             if p_ref >= postselect_module.P_FLOOR:
                 expected = _bloch_qfi(p_ref, K_ref, dK_ref, det_ref)
-                assert states_module._meter_qfi(*args).hex() == expected.hex()
+                assert postselect_module._meter_qfi(setup).hex() == expected.hex()
                 assert fm_exact(setup).hex() == expected.hex()
 
     def test_slope_formed_only_by_fm_exact(self, monkeypatch):
@@ -862,9 +961,9 @@ class TestMixedKernel:
                     H = np.eye(2) * h[0]  # the single projector I
                 splits.append(HermitianOperator(H)._split)
             g = (0.0, -0.0, -rng.uniform(0.0, 2.0), 1.3)[k % 4]
-            a0, a1, _, _ = states_module._meter_core((1.0, 0.0), f, x, *splits, g)
-            b0, b1, _, _ = states_module._meter_core((0.0, 1.0), f, x, *splits, g)
-            got = states_module._meter_columns(f, x, *splits, g)
+            a0, a1, _, _ = postselect_module._meter_core((1.0, 0.0), f, x, *splits, g)
+            b0, b1, _, _ = postselect_module._meter_core((0.0, 1.0), f, x, *splits, g)
+            got = postselect_module._meter_columns(f, x, *splits, g)
             assert [(z.real.hex(), z.imag.hex()) for z in got] == [
                 (z.real.hex(), z.imag.hex()) for z in (a0, a1, b0, b1)
             ]
@@ -877,8 +976,10 @@ class TestMixedKernel:
         pure = real_superposition_setup(np.pi / 6, -np.pi / 5, 0.0349)
         cached = postselect_mixed(mixed)[1], postselect_mixed(pure)[1]
         calls = []
-        original = states_module._meter_core
-        monkeypatch.setattr(states_module, "_meter_core", lambda *a: calls.append(1) or original(*a))
+        original = postselect_module._meter_core
+        monkeypatch.setattr(
+            postselect_module, "_meter_core", lambda *a: calls.append(1) or original(*a)
+        )
         assert postselected_meter_family(mixed)(0.0349) is cached[0]
         assert postselected_meter_family(pure)(0.0349) is cached[1]
         assert calls == []
@@ -1009,3 +1110,29 @@ class TestSetupEquality:
         mixed = dataclasses.replace(a, psi_si=_bloch_density(0.1, 0.2, 0.3))
         assert mixed == dataclasses.replace(b, psi_si=_bloch_density(0.1, 0.2, 0.3))
         assert mixed != a
+
+
+class TestModuleBoundaries:
+    # Each entry is a private helper that one module lends another on purpose: the kernel
+    # core to the standard-basis readout, two array helpers, and the unchecked cost sweep.
+    # A change that adds an entry says why.
+    REVIEWED = {
+        ("experiment", "postselect", "_meter_core"),
+        ("postselect", "states", "_phase_fixed"),
+        ("postselect", "states", "_readonly"),
+        ("verify", "costs", "_leading_sweep"),
+    }
+
+    def test_private_imports_between_modules_are_the_reviewed_set(self):
+        found = set()
+        for path in sorted(Path(postselect_module.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                source = node.module or ""
+                if node.level == 1 or source.startswith("wva_costlab."):
+                    found |= {
+                        (path.stem, source.rsplit(".", 1)[-1], alias.name)
+                        for alias in node.names if alias.name.startswith("_")
+                    }
+        assert found == self.REVIEWED

@@ -23,7 +23,6 @@ from wva_costlab import (
     coupling_unitary,
     hermitian_eigs,
     overlap_sq,
-    postselected_meter,
     tensor,
 )
 from wva_costlab.costs import (
@@ -45,7 +44,7 @@ from wva_costlab.experiment import (
     hwp_settings,
     mle_g,
 )
-from wva_costlab.postselect import real_superposition_setup
+from wva_costlab.postselect import WvaSetup, postselect, real_superposition_setup
 from wva_costlab.states import (
     METER_MINUS,
     METER_PLUS,
@@ -63,10 +62,6 @@ SIGMA_Z = HermitianOperator(np.array([[1, 0], [0, -1]], dtype=complex))
 def random_hermitian(rng, dim=2):
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return HermitianOperator((raw + raw.conj().T) / 2.0)
-
-
-def random_ket(rng, dim=2):
-    return Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim))
 
 
 def random_kets(dim=2):
@@ -266,58 +261,6 @@ class TestCouplingUnitary:
             assert np.max(np.abs(coupling_unitary(A, M, g).entries - expected)) < 1e-12
 
 
-class TestPostselectedMeter:
-    """The kernel against U = expm(-i g A (x) M) and dU/dg = -i (A (x) M) U."""
-
-    def dense_reference(self, psi_si, psi_sf, phi_mi, A, M, g):
-        generator = np.kron(A.entries, M.entries)
-        u = scipy.linalg.expm(-1j * g * generator)
-        project = np.kron(psi_sf.amplitudes.conj(), np.eye(2))  # <sf| (x) I
-        joint = np.kron(psi_si.amplitudes, phi_mi.amplitudes)
-        return project @ u @ joint, project @ (-1j * generator) @ u @ joint
-
-    def test_matches_dense_evolution(self):
-        rng = np.random.default_rng(12)
-        degenerate = HermitianOperator(-1.3 * np.eye(2))
-        for k in range(20):
-            A = degenerate if k == 0 else random_hermitian(rng)
-            M = degenerate if k == 1 else random_hermitian(rng)
-            kets = [random_ket(rng) for _ in range(3)]
-            g = rng.uniform(-2.0, 2.0)
-            p, v, dv = postselected_meter(*kets, A, M, g)
-            v_ref, dv_ref = self.dense_reference(*kets, A, M, g)
-            assert np.max(np.abs(v - v_ref)) < 1e-12
-            assert np.max(np.abs(dv - dv_ref)) < 1e-12
-            assert type(p) is float
-            assert p == pytest.approx(np.vdot(v_ref, v_ref).real, abs=1e-12)
-
-    def test_matches_dense_evolution_at_degenerate_and_near_degenerate_observables(self):
-        rng = np.random.default_rng(13)
-        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
-        specials = [
-            HermitianOperator(0.4 * np.eye(2)),
-            HermitianOperator(-1.1 * np.eye(2) + 1e-13 * sigma_x),
-        ]
-        for special in specials:
-            for g in (0.0, 1e-3, 1.0):
-                for A, M in ((special, random_hermitian(rng)), (random_hermitian(rng), special),
-                             (special, special)):
-                    kets = [random_ket(rng) for _ in range(3)]
-                    p, v, dv = postselected_meter(*kets, A, M, g)
-                    v_ref, dv_ref = self.dense_reference(*kets, A, M, g)
-                    assert np.max(np.abs(v - v_ref)) < 1e-12
-                    assert np.max(np.abs(dv - dv_ref)) < 1e-12
-                    assert p == pytest.approx(np.vdot(v_ref, v_ref).real, abs=1e-12)
-                    expected = scipy.linalg.expm(-1j * g * np.kron(A.entries, M.entries))
-                    u = coupling_unitary(A, M, g).entries
-                    assert np.max(np.abs(u - expected)) < 1e-12
-
-    def test_rejects_non_qubit_operands(self):
-        four = Ket(np.ones(4))
-        with pytest.raises(ModelDimensionError):
-            postselected_meter(four, BASIS.ket0, BASIS.ket0, SIGMA_Y, SIGMA_Z, 0.1)
-
-
 class TestSharedConstants:
     def test_standard_basis_is_shared(self):
         assert ReferenceBasis.standard() is STANDARD_BASIS
@@ -352,7 +295,8 @@ class TestFiniteReal:
             (lambda: hwp_settings(0.5, 0.1, 2**1100), "hwp_settings: g must be finite"),
             (lambda: real_superposition_setup(0.5, 0.1, 2**1100),
              "WvaSetup: coupling strength g must be finite"),
-            (lambda: preparation_coherence(2**1100), "superposition: angle must be finite"),
+            (lambda: preparation_coherence(2**1100),
+             r"preparation_coherence: theta must lie in \(0, pi/4\]"),
         ],
         ids=["superposition", "BlochVector", "leading_costs", "hwp_settings",
              "real_superposition_setup", "preparation_coherence"],
@@ -368,7 +312,6 @@ class TestFiniteReal:
         # numpy's cos takes no Python int beyond int64, so the angle must reach it as a float
         big = 2**70
         assert BASIS.superposition(big) == BASIS.superposition(float(big))
-        assert preparation_coherence(big) == preparation_coherence(float(big))
         setup = real_superposition_setup(0.5, big, 0.01)
         assert setup.psi_sf == BASIS.superposition(float(big))
 
@@ -393,11 +336,13 @@ class TestFiniteReal:
             finite_real(bad, "where", "x")
 
     @pytest.mark.parametrize(
-        "bad", [1j, 0j, np.complex128(0.5), None, "0.5", b"0.5"],
-        ids=["complex", "complex-zero", "numpy-complex-real-valued", "None", "str", "bytes"],
+        "bad", [1j, 0j, np.complex128(0.5), None, "0.5", b"0.5", True, False, np.bool_(True)],
+        ids=["complex", "complex-zero", "numpy-complex-real-valued", "None", "str", "bytes",
+             "True", "False", "numpy-bool"],
     )
     def test_not_real_raises(self, bad):
-        # a complex with a zero imaginary part is not real, and a string is never parsed
+        # a complex with a zero imaginary part is not real, a string is never parsed, and a
+        # bool is no real number although it is a numbers.Real (check_count rejects it too)
         with pytest.raises(ContractViolationError, match="^where: x must be real$"):
             finite_real(bad, "where", "x")
 
@@ -421,13 +366,23 @@ class TestFiniteReal:
             lambda: CostRates("1", 1, 1),
             lambda: cost_point(4.0, "1", 1.0, UNIT_RATES),
             lambda: CostPoint(1.0, 0.5, 1.0, 0.5, 1j),
+            lambda: real_superposition_setup(0.5, 0.1, True),
+            lambda: real_superposition_setup(True, 0.1, 0.01),
+            lambda: leading_costs(0.5, False),
+            lambda: hwp_settings(0.5, 0.1, False),
+            lambda: mle_g(TrialCounts(10, 10, 5, 5), True, 0.1),
+            lambda: preparation_coherence(True),
+            lambda: bound_rhs(True),
+            lambda: cost_point(4.0, 1.0, True, UNIT_RATES),
         ],
         ids=[
             "leading_costs", "real_superposition_setup-g", "real_superposition_setup-theta-str",
             "real_superposition_setup-theta-None", "real_superposition_setup-alpha-numpy-complex",
             "boundary_curve", "BlochVector", "hwp_settings", "ExperimentConfig", "mle_g",
             "conditional_outcome_model", "preparation_coherence", "bound_rhs", "tradeoff_slack",
-            "CostRates", "cost_point", "CostPoint",
+            "CostRates", "cost_point", "CostPoint", "real_superposition_setup-g-True",
+            "real_superposition_setup-theta-True", "leading_costs-False", "hwp_settings-False",
+            "mle_g-True", "preparation_coherence-True", "bound_rhs-True", "cost_point-True",
         ],
     )
     def test_scenario_entry_points_reject_non_real_scalars(self, call):
@@ -749,7 +704,7 @@ class TestCachedDerivations:
         A = HermitianOperator(np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.7]]))
         M = HermitianOperator(np.array([[1.0, 0.0], [0.0, -1.0]]))
         coupling_unitary(A, M, 0.1)
-        postselected_meter(BASIS.ket0, BASIS.superposition(0.4), METER_PLUS, A, M, 0.2)
+        postselect(WvaSetup(BASIS.ket0, BASIS.superposition(0.4), METER_PLUS, A, M, 0.2))
         coupling_unitary(A, M, 0.3)
         assert len(calls) == 2  # one split each for A and M
         assert A._split is A._split

@@ -27,7 +27,6 @@ from .errors import (
     InfinitePreparationCostError,
     ModelDimensionError,
     NonTerminationError,
-    NumericalFailureError,
     OrthogonalPostselectionError,
     StepTooLargeError,
     UnsupportedInputError,

@@ -2,9 +2,9 @@
 
 Every error raised by the library derives from :class:`WvaError`, so callers
 can catch one base class. The subclasses mirror the distinct failure modes of
-the model: dimension mismatches, contract violations on inputs, numerical
-breakdowns, and the physically meaningful degeneracies (orthogonal or
-vanishing postselection, undefined estimators).
+the model: dimension mismatches, contract violations on inputs, finite-difference
+steps that move the state too far, and the physically meaningful degeneracies
+(orthogonal or vanishing postselection, undefined estimators).
 """
 
 
@@ -18,10 +18,6 @@ class ModelDimensionError(WvaError):
 
 class ContractViolationError(WvaError):
     """An input violates a documented precondition or type invariant."""
-
-
-class NumericalFailureError(WvaError):
-    """An iterative numerical routine failed to converge."""
 
 
 class StepTooLargeError(WvaError):

@@ -43,11 +43,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    ContractViolationError,
-    ModelDimensionError,
-    NumericalFailureError,
-)
+from .errors import ContractViolationError, ModelDimensionError
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -453,39 +449,16 @@ def _phase_fixed(vec: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eigs(H: HermitianOperator) -> tuple[np.ndarray, list[Ket]]:
-    """Eigendecomposition of a Hermitian operator with deterministic ordering.
+    """Eigenvalues of a Hermitian operator in descending order, with orthonormal eigenvector kets.
 
-    Returns eigenvalues in descending order together with orthonormal
-    eigenvector kets. Each vector carries the global-phase convention of a
-    real-positive first nonzero amplitude; degenerate eigenvalues are ordered
-    lexicographically by (real, imag) of the phase-fixed amplitudes.
+    Each vector carries the global-phase convention of a real-positive first
+    nonzero amplitude.
     """
     if not isinstance(H, HermitianOperator):
-        H = HermitianOperator(np.asarray(H, dtype=complex))
-    try:
-        vals, vecs = np.linalg.eigh(H.entries)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalFailureError(f"hermitian_eigs: eigensolver failed: {exc}") from exc
-
+        raise ContractViolationError("hermitian_eigs: H must be a HermitianOperator")
+    vals, vecs = np.linalg.eigh(H.entries)
     order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    columns = [_phase_fixed(vecs[:, k]) for k in order]
-
-    # Deterministic order inside (near-)degenerate runs.
-    def lex_key(v: np.ndarray):
-        return tuple(x for c in v for x in (round(c.real, 10), round(c.imag, 10)))
-
-    i = 0
-    while i < len(vals):
-        j = i + 1
-        while j < len(vals) and abs(vals[j] - vals[i]) <= 1e-9 * max(1.0, abs(vals[i])):
-            j += 1
-        if j - i > 1:
-            block = sorted(columns[i:j], key=lex_key, reverse=True)
-            columns[i:j] = block
-        i = j
-
-    return vals.astype(float), [Ket(c) for c in columns]
+    return vals[order].astype(float), [Ket(_phase_fixed(vecs[:, k])) for k in order]
 
 
 def coupling_unitary(A: HermitianOperator, M: HermitianOperator, g: float) -> UnitaryOperator:
@@ -493,13 +466,11 @@ def coupling_unitary(A: HermitianOperator, M: HermitianOperator, g: float) -> Un
 
     With A = sum_i a_i P_i and M = sum_j m_j Q_j from the cached closed-form split,
     U = sum_ij exp(-i g a_i m_j) P_i (x) Q_j. Degenerate spectra contribute
-    a single projector and need no special handling. A and M may be given as
-    arrays, which must be Hermitian.
+    a single projector and need no special handling. A and M must be qubit
+    :class:`HermitianOperator` instances; an array is not converted.
     """
-    if not isinstance(A, HermitianOperator):
-        A = HermitianOperator(np.asarray(A, dtype=complex))
-    if not isinstance(M, HermitianOperator):
-        M = HermitianOperator(np.asarray(M, dtype=complex))
+    if not (isinstance(A, HermitianOperator) and isinstance(M, HermitianOperator)):
+        raise ContractViolationError("coupling_unitary: A and M must be HermitianOperators")
     if A.dim != 2 or M.dim != 2:
         raise ModelDimensionError("coupling_unitary: A and M must act on qubits")
     u = np.zeros((4, 4), dtype=complex)

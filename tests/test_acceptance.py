@@ -20,12 +20,18 @@ import pytest
 from scipy.stats import binom
 
 import wva_costlab as w
-from wva_costlab.verify import DEFAULT_THETAS, suite_overlap_identity, suite_tradeoff_bound
+from wva_costlab.verify import (
+    DEFAULT_THETAS,
+    suite_conventional_information,
+    suite_incoherent_ceiling,
+    suite_leading_order,
+    suite_overlap_identity,
+    suite_tradeoff_bound,
+    suite_weighted_ceiling,
+)
 
 THETAS = (np.pi / 16, np.pi / 12, np.pi / 8, np.pi / 6, np.pi / 5, np.pi / 4.5, np.pi / 4)
 BASIS = w.ReferenceBasis.standard()
-SIGMA = BASIS.sigma()
-BALANCED_METER = BASIS.superposition(np.pi / 4.0)
 UNIT_RATES = w.CostRates(1.0, 1.0, 1)
 
 BENCH_GS = (0.0349, 0.0698)
@@ -47,11 +53,6 @@ STANDARD_CONFIGURATIONS = (
 
 def _verdict(num, ok, detail=""):
     print(f"ACCEPTANCE {num:02d}: {'PASS' if ok else 'FAIL'}  {detail}")
-
-
-def _product_family(theta):
-    psi0 = w.tensor(BASIS.superposition(theta), BALANCED_METER)
-    return lambda g: w.coupling_unitary(SIGMA, SIGMA, g).apply(psi0)
 
 
 def _campaign(theta, alpha, g, seed=BENCH_SEED, reps=BENCH_REPS):
@@ -81,27 +82,12 @@ def test_c01_overlap_identity():
 def test_c02_conventional_information_reproduction():
     """Coupled product inputs carry information 4*Omega, pure or incoherent."""
     start = time.perf_counter()
-    worst = 0.0
-    for theta in THETAS:
-        numeric = w.qfi_pure(_product_family(theta), 0.0349)
-        closed = w.qfi_product_coupling(
-            BASIS.superposition(theta), BALANCED_METER, SIGMA, SIGMA
-        )
-        worst = max(worst, abs(numeric - 4.0), abs(closed - 4.0))
-    for mu in np.round(np.arange(0.1, 0.95, 0.1), 2):
-        rho = w.DensityMatrix.mixture([mu, 1.0 - mu], [BASIS.ket0, BASIS.ket1])
-        closed = w.qfi_product_coupling(rho, BALANCED_METER, SIGMA, SIGMA)
-        joint0 = np.kron(rho.entries, BALANCED_METER.projector())
-
-        def family(g, joint0=joint0):
-            u = w.coupling_unitary(SIGMA, SIGMA, g).entries
-            return w.DensityMatrix(u @ joint0 @ u.conj().T)
-
-        numeric = w.qfi_mixed(family, 0.0349)
-        worst = max(worst, abs(closed - 4.0), abs(numeric - 4.0))
+    suite = suite_conventional_information()
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-6 and elapsed < 2.0
-    _verdict(2, ok, f"worst deviation from 4 is {worst:.2e}, {elapsed:.2f}s")
+    worst = suite.detail["worst_abs_deviation"]
+    _verdict(2, suite.passed and elapsed < 2.0,
+             f"worst deviation from 4 is {worst:.2e}, {elapsed:.2f}s")
+    assert suite.detail["points"] == len(THETAS) + 9  # every theta, mu = 0.1, ..., 0.9
     assert worst <= 1e-6
     assert elapsed < 2.0
 
@@ -109,28 +95,13 @@ def test_c02_conventional_information_reproduction():
 def test_c03_weak_value_leading_order_convergence():
     """Collapsed-state information converges monotonically to 4*Omega*|A_w|^2."""
     start = time.perf_counter()
-    gs = (1e-2, 1e-3, 1e-4)
-    checked = 0
-    for theta in THETAS:
-        for alpha in np.linspace(-1.4, 1.4, 25):
-            overlap = abs(np.cos(alpha - theta))
-            if overlap < 0.05:
-                continue
-            a_w = abs(np.cos(alpha + theta) / np.cos(alpha - theta))
-            if a_w < 1e-6 or max(gs) * a_w >= 0.1:
-                continue
-            target = 4.0 * a_w**2
-            diffs = [
-                abs(w.fm_exact(w.real_superposition_setup(theta, alpha, g)) - target)
-                for g in gs
-            ]
-            assert diffs[0] >= diffs[1] * (1.0 - 1e-6) - 1e-12
-            assert diffs[1] >= diffs[2] * (1.0 - 1e-6) - 1e-12
-            assert diffs[2] < 1e-3 * target
-            checked += 1
+    suite = suite_leading_order()
     elapsed = time.perf_counter() - start
-    ok = checked > 100 and elapsed < 5.0
-    _verdict(3, ok, f"{checked} grid configurations, {elapsed:.2f}s")
+    checked = suite.detail["points"]
+    _verdict(3, suite.passed and checked > 100 and elapsed < 5.0,
+             f"{checked} grid configurations, {elapsed:.2f}s")
+    assert suite.detail["monotone"]
+    assert suite.detail["worst_rel_distance"] < 1e-3
     assert checked > 100
     assert elapsed < 5.0
 
@@ -143,47 +114,23 @@ def test_c04_success_weighted_information_ceiling():
     postselection is exactly orthogonal (unbounded weak value) and is
     excluded, as for every leading-order assertion.
     """
-    worst = -np.inf
-    for theta in THETAS:
-        for alpha in w.default_alpha_grid():
-            if abs(np.cos(alpha + theta)) < 1e-3:
-                continue
-            setup = w.real_superposition_setup(theta, alpha, 1e-3)
-            exact, _ = w.probabilistic_qfi(setup)
-            worst = max(worst, exact - 4.0)
-        optimal = w.real_superposition_setup(theta, -theta, 1e-3)
-        if abs(np.cos(2 * theta)) > 1e-9 and w.in_weak_regime(optimal):
-            exact_opt, _ = w.probabilistic_qfi(optimal)
-            assert abs(exact_opt - 4.0) <= 1e-3 * 4.0
-    ok = worst <= 1e-12
-    _verdict(4, ok, f"worst excess over 4 is {worst:.2e}")
+    suite = suite_weighted_ceiling()
+    worst = suite.detail["worst_excess"]
+    _verdict(4, suite.passed, f"worst excess over 4 is {worst:.2e}")
+    assert suite.detail["points"] == 5040  # every grid angle but theta's singular one
     assert worst <= 1e-12
+    assert suite.detail["optimal_points"] == len(THETAS) - 1  # all but theta = pi/4
+    assert suite.detail["attainment_gap"] <= 1e-3
 
 
 def test_c05_incoherent_inputs_grant_no_advantage():
     """Postselected meter information from incoherent inputs stays at 4*Omega."""
-    worst = -np.inf
-    for mu in np.round(np.arange(0.1, 0.95, 0.1), 2):
-        rho = w.DensityMatrix.mixture([mu, 1.0 - mu], [BASIS.ket0, BASIS.ket1])
-        for alpha in np.linspace(-1.4, 1.4, 13):
-            for g in (1e-3, 0.0349, 0.1):
-                setup = w.WvaSetup(
-                    psi_si=rho,
-                    psi_sf=BASIS.superposition(alpha),
-                    phi_mi=BALANCED_METER,
-                    A=SIGMA,
-                    M=SIGMA,
-                    g=g,
-                )
-                fm = w.fm_exact(setup)
-                assert abs(fm - w.qfi_mixed(w.postselected_meter_family(setup), g)) <= 1e-6
-                worst = max(worst, fm - 4.0)
-                p, _ = w.postselect_mixed(setup)
-                point = w.cost_point(4.0, p * fm, fm, UNIT_RATES)
-                assert w.classify_region(point) == "trivial"
-    ok = worst <= 1e-12
-    _verdict(5, ok, f"worst excess over 4 is {worst:.2e}")
+    suite = suite_incoherent_ceiling()
+    worst = suite.detail["worst_excess"]
+    _verdict(5, suite.passed, f"worst excess over 4 is {worst:.2e}")
     assert worst <= 1e-12
+    assert suite.detail["oracle_abs_difference"] <= 1e-6
+    assert suite.detail["advantage_points"] == 0
 
 
 def test_c06_tradeoff_bound_soundness_and_endpoints():
@@ -211,11 +158,7 @@ def test_c06_tradeoff_bound_soundness_and_endpoints():
         and abs(endpoint_pi4[1]) <= 1e-9
         and elapsed < 5.0
     )
-    _verdict(
-        6,
-        ok,
-        f"min slack {min_slack:.2e}, saturation gap {max_sat_gap:.2e}, {elapsed:.2f}s",
-    )
+    _verdict(6, ok, f"min slack {min_slack:.2e}, saturation gap {max_sat_gap:.2e}, {elapsed:.2f}s")
     assert min_slack >= -1e-9
     assert max_sat_gap <= 1e-6
     assert endpoint_pi6 == pytest.approx((1.0, 0.25), abs=1e-9)

@@ -53,8 +53,16 @@ def test_suite_details_carry_the_counts_the_tracer_sums():
     from wva_costlab import run_suites
 
     keys = load_tracer()._POINT_KEYS
-    counts = {key: r.detail[key] for r in run_suites() for key in keys if key in r.detail}
-    assert counts == {"pairs": 1000, "points": 5040, "instances": 100}
+    counts = {
+        r.name: {key: r.detail[key] for key in keys if key in r.detail} for r in run_suites()
+    }
+    # incoherent-ceiling reports no count: the tracer counts its qfi_mixed calls, one per point
+    assert counts == {
+        "overlap-identity": {"pairs": 1000}, "tradeoff-bound": {"points": 5040},
+        "incoherent-ceiling": {}, "oracle-agreement": {"instances": 100},
+        "conventional-information": {"points": 16}, "leading-order": {"points": 166},
+        "weighted-ceiling": {"points": 5040},
+    }
 
 
 def test_workloads_import_the_package_under_the_expected_aliases():

@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism, per-subcommand flags."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -257,7 +258,14 @@ class TestVerify:
         assert main(["verify", "--out", str(out)]) == 0
         payload = json.loads(read(out))
         assert payload["all_passed"] is True
-        assert len(payload["suites"]) == 4
+        assert [s["name"] for s in payload["suites"]] == [
+            "overlap-identity", "tradeoff-bound", "incoherent-ceiling", "oracle-agreement",
+            "conventional-information", "leading-order", "weighted-ceiling",
+        ]
+        # each suite names its worst point in finite JSON numbers
+        located = [v for s in payload["suites"] for v in s["detail"]["worst_at"].values()]
+        located += payload["suites"][1]["detail"]["saturation_gap_at"].values()
+        assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in located)
 
     def test_suite_filter(self, tmp_path):
         out = tmp_path / "one.json"

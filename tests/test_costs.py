@@ -286,33 +286,6 @@ class TestTradeoffSlack:
         for c in np.linspace(0.05, 0.95, 10):
             assert bound_rhs(c, printed_form=True) >= bound_rhs(c) - 1e-12
 
-    def test_soundness_sweep(self):
-        alphas = default_alpha_grid()
-        for theta in THETA_GRID:
-            coherence = l1_coherence(BASIS.superposition(theta), BASIS)
-            for alpha in alphas:
-                if abs(np.cos(alpha + theta)) < 1e-3:
-                    continue
-                slack = tradeoff_slack(leading_point(theta, alpha), coherence)
-                assert slack >= -1e-9
-
-    def test_saturating_branch(self):
-        # coplanar Bloch vectors with alpha between theta - pi/2 and -theta
-        # make the angle-difference bound tight
-        for theta in THETA_GRID:
-            coherence = l1_coherence(BASIS.superposition(theta), BASIS)
-            saturating = [
-                a
-                for a in default_alpha_grid()
-                if theta - np.pi / 2 <= a <= -theta and abs(np.cos(a + theta)) >= 1e-3
-            ]
-            assert saturating
-            gaps = [
-                abs(tradeoff_slack(leading_point(theta, a), coherence))
-                for a in saturating
-            ]
-            assert max(gaps) <= 1e-6
-
 
 class TestLeadingCosts:
     def test_none_exactly_where_cp_diverges(self):

@@ -488,16 +488,6 @@ class TestProperties:
             )
             assert qfi_mixed(mixed_product_family(rho), rng.uniform(-0.5, 0.5)) >= -1e-8
 
-    def test_success_weighted_information_cannot_beat_conventional(self):
-        from wva_costlab import fm_exact
-
-        g = 1e-3
-        for theta in (np.pi / 12, np.pi / 6, np.pi / 4):
-            for alpha in np.linspace(-1.2, 1.2, 9):
-                setup = real_superposition_setup(theta, alpha, g)
-                p = postselect(setup).p
-                assert p * fm_exact(setup) <= 4.0 * (1.0 + 1e-3)
-
     def test_data_processing_inequality(self):
         for theta, alpha, g in [
             (np.pi / 6, -np.pi / 6, 0.0349),

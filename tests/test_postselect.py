@@ -304,13 +304,6 @@ class TestProbabilisticQfi:
         assert leading == pytest.approx(4.0 * np.cos(np.radians(145.0)) ** 2, abs=1e-10)
         assert leading == pytest.approx(2.684, abs=5e-4)
 
-    def test_ceiling_on_grid(self):
-        for theta in (np.pi / 12, np.pi / 6, np.pi / 4):
-            for alpha in np.linspace(-1.3, 1.3, 11):
-                setup = real_superposition_setup(theta, alpha, 1e-3)
-                exact, _ = probabilistic_qfi(setup)
-                assert exact <= 4.0 * (1.0 + 1e-3)
-
 
 class TestRealSuperpositionDomain:
     @pytest.mark.parametrize("theta", [1.2, -0.3, 0.0, np.pi / 4 + 1e-9, np.nan, np.inf])
@@ -849,25 +842,6 @@ class TestMixedKernel:
         except WvaError:
             return
         assert weighted <= 4.0 * setup.omega * (1.0 + 1e-12)
-
-    @pytest.mark.parametrize(
-        "alphas",
-        [
-            np.linspace(-np.pi / 2.0 + 0.05, np.pi / 2.0 - 0.05, 13),  # the suite's grid
-            np.linspace(-1.4, 1.4, 13),  # C05's grid
-        ],
-    )
-    def test_incoherent_inputs_stay_under_the_ceiling(self, alphas):
-        # the suite grid's middle angle is 2.2e-16, a near-pure collapsed state
-        # whose purity gap is pure rounding
-        for mu in np.round(np.arange(0.1, 0.95, 0.1), 2):
-            rho = DensityMatrix.mixture([mu, 1.0 - mu], [BASIS.ket0, BASIS.ket1])
-            for alpha in alphas:
-                for g in (1e-3, 0.0349, 0.1):
-                    setup = WvaSetup(
-                        rho, BASIS.superposition(alpha), BALANCED_METER, SIGMA, SIGMA, g
-                    )
-                    assert fm_exact(setup) <= 4.0 * setup.omega + 1e-12
 
     def test_postselect_mixed_matches_recorded_branch_mixture(self):
         # recorded from the eigenbranch-mixture implementation this kernel replaced

@@ -250,6 +250,13 @@ class TestCouplingUnitary:
         with pytest.raises(ContractViolationError):
             coupling_unitary(np.array([[0.0, 1.0], [0.0, 0.0]]), SIGMA_Z, 0.1)
 
+    def test_plain_hermitian_arrays_rejected(self):
+        # only HermitianOperators are observables; an array is never converted
+        with pytest.raises(ContractViolationError, match="HermitianOperators"):
+            coupling_unitary(SIGMA_Y.entries, SIGMA_Z, 0.1)
+        with pytest.raises(ContractViolationError, match="HermitianOperators"):
+            coupling_unitary(SIGMA_Y, np.diag([1.0, -1.0]), 0.1)
+
     def test_matches_matrix_exponential(self):
         rng = np.random.default_rng(11)
         degenerate = HermitianOperator(0.7 * np.eye(2))
@@ -474,6 +481,10 @@ class TestHermitianEigs:
                 [[ki.inner(kj) for kj in vecs] for ki in vecs]
             )
             assert np.max(np.abs(gram - np.eye(4))) < 1e-9
+
+    def test_plain_array_rejected(self):
+        with pytest.raises(ContractViolationError, match="HermitianOperator"):
+            hermitian_eigs(np.diag([1.0, -1.0]))
 
     def test_phase_convention(self):
         _, vecs = hermitian_eigs(SIGMA_Y)

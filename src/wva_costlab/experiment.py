@@ -18,6 +18,20 @@ Zero-padding the entropy to the hash pool is exact: ``(s, i)`` is at most 4
 32-bit words, and SeedSequence hashes 0 into every pool slot past its
 entropy. ``numpy.random`` is imported on the first trial, not on import.
 
+A campaign derives the readout law and the estimator constants once and runs
+its trials through the check-free halves of :func:`run_trial` and
+:func:`mle_g`, which the public functions call too. When each trial's first
+Bernoulli draw holds at least 4096 uniforms (``n`` of a
+:class:`FixedPrepared` rule, the first chunk of a :class:`FixedPostselected`
+one), the trials are split into two contiguous shares, and a second thread
+runs one while the caller's thread runs the other; only one thread is used
+where the process may run on a single CPU. numpy fills uniforms without the
+interpreter lock, so large trials overlap. Every trial keeps its own stream
+and the shares are joined in index order, so reports are bit-identical for
+any CPU count. Worker threads call only private functions: the benchmark's
+tracer (``bench/tracer.py``) wraps the public ones and keeps one span stack,
+which assumes a single thread, so no function it wraps may run on a worker.
+
 The readout law comes from one evaluation of the scalar postselection kernel
 ``postselect._meter_core`` per (theta, alpha, g), which also yields the exact
 derivative of the plus and minus probabilities in g. The conditional outcome
@@ -35,6 +49,8 @@ where it is strictly increasing in g.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
@@ -65,6 +81,18 @@ G_MAX = np.pi / 4.0
 _DEGENERACY_TOL = 1e-12
 _PROB_FLOOR = 1e-30
 _MAX_CHUNK = 1 << 20
+# A campaign runs its trials on two threads only when each trial's first draw
+# holds at least this many uniforms. Below it, the interpreter lock's
+# hand-offs cost more than the overlapped fills gain: 200-trial FixedPrepared
+# campaigns (2 vCPUs, Python 3.11, numpy 2.4) ran on two threads 0.66-0.93x
+# as fast as on one at 1k-3.5k draws per trial, 1.02x at 4096, 1.14-1.19x at
+# 4.5k-5k and 1.53-1.73x at 6k-16k.
+_THREAD_MIN_DRAW = 4096
+# Each trial also holds the lock for about 5 us of Python (the fills take
+# about 1.5 ns per uniform), which caps what more threads can add. Three
+# threads on the same 2 vCPUs ran 0.60-1.35x as fast as one and slower than
+# two at every size; more CPUs were not measured.
+_MAX_THREADS = 2
 # Amplitude pairs of the recombined readout basis |+>, |->.
 _READOUT_BASIS = (tuple(METER_PLUS.amplitudes.tolist()), tuple(METER_MINUS.amplitudes.tolist()))
 
@@ -355,6 +383,66 @@ def _trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_block_seed_type()(words)))
 
 
+def _chunk(remaining: int, p: float, n_prepared: int) -> int:
+    """Size of a FixedPostselected trial's next Bernoulli draw.
+
+    About 1.2 times the preparations the ``remaining`` quota needs, plus 64,
+    within [1024, 2**20] and the preparations left in the budget. The sizes
+    decide which draws the readout consumes, so they are part of the stream.
+    """
+    estimate = int(remaining / p * 1.2) + 64
+    return min(max(estimate, 1024), _MAX_CHUNK, PREPARATION_BUDGET - n_prepared)
+
+
+def _trial_law(config: ExperimentConfig) -> tuple[float, float]:
+    """Success probability p and conditional minus probability q of the scenario.
+
+    Raises NonTerminationError when a postselected quota cannot be met.
+    """
+    p_plus, p_minus = _readout_probabilities(config.theta, config.alpha, config.g_true)
+    p = p_plus + p_minus
+    if isinstance(config.stopping, FixedPostselected) and p < 1e-12:
+        raise NonTerminationError(
+            "run_trial: success probability below 1e-12; the postselected"
+            f" quota cannot be met within {PREPARATION_BUDGET} preparations"
+        )
+    return p, (p_minus / p if p > 0 else 0.0)
+
+
+def _sample_trial(rng: np.random.Generator, stopping: Stopping, p: float, q: float) -> TrialCounts:
+    """One trial's counts from its generator under the law (p, q) of :func:`_trial_law`."""
+    if isinstance(stopping, FixedPostselected):
+        remaining = stopping.nu
+        n_prepared = 0
+        while remaining > 0:
+            if n_prepared >= PREPARATION_BUDGET:
+                raise NonTerminationError(
+                    f"run_trial: exceeded {PREPARATION_BUDGET} preparations"
+                )
+            chunk = _chunk(remaining, p, n_prepared)
+            hits = rng.random(chunk) < p
+            n_hits = int(np.count_nonzero(hits))
+            if n_hits >= remaining:
+                last = int(np.flatnonzero(hits)[remaining - 1])
+                n_prepared += last + 1
+                remaining = 0
+            else:
+                n_prepared += chunk
+                remaining -= n_hits
+        n_postselected = stopping.nu
+    else:
+        n_prepared = stopping.n
+        n_postselected = int(np.count_nonzero(rng.random(n_prepared) < p))
+
+    n_minus = int(np.count_nonzero(rng.random(n_postselected) < q)) if n_postselected else 0
+    return TrialCounts(
+        n_prepared=n_prepared,
+        n_postselected=n_postselected,
+        n_plus=n_postselected - n_minus,
+        n_minus=n_minus,
+    )
+
+
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialCounts:
     """Simulate one trial; deterministic given (master_seed, trial_index).
 
@@ -365,46 +453,33 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialCounts:
     """
     check_seed(trial_index, "run_trial: trial_index")
     rng = _trial_rng(config.master_seed, trial_index)
-    p_plus, p_minus = _readout_probabilities(config.theta, config.alpha, config.g_true)
-    p = p_plus + p_minus
-    q = p_minus / p if p > 0 else 0.0
+    return _sample_trial(rng, config.stopping, *_trial_law(config))
 
-    if isinstance(config.stopping, FixedPostselected):
-        if p < 1e-12:
-            raise NonTerminationError(
-                "run_trial: success probability below 1e-12; the postselected"
-                f" quota cannot be met within {PREPARATION_BUDGET} preparations"
-            )
-        remaining = config.stopping.nu
-        n_prepared = 0
-        while remaining > 0:
-            if n_prepared >= PREPARATION_BUDGET:
-                raise NonTerminationError(
-                    f"run_trial: exceeded {PREPARATION_BUDGET} preparations"
-                )
-            estimate = int(remaining / p * 1.2) + 64
-            chunk = min(max(estimate, 1024), _MAX_CHUNK, PREPARATION_BUDGET - n_prepared)
-            hits = rng.random(chunk) < p
-            n_hits = int(np.count_nonzero(hits))
-            if n_hits >= remaining:
-                last = int(np.flatnonzero(hits)[remaining - 1])
-                n_prepared += last + 1
-                remaining = 0
-            else:
-                n_prepared += chunk
-                remaining -= n_hits
-        n_postselected = config.stopping.nu
-    else:
-        n_prepared = config.stopping.n
-        n_postselected = int(np.count_nonzero(rng.random(n_prepared) < p))
 
-    n_minus = int(np.count_nonzero(rng.random(n_postselected) < q)) if n_postselected else 0
-    return TrialCounts(
-        n_prepared=n_prepared,
-        n_postselected=n_postselected,
-        n_plus=n_postselected - n_minus,
-        n_minus=n_minus,
-    )
+def _estimator(
+    theta: float, alpha: float, c_plus: float, c_minus: float, g_max: float
+) -> tuple[float, float, float]:
+    """The constants of :func:`mle_g` for one scenario.
+
+    They are (c_minus**2 / c_plus**2, the conditional minus probability at
+    g_max, float(g_max)).
+    """
+    p_plus_max, p_minus_max = _readout_probabilities(theta, alpha, g_max)
+    q_max = p_minus_max / (p_plus_max + p_minus_max)
+    return c_minus**2 / c_plus**2, q_max, float(g_max)
+
+
+def _estimate(counts: TrialCounts, estimator: tuple[float, float, float]) -> float:
+    """The clipped closed-form MLE of :func:`mle_g` from the constants of :func:`_estimator`."""
+    if counts.n_postselected < 1:
+        raise EstimationUndefinedError("mle_g: no postselected samples")
+    ratio, q_max, g_max = estimator
+    q_hat = counts.n_minus / counts.n_postselected
+    if q_hat == 0.0:
+        return 0.0
+    if q_hat >= q_max:
+        return g_max
+    return float(np.arctan(np.sqrt(q_hat / (1.0 - q_hat) * ratio)))
 
 
 def mle_g(counts: TrialCounts, theta: float, alpha: float, g_max: float = G_MAX) -> float:
@@ -421,30 +496,81 @@ def mle_g(counts: TrialCounts, theta: float, alpha: float, g_max: float = G_MAX)
         raise ContractViolationError("mle_g: degenerate configuration")
     if not (0.0 < g_max <= np.pi / 2.0 - 1e-6):
         raise ContractViolationError("mle_g: g_max out of range")
-    if counts.n_postselected < 1:
-        raise EstimationUndefinedError("mle_g: no postselected samples")
-    q_hat = counts.n_minus / counts.n_postselected
-    if q_hat == 0.0:
-        return 0.0
-    p_plus_max, p_minus_max = _readout_probabilities(theta, alpha, g_max)
-    q_max = p_minus_max / (p_plus_max + p_minus_max)
-    if q_hat >= q_max:
-        return float(g_max)
-    tan_sq = q_hat / (1.0 - q_hat) * (c_minus**2 / c_plus**2)
-    return float(np.arctan(np.sqrt(tan_sq)))
+    return _estimate(counts, _estimator(theta, alpha, c_plus, c_minus, g_max))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(n_reps: int, first_draw: int) -> int:
+    """Threads for a campaign whose trials each start with ``first_draw`` uniforms."""
+    if first_draw < _THREAD_MIN_DRAW:
+        return 1
+    return min(_MAX_THREADS, _usable_cpus(), n_reps)
+
+
+def _run_trials(config: ExperimentConfig) -> list[tuple[TrialCounts, float]]:
+    """Every trial's counts and estimate, in index order, on one or two threads.
+
+    The law and the estimator constants are derived once. Share k of the
+    trial indices is a contiguous range; the caller's thread runs share 0.
+    Every worker is joined, and the error of the lowest-indexed failing share
+    is raised, which is the error of the lowest failing trial. Workers run
+    only private functions: the benchmark's tracer wraps the public ones and
+    assumes a single thread.
+    """
+    p, q = _trial_law(config)
+    c_plus, c_minus = selection_cosines(config.theta, config.alpha, "run_campaign")
+    estimator = _estimator(config.theta, config.alpha, c_plus, c_minus, G_MAX)
+    stopping, seed, n_reps = config.stopping, config.master_seed, config.n_reps
+    if isinstance(stopping, FixedPostselected):
+        first_draw = _chunk(stopping.nu, p, 0)
+    else:
+        first_draw = stopping.n
+    workers = _worker_count(n_reps, first_draw)
+    bounds = [n_reps * k // workers for k in range(workers + 1)]
+    shares: list[list[tuple[TrialCounts, float]]] = [[] for _ in range(workers)]
+    errors: list[Optional[Exception]] = [None] * workers
+
+    def run_share(k: int) -> None:
+        try:
+            for index in range(bounds[k], bounds[k + 1]):
+                counts = _sample_trial(_trial_rng(seed, index), stopping, p, q)
+                shares[k].append((counts, _estimate(counts, estimator)))
+        except Exception as exc:  # raised on the caller's thread below
+            errors[k] = exc
+
+    _block_seed_type()  # import numpy.random and build the seed type once, here
+    threads = [threading.Thread(target=run_share, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        run_share(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return [row for share in shares for row in share]
 
 
 def run_campaign(config: ExperimentConfig) -> CampaignReport:
     """Run all trials of a campaign and aggregate the estimation statistics.
 
-    Aggregation runs in trial-index order with fixed-order summation, so the
-    report is a pure function of the configuration. Raw costs are at UNIT_RATES.
+    Trial ``i`` gives the counts of ``run_trial(config, i)`` and the estimate
+    of :func:`mle_g` on them. When each trial's first draw holds at least
+    4096 uniforms and the process may use two CPUs, a second thread runs the
+    upper half of the trial indices; the error of the lowest failing trial is
+    raised after both halves end. Aggregation runs in trial-index order with
+    fixed-order summation, so the report is a pure function of the
+    configuration, bit-identical for any CPU count. Raw costs are at UNIT_RATES.
     """
-    per_trial: list[tuple[TrialCounts, float]] = []
-    for index in range(config.n_reps):
-        counts = run_trial(config, index)
-        per_trial.append((counts, mle_g(counts, config.theta, config.alpha)))
-
+    per_trial = _run_trials(config)
     estimates = np.array([g for _, g in per_trial])
     g_mean = float(estimates.mean())
     g_var = float(estimates.var(ddof=1)) if config.n_reps >= 2 else None

@@ -406,6 +406,8 @@ def selection_cosines(theta: float, alpha: float, where: str) -> tuple[float, fl
 
 def check_count(count, where: str, minimum: int = 1):
     """Return a Python or numpy integer, not a bool, of at least ``minimum``; else raise."""
+    if type(count) is int and count >= minimum:  # the common case, before the type chain
+        return count
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
         raise ContractViolationError(f"{where} must be an integer")
     if count < minimum:

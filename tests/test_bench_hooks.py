@@ -13,6 +13,8 @@ import importlib
 import importlib.util
 import inspect
 import math
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,39 @@ def load_tracer():
 @pytest.mark.parametrize("module, attr", [target[:2] for target in load_tracer().TARGETS])
 def test_traced_target_exists(module, attr):
     assert callable(getattr(importlib.import_module(f"wva_costlab.{module}"), attr))
+
+
+def test_traced_targets_run_only_on_the_callers_thread(monkeypatch):
+    # the tracer keeps one span stack, so a threaded campaign may call no
+    # function it wraps from a worker; rebind them as the tracer does
+    from wva_costlab import ExperimentConfig, FixedPostselected, experiment, run_campaign
+
+    callers = set()
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            callers.add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("wva_costlab")]
+    for module_name, attr, _ in load_tracer().TARGETS:
+        original = getattr(importlib.import_module(f"wva_costlab.{module_name}"), attr)
+        for module in modules:
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, recording(original))
+    samplers = set()
+    sample_trial = experiment._sample_trial
+
+    def sampling(*args):
+        samplers.add(threading.get_ident())
+        return sample_trial(*args)
+
+    monkeypatch.setattr(experiment, "_sample_trial", sampling)
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    run_campaign(ExperimentConfig(math.pi / 6, -math.pi / 4, 0.0349, FixedPostselected(700), 20, 1))
+    assert len(samplers) == 2  # the trials did run on two threads
+    assert callers == {threading.get_ident()}
 
 
 def test_mle_takes_g_max():

@@ -13,6 +13,8 @@ small-count test).
 """
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -40,6 +42,7 @@ from wva_costlab import (
     run_campaign,
     run_trial,
 )
+from wva_costlab import experiment
 from wva_costlab.experiment import (
     _MAX_CHUNK,
     G_MAX,
@@ -516,6 +519,93 @@ class TestRunCampaign:
         prepared = sum(c.n_prepared for c, _ in report.per_trial)
         postselected = sum(c.n_postselected for c, _ in report.per_trial)
         assert report.p_empirical == pytest.approx(postselected / prepared)
+
+
+def force_workers(monkeypatch, workers):
+    """Make every campaign split its trials over ``workers`` threads."""
+    monkeypatch.setattr(experiment, "_worker_count", lambda n_reps, first_draw: workers)
+
+
+class TestCampaignThreads:
+    """Trials split over threads give the report of one thread, bit for bit."""
+
+    # a C08 cell: p ~ 0.07, so each trial's first draw is about 12k uniforms
+    C08_CELL = (np.pi / 6, -np.pi / 4, 0.0349)
+    # p ~ 3e-4 at 5000 preparations: trial 1 of seed 17 postselects nothing, trial 0 does
+    EMPTY_TRIAL = (0.5, 0.5 - np.pi / 2 + 0.015, 0.01, FixedPrepared(5000))
+
+    @pytest.mark.parametrize("reps", [201, 600])
+    @pytest.mark.parametrize("rule", ["postselected", "prepared"])
+    def test_worker_count_leaves_the_report_unchanged(self, monkeypatch, rule, reps):
+        theta, alpha, g = self.C08_CELL
+        stopping = (FixedPostselected(700) if rule == "postselected"
+                    else FixedPrepared(round(700 / oracle_p(theta, alpha, g))))
+        cfg = ExperimentConfig(theta, alpha, g, stopping, reps, 2**32 - 5)
+        reports = []
+        for workers in (1, 2, 3):
+            force_workers(monkeypatch, workers)
+            reports.append(run_campaign(cfg))
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        # the public trial and estimator functions give the same rows
+        counts = [run_trial(cfg, i) for i in range(reps)]
+        assert reports[0].per_trial == tuple((c, mle_g(c, theta, alpha)) for c in counts)
+
+    def test_worker_count_leaves_multi_chunk_trials_unchanged(self, monkeypatch):
+        # the trial that test_quota_beyond_one_chunk pins, drawn in 7 chunks
+        theta, alpha, g = np.pi / 6, np.pi / 6 - np.pi / 2 + 0.01, 1e-3
+        cfg = ExperimentConfig(theta, alpha, g, FixedPostselected(700), 3, 3)
+        reports = []
+        for workers in (1, 2, 3):
+            force_workers(monkeypatch, workers)
+            reports.append(run_campaign(cfg))
+        assert reports[0].per_trial[0][0] == TrialCounts(6612099, 700, 695, 5)
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_more_workers_than_cpus_under_fast_switching(self, monkeypatch):
+        # every worker misses the seed-block cache at once and is preempted often
+        cfg = ExperimentConfig(*self.C08_CELL, FixedPrepared(5000), 600, 2**40 + 9)
+        force_workers(monkeypatch, 1)
+        serial = run_campaign(cfg)
+        force_workers(monkeypatch, experiment._usable_cpus() + 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            experiment._seed_block.cache_clear()
+            threaded = run_campaign(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_gate_follows_the_first_draw(self, monkeypatch):
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        assert experiment._worker_count(100, experiment._THREAD_MIN_DRAW - 1) == 1
+        assert experiment._worker_count(100, experiment._THREAD_MIN_DRAW) == 2
+        assert experiment._worker_count(1, experiment._THREAD_MIN_DRAW) == 1
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
+        assert experiment._worker_count(100, 10**6) == 1
+
+    def test_empty_trial_raises_the_estimator_error(self):
+        # FixedPrepared(1) at p ~ 2.5e-3: a trial postselects nothing
+        cfg = ExperimentConfig(0.5, 0.5 - np.pi / 2 + 0.05, 0.01, FixedPrepared(1), 5, 3)
+        with pytest.raises(EstimationUndefinedError, match="^mle_g: no postselected samples$"):
+            run_campaign(cfg)
+
+    @pytest.mark.parametrize("seed", [17, 18], ids=["worker-only", "both-shares"])
+    def test_empty_trial_on_a_worker_raises_the_estimator_error(self, monkeypatch, seed):
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        *angles, stopping = self.EMPTY_TRIAL
+        cfg = ExperimentConfig(*angles, stopping, 2, seed)
+        assert experiment._worker_count(2, stopping.n) == 2
+        threads = threading.active_count()
+        with pytest.raises(EstimationUndefinedError, match="^mle_g: no postselected samples$"):
+            run_campaign(cfg)
+        assert threading.active_count() == threads
+
+    def test_threads_end_with_the_campaign(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        threads = threading.active_count()
+        run_campaign(ExperimentConfig(*self.C08_CELL, FixedPostselected(700), 50, 1))
+        assert threading.active_count() == threads
 
 
 class TestWavePlateSettings:

@@ -50,6 +50,7 @@ from wva_costlab.states import (
     METER_PLUS,
     STANDARD_BASIS,
     STANDARD_SIGMA,
+    check_count,
     finite_real,
 )
 
@@ -398,6 +399,34 @@ class TestFiniteReal:
             warnings.simplefilter("error")
             with pytest.raises(ContractViolationError, match="must be real$"):
                 call()
+
+
+class TestCheckCount:
+    """Counts are Python or numpy integers, never bool, at least ``minimum``."""
+
+    class Count(int):
+        pass
+
+    @pytest.mark.parametrize(
+        "good", [0, 1, 2**70, np.int8(0), np.int64(7), np.uint64(2**64 - 1), Count(3)],
+        ids=["zero", "one", "2**70", "int8", "int64", "uint64-max", "int-subclass"],
+    )
+    def test_integers_at_the_minimum_or_above_come_back_unchanged(self, good):
+        assert check_count(good, "n", minimum=0) is good
+
+    @pytest.mark.parametrize(
+        "bad", [True, False, np.bool_(True), 3.0, np.float64(3.0), "3", None, 3 + 0j],
+        ids=["True", "False", "numpy-bool", "float", "numpy-float", "str", "None", "complex"],
+    )
+    def test_non_integers_rejected_even_above_the_minimum(self, bad):
+        with pytest.raises(ContractViolationError, match="^n must be an integer$"):
+            check_count(bad, "n", minimum=0)
+
+    @pytest.mark.parametrize("low", [0, -1, np.int64(0), np.uint8(0), Count(0)],
+                             ids=["zero", "minus-one", "int64", "uint8", "int-subclass"])
+    def test_below_the_minimum_rejected(self, low):
+        with pytest.raises(ContractViolationError, match="^n must be >= 1$"):
+            check_count(low, "n")
 
 
 class TestBlochGeometry:

@@ -9,28 +9,33 @@ trial by maximum likelihood, and converts the estimator variance into an
 empirical information value and an empirical cost point.
 
 Randomness is fully reproducible: trial ``i`` of a campaign with master seed
-``s`` draws from PCG64 seeded by ``SeedSequence((s, i))``, so reports are
-bit-identical for identical configurations regardless of execution order.
-Seed and index must each fit in 64 bits. The SeedSequence hash is computed
-here on numpy arrays, once per block of 256 consecutive indices, and numpy's
-PCG64 seeds itself from each trial's row; the stream is numpy's to the bit.
-Zero-padding the entropy to the hash pool is exact: ``(s, i)`` is at most 4
-32-bit words, and SeedSequence hashes 0 into every pool slot past its
-entropy. ``numpy.random`` is imported on the first trial, not on import.
+``s`` draws from PCG64 seeded by ``SeedSequence((s, i))``
+(:mod:`~wva_costlab.streams`), so reports are bit-identical for identical
+configurations regardless of execution order.
 
-A campaign derives the readout law and the estimator constants once and runs
-its trials through the check-free halves of :func:`run_trial` and
-:func:`mle_g`, which the public functions call too. When each trial's first
-Bernoulli draw holds at least 4096 uniforms (``n`` of a
-:class:`FixedPrepared` rule, the first chunk of a :class:`FixedPostselected`
-one), the trials are split into two contiguous shares, and a second thread
-runs one while the caller's thread runs the other; only one thread is used
-where the process may run on a single CPU. numpy fills uniforms without the
-interpreter lock, so large trials overlap. Every trial keeps its own stream
-and the shares are joined in index order, so reports are bit-identical for
-any CPU count. Worker threads call only private functions: the benchmark's
-tracer (``bench/tracer.py``) wraps the public ones and keeps one span stack,
-which assumes a single thread, so no function it wraps may run on a worker.
+A campaign derives the readout law and the estimator constants once and
+samples its trials in blocks of up to 32. Each trial makes one speculative
+fill of its stream: the first Bernoulli chunk of a :class:`FixedPostselected`
+rule, or all ``n`` preparations of a :class:`FixedPrepared` one, followed by
+its readout uniforms (``nu`` of them, or a 6-sigma bound on the postselected
+count). One compare against a per-campaign threshold row (p, then q) keeps a
+bool per uniform; then a few numpy calls per block find every count and the
+nu-th success (:func:`~wva_costlab.streams._sample_blocks`). A trial whose
+speculation misses (a first chunk short of ``nu``, or a postselected count
+above the bound) is drawn again by the serial sampler behind
+:func:`run_trial`, which stays the one definition of a trial's stream;
+trials too wide for the block buffers take that path throughout. The
+estimates come from the check-free half of :func:`mle_g`.
+
+When each trial fills at least 3072 uniforms and the process may use two
+CPUs, the trials are split into two contiguous shares, and a second thread
+runs one while the caller's thread runs the other. numpy fills and compares
+without the interpreter lock, so the trials overlap. Every trial keeps its
+own stream and the shares are joined in index order, so reports are
+bit-identical for any CPU count and block size. Worker threads call only
+private functions: the benchmark's tracer (``bench/tracer.py``) wraps the
+public ones and keeps one span stack, which assumes a single thread, so no
+function it wraps may run on a worker.
 
 The readout law comes from one evaluation of the scalar postselection kernel
 ``postselect._meter_core`` per (theta, alpha, g), which also yields the exact
@@ -75,23 +80,26 @@ from .states import (
     finite_real,
     selection_cosines,
 )
+from .streams import _block_seed_type, _block_size, _sample_blocks, _trial_rng
 
 PREPARATION_BUDGET = 10**9
 G_MAX = np.pi / 4.0
 _DEGENERACY_TOL = 1e-12
 _PROB_FLOOR = 1e-30
 _MAX_CHUNK = 1 << 20
-# A campaign runs its trials on two threads only when each trial's first draw
-# holds at least this many uniforms. Below it, the interpreter lock's
-# hand-offs cost more than the overlapped fills gain: 200-trial FixedPrepared
-# campaigns (2 vCPUs, Python 3.11, numpy 2.4) ran on two threads 0.66-0.93x
-# as fast as on one at 1k-3.5k draws per trial, 1.02x at 4096, 1.14-1.19x at
-# 4.5k-5k and 1.53-1.73x at 6k-16k.
-_THREAD_MIN_DRAW = 4096
-# Each trial also holds the lock for about 5 us of Python (the fills take
-# about 1.5 ns per uniform), which caps what more threads can add. Three
-# threads on the same 2 vCPUs ran 0.60-1.35x as fast as one and slower than
-# two at every size; more CPUs were not measured.
+# A campaign runs its trials on two threads only when each trial fills at
+# least this many uniforms at once. Below it, starting the worker and the
+# interpreter lock's hand-offs cost more than the overlapped fills gain:
+# 200-trial FixedPrepared campaigns (2 vCPUs, Python 3.11, numpy 2.4, median
+# of 61 alternated runs) ran on two threads 0.87-0.93x as fast as on one at
+# fills of 2.0k-2.3k uniforms, 1.03x at 2.8k, 1.10-1.23x at 3.1k-3.9k and
+# 1.31-1.59x at 4.5k-18k; the cli's simulate (nu = 200, 100 trials, fills of
+# 1.2k) ran 0.67x as fast.
+_THREAD_MIN_DRAW = 3072
+# Each trial still holds the lock for about 4 us of Python between its fill
+# and its compare, which caps what more threads can add. Three threads on the
+# same 2 vCPUs ran 1.11-1.26x as fast as one at fills of 4.5k-18k and slower
+# than two at every size; more CPUs were not measured.
 _MAX_THREADS = 2
 # Amplitude pairs of the recombined readout basis |+>, |->.
 _READOUT_BASIS = (tuple(METER_PLUS.amplitudes.tolist()), tuple(METER_MINUS.amplitudes.tolist()))
@@ -116,12 +124,16 @@ class FixedPostselected:
 
 @dataclass(frozen=True)
 class FixedPrepared:
-    """Stop a trial after exactly ``n`` prepared photons."""
+    """Stop a trial after exactly ``n`` prepared photons, at most :data:`PREPARATION_BUDGET`."""
 
     n: int
 
     def __post_init__(self):
         check_count(self.n, "FixedPrepared: n")
+        if self.n > PREPARATION_BUDGET:
+            raise ContractViolationError(
+                f"FixedPrepared: n must be at most {PREPARATION_BUDGET} preparations"
+            )
 
 
 Stopping = Union[FixedPostselected, FixedPrepared]
@@ -287,102 +299,6 @@ def conditional_outcome_model(theta: float, alpha: float) -> OutcomeLaw:
     return law
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx, after
-# M. E. O'Neill's seed_seq_fe), for a pool of 4 words.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_POOL_SIZE = 4
-_MASK32 = 0xFFFFFFFF
-_SEED_BLOCK = 256
-
-
-def _words(n: int) -> list[int]:
-    """The 32-bit little-endian words SeedSequence takes from 0 <= n < 2**64."""
-    return [n & _MASK32, n >> 32] if n >> 32 else [n]
-
-
-@lru_cache(maxsize=64)
-def _seed_block(master_seed: int, block: int) -> np.ndarray:
-    """PCG64 seed words of trials ``256 * block`` to ``256 * block + 255``.
-
-    Row j equals ``SeedSequence((master_seed, 256 * block + j))
-    .generate_state(4, np.uint64)``: numpy's hash run on uint32 columns, one
-    row per trial. A block never straddles 2**32, so every index in it has
-    the same number of words. The entropy is at most 4 words, and
-    ``mix_entropy`` hashes 0 into each pool slot past the entropy, so
-    zero-padding it to the pool size gives the same pool. Read-only.
-    """
-    first = block * _SEED_BLOCK
-    index = np.uint64(first) + np.arange(_SEED_BLOCK, dtype=np.uint64)
-    columns = [np.full(_SEED_BLOCK, word, dtype=np.uint32) for word in _words(master_seed)]
-    columns.append(index.astype(np.uint32))
-    if first >> 32:
-        columns.append((index >> 32).astype(np.uint32))
-    columns += [np.zeros(_SEED_BLOCK, dtype=np.uint32)] * (_POOL_SIZE - len(columns))
-
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> _XSHIFT)
-
-    pool = [hashmix(column) for column in columns]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-
-    state = np.empty((_SEED_BLOCK, 2 * _POOL_SIZE), dtype=np.uint32)
-    hash_const = _INIT_B
-    for k in range(2 * _POOL_SIZE):
-        value = pool[k % _POOL_SIZE] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        state[:, k] = value ^ (value >> _XSHIFT)
-    words = state.astype("<u4").view("<u8").astype(np.uint64)
-    words.flags.writeable = False
-    return words
-
-
-@lru_cache(maxsize=None)
-def _block_seed_type() -> type:
-    """An ISeedSequence that hands PCG64 one row of a seed block.
-
-    Built on first use, so importing this module does not import numpy.random.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class BlockSeed(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return BlockSeed
-
-
-def _trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Trial ``i``'s generator: ``PCG64(SeedSequence((s, i)))``, bit for bit.
-
-    The SeedSequence hash runs once per block of 256 trial indices
-    (:func:`_seed_block`), and numpy's PCG64 seeds itself from the row of
-    this trial. Both arguments lie in [0, 2**64).
-    """
-    block, offset = divmod(int(trial_index), _SEED_BLOCK)
-    words = _seed_block(int(master_seed), block)[offset]
-    return np.random.Generator(np.random.PCG64(_block_seed_type()(words)))
-
-
 def _chunk(remaining: int, p: float, n_prepared: int) -> int:
     """Size of a FixedPostselected trial's next Bernoulli draw.
 
@@ -409,8 +325,24 @@ def _trial_law(config: ExperimentConfig) -> tuple[float, float]:
     return p, (p_minus / p if p > 0 else 0.0)
 
 
+def _count_below(rng: np.random.Generator, n: int, threshold: float) -> int:
+    """How many of the generator's next ``n`` uniforms fall below ``threshold``.
+
+    The uniforms are drawn in slices of at most 2**20, which consume the same
+    stream as one draw of ``n``, so no call holds more than 9 MB of them.
+    """
+    count = 0
+    for start in range(0, n, _MAX_CHUNK):
+        count += int(np.count_nonzero(rng.random(min(_MAX_CHUNK, n - start)) < threshold))
+    return count
+
+
 def _sample_trial(rng: np.random.Generator, stopping: Stopping, p: float, q: float) -> TrialCounts:
-    """One trial's counts from its generator under the law (p, q) of :func:`_trial_law`."""
+    """One trial's counts from its generator under the law (p, q) of :func:`_trial_law`.
+
+    The one definition of a trial's stream: :func:`run_trial` calls it, and so
+    does a campaign for every trial whose block speculation misses.
+    """
     if isinstance(stopping, FixedPostselected):
         remaining = stopping.nu
         n_prepared = 0
@@ -432,9 +364,9 @@ def _sample_trial(rng: np.random.Generator, stopping: Stopping, p: float, q: flo
         n_postselected = stopping.nu
     else:
         n_prepared = stopping.n
-        n_postselected = int(np.count_nonzero(rng.random(n_prepared) < p))
+        n_postselected = _count_below(rng, n_prepared, p)
 
-    n_minus = int(np.count_nonzero(rng.random(n_postselected) < q)) if n_postselected else 0
+    n_minus = _count_below(rng, n_postselected, q)
     return TrialCounts(
         n_prepared=n_prepared,
         n_postselected=n_postselected,
@@ -506,40 +438,70 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(n_reps: int, first_draw: int) -> int:
-    """Threads for a campaign whose trials each start with ``first_draw`` uniforms."""
-    if first_draw < _THREAD_MIN_DRAW:
+def _worker_count(n_reps: int, fill: int) -> int:
+    """Threads for a campaign whose trials each fill ``fill`` uniforms at once."""
+    if fill < _THREAD_MIN_DRAW:
         return 1
     return min(_MAX_THREADS, _usable_cpus(), n_reps)
+
+
+def _speculation(stopping: Stopping, p: float) -> tuple[int, int]:
+    """(prepare, width) of a campaign's speculative fill.
+
+    ``prepare`` uniforms decide postselection: the first chunk
+    ``_chunk(nu, p, 0)`` of a :class:`FixedPostselected` trial, or all ``n``
+    of a :class:`FixedPrepared` one. The readout uniforms follow: ``nu`` of
+    them, or min(n, n p + 6 sigma + 8) with sigma**2 = n p (1 - p), a bound on
+    the postselected count. The fill holds ``width`` uniforms in all.
+    """
+    if isinstance(stopping, FixedPostselected):
+        prepare = _chunk(stopping.nu, p, 0)
+        return prepare, prepare + stopping.nu
+    n = stopping.n
+    return n, n + min(n, int(n * p + 6.0 * math.sqrt(max(n * p * (1.0 - p), 0.0))) + 8)
 
 
 def _run_trials(config: ExperimentConfig) -> list[tuple[TrialCounts, float]]:
     """Every trial's counts and estimate, in index order, on one or two threads.
 
-    The law and the estimator constants are derived once. Share k of the
-    trial indices is a contiguous range; the caller's thread runs share 0.
-    Every worker is joined, and the error of the lowest-indexed failing share
-    is raised, which is the error of the lowest failing trial. Workers run
-    only private functions: the benchmark's tracer wraps the public ones and
-    assumes a single thread.
+    The law, the estimator constants and the threshold row are derived once.
+    Share k of the trial indices is a contiguous range; the caller's thread
+    runs share 0. Each share runs in blocks (``streams._sample_blocks``) and
+    redraws a trial whose speculation missed through :func:`_sample_trial`,
+    or runs trial by trial through it when a block of one does not fit the
+    byte budget. Every worker is joined, and the error of the
+    lowest-indexed failing share is raised, which is the error of the lowest
+    failing trial. Workers run only private functions: the benchmark's
+    tracer wraps the public ones and assumes a single thread.
     """
     p, q = _trial_law(config)
     c_plus, c_minus = selection_cosines(config.theta, config.alpha, "run_campaign")
     estimator = _estimator(config.theta, config.alpha, c_plus, c_minus, G_MAX)
     stopping, seed, n_reps = config.stopping, config.master_seed, config.n_reps
-    if isinstance(stopping, FixedPostselected):
-        first_draw = _chunk(stopping.nu, p, 0)
-    else:
-        first_draw = stopping.n
-    workers = _worker_count(n_reps, first_draw)
+    prepare, width = _speculation(stopping, p)
+    workers = _worker_count(n_reps, width)
+    block = _block_size(width, workers)
+    if block:
+        thresholds = np.full(width, q)
+        thresholds[:prepare] = p
+        nu = stopping.nu if isinstance(stopping, FixedPostselected) else None
     bounds = [n_reps * k // workers for k in range(workers + 1)]
     shares: list[list[tuple[TrialCounts, float]]] = [[] for _ in range(workers)]
     errors: list[Optional[Exception]] = [None] * workers
 
     def run_share(k: int) -> None:
+        indices = range(bounds[k], bounds[k + 1])
         try:
-            for index in range(bounds[k], bounds[k + 1]):
-                counts = _sample_trial(_trial_rng(seed, index), stopping, p, q)
+            if block:
+                trials = (
+                    TrialCounts(prepared, post, post - minus, minus) if hit
+                    else _sample_trial(_trial_rng(seed, index), stopping, p, q)
+                    for index, hit, prepared, post, minus
+                    in _sample_blocks(seed, indices, thresholds, prepare, nu, block)
+                )
+            else:
+                trials = (_sample_trial(_trial_rng(seed, i), stopping, p, q) for i in indices)
+            for counts in trials:
                 shares[k].append((counts, _estimate(counts, estimator)))
         except Exception as exc:  # raised on the caller's thread below
             errors[k] = exc
@@ -563,12 +525,15 @@ def run_campaign(config: ExperimentConfig) -> CampaignReport:
     """Run all trials of a campaign and aggregate the estimation statistics.
 
     Trial ``i`` gives the counts of ``run_trial(config, i)`` and the estimate
-    of :func:`mle_g` on them. When each trial's first draw holds at least
-    4096 uniforms and the process may use two CPUs, a second thread runs the
-    upper half of the trial indices; the error of the lowest failing trial is
-    raised after both halves end. Aggregation runs in trial-index order with
-    fixed-order summation, so the report is a pure function of the
-    configuration, bit-identical for any CPU count. Raw costs are at UNIT_RATES.
+    of :func:`mle_g` on them. Trials are sampled in blocks: one fill and one
+    compare per trial, the counts of a whole block read at once, and a trial
+    whose speculative fill misses drawn again by ``run_trial``'s sampler.
+    When each trial fills at least 3072 uniforms and the process may use two
+    CPUs, a second thread runs the upper half of the trial indices; the
+    error of the lowest failing trial is raised after both halves end.
+    Aggregation runs in trial-index order with fixed-order summation, so the
+    report is a pure function of the configuration, bit-identical for any
+    CPU count. Raw costs are at UNIT_RATES.
     """
     per_trial = _run_trials(config)
     estimates = np.array([g for _, g in per_trial])

@@ -231,8 +231,11 @@ class WvaSetup:
     second moment Omega = <M^2>. The coupling strength must be a finite real.
 
     These checks run once, here; the kernel checks nothing. ``omega`` =
-    ||M phi||^2 is derived at construction. Each kernel output is derived at
-    most once, on first use, and only when a caller reads it: ``_out``, which
+    ||M phi||^2 is derived at construction. <M> and Omega come from a slot on
+    ``M`` that keeps the last ``phi_mi`` object, so setups sharing both
+    objects compute them once; every setup still runs the balance and
+    positivity checks. Each kernel output is derived at most once, on first
+    use, and only when a caller reads it: ``_out``, which
     is (p, v, dv) of a ket or (p, K) of a density matrix (:func:`_evaluate`);
     the F_m of a density matrix (``_fm``), which only :func:`fm_exact` reads;
     and the collapsed meter state that :func:`postselect_mixed` and the meter
@@ -262,12 +265,12 @@ class WvaSetup:
             raise ContractViolationError("WvaSetup: system and meter must be qubits")
         if self.A.dim != 2 or self.M.dim != 2:
             raise ContractViolationError("WvaSetup: A and M must act on qubits")
-        m_phi = self.M.entries @ self.phi_mi.amplitudes  # M|phi>, for <M> and Omega
-        if abs(np.vdot(self.phi_mi.amplitudes, m_phi).real) > BALANCE_TOL:
+        mean, omega = self.M._moments(self.phi_mi)
+        if abs(mean) > BALANCE_TOL:
             raise ContractViolationError(
                 "WvaSetup: meter must be at the balance zero point (<M> = 0)"
             )
-        object.__setattr__(self, "omega", float(np.real(np.vdot(m_phi, m_phi))))
+        object.__setattr__(self, "omega", omega)
         if self.omega <= 0.0:
             raise ContractViolationError("WvaSetup: <M^2> must be positive")
 

@@ -216,6 +216,21 @@ class HermitianOperator(_ArrayValue):
             (h0 - r, (0.5 * (1.0 - z), -up, -0.5 * c, 0.5 * (1.0 + z))),
         )
 
+    def _moments(self, phi: Ket) -> tuple[np.float64, float]:
+        """(Re <phi|H|phi>, ||H phi||^2) of a ket of the same dimension.
+
+        One slot keeps the ket last asked about and its two values, so a
+        sweep that reuses one (H, phi) pair of objects computes them once. An
+        equal but distinct ket recomputes them. The slot takes no part in
+        equality or the repr.
+        """
+        slot = self.__dict__.get("_moment_slot")
+        if slot is None or slot[0] is not phi:
+            h_phi = self.entries @ phi.amplitudes
+            slot = (phi, np.vdot(phi.amplitudes, h_phi).real, float(np.real(np.vdot(h_phi, h_phi))))
+            self.__dict__["_moment_slot"] = slot  # as functools.cached_property stores
+        return slot[1], slot[2]
+
     @property
     def dim(self) -> int:
         return self.entries.shape[0]

@@ -40,8 +40,11 @@ def test_traced_target_exists(module, attr):
 
 def test_traced_targets_run_only_on_the_callers_thread(monkeypatch):
     # the tracer keeps one span stack, so a threaded campaign may call no
-    # function it wraps from a worker; rebind them as the tracer does
-    from wva_costlab import ExperimentConfig, FixedPostselected, experiment, run_campaign
+    # function it wraps from a worker, on the block path, the redo path or the
+    # serial path; rebind them as the tracer does
+    from wva_costlab import (
+        ExperimentConfig, FixedPostselected, FixedPrepared, experiment, run_campaign,
+    )
 
     callers = set()
 
@@ -57,17 +60,36 @@ def test_traced_targets_run_only_on_the_callers_thread(monkeypatch):
         for module in modules:
             if getattr(module, attr, None) is original:
                 monkeypatch.setattr(module, attr, recording(original))
-    samplers = set()
-    sample_trial = experiment._sample_trial
+    threads = {"_sample_blocks": set(), "_sample_trial": set()}
 
-    def sampling(*args):
-        samplers.add(threading.get_ident())
-        return sample_trial(*args)
+    def tracking(name):
+        fn = getattr(experiment, name)
 
-    monkeypatch.setattr(experiment, "_sample_trial", sampling)
+        def wrapper(*args):
+            threads[name].add(threading.get_ident())
+            return fn(*args)
+        return wrapper
+
+    for name in threads:
+        monkeypatch.setattr(experiment, name, tracking(name))
     monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
-    run_campaign(ExperimentConfig(math.pi / 6, -math.pi / 4, 0.0349, FixedPostselected(700), 20, 1))
-    assert len(samplers) == 2  # the trials did run on two threads
+    theta = math.pi / 6
+    campaigns = {
+        # blocks: a C08 cell
+        "_sample_blocks": (-math.pi / 4, 0.0349, FixedPostselected(700)),
+        # blocks whose speculation misses: nu = 2 at p ~ 4e-4 redoes about a quarter
+        "_sample_trial": (theta - math.pi / 2 + 0.02, 0.0, FixedPostselected(2)),
+    }
+    for name, (alpha, g, stopping) in campaigns.items():
+        for seen in threads.values():
+            seen.clear()
+        run_campaign(ExperimentConfig(theta, alpha, g, stopping, 40, 1))
+        assert len(threads[name]) == 2
+    # the serial path: a fill of 10**5 uniforms does not fit the block buffers
+    for seen in threads.values():
+        seen.clear()
+    run_campaign(ExperimentConfig(theta, -math.pi / 4, 0.0349, FixedPrepared(10**5), 4, 1))
+    assert not threads["_sample_blocks"] and len(threads["_sample_trial"]) == 2
     assert callers == {threading.get_ident()}
 
 

@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wva_costlab import (
@@ -42,7 +42,7 @@ from wva_costlab import (
     run_campaign,
     run_trial,
 )
-from wva_costlab import experiment
+from wva_costlab import experiment, streams
 from wva_costlab.experiment import (
     _MAX_CHUNK,
     G_MAX,
@@ -523,7 +523,31 @@ class TestRunCampaign:
 
 def force_workers(monkeypatch, workers):
     """Make every campaign split its trials over ``workers`` threads."""
-    monkeypatch.setattr(experiment, "_worker_count", lambda n_reps, first_draw: workers)
+    monkeypatch.setattr(experiment, "_worker_count", lambda n_reps, fill: workers)
+
+
+def force_block(monkeypatch, size):
+    """Make every campaign sample ``size`` trials per block (0: the serial path)."""
+    monkeypatch.setattr(experiment, "_block_size", lambda width, workers: size)
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of a private experiment function, on any thread."""
+    calls = []
+    fn = getattr(experiment, name)
+
+    def counting(*args):
+        calls.append(None)
+        return fn(*args)
+
+    monkeypatch.setattr(experiment, name, counting)
+    return calls
+
+
+def serial_rows(cfg):
+    """The campaign rows that the public trial and estimator functions give."""
+    return tuple((c, mle_g(c, cfg.theta, cfg.alpha))
+                 for c in (run_trial(cfg, i) for i in range(cfg.n_reps)))
 
 
 class TestCampaignThreads:
@@ -570,7 +594,7 @@ class TestCampaignThreads:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            experiment._seed_block.cache_clear()
+            streams._seed_block.cache_clear()
             threaded = run_campaign(cfg)
         finally:
             sys.setswitchinterval(interval)
@@ -606,6 +630,146 @@ class TestCampaignThreads:
         threads = threading.active_count()
         run_campaign(ExperimentConfig(*self.C08_CELL, FixedPostselected(700), 50, 1))
         assert threading.active_count() == threads
+
+
+class TestBlockSampler:
+    """Block-sampled campaigns give the rows of the serial trial loop, bit for bit."""
+
+    C08_CELL = (np.pi / 6, -np.pi / 4, 0.0349)  # p ~ 0.068: fills of 13.1k (nu = 700)
+    # 601 trials: three shares of about 200 cross the seed blocks at 256 and 512
+    REPS = 601
+
+    @pytest.fixture(scope="class", params=["postselected", "prepared"])
+    def case(self, request):
+        theta, alpha, g = self.C08_CELL
+        stopping = (FixedPostselected(700) if request.param == "postselected"
+                    else FixedPrepared(round(700 / oracle_p(theta, alpha, g))))
+        cfg = ExperimentConfig(theta, alpha, g, stopping, self.REPS, 2**32 - 3)
+        return cfg, serial_rows(cfg)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_block_and_worker_counts_leave_the_rows_unchanged(self, monkeypatch, case, block,
+                                                              workers):
+        # TestCampaignThreads covers the budget's block sizes, 9 to 32 on this cell
+        cfg, rows = case
+        force_workers(monkeypatch, workers)
+        force_block(monkeypatch, block)
+        reads = count_calls(monkeypatch, "_sample_blocks")
+        assert run_campaign(cfg).per_trial == rows
+        assert len(reads) == workers
+
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_short_first_chunks_are_drawn_again(self, monkeypatch, nu):
+        # p ~ 4.7e-4: the first chunk holds fewer than nu successes for about a quarter
+        cfg = ExperimentConfig(0.5, 0.5 - np.pi / 2 + 0.02, 0.01, FixedPostselected(nu), 300, 8)
+        rows = serial_rows(cfg)
+        force_workers(monkeypatch, 2)
+        redone = count_calls(monkeypatch, "_sample_trial")
+        assert run_campaign(cfg).per_trial == rows
+        assert 30 < len(redone) < 150
+
+    def test_readouts_beyond_the_bound_are_drawn_again(self, monkeypatch):
+        # n = 400 at p ~ 0.16 with room for 65 readouts, about the mean: half miss;
+        # q ~ 0.5, so a readout count cut at the room would show
+        cfg = ExperimentConfig(np.pi / 6, np.pi / 6 - np.pi / 2 + 0.3, 0.3, FixedPrepared(400),
+                               200, 9)
+        rows = serial_rows(cfg)
+        monkeypatch.setattr(experiment, "_speculation",
+                            lambda stopping, p: (stopping.n, stopping.n + 65))
+        force_block(monkeypatch, 7)
+        redone = count_calls(monkeypatch, "_sample_trial")
+        assert run_campaign(cfg).per_trial == rows
+        assert 40 < len(redone) < 160
+
+    def test_a_bound_below_n(self):
+        # the readout bound n p + 6 sigma + 8 binds below n from moderate n on
+        prepare, width = experiment._speculation(FixedPrepared(10_000), 0.068)
+        assert prepare == 10_000 and width - prepare == int(680 + 6 * math.sqrt(680 * 0.932)) + 8
+        assert experiment._speculation(FixedPrepared(3), 0.5) == (3, 6)
+        # a rounded p above 1 leaves sigma at 0
+        assert experiment._speculation(FixedPrepared(10), 1.0 + 2e-16) == (10, 20)
+
+    def test_wide_fills_take_the_serial_path(self, monkeypatch):
+        cfg = ExperimentConfig(*self.C08_CELL, FixedPrepared(10**5), 5, 4)
+        assert experiment._block_size(experiment._speculation(cfg.stopping, 0.07)[1], 2) == 0
+        rows = serial_rows(cfg)
+        force_workers(monkeypatch, 2)
+        reads = count_calls(monkeypatch, "_sample_blocks")
+        assert run_campaign(cfg).per_trial == rows
+        assert not reads
+
+    def test_the_budget_bounds_the_buffers(self):
+        for workers in (1, 2):
+            for width in (2, 100, 1234, 4111, 13109, 30000):
+                block = streams._block_size(width, workers)
+                padded = 8 * -(-width // 8)
+                assert 1 <= block <= streams._MAX_BLOCK
+                used = 8 * width * (1 + workers) + workers * block * padded
+                assert used <= streams._BLOCK_BUDGET
+            # the block reader counts in uint16, so wider fills take the serial path
+            assert streams._block_size(2**16, workers) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        theta=st.floats(0.05, np.pi / 4),
+        alpha=st.floats(-1.5, 1.5),
+        g=st.floats(0.0, 0.3),
+        rule=st.sampled_from(["postselected", "prepared"]),
+        count=st.integers(1, 400),
+        reps=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+        block=st.sampled_from([1, 2, 3, 5, 8, 32]),
+        workers=st.sampled_from([1, 2, 3]),
+    )
+    def test_property_matches_the_serial_loop(self, theta, alpha, g, rule, count, reps, seed,
+                                              block, workers):
+        assume(min(abs(np.cos(alpha + theta)), abs(np.cos(alpha - theta))) >= 0.05)
+        stopping = FixedPostselected(count) if rule == "postselected" else FixedPrepared(10 * count)
+        cfg = ExperimentConfig(theta, alpha, g, stopping, reps, seed)
+        try:
+            rows = serial_rows(cfg)
+        except EstimationUndefinedError:
+            rows = None
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            force_workers(monkeypatch, workers)
+            force_block(monkeypatch, block)
+            if rows is None:
+                with pytest.raises(EstimationUndefinedError):
+                    run_campaign(cfg)
+            else:
+                assert run_campaign(cfg).per_trial == rows
+
+
+class TestPreparationBudget:
+    def test_prepared_counts_beyond_the_budget_rejected(self):
+        assert FixedPrepared(experiment.PREPARATION_BUDGET).n == experiment.PREPARATION_BUDGET
+        with pytest.raises(ContractViolationError, match="^FixedPrepared: n must be at most"):
+            FixedPrepared(experiment.PREPARATION_BUDGET + 1)
+        # this used to escape as numpy's _ArrayMemoryError from run_campaign
+        with pytest.raises(ContractViolationError):
+            run_campaign(ExperimentConfig(np.pi / 6, -np.pi / 6, 0.0349, FixedPrepared(10**13),
+                                          1, 1))
+
+    def test_serial_draws_come_in_slices_of_at_most_max_chunk(self):
+        n, p, q = 3 * _MAX_CHUNK + 7, 0.3, 0.2
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng, self.sizes = rng, []
+
+            def random(self, size):
+                self.sizes.append(size)
+                return self.rng.random(size)
+
+        rng = Recording(_trial_rng(5, 1))
+        counts = experiment._sample_trial(rng, FixedPrepared(n), p, q)
+        assert max(rng.sizes) == _MAX_CHUNK and sum(rng.sizes) == n + counts.n_postselected
+        # one draw of n, then one of the postselected count, gives the same counts
+        reference = _trial_rng(5, 1)
+        post = int(np.count_nonzero(reference.random(n) < p))
+        minus = int(np.count_nonzero(reference.random(post) < q))
+        assert counts == TrialCounts(n, post, post - minus, minus)
 
 
 class TestWavePlateSettings:

@@ -202,6 +202,78 @@ class TestPostselect:
                      HermitianOperator(np.diag([1.0, 0.0])), 0.1)
 
 
+class TestMeterMoments:
+    """<M> and Omega are derived once per (M, phi) pair of objects; the checks run every time."""
+
+    @staticmethod
+    def setup(meter, phi, g=0.1):
+        return WvaSetup(BASIS.ket0, Ket([1.0, 1.0]), phi, SIGMA, meter, g)
+
+    @staticmethod
+    def reference_omega(meter, phi):
+        m_phi = meter.entries @ phi.amplitudes
+        return float(np.real(np.vdot(m_phi, m_phi)))
+
+    def test_the_same_objects_hit_the_slot(self, monkeypatch):
+        meter = HermitianOperator(np.array([[0.0, 2.0], [2.0, 0.0]]))
+        phi = Ket([1.0, 1j])
+        calls = []
+        moments = HermitianOperator._moments
+
+        def counting(self, ket):
+            slot = self.__dict__.get("_moment_slot")
+            calls.append(slot is not None and slot[0] is ket)
+            return moments(self, ket)
+
+        monkeypatch.setattr(HermitianOperator, "_moments", counting)
+        first = self.setup(meter, phi)
+        slot = meter.__dict__["_moment_slot"]
+        second = self.setup(meter, phi, g=0.2)
+        assert calls == [False, True]
+        assert meter.__dict__["_moment_slot"] is slot  # not recomputed
+        assert first.omega == second.omega == self.reference_omega(meter, phi)
+
+    def test_an_equal_but_distinct_ket_misses_the_slot(self):
+        meter = HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        phi, twin = Ket([1.0, 1j]), Ket([1.0, 1j])
+        self.setup(meter, phi)
+        slot = meter.__dict__["_moment_slot"]
+        self.setup(meter, twin)
+        assert meter.__dict__["_moment_slot"] is not slot
+        assert meter.__dict__["_moment_slot"][0] is twin
+        assert meter.__dict__["_moment_slot"][1:] == slot[1:]
+
+    def test_omega_matches_the_direct_product(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            a = rng.normal()
+            c = complex(*rng.normal(size=2))
+            meter = HermitianOperator(np.array([[a, c], [c.conjugate(), -a]]))
+            # the eigenvectors' equal superposition sits at <M> = 0
+            _, vecs = np.linalg.eigh(meter.entries)
+            phi = Ket(vecs[:, 0] + vecs[:, 1])
+            for _ in range(2):
+                assert self.setup(meter, phi).omega == self.reference_omega(meter, phi)
+
+    def test_a_failing_balance_check_raises_every_time(self):
+        meter = HermitianOperator(np.diag([1.0, -1.0]))
+        for _ in range(3):
+            with pytest.raises(ContractViolationError, match=r"balance zero point"):
+                self.setup(meter, BASIS.ket0)
+        assert "_moment_slot" in meter.__dict__  # the values were cached, the check still ran
+
+    def test_the_slot_leaves_equality_and_repr_alone(self):
+        meter = HermitianOperator(np.diag([1.0, -1.0]))
+        before = repr(meter)
+        self.setup(meter, BALANCED_METER)
+        assert repr(meter) == before
+        assert meter == HermitianOperator(np.diag([1.0, -1.0]))
+        with pytest.raises(TypeError):
+            hash(meter)
+        setup = self.setup(meter, BALANCED_METER)
+        assert setup == self.setup(HermitianOperator(meter.entries.copy()), BALANCED_METER)
+
+
 class TestCollapsedStateInformation:
     def test_moderate_amplification_leading_order(self):
         setup = real_superposition_setup(np.pi / 6, -np.pi / 6, 1e-4)
@@ -1088,10 +1160,15 @@ class TestSetupEquality:
 
 class TestModuleBoundaries:
     # Each entry is a private helper that one module lends another on purpose: the kernel
-    # core to the standard-basis readout, two array helpers, and the unchecked cost sweep.
+    # core to the standard-basis readout, two array helpers, the unchecked cost sweep, and
+    # the per-trial streams and the block sampler that campaigns draw through.
     # A change that adds an entry says why.
     REVIEWED = {
         ("experiment", "postselect", "_meter_core"),
+        ("experiment", "streams", "_block_seed_type"),
+        ("experiment", "streams", "_block_size"),
+        ("experiment", "streams", "_sample_blocks"),
+        ("experiment", "streams", "_trial_rng"),
         ("postselect", "states", "_phase_fixed"),
         ("postselect", "states", "_readonly"),
         ("verify", "costs", "_leading_sweep"),

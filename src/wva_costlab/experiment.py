@@ -244,6 +244,13 @@ def _readout(
     """
     for name, value in (("theta", theta), ("alpha", alpha), ("g", g)):
         finite_real(value, "readout", name)
+    return _readout_law(theta, alpha, g)
+
+
+def _readout_law(
+    theta: float, alpha: float, g: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """:func:`_readout` without its checks, for callers that have checked all three inputs."""
     v0, v1, d0, d1 = _meter_core(
         (math.cos(theta), math.sin(theta)),
         (math.cos(alpha), math.sin(alpha)),
@@ -287,7 +294,8 @@ def conditional_outcome_model(theta: float, alpha: float) -> OutcomeLaw:
         )
 
     def law(g: float) -> tuple[tuple[float, float], tuple[float, float]]:
-        (p_plus, p_minus), (dp_plus, dp_minus) = _readout(theta, alpha, g)
+        finite_real(g, "readout", "g")  # theta and alpha passed selection_cosines above
+        (p_plus, p_minus), (dp_plus, dp_minus) = _readout_law(theta, alpha, g)
         total = p_plus + p_minus
         if total <= 0.0:
             raise VanishingPostselectionError(

@@ -21,7 +21,9 @@ the last bit; it stores one read-only array. Kets and matrices compare by
 value (equal stored arrays) and stay unhashable. The standard basis, its
 observable and the balanced meter kets are built once, as module constants; a
 basis builds its observable and its amplitude pairs, which
-:meth:`ReferenceBasis.superposition` combines in Python, once.
+:meth:`ReferenceBasis.superposition` combines in Python, once, and keeps each
+superposition ket it built in a bounded memo, so one angle gives one shared
+ket object.
 
 Each scenario input domain is decided in one function: :func:`finite_real`
 (finite reals; an integer beyond the float range is not one, and neither is a
@@ -49,6 +51,7 @@ HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 BLOCH_UNIT_TOL = 1e-10
+SUPERPOSITION_MEMO_SIZE = 256
 
 _VALID_DIMS = (2, 4)
 
@@ -364,10 +367,31 @@ class ReferenceBasis:
         return STANDARD_BASIS
 
     def superposition(self, angle: float) -> Ket:
-        """Return cos(angle)*ket0 + sin(angle)*ket1 for a finite angle."""
+        """Return cos(angle)*ket0 + sin(angle)*ket1 for a finite angle.
+
+        Each basis keeps a memo of the kets it built, keyed by the angle's
+        exact value as a Python float, sign of a zero included, so a repeated
+        angle returns the same :class:`Ket` object. Kets compare by value and
+        are read-only, so sharing one changes no result. An angle is checked
+        before the memo is read, and a rejected one is never stored. A memo
+        that reaches :data:`SUPERPOSITION_MEMO_SIZE` entries is emptied.
+        """
         angle = finite_real(angle, "superposition", "angle")
-        c, s = float(np.cos(angle)), float(np.sin(angle))
-        return Ket(np.array([c * a + s * b for a, b in self._pairs]))
+        key = (angle, math.copysign(1.0, angle))  # -0.0 == 0.0, but each keeps its own entry
+        memo = self._kets
+        ket = memo.get(key)
+        if ket is None:
+            c, s = float(np.cos(angle)), float(np.sin(angle))
+            ket = Ket(np.array([c * a + s * b for a, b in self._pairs]))
+            if len(memo) >= SUPERPOSITION_MEMO_SIZE:
+                memo.clear()  # one atomic call, so threads sharing a basis need no lock
+            memo[key] = ket
+        return ket
+
+    @functools.cached_property
+    def _kets(self) -> dict[tuple[float, float], Ket]:
+        """The memo of :meth:`superposition`: (angle, sign of angle) -> ket."""
+        return {}
 
     @functools.cached_property
     def _pairs(self) -> list[tuple[complex, complex]]:

@@ -187,6 +187,23 @@ class TestExactReadoutInformation:
             rounding = (eps / (g * abs(np.cos(alpha + theta)))) ** 2
             assert abs(readout / exact - 1.0) <= 1e-12 + rounding, (theta, alpha, g)
 
+    def test_the_law_checks_only_g_and_equals_the_checked_readout(self, monkeypatch):
+        law = conditional_outcome_model(THETA, ALPHA)
+        points = (0.0349, -0.2, 0.0, 1)
+        expected = []
+        for g in points:
+            (p_plus, p_minus), (dp_plus, dp_minus) = _readout(THETA, ALPHA, g)
+            total = p_plus + p_minus
+            dq = (p_plus * dp_minus - p_minus * dp_plus) / total**2
+            expected.append(((p_plus / total, p_minus / total), (-dq, dq)))
+        checked = []
+        original = experiment.finite_real
+        monkeypatch.setattr(
+            experiment, "finite_real", lambda value, *what: checked.append(what) or original(value, *what)
+        )
+        assert repr([law(g) for g in points]) == repr(expected)  # every bit, signed zeros too
+        assert checked == [("readout", "g")] * len(points)
+
     @pytest.mark.parametrize("field", ["theta", "alpha", "g"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_readout_input_rejected(self, field, bad):

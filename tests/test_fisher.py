@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wva_costlab import (
     ContractViolationError,
@@ -409,6 +411,18 @@ def _distributions(seed):
             p[k] = bad
             out.append(p)
     out += [np.array([-0.0, 1.0]), np.array([]), [[0.25, 0.25], [0.25, 0.25]]]
+    # a tuple of Python floats, as a law returns, skips the array conversion
+    out += [tuple(np.asarray(p, dtype=float).ravel().tolist()) for p in out[::7]]
+    return out
+
+
+def _long_distributions(seed):
+    """Laws of 8 outcomes and more, which numpy sums pairwise; half a sum edge away from 1."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in (*rng.integers(8, 300, size=20), 8, 128, 129, 136, 1000):
+        p = rng.dirichlet(np.ones(k))
+        out += [p, tuple((p * (1.0 + 1e-12 * rng.uniform(0.9, 1.1))).tolist())]
     return out
 
 
@@ -418,7 +432,7 @@ class TestScalarOutcomeChecks:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_distribution_same_bytes_exception_type_and_message(self, seed):
         messages = set()
-        for p in _distributions(seed):
+        for p in [*_distributions(seed), *_long_distributions(seed)]:
             expected = _outcome(lambda: _numpy_distribution(p))
             assert _outcome(lambda: np.array(fisher._distribution(p))) == expected, p
             messages.add(expected[1] if isinstance(expected, tuple) else "accepted")
@@ -454,6 +468,12 @@ class TestScalarOutcomeChecks:
             "cfi_discrete: derivative must be finite",
             "cfi_discrete: information overflows the float range",
         } <= messages
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), max_size=300))
+    def test_pairwise_sum_is_numpys_sum_at_every_length(self, values):
+        expected = float(np.asarray(values, dtype=float).sum())
+        assert (0.0 + fisher._pairwise_sum(values)).hex() == expected.hex()
 
     def test_readout_models_same_bits(self):
         rng = np.random.default_rng(5)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wva_costlab import (
@@ -25,6 +25,7 @@ from wva_costlab import (
     HermitianOperator,
     Ket,
     OrthogonalPostselectionError,
+    PostselectionResult,
     ReferenceBasis,
     UnsupportedInputError,
     VanishingPostselectionError,
@@ -50,6 +51,7 @@ from wva_costlab import (
     weak_value,
 )
 from wva_costlab.fisher import RANK_CUTOFF, STEP
+from test_pinned_outputs import qfi_panel
 
 BASIS = ReferenceBasis.standard()
 SIGMA = BASIS.sigma()
@@ -526,6 +528,78 @@ class TestKernelSharing:
                 fm_exact(vanishing)
             with pytest.raises(UnsupportedInputError):
                 probabilistic_qfi(mixed)
+
+
+class TestLazyResult:
+    """A postselect result takes p; it derives phi_mf and a_w on first read, as the eager code did."""
+
+    ORTHOGONAL = [(0.4, 0.4 + np.pi / 2, 0.3), (np.pi / 4, -np.pi / 4, 0.1)]
+
+    def test_derived_values_equal_the_eager_derivation_on_the_panel(self):
+        undefined = 0
+        for theta, alpha, g in [*qfi_panel(), *self.ORTHOGONAL]:
+            setup = real_superposition_setup(theta, alpha, g)
+            result = postselect(setup)
+            assert "a_w" not in vars(result) and "_collapsed_ket" not in vars(setup)
+            try:
+                eager_a_w = weak_value(setup.psi_si, setup.psi_sf, setup.A)
+            except OrthogonalPostselectionError:
+                eager_a_w = None
+                undefined += 1
+            assert repr(result.a_w) == repr(eager_a_w)  # repr tells every bit, signed zeros too
+            assert result.phi_mf.amplitudes.tobytes() == Ket(setup._out[1]).amplitudes.tobytes()
+            assert result.a_w is result.a_w and result.phi_mf is result.phi_mf
+        assert undefined == 1 + len(self.ORTHOGONAL)
+
+    @pytest.mark.parametrize("theta, alpha, g", [(np.pi / 6, -np.pi / 5, 0.0349), ORTHOGONAL[0]])
+    def test_equality_and_repr_are_by_value_over_the_three_values(self, theta, alpha, g):
+        setup = real_superposition_setup(theta, alpha, g)
+        a, b = postselect(setup), postselect(setup.at(g))  # distinct setups, each uncached
+        assert a is not b and a == b and not (a != b)
+        assert repr(a) == repr(b)
+        assert repr(a) == f"PostselectionResult(p={a.p!r}, phi_mf={a.phi_mf!r}, a_w={a.a_w!r})"
+        assert a != postselect(setup.at(2.0 * g)) and a != (a.p, a.phi_mf, a.a_w)
+        # the same p from a postselection ket of the other sign, which negates phi_mf
+        flipped = dataclasses.replace(setup, psi_sf=Ket(-setup.psi_sf.amplitudes))
+        assert PostselectionResult(a.p, flipped) != a
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.p = 0.5
+
+
+class TestExactness:
+    """p and F_m against their closed forms in double: relative error at most K eps / delta."""
+
+    K = 16.0  # measured below 7.2 over 2e5 points, and below 3.1 where delta <= 1e-2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        theta=st.floats(0.0, np.pi / 4, exclude_min=True),
+        log_delta=st.floats(-10.0, 0.0),
+        near=st.sampled_from(["orthogonal", "no-signal", "anywhere"]),
+        side=st.sampled_from([-1.0, 1.0]),
+        log_g=st.floats(-7.0, 0.0),
+        g_sign=st.sampled_from([-1.0, 1.0]),
+        anywhere=st.floats(-np.pi / 2, np.pi / 2),
+    )
+    def test_relative_error_within_k_eps_over_delta(
+        self, theta, log_delta, near, side, log_g, g_sign, anywhere
+    ):
+        offset = side * 10.0 ** log_delta
+        alpha = {"orthogonal": theta - np.pi / 2 + offset,
+                 "no-signal": np.pi / 2 - theta + offset, "anywhere": anywhere}[near]
+        g = g_sign * 10.0 ** log_g
+        c_plus, c_minus = math.cos(alpha + theta), math.cos(alpha - theta)
+        delta = min(abs(c_plus), abs(c_minus))
+        k = c_plus / c_minus
+        d = math.cos(g) ** 2 + k * k * math.sin(g) ** 2
+        p_closed, fm_closed = c_minus**2 * d, 4.0 * k * k / d**2
+        assume(delta > 1e-12 and p_closed > 1e-13)  # the degeneracy edge and the P_FLOOR
+        setup = real_superposition_setup(theta, alpha, g)
+        bound = self.K * np.finfo(float).eps / delta
+        assert abs(postselect(setup).p / p_closed - 1.0) <= bound
+        assert abs(fm_exact(setup) / fm_closed - 1.0) <= bound
 
 
 class TestReturnTypes:
@@ -1147,11 +1221,21 @@ class TestMeterFamilies:
 
 class TestSetupEquality:
     def test_equal_values_compare_equal(self):
-        # independently built kets and observables, no shared objects
-        a = real_superposition_setup(0.5, -0.5, 0.01)
-        b = real_superposition_setup(0.5, -0.5, 0.01)
-        assert a.psi_si is not b.psi_si
-        assert a == b
+        # independently built kets and observables, no shared objects; a basis
+        # memo may share one ket between setups, so these are built with Ket(...)
+        def built(alpha):
+            return WvaSetup(
+                Ket(np.array([math.cos(0.5), math.sin(0.5)])),
+                Ket(np.array([math.cos(alpha), math.sin(alpha)])),
+                Ket(np.array([math.cos(np.pi / 4), math.sin(np.pi / 4)])),
+                HermitianOperator(np.diag([1.0, -1.0])),
+                HermitianOperator(np.diag([1.0, -1.0])),
+                0.01,
+            )
+
+        a, b = built(-0.5), built(-0.5)
+        assert a.psi_si is not b.psi_si and a.A is not b.A
+        assert a == b == real_superposition_setup(0.5, -0.5, 0.01)
         assert a != real_superposition_setup(0.5, -0.5 + 1e-15, 0.01)
         mixed = dataclasses.replace(a, psi_si=_bloch_density(0.1, 0.2, 0.3))
         assert mixed == dataclasses.replace(b, psi_si=_bloch_density(0.1, 0.2, 0.3))

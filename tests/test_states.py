@@ -732,6 +732,59 @@ class TestScalarKet:
                 assert basis.superposition(angle).amplitudes.tobytes() == expected.tobytes()
 
 
+class TestSuperpositionMemo:
+    """One angle, one shared ket, equal to a fresh build; rejected angles never stored; bounded."""
+
+    @staticmethod
+    def fresh_basis():
+        return ReferenceBasis(Ket(np.array([1.0, 0.0])), Ket(np.array([0.0, 1.0])))
+
+    def test_a_repeated_angle_returns_one_ket_equal_to_a_fresh_build(self):
+        basis = self.fresh_basis()
+        rng = np.random.default_rng(9)
+        for angle in [0.0, np.pi / 4.0, -np.pi / 2.0, *rng.uniform(-10.0, 10.0, 50)]:
+            ket = basis.superposition(angle)
+            assert basis.superposition(float(angle)) is ket
+            fresh = Ket(np.cos(angle) * basis.ket0.amplitudes + np.sin(angle) * basis.ket1.amplitudes)
+            assert ket == fresh and ket.amplitudes.tobytes() == fresh.amplitudes.tobytes()
+        assert basis.superposition(1) is basis.superposition(1.0)
+        assert basis.superposition(np.float64(0.3)) is basis.superposition(0.3)
+
+    def test_signed_zeros_get_their_own_kets(self):
+        basis = self.fresh_basis()
+        plus, minus = basis.superposition(0.0), basis.superposition(-0.0)
+        assert plus is not minus
+        assert basis.superposition(0.0) is plus and basis.superposition(-0.0) is minus
+        for angle, ket in ((0.0, plus), (-0.0, minus)):
+            fresh = Ket(np.cos(angle) * basis.ket0.amplitudes + np.sin(angle) * basis.ket1.amplitudes)
+            assert ket.amplitudes.tobytes() == fresh.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, 10**400, "0.5", None, True])
+    def test_a_rejected_angle_raises_on_every_call_and_is_never_stored(self, angle):
+        basis = self.fresh_basis()
+        for _ in range(3):
+            with pytest.raises(ContractViolationError, match="superposition: angle must be"):
+                basis.superposition(angle)
+        assert basis._kets == {}
+
+    def test_the_memo_stays_within_its_bound(self, monkeypatch):
+        import wva_costlab.states as states_module
+
+        assert len(STANDARD_BASIS._kets) <= states_module.SUPERPOSITION_MEMO_SIZE
+        monkeypatch.setattr(states_module, "SUPERPOSITION_MEMO_SIZE", 8)
+        basis = self.fresh_basis()
+        sizes = []
+        for k in range(50):
+            basis.superposition(0.01 * k)
+            sizes.append(len(basis._kets))
+        assert max(sizes) == 8 and min(sizes[8:]) >= 1
+
+    def test_the_memo_stays_outside_equality_and_repr(self):
+        used, unused = self.fresh_basis(), self.fresh_basis()
+        used.superposition(0.3)
+        assert used == unused and repr(used) == repr(unused)
+
+
 class TestCachedDerivations:
     def test_split_derived_once_per_observable(self, monkeypatch):
         import wva_costlab.states as states_module

@@ -38,7 +38,7 @@ from .costs import (
     preparation_coherence,
     tradeoff_slack,
 )
-from .errors import ContractViolationError, WvaError
+from .errors import WvaError
 from .experiment import (
     ExperimentConfig,
     FixedPostselected,
@@ -102,20 +102,6 @@ def _emit(text: str, out_path: Optional[str]) -> int:
         print(f"{PROG}: cannot write {out_path}: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-def _resolve_args(args: argparse.Namespace) -> None:
-    """Check the scenario flags of the command.
-
-    theta, alpha and g are required wherever they are accepted, and theta must
-    lie in the documented (0, pi/4].
-    """
-    flags = _COMMANDS[args.command][1]
-    for key in ("theta", "alpha", "g"):
-        if key in flags and getattr(args, key) is None:
-            raise ContractViolationError(f"{args.command} requires --{key}")
-    if "theta" in flags:
-        check_theta(args.theta, "--theta")
 
 
 _CURVE_KEYS = ("theta", "coherence_l1", "alpha", "cp_norm", "cm_norm", "slack")
@@ -192,6 +178,7 @@ def cmd_qfi(args: argparse.Namespace) -> int:
     values = {key: getattr(args, key) for key in ("theta", "alpha", "g")}
     setup = real_superposition_setup(values["theta"], values["alpha"], values["g"])
     result = postselect(setup)
+    a_w = result.a_w  # None below the overlap floor, where the five weak-value fields are null
     fm = fm_exact(setup)
     f_exact, f_leading = probabilistic_qfi(setup)
     cfi = cfi_discrete(conditional_outcome_model(values["theta"], values["alpha"]), values["g"])
@@ -202,16 +189,16 @@ def cmd_qfi(args: argparse.Namespace) -> int:
         **values,
         "omega": omega,
         "qfi_conventional": 4.0 * omega,
-        "a_w_real": result.a_w.real if result.a_w is not None else None,
-        "a_w_imag": result.a_w.imag if result.a_w is not None else None,
+        "a_w_real": a_w.real if a_w is not None else None,
+        "a_w_imag": a_w.imag if a_w is not None else None,
         "p_exact": result.p,
         "fm_exact": fm,
-        "fm_leading": fm_leading(omega, result.a_w) if result.a_w is not None else None,
+        "fm_leading": fm_leading(omega, a_w) if a_w is not None else None,
         "f_m_exact": f_exact,
         "f_m_leading": f_leading,
         "cfi_conditional": cfi,
-        "weak_regime_margin": weak_regime_margin(setup) if result.a_w is not None else None,
-        "in_weak_regime": in_weak_regime(setup) if result.a_w is not None else None,
+        "weak_regime_margin": weak_regime_margin(setup) if a_w is not None else None,
+        "in_weak_regime": in_weak_regime(setup) if a_w is not None else None,
         "coherence_l1": coherence,
         "cp_norm": cost.cp_norm,
         "cm_norm": cost.cm_norm,
@@ -236,12 +223,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # Every flag with its argparse settings, and the flags and defaults of each
 # subcommand; a flag outside its subcommand's list is an invalid argument
 # (exit 1). A flag with no default here or in its subcommand's defaults is
-# None when absent. Abbreviations are off. There is no rate flag: every cost
-# column is normalized.
+# None when absent; theta, alpha and g are required wherever they are accepted.
+# Abbreviations are off. There is no rate flag: every cost column is normalized.
 _FLAGS = {
-    "theta": dict(type=float, help="preparation angle (rad)"),
-    "alpha": dict(type=float, help="postselection angle (rad)"),
-    "g": dict(type=float, help="coupling strength (rad)"),
+    "theta": dict(type=float, required=True, help="preparation angle (rad)"),
+    "alpha": dict(type=float, required=True, help="postselection angle (rad)"),
+    "g": dict(type=float, required=True, help="coupling strength (rad)"),
     "nu": dict(type=int, help="postselected photons per trial"),
     "reps": dict(type=int, help="number of repeated trials"),
     "seed": dict(type=int, help="64-bit master seed"),
@@ -276,10 +263,35 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_TYPED_FLAGS = frozenset(f"--{name}" for name, spec in _FLAGS.items() if "type" in spec)
+
+
+def _float_valued(argv) -> list[str]:
+    """``argv`` with each typed flag joined to a next token that float() parses, as --flag=value.
+
+    argparse takes a token that starts with '-' for a flag unless it looks like
+    -1 or -.5, so ``--alpha -1e-05`` and ``--alpha -inf`` would lose their value;
+    the joined form always reaches the flag, which then parses or rejects it.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _TYPED_FLAGS:
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_float_valued(sys.argv[1:] if argv is None else argv))
     try:
-        _resolve_args(args)
+        if "theta" in _COMMANDS[args.command][1]:
+            check_theta(args.theta, "--theta")  # the documented (0, pi/4]
         return _COMMANDS[args.command][0](args)
     except WvaError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)

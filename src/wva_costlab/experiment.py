@@ -230,7 +230,7 @@ def _degenerate(c_plus: float, c_minus: float) -> tuple[bool, bool]:
     return abs(c_plus) <= _DEGENERACY_TOL, abs(c_minus) <= _DEGENERACY_TOL
 
 
-def _readout(
+def _readout_law(
     theta: float, alpha: float, g: float
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Exact joint readout probabilities (plus, minus) and their g-derivatives.
@@ -240,17 +240,10 @@ def _readout(
     cos(alpha)|0> + sin(alpha)|1>, the meter |+> and A = M = sigma. The meter
     vector v and its derivative dv are projected on |+> and |->, and
     d|<e|v>|^2/dg = 2 Re(conj(<e|v>) <e|dv>). Probabilities below 1e-30
-    collapse to exact zero. Non-finite inputs raise ContractViolationError.
+    collapse to exact zero. Nothing is checked: callers check that all three
+    inputs are finite, as :func:`_readout_probabilities` and the conditional
+    outcome model do.
     """
-    for name, value in (("theta", theta), ("alpha", alpha), ("g", g)):
-        finite_real(value, "readout", name)
-    return _readout_law(theta, alpha, g)
-
-
-def _readout_law(
-    theta: float, alpha: float, g: float
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """:func:`_readout` without its checks, for callers that have checked all three inputs."""
     v0, v1, d0, d1 = _meter_core(
         (math.cos(theta), math.sin(theta)),
         (math.cos(alpha), math.sin(alpha)),
@@ -274,10 +267,12 @@ def _readout_law(
 def _readout_probabilities(theta: float, alpha: float, g: float) -> tuple[float, float]:
     """Exact joint probabilities (plus, minus) of a postselected readout.
 
-    The probability half of :func:`_readout`, cached for the trial sampler
-    and the estimator.
+    The probability half of :func:`_readout_law`, cached for the trial sampler
+    and the estimator. Non-finite inputs raise ContractViolationError.
     """
-    return _readout(theta, alpha, g)[0]
+    for name, value in (("theta", theta), ("alpha", alpha), ("g", g)):
+        finite_real(value, "readout", name)
+    return _readout_law(theta, alpha, g)[0]
 
 
 def conditional_outcome_model(theta: float, alpha: float) -> OutcomeLaw:

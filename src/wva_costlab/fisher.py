@@ -12,7 +12,9 @@ inputs: its derivative is known in closed form, and
 
 A discrete outcome law is a plain callable ``g -> (probabilities, slopes)``
 with exact slopes. :func:`cfi_discrete` sums its information with no step, in
-Python scalars that keep numpy's summation order and its ``**`` rounding.
+Python scalars that keep numpy's ``**`` rounding. Its distribution check adds
+a law of fewer than 8 outcomes left to right, as numpy's pairwise sum does,
+and leaves a longer law to ``np.sum``.
 """
 
 from __future__ import annotations
@@ -41,40 +43,12 @@ def _floats(values) -> list[float]:
     return np.asarray(values, dtype=float).reshape(-1).tolist()
 
 
-def _pairwise_sum(values: list[float]) -> float:
-    """numpy's pairwise float64 sum (``pairwise_sum`` in loops_utils.h.src), in Python floats.
-
-    Below 8 terms it adds left to right. Up to 128 it keeps 8 running sums,
-    combines them pairwise and adds the rest left to right. Above that it adds
-    the sums of two parts split at a multiple of 8 near the middle. numpy's
-    ``sum`` of a flat float64 array is 0.0 plus this, bit for bit at every length.
-    """
-    n = len(values)
-    if n < 8:
-        total = -0.0
-        for v in values:
-            total += v
-        return total
-    if n <= 128:
-        end = n - n % 8
-        sums = values[:8]
-        for block in range(8, end, 8):
-            for j in range(8):
-                sums[j] += values[block + j]
-        total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + ((sums[4] + sums[5]) + (sums[6] + sums[7]))
-        for v in values[end:]:
-            total += v
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-
-
 def _distribution(probabilities) -> list[float]:
     """The checked distribution clipped into [0, 1], as Python floats.
 
-    The sum is numpy's float64 sum of the flattened array, bit for bit at every
-    length, so the accept/reject line at 1 +- 1e-12 is numpy's.
+    The sum is numpy's float64 sum of the flattened array at every length, so
+    the accept/reject line at 1 +- 1e-12 is numpy's: numpy's pairwise sum adds
+    fewer than 8 values left to right, as here, and ``np.sum`` sums the rest.
     """
     values = _floats(probabilities)
     if not values:
@@ -83,7 +57,13 @@ def _distribution(probabilities) -> list[float]:
         raise ContractViolationError("cfi_discrete: probabilities must be finite")
     if min(values) < -1e-12 or max(values) > 1.0 + 1e-12:
         raise ContractViolationError("cfi_discrete: probability outside [0, 1]")
-    if abs(0.0 + _pairwise_sum(values) - 1.0) > 1e-12:
+    if len(values) < 8:
+        total = 0.0
+        for v in values:
+            total += v
+    else:
+        total = float(np.sum(values))
+    if abs(total - 1.0) > 1e-12:
         raise ContractViolationError("cfi_discrete: probabilities must sum to 1")
     return [min(max(v, 0.0), 1.0) for v in values]  # np.clip's result, -0.0 included
 

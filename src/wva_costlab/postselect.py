@@ -32,8 +32,10 @@ production path either. Leading-order formulas are exposed separately so
 tests and cost accounting can compare the two.
 
 A caller pays only for what it reads. :func:`postselect` takes p from the
-cached output; its result derives the collapsed meter ket (the setup's cached
-v / sqrt(p)) and the weak value on first read, and keeps them.
+cached output; its result reads the collapsed meter ket v / sqrt(p) and the
+weak value <sf|A|si> / <sf|si> from its setup, which derives each once, on
+first read. The weak value is the one that :func:`weak_regime_margin` and
+:func:`in_weak_regime` read, so a setup forms <sf|si> at most once.
 
 How exact: in the real-superposition scenario, p and F_m carry a relative
 error of about k eps / delta in double precision, where eps = 2**-52 and
@@ -96,6 +98,7 @@ from .states import (
 
 P_FLOOR = 1e-14
 OVERLAP_FLOOR = 1e-12
+_ORTHOGONAL = "weak_value: pre- and postselection are orthogonal"
 BALANCE_TOL = 1e-10
 WEAK_REGIME_LIMIT = 0.1
 
@@ -253,8 +256,9 @@ class WvaSetup:
     use, and only when a caller reads it: ``_out``, which
     is (p, v, dv) of a ket or (p, K) of a density matrix (:func:`_evaluate`);
     the F_m of a density matrix (``_fm``), which only :func:`fm_exact` reads;
-    the collapsed meter ket of a ket input, which a :func:`postselect` result
-    reads as ``phi_mf``; and the collapsed meter state that
+    the collapsed meter ket and the weak value of a ket input, which a
+    :func:`postselect` result reads as ``phi_mf`` and ``a_w`` and the weak-regime
+    margin reads too; and the collapsed meter state that
     :func:`postselect_mixed` and the meter family return. None of them takes
     part in equality, hashing or the repr; :meth:`at` and
     ``dataclasses.replace`` build a fresh instance that derives them anew.
@@ -311,6 +315,14 @@ class WvaSetup:
         return _meter_qfi(self)
 
     @functools.cached_property
+    def _weak_value(self) -> Optional[complex]:
+        """Weak value <sf|A|si> / <sf|si> of a ket input, or None below OVERLAP_FLOOR."""
+        try:
+            return self._signal / _overlap(self.psi_si, self.psi_sf)
+        except OrthogonalPostselectionError:
+            return None
+
+    @functools.cached_property
     def _collapsed_ket(self) -> Ket:
         """Collapsed meter ket v / sqrt(p) of a ket input; read only past the P_FLOOR check."""
         return Ket(self._out[1])
@@ -336,12 +348,12 @@ class PostselectionResult:
     overlap floor (the weak value is undefined there, although the exact
     postselection itself may still succeed at finite coupling).
 
-    Only ``p`` is taken at construction. ``phi_mf`` is the setup's cached
-    collapsed ket, and ``a_w`` is derived on its first read and kept, so a
-    caller that reads neither pays for neither and repeated reads return the
-    same object. Equality and the repr are by value over (p, phi_mf, a_w), as
-    for a dataclass of those three fields, and compare or show the derived
-    two; like a :class:`Ket`, a result is unhashable.
+    Only ``p`` is taken at construction. ``phi_mf`` and ``a_w`` are the
+    setup's cached collapsed ket and weak value, each derived on its first
+    read, so a caller that reads neither pays for neither and repeated reads
+    return the same object. Equality and the repr are by value over (p,
+    phi_mf, a_w), as for a dataclass of those three fields, and compare or
+    show the derived two; like a :class:`Ket`, a result is unhashable.
     """
 
     p: float
@@ -352,14 +364,10 @@ class PostselectionResult:
         """Normalized collapsed meter ket v / sqrt(p)."""
         return self._setup._collapsed_ket
 
-    @functools.cached_property
+    @property
     def a_w(self) -> Optional[complex]:
         """Weak value <sf|A|si> / <sf|si>, or None below the overlap floor."""
-        setup = self._setup
-        try:
-            return setup._signal / _overlap(setup.psi_si, setup.psi_sf)
-        except OrthogonalPostselectionError:
-            return None
+        return self._setup._weak_value
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -379,9 +387,7 @@ def _overlap(psi_si: Ket, psi_sf: Ket) -> complex:
     """<sf|si>, the weak value's denominator; orthogonal beyond OVERLAP_FLOOR raises."""
     denom = psi_sf.inner(psi_si)
     if abs(denom) < OVERLAP_FLOOR:
-        raise OrthogonalPostselectionError(
-            "weak_value: pre- and postselection are orthogonal"
-        )
+        raise OrthogonalPostselectionError(_ORTHOGONAL)
     return denom
 
 
@@ -555,11 +561,16 @@ def near_orthogonal_postselection(psi_si: Ket, A: HermitianOperator, epsilon: fl
 
 
 def weak_regime_margin(setup: WvaSetup) -> float:
-    """Size of g |A_w| Omega; the weak-value description needs this << 1."""
+    """Size of g |A_w| Omega, which must be finite; the weak-value description needs this << 1."""
     if not isinstance(setup.psi_si, Ket):
         raise UnsupportedInputError("weak_regime_margin: needs a pure system input")
-    a_w = setup._signal / _overlap(setup.psi_si, setup.psi_sf)
-    return abs(setup.g) * abs(a_w) * setup.omega
+    a_w = setup._weak_value
+    if a_w is None:
+        raise OrthogonalPostselectionError(_ORTHOGONAL)
+    value = abs(float(setup.g)) * abs(a_w) * setup.omega  # in Python floats: no numpy warning
+    if value == math.inf:  # * overflows to inf without raising
+        raise ContractViolationError("weak_regime_margin: g |A_w| Omega overflows the float range")
+    return value
 
 
 def in_weak_regime(setup: WvaSetup) -> bool:

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism, per-subcommand flags."""
 
+import importlib
 import json
 import math
 import os
@@ -56,8 +57,15 @@ class TestCurve:
         assert main(["curve", "--theta", "0", "--out", str(out)]) == 1
         assert not out.exists()
 
-    def test_missing_theta_exits_1(self):
-        assert main(["curve"]) == 1
+    def test_missing_theta_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["curve"])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "wva-costlab curve: error: the following arguments are required: --theta\n"
+        )
 
     def test_unwritable_path_exits_2(self, tmp_path):
         target = tmp_path / "missing-dir" / "curve.csv"
@@ -148,8 +156,14 @@ class TestSimulate:
         assert payload["degenerate"] is True
         assert payload["fm_empirical"] is None
 
-    def test_missing_required_flag_exits_1(self):
-        assert main(["simulate", "--theta", THETA]) == 1
+    def test_missing_required_flag_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--theta", THETA])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.endswith("error: the following arguments are required: --alpha, --g\n")
 
     def test_all_clipped_campaign_reports_degenerate(self, tmp_path):
         out = tmp_path / "clipped.json"
@@ -211,11 +225,38 @@ class TestQfi:
             assert payload["weak_regime_margin"] == pytest.approx(margin, rel=1e-6)
             assert payload["in_weak_regime"] is inside
 
-    def test_infinite_alpha_exits_1(self, capsys):
-        assert main(["qfi", "--theta", THETA, "--alpha", "inf", "--g", "1e-3"]) == 1
+    @pytest.mark.parametrize("alpha", ["inf", "-inf"])
+    def test_infinite_alpha_exits_1(self, alpha, capsys):
+        assert main(["qfi", "--theta", THETA, "--alpha", alpha, "--g", "1e-3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err == "wva-costlab: error: superposition: angle must be finite\n"
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--g"])
+    def test_negative_value_with_an_exponent_is_the_flags_value(self, flag, capsys):
+        outputs = []
+        for spelling in ("-1e-05", "-0.00001"):
+            argv = {"--theta": "0.5", "--alpha": "-0.5", "--g": "0.01", flag: spelling}
+            assert main(["qfi", *(token for pair in argv.items() for token in pair)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])[flag[2:]] == -1e-05
+
+    def test_margin_beyond_the_float_range_exits_1(self, capsys):
+        assert main(["qfi", "--theta", "0.5", "--alpha", "-0.5", "--g", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "wva-costlab: error: weak_regime_margin: g |A_w| Omega overflows the float range\n"
+        )
+
+    def test_one_overlap_per_query(self, monkeypatch, capsys):
+        module = importlib.import_module("wva_costlab.postselect")
+        calls = []
+        original = module._overlap
+        monkeypatch.setattr(module, "_overlap", lambda *a: calls.append(a) or original(*a))
+        assert main(["qfi", "--theta", THETA, "--alpha", ALPHA, "--g", "1e-3"]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("theta", ["1.0", "0", "-0.3", "nan"])
     def test_theta_outside_domain_exits_1(self, theta, capsys):

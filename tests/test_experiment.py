@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wva_costlab import (
@@ -33,7 +33,9 @@ from wva_costlab import (
     cfi_discrete,
     conditional_outcome_model,
     fm_exact,
+    fm_leading,
     hwp_settings,
+    in_weak_regime,
     leading_costs,
     mle_g,
     postselect,
@@ -41,16 +43,18 @@ from wva_costlab import (
     real_superposition_setup,
     run_campaign,
     run_trial,
+    weak_regime_margin,
 )
 from wva_costlab import experiment, streams
 from wva_costlab.experiment import (
     _MAX_CHUNK,
     G_MAX,
     _degenerate,
-    _readout,
+    _readout_law,
     _readout_probabilities,
     _trial_rng,
 )
+from wva_costlab.postselect import WEAK_REGIME_LIMIT
 
 THETA = np.pi / 6
 ALPHA = -np.pi / 6
@@ -106,12 +110,12 @@ class TestReadout:
     """The joint readout law (plus, minus) and its slopes, against the closed trig forms."""
 
     def test_identity_evolution(self):
-        (plus, minus), _ = _readout(THETA, 0.4, 0.0)
+        (plus, minus), _ = _readout_law(THETA, 0.4, 0.0)
         assert minus == 0.0
         assert plus == pytest.approx(np.cos(0.4 - THETA) ** 2, abs=1e-12)
 
     def test_example_values(self):
-        (plus, minus), _ = _readout(THETA, ALPHA, 0.0349)
+        (plus, minus), _ = _readout_law(THETA, ALPHA, 0.0349)
         assert plus + minus == pytest.approx(0.2509131, abs=1e-6)
         assert minus / (plus + minus) == pytest.approx(0.0048523, abs=1e-6)
 
@@ -121,7 +125,7 @@ class TestReadout:
             theta = rng.uniform(0.05, np.pi / 4)
             alpha = rng.uniform(-1.3, 1.3)
             g = rng.uniform(-0.4, 0.4)
-            (plus, minus), _ = _readout(theta, alpha, g)
+            (plus, minus), _ = _readout_law(theta, alpha, g)
             assert plus + minus == pytest.approx(oracle_p(theta, alpha, g), abs=1e-12)
             assert minus == pytest.approx(oracle_minus_joint(theta, alpha, g), abs=1e-12)
 
@@ -150,7 +154,7 @@ class TestExactReadoutInformation:
 
     @pytest.mark.parametrize("theta, alpha, g", READOUT_POINTS)
     def test_joint_slopes_match_closed_form(self, theta, alpha, g):
-        _, slopes = _readout(theta, alpha, g)
+        _, slopes = _readout_law(theta, alpha, g)
         np.testing.assert_allclose(slopes, oracle_joint_slopes(theta, alpha, g), rtol=1e-10)
 
     def test_derivative_agrees_with_the_cached_probabilities(self):
@@ -187,12 +191,12 @@ class TestExactReadoutInformation:
             rounding = (eps / (g * abs(np.cos(alpha + theta)))) ** 2
             assert abs(readout / exact - 1.0) <= 1e-12 + rounding, (theta, alpha, g)
 
-    def test_the_law_checks_only_g_and_equals_the_checked_readout(self, monkeypatch):
+    def test_the_law_checks_only_g_and_equals_the_readout_law(self, monkeypatch):
         law = conditional_outcome_model(THETA, ALPHA)
         points = (0.0349, -0.2, 0.0, 1)
         expected = []
         for g in points:
-            (p_plus, p_minus), (dp_plus, dp_minus) = _readout(THETA, ALPHA, g)
+            (p_plus, p_minus), (dp_plus, dp_minus) = _readout_law(THETA, ALPHA, g)
             total = p_plus + p_minus
             dq = (p_plus * dp_minus - p_minus * dp_plus) / total**2
             expected.append(((p_plus / total, p_minus / total), (-dq, dq)))
@@ -968,11 +972,16 @@ ANY_FLOAT = st.one_of(st.floats(), st.floats(-2.0, 2.0))
 
 @settings(max_examples=300, deadline=None)
 @given(theta=ANY_FLOAT, alpha=ANY_FLOAT, g=ANY_FLOAT)
+@example(theta=0.5, alpha=-0.5, g=1e308)  # g |A_w| Omega overflows
 def test_public_entry_points_return_finite_floats_or_raise_wva_error(theta, alpha, g):
     def pure_quantities():
         setup = real_superposition_setup(theta, alpha, g)
         weighted, leading = probabilistic_qfi(setup)
-        return postselect(setup).p, fm_exact(setup), weighted, leading
+        result = postselect(setup)
+        margin = weak_regime_margin(setup)  # raises where a_w is None, so fm_leading gets a value
+        assert in_weak_regime(setup) is (margin < WEAK_REGIME_LIMIT)
+        leading_fm = fm_leading(setup.omega, result.a_w)
+        return result.p, fm_exact(setup), weighted, leading, margin, leading_fm
 
     def readout_information():
         return (cfi_discrete(conditional_outcome_model(theta, alpha), g),)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wva_costlab import (
@@ -469,11 +469,32 @@ class TestScalarOutcomeChecks:
             "cfi_discrete: information overflows the float range",
         } <= messages
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(-1e3, 1e3), max_size=300))
-    def test_pairwise_sum_is_numpys_sum_at_every_length(self, values):
-        expected = float(np.asarray(values, dtype=float).sum())
-        assert (0.0 + fisher._pairwise_sum(values)).hex() == expected.hex()
+    @settings(max_examples=300, deadline=None)
+    @given(
+        size=st.one_of(st.integers(1, 16), st.integers(1, 300)),
+        seed=st.integers(0, 2**32 - 1),
+        excess=st.one_of(
+            st.floats(-2e-12, 2e-12),
+            st.builds(lambda side, ulps: side * 1e-12 + ulps * 2.0**-52,
+                      st.sampled_from([-1.0, 1.0]), st.integers(-16, 16)),
+        ),
+        negative=st.sampled_from([None, -0.0, -5e-13, -2e-12]),
+        as_tuple=st.booleans(),
+    )
+    # at 8 values numpy's pairwise sum first departs from left to right; here the two decide apart
+    @example(size=8, seed=0, excess=1e-12 - 2.0**-52, negative=None, as_tuple=True)
+    @example(size=8, seed=1, excess=-1e-12 - 2.0**-52, negative=None, as_tuple=False)
+    def test_distribution_is_numpys_at_every_length(self, size, seed, excess, negative, as_tuple):
+        # sums within 2e-12 of 1 straddle the 1e-12 accept/reject line, some within a few
+        # ulps of it, where the summation order decides; a moved-out entry straddles the
+        # range edge at -1e-12, and a law of size 1 the edge at 1
+        p = np.random.default_rng(seed).dirichlet(np.ones(size)) * (1.0 + excess)
+        if negative is not None and size > 1:
+            p[-1] += p[0] - negative
+            p[0] = negative
+        law = tuple(p.tolist()) if as_tuple else p
+        expected = _outcome(lambda: _numpy_distribution(law))
+        assert _outcome(lambda: np.array(fisher._distribution(law))) == expected
 
     def test_readout_models_same_bits(self):
         rng = np.random.default_rng(5)

@@ -472,8 +472,8 @@ class TestKernelSharing:
         _, v, dv = setup._out
         assert not v.flags.writeable and not dv.flags.writeable
 
-    def test_signal_and_weighted_qfi_derived_once_per_setup(self, monkeypatch):
-        counts = {"_amplitude": 0, "_weighted_qfi": 0}
+    def test_signal_weak_value_and_weighted_qfi_derived_once_per_setup(self, monkeypatch):
+        counts = {"_amplitude": 0, "_overlap": 0, "_weighted_qfi": 0}
         for name in counts:
             original = getattr(postselect_module, name)
 
@@ -487,8 +487,8 @@ class TestKernelSharing:
             result = postselect(setup)
             fm = fm_exact(setup)
             exact, _ = probabilistic_qfi(setup)
-            weak_regime_margin(setup)
-        assert counts == {"_amplitude": 1, "_weighted_qfi": 1}
+            result.a_w, weak_regime_margin(setup), in_weak_regime(setup)
+        assert counts == {"_amplitude": 1, "_overlap": 1, "_weighted_qfi": 1}
         assert result.a_w == weak_value(setup.psi_si, setup.psi_sf, setup.A)
         assert fm == exact / result.p
 
@@ -540,7 +540,8 @@ class TestLazyResult:
         for theta, alpha, g in [*qfi_panel(), *self.ORTHOGONAL]:
             setup = real_superposition_setup(theta, alpha, g)
             result = postselect(setup)
-            assert "a_w" not in vars(result) and "_collapsed_ket" not in vars(setup)
+            assert "a_w" not in vars(result)
+            assert "_collapsed_ket" not in vars(setup) and "_weak_value" not in vars(setup)
             try:
                 eager_a_w = weak_value(setup.psi_si, setup.psi_sf, setup.A)
             except OrthogonalPostselectionError:
@@ -694,6 +695,21 @@ class TestWeakRegime:
         strong = real_superposition_setup(np.pi / 6, np.radians(115.0), 0.02)
         assert weak_regime_margin(strong) > 0.1
         assert not in_weak_regime(strong)
+
+    def test_margin_beyond_the_float_range_raises(self):
+        setup = real_superposition_setup(0.5, -0.5, 1e308)  # g |A_w| Omega = 1e308 |A_w| > max
+        for check in (weak_regime_margin, in_weak_regime):
+            with pytest.raises(ContractViolationError, match="overflows the float range"):
+                check(setup)
+        a_w = postselect(setup).a_w
+        assert weak_regime_margin(setup.at(1e307)) == pytest.approx(1e307 * abs(a_w))
+
+    def test_margin_at_an_orthogonal_pair_raises_as_the_weak_value_does(self):
+        setup = real_superposition_setup(0.4, 0.4 + np.pi / 2, 0.3)
+        for check in (weak_regime_margin, in_weak_regime):
+            with pytest.raises(OrthogonalPostselectionError,
+                               match="^weak_value: pre- and postselection are orthogonal$"):
+                check(setup)
 
     def test_margin_needs_a_pure_input(self):
         pure = real_superposition_setup(np.pi / 6, -np.pi / 6, 0.0349)

@@ -55,7 +55,7 @@ from .postselect import (
     real_superposition_setup,
     weak_regime_margin,
 )
-from .states import check_theta
+from .states import check_theta, finite_real
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suites
 
 PROG = "wva-costlab"
@@ -290,8 +290,12 @@ def _float_valued(argv) -> list[str]:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(_float_valued(sys.argv[1:] if argv is None else argv))
     try:
-        if "theta" in _COMMANDS[args.command][1]:
+        flags = _COMMANDS[args.command][1]
+        if "theta" in flags:
             check_theta(args.theta, "--theta")  # the documented (0, pi/4]
+        for flag in ("alpha", "g"):  # a non-finite value gets the flag's name, not the library's
+            if flag in flags:
+                finite_real(getattr(args, flag), f"--{flag}")
         return _COMMANDS[args.command][0](args)
     except WvaError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)

@@ -20,9 +20,10 @@ construction, and the standard-basis readout of
 :mod:`~wva_costlab.experiment` calls the core on amplitude pairs directly.
 
 A setup evaluates the kernel at most once (``_evaluate``) and caches its
-output. For a ket that is (p, v, dv), and next to it the signal amplitude
-<sf|A|si> and the weighted QFI p F_m, so :func:`postselect`, :func:`fm_exact`
-and :func:`probabilistic_qfi` on one setup share one derivation of each. The
+output. For a ket that is p, the core's four scalars (v0, v1, dv0, dv1) and v
+as an array, and next to it the setup caches the signal amplitude <sf|A|si>
+and the weighted QFI p F_m, so :func:`postselect`, :func:`fm_exact` and
+:func:`probabilistic_qfi` on one setup share one derivation of each. The
 postselection probability is p = <v|v>, and the collapsed-state QFI is the
 pure-state QFI of v / sqrt(p), F_m = 4 (<dv|dv>/p - |<v|dv>|^2/p^2)
 (Braunstein & Caves, PRL 72, 3439 (1994); Paris, IJQI 7, 125 (2009)), taken
@@ -48,10 +49,13 @@ evaluated in double, k stayed below 7.2 over 2e5 points with theta in
 (0, pi/4], delta from 1e-10 to 1 and 1e-7 <= |g| <= 1, and below 3.1 where
 delta <= 1e-2; the closed forms' own rounding sets the larger value.
 
-A density-matrix input gets (p, K) with K = V rho_s V^dag from
-``_meter_columns``, one value-only pass over both columns of V with the
-core's expressions, and the setup caches it with the collapsed state K / p
-that :func:`postselect_mixed` returns. Only :func:`fm_exact` needs the
+A density-matrix input gets K = V rho_s V^dag from ``_meter_columns``, one
+value-only pass over both columns of V with the core's expressions. K is
+Hermitian, so the kernel returns p = Tr K and the three Python scalars
+(k00, k10, k11), and the setup caches them. The setup builds the collapsed
+state K / p from those scalars once, with no array in between
+(``_collapsed_state``, which divides as numpy would), and caches it as the
+state that :func:`postselect_mixed` returns. Only :func:`fm_exact` needs the
 derivative: on its first call the setup runs ``_meter_qfi``, the full kernel
 on the basis kets and the Bloch-form qubit QFI of K / p, with no eigensolve
 and no rank cutoff, and caches F_m.
@@ -59,10 +63,11 @@ and no rank cutoff, and caches F_m.
 The meter family that the finite-difference oracles of
 :mod:`~wva_costlab.fisher` probe (:func:`postselected_meter_family`) runs only
 the kernel at each probe g, with the finite-g and probability-floor checks of
-``setup.at(g)`` but no new :class:`WvaSetup`; a probe equals the
-``setup.at(g)`` path bit for bit. A probe at the setup's own coupling, sign
-included, runs the checks and returns the setup's cached state instead of
-running the kernel again.
+``setup.at(g)`` but no new :class:`WvaSetup`, and builds its state from the
+kernel's scalars as the setup does; a probe equals the ``setup.at(g)`` path
+bit for bit. A probe at the setup's own coupling, sign included, runs the
+checks and returns the setup's cached state instead of running the kernel
+again.
 """
 
 from __future__ import annotations
@@ -112,19 +117,20 @@ def _meter_core(s, f, x, a_split, m_split, g: float) -> tuple[complex, complex, 
     Inputs are not validated; :class:`WvaSetup` checks them once, at construction.
     """
     s0, s1 = s
-    f0, f1 = (c.conjugate() for c in f)
+    f0, f1 = f[0].conjugate(), f[1].conjugate()
     x0, x1 = x
     # (a_i, <sf|P_i|si>)
     sys_terms = [
         (a, f0 * (p00 * s0 + p01 * s1) + f1 * (p10 * s0 + p11 * s1))
         for a, (p00, p01, p10, p11) in a_split
     ]
+    ig = -1j * g  # -1j * g * x evaluates as ig * x: hoisting it keeps every bit
     v0 = v1 = d0 = d1 = 0j
     for m, (q00, q01, q10, q11) in m_split:
         w = dw = 0j
         for a, amp in sys_terms:
             generator = a * m
-            phase = cmath.exp(-1j * g * generator)
+            phase = cmath.exp(ig * generator)
             w += amp * phase
             dw += amp * (-1j * generator * phase)
         y0 = q00 * x0 + q01 * x1  # Q_j|phi>
@@ -145,7 +151,7 @@ def _meter_columns(
     the same expressions in the same order, but each phase exp(-i g a_i m_j) is
     evaluated once for both columns and no derivative is formed.
     """
-    f0, f1 = (c.conjugate() for c in f)
+    f0, f1 = f[0].conjugate(), f[1].conjugate()
     x0, x1 = x
     # (a_i, <sf|P_i|0>, <sf|P_i|1>): _meter_core's <sf|P_i|si> with the basis amplitudes
     # written in, since dropping the products by 1.0 and 0.0 is not proved to keep signed zeros
@@ -157,11 +163,12 @@ def _meter_columns(
         )
         for a, (p00, p01, p10, p11) in a_split
     ]
+    ig = -1j * g
     a0 = a1 = b0 = b1 = 0j
     for m, (q00, q01, q10, q11) in m_split:
         u = w = 0j
         for a, amp0, amp1 in sys_terms:
-            phase = cmath.exp(-1j * g * (a * m))
+            phase = cmath.exp(ig * (a * m))
             u += amp0 * phase
             w += amp1 * phase
         y0 = q00 * x0 + q01 * x1  # Q_j|phi>
@@ -180,31 +187,53 @@ def _sandwich(r, u0, u1, w0, w1):
 
 
 def _evaluate(setup: "WvaSetup", g: float) -> tuple:
-    """Kernel output at g: (p, v, dv) of a ket input, (p, K) of a density matrix.
+    """Kernel output at g, in Python scalars except where a caller needs an array.
 
-    For a ket, p = <v|v>. For a density matrix, :func:`_meter_columns` gives the
-    two columns of V = <sf|U(g)|.>|phi> in one value-only pass, so no derivative
-    is formed, and K = V rho_s V^dag with p = Tr K. The arrays are read-only, so
-    callers may share them.
+    A ket gives (p, v, (v0, v1, dv0, dv1)): the core's scalars, beside v as a
+    read-only array, which callers may share and which gives p = <v|v> as BLAS
+    ``vdot`` forms it. A density matrix gives (p, (k00, k10, k11)):
+    :func:`_meter_columns` gives the two columns of V = <sf|U(g)|.>|phi> in one
+    value-only pass, so no derivative is formed, and the Hermitian
+    K = V rho_s V^dag is kept as its real diagonal k00, k11 and its entry k10
+    below the diagonal, with p = Tr K = k00 + k11.
     """
     f, x = setup.psi_sf.amplitudes.tolist(), setup.phi_mi.amplitudes.tolist()
     a_split, m_split = setup.A._split, setup.M._split
     if isinstance(setup.psi_si, Ket):
-        v0, v1, d0, d1 = _meter_core(setup.psi_si.amplitudes.tolist(), f, x, a_split, m_split, g)
-        v = np.array([v0, v1])
-        return float(np.real(np.vdot(v, v))), _readonly(v), _readonly(np.array([d0, d1]))
+        core = _meter_core(setup.psi_si.amplitudes.tolist(), f, x, a_split, m_split, g)
+        v = np.array(core[:2])
+        return float(np.real(np.vdot(v, v))), _readonly(v), core
     a0, a1, b0, b1 = _meter_columns(f, x, a_split, m_split, g)
-    r = tuple(setup.psi_si.entries.ravel().tolist())
+    r = setup.psi_si.entries.ravel().tolist()
     k00, k11 = _sandwich(r, a0, b0, a0, b0).real, _sandwich(r, a1, b1, a1, b1).real
-    k10 = _sandwich(r, a1, b1, a0, b0)
-    return k00 + k11, _readonly(np.array([[k00, k10.conjugate()], [k10, k11]]))
+    return k00 + k11, (k00, _sandwich(r, a1, b1, a0, b0), k11)
+
+
+def _collapsed_state(p: float, k: tuple) -> DensityMatrix:
+    """The collapsed meter state K / p of :func:`_evaluate`'s (k00, k10, k11), for p > 0.
+
+    Bit for bit ``DensityMatrix(K / p)`` of the 2x2 array K, with no array in
+    between. numpy divides by p + 0j with Smith's method, whose ratio 0.0 / p is
+    0.0, so an entry z becomes (z.real + z.imag * 0.0, z.imag - z.real * 0.0) * s
+    with s = 1 / p; the products by 0.0 decide the signs of zeros. The entry
+    above the diagonal is conj(k10) = (re, -im), and a diagonal entry's imaginary
+    part is 0.0. The public constructor runs every check on the result.
+    """
+    k00, k10, k11 = k
+    s, re, im = 1.0 / p, k10.real, k10.imag
+    return DensityMatrix([
+        [complex((k00 + 0.0) * s, (0.0 - k00 * 0.0) * s),
+         complex((re - im * 0.0) * s, (-im - re * 0.0) * s)],
+        [complex((re + im * 0.0) * s, (im - re * 0.0) * s),
+         complex((k11 + 0.0) * s, (0.0 - k11 * 0.0) * s)],
+    ])
 
 
 def _meter_qfi(setup: "WvaSetup") -> float:
     """F_m of a density-matrix setup: the Bloch-form qubit QFI of K / p, in Python scalars.
 
     :func:`_meter_core` on the basis kets gives the columns of V and dV, so
-    K = V rho_s V^dag (bit for bit that of :func:`_evaluate`) and
+    K = V rho_s V^dag (its k00, k10 and k11 bit for bit those of :func:`_evaluate`) and
     dK = dV rho_s V^dag + h.c. With r the Bloch vector of K / p, F_m is
     |dr|^2 + (r.dr)^2 / (1 - |r|^2) (Zhong et al., PRA 87, 022337 (2013)). By Cauchy-Binet,
     |det V| = |E| with E = 2 |det(P_0 sf, P_1 sf) det(Q_0 phi, Q_1 phi)| sin(g d / 2) and
@@ -217,7 +246,7 @@ def _meter_qfi(setup: "WvaSetup") -> float:
     a_split, m_split = setup.A._split, setup.M._split
     a0, a1, da0, da1 = _meter_core((1.0, 0.0), f, x, a_split, m_split, g)
     b0, b1, db0, db1 = _meter_core((0.0, 1.0), f, x, a_split, m_split, g)
-    r = tuple(setup.psi_si.entries.ravel().tolist())
+    r = setup.psi_si.entries.ravel().tolist()
     k00, k11 = _sandwich(r, a0, b0, a0, b0).real, _sandwich(r, a1, b1, a1, b1).real
     k10 = _sandwich(r, a1, b1, a0, b0)
     d00 = 2.0 * _sandwich(r, da0, db0, a0, b0).real
@@ -253,8 +282,9 @@ class WvaSetup:
     ``M`` that keeps the last ``phi_mi`` object, so setups sharing both
     objects compute them once; every setup still runs the balance and
     positivity checks. Each kernel output is derived at most once, on first
-    use, and only when a caller reads it: ``_out``, which
-    is (p, v, dv) of a ket or (p, K) of a density matrix (:func:`_evaluate`);
+    use, and only when a caller reads it: ``_out``, which is
+    (p, v, (v0, v1, dv0, dv1)) of a ket or (p, (k00, k10, k11)) of a density
+    matrix (:func:`_evaluate`);
     the F_m of a density matrix (``_fm``), which only :func:`fm_exact` reads;
     the collapsed meter ket and the weak value of a ket input, which a
     :func:`postselect` result reads as ``phi_mf`` and ``a_w`` and the weak-regime
@@ -296,7 +326,7 @@ class WvaSetup:
 
     @functools.cached_property
     def _out(self) -> tuple:
-        """Kernel output at the setup's coupling, (p, v, dv) or (p, K) (:func:`_evaluate`)."""
+        """Kernel output at the setup's coupling (:func:`_evaluate`)."""
         return _evaluate(self, self.g)
 
     @functools.cached_property
@@ -306,8 +336,9 @@ class WvaSetup:
 
     @functools.cached_property
     def _weighted(self) -> float:
-        """p * F_m of a ket input from the cached (p, v, dv); read only past the P_FLOOR check."""
-        return _weighted_qfi(*self._out)
+        """p * F_m of a ket input from the kernel's scalars; read only past the P_FLOOR check."""
+        p, _, core = self._out
+        return _weighted_qfi(p, *core)
 
     @functools.cached_property
     def _fm(self) -> float:
@@ -332,8 +363,7 @@ class WvaSetup:
         """Collapsed meter state of either input; read only past the P_FLOOR check."""
         if isinstance(self.psi_si, Ket):
             return DensityMatrix.from_ket(self._collapsed_ket)
-        p, K = self._out
-        return DensityMatrix(K / p)
+        return _collapsed_state(*self._out)
 
     def at(self, g: float) -> "WvaSetup":
         """Copy of this setup with a different coupling strength."""
@@ -425,14 +455,13 @@ def _own_coupling(setup: WvaSetup, g: float) -> bool:
     return g == setup.g and math.copysign(1.0, g) == math.copysign(1.0, setup.g)
 
 
-def _weighted_qfi(p: float, v: np.ndarray, dv: np.ndarray) -> float:
-    """p * F_m = 4 (<dv|dv> - |<v|dv>|^2 / p) of the unnormalized qubit meter vector.
+def _weighted_qfi(p: float, v0: complex, v1: complex, d0: complex, d1: complex) -> float:
+    """p * F_m = 4 (<dv|dv> - |<v|dv>|^2 / p) of the unnormalized qubit meter vector v, dv.
 
     Evaluated as 4 |v0 dv1 - v1 dv0|^2 / p, equal by Lagrange's identity, which is
     non-negative by construction; the difference of the two terms cancels to garbage
     near orthogonal postselection, where v and dv are nearly parallel.
     """
-    (v0, v1), (d0, d1) = v.tolist(), dv.tolist()
     return 4.0 * abs(v0 * d1 - v1 * d0) ** 2 / p
 
 
@@ -475,7 +504,7 @@ def postselected_meter_family(setup: WvaSetup) -> MixedFamily:
         out = _kernel(setup, where, g=g)
         if ket_input:
             return DensityMatrix.from_ket(Ket(out[1]))
-        return DensityMatrix(out[1] / out[0])
+        return _collapsed_state(*out)
 
     return family
 

@@ -122,7 +122,13 @@ def _square_entries(
         raise ContractViolationError(f"{where}: entries must be finite")
     if hermitian:
         try:
-            skew = max([abs(flat[ij] - flat[ji].conjugate()) for ij, ji in _UPPER[mat.shape[0]]])
+            if len(flat) == 4:  # a qubit: _UPPER[2]'s three pairs, written out
+                h00, h01, h10, h11 = flat
+                skew = max(abs(h00 - h00.conjugate()), abs(h01 - h10.conjugate()),
+                           abs(h11 - h11.conjugate()))
+            else:
+                pairs = _UPPER[mat.shape[0]]
+                skew = max([abs(flat[ij] - flat[ji].conjugate()) for ij, ji in pairs])
         except OverflowError:  # |z| beyond the float range, where numpy gives inf
             skew = math.inf
         if skew > HERMITIAN_TOL:

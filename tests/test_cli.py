@@ -181,7 +181,14 @@ class TestSimulate:
         assert main(args) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.splitlines() == ["wva-costlab: error: --g must be finite"]
+
+    def test_nan_alpha_exits_1(self, capsys):
+        args = ["simulate", "--theta", THETA, "--alpha", "nan", "--g", "0.05", "--reps", "20"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["wva-costlab: error: --alpha must be finite"]
 
 
     @pytest.mark.parametrize("g", ["-0.05", "1.2"])
@@ -230,7 +237,24 @@ class TestQfi:
         assert main(["qfi", "--theta", THETA, "--alpha", alpha, "--g", "1e-3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "wva-costlab: error: superposition: angle must be finite\n"
+        assert captured.err == "wva-costlab: error: --alpha must be finite\n"
+
+    def test_nan_coupling_names_the_flag(self, capsys):
+        assert main(["qfi", "--theta", THETA, "--alpha", ALPHA, "--g", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["wva-costlab: error: --g must be finite"]
+
+    def test_degenerate_postselection_angle_exits_1(self, capsys):
+        # alpha = pi/2 - theta: cos(alpha + theta) vanishes and the conditional
+        # readout law is undefined, although p and fm_exact are finite there
+        argv = ["qfi", "--theta", "0.6283185307179586", "--alpha", "0.9424777960769379"]
+        assert main([*argv, "--g", "0.1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "wva-costlab: error: conditional_outcome_model: degenerate pre/postselection pair"
+        ]
 
     @pytest.mark.parametrize("flag", ["--alpha", "--g"])
     def test_negative_value_with_an_exponent_is_the_flags_value(self, flag, capsys):

@@ -469,8 +469,9 @@ class TestKernelSharing:
         probabilistic_qfi(setup)
         postselect(setup)
         assert kernel_calls == [0.0349]
-        _, v, dv = setup._out
-        assert not v.flags.writeable and not dv.flags.writeable
+        _, v, core = setup._out
+        assert not v.flags.writeable and v.tobytes() == np.array(core[:2]).tobytes()
+        assert [type(z) for z in core] == [complex] * 4
 
     def test_signal_weak_value_and_weighted_qfi_derived_once_per_setup(self, monkeypatch):
         counts = {"_amplitude": 0, "_overlap": 0, "_weighted_qfi": 0}
@@ -823,6 +824,20 @@ def _eager_meter_operator(rho_s, psi_sf, phi_mi, A, M, g):
     return k00 + k11, K, dK, (r00.real * r11.real - abs(r10) ** 2, e, de)
 
 
+def _meter_operator(k):
+    """The 2x2 array K of the kernel's (k00, k10, k11), as the kernel once returned it."""
+    k00, k10, k11 = k
+    return np.array([[k00, k10.conjugate()], [k10, k11]])
+
+
+def _bits_or_error(make):
+    """The bytes of the state that ``make`` builds, or the repr of the WvaError it raises."""
+    try:
+        return make().entries.tobytes()
+    except WvaError as exc:
+        return repr(exc)
+
+
 def _bloch_qfi(p, K, dK, det_parts):
     """The Bloch-form qubit QFI of K / p from the eager kernel's output, as a reference.
 
@@ -1045,9 +1060,8 @@ class TestMixedKernel:
         assert postselect_mixed(setup)[0] == p and fm_exact(setup) == fm
         # V's two columns in one pass, and dV's on the basis kets, once each
         assert (len(columns), calls) == (1, [(1.0, 0.0), (0.0, 1.0)])
-        _, K = setup._out
-        assert not K.flags.writeable
-        assert rho_m.entries == pytest.approx(K / p)
+        _, k = setup._out
+        assert rho_m.entries.tobytes() == (_meter_operator(k) / p).tobytes()
         fm_exact(setup.at(0.02))
         assert (len(columns), len(calls)) == (2, 4)
 
@@ -1055,12 +1069,56 @@ class TestMixedKernel:
         for setup in _seeded_mixed_setups(11, 400):
             args = (setup.psi_si, setup.psi_sf, setup.phi_mi, setup.A, setup.M, setup.g)
             p_ref, K_ref, dK_ref, det_ref = _eager_meter_operator(*args)
-            p, K = postselect_module._evaluate(setup, setup.g)
-            assert (p.hex(), K.tobytes()) == (p_ref.hex(), K_ref.tobytes())  # signed zeros too
+            p, k = postselect_module._evaluate(setup, setup.g)
+            # signed zeros too
+            assert (p.hex(), _meter_operator(k).tobytes()) == (p_ref.hex(), K_ref.tobytes())
             if p_ref >= postselect_module.P_FLOOR:
                 expected = _bloch_qfi(p_ref, K_ref, dK_ref, det_ref)
                 assert postselect_module._meter_qfi(setup).hex() == expected.hex()
                 assert fm_exact(setup).hex() == expected.hex()
+
+    # signed zeros, subnormals, the largest floats, and anything else finite
+    PART = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         1.7976931348623157e308, -1.7976931348623157e308]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+
+    @settings(max_examples=500, deadline=None)
+    @given(p=st.floats(1e-14, 1e3), k00=PART, k11=PART, re=PART, im=PART)
+    @example(p=0.5, k00=-0.0, k11=-0.0, re=-0.0, im=0.0)  # the signs numpy's zeros take
+    def test_collapsed_state_entries_are_numpys_quotients(self, p, k00, k11, re, im):
+        # The helper forms K / p in Python scalars; numpy's complex divide must give the
+        # same bytes, overflow to inf included, or the collapsed states' bits would move.
+        k10 = complex(re, im)
+        with pytest.MonkeyPatch.context() as patch:  # catch the rows the constructor gets
+            patch.setattr(postselect_module, "DensityMatrix", lambda rows: rows)
+            rows = postselect_module._collapsed_state(p, (k00, k10, k11))
+        with np.errstate(all="ignore"):
+            for got, z in zip([*rows[0], *rows[1]], (k00, k10.conjugate(), k10, k11)):
+                assert np.array([got]).tobytes() == (np.array([complex(z)]) / p).tobytes()
+            assert np.array(rows).tobytes() == (_meter_operator((k00, k10, k11)) / p).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), g=st.floats(1e-4, 1.0))
+    def test_collapsed_states_same_bits_as_dividing_the_array(self, seed, g):
+        # The setup's state and both probes of qfi_mixed equal DensityMatrix(K / p) of the
+        # eager kernel's array, byte for byte, and fail where it fails, with its message.
+        rng = np.random.default_rng(seed)
+        r = rng.normal(size=3)
+        r *= rng.uniform() ** (1.0 / 3.0) / np.linalg.norm(r)
+        args = (_bloch_density(*r), Ket(rng.normal(size=2) + 1j * rng.normal(size=2)),
+                BALANCED_METER, SIGMA, SIGMA)
+        setup = WvaSetup(*args, g)
+        family = postselected_meter_family(setup)
+        for at in (g, g - STEP, g + STEP):  # family(g) is the state postselect_mixed returns
+            p_ref, K_ref, _, _ = _eager_meter_operator(*args, at)
+            if p_ref < postselect_module.P_FLOOR:
+                with pytest.raises(VanishingPostselectionError):
+                    family(at)
+            else:
+                expected = _bits_or_error(lambda: DensityMatrix(K_ref / p_ref))
+                assert _bits_or_error(lambda: family(at)) == expected
 
     def test_slope_formed_only_by_fm_exact(self, monkeypatch):
         (columns, cores), slopes = _count_kernels(monkeypatch), []

@@ -10,6 +10,13 @@ QFI of the weak-value model does not come from here, for pure or mixed system
 inputs: its derivative is known in closed form, and
 :func:`~wva_costlab.postselect.fm_exact` evaluates it exactly.
 
+:func:`qfi_mixed` sums the symmetric logarithmic derivative over the
+eigenpairs of rho(g). A qubit family's eigenpairs come in closed form, in
+Python scalars, from the split rho = h0 I + K with eigenvalues h0 +- |K| that
+``HermitianOperator._split`` also reads; a 4x4 family's come from LAPACK
+``eigh``. It stays a finite-difference SLD sum, independent of the Bloch form
+that ``fm_exact`` takes for a mixed input.
+
 A discrete outcome law is a plain callable ``g -> (probabilities, slopes)``
 with exact slopes. :func:`cfi_discrete` sums its information with no step, in
 Python scalars that keep numpy's ``**`` rounding. Its distribution check adds
@@ -25,7 +32,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import ContractViolationError, StepTooLargeError, UnsupportedInputError
-from .states import DensityMatrix, HermitianOperator, Ket, UnitaryOperator
+from .states import DensityMatrix, HermitianOperator, Ket, UnitaryOperator, _qubit_parts
 
 PureFamily = Callable[[float], Ket]
 MixedFamily = Callable[[float], DensityMatrix]
@@ -140,20 +147,60 @@ def qfi_product_coupling(
     return 4.0 * a2.expectation(rho_s) * mean_m2
 
 
+def _qubit_eigen_cross(
+    rho0: DensityMatrix, plus: DensityMatrix, minus: DensityMatrix, width: float
+) -> tuple[list[float], list[list[complex]]]:
+    """Eigenvalues of a qubit rho0, ascending, and <i|d rho|j> over its eigenvectors.
+
+    All in Python scalars. With rho0 = h0 I + K (``_qubit_parts``), the
+    eigenvalues are h0 -+ r. The h0 + r eigenvector x is the larger-norm column
+    of K + r I, (r + kz, h10) for kz >= 0 and (conj h10, r - kz) otherwise,
+    normalized, and the h0 - r eigenvector is its orthogonal complement
+    (-conj x1, conj x0); at r = 0 they are the standard basis. d rho is
+    (plus - minus) / width entry by entry.
+    """
+    h0, kz, h10, r = _qubit_parts(rho0.entries.ravel().tolist())
+    if r == 0.0:
+        x0, x1 = 1.0, 0.0
+    else:
+        s = r + abs(kz)  # the larger of r + kz and r - kz
+        norm = math.hypot(s, h10.real, h10.imag)
+        x0, x1 = (s / norm, h10 / norm) if kz >= 0.0 else (h10.conjugate() / norm, s / norm)
+    d00, d01, d10, d11 = [
+        (p - m) / width
+        for p, m in zip(plus.entries.ravel().tolist(), minus.entries.ravel().tolist())
+    ]
+    y0, y1 = x0.conjugate(), x1.conjugate()  # <high| = (y0, y1), |low> = (-y1, y0)
+    low0, low1 = d01 * y0 - d00 * y1, d11 * y0 - d10 * y1  # d rho |low>
+    high0, high1 = d00 * x0 + d01 * x1, d10 * x0 + d11 * x1  # d rho |high>
+    return [h0 - r, h0 + r], [
+        [x0 * low1 - x1 * low0, x0 * high1 - x1 * high0],  # <low| = (-x1, x0)
+        [y0 * low0 + y1 * low1, y0 * high0 + y1 * high1],
+    ]
+
+
 def qfi_mixed(family: MixedFamily, g: float) -> float:
     """QFI of a density-matrix family via the symmetric-logarithmic-derivative sum.
 
     Evaluates F = sum_{i,j} 2 |<i|d rho|j>|^2 / (lambda_i + lambda_j) over the
     eigenpairs of rho(g) with lambda_i + lambda_j above the rank cutoff, and
-    d rho from a central difference with :data:`STEP`. On the
-    postselected meter families it is trusted only for g >= 1e-3 and a smaller
-    eigenvalue above about 1e-8: that eigenvalue grows like g^2, and below that
-    its term is lost under the cutoff or to the difference quotient's rounding.
+    d rho from a central difference with :data:`STEP`; the probes run at g,
+    g + STEP and g - STEP, in that order. When all three are qubits the
+    eigenpairs and <i|d rho|j> come in closed form, in Python scalars, from the
+    split of ``HermitianOperator._split`` (:func:`_qubit_eigen_cross`); otherwise
+    from LAPACK ``eigh`` and a matrix product, so a family that mixes dimensions
+    fails in numpy. On the postselected meter families it is trusted only for
+    g >= 1e-3 and a smaller eigenvalue above about 1e-8: that eigenvalue grows
+    like g^2, and below that its term is lost under the cutoff or to the
+    difference quotient's rounding.
     """
-    rho0 = family(g)
-    drho = (family(g + STEP).entries - family(g - STEP).entries) / (2.0 * STEP)
-    lam, vecs = np.linalg.eigh(rho0.entries)
-    lam, cross = lam.tolist(), (vecs.conj().T @ drho @ vecs).tolist()
+    rho0, plus, minus = family(g), family(g + STEP), family(g - STEP)
+    if rho0.dim == plus.dim == minus.dim == 2:
+        lam, cross = _qubit_eigen_cross(rho0, plus, minus, 2.0 * STEP)
+    else:
+        drho = (plus.entries - minus.entries) / (2.0 * STEP)
+        lam, vecs = np.linalg.eigh(rho0.entries)
+        lam, cross = lam.tolist(), (vecs.conj().T @ drho @ vecs).tolist()
     total = 0.0
     for li, row in zip(lam, cross):
         for lj, c in zip(lam, row):

@@ -17,12 +17,16 @@ from wva_costlab import (
     ReferenceBasis,
     StepTooLargeError,
     UnsupportedInputError,
+    WvaError,
+    WvaSetup,
     cfi_discrete,
     conditional_outcome_model,
     coupling_unitary,
     fisher,
+    fm_exact,
     hermitian_eigs,
     postselect,
+    postselected_meter_family,
     qfi_mixed,
     qfi_product_coupling,
     qfi_pure,
@@ -30,6 +34,7 @@ from wva_costlab import (
     real_superposition_setup,
     tensor,
 )
+from wva_costlab.fisher import STEP
 
 BASIS = ReferenceBasis.standard()
 SIGMA = BASIS.sigma()
@@ -188,6 +193,38 @@ class TestQfiProductCoupling:
             assert numeric == pytest.approx(closed, abs=1e-6)
 
 
+def unitary_family(rng, dim):
+    """g -> exp(-i g H) rho0 exp(i g H) for a random H and rho0; rho0's first weight is at
+    times scaled under the rank cutoff."""
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    unitary, _ = np.linalg.qr(raw)
+    spectrum = rng.dirichlet(np.ones(dim))
+    spectrum[0] *= rng.choice([1.0, 1e-11])  # one term under the rank cutoff
+    spectrum /= spectrum.sum()
+    rho0 = unitary @ np.diag(spectrum) @ unitary.conj().T
+    h, hv = np.linalg.eigh(raw + raw.conj().T)
+
+    def family(g):
+        u = hv @ np.diag(np.exp(-1j * g * h)) @ hv.conj().T
+        return DensityMatrix(u @ rho0 @ u.conj().T)
+
+    return family
+
+
+def lapack_sld_sum(family, g):
+    """The SLD sum over LAPACK eigh of rho(g) and the product V^dag d rho V, as a reference."""
+    rho0 = family(g)
+    drho = (family(g + STEP).entries - family(g - STEP).entries) / (2.0 * STEP)
+    lam, vecs = np.linalg.eigh(rho0.entries)
+    lam, cross = lam.tolist(), (vecs.conj().T @ drho @ vecs).tolist()
+    total = 0.0
+    for li, row in zip(lam, cross):
+        for lj, c in zip(lam, row):
+            if li + lj > fisher.RANK_CUTOFF:
+                total += 2.0 * abs(c) ** 2 / (li + lj)
+    return total
+
+
 class TestQfiMixed:
     def test_constant_family_is_zero(self):
         rho = DensityMatrix.mixture([0.5, 0.5], [BASIS.ket0, BASIS.ket1])
@@ -199,8 +236,6 @@ class TestQfiMixed:
         assert qfi_mixed(rho_fam, 0.3) == pytest.approx(qfi_pure(fam, 0.3), abs=1e-6)
 
     def test_postselected_incoherent_meter_capped(self):
-        from wva_costlab import WvaSetup, postselected_meter_family
-
         rho = DensityMatrix.mixture([0.4, 0.6], [BASIS.ket0, BASIS.ket1])
         for alpha in (-0.6, 0.2, 1.0):
             setup = WvaSetup(
@@ -214,30 +249,111 @@ class TestQfiMixed:
             assert qfi_mixed(postselected_meter_family(setup), 1e-3) <= 4.0 + 1e-4
 
     def test_sld_sum_same_bits_as_the_numpy_loop(self):
+        # A 4x4 family keeps LAPACK eigh and the matrix product, bit for bit.
         rng = np.random.default_rng(6)
-        for dim in (2, 4):
-            for _ in range(50):
-                raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                unitary, _ = np.linalg.qr(raw)
-                spectrum = rng.dirichlet(np.ones(dim))
-                spectrum[0] *= rng.choice([1.0, 1e-11])  # one term under the rank cutoff
-                spectrum /= spectrum.sum()
-                rho0 = unitary @ np.diag(spectrum) @ unitary.conj().T
-                h, hv = np.linalg.eigh(raw + raw.conj().T)
+        for _ in range(50):  # the panel's qubit half: test_qubit_path_agrees_with_the_lapack_loop
+            unitary_family(rng, 2)
+        dim = 4
+        for _ in range(50):
+            family = unitary_family(rng, dim)
+            lam, vecs = np.linalg.eigh(family(0.0).entries)
+            drho = (family(1e-5).entries - family(-1e-5).entries) / 2e-5
+            cross = vecs.conj().T @ drho @ vecs
+            expected = 0.0
+            for i in range(dim):
+                for j in range(dim):
+                    if lam[i] + lam[j] > 1e-10:
+                        expected += 2.0 * abs(cross[i, j]) ** 2 / (lam[i] + lam[j])
+            assert qfi_mixed(family, 0.0).hex() == float(expected).hex()
 
-                def family(g, rho0=rho0, h=h, hv=hv):  # exp(-i g H) rho0 exp(i g H)
-                    u = hv @ np.diag(np.exp(-1j * g * h)) @ hv.conj().T
-                    return DensityMatrix(u @ rho0 @ u.conj().T)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), g=st.floats(-1.0, 1.0))
+    @example(seed=6, g=0.0)  # the qubit half of the numpy-loop panel above
+    def test_qubit_path_agrees_with_the_lapack_loop(self, seed, g):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            family = unitary_family(rng, 2)
+            assert qfi_mixed(family, g) == pytest.approx(lapack_sld_sum(family, g), rel=1e-13)
 
-                lam, vecs = np.linalg.eigh(family(0.0).entries)
-                drho = (family(1e-5).entries - family(-1e-5).entries) / 2e-5
-                cross = vecs.conj().T @ drho @ vecs
-                expected = 0.0
-                for i in range(dim):
-                    for j in range(dim):
-                        if lam[i] + lam[j] > 1e-10:
-                            expected += 2.0 * abs(cross[i, j]) ** 2 / (lam[i] + lam[j])
-                assert qfi_mixed(family, 0.0).hex() == float(expected).hex()
+    @pytest.mark.parametrize("mu", [0.8, 0.5, 0.2])  # kz > 0, r = 0 (rho = I/2), kz < 0
+    def test_diagonal_state_closed_form(self, mu):
+        # rho(g) = exp(-i g X) diag(mu + g, 1 - mu - g) exp(i g X) is diagonal at g = 0
+        # (h10 = 0), where F = 1/mu + 1/(1 - mu) from the populations plus 4 (2 mu - 1)^2
+        # from the rotation.
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+        def family(g):
+            u = np.cos(g) * np.eye(2) - 1j * np.sin(g) * x
+            return DensityMatrix(u @ np.diag([mu + g, 1.0 - mu - g]) @ u.conj().T)
+
+        lam, _ = fisher._qubit_eigen_cross(family(0.0), family(STEP), family(-STEP), 2 * STEP)
+        assert lam == pytest.approx([min(mu, 1.0 - mu), max(mu, 1.0 - mu)], abs=1e-16)
+        closed = 1.0 / mu + 1.0 / (1.0 - mu) + 4.0 * (2.0 * mu - 1.0) ** 2
+        assert qfi_mixed(family, 0.0) == pytest.approx(closed, rel=1e-9)
+        assert qfi_mixed(family, 0.0) == pytest.approx(lapack_sld_sum(family, 0.0), rel=1e-13)
+
+    @pytest.mark.parametrize("t", [0.3, 1.2])  # kz > 0 and kz < 0
+    def test_pure_state_drops_the_null_term(self, t):
+        # |psi(g)> = exp(-i g X)(cos t|0> + sin t|1>) carries F = 4 (1 - <X>^2) = 4 cos^2 2t;
+        # its zero eigenvalue's own term falls under the rank cutoff.
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        psi = np.array([np.cos(t), np.sin(t)])
+
+        def family(g):
+            return DensityMatrix.from_ket(Ket((np.cos(g) * np.eye(2) - 1j * np.sin(g) * x) @ psi))
+
+        g = 0.1
+        lam, _ = fisher._qubit_eigen_cross(family(g), family(g + STEP), family(g - STEP), 2 * STEP)
+        assert 2.0 * lam[0] <= fisher.RANK_CUTOFF < lam[0] + lam[1]
+        assert qfi_mixed(family, g) == pytest.approx(4.0 * np.cos(2.0 * t) ** 2, rel=1e-9)
+        assert qfi_mixed(family, g) == pytest.approx(lapack_sld_sum(family, g), rel=1e-13)
+
+    @pytest.mark.parametrize("dims", [(2, 4, 4), (2, 4, 2), (2, 2, 4), (4, 2, 2), (4, 4, 2)])
+    def test_mixed_dimensions_fail_as_the_lapack_loop(self, dims):
+        states = {2: DensityMatrix(np.eye(2) / 2.0), 4: DensityMatrix(np.eye(4) / 4.0)}
+        calls = []
+
+        def family(g):
+            calls.append(g)
+            return states[dims[len(calls) - 1]]
+
+        with pytest.raises(ValueError) as expected:
+            lapack_sld_sum(family, 0.1)
+        calls.clear()
+        with pytest.raises(ValueError) as got:
+            qfi_mixed(family, 0.1)
+        assert str(got.value) == str(expected.value)
+        assert calls == [0.1, 0.1 + STEP, 0.1 - STEP]  # g, g + STEP, g - STEP, as before
+
+    def test_postselected_panel_as_accurate_as_the_lapack_loop(self):
+        # Seeded mixed inputs in the oracle's trusted region: g >= 1e-3 and a smaller
+        # eigenvalue of the collapsed state above 1e-8.
+        rng = np.random.default_rng(4)
+        worst = {"qubit": 0.0, "lapack": 0.0}
+        checked = 0
+        for _ in range(1000):
+            r = rng.normal(size=3)
+            r *= 0.99 * rng.uniform() ** (1.0 / 3.0) / np.linalg.norm(r)
+            rho = DensityMatrix(0.5 * np.array([[1 + r[2], r[0] - 1j * r[1]],
+                                                [r[0] + 1j * r[1], 1 - r[2]]]))
+            psi_sf = Ket(rng.normal(size=2) + 1j * rng.normal(size=2))
+            g = 10.0 ** rng.uniform(-3.0, 0.0)
+            try:
+                setup = WvaSetup(rho, psi_sf, BALANCED_METER, SIGMA, SIGMA, g)
+                exact, family = fm_exact(setup), postselected_meter_family(setup)
+                if np.linalg.eigvalsh(family(g).entries)[0] <= 1e-8:
+                    continue
+                values = {"qubit": qfi_mixed(family, g), "lapack": lapack_sld_sum(family, g)}
+            except WvaError:
+                continue
+            checked += 1
+            for path, value in values.items():
+                worst[path] = max(worst[path], abs(value - exact) / exact)
+        assert checked > 900
+        # The two worsts sit about 1e-6 relative apart, an order that eigen rounding
+        # decides; the margin keeps the claim while letting another LAPACK build round.
+        assert worst["qubit"] <= worst["lapack"] * (1 + 1e-3)
+        assert max(worst.values()) < 1e-6
 
 
 class TestQfiSpectralUnitary:

@@ -15,12 +15,16 @@ A pinned file changes only with a change that moves a value on purpose. To
 rewrite all of them from the current source, run from the repository root:
 
     PYTHONPATH=src python3 tests/test_pinned_outputs.py
+
+It prints the name of each file whose bytes changed, and nothing else.
 """
 
 import contextlib
 import hashlib
 import io
 import math
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -142,8 +146,12 @@ def test_exact_panel_matches_its_pinned_digest():
 
 
 def _record() -> None:
-    """Rewrite every pinned file, the demos' stdout included, from the current source."""
+    """Rewrite every pinned file, the demos' stdout included, from the current source.
+
+    Prints the name of each file whose bytes changed, one a line, and nothing else.
+    """
     PINNED.mkdir(parents=True, exist_ok=True)
+    before = {path.name: path.read_bytes() for path in PINNED.iterdir()}
     for name in CASES:
         run_case(name, PINNED)
     (PINNED / "exact_panel.sha256").write_text(panel_digests(), encoding="utf-8")
@@ -151,6 +159,20 @@ def _record() -> None:
         out = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT,
                              capture_output=True, check=True).stdout
         (PINNED / f"demo_{demo.stem}.txt").write_bytes(out)
+    for path in sorted(PINNED.iterdir()):
+        if before.get(path.name) != path.read_bytes():
+            print(path.name)
+
+
+def test_recording_an_unchanged_tree_names_no_file(tmp_path):
+    """Rewriting the pinned files of a copy of this tree prints no name."""
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "demos", "tests"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=ignore)
+    env = {**os.environ, "PYTHONPATH": str(tmp_path / "src")}
+    done = subprocess.run([sys.executable, "tests/test_pinned_outputs.py"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == ""
 
 
 if __name__ == "__main__":

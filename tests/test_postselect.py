@@ -1318,15 +1318,17 @@ class TestSetupEquality:
 
 class TestModuleBoundaries:
     # Each entry is a private helper that one module lends another on purpose: the kernel
-    # core to the standard-basis readout, two array helpers, the unchecked cost sweep, and
-    # the per-trial streams and the block sampler that campaigns draw through.
-    # A change that adds an entry says why.
+    # core to the standard-basis readout, two array helpers, the unchecked cost sweep, the
+    # per-trial streams and the block sampler that campaigns draw through, and the qubit
+    # split h0 +- r that the SLD oracle reads for a qubit's eigenvalues, so that split
+    # keeps one owner. A change that adds an entry says why.
     REVIEWED = {
         ("experiment", "postselect", "_meter_core"),
         ("experiment", "streams", "_block_seed_type"),
         ("experiment", "streams", "_block_size"),
         ("experiment", "streams", "_sample_blocks"),
         ("experiment", "streams", "_trial_rng"),
+        ("fisher", "states", "_qubit_parts"),
         ("postselect", "states", "_phase_fixed"),
         ("postselect", "states", "_readonly"),
         ("verify", "costs", "_leading_sweep"),

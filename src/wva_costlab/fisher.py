@@ -97,7 +97,7 @@ def qfi_pure(family: PureFamily, g: float) -> float:
     plus = _aligned(psi0, family(g + STEP))
     minus = _aligned(psi0, family(g - STEP))
     dpsi = (plus - minus) / (2.0 * STEP)
-    grad_sq = float(np.real(np.vdot(dpsi, dpsi)))
+    grad_sq = float(np.vdot(dpsi, dpsi).real)
     berry = abs(np.vdot(psi0.amplitudes, dpsi)) ** 2
     return 4.0 * (grad_sq - float(berry))
 
@@ -241,7 +241,7 @@ def qfi_spectral_unitary(
 
     total = 0.0
     for i, vi in enumerate(vectors):
-        total += 4.0 * lam[i] * float(np.real(np.vdot(vi.amplitudes, kinetic @ vi.amplitudes)))
+        total += 4.0 * lam[i] * float(np.vdot(vi.amplitudes, kinetic @ vi.amplitudes).real)
     for i, vi in enumerate(vectors):
         for j, vj in enumerate(vectors):
             denom = lam[i] + lam[j]

@@ -19,8 +19,11 @@ projector I. It checks nothing: a :class:`WvaSetup` checks its inputs once, at
 construction, and the standard-basis readout of
 :mod:`~wva_costlab.experiment` calls the core on amplitude pairs directly.
 
-A setup evaluates the kernel at most once (``_evaluate``) and caches its
-output. For a ket that is p, the core's four scalars (v0, v1, dv0, dv1) and v
+A setup evaluates the kernel once (``_evaluate``) and caches its output.
+Each cached value is a ``states._derived`` attribute: derived on first read and
+stored in the setup's ``__dict__`` with no lock, so threads that share a fresh
+setup may each run the kernel, and all of them then read the first output
+stored. For a ket that is p, the core's four scalars (v0, v1, dv0, dv1) and v
 as an array, and next to it the setup caches the signal amplitude <sf|A|si>
 and the weighted QFI p F_m, so :func:`postselect`, :func:`fm_exact` and
 :func:`probabilistic_qfi` on one setup share one derivation of each. The
@@ -74,8 +77,8 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -95,6 +98,7 @@ from .states import (
     DensityMatrix,
     HermitianOperator,
     Ket,
+    _derived,
     _phase_fixed,
     _readonly,
     check_theta,
@@ -191,7 +195,8 @@ def _evaluate(setup: "WvaSetup", g: float) -> tuple:
 
     A ket gives (p, v, (v0, v1, dv0, dv1)): the core's scalars, beside v as a
     read-only array, which callers may share and which gives p = <v|v> as BLAS
-    ``vdot`` forms it. A density matrix gives (p, (k00, k10, k11)):
+    ``vdot`` forms it (read through the scalar's ``.real``, which has the bits of
+    ``np.real`` at one wrapper call less). A density matrix gives (p, (k00, k10, k11)):
     :func:`_meter_columns` gives the two columns of V = <sf|U(g)|.>|phi> in one
     value-only pass, so no derivative is formed, and the Hermitian
     K = V rho_s V^dag is kept as its real diagonal k00, k11 and its entry k10
@@ -202,7 +207,7 @@ def _evaluate(setup: "WvaSetup", g: float) -> tuple:
     if isinstance(setup.psi_si, Ket):
         core = _meter_core(setup.psi_si.amplitudes.tolist(), f, x, a_split, m_split, g)
         v = np.array(core[:2])
-        return float(np.real(np.vdot(v, v))), _readonly(v), core
+        return float(np.vdot(v, v).real), _readonly(v), core
     a0, a1, b0, b1 = _meter_columns(f, x, a_split, m_split, g)
     r = setup.psi_si.entries.ravel().tolist()
     k00, k11 = _sandwich(r, a0, b0, a0, b0).real, _sandwich(r, a1, b1, a1, b1).real
@@ -281,8 +286,10 @@ class WvaSetup:
     ||M phi||^2 is derived at construction. <M> and Omega come from a slot on
     ``M`` that keeps the last ``phi_mi`` object, so setups sharing both
     objects compute them once; every setup still runs the balance and
-    positivity checks. Each kernel output is derived at most once, on first
-    use, and only when a caller reads it: ``_out``, which is
+    positivity checks. Each kernel output is derived on first use, and only
+    when a caller reads it (a ``states._derived`` attribute: threads racing on
+    a first read may each derive it, and all read the first value stored):
+    ``_out``, which is
     (p, v, (v0, v1, dv0, dv1)) of a ket or (p, (k00, k10, k11)) of a density
     matrix (:func:`_evaluate`);
     the F_m of a density matrix (``_fm``), which only :func:`fm_exact` reads;
@@ -324,28 +331,28 @@ class WvaSetup:
         if self.omega <= 0.0:
             raise ContractViolationError("WvaSetup: <M^2> must be positive")
 
-    @functools.cached_property
+    @_derived
     def _out(self) -> tuple:
         """Kernel output at the setup's coupling (:func:`_evaluate`)."""
         return _evaluate(self, self.g)
 
-    @functools.cached_property
+    @_derived
     def _signal(self) -> complex:
         """<sf|A|si> of a ket input: the weak value's numerator and the leading-order signal."""
         return _amplitude(self.psi_si, self.psi_sf, self.A)
 
-    @functools.cached_property
+    @_derived
     def _weighted(self) -> float:
         """p * F_m of a ket input from the kernel's scalars; read only past the P_FLOOR check."""
         p, _, core = self._out
         return _weighted_qfi(p, *core)
 
-    @functools.cached_property
+    @_derived
     def _fm(self) -> float:
         """F_m of a density-matrix input; read only past the P_FLOOR check."""
         return _meter_qfi(self)
 
-    @functools.cached_property
+    @_derived
     def _weak_value(self) -> Optional[complex]:
         """Weak value <sf|A|si> / <sf|si> of a ket input, or None below OVERLAP_FLOOR."""
         try:
@@ -353,12 +360,12 @@ class WvaSetup:
         except OrthogonalPostselectionError:
             return None
 
-    @functools.cached_property
+    @_derived
     def _collapsed_ket(self) -> Ket:
         """Collapsed meter ket v / sqrt(p) of a ket input; read only past the P_FLOOR check."""
         return Ket(self._out[1])
 
-    @functools.cached_property
+    @_derived
     def _collapsed(self) -> DensityMatrix:
         """Collapsed meter state of either input; read only past the P_FLOOR check."""
         if isinstance(self.psi_si, Ket):
@@ -522,8 +529,15 @@ def fm_exact(setup: WvaSetup) -> float:
 
 
 def fm_leading(omega: float, a_w: complex) -> float:
-    """Leading-order collapsed-state QFI, 4 * Omega * |A_w|^2, which must be finite."""
-    if not (0.0 < omega < math.inf and cmath.isfinite(a_w)):
+    """Leading-order collapsed-state QFI, 4 * Omega * |A_w|^2, which must be finite.
+
+    ``omega`` goes through :func:`finite_real`; an ``a_w`` that is not a
+    ``numbers.Complex``, or is a bool, raises ContractViolationError.
+    """
+    finite_real(omega, "fm_leading", "omega")
+    if isinstance(a_w, bool) or not isinstance(a_w, numbers.Complex):
+        raise ContractViolationError("fm_leading: a_w must be a number")
+    if not (0.0 < omega and cmath.isfinite(a_w)):
         raise ContractViolationError("fm_leading: omega must be positive and finite, a_w finite")
     try:  # in Python scalars, so a numpy input cannot warn on overflow
         value = 4.0 * float(omega) * abs(complex(a_w)) ** 2
@@ -548,7 +562,7 @@ def probabilistic_qfi(setup: WvaSetup) -> tuple[float, float]:
 def optimal_postselection(psi_si: Ket, A: HermitianOperator) -> Ket:
     """Postselection state A|si> / sqrt(<A^2>) that maximizes the weighted QFI."""
     vec = A.apply(psi_si)
-    if float(np.real(np.vdot(vec, vec))) <= 1e-12:
+    if float(np.vdot(vec, vec).real) <= 1e-12:
         raise ContractViolationError("optimal_postselection: A annihilates the input")
     return Ket(_phase_fixed(vec))
 
@@ -559,8 +573,10 @@ def near_orthogonal_postselection(psi_si: Ket, A: HermitianOperator, epsilon: fl
     The state is chosen in the real span of {si, A si} on the side that
     maximizes the weak-value magnitude among the two candidates with the same
     overlap modulus; exact ties fall to the deterministic convention of the
-    negative coefficient along the amplification direction.
+    negative coefficient along the amplification direction. ``epsilon`` goes
+    through :func:`finite_real`.
     """
+    finite_real(epsilon, "near_orthogonal_postselection", "epsilon")
     if epsilon == 0:
         raise OrthogonalPostselectionError(
             "near_orthogonal_postselection: epsilon = 0 makes the weak value undefined"

@@ -25,6 +25,18 @@ basis builds its observable and its amplitude pairs, which
 superposition ket it built in a bounded memo, so one angle gives one shared
 ket object.
 
+Those per-instance caches (an observable's split; a basis's observable,
+amplitude pairs and memo) and every value that a
+:class:`~wva_costlab.postselect.WvaSetup` derives are :class:`_derived`
+attributes: a non-data descriptor that stores ``func(instance)`` in the
+instance ``__dict__`` on first read, as ``functools.cached_property`` does from
+Python 3.12 on, with no lock (on 3.11 a ``cached_property``'s first read takes
+a lock shared by every instance of the class). Threads that race on a first
+read may each derive the value; the values are equal, the first one stored is
+kept and every reader gets that object. Two threads that build one angle's
+superposition at once may still get distinct, equal kets, and a race on a
+memo that is being emptied can lose entries, which costs only a later miss.
+
 Each scenario input domain is decided in one function: :func:`finite_real`
 (finite reals; an integer beyond the float range is not one, and neither is a
 bool, a complex, None or a str), :func:`check_theta` (theta in (0, pi/4]),
@@ -37,7 +49,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -85,6 +96,32 @@ def finite_real(value, *what: str) -> float:
     raise ContractViolationError(f"{': '.join(what)} must be finite")
 
 
+class _derived:
+    """A per-instance value derived on first read: ``func(instance)``, kept in ``__dict__``.
+
+    A non-data descriptor, so once the value is stored the instance
+    ``__dict__`` answers every later read and the descriptor is not consulted
+    again; on the class it returns itself. It stores through ``__dict__``, so
+    it works on frozen dataclasses, and the value takes no part in their
+    equality, hashing or repr. Unlike ``functools.cached_property`` before
+    Python 3.12, it takes no lock: a first read that races between threads
+    may run ``func`` more than once, but ``dict.setdefault`` keeps the first
+    value stored and every reader gets that object.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name  # the __dict__ key, so the stored value shadows the descriptor
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        return instance.__dict__.setdefault(self.name, self.func(instance))
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     """Mark ``arr`` read-only and return it."""
     arr.setflags(write=False)
@@ -113,7 +150,12 @@ def _square_entries(
     finite; with ``hermitian`` each |H_ij - conj(H_ji)| must also stay within
     HERMITIAN_TOL. Returns the array to store and its flat entries.
     """
-    mat = _readonly(np.array(entries, dtype=complex))
+    try:
+        mat = _readonly(np.array(entries, dtype=complex))
+    except (TypeError, ValueError, OverflowError):  # a str, a ragged list, an int beyond float
+        raise ContractViolationError(
+            f"{where}: entries must be a rectangular array of finite numbers"
+        ) from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ContractViolationError(f"{where}: entries must be square")
     _check_dim(mat.shape[0], where)
@@ -169,7 +211,10 @@ class Ket(_ArrayValue):
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        vec = np.asarray(self.amplitudes, dtype=complex).ravel()
+        try:
+            vec = np.asarray(self.amplitudes, dtype=complex).ravel()
+        except (TypeError, ValueError, OverflowError):  # a str, a ragged list, an int beyond float
+            raise ContractViolationError("Ket: amplitudes must be finite numbers") from None
         _check_dim(vec.size, "Ket")
         norm = math.sqrt(vec.real.dot(vec.real) + vec.imag.dot(vec.imag))  # np.linalg.norm's sum
         if not math.isfinite(norm):
@@ -206,7 +251,7 @@ class HermitianOperator(_ArrayValue):
         mat, _ = _square_entries(self.entries, "HermitianOperator")
         object.__setattr__(self, "entries", mat)
 
-    @functools.cached_property
+    @_derived
     def _split(self) -> tuple[tuple[float, _Projector], ...]:
         """Closed-form spectral split of a qubit observable, in Python scalars.
 
@@ -236,8 +281,8 @@ class HermitianOperator(_ArrayValue):
         slot = self.__dict__.get("_moment_slot")
         if slot is None or slot[0] is not phi:
             h_phi = self.entries @ phi.amplitudes
-            slot = (phi, np.vdot(phi.amplitudes, h_phi).real, float(np.real(np.vdot(h_phi, h_phi))))
-            self.__dict__["_moment_slot"] = slot  # as functools.cached_property stores
+            slot = (phi, np.vdot(phi.amplitudes, h_phi).real, float(np.vdot(h_phi, h_phi).real))
+            self.__dict__["_moment_slot"] = slot  # where the _derived values are stored too
         return slot[1], slot[2]
 
     @property
@@ -255,7 +300,7 @@ class HermitianOperator(_ArrayValue):
             val = np.vdot(state.amplitudes, self.entries @ state.amplitudes)
         else:
             val = np.trace(state.entries @ self.entries)
-        return float(np.real(val))
+        return float(val.real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,7 +366,10 @@ class DensityMatrix(_ArrayValue):
     @classmethod
     def mixture(cls, weights: Sequence[float], kets: Sequence[Ket]) -> "DensityMatrix":
         """Return the convex mixture sum_k w_k |k><k| of same-size kets (weights sum to 1)."""
-        w = np.asarray(weights, dtype=float)
+        try:
+            w = np.asarray(weights, dtype=float)
+        except (TypeError, ValueError, OverflowError):  # a str, a complex, an int beyond float
+            raise ContractViolationError("mixture: weights must be finite real numbers") from None
         if w.size != len(kets) or w.size == 0:
             raise ContractViolationError("mixture: weights and kets must match")
         if len({k.dim for k in kets}) > 1:
@@ -351,7 +399,7 @@ class BlochVector:
         return np.array([self.r1, self.r2, self.r3], dtype=float)
 
     def norm(self) -> float:
-        return float(np.sqrt(self.r1**2 + self.r2**2 + self.r3**2))
+        return math.sqrt(self.r1**2 + self.r2**2 + self.r3**2)
 
 
 @dataclass(frozen=True)
@@ -394,12 +442,12 @@ class ReferenceBasis:
             memo[key] = ket
         return ket
 
-    @functools.cached_property
+    @_derived
     def _kets(self) -> dict[tuple[float, float], Ket]:
         """The memo of :meth:`superposition`: (angle, sign of angle) -> ket."""
         return {}
 
-    @functools.cached_property
+    @_derived
     def _pairs(self) -> list[tuple[complex, complex]]:
         """(<k|ket0>, <k|ket1>) for k = 0, 1, in Python complex scalars."""
         return list(zip(self.ket0.amplitudes.tolist(), self.ket1.amplitudes.tolist()))
@@ -408,7 +456,7 @@ class ReferenceBasis:
         """The observable with eigenvalue +1 on ket0 and -1 on ket1, built once per basis."""
         return self._sigma
 
-    @functools.cached_property
+    @_derived
     def _sigma(self) -> HermitianOperator:
         return HermitianOperator(self.ket0.projector() - self.ket1.projector())
 
@@ -514,8 +562,10 @@ def coupling_unitary(A: HermitianOperator, M: HermitianOperator, g: float) -> Un
     With A = sum_i a_i P_i and M = sum_j m_j Q_j from the cached closed-form split,
     U = sum_ij exp(-i g a_i m_j) P_i (x) Q_j. Degenerate spectra contribute
     a single projector and need no special handling. A and M must be qubit
-    :class:`HermitianOperator` instances; an array is not converted.
+    :class:`HermitianOperator` instances; an array is not converted. ``g`` goes
+    through :func:`finite_real`.
     """
+    finite_real(g, "coupling_unitary", "g")
     if not (isinstance(A, HermitianOperator) and isinstance(M, HermitianOperator)):
         raise ContractViolationError("coupling_unitary: A and M must be HermitianOperators")
     if A.dim != 2 or M.dim != 2:
@@ -543,7 +593,7 @@ def overlap_sq(a: Ket, b: Ket) -> float:
     """Squared overlap |<a|b>|^2, clamped into [0, 1]."""
     if a.dim != b.dim:
         raise ModelDimensionError("overlap_sq: dimension mismatch")
-    return float(np.clip(abs(a.inner(b)) ** 2, 0.0, 1.0))
+    return min(max(abs(a.inner(b)) ** 2, 0.0), 1.0)  # np.clip's bits, in Python floats
 
 
 def bloch_angle(ra: BlochVector, rb: BlochVector) -> float:
@@ -552,4 +602,5 @@ def bloch_angle(ra: BlochVector, rb: BlochVector) -> float:
         if abs(r.norm() - 1.0) > BLOCH_UNIT_TOL:
             raise ContractViolationError("bloch_angle: vectors must be unit norm")
     dot = float(np.dot(ra.as_array(), rb.as_array()))
-    return float(np.arccos(np.clip(dot, -1.0, 1.0)))
+    # np.clip's bits in Python floats; np.arccos, since math.acos rounds differently
+    return float(np.arccos(min(max(dot, -1.0), 1.0)))

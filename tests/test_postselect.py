@@ -500,6 +500,12 @@ class TestKernelSharing:
     def test_at_and_replace_start_uncached(self, kernel_calls):
         setup = real_superposition_setup(np.pi / 6, -np.pi / 5, 0.0349)
         fm_exact(setup)
+        result = postselect(setup)
+        result.a_w, result.phi_mf
+        derived = {"_out", "_signal", "_weighted", "_weak_value", "_collapsed_ket"}
+        assert derived <= set(vars(setup))
+        for fresh in (setup.at(setup.g), dataclasses.replace(setup)):
+            assert not derived & set(vars(fresh))
         other = setup.at(0.02)
         fm_exact(other)
         fm_exact(dataclasses.replace(setup, psi_sf=BASIS.superposition(-np.pi / 4)))
@@ -1321,7 +1327,9 @@ class TestModuleBoundaries:
     # core to the standard-basis readout, two array helpers, the unchecked cost sweep, the
     # per-trial streams and the block sampler that campaigns draw through, and the qubit
     # split h0 +- r that the SLD oracle reads for a qubit's eigenvalues, so that split
-    # keeps one owner. A change that adds an entry says why.
+    # keeps one owner, and the lock-free per-instance derivation, which the setup's
+    # cached kernel outputs share with the observables and bases of states. A change
+    # that adds an entry says why.
     REVIEWED = {
         ("experiment", "postselect", "_meter_core"),
         ("experiment", "streams", "_block_seed_type"),
@@ -1329,6 +1337,7 @@ class TestModuleBoundaries:
         ("experiment", "streams", "_sample_blocks"),
         ("experiment", "streams", "_trial_rng"),
         ("fisher", "states", "_qubit_parts"),
+        ("postselect", "states", "_derived"),
         ("postselect", "states", "_phase_fixed"),
         ("postselect", "states", "_readonly"),
         ("verify", "costs", "_leading_sweep"),
@@ -1347,3 +1356,18 @@ class TestModuleBoundaries:
                         for alias in node.names if alias.name.startswith("_")
                     }
         assert found == self.REVIEWED
+
+    def test_no_module_uses_functools_cached_property(self):
+        """Per-instance caches use ``states._derived``, never ``functools.cached_property``.
+
+        Before Python 3.12 a ``cached_property``'s first read takes one lock per
+        descriptor, shared by every instance of the class and held while the value
+        is computed, which more than doubles the cost of a fresh setup's first read
+        on the exact-sweep path and serializes threads that derive unrelated setups.
+        """
+        for path in sorted(Path(postselect_module.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute):
+                    assert node.attr != "cached_property", path.name
+                if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                    assert "cached_property" not in {a.name for a in node.names}, path.name

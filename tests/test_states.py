@@ -1,6 +1,10 @@
 """Exact linear-algebra layer: construction invariants, operations, geometry."""
 
+import dataclasses
 import math
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -44,12 +48,19 @@ from wva_costlab.experiment import (
     hwp_settings,
     mle_g,
 )
-from wva_costlab.postselect import WvaSetup, postselect, real_superposition_setup
+from wva_costlab.postselect import (
+    WvaSetup,
+    fm_leading,
+    near_orthogonal_postselection,
+    postselect,
+    real_superposition_setup,
+)
 from wva_costlab.states import (
     METER_MINUS,
     METER_PLUS,
     STANDARD_BASIS,
     STANDARD_SIGMA,
+    _derived,
     check_count,
     finite_real,
 )
@@ -814,6 +825,197 @@ class TestCachedDerivations:
         unbuilt = ReferenceBasis(Ket(np.array([1.0, 0.0])), Ket(np.array([0.0, 1.0])))
         assert "_sigma" in vars(fresh_basis) and "_sigma" not in vars(unbuilt)
         assert fresh_basis == unbuilt and repr(fresh_basis) == repr(unbuilt)
+
+
+class TestMalformedInput:
+    """Input that numpy cannot convert, and scalars of the wrong type, raise the contract error."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: Ket("ab"), "Ket: amplitudes must be finite numbers"),
+            (lambda: Ket([1, "a"]), "Ket: amplitudes must be finite numbers"),
+            (lambda: Ket([10**400, 1]), "Ket: amplitudes must be finite numbers"),
+            (lambda: HermitianOperator("ab"), "HermitianOperator: entries must be a rectangular"),
+            (lambda: HermitianOperator([[1, 0], [0]]),
+             "HermitianOperator: entries must be a rectangular"),
+            (lambda: DensityMatrix([[10**400, 0], [0, 1]]),
+             "DensityMatrix: entries must be a rectangular"),
+            (lambda: DensityMatrix.mixture(["a", 1.0], [BASIS.ket0, BASIS.ket1]),
+             "mixture: weights must be finite real numbers"),
+            (lambda: DensityMatrix.mixture([1j, 1.0], [BASIS.ket0, BASIS.ket1]),
+             "mixture: weights must be finite real numbers"),
+            (lambda: fm_leading("1", 1j), "fm_leading: omega must be real"),
+            (lambda: fm_leading(math.inf, 1j), "fm_leading: omega must be finite"),
+            (lambda: fm_leading(1.0, "1"), "fm_leading: a_w must be a number"),
+            (lambda: fm_leading(1.0, True), "fm_leading: a_w must be a number"),
+            (lambda: near_orthogonal_postselection(BASIS.superposition(0.5), SIGMA_Z, "0.1"),
+             "near_orthogonal_postselection: epsilon must be real"),
+            (lambda: near_orthogonal_postselection(BASIS.superposition(0.5), SIGMA_Z, math.nan),
+             "near_orthogonal_postselection: epsilon must be finite"),
+            (lambda: coupling_unitary(SIGMA_Y, SIGMA_Z, "0.1"),
+             "coupling_unitary: g must be real"),
+            (lambda: coupling_unitary(SIGMA_Y, SIGMA_Z, math.inf),
+             "coupling_unitary: g must be finite"),
+        ],
+        ids=["ket-str", "ket-mixed-list", "ket-big-int", "operator-str", "operator-ragged",
+             "density-big-int", "mixture-str-weight", "mixture-complex-weight", "fm-omega-str",
+             "fm-omega-inf", "fm-a_w-str", "fm-a_w-bool", "near-orthogonal-str",
+             "near-orthogonal-nan", "coupling-str", "coupling-inf"],
+    )
+    def test_raises_contract_violation(self, call, message):
+        with pytest.raises(ContractViolationError, match=message):
+            call()
+
+
+class TestDerived:
+    """The lock-free per-instance derivation that replaces functools.cached_property."""
+
+    SITES = {
+        WvaSetup: ("_out", "_signal", "_weighted", "_fm", "_weak_value", "_collapsed_ket",
+                   "_collapsed"),
+        HermitianOperator: ("_split",),
+        ReferenceBasis: ("_kets", "_pairs", "_sigma"),
+    }
+
+    def test_every_per_instance_cache_is_derived_and_the_class_sees_the_descriptor(self):
+        for cls, names in self.SITES.items():
+            for name in names:
+                attribute = getattr(cls, name)
+                assert isinstance(attribute, _derived) and attribute.name == name
+                assert attribute.__doc__ == attribute.func.__doc__
+
+    def test_derived_once_per_instance_outside_equality_repr_and_hash(self):
+        calls = []
+
+        @dataclasses.dataclass(frozen=True)
+        class Point:
+            x: float
+
+            @_derived
+            def doubled(self):
+                calls.append(self.x)
+                return [2.0 * self.x]
+
+        point, twin = Point(1.5), Point(1.5)
+        before = (hash(point), repr(point))
+        value = point.doubled
+        assert point.doubled is value and value == [3.0] and calls == [1.5]
+        assert vars(point) == {"x": 1.5, "doubled": [3.0]}
+        assert (hash(point), repr(point)) == before == (hash(twin), repr(twin))
+        assert point == twin and "doubled" not in vars(twin)
+        assert "doubled" not in vars(dataclasses.replace(point))
+
+    def test_a_racing_first_read_keeps_the_first_value_for_every_reader(self):
+        threads_n = 8
+        barrier = threading.Barrier(threads_n, timeout=10.0)
+        calls = []
+
+        class Slow:
+            @_derived
+            def value(self):
+                calls.append(1)
+                barrier.wait()  # every thread is inside func before any stores
+                return object()
+
+        shared = Slow()
+        seen = [None] * threads_n
+        failures = []
+
+        def read(k):
+            try:
+                seen[k] = shared.value
+            except Exception as exc:  # a lock inside the read breaks the barrier
+                failures.append(exc)
+
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20.0)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == [] and len(calls) == threads_n
+        assert all(v is vars(shared)["value"] for v in seen)
+
+    @staticmethod
+    def _bits(setup):
+        """The derived values of a setup, as bytes, and the derived objects themselves."""
+        if isinstance(setup.psi_si, Ket):
+            p, v, core = setup._out
+            values = [p, *core, setup._weighted, setup._signal, setup._weak_value]
+            objects = (setup._out, setup._collapsed_ket, setup._collapsed)
+            arrays = (v, setup._collapsed_ket.amplitudes, setup._collapsed.entries)
+        else:
+            p, k = setup._out
+            values = [p, *k, setup._fm]
+            objects = (setup._out, setup._collapsed)
+            arrays = (setup._collapsed.entries,)
+        bits = np.array(values, dtype=complex).tobytes() + b"".join(a.tobytes() for a in arrays)
+        return bits, objects
+
+    def test_threads_reading_shared_fresh_setups_see_the_single_threaded_bits(self):
+        rng = np.random.default_rng(30)
+        points = [(t, a, g) for t, a, g in zip(rng.uniform(0.1, 0.78, 12),
+                                               rng.uniform(-1.4, -0.2, 12),
+                                               rng.uniform(1e-3, 0.1, 12))]
+        rhos = [DensityMatrix(0.5 * np.array([[1.0 + rz, rx], [rx, 1.0 - rz]]))
+                for rx, rz in zip(rng.uniform(-0.6, 0.6, 4), rng.uniform(-0.6, 0.6, 4))]
+        angles = list(rng.uniform(-3.0, 3.0, 24))
+
+        def fresh_round():
+            """New setups and a new basis, with new observables, so every first read races."""
+            basis = ReferenceBasis(Ket(np.array([1.0, 0.0])), Ket(np.array([0.0, 1.0])))
+            A, M = HermitianOperator(np.diag([1.0, -1.0])), HermitianOperator(np.diag([1.0, -1.0]))
+            setups = [WvaSetup(basis.superposition(t), basis.superposition(a), METER_PLUS, A, M, g)
+                      for t, a, g in points]
+            setups += [dataclasses.replace(setups[k], psi_si=rho) for k, rho in enumerate(rhos)]
+            return ReferenceBasis(basis.ket0, basis.ket1), setups
+
+        reference_basis, reference = fresh_round()
+        expected = [self._bits(s)[0] for s in reference]
+        expected_kets = [reference_basis.superposition(x).amplitudes.tobytes() for x in angles]
+        expected_sigma = reference_basis.sigma().entries.tobytes()
+
+        threads_n, deadline = 8, time.monotonic() + 1.5
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rounds = 0
+            while rounds < 3 or (rounds < 40 and time.monotonic() < deadline):
+                rounds += 1
+                basis, setups = fresh_round()
+                seen = [None] * threads_n
+                failures = []
+                start = threading.Barrier(threads_n, timeout=10.0)
+
+                def read(k):
+                    try:
+                        start.wait()  # released together, so the first reads overlap
+                        order = setups[k:] + setups[:k]
+                        got = {id(s): self._bits(s) for s in order}
+                        kets = [basis.superposition(x).amplitudes.tobytes() for x in angles]
+                        seen[k] = got, kets, basis.sigma()
+                    except Exception as exc:  # reported in the main thread
+                        failures.append(exc)
+
+                threads = [threading.Thread(target=read, args=(k,)) for k in range(threads_n)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=20.0)
+                assert not any(t.is_alive() for t in threads)
+                assert failures == [] and None not in seen
+                for got, kets, sigma in seen:
+                    assert [got[id(s)][0] for s in setups] == expected
+                    assert kets == expected_kets and sigma.entries.tobytes() == expected_sigma
+                    assert sigma is basis.sigma()
+                    for s in setups:  # the first value stored is the one every thread got
+                        names = ("_out", "_collapsed_ket", "_collapsed")
+                        if not isinstance(s.psi_si, Ket):
+                            names = ("_out", "_collapsed")
+                        assert all(o is vars(s)[n] for o, n in zip(got[id(s)][1], names))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestValueEquality:

@@ -5,6 +5,12 @@ exp(-i g A (x) M), computes quantum and classical Fisher information for the
 coupling strength, quantifies the preparation/measurement cost tradeoff that
 the initial state's l1 coherence bounds, and reproduces a seeded
 photon-counting estimation experiment with maximum-likelihood readout.
+
+The package attribute ``postselect`` is the function, which shadows its
+submodule of the same name: ``import wva_costlab.postselect as m`` binds the
+function, so reach the module through ``importlib.import_module``. Both names
+stay, because the benchmark calls the function as ``wva_costlab.postselect``
+and its tracer looks the module ``wva_costlab.postselect`` up by name.
 """
 
 from .costs import (

@@ -47,9 +47,9 @@ from .experiment import (
 )
 from .fisher import cfi_discrete
 from .postselect import (
+    WEAK_REGIME_LIMIT,
     fm_exact,
     fm_leading,
-    in_weak_regime,
     postselect,
     probabilistic_qfi,
     real_superposition_setup,
@@ -185,6 +185,7 @@ def cmd_qfi(args: argparse.Namespace) -> int:
     omega = setup.omega
     coherence = preparation_coherence(values["theta"])
     cost = cost_point(4.0 * omega, f_exact, fm, UNIT_RATES)
+    margin = weak_regime_margin(setup) if a_w is not None else None
     payload = {
         **values,
         "omega": omega,
@@ -197,8 +198,8 @@ def cmd_qfi(args: argparse.Namespace) -> int:
         "f_m_exact": f_exact,
         "f_m_leading": f_leading,
         "cfi_conditional": cfi,
-        "weak_regime_margin": weak_regime_margin(setup) if a_w is not None else None,
-        "in_weak_regime": in_weak_regime(setup) if a_w is not None else None,
+        "weak_regime_margin": margin,
+        "in_weak_regime": margin < WEAK_REGIME_LIMIT if margin is not None else None,
         "coherence_l1": coherence,
         "cp_norm": cost.cp_norm,
         "cm_norm": cost.cm_norm,

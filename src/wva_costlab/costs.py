@@ -109,6 +109,10 @@ def l1_coherence(rho: Union[Ket, DensityMatrix], basis: ReferenceBasis) -> float
 
     For a ket this is 2 |<0|psi><psi|1>|, with no density matrix built.
     """
+    if not (isinstance(rho, (Ket, DensityMatrix)) and isinstance(basis, ReferenceBasis)):
+        raise ContractViolationError(
+            "l1_coherence: rho must be a Ket or DensityMatrix and basis a ReferenceBasis"
+        )
     if rho.dim != 2:
         raise ContractViolationError("l1_coherence: state must be a qubit")
     if isinstance(rho, Ket):

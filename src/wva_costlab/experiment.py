@@ -429,6 +429,7 @@ def mle_g(counts: TrialCounts, theta: float, alpha: float, g_max: float = G_MAX)
     c_plus, c_minus = selection_cosines(theta, alpha, "mle_g")
     if any(_degenerate(c_plus, c_minus)):
         raise ContractViolationError("mle_g: degenerate configuration")
+    g_max = finite_real(g_max, "mle_g", "g_max")
     if not (0.0 < g_max <= np.pi / 2.0 - 1e-6):
         raise ContractViolationError("mle_g: g_max out of range")
     return _estimate(counts, _estimator(theta, alpha, c_plus, c_minus, g_max))

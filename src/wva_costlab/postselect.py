@@ -6,7 +6,7 @@ success-weighted (probabilistic) QFI, and the two canonical postselection
 constructors: the optimal state and a near-orthogonal state.
 
 Every quantity comes from one exact kernel, kept here beside the setup that
-caches it. The coupling exp(-i g A (x) M) factorizes over the closed-form
+evaluates it. The coupling exp(-i g A (x) M) factorizes over the closed-form
 spectral splits A = sum_i a_i P_i and M = sum_j m_j Q_j
 (``HermitianOperator._split``), so the unnormalized collapsed meter vector is
 
@@ -19,27 +19,18 @@ projector I. It checks nothing: a :class:`WvaSetup` checks its inputs once, at
 construction, and the standard-basis readout of
 :mod:`~wva_costlab.experiment` calls the core on amplitude pairs directly.
 
-A setup evaluates the kernel once (``_evaluate``) and caches its output.
-Each cached value is a ``states._derived`` attribute: derived on first read and
-stored in the setup's ``__dict__`` with no lock, so threads that share a fresh
-setup may each run the kernel, and all of them then read the first output
-stored. For a ket that is p, the core's four scalars (v0, v1, dv0, dv1) and v
-as an array, and next to it the setup caches the signal amplitude <sf|A|si>
-and the weighted QFI p F_m, so :func:`postselect`, :func:`fm_exact` and
-:func:`probabilistic_qfi` on one setup share one derivation of each. The
-postselection probability is p = <v|v>, and the collapsed-state QFI is the
-pure-state QFI of v / sqrt(p), F_m = 4 (<dv|dv>/p - |<v|dv>|^2/p^2)
+A setup evaluates the kernel once (``_evaluate``), when first asked, and
+:func:`postselect`, :func:`fm_exact` and :func:`probabilistic_qfi` share that
+output: for a ket, p, the core's four scalars (v0, v1, dv0, dv1) and v as an
+array. The postselection probability is p = <v|v>, and the collapsed-state QFI
+is the pure-state QFI of v / sqrt(p), F_m = 4 (<dv|dv>/p - |<v|dv>|^2/p^2)
 (Braunstein & Caves, PRL 72, 3439 (1994); Paris, IJQI 7, 125 (2009)), taken
 as 4 |v0 dv1 - v1 dv0|^2 / p^2 so that it cannot cancel below 0, and no
 finite-difference step enters. No small-coupling expansion enters the
 production path either. Leading-order formulas are exposed separately so
-tests and cost accounting can compare the two.
-
-A caller pays only for what it reads. :func:`postselect` takes p from the
-cached output; its result reads the collapsed meter ket v / sqrt(p) and the
-weak value <sf|A|si> / <sf|si> from its setup, which derives each once, on
-first read. The weak value is the one that :func:`weak_regime_margin` and
-:func:`in_weak_regime` read, so a setup forms <sf|si> at most once.
+tests and cost accounting can compare the two. A :func:`postselect` result
+forms the collapsed meter ket v / sqrt(p) and the weak value
+<sf|A|si> / <sf|si> only when they are read.
 
 How exact: in the real-superposition scenario, p and F_m carry a relative
 error of about k eps / delta in double precision, where eps = 2**-52 and
@@ -55,13 +46,12 @@ delta <= 1e-2; the closed forms' own rounding sets the larger value.
 A density-matrix input gets K = V rho_s V^dag from ``_meter_columns``, one
 value-only pass over both columns of V with the core's expressions. K is
 Hermitian, so the kernel returns p = Tr K and the three Python scalars
-(k00, k10, k11), and the setup caches them. The setup builds the collapsed
-state K / p from those scalars once, with no array in between
-(``_collapsed_state``, which divides as numpy would), and caches it as the
-state that :func:`postselect_mixed` returns. Only :func:`fm_exact` needs the
-derivative: on its first call the setup runs ``_meter_qfi``, the full kernel
-on the basis kets and the Bloch-form qubit QFI of K / p, with no eigensolve
-and no rank cutoff, and caches F_m.
+(k00, k10, k11). The setup builds the collapsed state K / p from those scalars
+once, with no array in between (``_collapsed_state``, which divides as numpy
+would): the state that :func:`postselect_mixed` returns. Only
+:func:`fm_exact` needs the derivative: ``_meter_qfi`` runs the full kernel on
+the basis kets and takes the Bloch-form qubit QFI of K / p, with no eigensolve
+and no rank cutoff.
 
 The meter family that the finite-difference oracles of
 :mod:`~wva_costlab.fisher` probe (:func:`postselected_meter_family`) runs only
@@ -69,7 +59,7 @@ the kernel at each probe g, with the finite-g and probability-floor checks of
 ``setup.at(g)`` but no new :class:`WvaSetup`, and builds its state from the
 kernel's scalars as the setup does; a probe equals the ``setup.at(g)`` path
 bit for bit. A probe at the setup's own coupling, sign included, runs the
-checks and returns the setup's cached state instead of running the kernel
+checks and returns the setup's collapsed state instead of running the kernel
 again.
 """
 
@@ -107,7 +97,6 @@ from .states import (
 
 P_FLOOR = 1e-14
 OVERLAP_FLOOR = 1e-12
-_ORTHOGONAL = "weak_value: pre- and postselection are orthogonal"
 BALANCE_TOL = 1e-10
 WEAK_REGIME_LIMIT = 0.1
 
@@ -237,8 +226,8 @@ def _collapsed_state(p: float, k: tuple) -> DensityMatrix:
 def _meter_qfi(setup: "WvaSetup") -> float:
     """F_m of a density-matrix setup: the Bloch-form qubit QFI of K / p, in Python scalars.
 
+    p and K = V rho_s V^dag come from the setup's kernel output (:func:`_evaluate`), and
     :func:`_meter_core` on the basis kets gives the columns of V and dV, so
-    K = V rho_s V^dag (its k00, k10 and k11 bit for bit those of :func:`_evaluate`) and
     dK = dV rho_s V^dag + h.c. With r the Bloch vector of K / p, F_m is
     |dr|^2 + (r.dr)^2 / (1 - |r|^2) (Zhong et al., PRA 87, 022337 (2013)). By Cauchy-Binet,
     |det V| = |E| with E = 2 |det(P_0 sf, P_1 sf) det(Q_0 phi, Q_1 phi)| sin(g d / 2) and
@@ -251,9 +240,8 @@ def _meter_qfi(setup: "WvaSetup") -> float:
     a_split, m_split = setup.A._split, setup.M._split
     a0, a1, da0, da1 = _meter_core((1.0, 0.0), f, x, a_split, m_split, g)
     b0, b1, db0, db1 = _meter_core((0.0, 1.0), f, x, a_split, m_split, g)
+    p, (k00, k10, k11) = setup._out
     r = setup.psi_si.entries.ravel().tolist()
-    k00, k11 = _sandwich(r, a0, b0, a0, b0).real, _sandwich(r, a1, b1, a1, b1).real
-    k10 = _sandwich(r, a1, b1, a0, b0)
     d00 = 2.0 * _sandwich(r, da0, db0, a0, b0).real
     d11 = 2.0 * _sandwich(r, da1, db1, a1, b1).real
     d10 = _sandwich(r, da1, db1, a0, b0) + _sandwich(r, da0, db0, a1, b1).conjugate()
@@ -264,7 +252,7 @@ def _meter_qfi(setup: "WvaSetup") -> float:
         for P, u in ((P0, f), (Q0, x)):  # times |det(P u, (I - P) u)| of each projector
             scale *= abs((P[0] * u[0] + P[1] * u[1]) * u[1] - (P[2] * u[0] + P[3] * u[1]) * u[0])
         e, de = 2.0 * scale * math.sin(0.5 * g * d), scale * d * math.cos(0.5 * g * d)
-    p, dp = k00 + k11, d00 + d11
+    dp = d00 + d11
     bloch = (2.0 * k10.real / p, 2.0 * k10.imag / p, (k00 - k11) / p)
     dr = [(s - c * dp) / p for s, c in zip((2 * d10.real, 2 * d10.imag, d00 - d11), bloch)]
     det_rho = r[0].real * r[3].real - abs(r[2]) ** 2
@@ -286,19 +274,10 @@ class WvaSetup:
     ||M phi||^2 is derived at construction. <M> and Omega come from a slot on
     ``M`` that keeps the last ``phi_mi`` object, so setups sharing both
     objects compute them once; every setup still runs the balance and
-    positivity checks. Each kernel output is derived on first use, and only
-    when a caller reads it (a ``states._derived`` attribute: threads racing on
-    a first read may each derive it, and all read the first value stored):
-    ``_out``, which is
-    (p, v, (v0, v1, dv0, dv1)) of a ket or (p, (k00, k10, k11)) of a density
-    matrix (:func:`_evaluate`);
-    the F_m of a density matrix (``_fm``), which only :func:`fm_exact` reads;
-    the collapsed meter ket and the weak value of a ket input, which a
-    :func:`postselect` result reads as ``phi_mf`` and ``a_w`` and the weak-regime
-    margin reads too; and the collapsed meter state that
-    :func:`postselect_mixed` and the meter family return. None of them takes
-    part in equality, hashing or the repr; :meth:`at` and
-    ``dataclasses.replace`` build a fresh instance that derives them anew.
+    positivity checks. A setup derives two values on first read and keeps
+    them: the kernel output ``_out`` (:func:`_evaluate`) and the collapsed
+    meter state ``_collapsed``. Neither takes part in equality, hashing or the
+    repr; :meth:`at` and ``dataclasses.replace`` build a fresh instance.
     """
 
     psi_si: Union[Ket, DensityMatrix]
@@ -337,39 +316,10 @@ class WvaSetup:
         return _evaluate(self, self.g)
 
     @_derived
-    def _signal(self) -> complex:
-        """<sf|A|si> of a ket input: the weak value's numerator and the leading-order signal."""
-        return _amplitude(self.psi_si, self.psi_sf, self.A)
-
-    @_derived
-    def _weighted(self) -> float:
-        """p * F_m of a ket input from the kernel's scalars; read only past the P_FLOOR check."""
-        p, _, core = self._out
-        return _weighted_qfi(p, *core)
-
-    @_derived
-    def _fm(self) -> float:
-        """F_m of a density-matrix input; read only past the P_FLOOR check."""
-        return _meter_qfi(self)
-
-    @_derived
-    def _weak_value(self) -> Optional[complex]:
-        """Weak value <sf|A|si> / <sf|si> of a ket input, or None below OVERLAP_FLOOR."""
-        try:
-            return self._signal / _overlap(self.psi_si, self.psi_sf)
-        except OrthogonalPostselectionError:
-            return None
-
-    @_derived
-    def _collapsed_ket(self) -> Ket:
-        """Collapsed meter ket v / sqrt(p) of a ket input; read only past the P_FLOOR check."""
-        return Ket(self._out[1])
-
-    @_derived
     def _collapsed(self) -> DensityMatrix:
         """Collapsed meter state of either input; read only past the P_FLOOR check."""
         if isinstance(self.psi_si, Ket):
-            return DensityMatrix.from_ket(self._collapsed_ket)
+            return DensityMatrix.from_ket(Ket(self._out[1]))
         return _collapsed_state(*self._out)
 
     def at(self, g: float) -> "WvaSetup":
@@ -385,12 +335,11 @@ class PostselectionResult:
     overlap floor (the weak value is undefined there, although the exact
     postselection itself may still succeed at finite coupling).
 
-    Only ``p`` is taken at construction. ``phi_mf`` and ``a_w`` are the
-    setup's cached collapsed ket and weak value, each derived on its first
-    read, so a caller that reads neither pays for neither and repeated reads
-    return the same object. Equality and the repr are by value over (p,
-    phi_mf, a_w), as for a dataclass of those three fields, and compare or
-    show the derived two; like a :class:`Ket`, a result is unhashable.
+    Only ``p`` is taken at construction. ``phi_mf`` and ``a_w`` are formed
+    from the setup when read, so a caller that reads neither pays for neither.
+    Equality and the repr are by value over (p, phi_mf, a_w), as for a
+    dataclass of those three fields; like a :class:`Ket`, a result is
+    unhashable.
     """
 
     p: float
@@ -399,12 +348,16 @@ class PostselectionResult:
     @property
     def phi_mf(self) -> Ket:
         """Normalized collapsed meter ket v / sqrt(p)."""
-        return self._setup._collapsed_ket
+        return Ket(self._setup._out[1])
 
     @property
     def a_w(self) -> Optional[complex]:
         """Weak value <sf|A|si> / <sf|si>, or None below the overlap floor."""
-        return self._setup._weak_value
+        setup = self._setup
+        try:
+            return weak_value(setup.psi_si, setup.psi_sf, setup.A)
+        except OrthogonalPostselectionError:
+            return None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -424,7 +377,7 @@ def _overlap(psi_si: Ket, psi_sf: Ket) -> complex:
     """<sf|si>, the weak value's denominator; orthogonal beyond OVERLAP_FLOOR raises."""
     denom = psi_sf.inner(psi_si)
     if abs(denom) < OVERLAP_FLOOR:
-        raise OrthogonalPostselectionError(_ORTHOGONAL)
+        raise OrthogonalPostselectionError("weak_value: pre- and postselection are orthogonal")
     return denom
 
 
@@ -437,7 +390,7 @@ def weak_value(psi_si: Ket, psi_sf: Ket, A: HermitianOperator) -> complex:
 def _kernel(setup: WvaSetup, where: str, pure: bool = False, g: Optional[float] = None) -> tuple:
     """Kernel output of a ket or (unless ``pure``) density-matrix input; checks run every call.
 
-    Without ``g`` this is the setup's cached output. With ``g`` the kernel runs
+    Without ``g`` this is the setup's ``_out``. With ``g`` the kernel runs
     afresh at that coupling behind the finite-g check of ``setup.at(g)``, and
     no :class:`WvaSetup` is built: the setup's other fields were checked when
     it was built and do not depend on g.
@@ -455,7 +408,7 @@ def _kernel(setup: WvaSetup, where: str, pure: bool = False, g: Optional[float] 
 
 
 def _own_coupling(setup: WvaSetup, g: float) -> bool:
-    """Whether a probe at g may read the setup's cache: g is setup.g, sign included.
+    """Whether a probe at g may read the setup's collapsed state: g is setup.g, sign included.
 
     NaN never is, and -0.0 against 0.0 is not: the kernel's phases keep the sign of a zero.
     """
@@ -486,8 +439,8 @@ def postselect(setup: WvaSetup) -> PostselectionResult:
 def postselect_mixed(setup: WvaSetup) -> tuple[float, DensityMatrix]:
     """Exact postselection of any system input: (p, collapsed meter state).
 
-    A density matrix gives (Tr K, K / Tr K) from the cached K = V rho_s V^dag.
-    The state is the setup's cached one, the same object on every call.
+    A density matrix gives (Tr K, K / Tr K) from K = V rho_s V^dag. The state
+    is the setup's collapsed state, the same object on every call.
     """
     where = "postselect" if isinstance(setup.psi_si, Ket) else "postselect_mixed"
     return _kernel(setup, where)[0], setup._collapsed
@@ -499,7 +452,7 @@ def postselected_meter_family(setup: WvaSetup) -> MixedFamily:
     A probe runs the kernel once at g, for a density matrix its value-only pass
     over both columns of V, and equals ``postselect_mixed(setup.at(g))[1]`` bit for
     bit, errors included. At the setup's own coupling it runs the checks and
-    returns the setup's cached state, the one :func:`postselect_mixed` returns.
+    returns the setup's collapsed state, the one :func:`postselect_mixed` returns.
     """
     ket_input = isinstance(setup.psi_si, Ket)
     where = "postselect" if ket_input else "postselect_mixed"
@@ -522,10 +475,11 @@ def fm_exact(setup: WvaSetup) -> float:
     F_m = 4 |v0 dv1 - v1 dv0|^2 / p^2 from the kernel's closed-form dv, or
     for a density-matrix input the Bloch form of ``_meter_qfi``.
     """
-    p = _kernel(setup, "fm_exact")[0]
+    out = _kernel(setup, "fm_exact")
     if not isinstance(setup.psi_si, Ket):
-        return setup._fm
-    return setup._weighted / p
+        return _meter_qfi(setup)
+    p, _, core = out
+    return _weighted_qfi(p, *core) / p
 
 
 def fm_leading(omega: float, a_w: complex) -> float:
@@ -534,13 +488,17 @@ def fm_leading(omega: float, a_w: complex) -> float:
     ``omega`` goes through :func:`finite_real`; an ``a_w`` that is not a
     ``numbers.Complex``, or is a bool, raises ContractViolationError.
     """
-    finite_real(omega, "fm_leading", "omega")
+    omega = finite_real(omega, "fm_leading", "omega")
     if isinstance(a_w, bool) or not isinstance(a_w, numbers.Complex):
         raise ContractViolationError("fm_leading: a_w must be a number")
+    try:  # in Python scalars, so a numpy input cannot warn on overflow
+        a_w = complex(a_w)
+    except OverflowError:  # an integer beyond the float range
+        a_w = complex(math.inf)
     if not (0.0 < omega and cmath.isfinite(a_w)):
         raise ContractViolationError("fm_leading: omega must be positive and finite, a_w finite")
-    try:  # in Python scalars, so a numpy input cannot warn on overflow
-        value = 4.0 * float(omega) * abs(complex(a_w)) ** 2
+    try:
+        value = 4.0 * omega * abs(a_w) ** 2
     except OverflowError:  # Python's ** raises on overflow
         value = math.inf
     if value == math.inf:  # * overflows to inf without raising
@@ -555,8 +513,9 @@ def probabilistic_qfi(setup: WvaSetup) -> tuple[float, float]:
     4 |v0 dv1 - v1 dv0|^2 / p from the setup's kernel output. It can
     approach but never exceed the conventional-scheme QFI.
     """
-    _kernel(setup, "probabilistic_qfi", pure=True)
-    return setup._weighted, 4.0 * setup.omega * abs(setup._signal) ** 2
+    p, _, core = _kernel(setup, "probabilistic_qfi", pure=True)
+    signal = _amplitude(setup.psi_si, setup.psi_sf, setup.A)
+    return _weighted_qfi(p, *core), 4.0 * setup.omega * abs(signal) ** 2
 
 
 def optimal_postselection(psi_si: Ket, A: HermitianOperator) -> Ket:
@@ -609,9 +568,7 @@ def weak_regime_margin(setup: WvaSetup) -> float:
     """Size of g |A_w| Omega, which must be finite; the weak-value description needs this << 1."""
     if not isinstance(setup.psi_si, Ket):
         raise UnsupportedInputError("weak_regime_margin: needs a pure system input")
-    a_w = setup._weak_value
-    if a_w is None:
-        raise OrthogonalPostselectionError(_ORTHOGONAL)
+    a_w = weak_value(setup.psi_si, setup.psi_sf, setup.A)
     value = abs(float(setup.g)) * abs(a_w) * setup.omega  # in Python floats: no numpy warning
     if value == math.inf:  # * overflows to inf without raising
         raise ContractViolationError("weak_regime_margin: g |A_w| Omega overflows the float range")

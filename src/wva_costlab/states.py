@@ -26,16 +26,11 @@ superposition ket it built in a bounded memo, so one angle gives one shared
 ket object.
 
 Those per-instance caches (an observable's split; a basis's observable,
-amplitude pairs and memo) and every value that a
-:class:`~wva_costlab.postselect.WvaSetup` derives are :class:`_derived`
-attributes: a non-data descriptor that stores ``func(instance)`` in the
-instance ``__dict__`` on first read, as ``functools.cached_property`` does from
-Python 3.12 on, with no lock (on 3.11 a ``cached_property``'s first read takes
-a lock shared by every instance of the class). Threads that race on a first
-read may each derive the value; the values are equal, the first one stored is
-kept and every reader gets that object. Two threads that build one angle's
-superposition at once may still get distinct, equal kets, and a race on a
-memo that is being emptied can lose entries, which costs only a later miss.
+amplitude pairs and memo) are :class:`_derived` attributes, as are the kernel
+output and collapsed state of a :class:`~wva_costlab.postselect.WvaSetup`.
+Two threads that build one angle's superposition at once may get distinct,
+equal kets, and a race on a memo that is being emptied can lose entries, which
+costs only a later miss.
 
 Each scenario input domain is decided in one function: :func:`finite_real`
 (finite reals; an integer beyond the float range is not one, and neither is a
@@ -103,10 +98,9 @@ class _derived:
     ``__dict__`` answers every later read and the descriptor is not consulted
     again; on the class it returns itself. It stores through ``__dict__``, so
     it works on frozen dataclasses, and the value takes no part in their
-    equality, hashing or repr. Unlike ``functools.cached_property`` before
-    Python 3.12, it takes no lock: a first read that races between threads
-    may run ``func`` more than once, but ``dict.setdefault`` keeps the first
-    value stored and every reader gets that object.
+    equality, hashing or repr. It takes no lock, unlike
+    ``functools.cached_property`` before Python 3.12: racing first reads may
+    each run ``func``, and every reader gets the first value stored.
     """
 
     def __init__(self, func):
@@ -370,6 +364,8 @@ class DensityMatrix(_ArrayValue):
             w = np.asarray(weights, dtype=float)
         except (TypeError, ValueError, OverflowError):  # a str, a complex, an int beyond float
             raise ContractViolationError("mixture: weights must be finite real numbers") from None
+        if not np.isfinite(w).all():  # a NaN weight would pass the distribution check below
+            raise ContractViolationError("mixture: weights must be finite real numbers")
         if w.size != len(kets) or w.size == 0:
             raise ContractViolationError("mixture: weights and kets must match")
         if len({k.dim for k in kets}) > 1:

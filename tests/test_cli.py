@@ -274,13 +274,15 @@ class TestQfi:
             "wva-costlab: error: weak_regime_margin: g |A_w| Omega overflows the float range\n"
         )
 
-    def test_one_overlap_per_query(self, monkeypatch, capsys):
+    def test_two_overlaps_per_query(self, monkeypatch, capsys):
+        # the result's a_w and weak_regime_margin each form <sf|si>; in_weak_regime
+        # compares the margin the query already has
         module = importlib.import_module("wva_costlab.postselect")
         calls = []
         original = module._overlap
         monkeypatch.setattr(module, "_overlap", lambda *a: calls.append(a) or original(*a))
         assert main(["qfi", "--theta", THETA, "--alpha", ALPHA, "--g", "1e-3"]) == 0
-        assert len(calls) == 1
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("theta", ["1.0", "0", "-0.3", "nan"])
     def test_theta_outside_domain_exits_1(self, theta, capsys):

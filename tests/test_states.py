@@ -36,6 +36,7 @@ from wva_costlab.costs import (
     boundary_curve,
     bound_rhs,
     cost_point,
+    l1_coherence,
     leading_costs,
     preparation_coherence,
     tradeoff_slack,
@@ -50,9 +51,12 @@ from wva_costlab.experiment import (
 )
 from wva_costlab.postselect import (
     WvaSetup,
+    fm_exact,
     fm_leading,
     near_orthogonal_postselection,
     postselect,
+    postselect_mixed,
+    probabilistic_qfi,
     real_superposition_setup,
 )
 from wva_costlab.states import (
@@ -857,11 +861,22 @@ class TestMalformedInput:
              "coupling_unitary: g must be real"),
             (lambda: coupling_unitary(SIGMA_Y, SIGMA_Z, math.inf),
              "coupling_unitary: g must be finite"),
+            (lambda: l1_coherence(0.3, BASIS),
+             "l1_coherence: rho must be a Ket or DensityMatrix and basis a ReferenceBasis"),
+            (lambda: l1_coherence(BASIS.ket0, "basis"),
+             "l1_coherence: rho must be a Ket or DensityMatrix and basis a ReferenceBasis"),
+            (lambda: mle_g(TrialCounts(10, 10, 5, 5), 0.5, 0.1, g_max="1"),
+             "mle_g: g_max must be real"),
+            (lambda: fm_leading(1.0, 10**400),
+             "fm_leading: omega must be positive and finite, a_w finite"),
+            (lambda: DensityMatrix.mixture([math.nan, 1.0], [BASIS.ket0, BASIS.ket1]),
+             "mixture: weights must be finite real numbers"),
         ],
         ids=["ket-str", "ket-mixed-list", "ket-big-int", "operator-str", "operator-ragged",
              "density-big-int", "mixture-str-weight", "mixture-complex-weight", "fm-omega-str",
              "fm-omega-inf", "fm-a_w-str", "fm-a_w-bool", "near-orthogonal-str",
-             "near-orthogonal-nan", "coupling-str", "coupling-inf"],
+             "near-orthogonal-nan", "coupling-str", "coupling-inf", "l1-state-float",
+             "l1-basis-str", "mle-g_max-str", "fm-a_w-big-int", "mixture-nan-weight"],
     )
     def test_raises_contract_violation(self, call, message):
         with pytest.raises(ContractViolationError, match=message):
@@ -872,8 +887,7 @@ class TestDerived:
     """The lock-free per-instance derivation that replaces functools.cached_property."""
 
     SITES = {
-        WvaSetup: ("_out", "_signal", "_weighted", "_fm", "_weak_value", "_collapsed_ket",
-                   "_collapsed"),
+        WvaSetup: ("_out", "_collapsed"),
         HermitianOperator: ("_split",),
         ReferenceBasis: ("_kets", "_pairs", "_sigma"),
     }
@@ -939,19 +953,17 @@ class TestDerived:
 
     @staticmethod
     def _bits(setup):
-        """The derived values of a setup, as bytes, and the derived objects themselves."""
+        """A setup's public values and kernel output, as bytes, and its two derived objects."""
+        p, rho = postselect_mixed(setup)
+        values, arrays = [p, fm_exact(setup)], [rho.entries]
         if isinstance(setup.psi_si, Ket):
-            p, v, core = setup._out
-            values = [p, *core, setup._weighted, setup._signal, setup._weak_value]
-            objects = (setup._out, setup._collapsed_ket, setup._collapsed)
-            arrays = (v, setup._collapsed_ket.amplitudes, setup._collapsed.entries)
+            result, (_, v, core) = postselect(setup), setup._out
+            values += [*core, *probabilistic_qfi(setup), result.a_w]
+            arrays += [v, result.phi_mf.amplitudes]
         else:
-            p, k = setup._out
-            values = [p, *k, setup._fm]
-            objects = (setup._out, setup._collapsed)
-            arrays = (setup._collapsed.entries,)
+            values += setup._out[1]
         bits = np.array(values, dtype=complex).tobytes() + b"".join(a.tobytes() for a in arrays)
-        return bits, objects
+        return bits, (setup._out, setup._collapsed)
 
     def test_threads_reading_shared_fresh_setups_see_the_single_threaded_bits(self):
         rng = np.random.default_rng(30)
@@ -1010,10 +1022,8 @@ class TestDerived:
                     assert kets == expected_kets and sigma.entries.tobytes() == expected_sigma
                     assert sigma is basis.sigma()
                     for s in setups:  # the first value stored is the one every thread got
-                        names = ("_out", "_collapsed_ket", "_collapsed")
-                        if not isinstance(s.psi_si, Ket):
-                            names = ("_out", "_collapsed")
-                        assert all(o is vars(s)[n] for o, n in zip(got[id(s)][1], names))
+                        out, collapsed = got[id(s)][1]
+                        assert out is vars(s)["_out"] and collapsed is vars(s)["_collapsed"]
         finally:
             sys.setswitchinterval(interval)
 

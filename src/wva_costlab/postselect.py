@@ -5,32 +5,30 @@ weak values, the collapsed-state QFI and its small-coupling leading order, the
 success-weighted (probabilistic) QFI, and the two canonical postselection
 constructors: the optimal state and a near-orthogonal state.
 
-Every quantity comes from one exact kernel, kept here beside the setup that
-evaluates it. The coupling exp(-i g A (x) M) factorizes over the closed-form
-spectral splits A = sum_i a_i P_i and M = sum_j m_j Q_j
-(``HermitianOperator._split``), so the unnormalized collapsed meter vector is
+Every quantity comes from one exact kernel. The coupling exp(-i g A (x) M)
+factorizes over the closed-form spectral splits A = sum_i a_i P_i and
+M = sum_j m_j Q_j (``HermitianOperator._split``), so the unnormalized
+collapsed meter vector is
 
     v = <sf|U(g)|si>|phi> = sum_j w_j Q_j|phi>,  w_j = sum_i <sf|P_i|si> exp(-i g a_i m_j),
 
 and its derivative dv = dv/dg takes the factor -i a_i m_j into each term.
-``_meter_core`` evaluates both in Python complex scalars over plain amplitude
-pairs, with no eigensolver; a degenerate A or M contributes its single
-projector I. It checks nothing: a :class:`WvaSetup` checks its inputs once, at
-construction, and the standard-basis readout of
-:mod:`~wva_costlab.experiment` calls the core on amplitude pairs directly.
+``_meter_core`` evaluates both in Python complex scalars, with no eigensolver;
+a degenerate A or M contributes its single projector I. It checks nothing; the
+standard-basis readout of :mod:`~wva_costlab.experiment` calls it directly.
 
-A setup evaluates the kernel once (``_evaluate``), when first asked, and
-:func:`postselect`, :func:`fm_exact` and :func:`probabilistic_qfi` share that
-output: for a ket, p, the core's four scalars (v0, v1, dv0, dv1) and v as an
-array. The postselection probability is p = <v|v>, and the collapsed-state QFI
-is the pure-state QFI of v / sqrt(p), F_m = 4 (<dv|dv>/p - |<v|dv>|^2/p^2)
-(Braunstein & Caves, PRL 72, 3439 (1994); Paris, IJQI 7, 125 (2009)), taken
-as 4 |v0 dv1 - v1 dv0|^2 / p^2 so that it cannot cancel below 0, and no
-finite-difference step enters. No small-coupling expansion enters the
-production path either. Leading-order formulas are exposed separately so
-tests and cost accounting can compare the two. A :func:`postselect` result
-forms the collapsed meter ket v / sqrt(p) and the weak value
-<sf|A|si> / <sf|si> only when they are read.
+A :class:`WvaSetup` checks its inputs and runs the kernel once, in its
+constructor (``_evaluate``), which raises ContractViolationError where a phase,
+p or a slope leaves the float range. :func:`postselect`, :func:`fm_exact` and
+:func:`probabilistic_qfi` share that output. p = <v|v>, and F_m is the
+pure-state QFI of v / sqrt(p), 4 (<dv|dv>/p - |<v|dv>|^2/p^2) (Braunstein &
+Caves, PRL 72, 3439 (1994); Paris, IJQI 7, 125 (2009)), taken as
+4 |v0 dv1 - v1 dv0|^2 / p^2 so that it cannot cancel below 0; an F_m or p F_m
+beyond the float range raises too. No finite-difference step or small-coupling
+expansion enters; the leading-order formulas are exposed separately. The
+collapsed ket v / sqrt(p) and the weak value are formed when a result is read,
+and a ket input's collapsed state |v><v| / p by :func:`postselect_mixed` and
+by the meter family's probe at the setup's own coupling.
 
 How exact: in the real-superposition scenario, p and F_m carry a relative
 error of about k eps / delta in double precision, where eps = 2**-52 and
@@ -44,23 +42,18 @@ evaluated in double, k stayed below 7.2 over 2e5 points with theta in
 delta <= 1e-2; the closed forms' own rounding sets the larger value.
 
 A density-matrix input gets K = V rho_s V^dag from ``_meter_columns``, one
-value-only pass over both columns of V with the core's expressions. K is
-Hermitian, so the kernel returns p = Tr K and the three Python scalars
-(k00, k10, k11). The setup builds the collapsed state K / p from those scalars
-once, with no array in between (``_collapsed_state``, which divides as numpy
-would): the state that :func:`postselect_mixed` returns. Only
-:func:`fm_exact` needs the derivative: ``_meter_qfi`` runs the full kernel on
-the basis kets and takes the Bloch-form qubit QFI of K / p, with no eigensolve
-and no rank cutoff.
+value-only pass over both columns of V, kept as p = Tr K and (k00, k10, k11).
+When p clears P_FLOOR the constructor builds K / p from them with no array in
+between (``_collapsed_state``, which divides as numpy would): the state that
+:func:`postselect_mixed` returns. Only :func:`fm_exact` needs dK:
+``_meter_qfi`` runs the full kernel on the basis kets and takes the Bloch-form
+qubit QFI of K / p, with no eigensolve and no rank cutoff.
 
 The meter family that the finite-difference oracles of
 :mod:`~wva_costlab.fisher` probe (:func:`postselected_meter_family`) runs only
-the kernel at each probe g, with the finite-g and probability-floor checks of
-``setup.at(g)`` but no new :class:`WvaSetup`, and builds its state from the
-kernel's scalars as the setup does; a probe equals the ``setup.at(g)`` path
-bit for bit. A probe at the setup's own coupling, sign included, runs the
-checks and returns the setup's collapsed state instead of running the kernel
-again.
+the kernel at each probe g, behind the checks of ``setup.at(g)`` but with no
+new :class:`WvaSetup`, and equals that path bit for bit. A probe at the
+setup's own coupling, sign included, reads the setup's kernel output instead.
 """
 
 from __future__ import annotations
@@ -88,7 +81,6 @@ from .states import (
     DensityMatrix,
     HermitianOperator,
     Ket,
-    _derived,
     _phase_fixed,
     _readonly,
     check_theta,
@@ -190,17 +182,29 @@ def _evaluate(setup: "WvaSetup", g: float) -> tuple:
     value-only pass, so no derivative is formed, and the Hermitian
     K = V rho_s V^dag is kept as its real diagonal k00, k11 and its entry k10
     below the diagonal, with p = Tr K = k00 + k11.
+
+    A phase that ``cmath.exp`` cannot take, or a p or slope that is not
+    finite, raises ContractViolationError.
     """
     f, x = setup.psi_sf.amplitudes.tolist(), setup.phi_mi.amplitudes.tolist()
     a_split, m_split = setup.A._split, setup.M._split
-    if isinstance(setup.psi_si, Ket):
-        core = _meter_core(setup.psi_si.amplitudes.tolist(), f, x, a_split, m_split, g)
-        v = np.array(core[:2])
-        return float(np.vdot(v, v).real), _readonly(v), core
-    a0, a1, b0, b1 = _meter_columns(f, x, a_split, m_split, g)
-    r = setup.psi_si.entries.ravel().tolist()
-    k00, k11 = _sandwich(r, a0, b0, a0, b0).real, _sandwich(r, a1, b1, a1, b1).real
-    return k00 + k11, (k00, _sandwich(r, a1, b1, a0, b0), k11)
+    try:
+        if isinstance(setup.psi_si, Ket):
+            core = _meter_core(setup.psi_si.amplitudes.tolist(), f, x, a_split, m_split, g)
+            v = np.array(core[:2])
+            p = float(np.vdot(v, v).real)
+            if math.isfinite(p) and cmath.isfinite(core[2]) and cmath.isfinite(core[3]):
+                return p, _readonly(v), core
+        else:
+            a0, a1, b0, b1 = _meter_columns(f, x, a_split, m_split, g)
+            r = setup.psi_si.entries.ravel().tolist()
+            k00, k11 = _sandwich(r, a0, b0, a0, b0).real, _sandwich(r, a1, b1, a1, b1).real
+            p = k00 + k11
+            if math.isfinite(p):
+                return p, (k00, _sandwich(r, a1, b1, a0, b0), k11)
+    except (ValueError, OverflowError):  # cmath.exp of a phase beyond the float range
+        pass
+    raise ContractViolationError("WvaSetup: the kernel output overflows the float range")
 
 
 def _collapsed_state(p: float, k: tuple) -> DensityMatrix:
@@ -255,8 +259,8 @@ def _meter_qfi(setup: "WvaSetup") -> float:
     dp = d00 + d11
     bloch = (2.0 * k10.real / p, 2.0 * k10.imag / p, (k00 - k11) / p)
     dr = [(s - c * dp) / p for s, c in zip((2 * d10.real, 2 * d10.imag, d00 - d11), bloch)]
-    det_rho = r[0].real * r[3].real - abs(r[2]) ** 2
-    return sum(d * d for d in dr) + 4.0 * det_rho * (de - e * dp / p) ** 2 / (p * p)
+    det_rho = r[0].real * r[3].real - _abs_sq(r[2])
+    return sum(d * d for d in dr) + 4.0 * det_rho * _abs_sq(de - e * dp / p) / (p * p)
 
 
 @dataclass(frozen=True)
@@ -270,13 +274,12 @@ class WvaSetup:
     The meter must sit at the balance zero point, <M> = 0, with a positive
     second moment Omega = <M^2>. The coupling strength must be a finite real.
 
-    These checks run once, here; the kernel checks nothing. ``omega`` =
-    ||M phi||^2 is derived at construction. <M> and Omega come from a slot on
-    ``M`` that keeps the last ``phi_mi`` object, so setups sharing both
-    objects compute them once; every setup still runs the balance and
-    positivity checks. A setup derives two values on first read and keeps
-    them: the kernel output ``_out`` (:func:`_evaluate`) and the collapsed
-    meter state ``_collapsed``. Neither takes part in equality, hashing or the
+    These checks run once, here. <M> and ``omega`` = ||M phi||^2 come from a
+    slot on ``M`` that keeps the last ``phi_mi`` object, so setups sharing
+    both objects compute them once. The constructor then keeps the kernel
+    output ``_out`` (:func:`_evaluate`) and, for a density-matrix input whose
+    p clears P_FLOOR, the collapsed meter state ``_collapsed``; a ket input's
+    is formed where it is read. Neither takes part in equality, hashing or the
     repr; :meth:`at` and ``dataclasses.replace`` build a fresh instance.
     """
 
@@ -309,18 +312,10 @@ class WvaSetup:
         object.__setattr__(self, "omega", omega)
         if self.omega <= 0.0:
             raise ContractViolationError("WvaSetup: <M^2> must be positive")
-
-    @_derived
-    def _out(self) -> tuple:
-        """Kernel output at the setup's coupling (:func:`_evaluate`)."""
-        return _evaluate(self, self.g)
-
-    @_derived
-    def _collapsed(self) -> DensityMatrix:
-        """Collapsed meter state of either input; read only past the P_FLOOR check."""
-        if isinstance(self.psi_si, Ket):
-            return DensityMatrix.from_ket(Ket(self._out[1]))
-        return _collapsed_state(*self._out)
+        out = _evaluate(self, self.g)
+        object.__setattr__(self, "_out", out)
+        if not isinstance(self.psi_si, Ket) and out[0] >= P_FLOOR:
+            object.__setattr__(self, "_collapsed", _collapsed_state(*out))
 
     def at(self, g: float) -> "WvaSetup":
         """Copy of this setup with a different coupling strength."""
@@ -387,17 +382,28 @@ def weak_value(psi_si: Ket, psi_sf: Ket, A: HermitianOperator) -> complex:
     return _amplitude(psi_si, psi_sf, A) / denom
 
 
+def _ket_input(setup: WvaSetup, where: str) -> bool:
+    """Whether a setup's system input is a ket; a non-setup raises. Setup functions enter here."""
+    if not isinstance(setup, WvaSetup):
+        raise ContractViolationError(f"{where}: setup must be a WvaSetup")
+    return isinstance(setup.psi_si, Ket)
+
+
 def _kernel(setup: WvaSetup, where: str, pure: bool = False, g: Optional[float] = None) -> tuple:
     """Kernel output of a ket or (unless ``pure``) density-matrix input; checks run every call.
 
     Without ``g`` this is the setup's ``_out``. With ``g`` the kernel runs
     afresh at that coupling behind the finite-g check of ``setup.at(g)``, and
     no :class:`WvaSetup` is built: the setup's other fields were checked when
-    it was built and do not depend on g.
+    it was built and do not depend on g. ``postselect_mixed`` names a ket
+    input's errors after ``postselect``.
     """
+    ket = _ket_input(setup, where)
+    if ket and where == "postselect_mixed":
+        where = "postselect"
     if g is not None:
         finite_real(g, "WvaSetup", "coupling strength g")
-    if pure and not isinstance(setup.psi_si, Ket):
+    if pure and not ket:
         raise UnsupportedInputError(f"{where}: mixed system input; use postselect_mixed")
     out = setup._out if g is None else _evaluate(setup, g)
     if out[0] < P_FLOOR:
@@ -407,12 +413,34 @@ def _kernel(setup: WvaSetup, where: str, pure: bool = False, g: Optional[float] 
     return out
 
 
+def _meter_state(setup: WvaSetup, out: tuple) -> DensityMatrix:
+    """Collapsed meter state of kernel output ``out`` past P_FLOOR; ``_collapsed`` for ``_out``."""
+    if isinstance(setup.psi_si, Ket):
+        return DensityMatrix.from_ket(Ket(out[1]))
+    return setup._collapsed if out is setup._out else _collapsed_state(*out)
+
+
 def _own_coupling(setup: WvaSetup, g: float) -> bool:
-    """Whether a probe at g may read the setup's collapsed state: g is setup.g, sign included.
+    """Whether a probe at g may read the setup's kernel output: g is setup.g, sign included.
 
     NaN never is, and -0.0 against 0.0 is not: the kernel's phases keep the sign of a zero.
     """
     return g == setup.g and math.copysign(1.0, g) == math.copysign(1.0, setup.g)
+
+
+def _abs_sq(z: complex) -> float:
+    """``abs(z) ** 2``, or inf where Python raises OverflowError instead."""
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _in_range(value: float, where: str, what: str) -> float:
+    """``value`` if it is finite; else raise ContractViolationError."""
+    if not math.isfinite(value):
+        raise ContractViolationError(f"{where}: {what} overflows the float range")
+    return value
 
 
 def _weighted_qfi(p: float, v0: complex, v1: complex, d0: complex, d1: complex) -> float:
@@ -422,7 +450,7 @@ def _weighted_qfi(p: float, v0: complex, v1: complex, d0: complex, d1: complex) 
     non-negative by construction; the difference of the two terms cancels to garbage
     near orthogonal postselection, where v and dv are nearly parallel.
     """
-    return 4.0 * abs(v0 * d1 - v1 * d0) ** 2 / p
+    return 4.0 * _abs_sq(v0 * d1 - v1 * d0) / p
 
 
 def postselect(setup: WvaSetup) -> PostselectionResult:
@@ -430,7 +458,7 @@ def postselect(setup: WvaSetup) -> PostselectionResult:
 
     Projects the evolved system onto the postselection state and returns the
     success probability together with the normalized collapsed meter state
-    and the weak value, which the result derives when first read. No
+    and the weak value, which the result forms when read. No
     small-coupling approximation is used.
     """
     return PostselectionResult(_kernel(setup, "postselect", pure=True)[0], setup)
@@ -439,11 +467,12 @@ def postselect(setup: WvaSetup) -> PostselectionResult:
 def postselect_mixed(setup: WvaSetup) -> tuple[float, DensityMatrix]:
     """Exact postselection of any system input: (p, collapsed meter state).
 
-    A density matrix gives (Tr K, K / Tr K) from K = V rho_s V^dag. The state
-    is the setup's collapsed state, the same object on every call.
+    A density matrix gives (Tr K, K / Tr K) from K = V rho_s V^dag. Its state
+    is the setup's collapsed state, the same object on every call; a ket
+    input's |v><v| / p is formed afresh on each call.
     """
-    where = "postselect" if isinstance(setup.psi_si, Ket) else "postselect_mixed"
-    return _kernel(setup, where)[0], setup._collapsed
+    out = _kernel(setup, "postselect_mixed")
+    return out[0], _meter_state(setup, out)
 
 
 def postselected_meter_family(setup: WvaSetup) -> MixedFamily:
@@ -452,19 +481,13 @@ def postselected_meter_family(setup: WvaSetup) -> MixedFamily:
     A probe runs the kernel once at g, for a density matrix its value-only pass
     over both columns of V, and equals ``postselect_mixed(setup.at(g))[1]`` bit for
     bit, errors included. At the setup's own coupling it runs the checks and
-    returns the setup's collapsed state, the one :func:`postselect_mixed` returns.
+    reads the setup's kernel output, as :func:`postselect_mixed` does.
     """
-    ket_input = isinstance(setup.psi_si, Ket)
-    where = "postselect" if ket_input else "postselect_mixed"
+    _ket_input(setup, "postselected_meter_family")
 
     def family(g: float) -> DensityMatrix:
-        if _own_coupling(setup, g):
-            _kernel(setup, where)
-            return setup._collapsed
-        out = _kernel(setup, where, g=g)
-        if ket_input:
-            return DensityMatrix.from_ket(Ket(out[1]))
-        return _collapsed_state(*out)
+        own = _own_coupling(setup, g)
+        return _meter_state(setup, _kernel(setup, "postselect_mixed", g=None if own else g))
 
     return family
 
@@ -473,13 +496,13 @@ def fm_exact(setup: WvaSetup) -> float:
     """Exact QFI of the collapsed meter state at the setup's coupling strength.
 
     F_m = 4 |v0 dv1 - v1 dv0|^2 / p^2 from the kernel's closed-form dv, or
-    for a density-matrix input the Bloch form of ``_meter_qfi``.
+    for a density-matrix input the Bloch form of ``_meter_qfi``. An F_m beyond
+    the float range raises ContractViolationError.
     """
     out = _kernel(setup, "fm_exact")
-    if not isinstance(setup.psi_si, Ket):
-        return _meter_qfi(setup)
-    p, _, core = out
-    return _weighted_qfi(p, *core) / p
+    if isinstance(setup.psi_si, Ket):
+        return _in_range(_weighted_qfi(out[0], *out[2]) / out[0], "fm_exact", "F_m")
+    return _in_range(_meter_qfi(setup), "fm_exact", "F_m")
 
 
 def fm_leading(omega: float, a_w: complex) -> float:
@@ -497,13 +520,7 @@ def fm_leading(omega: float, a_w: complex) -> float:
         a_w = complex(math.inf)
     if not (0.0 < omega and cmath.isfinite(a_w)):
         raise ContractViolationError("fm_leading: omega must be positive and finite, a_w finite")
-    try:
-        value = 4.0 * omega * abs(a_w) ** 2
-    except OverflowError:  # Python's ** raises on overflow
-        value = math.inf
-    if value == math.inf:  # * overflows to inf without raising
-        raise ContractViolationError("fm_leading: 4 Omega |A_w|^2 overflows the float range")
-    return value
+    return _in_range(4.0 * omega * _abs_sq(a_w), "fm_leading", "4 Omega |A_w|^2")
 
 
 def probabilistic_qfi(setup: WvaSetup) -> tuple[float, float]:
@@ -511,11 +528,14 @@ def probabilistic_qfi(setup: WvaSetup) -> tuple[float, float]:
 
     Returns (p * F_m, 4 * Omega * |<sf|A|si>|^2), the exact value as
     4 |v0 dv1 - v1 dv0|^2 / p from the setup's kernel output. It can
-    approach but never exceed the conventional-scheme QFI.
+    approach but never exceed the conventional-scheme QFI. Either value beyond
+    the float range raises ContractViolationError.
     """
     p, _, core = _kernel(setup, "probabilistic_qfi", pure=True)
+    exact = _in_range(_weighted_qfi(p, *core), "probabilistic_qfi", "p F_m")
     signal = _amplitude(setup.psi_si, setup.psi_sf, setup.A)
-    return _weighted_qfi(p, *core), 4.0 * setup.omega * abs(signal) ** 2
+    leading = 4.0 * setup.omega * _abs_sq(signal)
+    return exact, _in_range(leading, "probabilistic_qfi", "4 Omega |<sf|A|si>|^2")
 
 
 def optimal_postselection(psi_si: Ket, A: HermitianOperator) -> Ket:
@@ -566,13 +586,11 @@ def near_orthogonal_postselection(psi_si: Ket, A: HermitianOperator, epsilon: fl
 
 def weak_regime_margin(setup: WvaSetup) -> float:
     """Size of g |A_w| Omega, which must be finite; the weak-value description needs this << 1."""
-    if not isinstance(setup.psi_si, Ket):
+    if not _ket_input(setup, "weak_regime_margin"):
         raise UnsupportedInputError("weak_regime_margin: needs a pure system input")
     a_w = weak_value(setup.psi_si, setup.psi_sf, setup.A)
     value = abs(float(setup.g)) * abs(a_w) * setup.omega  # in Python floats: no numpy warning
-    if value == math.inf:  # * overflows to inf without raising
-        raise ContractViolationError("weak_regime_margin: g |A_w| Omega overflows the float range")
-    return value
+    return _in_range(value, "weak_regime_margin", "g |A_w| Omega")
 
 
 def in_weak_regime(setup: WvaSetup) -> bool:

@@ -8,8 +8,8 @@ system-major, meter-minor.
 
 The coupling and the qubit density-matrix check never call LAPACK: a qubit
 observable H = h0 I + K splits in closed form into eigenvalues h0 +- |K| with
-projectors (I +- K/|K|)/2, evaluated in Python complex scalars and cached on
-the observable, so each observable is split once; the postselection kernel of
+projectors (I +- K/|K|)/2, evaluated in Python complex scalars when the
+observable is built; the postselection kernel of
 :mod:`~wva_costlab.postselect` reads the same split. LAPACK serves only
 :func:`hermitian_eigs` and the 4x4 positivity check. The matrix types store a
 read-only complex copy of their input, read it once with ``tolist()`` and
@@ -19,18 +19,15 @@ checks its norm in Python scalars too, but takes the norm as
 which fuses multiply-adds), since a Python or ``math.hypot`` norm differs in
 the last bit; it stores one read-only array. Kets and matrices compare by
 value (equal stored arrays) and stay unhashable. The standard basis, its
-observable and the balanced meter kets are built once, as module constants; a
-basis builds its observable and its amplitude pairs, which
-:meth:`ReferenceBasis.superposition` combines in Python, once, and keeps each
-superposition ket it built in a bounded memo, so one angle gives one shared
-ket object.
+observable and the balanced meter kets are built once, as module constants.
 
-Those per-instance caches (an observable's split; a basis's observable,
-amplitude pairs and memo) are :class:`_derived` attributes, as are the kernel
-output and collapsed state of a :class:`~wva_costlab.postselect.WvaSetup`.
-Two threads that build one angle's superposition at once may get distinct,
-equal kets, and a race on a memo that is being emptied can lose entries, which
-costs only a later miss.
+Every per-instance value (an observable's split; a basis's observable,
+amplitude pairs and empty superposition memo; a
+:class:`~wva_costlab.postselect.WvaSetup`'s kernel output) is computed in the
+constructor, outside equality, hashing and the repr. Only two pieces of state
+change later, with no lock: the memo, which may hand two threads distinct,
+equal kets for one angle, and the <M>/Omega slot of ``HermitianOperator._moments``,
+whose race costs only a later miss.
 
 Each scenario input domain is decided in one function: :func:`finite_real`
 (finite reals; an integer beyond the float range is not one, and neither is a
@@ -89,31 +86,6 @@ def finite_real(value, *what: str) -> float:
     if math.isfinite(value):
         return value
     raise ContractViolationError(f"{': '.join(what)} must be finite")
-
-
-class _derived:
-    """A per-instance value derived on first read: ``func(instance)``, kept in ``__dict__``.
-
-    A non-data descriptor, so once the value is stored the instance
-    ``__dict__`` answers every later read and the descriptor is not consulted
-    again; on the class it returns itself. It stores through ``__dict__``, so
-    it works on frozen dataclasses, and the value takes no part in their
-    equality, hashing or repr. It takes no lock, unlike
-    ``functools.cached_property`` before Python 3.12: racing first reads may
-    each run ``func``, and every reader gets the first value stored.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name  # the __dict__ key, so the stored value shadows the descriptor
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        return instance.__dict__.setdefault(self.name, self.func(instance))
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -175,8 +147,29 @@ def _square_entries(
 def _qubit_parts(flat: list[complex]) -> tuple[float, float, complex, float]:
     """(h0, kz, h10, r) of a qubit H = h0 I + K: eigenvalues h0 +- r, h10 below the diagonal."""
     h00, _, h10, h11 = flat
-    kz = 0.5 * (h00.real - h11.real)
-    return 0.5 * (h00.real + h11.real), kz, h10, math.hypot(kz, h10.real, h10.imag)
+    # halved before they meet, so diag(x, -x) stays finite up to the largest float
+    d0, d1 = 0.5 * h00.real, 0.5 * h11.real
+    kz = d0 - d1
+    return d0 + d1, kz, h10, math.hypot(kz, h10.real, h10.imag)
+
+
+def _qubit_split(flat: list[complex]) -> tuple[tuple[float, _Projector], ...]:
+    """Closed-form spectral split of a qubit observable, in Python scalars.
+
+    With H = h0 I + K and K traceless, the eigenvalues are h0 +- r with
+    r = |K| and the projectors are (I +- K/r)/2, returned row-major as
+    (P00, P01, P10, P11). When r = 0 the single projector I carries both
+    eigenvalues. The off-diagonal is read from the lower triangle.
+    """
+    h0, kz, h10, r = _qubit_parts(flat)
+    if r == 0.0:
+        return ((h0, (1.0, 0j, 0j, 1.0)),)
+    z, c = kz / r, h10 / r
+    up = 0.5 * c.conjugate()
+    return (
+        (h0 + r, (0.5 * (1.0 + z), up, 0.5 * c, 0.5 * (1.0 - z))),
+        (h0 - r, (0.5 * (1.0 - z), -up, -0.5 * c, 0.5 * (1.0 + z))),
+    )
 
 
 class _ArrayValue:
@@ -235,34 +228,18 @@ class Ket(_ArrayValue):
 class HermitianOperator(_ArrayValue):
     """Hermitian observable on a 2- or 4-dimensional space with finite entries.
 
-    A qubit observable's closed-form spectral split is derived at most once,
-    on first use, and takes no part in equality or the repr.
+    A qubit observable's closed-form spectral split ``_split``
+    (:func:`_qubit_split`) is computed at construction and takes no part in
+    equality or the repr.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        mat, _ = _square_entries(self.entries, "HermitianOperator")
+        mat, flat = _square_entries(self.entries, "HermitianOperator")
         object.__setattr__(self, "entries", mat)
-
-    @_derived
-    def _split(self) -> tuple[tuple[float, _Projector], ...]:
-        """Closed-form spectral split of a qubit observable, in Python scalars.
-
-        With H = h0 I + K and K traceless, the eigenvalues are h0 +- r with
-        r = |K| and the projectors are (I +- K/r)/2, returned row-major as
-        (P00, P01, P10, P11). When r = 0 the single projector I carries both
-        eigenvalues. The off-diagonal is read from the lower triangle.
-        """
-        h0, kz, h10, r = _qubit_parts(self.entries.ravel().tolist())
-        if r == 0.0:
-            return ((h0, (1.0, 0j, 0j, 1.0)),)
-        z, c = kz / r, h10 / r
-        up = 0.5 * c.conjugate()
-        return (
-            (h0 + r, (0.5 * (1.0 + z), up, 0.5 * c, 0.5 * (1.0 - z))),
-            (h0 - r, (0.5 * (1.0 - z), -up, -0.5 * c, 0.5 * (1.0 + z))),
-        )
+        if len(flat) == 4:
+            object.__setattr__(self, "_split", _qubit_split(flat))
 
     def _moments(self, phi: Ket) -> tuple[np.float64, float]:
         """(Re <phi|H|phi>, ||H phi||^2) of a ket of the same dimension.
@@ -276,7 +253,7 @@ class HermitianOperator(_ArrayValue):
         if slot is None or slot[0] is not phi:
             h_phi = self.entries @ phi.amplitudes
             slot = (phi, np.vdot(phi.amplitudes, h_phi).real, float(np.vdot(h_phi, h_phi).real))
-            self.__dict__["_moment_slot"] = slot  # where the _derived values are stored too
+            self.__dict__["_moment_slot"] = slot
         return slot[1], slot[2]
 
     @property
@@ -355,6 +332,8 @@ class DensityMatrix(_ArrayValue):
 
     @classmethod
     def from_ket(cls, psi: Ket) -> "DensityMatrix":
+        if not isinstance(psi, Ket):
+            raise ContractViolationError("from_ket: psi must be a Ket")
         return cls(psi.projector())
 
     @classmethod
@@ -400,16 +379,27 @@ class BlochVector:
 
 @dataclass(frozen=True)
 class ReferenceBasis:
-    """Orthonormal qubit basis, the +1/-1 eigenstates of the system observable."""
+    """Orthonormal qubit basis, the +1/-1 eigenstates of the system observable.
+
+    The constructor builds :meth:`sigma`'s observable, the pairs ``_pairs`` =
+    (<k|ket0>, <k|ket1>) in Python scalars and the empty memo ``_kets``.
+    """
 
     ket0: Ket
     ket1: Ket
 
     def __post_init__(self):
+        if not (isinstance(self.ket0, Ket) and isinstance(self.ket1, Ket)):
+            raise ContractViolationError("ReferenceBasis: ket0 and ket1 must be Kets")
         if self.ket0.dim != 2 or self.ket1.dim != 2:
             raise ModelDimensionError("ReferenceBasis: kets must be qubits")
         if abs(self.ket0.inner(self.ket1)) > 1e-12:
             raise ContractViolationError("ReferenceBasis: kets are not orthogonal")
+        a0, a1 = self.ket0.amplitudes, self.ket1.amplitudes
+        object.__setattr__(self, "_pairs", list(zip(a0.tolist(), a1.tolist())))
+        sigma = HermitianOperator(self.ket0.projector() - self.ket1.projector())
+        object.__setattr__(self, "_sigma", sigma)
+        object.__setattr__(self, "_kets", {})
 
     @classmethod
     def standard(cls) -> "ReferenceBasis":
@@ -438,23 +428,9 @@ class ReferenceBasis:
             memo[key] = ket
         return ket
 
-    @_derived
-    def _kets(self) -> dict[tuple[float, float], Ket]:
-        """The memo of :meth:`superposition`: (angle, sign of angle) -> ket."""
-        return {}
-
-    @_derived
-    def _pairs(self) -> list[tuple[complex, complex]]:
-        """(<k|ket0>, <k|ket1>) for k = 0, 1, in Python complex scalars."""
-        return list(zip(self.ket0.amplitudes.tolist(), self.ket1.amplitudes.tolist()))
-
     def sigma(self) -> HermitianOperator:
         """The observable with eigenvalue +1 on ket0 and -1 on ket1, built once per basis."""
         return self._sigma
-
-    @_derived
-    def _sigma(self) -> HermitianOperator:
-        return HermitianOperator(self.ket0.projector() - self.ket1.projector())
 
 
 # Built once; every field is a frozen dataclass over a read-only array.
@@ -555,11 +531,12 @@ def hermitian_eigs(H: HermitianOperator) -> tuple[np.ndarray, list[Ket]]:
 def coupling_unitary(A: HermitianOperator, M: HermitianOperator, g: float) -> UnitaryOperator:
     """Return exp(-i g A (x) M) for qubit observables A and M.
 
-    With A = sum_i a_i P_i and M = sum_j m_j Q_j from the cached closed-form split,
+    With A = sum_i a_i P_i and M = sum_j m_j Q_j from each one's closed-form split,
     U = sum_ij exp(-i g a_i m_j) P_i (x) Q_j. Degenerate spectra contribute
     a single projector and need no special handling. A and M must be qubit
     :class:`HermitianOperator` instances; an array is not converted. ``g`` goes
-    through :func:`finite_real`.
+    through :func:`finite_real`, and a phase g a_i m_j that ``cmath.exp`` cannot
+    take raises ContractViolationError.
     """
     finite_real(g, "coupling_unitary", "g")
     if not (isinstance(A, HermitianOperator) and isinstance(M, HermitianOperator)):
@@ -567,11 +544,14 @@ def coupling_unitary(A: HermitianOperator, M: HermitianOperator, g: float) -> Un
     if A.dim != 2 or M.dim != 2:
         raise ModelDimensionError("coupling_unitary: A and M must act on qubits")
     u = np.zeros((4, 4), dtype=complex)
-    for a, P in A._split:
-        for m, Q in M._split:
-            u += cmath.exp(-1j * g * (a * m)) * np.kron(
-                np.reshape(P, (2, 2)), np.reshape(Q, (2, 2))
-            )
+    try:
+        for a, P in A._split:
+            for m, Q in M._split:
+                u += cmath.exp(-1j * g * (a * m)) * np.kron(
+                    np.reshape(P, (2, 2)), np.reshape(Q, (2, 2))
+                )
+    except (ValueError, OverflowError):  # cmath.exp of a phase beyond the float range
+        raise ContractViolationError("coupling_unitary: phase overflows the float range") from None
     return UnitaryOperator(u)
 
 

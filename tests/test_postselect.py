@@ -10,6 +10,7 @@ import dataclasses
 import importlib
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -379,6 +380,67 @@ class TestProbabilisticQfi:
         assert leading == pytest.approx(2.684, abs=5e-4)
 
 
+def _scaled_setup(a, g, mixed=False):
+    """A = diag(a, -a), M = sigma_z, the |+> meter, sf at -0.4 and si a ket or a fixed rho."""
+    psi_si = DensityMatrix([[0.6, 0.2], [0.2, 0.4]]) if mixed else BASIS.superposition(0.3)
+    A = HermitianOperator(np.diag([a, -a]))
+    return WvaSetup(psi_si, BASIS.superposition(-0.4), BALANCED_METER, A, SIGMA, g)
+
+
+class TestBeyondTheFloatRange:
+    """A setup the float range cannot evaluate raises ContractViolationError.
+
+    Without the checks these calls raised a bare ValueError from ``cmath.exp``
+    (a = g = 1e200), a bare OverflowError from ``abs(...) ** 2`` (a = 1e300) or
+    returned NaN from a split of diag(1e308, -1e308) whose projectors held NaN.
+    """
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["ket", "rho"])
+    @pytest.mark.parametrize(
+        "a, g, call",
+        [(1e200, 1e200, postselect_mixed), (1e200, 1e200, fm_exact),
+         (1e300, 1.0, fm_exact), (1e308, 10.0, fm_exact), (1e308, 10.0, postselect_mixed)],
+        ids=["phase-mixed", "phase-fm", "fm-overflows", "split-fm", "split-mixed"],
+    )
+    def test_setup_function_raises_contract_violation(self, a, g, call, mixed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match="overflows the float range"):
+                call(_scaled_setup(a, g, mixed))
+
+    @pytest.mark.parametrize("a, g", [(1e300, 1.0), (1e308, 10.0)])
+    def test_weighted_qfi_raises_contract_violation(self, a, g):
+        with pytest.raises(ContractViolationError, match="overflows the float range"):
+            probabilistic_qfi(_scaled_setup(a, g))
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["ket", "rho"])
+    def test_meter_family_probe_beyond_the_range_raises(self, mixed):
+        family = postselected_meter_family(_scaled_setup(1e200, 1e-200, mixed))
+        family(1e-200)
+        with pytest.raises(ContractViolationError, match="WvaSetup: .* overflows the float range"):
+            family(1e200)
+
+    @pytest.mark.parametrize("a, g", [(1e200, 1e200), (1e308, 10.0)])
+    def test_coupling_unitary_raises_contract_violation(self, a, g):
+        with pytest.raises(ContractViolationError, match="overflows the float range"):
+            coupling_unitary(HermitianOperator(np.diag([a, -a])), SIGMA, g)
+
+    def test_split_of_the_largest_diagonal_is_finite_and_exact(self):
+        biggest = sys.float_info.max
+        (up, P), (down, Q) = HermitianOperator(np.diag([biggest, -biggest]))._split
+        assert (up, down) == (biggest, -biggest)
+        assert P == (1.0, 0j, 0j, 0.0) and Q[0] == 0.0 and Q[3] == 1.0
+
+    def test_halving_first_keeps_the_bits_of_normal_diagonals(self):
+        import wva_costlab.states as states_module
+
+        rng = np.random.default_rng(32)
+        for _ in range(2000):
+            h00, h11 = rng.normal(size=2) * 10.0 ** rng.integers(-300, 300, size=2)
+            parts = states_module._qubit_parts([complex(h00), 0j, 0j, complex(h11)])
+            assert parts[:2] == (0.5 * (h00 + h11), 0.5 * (h00 - h11))
+
+
 class TestRealSuperpositionDomain:
     @pytest.mark.parametrize("theta", [1.2, -0.3, 0.0, np.pi / 4 + 1e-9, np.nan, np.inf])
     def test_theta_outside_domain_rejected(self, theta):
@@ -492,18 +554,18 @@ class TestKernelSharing:
         kets = [postselect(s).phi_mf.amplitudes.tobytes() for s in (setup, setup, setup.at(setup.g))]
         assert kets == [Ket(setup._out[1]).amplitudes.tobytes()] * 3
 
-    def test_at_and_replace_start_uncached(self, kernel_calls):
+    def test_at_and_replace_run_the_kernel_in_their_constructor(self, kernel_calls):
         setup = real_superposition_setup(np.pi / 6, -np.pi / 5, 0.0349)
         fm_exact(setup)
         postselect_mixed(setup)
-        derived = {"_out", "_collapsed"}
-        assert derived <= set(vars(setup))
+        assert kernel_calls == [0.0349]
         for fresh in (setup.at(setup.g), dataclasses.replace(setup)):
-            assert not derived & set(vars(fresh))
+            assert fresh._out is not setup._out
+            assert fresh._out[1].tobytes() == setup._out[1].tobytes()
         other = setup.at(0.02)
         fm_exact(other)
         fm_exact(dataclasses.replace(setup, psi_sf=BASIS.superposition(-np.pi / 4)))
-        assert kernel_calls == [0.0349, 0.02, 0.0349]
+        assert kernel_calls == [0.0349, 0.0349, 0.0349, 0.02, 0.0349]
         assert fm_exact(other) == fm_exact(real_superposition_setup(np.pi / 6, -np.pi / 5, 0.02))
 
     def test_cached_values_stay_outside_equality_and_hash(self):
@@ -536,7 +598,7 @@ class TestLazyResult:
 
     ORTHOGONAL = [(0.4, 0.4 + np.pi / 2, 0.3), (np.pi / 4, -np.pi / 4, 0.1)]
 
-    def test_derived_values_equal_the_eager_derivation_on_the_panel(self):
+    def test_result_values_equal_the_eager_derivation_on_the_panel(self):
         undefined = 0
         for theta, alpha, g in [*qfi_panel(), *self.ORTHOGONAL]:
             setup = real_superposition_setup(theta, alpha, g)
@@ -1167,14 +1229,12 @@ class TestMixedKernel:
         )
         pure = real_superposition_setup(np.pi / 6, -np.pi / 5, 0.0349)
         cached = postselect_mixed(mixed)[1], postselect_mixed(pure)[1]
-        calls = []
-        original = postselect_module._meter_core
-        monkeypatch.setattr(
-            postselect_module, "_meter_core", lambda *a: calls.append(1) or original(*a)
-        )
+        columns, cores = _count_kernels(monkeypatch)
         assert postselected_meter_family(mixed)(0.0349) is cached[0]
-        assert postselected_meter_family(pure)(0.0349) is cached[1]
-        assert calls == []
+        # a ket input's state is formed on each read, from the setup's kernel output
+        probed = postselected_meter_family(pure)(0.0349)
+        assert probed is not cached[1] and probed.entries.tobytes() == cached[1].entries.tobytes()
+        assert (columns, cores) == ([], [])
 
     @pytest.mark.parametrize("g, probe", [(0.0, -0.0), (-0.0, 0.0)])
     def test_other_signed_zero_runs_afresh(self, monkeypatch, g, probe):
@@ -1319,9 +1379,7 @@ class TestModuleBoundaries:
     # core to the standard-basis readout, two array helpers, the unchecked cost sweep, the
     # per-trial streams and the block sampler that campaigns draw through, and the qubit
     # split h0 +- r that the SLD oracle reads for a qubit's eigenvalues, so that split
-    # keeps one owner, and the lock-free per-instance derivation, which the setup's
-    # cached kernel outputs share with the observables and bases of states. A change
-    # that adds an entry says why.
+    # keeps one owner. A change that adds an entry says why.
     REVIEWED = {
         ("experiment", "postselect", "_meter_core"),
         ("experiment", "streams", "_block_seed_type"),
@@ -1329,7 +1387,6 @@ class TestModuleBoundaries:
         ("experiment", "streams", "_sample_blocks"),
         ("experiment", "streams", "_trial_rng"),
         ("fisher", "states", "_qubit_parts"),
-        ("postselect", "states", "_derived"),
         ("postselect", "states", "_phase_fixed"),
         ("postselect", "states", "_readonly"),
         ("verify", "costs", "_leading_sweep"),
@@ -1350,7 +1407,7 @@ class TestModuleBoundaries:
         assert found == self.REVIEWED
 
     def test_no_module_uses_functools_cached_property(self):
-        """Per-instance caches use ``states._derived``, never ``functools.cached_property``.
+        """Per-instance values are built in constructors, never by ``functools.cached_property``.
 
         Before Python 3.12 a ``cached_property``'s first read takes one lock per
         descriptor, shared by every instance of the class and held while the value
@@ -1363,3 +1420,35 @@ class TestModuleBoundaries:
                     assert node.attr != "cached_property", path.name
                 if isinstance(node, ast.ImportFrom) and node.module == "functools":
                     assert "cached_property" not in {a.name for a in node.names}, path.name
+
+    @staticmethod
+    def _writes_instance_state(node) -> bool:
+        """Whether a node is ``object.__setattr__(...)``, ``....__dict__[...] = ...`` or
+        ``....__dict__.setdefault(...)``."""
+
+        def is_dict(n):
+            return isinstance(n, ast.Attribute) and n.attr == "__dict__"
+
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            if func.attr == "__setattr__" and getattr(func.value, "id", None) == "object":
+                return True
+            return func.attr == "setdefault" and is_dict(func.value)
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            return any(isinstance(t, ast.Subscript) and is_dict(t.value) for t in targets)
+        return False
+
+    def test_instance_state_is_written_only_in_constructors_and_the_moments_slot(self):
+        """No per-instance value is computed on first read: outside a ``__post_init__``,
+        only the <M>/Omega slot of ``HermitianOperator._moments`` writes instance state."""
+        found = set()
+        for path in sorted(Path(postselect_module.__file__).parent.glob("*.py")):
+            for func in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if func.name != "__post_init__" and any(
+                    self._writes_instance_state(n) for n in ast.walk(func)
+                ):
+                    found.add((path.stem, func.name))
+        assert found == {("states", "_moments")}

@@ -53,18 +53,20 @@ from wva_costlab.postselect import (
     WvaSetup,
     fm_exact,
     fm_leading,
+    in_weak_regime,
     near_orthogonal_postselection,
     postselect,
     postselect_mixed,
+    postselected_meter_family,
     probabilistic_qfi,
     real_superposition_setup,
+    weak_regime_margin,
 )
 from wva_costlab.states import (
     METER_MINUS,
     METER_PLUS,
     STANDARD_BASIS,
     STANDARD_SIGMA,
-    _derived,
     check_count,
     finite_real,
 )
@@ -801,7 +803,7 @@ class TestSuperpositionMemo:
 
 
 class TestCachedDerivations:
-    def test_split_derived_once_per_observable(self, monkeypatch):
+    def test_split_computed_once_per_observable(self, monkeypatch):
         import wva_costlab.states as states_module
 
         calls = []
@@ -811,24 +813,56 @@ class TestCachedDerivations:
         )
         A = HermitianOperator(np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.7]]))
         M = HermitianOperator(np.array([[1.0, 0.0], [0.0, -1.0]]))
+        assert len(calls) == 2  # one split each for A and M, in their constructors
         coupling_unitary(A, M, 0.1)
         postselect(WvaSetup(BASIS.ket0, BASIS.superposition(0.4), METER_PLUS, A, M, 0.2))
         coupling_unitary(A, M, 0.3)
-        assert len(calls) == 2  # one split each for A and M
-        assert A._split is A._split
+        assert len(calls) == 2
+        assert "_split" not in vars(HermitianOperator(np.diag([1.0, -1.0, 1.0, -1.0])))
 
-    def test_cached_split_and_sigma_stay_outside_equality_and_repr(self):
+    def test_sigma_is_built_once_per_basis(self):
         fresh_basis = ReferenceBasis(Ket(np.array([1.0, 0.0])), Ket(np.array([0.0, 1.0])))
         sigma = STANDARD_BASIS.sigma()
         assert sigma is STANDARD_SIGMA and sigma is STANDARD_BASIS.sigma()
         assert fresh_basis.sigma() is fresh_basis.sigma()
-        fresh = HermitianOperator(np.diag([1.0, -1.0]))
-        STANDARD_SIGMA._split
-        assert "_split" in vars(STANDARD_SIGMA) and "_split" not in vars(fresh)
-        assert STANDARD_SIGMA == fresh and repr(STANDARD_SIGMA) == repr(fresh)
-        unbuilt = ReferenceBasis(Ket(np.array([1.0, 0.0])), Ket(np.array([0.0, 1.0])))
-        assert "_sigma" in vars(fresh_basis) and "_sigma" not in vars(unbuilt)
-        assert fresh_basis == unbuilt and repr(fresh_basis) == repr(unbuilt)
+
+    # each type, its constructor-built values and a builder of fresh, equal instances
+    BUILT = {
+        "operator": (lambda: HermitianOperator(np.diag([1.0, -1.0])), ("_split",)),
+        "basis": (lambda: ReferenceBasis(Ket(np.array([1.0, 0.0])), Ket(np.array([0.0, 1.0]))),
+                  ("_pairs", "_sigma", "_kets")),
+        "ket-setup": (lambda: _sigma_z_setup(BASIS.superposition(0.3)), ("_out",)),
+        "rho-setup": (lambda: _sigma_z_setup(DensityMatrix([[0.6, 0.2], [0.2, 0.4]])),
+                      ("_out", "_collapsed")),
+    }
+
+    @pytest.mark.parametrize("case", BUILT)
+    def test_values_are_set_when_the_constructor_returns(self, case):
+        build, names = self.BUILT[case]
+        assert set(names) <= set(vars(build()))
+
+    @pytest.mark.parametrize("case", BUILT)
+    def test_values_stay_outside_equality_repr_and_hash(self, case):
+        build, names = self.BUILT[case]
+        instance, twin = build(), build()
+        field_names = {f.name for f in dataclasses.fields(instance)}
+        assert not field_names & set(names)  # so the generated __eq__, __repr__, __hash__ skip them
+        for name in names:
+            vars(twin)[name] = None
+        assert instance == twin and repr(instance) == repr(twin)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(instance)  # each type holds an array or a Ket, so none is hashable
+
+    def test_only_a_density_matrix_past_the_floor_keeps_a_collapsed_state(self):
+        vanishing = WvaSetup(DensityMatrix.from_ket(BASIS.ket1), BASIS.ket0, METER_PLUS,
+                             SIGMA_Z, SIGMA_Z, 0.0)
+        assert vanishing._out[0] == 0.0 and "_collapsed" not in vars(vanishing)
+        ket_setup = _sigma_z_setup(BASIS.superposition(0.3))
+        assert "_collapsed" not in vars(ket_setup)  # a ket's collapsed state is formed where read
+
+
+def _sigma_z_setup(psi_si):
+    return WvaSetup(psi_si, BASIS.superposition(-0.4), METER_PLUS, SIGMA_Z, SIGMA_Z, 0.05)
 
 
 class TestMalformedInput:
@@ -871,89 +905,42 @@ class TestMalformedInput:
              "fm_leading: omega must be positive and finite, a_w finite"),
             (lambda: DensityMatrix.mixture([math.nan, 1.0], [BASIS.ket0, BASIS.ket1]),
              "mixture: weights must be finite real numbers"),
+            (lambda: postselect(None), "postselect: setup must be a WvaSetup"),
+            (lambda: postselect_mixed(None), "postselect_mixed: setup must be a WvaSetup"),
+            (lambda: probabilistic_qfi(None), "probabilistic_qfi: setup must be a WvaSetup"),
+            (lambda: fm_exact("x"), "fm_exact: setup must be a WvaSetup"),
+            (lambda: postselected_meter_family(None),
+             "postselected_meter_family: setup must be a WvaSetup"),
+            (lambda: weak_regime_margin(None), "weak_regime_margin: setup must be a WvaSetup"),
+            (lambda: in_weak_regime(None), "weak_regime_margin: setup must be a WvaSetup"),
+            (lambda: ReferenceBasis(0.3, BASIS.ket1),
+             "ReferenceBasis: ket0 and ket1 must be Kets"),
+            (lambda: DensityMatrix.from_ket(0.3), "from_ket: psi must be a Ket"),
         ],
         ids=["ket-str", "ket-mixed-list", "ket-big-int", "operator-str", "operator-ragged",
              "density-big-int", "mixture-str-weight", "mixture-complex-weight", "fm-omega-str",
              "fm-omega-inf", "fm-a_w-str", "fm-a_w-bool", "near-orthogonal-str",
              "near-orthogonal-nan", "coupling-str", "coupling-inf", "l1-state-float",
-             "l1-basis-str", "mle-g_max-str", "fm-a_w-big-int", "mixture-nan-weight"],
+             "l1-basis-str", "mle-g_max-str", "fm-a_w-big-int", "mixture-nan-weight",
+             "postselect-none", "postselect-mixed-none", "probabilistic-qfi-none", "fm-exact-str",
+             "meter-family-none", "weak-margin-none", "in-weak-regime-none", "basis-float-ket",
+             "from-ket-float"],
     )
     def test_raises_contract_violation(self, call, message):
         with pytest.raises(ContractViolationError, match=message):
             call()
 
 
-class TestDerived:
-    """The lock-free per-instance derivation that replaces functools.cached_property."""
+class TestSharedFreshSetups:
+    """Threads that share fresh setups and a fresh basis get the single-threaded bits.
 
-    SITES = {
-        WvaSetup: ("_out", "_collapsed"),
-        HermitianOperator: ("_split",),
-        ReferenceBasis: ("_kets", "_pairs", "_sigma"),
-    }
-
-    def test_every_per_instance_cache_is_derived_and_the_class_sees_the_descriptor(self):
-        for cls, names in self.SITES.items():
-            for name in names:
-                attribute = getattr(cls, name)
-                assert isinstance(attribute, _derived) and attribute.name == name
-                assert attribute.__doc__ == attribute.func.__doc__
-
-    def test_derived_once_per_instance_outside_equality_repr_and_hash(self):
-        calls = []
-
-        @dataclasses.dataclass(frozen=True)
-        class Point:
-            x: float
-
-            @_derived
-            def doubled(self):
-                calls.append(self.x)
-                return [2.0 * self.x]
-
-        point, twin = Point(1.5), Point(1.5)
-        before = (hash(point), repr(point))
-        value = point.doubled
-        assert point.doubled is value and value == [3.0] and calls == [1.5]
-        assert vars(point) == {"x": 1.5, "doubled": [3.0]}
-        assert (hash(point), repr(point)) == before == (hash(twin), repr(twin))
-        assert point == twin and "doubled" not in vars(twin)
-        assert "doubled" not in vars(dataclasses.replace(point))
-
-    def test_a_racing_first_read_keeps_the_first_value_for_every_reader(self):
-        threads_n = 8
-        barrier = threading.Barrier(threads_n, timeout=10.0)
-        calls = []
-
-        class Slow:
-            @_derived
-            def value(self):
-                calls.append(1)
-                barrier.wait()  # every thread is inside func before any stores
-                return object()
-
-        shared = Slow()
-        seen = [None] * threads_n
-        failures = []
-
-        def read(k):
-            try:
-                seen[k] = shared.value
-            except Exception as exc:  # a lock inside the read breaks the barrier
-                failures.append(exc)
-
-        threads = [threading.Thread(target=read, args=(k,)) for k in range(threads_n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=20.0)
-        assert not any(t.is_alive() for t in threads)
-        assert failures == [] and len(calls) == threads_n
-        assert all(v is vars(shared)["value"] for v in seen)
+    Every per-instance value is built in a constructor, so the threads race only
+    on a basis's superposition memo and the <M>/Omega slot of an observable.
+    """
 
     @staticmethod
     def _bits(setup):
-        """A setup's public values and kernel output, as bytes, and its two derived objects."""
+        """A setup's public values and kernel output, as bytes."""
         p, rho = postselect_mixed(setup)
         values, arrays = [p, fm_exact(setup)], [rho.entries]
         if isinstance(setup.psi_si, Ket):
@@ -962,8 +949,7 @@ class TestDerived:
             arrays += [v, result.phi_mf.amplitudes]
         else:
             values += setup._out[1]
-        bits = np.array(values, dtype=complex).tobytes() + b"".join(a.tobytes() for a in arrays)
-        return bits, (setup._out, setup._collapsed)
+        return np.array(values, dtype=complex).tobytes() + b"".join(a.tobytes() for a in arrays)
 
     def test_threads_reading_shared_fresh_setups_see_the_single_threaded_bits(self):
         rng = np.random.default_rng(30)
@@ -975,7 +961,7 @@ class TestDerived:
         angles = list(rng.uniform(-3.0, 3.0, 24))
 
         def fresh_round():
-            """New setups and a new basis, with new observables, so every first read races."""
+            """New setups, basis and observables, so every memo and slot starts empty."""
             basis = ReferenceBasis(Ket(np.array([1.0, 0.0])), Ket(np.array([0.0, 1.0])))
             A, M = HermitianOperator(np.diag([1.0, -1.0])), HermitianOperator(np.diag([1.0, -1.0]))
             setups = [WvaSetup(basis.superposition(t), basis.superposition(a), METER_PLUS, A, M, g)
@@ -984,7 +970,7 @@ class TestDerived:
             return ReferenceBasis(basis.ket0, basis.ket1), setups
 
         reference_basis, reference = fresh_round()
-        expected = [self._bits(s)[0] for s in reference]
+        expected = [self._bits(s) for s in reference]
         expected_kets = [reference_basis.superposition(x).amplitudes.tobytes() for x in angles]
         expected_sigma = reference_basis.sigma().entries.tobytes()
 
@@ -1002,9 +988,15 @@ class TestDerived:
 
                 def read(k):
                     try:
-                        start.wait()  # released together, so the first reads overlap
+                        start.wait()  # released together, so the memo and slot reads overlap
                         order = setups[k:] + setups[:k]
-                        got = {id(s): self._bits(s) for s in order}
+                        # equal meter kets, distinct objects: rebuilding flips M's <M>/Omega slot
+                        meters = (METER_PLUS, basis.superposition(np.pi / 4.0))
+                        got = {
+                            id(s): (self._bits(s), self._bits(
+                                dataclasses.replace(s, phi_mi=meters[(k + j) % 2])))
+                            for j, s in enumerate(order)
+                        }
                         kets = [basis.superposition(x).amplitudes.tobytes() for x in angles]
                         seen[k] = got, kets, basis.sigma()
                     except Exception as exc:  # reported in the main thread
@@ -1018,12 +1010,9 @@ class TestDerived:
                 assert not any(t.is_alive() for t in threads)
                 assert failures == [] and None not in seen
                 for got, kets, sigma in seen:
-                    assert [got[id(s)][0] for s in setups] == expected
+                    assert [got[id(s)] for s in setups] == [(e, e) for e in expected]
                     assert kets == expected_kets and sigma.entries.tobytes() == expected_sigma
                     assert sigma is basis.sigma()
-                    for s in setups:  # the first value stored is the one every thread got
-                        out, collapsed = got[id(s)][1]
-                        assert out is vars(s)["_out"] and collapsed is vars(s)["_collapsed"]
         finally:
             sys.setswitchinterval(interval)
 

@@ -12,7 +12,6 @@ SRC defaults to the ``src`` directory beside ``tools``; give another checkout's
 - ``blank``: the rest (empty lines, or blank lines inside brackets);
 - ``params``: parameters of every ``def`` and ``lambda``, ``self`` and ``cls`` included;
 - ``fields``: annotated class-body names of ``@dataclass`` classes;
-- ``derived``: functions decorated with ``_derived``;
 - ``private``: names starting with ``_`` imported from another module of the package.
 """
 
@@ -24,7 +23,7 @@ import sys
 import tokenize
 from pathlib import Path
 
-COLUMNS = ("total", "code", "doc", "comment", "blank", "params", "fields", "derived", "private")
+COLUMNS = ("total", "code", "doc", "comment", "blank", "params", "fields", "private")
 _SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -63,14 +62,12 @@ def count(path: Path) -> dict[str, int]:
     total = len(text.splitlines())
     row = {"total": total, "code": len(code), "doc": len(doc), "comment": len(comment)}
     row["blank"] = total - len(code) - len(doc) - len(comment)
-    row["params"] = row["fields"] = row["derived"] = row["private"] = 0
+    row["params"] = row["fields"] = row["private"] = 0
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             a = node.args
             row["params"] += len(a.posonlyargs) + len(a.args) + len(a.kwonlyargs)
             row["params"] += (a.vararg is not None) + (a.kwarg is not None)
-            decorators = getattr(node, "decorator_list", [])
-            row["derived"] += any(getattr(d, "id", None) == "_derived" for d in decorators)
         elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
             row["fields"] += sum(isinstance(s, ast.AnnAssign) for s in node.body)
         elif isinstance(node, ast.ImportFrom) and node.level >= 1:

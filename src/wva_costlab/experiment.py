@@ -102,7 +102,7 @@ _THREAD_MIN_DRAW = 3072
 # than two at every size; more CPUs were not measured.
 _MAX_THREADS = 2
 # Amplitude pairs of the recombined readout basis |+>, |->.
-_READOUT_BASIS = (tuple(METER_PLUS.amplitudes.tolist()), tuple(METER_MINUS.amplitudes.tolist()))
+_READOUT_BASIS = (METER_PLUS._amps, METER_MINUS._amps)
 
 
 def _check_coupling(where: str, name: str, g: float) -> None:

@@ -69,6 +69,7 @@ import numpy as np
 
 from .errors import (
     ContractViolationError,
+    ModelDimensionError,
     OrthogonalPostselectionError,
     UnsupportedInputError,
     VanishingPostselectionError,
@@ -81,8 +82,8 @@ from .states import (
     DensityMatrix,
     HermitianOperator,
     Ket,
+    _norm_sq,
     _phase_fixed,
-    _readonly,
     check_theta,
     finite_real,
 )
@@ -174,10 +175,10 @@ def _sandwich(r, u0, u1, w0, w1):
 def _evaluate(setup: "WvaSetup", g: float) -> tuple:
     """Kernel output at g, in Python scalars except where a caller needs an array.
 
-    A ket gives (p, v, (v0, v1, dv0, dv1)): the core's scalars, beside v as a
-    read-only array, which callers may share and which gives p = <v|v> as BLAS
-    ``vdot`` forms it (read through the scalar's ``.real``, which has the bits of
-    ``np.real`` at one wrapper call less). A density matrix gives (p, (k00, k10, k11)):
+    A ket gives (p, (v0, v1, dv0, dv1)): the core's scalars and
+    p = |v0|^2 + |v1|^2 from them (:func:`~wva_costlab.states._norm_sq`), with no
+    array; the array v is built only where the collapsed ket is read. A density
+    matrix gives (p, (k00, k10, k11)):
     :func:`_meter_columns` gives the two columns of V = <sf|U(g)|.>|phi> in one
     value-only pass, so no derivative is formed, and the Hermitian
     K = V rho_s V^dag is kept as its real diagonal k00, k11 and its entry k10
@@ -186,15 +187,14 @@ def _evaluate(setup: "WvaSetup", g: float) -> tuple:
     A phase that ``cmath.exp`` cannot take, or a p or slope that is not
     finite, raises ContractViolationError.
     """
-    f, x = setup.psi_sf.amplitudes.tolist(), setup.phi_mi.amplitudes.tolist()
+    f, x = setup.psi_sf._amps, setup.phi_mi._amps
     a_split, m_split = setup.A._split, setup.M._split
     try:
         if isinstance(setup.psi_si, Ket):
-            core = _meter_core(setup.psi_si.amplitudes.tolist(), f, x, a_split, m_split, g)
-            v = np.array(core[:2])
-            p = float(np.vdot(v, v).real)
+            core = _meter_core(setup.psi_si._amps, f, x, a_split, m_split, g)
+            p = _norm_sq(core[:2])
             if math.isfinite(p) and cmath.isfinite(core[2]) and cmath.isfinite(core[3]):
-                return p, _readonly(v), core
+                return p, core
         else:
             a0, a1, b0, b1 = _meter_columns(f, x, a_split, m_split, g)
             r = setup.psi_si.entries.ravel().tolist()
@@ -240,7 +240,7 @@ def _meter_qfi(setup: "WvaSetup") -> float:
     no rank cutoff, and continuous at E = 0 (K pure, as at g = 0), where the rank-1 state's
     SLD QFI is |dr|^2 alone (Safranek, PRA 95, 052320 (2017)). Needs p > 0.
     """
-    f, x, g = setup.psi_sf.amplitudes.tolist(), setup.phi_mi.amplitudes.tolist(), setup.g
+    f, x, g = setup.psi_sf._amps, setup.phi_mi._amps, setup.g
     a_split, m_split = setup.A._split, setup.M._split
     a0, a1, da0, da1 = _meter_core((1.0, 0.0), f, x, a_split, m_split, g)
     b0, b1, db0, db1 = _meter_core((0.0, 1.0), f, x, a_split, m_split, g)
@@ -343,7 +343,7 @@ class PostselectionResult:
     @property
     def phi_mf(self) -> Ket:
         """Normalized collapsed meter ket v / sqrt(p)."""
-        return Ket(self._setup._out[1])
+        return Ket(self._setup._out[1][:2])
 
     @property
     def a_w(self) -> Optional[complex]:
@@ -363,11 +363,6 @@ class PostselectionResult:
         return f"PostselectionResult(p={self.p!r}, phi_mf={self.phi_mf!r}, a_w={self.a_w!r})"
 
 
-def _amplitude(psi_si: Ket, psi_sf: Ket, A: HermitianOperator) -> complex:
-    """<sf|A|si>, the weak value's numerator."""
-    return complex(np.vdot(psi_sf.amplitudes, A.entries @ psi_si.amplitudes))
-
-
 def _overlap(psi_si: Ket, psi_sf: Ket) -> complex:
     """<sf|si>, the weak value's denominator; orthogonal beyond OVERLAP_FLOOR raises."""
     denom = psi_sf.inner(psi_si)
@@ -377,9 +372,21 @@ def _overlap(psi_si: Ket, psi_sf: Ket) -> complex:
 
 
 def weak_value(psi_si: Ket, psi_sf: Ket, A: HermitianOperator) -> complex:
-    """Weak value <sf|A|si> / <sf|si> of the system observable."""
+    """Weak value <sf|A|si> / <sf|si> of the system observable.
+
+    psi_si and psi_sf must be kets and A an observable of their dimension. The
+    numerator is taken in Python scalars (``HermitianOperator._between``). A
+    numerator or weak value beyond the float range raises ContractViolationError.
+    """
+    if not (isinstance(psi_si, Ket) and isinstance(psi_sf, Ket)
+            and isinstance(A, HermitianOperator)):
+        raise ContractViolationError(
+            "weak_value: psi_si and psi_sf must be Kets, A a HermitianOperator"
+        )
     denom = _overlap(psi_si, psi_sf)
-    return _amplitude(psi_si, psi_sf, A) / denom
+    if A.dim != psi_si.dim:
+        raise ModelDimensionError("weak_value: dimension mismatch")
+    return _in_range(A._between(psi_sf, psi_si) / denom, "weak_value", "A_w")
 
 
 def _ket_input(setup: WvaSetup, where: str) -> bool:
@@ -416,7 +423,7 @@ def _kernel(setup: WvaSetup, where: str, pure: bool = False, g: Optional[float] 
 def _meter_state(setup: WvaSetup, out: tuple) -> DensityMatrix:
     """Collapsed meter state of kernel output ``out`` past P_FLOOR; ``_collapsed`` for ``_out``."""
     if isinstance(setup.psi_si, Ket):
-        return DensityMatrix.from_ket(Ket(out[1]))
+        return DensityMatrix.from_ket(Ket(out[1][:2]))
     return setup._collapsed if out is setup._out else _collapsed_state(*out)
 
 
@@ -436,9 +443,9 @@ def _abs_sq(z: complex) -> float:
         return math.inf
 
 
-def _in_range(value: float, where: str, what: str) -> float:
-    """``value`` if it is finite; else raise ContractViolationError."""
-    if not math.isfinite(value):
+def _in_range(value, where: str, what: str):
+    """A real or complex ``value`` if it is finite; else raise ContractViolationError."""
+    if not cmath.isfinite(value):
         raise ContractViolationError(f"{where}: {what} overflows the float range")
     return value
 
@@ -501,7 +508,7 @@ def fm_exact(setup: WvaSetup) -> float:
     """
     out = _kernel(setup, "fm_exact")
     if isinstance(setup.psi_si, Ket):
-        return _in_range(_weighted_qfi(out[0], *out[2]) / out[0], "fm_exact", "F_m")
+        return _in_range(_weighted_qfi(out[0], *out[1]) / out[0], "fm_exact", "F_m")
     return _in_range(_meter_qfi(setup), "fm_exact", "F_m")
 
 
@@ -531,15 +538,18 @@ def probabilistic_qfi(setup: WvaSetup) -> tuple[float, float]:
     approach but never exceed the conventional-scheme QFI. Either value beyond
     the float range raises ContractViolationError.
     """
-    p, _, core = _kernel(setup, "probabilistic_qfi", pure=True)
+    p, core = _kernel(setup, "probabilistic_qfi", pure=True)
     exact = _in_range(_weighted_qfi(p, *core), "probabilistic_qfi", "p F_m")
-    signal = _amplitude(setup.psi_si, setup.psi_sf, setup.A)
-    leading = 4.0 * setup.omega * _abs_sq(signal)
+    leading = 4.0 * setup.omega * _abs_sq(setup.A._between(setup.psi_sf, setup.psi_si))
     return exact, _in_range(leading, "probabilistic_qfi", "4 Omega |<sf|A|si>|^2")
 
 
 def optimal_postselection(psi_si: Ket, A: HermitianOperator) -> Ket:
     """Postselection state A|si> / sqrt(<A^2>) that maximizes the weighted QFI."""
+    if not (isinstance(psi_si, Ket) and isinstance(A, HermitianOperator)):
+        raise ContractViolationError(
+            "optimal_postselection: psi_si must be a Ket, A a HermitianOperator"
+        )
     vec = A.apply(psi_si)
     if float(np.vdot(vec, vec).real) <= 1e-12:
         raise ContractViolationError("optimal_postselection: A annihilates the input")
@@ -555,6 +565,10 @@ def near_orthogonal_postselection(psi_si: Ket, A: HermitianOperator, epsilon: fl
     negative coefficient along the amplification direction. ``epsilon`` goes
     through :func:`finite_real`.
     """
+    if not (isinstance(psi_si, Ket) and isinstance(A, HermitianOperator)):
+        raise ContractViolationError(
+            "near_orthogonal_postselection: psi_si must be a Ket, A a HermitianOperator"
+        )
     finite_real(epsilon, "near_orthogonal_postselection", "epsilon")
     if epsilon == 0:
         raise OrthogonalPostselectionError(

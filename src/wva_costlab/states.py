@@ -14,16 +14,21 @@ observable is built; the postselection kernel of
 :func:`hermitian_eigs` and the 4x4 positivity check. The matrix types store a
 read-only complex copy of their input, read it once with ``tolist()`` and
 check finiteness, Hermiticity and trace in Python scalars. A :class:`Ket`
-checks its norm in Python scalars too, but takes the norm as
-``np.linalg.norm`` does (BLAS ``ddot`` over the real and imaginary parts,
-which fuses multiply-adds), since a Python or ``math.hypot`` norm differs in
-the last bit; it stores one read-only array. Kets and matrices compare by
-value (equal stored arrays) and stay unhashable. The standard basis, its
-observable and the balanced meter kets are built once, as module constants.
+stores its normalized amplitudes twice: as a read-only array and as a tuple of
+Python complexes, ``_amps``.
 
-Every per-instance value (an observable's split; a basis's observable,
-amplitude pairs and empty superposition memo; a
-:class:`~wva_costlab.postselect.WvaSetup`'s kernel output) is computed in the
+The per-point sums of products take no BLAS call. A ket's norm, inner
+products, an observable's action on a ket and its moments are fixed-order sums
+of Python scalar products (:func:`_norm_sq`, :func:`_inner`, :func:`_apply`),
+and angles go through ``math.cos``, ``math.sin`` and ``math.acos``, so their
+bits depend neither on the host's BLAS kernel nor on numpy's SIMD dispatch.
+Kets and matrices compare by value (equal stored arrays) and stay unhashable.
+The standard basis, its observable and the balanced meter kets are built once,
+as module constants.
+
+Every per-instance value (a ket's amplitude tuple; an observable's flat entries
+and split; a basis's observable, amplitude pairs and empty superposition memo;
+a :class:`~wva_costlab.postselect.WvaSetup`'s kernel output) is computed in the
 constructor, outside equality, hashing and the repr. Only two pieces of state
 change later, with no lock: the memo, which may hand two threads distinct,
 equal kets for one angle, and the <M>/Omega slot of ``HermitianOperator._moments``,
@@ -172,6 +177,34 @@ def _qubit_split(flat: list[complex]) -> tuple[tuple[float, _Projector], ...]:
     )
 
 
+def _norm_sq(amps) -> float:
+    """sum_k |z_k|^2 in index order, each term z.real^2 + z.imag^2; inf where it overflows."""
+    total = 0.0
+    for z in amps:
+        total += z.real * z.real + z.imag * z.imag
+    return total
+
+
+def _inner(x, y) -> complex:
+    """<x|y> = sum_k conj(x_k) y_k of equal-length amplitude sequences, summed in index order."""
+    total = x[0].conjugate() * y[0]
+    for k in range(1, len(x)):
+        total += x[k].conjugate() * y[k]
+    return total
+
+
+def _apply(flat, y) -> list[complex]:
+    """H y from the flat row-major entries of a square H, each row summed in column order."""
+    n = len(y)
+    out = []
+    for row in range(0, n * n, n):
+        total = flat[row] * y[0]
+        for k in range(1, n):
+            total += flat[row + k] * y[k]
+        out.append(total)
+    return out
+
+
 class _ArrayValue:
     """Value equality for the frozen types that hold one read-only array.
 
@@ -191,8 +224,10 @@ class _ArrayValue:
 class Ket(_ArrayValue):
     """Unit-norm complex state vector of dimension 2 or 4.
 
-    The constructor normalizes its input; a vector of near-zero or non-finite
-    norm is rejected. Amplitudes are stored read-only.
+    The constructor normalizes its input by sqrt(:func:`_norm_sq`); a vector
+    of near-zero or non-finite norm is rejected. Amplitudes are stored
+    read-only, and as the tuple ``_amps`` of Python complexes, which takes no
+    part in equality or the repr.
     """
 
     amplitudes: np.ndarray
@@ -203,22 +238,24 @@ class Ket(_ArrayValue):
         except (TypeError, ValueError, OverflowError):  # a str, a ragged list, an int beyond float
             raise ContractViolationError("Ket: amplitudes must be finite numbers") from None
         _check_dim(vec.size, "Ket")
-        norm = math.sqrt(vec.real.dot(vec.real) + vec.imag.dot(vec.imag))  # np.linalg.norm's sum
+        norm = math.sqrt(_norm_sq(vec.tolist()))
         if not math.isfinite(norm):
             raise ContractViolationError("Ket: amplitudes must be finite")
         if norm < 1e-12:
             raise ContractViolationError("Ket: cannot normalize a null vector")
-        object.__setattr__(self, "amplitudes", _readonly(vec / norm))
+        unit = _readonly(vec / norm)
+        object.__setattr__(self, "amplitudes", unit)
+        object.__setattr__(self, "_amps", tuple(unit.tolist()))
 
     @property
     def dim(self) -> int:
-        return self.amplitudes.size
+        return len(self._amps)
 
     def inner(self, other: "Ket") -> complex:
-        """Return the inner product <self|other>."""
+        """Return the inner product <self|other> (:func:`_inner`)."""
         if self.dim != other.dim:
             raise ModelDimensionError("inner: dimension mismatch")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+        return _inner(self._amps, other._amps)
 
     def projector(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
@@ -228,9 +265,9 @@ class Ket(_ArrayValue):
 class HermitianOperator(_ArrayValue):
     """Hermitian observable on a 2- or 4-dimensional space with finite entries.
 
-    A qubit observable's closed-form spectral split ``_split``
-    (:func:`_qubit_split`) is computed at construction and takes no part in
-    equality or the repr.
+    The flat row-major entries ``_flat`` and a qubit observable's closed-form
+    spectral split ``_split`` (:func:`_qubit_split`) are computed at
+    construction and take no part in equality or the repr.
     """
 
     entries: np.ndarray
@@ -238,11 +275,12 @@ class HermitianOperator(_ArrayValue):
     def __post_init__(self):
         mat, flat = _square_entries(self.entries, "HermitianOperator")
         object.__setattr__(self, "entries", mat)
+        object.__setattr__(self, "_flat", tuple(flat))
         if len(flat) == 4:
             object.__setattr__(self, "_split", _qubit_split(flat))
 
-    def _moments(self, phi: Ket) -> tuple[np.float64, float]:
-        """(Re <phi|H|phi>, ||H phi||^2) of a ket of the same dimension.
+    def _moments(self, phi: Ket) -> tuple[float, float]:
+        """(Re <phi|H|phi>, ||H phi||^2) of a ket of the same dimension, in Python scalars.
 
         One slot keeps the ket last asked about and its two values, so a
         sweep that reuses one (H, phi) pair of objects computes them once. An
@@ -251,8 +289,8 @@ class HermitianOperator(_ArrayValue):
         """
         slot = self.__dict__.get("_moment_slot")
         if slot is None or slot[0] is not phi:
-            h_phi = self.entries @ phi.amplitudes
-            slot = (phi, np.vdot(phi.amplitudes, h_phi).real, float(np.vdot(h_phi, h_phi).real))
+            h_phi = _apply(self._flat, phi._amps)
+            slot = (phi, _inner(phi._amps, h_phi).real, _norm_sq(h_phi))
             self.__dict__["_moment_slot"] = slot
         return slot[1], slot[2]
 
@@ -266,12 +304,19 @@ class HermitianOperator(_ArrayValue):
             raise ModelDimensionError("apply: dimension mismatch")
         return self.entries @ psi.amplitudes
 
+    def _between(self, x: Ket, y: Ket) -> complex:
+        """<x|H|y> of kets of H's dimension, in Python scalars (:func:`_inner`, :func:`_apply`)."""
+        return _inner(x._amps, _apply(self._flat, y._amps))
+
     def expectation(self, state: Union[Ket, "DensityMatrix"]) -> float:
+        """Re <H>: <psi|H|psi> of a ket in Python scalars, Tr(rho H) of a density matrix."""
+        if not isinstance(state, (Ket, DensityMatrix)):
+            raise ContractViolationError("expectation: state must be a Ket or DensityMatrix")
+        if self.dim != state.dim:
+            raise ModelDimensionError("expectation: dimension mismatch")
         if isinstance(state, Ket):
-            val = np.vdot(state.amplitudes, self.entries @ state.amplitudes)
-        else:
-            val = np.trace(state.entries @ self.entries)
-        return float(val.real)
+            return self._between(state, state).real
+        return float(np.trace(state.entries @ self.entries).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,6 +392,8 @@ class DensityMatrix(_ArrayValue):
             raise ContractViolationError("mixture: weights must be finite real numbers")
         if w.size != len(kets) or w.size == 0:
             raise ContractViolationError("mixture: weights and kets must match")
+        if not all(isinstance(k, Ket) for k in kets):
+            raise ContractViolationError("mixture: kets must be Kets")
         if len({k.dim for k in kets}) > 1:
             raise ModelDimensionError("mixture: kets must share one dimension")
         if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-12:
@@ -395,8 +442,7 @@ class ReferenceBasis:
             raise ModelDimensionError("ReferenceBasis: kets must be qubits")
         if abs(self.ket0.inner(self.ket1)) > 1e-12:
             raise ContractViolationError("ReferenceBasis: kets are not orthogonal")
-        a0, a1 = self.ket0.amplitudes, self.ket1.amplitudes
-        object.__setattr__(self, "_pairs", list(zip(a0.tolist(), a1.tolist())))
+        object.__setattr__(self, "_pairs", list(zip(self.ket0._amps, self.ket1._amps)))
         sigma = HermitianOperator(self.ket0.projector() - self.ket1.projector())
         object.__setattr__(self, "_sigma", sigma)
         object.__setattr__(self, "_kets", {})
@@ -421,7 +467,7 @@ class ReferenceBasis:
         memo = self._kets
         ket = memo.get(key)
         if ket is None:
-            c, s = float(np.cos(angle)), float(np.sin(angle))
+            c, s = math.cos(angle), math.sin(angle)
             ket = Ket(np.array([c * a + s * b for a, b in self._pairs]))
             if len(memo) >= SUPERPOSITION_MEMO_SIZE:
                 memo.clear()  # one atomic call, so threads sharing a basis need no lock
@@ -466,7 +512,7 @@ def selection_cosines(theta: float, alpha: float, where: str) -> tuple[float, fl
     theta = finite_real(theta, where, "theta")
     alpha = finite_real(alpha, where, "alpha")
     check_theta(theta, f"{where}: theta")
-    return np.cos(alpha + theta), np.cos(alpha - theta)
+    return math.cos(alpha + theta), math.cos(alpha - theta)
 
 
 def check_count(count, where: str, minimum: int = 1):
@@ -567,6 +613,8 @@ def bloch_of(psi: Ket, basis: ReferenceBasis) -> BlochVector:
 
 def overlap_sq(a: Ket, b: Ket) -> float:
     """Squared overlap |<a|b>|^2, clamped into [0, 1]."""
+    if not (isinstance(a, Ket) and isinstance(b, Ket)):
+        raise ContractViolationError("overlap_sq: a and b must be Kets")
     if a.dim != b.dim:
         raise ModelDimensionError("overlap_sq: dimension mismatch")
     return min(max(abs(a.inner(b)) ** 2, 0.0), 1.0)  # np.clip's bits, in Python floats
@@ -577,6 +625,6 @@ def bloch_angle(ra: BlochVector, rb: BlochVector) -> float:
     for r in (ra, rb):
         if abs(r.norm() - 1.0) > BLOCH_UNIT_TOL:
             raise ContractViolationError("bloch_angle: vectors must be unit norm")
-    dot = float(np.dot(ra.as_array(), rb.as_array()))
-    # np.clip's bits in Python floats; np.arccos, since math.acos rounds differently
-    return float(np.arccos(min(max(dot, -1.0), 1.0)))
+    a, b = (float(ra.r1), float(ra.r2), float(ra.r3)), (float(rb.r1), float(rb.r2), float(rb.r3))
+    dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    return math.acos(min(max(dot, -1.0), 1.0))  # np.clip's bits in Python floats

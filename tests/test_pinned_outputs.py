@@ -17,17 +17,30 @@ rewrite all of them from the current source, run from the repository root:
     PYTHONPATH=src python3 tests/test_pinned_outputs.py
 
 It prints the name of each file whose bytes changed, and nothing else.
+
+No pinned value depends on the host's BLAS kernel or numpy's SIMD dispatch,
+except the worst value of two ``verify`` suites, each in two fields
+(``worst_slack`` and the ``worst_abs_...`` in its detail).
+``oracle-agreement``'s comes from LAPACK on random 4x4 matrices, and
+``conventional-information``'s from the finite-difference oracles ``qfi_pure``
+and ``qfi_mixed`` on 4-dimensional states, which use BLAS and LAPACK ``eigh``.
+They are pinned for the kernel OpenBLAS picks on the recording host (SkylakeX,
+AVX-512). ``test_pinned_bytes_hold_under_a_second_blas_kernel`` checks every
+other byte under a second kernel.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -102,14 +115,17 @@ def qfi_panel() -> list[tuple[float, float, float]]:
 
 
 def mixed_panel() -> list[tuple[float, float, float, float, float]]:
-    """(rx, ry, rz, alpha, g): 200 seeded Bloch vectors of radius at most 0.95, any direction."""
+    """(rx, ry, rz, alpha, g): 200 seeded Bloch vectors of radius at most 0.95, any direction.
+
+    Scaled in Python floats (``math.hypot``), so no input depends on the BLAS kernel.
+    """
     rng = np.random.default_rng([PANEL_SEED, 1])
     inputs = []
     for _ in range(200):
-        r = rng.normal(size=3)
-        r *= 0.95 * rng.uniform() ** (1.0 / 3.0) / np.linalg.norm(r)
+        r = rng.normal(size=3).tolist()
+        scale = 0.95 * rng.uniform() ** (1.0 / 3.0) / math.hypot(*r)
         alpha = rng.uniform(-math.pi / 2.0, math.pi / 2.0)
-        inputs.append((*r.tolist(), alpha, _signed_coupling(rng)))
+        inputs.append((*(x * scale for x in r), alpha, _signed_coupling(rng)))
     return inputs
 
 
@@ -141,8 +157,109 @@ def panel_digests() -> str:
     return f"qfi {qfi.hexdigest()}\nmixed {mixed.hexdigest()}\n"
 
 
+DIGEST = "exact_panel.sha256"
+
+
 def test_exact_panel_matches_its_pinned_digest():
-    assert panel_digests() == (PINNED / "exact_panel.sha256").read_text(encoding="utf-8")
+    assert panel_digests() == (PINNED / DIGEST).read_text(encoding="utf-8")
+
+
+def write_outputs(directory: Path, names) -> list[str]:
+    """Write the named cases, ``DIGEST`` among them, into ``directory``; return what was written."""
+    written = []
+    for name in names:
+        if name == DIGEST:
+            (directory / DIGEST).write_text(panel_digests(), encoding="utf-8")
+            written.append(DIGEST)
+        else:
+            written += run_case(name, directory)
+    return written
+
+
+# A second OpenBLAS kernel and the /proc/cpuinfo flag it needs, in order of preference.
+SECOND_KERNELS = (("Haswell", "avx2"), ("Sandybridge", "avx"))
+# numpy 2's names for its AVX-512 dispatch targets.
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+# The worst value of the two verify suites whose oracles run BLAS or LAPACK on 4x4
+# matrices, in its two fields: pinned for one kernel only.
+LAPACK_FIELDS = re.compile(
+    r'("name": "(?:oracle-agreement|conventional-information)",\s*"passed": \w+,'
+    r'\s*"worst_slack": )[^,]+(,\s*"detail": \{\s*"worst_abs_\w+": )[^,]+'
+)
+
+
+def cpu_flags() -> set[str]:
+    """The CPU's feature flags from /proc/cpuinfo; empty where it cannot be read."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    line = next((ln for ln in text.splitlines() if ln.startswith("flags")), ":")
+    return set(line.split(":", 1)[1].split())
+
+
+def second_kernel(flags: set[str]) -> Optional[str]:
+    """The first of SECOND_KERNELS that the CPU runs, other than the one OpenBLAS picks for it."""
+    own = next((name for name, flag in (("SkylakeX", "avx512f"), *SECOND_KERNELS)
+                if flag in flags), None)
+    return next((name for name, flag in SECOND_KERNELS if flag in flags and name != own), None)
+
+
+def blas_core() -> Optional[str]:
+    """The kernel that numpy's bundled OpenBLAS runs, or None where it cannot be read."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        # numpy 2 wheels bundle scipy-openblas; numpy 1 wheels an openblas64_ build
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_"):
+            func = getattr(ctypes.CDLL(str(lib)), symbol, None)
+            if func is not None:
+                func.argtypes, func.restype = [], ctypes.c_char_p
+                return func().decode()
+    return None
+
+
+def _mask_lapack_fields(text: str) -> str:
+    masked, count = LAPACK_FIELDS.subn(r"\1<lapack>\2<lapack>", text)
+    assert count == 2, "the fields of oracle-agreement and conventional-information"
+    return masked
+
+
+def test_pinned_bytes_hold_under_a_second_blas_kernel(tmp_path):
+    """Every pinned case and both panel digests, byte for byte, under a second BLAS kernel.
+
+    One child process runs them under ``OPENBLAS_CORETYPE`` set to a second
+    kernel that the CPU supports, and checks that OpenBLAS took it. Only there,
+    the four LAPACK_FIELDS in each verify file are left out of the comparison;
+    every other byte is compared. On an AVX-512 CPU a second child
+    runs the verify cases with numpy's AVX-512 dispatch turned off, and all of
+    their bytes are compared. The variables are set in the children only.
+    """
+    flags = cpu_flags()
+    kernel = second_kernel(flags)
+    if kernel is None:
+        pytest.skip("no second OpenBLAS kernel: Haswell needs avx2 and Sandybridge avx")
+    verify = sorted(name for name in CASES if name.startswith("verify"))
+    runs = {"kernel": ({"OPENBLAS_CORETYPE": kernel}, [*sorted(CASES), DIGEST])}
+    if "avx512f" in flags:
+        runs["dispatch"] = ({"NPY_DISABLE_CPU_FEATURES": NO_AVX512}, verify)
+    children = {}
+    for label, (extra, names) in runs.items():
+        (tmp_path / label).mkdir()
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **extra}
+        children[label] = subprocess.Popen(
+            [sys.executable, __file__, "--into", str(tmp_path / label), *names],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    outputs = {label: child.communicate(timeout=120) for label, child in children.items()}
+    for label, (out, err) in outputs.items():
+        assert children[label].returncode == 0, err
+        core, *written = out.split()
+        print(f"{label} run: {runs[label][0]}, OpenBLAS kernel {core}")
+        if label == "kernel" and core != kernel:
+            pytest.skip(f"OpenBLAS reports kernel {core}, not {kernel}: the switch is unconfirmed")
+        for name in written:
+            got, pinned = ((d / name).read_bytes() for d in (tmp_path / label, PINNED))
+            if label == "kernel" and name in verify:
+                got, pinned = (_mask_lapack_fields(b.decode()) for b in (got, pinned))
+            assert got == pinned, (label, name)
 
 
 def _record() -> None:
@@ -152,9 +269,7 @@ def _record() -> None:
     """
     PINNED.mkdir(parents=True, exist_ok=True)
     before = {path.name: path.read_bytes() for path in PINNED.iterdir()}
-    for name in CASES:
-        run_case(name, PINNED)
-    (PINNED / "exact_panel.sha256").write_text(panel_digests(), encoding="utf-8")
+    write_outputs(PINNED, [*CASES, DIGEST])
     for demo in sorted((ROOT / "demos").glob("*.py")):
         out = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT,
                              capture_output=True, check=True).stdout
@@ -176,4 +291,8 @@ def test_recording_an_unchanged_tree_names_no_file(tmp_path):
 
 
 if __name__ == "__main__":
-    _record()
+    if sys.argv[1:2] == ["--into"]:  # the cross-kernel test's child: the kernel, then the files
+        print(blas_core())
+        print(*write_outputs(Path(sys.argv[2]), sys.argv[3:]), sep="\n")
+    else:
+        _record()

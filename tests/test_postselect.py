@@ -25,6 +25,7 @@ from wva_costlab import (
     DensityMatrix,
     HermitianOperator,
     Ket,
+    ModelDimensionError,
     OrthogonalPostselectionError,
     PostselectionResult,
     ReferenceBasis,
@@ -95,6 +96,11 @@ class TestWeakValue:
     def test_orthogonal_pair_rejected(self):
         with pytest.raises(OrthogonalPostselectionError):
             weak_value(BASIS.ket0, BASIS.ket1, SIGMA)
+
+    def test_observable_of_another_dimension_rejected(self):
+        four = Ket([1.0, 0.0, 0.0, 1.0])
+        with pytest.raises(ModelDimensionError, match="weak_value: dimension mismatch"):
+            weak_value(four, four, SIGMA)
 
 
 class TestPostselect:
@@ -213,9 +219,10 @@ class TestMeterMoments:
         return WvaSetup(BASIS.ket0, Ket([1.0, 1.0]), phi, SIGMA, meter, g)
 
     @staticmethod
-    def reference_omega(meter, phi):
-        m_phi = meter.entries @ phi.amplitudes
-        return float(np.real(np.vdot(m_phi, m_phi)))
+    def closed_form_omega(meter):
+        """Omega of a traceless qubit meter [[a, c], [conj(c), -a]]: M^2 = (a^2 + |c|^2) I."""
+        a, c = meter.entries[0, 0].real, complex(meter.entries[0, 1])
+        return a * a + (c.real * c.real + c.imag * c.imag)
 
     def test_the_same_objects_hit_the_slot(self, monkeypatch):
         meter = HermitianOperator(np.array([[0.0, 2.0], [2.0, 0.0]]))
@@ -234,7 +241,8 @@ class TestMeterMoments:
         second = self.setup(meter, phi, g=0.2)
         assert calls == [False, True]
         assert meter.__dict__["_moment_slot"] is slot  # not recomputed
-        assert first.omega == second.omega == self.reference_omega(meter, phi)
+        assert first.omega == second.omega
+        assert first.omega == pytest.approx(self.closed_form_omega(meter), rel=6 * 2.0**-52)
 
     def test_an_equal_but_distinct_ket_misses_the_slot(self):
         meter = HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -246,7 +254,8 @@ class TestMeterMoments:
         assert meter.__dict__["_moment_slot"][0] is twin
         assert meter.__dict__["_moment_slot"][1:] == slot[1:]
 
-    def test_omega_matches_the_direct_product(self):
+    def test_omega_matches_the_closed_form(self):
+        """||M phi||^2 = a^2 + |c|^2 for every unit phi: within 6 eps of the closed form."""
         rng = np.random.default_rng(23)
         for _ in range(50):
             a = rng.normal()
@@ -256,7 +265,8 @@ class TestMeterMoments:
             _, vecs = np.linalg.eigh(meter.entries)
             phi = Ket(vecs[:, 0] + vecs[:, 1])
             for _ in range(2):
-                assert self.setup(meter, phi).omega == self.reference_omega(meter, phi)
+                omega = self.setup(meter, phi).omega
+                assert omega == pytest.approx(self.closed_form_omega(meter), rel=6 * 2.0**-52)
 
     def test_a_failing_balance_check_raises_every_time(self):
         meter = HermitianOperator(np.diag([1.0, -1.0]))
@@ -420,6 +430,25 @@ class TestBeyondTheFloatRange:
         with pytest.raises(ContractViolationError, match="WvaSetup: .* overflows the float range"):
             family(1e200)
 
+    def test_weak_value_of_a_finite_setup_beyond_the_range_raises(self):
+        """A_w = <sf|A|si> / <sf|si> beyond the float range at a finite setup raises, not inf+0j."""
+        A = HermitianOperator([[1e308, 1e308], [1e308, -1e308]])
+        setup = WvaSetup(BASIS.superposition(0.3), BASIS.superposition(0.3 + np.pi / 2 - 1e-3),
+                         BALANCED_METER, A, SIGMA, 1e-300)
+        result = postselect(setup)
+        for call in (lambda: result.a_w, lambda: weak_value(setup.psi_si, setup.psi_sf, A),
+                     lambda: weak_regime_margin(setup)):
+            with pytest.raises(ContractViolationError, match="weak_value: A_w overflows"):
+                call()
+        with pytest.raises(ContractViolationError, match="overflows the float range"):
+            probabilistic_qfi(setup)
+
+    def test_weak_value_numerator_beyond_the_range_raises(self):
+        A = HermitianOperator([[1e308, 1e308], [1e308, 1e308]])
+        psi = BASIS.superposition(np.pi / 4)  # <psi|A|psi> = 2e308
+        with pytest.raises(ContractViolationError, match="weak_value: A_w overflows"):
+            weak_value(psi, psi, A)
+
     @pytest.mark.parametrize("a, g", [(1e200, 1e200), (1e308, 10.0)])
     def test_coupling_unitary_raises_contract_violation(self, a, g):
         with pytest.raises(ContractViolationError, match="overflows the float range"):
@@ -531,9 +560,10 @@ class TestKernelSharing:
         probabilistic_qfi(setup)
         postselect(setup)
         assert kernel_calls == [0.0349]
-        _, v, core = setup._out
-        assert not v.flags.writeable and v.tobytes() == np.array(core[:2]).tobytes()
-        assert [type(z) for z in core] == [complex] * 4
+        p, core = setup._out  # Python scalars only: no array is built for p
+        assert type(p) is float and [type(z) for z in core] == [complex] * 4
+        v = np.array(core[:2])
+        assert abs(p - np.vdot(v, v).real) <= 2.0**-52 * p  # numpy's sum within 1 ulp
 
     def test_repeated_reads_give_the_first_reads_bits(self):
         setup = real_superposition_setup(np.pi / 6, -np.pi / 5, 0.0349)
@@ -552,7 +582,7 @@ class TestKernelSharing:
     def test_postselect_gives_the_same_collapsed_ket_bits_on_every_call(self):
         setup = real_superposition_setup(np.pi / 6, -np.pi / 5, 0.0349)
         kets = [postselect(s).phi_mf.amplitudes.tobytes() for s in (setup, setup, setup.at(setup.g))]
-        assert kets == [Ket(setup._out[1]).amplitudes.tobytes()] * 3
+        assert kets == [Ket(setup._out[1][:2]).amplitudes.tobytes()] * 3
 
     def test_at_and_replace_run_the_kernel_in_their_constructor(self, kernel_calls):
         setup = real_superposition_setup(np.pi / 6, -np.pi / 5, 0.0349)
@@ -561,7 +591,7 @@ class TestKernelSharing:
         assert kernel_calls == [0.0349]
         for fresh in (setup.at(setup.g), dataclasses.replace(setup)):
             assert fresh._out is not setup._out
-            assert fresh._out[1].tobytes() == setup._out[1].tobytes()
+            assert repr(fresh._out) == repr(setup._out)  # repr: every bit, signed zeros too
         other = setup.at(0.02)
         fm_exact(other)
         fm_exact(dataclasses.replace(setup, psi_sf=BASIS.superposition(-np.pi / 4)))
@@ -610,7 +640,13 @@ class TestLazyResult:
                 eager_a_w = None
                 undefined += 1
             assert repr(result.a_w) == repr(eager_a_w)  # repr tells every bit, signed zeros too
-            assert result.phi_mf.amplitudes.tobytes() == Ket(setup._out[1]).amplitudes.tobytes()
+            v = np.array(setup._out[1][:2])
+            assert result.phi_mf.amplitudes.tobytes() == Ket(v).amplitudes.tobytes()
+            # v / sqrt(p), with p summed in Python: within 2 ulps of numpy's v / ||v||
+            expected = v / np.linalg.norm(v)
+            for got, want in ((result.phi_mf.amplitudes.real, expected.real),
+                              (result.phi_mf.amplitudes.imag, expected.imag)):
+                assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
         assert undefined == 1 + len(self.ORTHOGONAL)
 
     @pytest.mark.parametrize("theta, alpha, g", [(np.pi / 6, -np.pi / 5, 0.0349), ORTHOGONAL[0]])
@@ -1387,8 +1423,8 @@ class TestModuleBoundaries:
         ("experiment", "streams", "_sample_blocks"),
         ("experiment", "streams", "_trial_rng"),
         ("fisher", "states", "_qubit_parts"),
+        ("postselect", "states", "_norm_sq"),
         ("postselect", "states", "_phase_fixed"),
-        ("postselect", "states", "_readonly"),
         ("verify", "costs", "_leading_sweep"),
     }
 
@@ -1405,6 +1441,36 @@ class TestModuleBoundaries:
                         for alias in node.names if alias.name.startswith("_")
                     }
         assert found == self.REVIEWED
+
+    # The per-point functions of the pure-input exact path, by module and qualified name.
+    SCALAR_ONLY = {
+        "states": ("_norm_sq", "_inner", "_apply", "Ket.__post_init__", "Ket.inner",
+                   "HermitianOperator._moments", "HermitianOperator._between", "bloch_angle"),
+        "postselect": ("_evaluate",),
+    }
+
+    def test_per_point_functions_make_no_blas_call(self):
+        """No ``@`` and no vdot, dot, matmul, inner, einsum, tensordot or linalg attribute.
+
+        Their bits then follow from Python's float arithmetic alone, not from the
+        host's BLAS kernel or numpy's SIMD dispatch.
+        """
+        banned = {"vdot", "dot", "matmul", "inner", "einsum", "tensordot", "linalg"}
+        for module, names in self.SCALAR_ONLY.items():
+            path = Path(postselect_module.__file__).parent / f"{module}.py"
+            tree = ast.parse(path.read_text())
+            found = {}
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef):
+                    found[node.name] = node
+                elif isinstance(node, ast.ClassDef):
+                    found |= {f"{node.name}.{f.name}": f for f in node.body
+                              if isinstance(f, ast.FunctionDef)}
+            for name in names:
+                for node in ast.walk(found[name]):
+                    matmul = isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                    assert not matmul, name
+                    assert not (isinstance(node, ast.Attribute) and node.attr in banned), name
 
     def test_no_module_uses_functools_cached_property(self):
         """Per-instance values are built in constructors, never by ``functools.cached_property``.

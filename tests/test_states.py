@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wva_costlab.states as states_module
 from wva_costlab import (
     BlochVector,
     ContractViolationError,
@@ -55,12 +57,14 @@ from wva_costlab.postselect import (
     fm_leading,
     in_weak_regime,
     near_orthogonal_postselection,
+    optimal_postselection,
     postselect,
     postselect_mixed,
     postselected_meter_family,
     probabilistic_qfi,
     real_superposition_setup,
     weak_regime_margin,
+    weak_value,
 )
 from wva_costlab.states import (
     METER_MINUS,
@@ -131,6 +135,15 @@ class TestTypes:
     def test_hermitian_validation(self):
         with pytest.raises(ContractViolationError):
             HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_expectation_of_a_state_of_another_dimension_rejected(self):
+        # a 4x4 observable on a qubit ket would otherwise read only its first two rows
+        four = HermitianOperator(np.diag([1.0, 2.0, 3.0, 4.0]))
+        for H, state in ((four, BASIS.ket0), (SIGMA_Z, tensor(BASIS.ket0, BASIS.ket1)),
+                         (four, DensityMatrix.from_ket(BASIS.ket0))):
+            with pytest.raises(ModelDimensionError, match="expectation: dimension mismatch"):
+                H.expectation(state)
+        assert four.expectation(tensor(BASIS.ket1, BASIS.ket0)) == 3.0
 
     def test_unitary_validation(self):
         UnitaryOperator(np.eye(2))
@@ -484,6 +497,23 @@ class TestBlochGeometry:
         assert angle == pytest.approx(2.0 * np.pi / 3.0, abs=1e-12)
         assert abs(angle - 2.0944) < 1e-4
 
+    def test_bloch_angle_is_the_acos_of_the_clamped_dot_product(self):
+        """In Python floats: math.acos of the dot product summed x, y, z, clamped into [-1, 1]."""
+        rng = np.random.default_rng(34)
+        above_one = 0
+        for _ in range(200):
+            a, b = ([x / math.hypot(*r) for x in r] for r in rng.normal(size=(2, 3)).tolist())
+            dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+            got = bloch_angle(BlochVector(*a), BlochVector(*b))
+            assert type(got) is float and got == math.acos(min(max(dot, -1.0), 1.0))
+            assert got == pytest.approx(float(np.arccos(np.clip(np.dot(a, b), -1, 1))), abs=1e-15)
+            # a rounded self dot product above 1 is clamped to an angle of 0: math.acos would raise
+            self_dot = a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
+            above_one += self_dot > 1.0
+            expected = 0.0 if self_dot > 1.0 else math.acos(self_dot)
+            assert bloch_angle(BlochVector(*a), BlochVector(*a)) == expected
+        assert above_one > 0
+
     def test_bloch_angle_requires_unit_vectors(self):
         with pytest.raises(ContractViolationError):
             bloch_angle(BlochVector(0.5, 0, 0), BlochVector(0, 0, 1.0))
@@ -710,16 +740,44 @@ def _ket_inputs(seed):
     return out
 
 
+def _ulps(got, expected) -> float:
+    """Largest distance in units of the expected component's last place, real and imag parts."""
+    got, expected = np.asarray(got, dtype=complex), np.asarray(expected, dtype=complex)
+    return max(float(np.max(np.abs(g - e) / np.spacing(np.abs(e))))
+               for g, e in ((got.real, expected.real), (got.imag, expected.imag)))
+
+
+def _exact_unit(amplitudes) -> list[complex]:
+    """The normalized vector, each component correctly rounded from 60-digit decimal arithmetic."""
+    parts = [(Decimal(z.real), Decimal(z.imag)) for z in np.asarray(amplitudes, complex).ravel()]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        norm = sum(re * re + im * im for re, im in parts).sqrt()
+        return [complex(float(re / norm), float(im / norm)) for re, im in parts]
+
+
 class TestScalarKet:
-    """Ket's normalisation and superposition agree bit for bit with the numpy code they replaced."""
+    """Ket's normalisation and the Python-scalar helpers against independent values.
+
+    The norm is a fixed-order sum of Python float squares, not numpy's BLAS
+    ``ddot``, so its last bits are the same on every BLAS kernel; these tests
+    bound it against exact arithmetic and against numpy instead of pinning numpy's
+    bits.
+    """
 
     @pytest.mark.parametrize("seed", [5, 6])
-    def test_same_bytes_exception_type_and_message_as_numpy(self, seed):
+    def test_numpys_outcomes_and_amplitudes_within_two_ulps_of_exact(self, seed):
         outcomes = set()
         for vec in _ket_inputs(seed):
             expected = _ket_outcome(_numpy_ket, vec)
-            assert _ket_outcome(lambda v: Ket(v).amplitudes, vec) == expected, vec
-            outcomes.add(expected[1] if isinstance(expected, tuple) else "accepted")
+            if isinstance(expected, tuple):  # the same exception type and message
+                assert _ket_outcome(lambda v: Ket(v).amplitudes, vec) == expected, vec
+                outcomes.add(expected[1])
+                continue
+            ket = Ket(vec)
+            assert _ulps(ket.amplitudes, _exact_unit(vec)) <= 2.0, vec  # measured: 2
+            assert ket._amps == tuple(ket.amplitudes.tolist())
+            outcomes.add("accepted")
         assert outcomes == {
             "accepted",
             "Ket: amplitudes must be finite",
@@ -733,8 +791,9 @@ class TestScalarKet:
         ket = Ket(vec)
         assert not ket.amplitudes.flags.writeable and ket.amplitudes.flags.owndata
         assert ket.amplitudes is not vec
+        assert [type(z) for z in ket._amps] == [complex, complex]
 
-    def test_superposition_matches_numpy(self):
+    def test_superposition_within_two_ulps_of_numpy(self):
         rng = np.random.default_rng(8)
         bases = [BASIS] + [
             ReferenceBasis(*(Ket(col) for col in np.linalg.qr(
@@ -746,7 +805,50 @@ class TestScalarKet:
                 expected = _numpy_ket(
                     np.cos(angle) * basis.ket0.amplitudes + np.sin(angle) * basis.ket1.amplitudes
                 )
-                assert basis.superposition(angle).amplitudes.tobytes() == expected.tobytes()
+                assert _ulps(basis.superposition(angle).amplitudes, expected) <= 2.0  # measured: 2
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_helpers_against_exact_sums(self, dim):
+        """_norm_sq, _inner and _apply against 60-digit sums of the same float products.
+
+        The squared norm is within 1 ulp of its correctly rounded value. An inner
+        product can cancel, so it is held to the standard bound for a sum of n
+        rounded products: |error| <= 2 n eps sum_k |x_k| |y_k|.
+        """
+        rng = np.random.default_rng(34 + dim)
+        eps = 2.0**-52
+
+        def exact_inner(xs, ys):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                re = sum(Decimal(a.real) * Decimal(b.real) + Decimal(a.imag) * Decimal(b.imag)
+                         for a, b in zip(xs, ys))
+                im = sum(Decimal(a.real) * Decimal(b.imag) - Decimal(a.imag) * Decimal(b.real)
+                         for a, b in zip(xs, ys))
+                return complex(float(re), float(im))
+
+        def assert_close(got, xs, ys):
+            bound = 2 * len(xs) * eps * sum(abs(a) * abs(b) for a, b in zip(xs, ys))
+            assert abs(got - exact_inner(xs, ys)) <= bound
+
+        for _ in range(300):
+            x, y = (rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(2))
+            h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            xs, ys, flat = tuple(x.tolist()), tuple(y.tolist()), h.ravel().tolist()
+            assert _ulps(states_module._norm_sq(xs), exact_inner(xs, xs).real) <= 1.0
+            assert_close(states_module._inner(xs, ys), xs, ys)
+            for row, got in enumerate(states_module._apply(flat, ys)):
+                conj_row = [z.conjugate() for z in flat[row * dim:(row + 1) * dim]]
+                assert_close(got, conj_row, ys)
+
+    def test_inner_and_moments_of_exact_values(self):
+        """Sums that float arithmetic gives exactly: a cancellation to zero, products of integers."""
+        a, b = Ket([1.0, 1j]), Ket([1.0, -1j])
+        assert a.inner(b) == 0j and a.inner(a) == pytest.approx(1.0, rel=3e-16)
+        meter = HermitianOperator(np.array([[0.0, 2.0], [2.0, 0.0]]))
+        mean, omega = meter._moments(BASIS.ket0)
+        assert (mean, omega) == (0.0, 4.0)
+        assert HermitianOperator(np.diag([3.0, -1.0])).expectation(BASIS.ket1) == -1.0
 
 
 class TestSuperpositionMemo:
@@ -828,7 +930,8 @@ class TestCachedDerivations:
 
     # each type, its constructor-built values and a builder of fresh, equal instances
     BUILT = {
-        "operator": (lambda: HermitianOperator(np.diag([1.0, -1.0])), ("_split",)),
+        "ket": (lambda: Ket([0.6, 0.8j]), ("_amps",)),
+        "operator": (lambda: HermitianOperator(np.diag([1.0, -1.0])), ("_flat", "_split")),
         "basis": (lambda: ReferenceBasis(Ket(np.array([1.0, 0.0])), Ket(np.array([0.0, 1.0]))),
                   ("_pairs", "_sigma", "_kets")),
         "ket-setup": (lambda: _sigma_z_setup(BASIS.superposition(0.3)), ("_out",)),
@@ -916,6 +1019,19 @@ class TestMalformedInput:
             (lambda: ReferenceBasis(0.3, BASIS.ket1),
              "ReferenceBasis: ket0 and ket1 must be Kets"),
             (lambda: DensityMatrix.from_ket(0.3), "from_ket: psi must be a Ket"),
+            (lambda: weak_value(0.3, BASIS.ket0, SIGMA_Z),
+             "weak_value: psi_si and psi_sf must be Kets, A a HermitianOperator"),
+            (lambda: weak_value(BASIS.ket0, BASIS.ket0, "A"),
+             "weak_value: psi_si and psi_sf must be Kets, A a HermitianOperator"),
+            (lambda: overlap_sq(BASIS.ket0, 0.3), "overlap_sq: a and b must be Kets"),
+            (lambda: optimal_postselection(0.3, SIGMA_Z),
+             "optimal_postselection: psi_si must be a Ket, A a HermitianOperator"),
+            (lambda: near_orthogonal_postselection(BASIS.ket0, "A", 0.1),
+             "near_orthogonal_postselection: psi_si must be a Ket, A a HermitianOperator"),
+            (lambda: SIGMA_Z.expectation(0.3),
+             "expectation: state must be a Ket or DensityMatrix"),
+            (lambda: DensityMatrix.mixture([0.5, 0.5], [BASIS.ket0, 0.3]),
+             "mixture: kets must be Kets"),
         ],
         ids=["ket-str", "ket-mixed-list", "ket-big-int", "operator-str", "operator-ragged",
              "density-big-int", "mixture-str-weight", "mixture-complex-weight", "fm-omega-str",
@@ -924,7 +1040,9 @@ class TestMalformedInput:
              "l1-basis-str", "mle-g_max-str", "fm-a_w-big-int", "mixture-nan-weight",
              "postselect-none", "postselect-mixed-none", "probabilistic-qfi-none", "fm-exact-str",
              "meter-family-none", "weak-margin-none", "in-weak-regime-none", "basis-float-ket",
-             "from-ket-float"],
+             "from-ket-float", "weak-value-float-ket", "weak-value-str-observable",
+             "overlap-float-ket", "optimal-float-ket", "near-orthogonal-str-observable",
+             "expectation-float-state", "mixture-float-ket"],
     )
     def test_raises_contract_violation(self, call, message):
         with pytest.raises(ContractViolationError, match=message):
@@ -944,9 +1062,9 @@ class TestSharedFreshSetups:
         p, rho = postselect_mixed(setup)
         values, arrays = [p, fm_exact(setup)], [rho.entries]
         if isinstance(setup.psi_si, Ket):
-            result, (_, v, core) = postselect(setup), setup._out
+            result, (_, core) = postselect(setup), setup._out
             values += [*core, *probabilistic_qfi(setup), result.a_w]
-            arrays += [v, result.phi_mf.amplitudes]
+            arrays += [result.phi_mf.amplitudes]
         else:
             values += setup._out[1]
         return np.array(values, dtype=complex).tobytes() + b"".join(a.tobytes() for a in arrays)

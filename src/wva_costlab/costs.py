@@ -31,6 +31,8 @@ from .states import (
     DensityMatrix,
     Ket,
     ReferenceBasis,
+    _apply,
+    _inner,
     check_count,
     check_theta,
     finite_real,
@@ -107,7 +109,8 @@ class TradeoffSample:
 def l1_coherence(rho: Union[Ket, DensityMatrix], basis: ReferenceBasis) -> float:
     """l1-norm coherence of a qubit state in the reference basis (2 |rho_01|).
 
-    For a ket this is 2 |<0|psi><psi|1>|, with no density matrix built.
+    For a ket this is 2 |<0|psi><psi|1>|, with no density matrix built; for a
+    density matrix 2 |<0|rho|1>| from its flat entries. Both are in Python scalars.
     """
     if not (isinstance(rho, (Ket, DensityMatrix)) and isinstance(basis, ReferenceBasis)):
         raise ContractViolationError(
@@ -118,7 +121,7 @@ def l1_coherence(rho: Union[Ket, DensityMatrix], basis: ReferenceBasis) -> float
     if isinstance(rho, Ket):
         off = basis.ket0.inner(rho) * basis.ket1.inner(rho).conjugate()
     else:
-        off = np.vdot(basis.ket0.amplitudes, rho.entries @ basis.ket1.amplitudes)
+        off = _inner(basis.ket0._amps, _apply(rho._flat, basis.ket1._amps))
     return float(min(2.0 * abs(off), 1.0))
 
 
@@ -138,6 +141,8 @@ def cost_point(F: float, fm: float, Fm: float, rates: CostRates) -> CostPoint:
     conventional per-sample QFI, f_m the success-weighted postselected QFI and
     F_m the collapsed-state QFI. All three must be finite.
     """
+    if not isinstance(rates, CostRates):
+        raise ContractViolationError("cost_point: rates must be a CostRates")
     for value in (F, fm, Fm):
         finite_real(value, "cost_point", "F, fm and Fm")
     if F <= 0 or Fm <= 0:
@@ -185,6 +190,8 @@ def tradeoff_slack(point: CostPoint, coherence: float, printed_form: bool = Fals
     non-negative slack; empirical points may dip below by their statistical
     error. The coherence is checked as in :func:`bound_rhs`.
     """
+    if not isinstance(point, CostPoint):
+        raise ContractViolationError("tradeoff_slack: point must be a CostPoint")
     ratio = point.cm_norm / point.cp_norm  # in [0, 1 + 1e-9] by CostPoint's checks
     lhs = abs(_angle(1.0 / point.cp_norm) - _angle(ratio))
     return bound_rhs(coherence, printed_form) - lhs
@@ -272,4 +279,6 @@ def classify_region(point: CostPoint) -> str:
     example |A_w| = 1, or an incoherent input, where F_m = 4 Omega) cannot
     cross to the advantage side through rounding.
     """
+    if not isinstance(point, CostPoint):
+        raise ContractViolationError("classify_region: point must be a CostPoint")
     return "advantage" if point.cm_norm < 1.0 - 1e-6 else "trivial"

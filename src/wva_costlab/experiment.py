@@ -386,6 +386,8 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialCounts:
     conditional plus/minus law. The Bernoulli stream is consumed in
     preparation order, then in readout order.
     """
+    if not isinstance(config, ExperimentConfig):
+        raise ContractViolationError("run_trial: config must be an ExperimentConfig")
     check_seed(trial_index, "run_trial: trial_index")
     rng = _trial_rng(config.master_seed, trial_index)
     return _sample_trial(rng, config.stopping, *_trial_law(config))
@@ -426,6 +428,8 @@ def mle_g(counts: TrialCounts, theta: float, alpha: float, g_max: float = G_MAX)
     to 0 and a fraction at or above the g_max value maps to g_max. Neither
     cosine may vanish, and g_max must lie in (0, pi/2 - 1e-6].
     """
+    if not isinstance(counts, TrialCounts):
+        raise ContractViolationError("mle_g: counts must be a TrialCounts")
     c_plus, c_minus = selection_cosines(theta, alpha, "mle_g")
     if any(_degenerate(c_plus, c_minus)):
         raise ContractViolationError("mle_g: degenerate configuration")
@@ -539,6 +543,8 @@ def run_campaign(config: ExperimentConfig) -> CampaignReport:
     report is a pure function of the configuration, bit-identical for any
     CPU count. Raw costs are at UNIT_RATES.
     """
+    if not isinstance(config, ExperimentConfig):
+        raise ContractViolationError("run_campaign: config must be an ExperimentConfig")
     per_trial = _run_trials(config)
     estimates = np.array([g for _, g in per_trial])
     g_mean = float(estimates.mean())

@@ -117,6 +117,12 @@ def qfi_product_coupling(
     Any other mixed input is rejected; use :func:`qfi_mixed` on the full
     four-dimensional family instead.
     """
+    if not (isinstance(rho_s, (Ket, DensityMatrix)) and isinstance(phi_m, Ket)
+            and isinstance(A, HermitianOperator) and isinstance(M, HermitianOperator)):
+        raise ContractViolationError(
+            "qfi_product_coupling: rho_s must be a Ket or DensityMatrix, phi_m a Ket,"
+            " A and M HermitianOperators"
+        )
     if isinstance(rho_s, Ket):
         rho_s = DensityMatrix.from_ket(rho_s)
     if rho_s.dim != 2 or phi_m.dim != 2:
@@ -152,24 +158,21 @@ def _qubit_eigen_cross(
 ) -> tuple[list[float], list[list[complex]]]:
     """Eigenvalues of a qubit rho0, ascending, and <i|d rho|j> over its eigenvectors.
 
-    All in Python scalars. With rho0 = h0 I + K (``_qubit_parts``), the
-    eigenvalues are h0 -+ r. The h0 + r eigenvector x is the larger-norm column
-    of K + r I, (r + kz, h10) for kz >= 0 and (conj h10, r - kz) otherwise,
-    normalized, and the h0 - r eigenvector is its orthogonal complement
-    (-conj x1, conj x0); at r = 0 they are the standard basis. d rho is
-    (plus - minus) / width entry by entry.
+    All in Python scalars, from each state's flat entries ``_flat``. With
+    rho0 = h0 I + K (``_qubit_parts``), the eigenvalues are h0 -+ r. The h0 + r
+    eigenvector x is the larger-norm column of K + r I, (r + kz, h10) for
+    kz >= 0 and (conj h10, r - kz) otherwise, normalized, and the h0 - r
+    eigenvector is its orthogonal complement (-conj x1, conj x0); at r = 0 they
+    are the standard basis. d rho is (plus - minus) / width entry by entry.
     """
-    h0, kz, h10, r = _qubit_parts(rho0.entries.ravel().tolist())
+    h0, kz, h10, r = _qubit_parts(rho0._flat)
     if r == 0.0:
         x0, x1 = 1.0, 0.0
     else:
         s = r + abs(kz)  # the larger of r + kz and r - kz
         norm = math.hypot(s, h10.real, h10.imag)
         x0, x1 = (s / norm, h10 / norm) if kz >= 0.0 else (h10.conjugate() / norm, s / norm)
-    d00, d01, d10, d11 = [
-        (p - m) / width
-        for p, m in zip(plus.entries.ravel().tolist(), minus.entries.ravel().tolist())
-    ]
+    d00, d01, d10, d11 = [(p - m) / width for p, m in zip(plus._flat, minus._flat)]
     y0, y1 = x0.conjugate(), x1.conjugate()  # <high| = (y0, y1), |low> = (-y1, y0)
     low0, low1 = d01 * y0 - d00 * y1, d11 * y0 - d10 * y1  # d rho |low>
     high0, high1 = d00 * x0 + d01 * x1, d10 * x0 + d11 * x1  # d rho |high>
@@ -194,6 +197,8 @@ def qfi_mixed(family: MixedFamily, g: float) -> float:
     like g^2, and below that its term is lost under the cutoff or to the
     difference quotient's rounding.
     """
+    if not callable(family):
+        raise ContractViolationError("qfi_mixed: family must be callable")
     rho0, plus, minus = family(g), family(g + STEP), family(g - STEP)
     if rho0.dim == plus.dim == minus.dim == 2:
         lam, cross = _qubit_eigen_cross(rho0, plus, minus, 2.0 * STEP)
@@ -268,6 +273,8 @@ def cfi_discrete(law: OutcomeLaw, g: float) -> float:
     = 1e-15 the readout's 1e-30 floor zeroes the minus outcome and its
     information (|cfi / F_m - 1| = 1 at g = 1e-14).
     """
+    if not callable(law):
+        raise ContractViolationError("cfi_discrete: law must be callable")
     probabilities, slope = law(g)
     p0 = _distribution(probabilities)
     dp = _floats(slope)

@@ -41,19 +41,25 @@ evaluated in double, k stayed below 7.2 over 2e5 points with theta in
 (0, pi/4], delta from 1e-10 to 1 and 1e-7 <= |g| <= 1, and below 3.1 where
 delta <= 1e-2; the closed forms' own rounding sets the larger value.
 
-A density-matrix input gets K = V rho_s V^dag from ``_meter_columns``, one
-value-only pass over both columns of V, kept as p = Tr K and (k00, k10, k11).
-When p clears P_FLOOR the constructor builds K / p from them with no array in
-between (``_collapsed_state``, which divides as numpy would): the state that
+A density-matrix setup computes the kernel's g-independent factors once, in its
+constructor (``_meter_factors``): <sf|P_i|.> of both basis columns for each
+eigenvalue a_i of A and Q_j|phi> for each eigenvalue m_j of M, the expressions
+``_meter_core`` forms on the basis kets. At any g only the phases
+exp(-i g a_i m_j) remain. ``_columns`` runs them once over both columns of V,
+values only, and gives K = V rho_s V^dag, with rho_s read from its flat
+entries, kept as p = Tr K and (k00, k10, k11). When p clears P_FLOOR the
+constructor builds K / p from them with no array in between
+(``_collapsed_state``, which divides as numpy would): the state that
 :func:`postselect_mixed` returns. Only :func:`fm_exact` needs dK:
 ``_meter_qfi`` runs the full kernel on the basis kets and takes the Bloch-form
 qubit QFI of K / p, with no eigensolve and no rank cutoff.
 
 The meter family that the finite-difference oracles of
 :mod:`~wva_costlab.fisher` probe (:func:`postselected_meter_family`) runs only
-the kernel at each probe g, behind the checks of ``setup.at(g)`` but with no
-new :class:`WvaSetup`, and equals that path bit for bit. A probe at the
-setup's own coupling, sign included, reads the setup's kernel output instead.
+the kernel at each probe g (for a density matrix, the phase pass alone),
+behind the checks of ``setup.at(g)`` but with no new :class:`WvaSetup`, and
+equals that path bit for bit. A probe at the setup's own coupling, sign
+included, reads the setup's kernel output instead.
 """
 
 from __future__ import annotations
@@ -128,37 +134,46 @@ def _meter_core(s, f, x, a_split, m_split, g: float) -> tuple[complex, complex, 
     return v0, v1, d0, d1
 
 
-def _meter_columns(
-    f, x, a_split, m_split, g: float
-) -> tuple[complex, complex, complex, complex]:
-    """The two columns (a0, a1, b0, b1) of V = <sf|U(g)|.>|phi>, values only, in Python scalars.
+def _meter_factors(f, x, a_split, m_split) -> tuple:
+    """The g-independent factors of V = <sf|U(g)|.>|phi>, in Python scalars.
 
-    Bit for bit the v of :func:`_meter_core` on the basis kets (1, 0) and (0, 1):
-    the same expressions in the same order, but each phase exp(-i g a_i m_j) is
-    evaluated once for both columns and no derivative is formed.
+    One entry per eigenvalue m_j of M: (y0, y1, terms), with (y0, y1) = Q_j|phi>
+    and ``terms`` the (a_i m_j, <sf|P_i|0>, <sf|P_i|1>) of each eigenvalue a_i
+    of A. These are :func:`_meter_core`'s expressions on the basis kets (1, 0)
+    and (0, 1), so :func:`_columns` gives its bits.
     """
     f0, f1 = f[0].conjugate(), f[1].conjugate()
     x0, x1 = x
-    # (a_i, <sf|P_i|0>, <sf|P_i|1>): _meter_core's <sf|P_i|si> with the basis amplitudes
-    # written in, since dropping the products by 1.0 and 0.0 is not proved to keep signed zeros
-    sys_terms = [
-        (
+    # _meter_core's <sf|P_i|si> with the basis amplitudes written in, since dropping
+    # the products by 1.0 and 0.0 is not proved to keep signed zeros
+    sys_terms = []
+    for a, (p00, p01, p10, p11) in a_split:
+        sys_terms.append((
             a,
             f0 * (p00 * 1.0 + p01 * 0.0) + f1 * (p10 * 1.0 + p11 * 0.0),
             f0 * (p00 * 0.0 + p01 * 1.0) + f1 * (p10 * 0.0 + p11 * 1.0),
-        )
-        for a, (p00, p01, p10, p11) in a_split
-    ]
-    ig = -1j * g
-    a0 = a1 = b0 = b1 = 0j
+        ))
+    factors = []
     for m, (q00, q01, q10, q11) in m_split:
+        terms = tuple([(a * m, u, w) for a, u, w in sys_terms])
+        factors.append((q00 * x0 + q01 * x1, q10 * x0 + q11 * x1, terms))
+    return tuple(factors)
+
+
+def _columns(factors: tuple, g: float) -> tuple[complex, complex, complex, complex]:
+    """The two columns (a0, a1, b0, b1) of V at g from :func:`_meter_factors`, values only.
+
+    Bit for bit the v of :func:`_meter_core` on the basis kets (1, 0) and (0, 1):
+    each phase exp(-i g a_i m_j) is evaluated once for both columns.
+    """
+    ig = -1j * g  # -1j * g * x evaluates as ig * x: hoisting it keeps every bit
+    a0 = a1 = b0 = b1 = 0j
+    for y0, y1, terms in factors:
         u = w = 0j
-        for a, amp0, amp1 in sys_terms:
-            phase = cmath.exp(ig * (a * m))
+        for generator, amp0, amp1 in terms:
+            phase = cmath.exp(ig * generator)
             u += amp0 * phase
             w += amp1 * phase
-        y0 = q00 * x0 + q01 * x1  # Q_j|phi>
-        y1 = q10 * x0 + q11 * x1
         a0 += u * y0
         a1 += u * y1
         b0 += w * y0
@@ -178,26 +193,25 @@ def _evaluate(setup: "WvaSetup", g: float) -> tuple:
     A ket gives (p, (v0, v1, dv0, dv1)): the core's scalars and
     p = |v0|^2 + |v1|^2 from them (:func:`~wva_costlab.states._norm_sq`), with no
     array; the array v is built only where the collapsed ket is read. A density
-    matrix gives (p, (k00, k10, k11)):
-    :func:`_meter_columns` gives the two columns of V = <sf|U(g)|.>|phi> in one
-    value-only pass, so no derivative is formed, and the Hermitian
-    K = V rho_s V^dag is kept as its real diagonal k00, k11 and its entry k10
-    below the diagonal, with p = Tr K = k00 + k11.
+    matrix gives (p, (k00, k10, k11)): :func:`_columns` gives the two columns of
+    V = <sf|U(g)|.>|phi> from the setup's ``_factors`` in one value-only phase
+    pass, so no derivative is formed, and the Hermitian K = V rho_s V^dag, with
+    rho_s read from its ``_flat`` entries, is kept as its real diagonal k00, k11
+    and its entry k10 below the diagonal, with p = Tr K = k00 + k11.
 
     A phase that ``cmath.exp`` cannot take, or a p or slope that is not
     finite, raises ContractViolationError.
     """
-    f, x = setup.psi_sf._amps, setup.phi_mi._amps
-    a_split, m_split = setup.A._split, setup.M._split
     try:
         if isinstance(setup.psi_si, Ket):
-            core = _meter_core(setup.psi_si._amps, f, x, a_split, m_split, g)
+            core = _meter_core(setup.psi_si._amps, setup.psi_sf._amps, setup.phi_mi._amps,
+                               setup.A._split, setup.M._split, g)
             p = _norm_sq(core[:2])
             if math.isfinite(p) and cmath.isfinite(core[2]) and cmath.isfinite(core[3]):
                 return p, core
         else:
-            a0, a1, b0, b1 = _meter_columns(f, x, a_split, m_split, g)
-            r = setup.psi_si.entries.ravel().tolist()
+            a0, a1, b0, b1 = _columns(setup._factors, g)
+            r = setup.psi_si._flat
             k00, k11 = _sandwich(r, a0, b0, a0, b0).real, _sandwich(r, a1, b1, a1, b1).real
             p = k00 + k11
             if math.isfinite(p):
@@ -211,11 +225,12 @@ def _collapsed_state(p: float, k: tuple) -> DensityMatrix:
     """The collapsed meter state K / p of :func:`_evaluate`'s (k00, k10, k11), for p > 0.
 
     Bit for bit ``DensityMatrix(K / p)`` of the 2x2 array K, with no array in
-    between. numpy divides by p + 0j with Smith's method, whose ratio 0.0 / p is
-    0.0, so an entry z becomes (z.real + z.imag * 0.0, z.imag - z.real * 0.0) * s
-    with s = 1 / p; the products by 0.0 decide the signs of zeros. The entry
-    above the diagonal is conj(k10) = (re, -im), and a diagonal entry's imaginary
-    part is 0.0. The public constructor runs every check on the result.
+    between. Each entry is :func:`~wva_costlab.states._scaled`'s quotient of
+    (k00, conj(k10), k10, k11) by p, numpy's divide rule, written out here to
+    save the call and its tuple on every probe; a test holds the two to the
+    same bytes. The entry above the diagonal is conj(k10) =
+    (re, -im), and a diagonal entry's imaginary part is 0.0. The public
+    constructor runs every check on the result.
     """
     k00, k10, k11 = k
     s, re, im = 1.0 / p, k10.real, k10.imag
@@ -231,8 +246,8 @@ def _meter_qfi(setup: "WvaSetup") -> float:
     """F_m of a density-matrix setup: the Bloch-form qubit QFI of K / p, in Python scalars.
 
     p and K = V rho_s V^dag come from the setup's kernel output (:func:`_evaluate`), and
-    :func:`_meter_core` on the basis kets gives the columns of V and dV, so
-    dK = dV rho_s V^dag + h.c. With r the Bloch vector of K / p, F_m is
+    :func:`_meter_core` on the basis kets gives the columns of V and dV,
+    so dK = dV rho_s V^dag + h.c. With r the Bloch vector of K / p, F_m is
     |dr|^2 + (r.dr)^2 / (1 - |r|^2) (Zhong et al., PRA 87, 022337 (2013)). By Cauchy-Binet,
     |det V| = |E| with E = 2 |det(P_0 sf, P_1 sf) det(Q_0 phi, Q_1 phi)| sin(g d / 2) and
     d = (a_0 - a_1)(m_0 - m_1), or E = 0 for a degenerate A or M, so 1 - |r|^2 =
@@ -245,7 +260,7 @@ def _meter_qfi(setup: "WvaSetup") -> float:
     a0, a1, da0, da1 = _meter_core((1.0, 0.0), f, x, a_split, m_split, g)
     b0, b1, db0, db1 = _meter_core((0.0, 1.0), f, x, a_split, m_split, g)
     p, (k00, k10, k11) = setup._out
-    r = setup.psi_si.entries.ravel().tolist()
+    r = setup.psi_si._flat
     d00 = 2.0 * _sandwich(r, da0, db0, a0, b0).real
     d11 = 2.0 * _sandwich(r, da1, db1, a1, b1).real
     d10 = _sandwich(r, da1, db1, a0, b0) + _sandwich(r, da0, db0, a1, b1).conjugate()
@@ -276,11 +291,13 @@ class WvaSetup:
 
     These checks run once, here. <M> and ``omega`` = ||M phi||^2 come from a
     slot on ``M`` that keeps the last ``phi_mi`` object, so setups sharing
-    both objects compute them once. The constructor then keeps the kernel
-    output ``_out`` (:func:`_evaluate`) and, for a density-matrix input whose
-    p clears P_FLOOR, the collapsed meter state ``_collapsed``; a ket input's
-    is formed where it is read. Neither takes part in equality, hashing or the
-    repr; :meth:`at` and ``dataclasses.replace`` build a fresh instance.
+    both objects compute them once. For a density-matrix input the constructor
+    then keeps the kernel's g-independent factors ``_factors``
+    (:func:`_meter_factors`). It keeps the kernel output ``_out``
+    (:func:`_evaluate`) and, for a density-matrix input whose p clears P_FLOOR,
+    the collapsed meter state ``_collapsed``; a ket input's is formed where it
+    is read. None of these takes part in equality, hashing or the repr;
+    :meth:`at` and ``dataclasses.replace`` build a fresh instance.
     """
 
     psi_si: Union[Ket, DensityMatrix]
@@ -312,9 +329,13 @@ class WvaSetup:
         object.__setattr__(self, "omega", omega)
         if self.omega <= 0.0:
             raise ContractViolationError("WvaSetup: <M^2> must be positive")
+        ket = isinstance(self.psi_si, Ket)
+        if not ket:
+            object.__setattr__(self, "_factors", _meter_factors(
+                self.psi_sf._amps, self.phi_mi._amps, self.A._split, self.M._split))
         out = _evaluate(self, self.g)
         object.__setattr__(self, "_out", out)
-        if not isinstance(self.psi_si, Ket) and out[0] >= P_FLOOR:
+        if not ket and out[0] >= P_FLOOR:
             object.__setattr__(self, "_collapsed", _collapsed_state(*out))
 
     def at(self, g: float) -> "WvaSetup":
@@ -485,8 +506,8 @@ def postselect_mixed(setup: WvaSetup) -> tuple[float, DensityMatrix]:
 def postselected_meter_family(setup: WvaSetup) -> MixedFamily:
     """Map g -> postselected meter density matrix (mixed system inputs allowed).
 
-    A probe runs the kernel once at g, for a density matrix its value-only pass
-    over both columns of V, and equals ``postselect_mixed(setup.at(g))[1]`` bit for
+    A probe runs the kernel once at g, for a density matrix the value-only phase
+    pass over the setup's factors, and equals ``postselect_mixed(setup.at(g))[1]`` bit for
     bit, errors included. At the setup's own coupling it runs the checks and
     reads the setup's kernel output, as :func:`postselect_mixed` does.
     """

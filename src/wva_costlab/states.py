@@ -14,12 +14,15 @@ observable is built; the postselection kernel of
 :func:`hermitian_eigs` and the 4x4 positivity check. The matrix types store a
 read-only complex copy of their input, read it once with ``tolist()`` and
 check finiteness, Hermiticity and trace in Python scalars. A :class:`Ket`
-stores its normalized amplitudes twice: as a read-only array and as a tuple of
-Python complexes, ``_amps``.
+normalizes its amplitudes in Python scalars by Smith's rule (:func:`_scaled`),
+bit for bit numpy's ``vec / norm``, and stores them twice: as a tuple of Python
+complexes, ``_amps``, and as a read-only array built from it. A tuple of two
+Python complexes is read as it is; other input is read through numpy.
 
 The per-point sums of products take no BLAS call. A ket's norm, inner
-products, an observable's action on a ket and its moments are fixed-order sums
-of Python scalar products (:func:`_norm_sq`, :func:`_inner`, :func:`_apply`),
+products, an observable's action on a ket, its moments and its expectation in
+a density matrix are fixed-order sums of Python scalar products
+(:func:`_norm_sq`, :func:`_inner`, :func:`_apply`),
 and angles go through ``math.cos``, ``math.sin`` and ``math.acos``, so their
 bits depend neither on the host's BLAS kernel nor on numpy's SIMD dispatch.
 Kets and matrices compare by value (equal stored arrays) and stay unhashable.
@@ -27,8 +30,10 @@ The standard basis, its observable and the balanced meter kets are built once,
 as module constants.
 
 Every per-instance value (a ket's amplitude tuple; an observable's flat entries
-and split; a basis's observable, amplitude pairs and empty superposition memo;
-a :class:`~wva_costlab.postselect.WvaSetup`'s kernel output) is computed in the
+and split; a density matrix's flat entries; a basis's observable, amplitude
+pairs and empty superposition memo; a
+:class:`~wva_costlab.postselect.WvaSetup`'s kernel output, and for a
+density-matrix input its kernel factors and collapsed state) is computed in the
 constructor, outside equality, hashing and the repr. Only two pieces of state
 change later, with no lock: the memo, which may hand two threads distinct,
 equal kets for one angle, and the <M>/Omega slot of ``HermitianOperator._moments``,
@@ -185,6 +190,22 @@ def _norm_sq(amps) -> float:
     return total
 
 
+def _scaled(amps, d: float) -> tuple[complex, ...]:
+    """Each z / d of a positive float d, bit for bit as numpy's complex divide gives it.
+
+    numpy divides by d + 0j with Smith's method, whose ratio 0.0 / d is 0.0, so
+    z becomes ((z.real + z.imag * 0.0) * s, (z.imag - z.real * 0.0) * s) with
+    s = 1 / d; the products by 0.0 decide the signs of zeros.
+    ``postselect._collapsed_state`` writes this rule out for its four entries.
+    """
+    s = 1.0 / d
+    out = []
+    for z in amps:
+        re, im = z.real, z.imag
+        out.append(complex((re + im * 0.0) * s, (im - re * 0.0) * s))
+    return tuple(out)
+
+
 def _inner(x, y) -> complex:
     """<x|y> = sum_k conj(x_k) y_k of equal-length amplitude sequences, summed in index order."""
     total = x[0].conjugate() * y[0]
@@ -224,28 +245,34 @@ class _ArrayValue:
 class Ket(_ArrayValue):
     """Unit-norm complex state vector of dimension 2 or 4.
 
-    The constructor normalizes its input by sqrt(:func:`_norm_sq`); a vector
-    of near-zero or non-finite norm is rejected. Amplitudes are stored
-    read-only, and as the tuple ``_amps`` of Python complexes, which takes no
-    part in equality or the repr.
+    The constructor normalizes its input by sqrt(:func:`_norm_sq`) in Python
+    scalars (:func:`_scaled`); a vector of near-zero or non-finite norm is
+    rejected. A tuple of two Python complexes is read as it is; any other input
+    is read through numpy. The normalized amplitudes are kept as the tuple
+    ``_amps``, which takes no part in equality or the repr, and stored
+    read-only as an array built from it.
     """
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        try:
-            vec = np.asarray(self.amplitudes, dtype=complex).ravel()
-        except (TypeError, ValueError, OverflowError):  # a str, a ragged list, an int beyond float
-            raise ContractViolationError("Ket: amplitudes must be finite numbers") from None
-        _check_dim(vec.size, "Ket")
-        norm = math.sqrt(_norm_sq(vec.tolist()))
+        amps = self.amplitudes
+        if not (type(amps) is tuple and len(amps) == 2
+                and type(amps[0]) is complex and type(amps[1]) is complex):
+            try:
+                vec = np.asarray(amps, dtype=complex).ravel()
+            except (TypeError, ValueError, OverflowError):  # a str, a ragged list, a big int
+                raise ContractViolationError("Ket: amplitudes must be finite numbers") from None
+            _check_dim(vec.size, "Ket")
+            amps = vec.tolist()
+        norm = math.sqrt(_norm_sq(amps))
         if not math.isfinite(norm):
             raise ContractViolationError("Ket: amplitudes must be finite")
         if norm < 1e-12:
             raise ContractViolationError("Ket: cannot normalize a null vector")
-        unit = _readonly(vec / norm)
-        object.__setattr__(self, "amplitudes", unit)
-        object.__setattr__(self, "_amps", tuple(unit.tolist()))
+        unit = _scaled(amps, norm)
+        object.__setattr__(self, "amplitudes", _readonly(np.array(unit)))
+        object.__setattr__(self, "_amps", unit)
 
     @property
     def dim(self) -> int:
@@ -253,6 +280,8 @@ class Ket(_ArrayValue):
 
     def inner(self, other: "Ket") -> complex:
         """Return the inner product <self|other> (:func:`_inner`)."""
+        if not isinstance(other, Ket):
+            raise ContractViolationError("inner: other must be a Ket")
         if self.dim != other.dim:
             raise ModelDimensionError("inner: dimension mismatch")
         return _inner(self._amps, other._amps)
@@ -309,14 +338,22 @@ class HermitianOperator(_ArrayValue):
         return _inner(x._amps, _apply(self._flat, y._amps))
 
     def expectation(self, state: Union[Ket, "DensityMatrix"]) -> float:
-        """Re <H>: <psi|H|psi> of a ket in Python scalars, Tr(rho H) of a density matrix."""
+        """Re <H>: <psi|H|psi> of a ket, Tr(rho H) of a density matrix, in Python scalars.
+
+        The trace sums Re (rho H)_ii over i, each as sum_k Re rho_ik H_ki in index order.
+        """
         if not isinstance(state, (Ket, DensityMatrix)):
             raise ContractViolationError("expectation: state must be a Ket or DensityMatrix")
         if self.dim != state.dim:
             raise ModelDimensionError("expectation: dimension mismatch")
         if isinstance(state, Ket):
             return self._between(state, state).real
-        return float(np.trace(state.entries @ self.entries).real)
+        r, h, n = state._flat, self._flat, self.dim
+        trace = 0.0
+        for i in range(n):
+            for k in range(n):
+                trace += (r[n * i + k] * h[n * k + i]).real
+        return trace
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,6 +386,8 @@ class DensityMatrix(_ArrayValue):
     """Positive unit-trace Hermitian matrix describing a (possibly mixed) state.
 
     Non-finite entries are rejected before the (for a qubit, closed-form) eigenvalue check.
+    The list of flat row-major entries that the check reads is kept as ``_flat``,
+    which takes no part in equality or the repr; nothing writes to it.
     """
 
     entries: np.ndarray
@@ -370,6 +409,7 @@ class DensityMatrix(_ArrayValue):
         if lowest < EIGENVALUE_FLOOR:
             raise ContractViolationError("DensityMatrix: negative eigenvalue")
         object.__setattr__(self, "entries", mat)
+        object.__setattr__(self, "_flat", flat)
 
     @property
     def dim(self) -> int:
@@ -468,7 +508,8 @@ class ReferenceBasis:
         ket = memo.get(key)
         if ket is None:
             c, s = math.cos(angle), math.sin(angle)
-            ket = Ket(np.array([c * a + s * b for a, b in self._pairs]))
+            (a0, b0), (a1, b1) = self._pairs
+            ket = Ket((c * a0 + s * b0, c * a1 + s * b1))
             if len(memo) >= SUPERPOSITION_MEMO_SIZE:
                 memo.clear()  # one atomic call, so threads sharing a basis need no lock
             memo[key] = ket
@@ -603,6 +644,8 @@ def coupling_unitary(A: HermitianOperator, M: HermitianOperator, g: float) -> Un
 
 def bloch_of(psi: Ket, basis: ReferenceBasis) -> BlochVector:
     """Bloch vector of a qubit ket, with the third axis along the basis observable."""
+    if not (isinstance(psi, Ket) and isinstance(basis, ReferenceBasis)):
+        raise ContractViolationError("bloch_of: psi must be a Ket and basis a ReferenceBasis")
     if psi.dim != 2:
         raise ModelDimensionError("bloch_of: ket must be a qubit")
     c0 = basis.ket0.inner(psi)
@@ -622,6 +665,8 @@ def overlap_sq(a: Ket, b: Ket) -> float:
 
 def bloch_angle(ra: BlochVector, rb: BlochVector) -> float:
     """Angle between two unit Bloch vectors, arccos of the clamped dot product."""
+    if not (isinstance(ra, BlochVector) and isinstance(rb, BlochVector)):
+        raise ContractViolationError("bloch_angle: ra and rb must be BlochVectors")
     for r in (ra, rb):
         if abs(r.norm() - 1.0) > BLOCH_UNIT_TOL:
             raise ContractViolationError("bloch_angle: vectors must be unit norm")

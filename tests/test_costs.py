@@ -54,6 +54,23 @@ class TestCoherence:
             1.0, abs=1e-12
         )
 
+    def test_density_matrix_coherence_is_twice_the_off_diagonal(self):
+        # in the standard basis <0|rho|1> is rho01 exactly; in any basis it is the
+        # ket's value on a pure state, within rounding
+        rng = np.random.default_rng(35)
+        bases = [ReferenceBasis(*(Ket(col) for col in np.linalg.qr(
+            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0].T)) for _ in range(5)]
+        for _ in range(300):
+            r = rng.normal(size=3)
+            r *= rng.uniform() ** (1.0 / 3.0) / np.linalg.norm(r)
+            rho = DensityMatrix(0.5 * np.array([[1 + r[2], r[0] - 1j * r[1]],
+                                                [r[0] + 1j * r[1], 1 - r[2]]]))
+            assert l1_coherence(rho, BASIS) == min(2.0 * abs(rho._flat[1]), 1.0)
+            psi = Ket(rng.normal(size=2) + 1j * rng.normal(size=2))
+            for basis in bases:
+                assert l1_coherence(DensityMatrix.from_ket(psi), basis) == pytest.approx(
+                    l1_coherence(psi, basis), abs=1e-15)
+
     def test_l1_coherence_needs_a_qubit(self):
         with pytest.raises(ContractViolationError, match="^l1_coherence: state must be a qubit$"):
             l1_coherence(Ket(np.ones(4)), BASIS)

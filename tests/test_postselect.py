@@ -53,13 +53,14 @@ from wva_costlab import (
     weak_value,
 )
 from wva_costlab.fisher import RANK_CUTOFF, STEP
-from test_pinned_outputs import qfi_panel
+from test_pinned_outputs import mixed_panel, qfi_panel
 
 BASIS = ReferenceBasis.standard()
 SIGMA = BASIS.sigma()
 BALANCED_METER = BASIS.superposition(np.pi / 4.0)
 # The package re-exports the function ``postselect`` under the module's name.
 postselect_module = importlib.import_module("wva_costlab.postselect")
+states_module = importlib.import_module("wva_costlab.states")
 FIXTURE = Path(__file__).resolve().parent / "data" / "postselect_mixed_fixture.json"
 
 
@@ -461,8 +462,6 @@ class TestBeyondTheFloatRange:
         assert P == (1.0, 0j, 0j, 0.0) and Q[0] == 0.0 and Q[3] == 1.0
 
     def test_halving_first_keeps_the_bits_of_normal_diagonals(self):
-        import wva_costlab.states as states_module
-
         rng = np.random.default_rng(32)
         for _ in range(2000):
             h00, h11 = rng.normal(size=2) * 10.0 ** rng.integers(-300, 300, size=2)
@@ -949,18 +948,23 @@ def _bloch_qfi(p, K, dK, det_parts):
     return sum(d * d for d in dr) + 4.0 * det_rho * (de - e * dp / p) ** 2 / (p * p)
 
 
+KERNEL_PARTS = ("_meter_factors", "_columns", "_meter_core")
+
+
 def _count_kernels(monkeypatch):
-    """Lists that grow by one per call of the value-only column pass and of the full kernel."""
-    columns, cores = [], []
-    original_columns = postselect_module._meter_columns
-    original_core = postselect_module._meter_core
-    monkeypatch.setattr(
-        postselect_module, "_meter_columns", lambda *a: columns.append(1) or original_columns(*a)
-    )
-    monkeypatch.setattr(
-        postselect_module, "_meter_core", lambda *a: cores.append(1) or original_core(*a)
-    )
-    return columns, cores
+    """A function giving how often each of KERNEL_PARTS has run since this call.
+
+    That is (a density setup's factors, value-only phase passes, full kernels).
+    ``_meter_qfi`` runs the full kernel on both basis kets.
+    """
+    calls = dict.fromkeys(KERNEL_PARTS, 0)
+    for name in KERNEL_PARTS:
+        def counted(*args, _name=name, _original=getattr(postselect_module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(postselect_module, name, counted)
+    return lambda: tuple(calls[name] for name in KERNEL_PARTS)
 
 
 def _seeded_mixed_setups(seed, count):
@@ -1134,19 +1138,7 @@ class TestMixedKernel:
             assert np.max(np.abs(rho_m.entries - _complex(case["entries"]))) <= 1e-13
 
     def test_one_kernel_evaluation_per_setup(self, monkeypatch):
-        calls, columns = [], []
-        original = postselect_module._meter_core
-        original_columns = postselect_module._meter_columns
-
-        def counted(s, *args):
-            calls.append(tuple(s))
-            return original(s, *args)
-
-        monkeypatch.setattr(postselect_module, "_meter_core", counted)
-        monkeypatch.setattr(
-            postselect_module, "_meter_columns",
-            lambda *a: columns.append(1) or original_columns(*a),
-        )
+        counts = _count_kernels(monkeypatch)
         setup = WvaSetup(
             _bloch_density(0.3, -0.2, 0.4), BASIS.superposition(-0.6), BALANCED_METER,
             SIGMA, SIGMA, 0.0349,
@@ -1154,12 +1146,13 @@ class TestMixedKernel:
         p, rho_m = postselect_mixed(setup)
         fm = fm_exact(setup)
         assert postselect_mixed(setup)[0] == p and fm_exact(setup).hex() == fm.hex()
-        # V's two columns in one pass per setup; dV's on the basis kets on each fm_exact call
-        assert (len(columns), calls) == (1, [(1.0, 0.0), (0.0, 1.0)] * 2)
+        # the factors and V's value pass once per setup, the full kernel on both basis
+        # kets on each fm_exact call
+        assert counts() == (1, 1, 4)
         _, k = setup._out
         assert rho_m.entries.tobytes() == (_meter_operator(k) / p).tobytes()
         fm_exact(setup.at(0.02))
-        assert (len(columns), len(calls)) == (2, 6)
+        assert counts() == (2, 2, 6)
 
     def test_lazy_kernel_same_bits_as_the_eager_one(self):
         for setup in _seeded_mixed_setups(11, 400):
@@ -1184,15 +1177,20 @@ class TestMixedKernel:
     @given(p=st.floats(1e-14, 1e3), k00=PART, k11=PART, re=PART, im=PART)
     @example(p=0.5, k00=-0.0, k11=-0.0, re=-0.0, im=0.0)  # the signs numpy's zeros take
     def test_collapsed_state_entries_are_numpys_quotients(self, p, k00, k11, re, im):
-        # The helper forms K / p in Python scalars; numpy's complex divide must give the
-        # same bytes, overflow to inf included, or the collapsed states' bits would move.
+        # The helper forms K / p in Python scalars with states._scaled's rule written out
+        # (a deliberate copy, which saves a call per probe): both, and numpy's complex
+        # divide, must give the same bytes, overflow to inf included, or the collapsed
+        # states' bits would move.
         k10 = complex(re, im)
         with pytest.MonkeyPatch.context() as patch:  # catch the rows the constructor gets
             patch.setattr(postselect_module, "DensityMatrix", lambda rows: rows)
             rows = postselect_module._collapsed_state(p, (k00, k10, k11))
+        entries = (complex(k00), k10.conjugate(), k10, complex(k11))
         with np.errstate(all="ignore"):
-            for got, z in zip([*rows[0], *rows[1]], (k00, k10.conjugate(), k10, k11)):
-                assert np.array([got]).tobytes() == (np.array([complex(z)]) / p).tobytes()
+            scaled = states_module._scaled(entries, p)
+            for got, owner, z in zip([*rows[0], *rows[1]], scaled, entries):
+                expected = (np.array([z]) / p).tobytes()
+                assert np.array([got]).tobytes() == np.array([owner]).tobytes() == expected
             assert np.array(rows).tobytes() == (_meter_operator((k00, k10, k11)) / p).tobytes()
 
     @settings(max_examples=200, deadline=None)
@@ -1217,7 +1215,7 @@ class TestMixedKernel:
                 assert _bits_or_error(lambda: family(at)) == expected
 
     def test_slope_formed_only_by_fm_exact(self, monkeypatch):
-        (columns, cores), slopes = _count_kernels(monkeypatch), []
+        counts, slopes = _count_kernels(monkeypatch), []
         original_qfi = postselect_module._meter_qfi
         monkeypatch.setattr(
             postselect_module, "_meter_qfi", lambda *a: slopes.append(1) or original_qfi(*a)
@@ -1227,18 +1225,29 @@ class TestMixedKernel:
             SIGMA, SIGMA, 0.0349,
         )
         p, rho_m = postselect_mixed(setup)
-        assert (len(columns), len(cores), len(slopes)) == (1, 0, 0)
+        assert (counts(), len(slopes)) == ((1, 1, 0), 0)
         qfi = qfi_mixed(postselected_meter_family(setup), setup.g)
-        # g - h and g + h run afresh; g is cached
-        assert (len(columns), len(cores), len(slopes)) == (1 + 2, 0, 0)
+        # g - h and g + h run the phase pass afresh on the setup's factors; g is cached
+        assert (counts(), len(slopes)) == ((1, 1 + 2, 0), 0)
         fm = fm_exact(setup)
-        assert (len(columns), len(cores), len(slopes)) == (3, 2, 1)  # dV's two columns
+        assert (counts(), len(slopes)) == ((1, 3, 2), 1)  # V and dV on both basis kets
         assert fm_exact(setup).hex() == fm.hex() and postselect_mixed(setup) == (p, rho_m)
         assert fm == pytest.approx(qfi, rel=1e-6)
 
+    @staticmethod
+    def _assert_value_columns_match_the_core(f, x, a_split, m_split, g):
+        """The value pass over _meter_factors equals _meter_core on (1, 0) and (0, 1), bit for bit."""
+        def bits(values):
+            return [(z.real.hex(), z.imag.hex()) for z in values]
+
+        factors = postselect_module._meter_factors(f, x, a_split, m_split)
+        first = postselect_module._meter_core((1.0, 0.0), f, x, a_split, m_split, g)
+        second = postselect_module._meter_core((0.0, 1.0), f, x, a_split, m_split, g)
+        assert bits(postselect_module._columns(factors, g)) == bits(first[:2] + second[:2])
+
     @pytest.mark.parametrize("degenerate", [None, "A", "M"])
     def test_value_columns_same_bits_as_the_core(self, degenerate):
-        # one pass over both basis kets equals the derivative kernel's v on each, signed zeros too
+        # signed zeros too, with complex A, M, sf and meter
         rng = np.random.default_rng(16)
         for k in range(100):
             f = (rng.normal(size=2) + 1j * rng.normal(size=2)).tolist()
@@ -1251,12 +1260,22 @@ class TestMixedKernel:
                     H = np.eye(2) * h[0]  # the single projector I
                 splits.append(HermitianOperator(H)._split)
             g = (0.0, -0.0, -rng.uniform(0.0, 2.0), 1.3)[k % 4]
-            a0, a1, _, _ = postselect_module._meter_core((1.0, 0.0), f, x, *splits, g)
-            b0, b1, _, _ = postselect_module._meter_core((0.0, 1.0), f, x, *splits, g)
-            got = postselect_module._meter_columns(f, x, *splits, g)
-            assert [(z.real.hex(), z.imag.hex()) for z in got] == [
-                (z.real.hex(), z.imag.hex()) for z in (a0, a1, b0, b1)
-            ]
+            self._assert_value_columns_match_the_core(f, x, *splits, g)
+
+    def test_value_columns_same_bits_as_the_core_on_the_panels(self):
+        # the pinned mixed panel, the recorded fixture (complex A) and the seeded setups
+        # (complex A, every tenth degenerate), at each setup's g and a probe's g + STEP
+        panel = [
+            WvaSetup(_bloch_density(rx, ry, rz), BASIS.superposition(alpha), BALANCED_METER,
+                     SIGMA, SIGMA, g)
+            for rx, ry, rz, alpha, g in mixed_panel()
+        ]
+        for setup in [*panel, *_fixture_setups(), *_seeded_mixed_setups(12, 100)]:
+            args = (setup.psi_sf._amps, setup.phi_mi._amps, setup.A._split, setup.M._split)
+            factors = postselect_module._meter_factors(*args)
+            assert setup._factors == factors
+            for g in (setup.g, setup.g + STEP):
+                self._assert_value_columns_match_the_core(*args, g)
 
     def test_own_coupling_probe_returns_the_cached_state(self, monkeypatch):
         mixed = WvaSetup(
@@ -1265,12 +1284,12 @@ class TestMixedKernel:
         )
         pure = real_superposition_setup(np.pi / 6, -np.pi / 5, 0.0349)
         cached = postselect_mixed(mixed)[1], postselect_mixed(pure)[1]
-        columns, cores = _count_kernels(monkeypatch)
+        counts = _count_kernels(monkeypatch)
         assert postselected_meter_family(mixed)(0.0349) is cached[0]
         # a ket input's state is formed on each read, from the setup's kernel output
         probed = postselected_meter_family(pure)(0.0349)
         assert probed is not cached[1] and probed.entries.tobytes() == cached[1].entries.tobytes()
-        assert (columns, cores) == ([], [])
+        assert counts() == (0, 0, 0)
 
     @pytest.mark.parametrize("g, probe", [(0.0, -0.0), (-0.0, 0.0)])
     def test_other_signed_zero_runs_afresh(self, monkeypatch, g, probe):
@@ -1279,9 +1298,10 @@ class TestMixedKernel:
             SIGMA, SIGMA, g,
         )
         cached = postselect_mixed(setup)[1]
-        columns, cores = _count_kernels(monkeypatch)
+        counts = _count_kernels(monkeypatch)
         got = postselected_meter_family(setup)(probe)
-        assert got is not cached and (len(columns), len(cores)) == (1, 0)
+        # one phase pass on the setup's factors, which are not rebuilt
+        assert got is not cached and counts() == (0, 1, 0)
         assert got.entries.tobytes() == postselect_mixed(setup.at(probe))[1].entries.tobytes()
 
     def test_matches_pure_kernel_on_a_projector(self):
@@ -1377,14 +1397,15 @@ class TestMeterFamilies:
             setup = dataclasses.replace(setup, psi_si=_bloch_density(0.3, -0.2, 0.4))
         family = postselected_meter_family(setup)
         built = []
-        columns, calls = _count_kernels(monkeypatch)
+        counts = _count_kernels(monkeypatch)
         original_init = WvaSetup.__post_init__
         monkeypatch.setattr(
             WvaSetup, "__post_init__", lambda self: built.append(1) or original_init(self)
         )
         family(0.02)
-        # a density matrix takes both columns of V from one value-only pass
-        assert (len(columns), len(calls), built) == (int(mixed), cores, [])
+        # a density matrix takes both columns of V from one value-only phase pass over
+        # the setup's factors, which the probe does not rebuild
+        assert (counts(), built) == ((0, int(mixed), cores), [])
 
 
 class TestSetupEquality:
@@ -1413,9 +1434,10 @@ class TestSetupEquality:
 class TestModuleBoundaries:
     # Each entry is a private helper that one module lends another on purpose: the kernel
     # core to the standard-basis readout, two array helpers, the unchecked cost sweep, the
-    # per-trial streams and the block sampler that campaigns draw through, and the qubit
+    # per-trial streams and the block sampler that campaigns draw through, the qubit
     # split h0 +- r that the SLD oracle reads for a qubit's eigenvalues, so that split
-    # keeps one owner. A change that adds an entry says why.
+    # keeps one owner, and the scalar sums <x|H|y> that the l1 coherence of a density
+    # matrix reads. A change that adds an entry says why.
     REVIEWED = {
         ("experiment", "postselect", "_meter_core"),
         ("experiment", "streams", "_block_seed_type"),
@@ -1425,6 +1447,8 @@ class TestModuleBoundaries:
         ("fisher", "states", "_qubit_parts"),
         ("postselect", "states", "_norm_sq"),
         ("postselect", "states", "_phase_fixed"),
+        ("costs", "states", "_apply"),
+        ("costs", "states", "_inner"),
         ("verify", "costs", "_leading_sweep"),
     }
 
@@ -1471,6 +1495,37 @@ class TestModuleBoundaries:
                     matmul = isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
                     assert not matmul, name
                     assert not (isinstance(node, ast.Attribute) and node.attr in banned), name
+
+    # The per-point readers of a density matrix's flat entries and a setup's factors.
+    FLAT_READERS = {
+        "postselect": ("_evaluate", "_meter_qfi"),
+        "fisher": ("_qubit_eigen_cross",),
+        "costs": ("l1_coherence",),
+        "states": ("HermitianOperator.expectation",),
+    }
+
+    def test_per_point_readers_make_no_numpy_round_trip(self):
+        """No ``.ravel(``, ``.tolist(``, ``@`` or ``np.`` in the readers of ``_flat``.
+
+        The constructors already read each matrix once; pulling its entries back
+        through numpy on every point is the waste this keeps out.
+        """
+        package = Path(postselect_module.__file__).parent
+        for module, names in self.FLAT_READERS.items():
+            tree = ast.parse((package / f"{module}.py").read_text())
+            found = {}
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef):
+                    found[node.name] = node
+                elif isinstance(node, ast.ClassDef):
+                    found |= {f"{node.name}.{f.name}": f for f in node.body
+                              if isinstance(f, ast.FunctionDef)}
+            for name in names:
+                for node in ast.walk(found[name]):
+                    assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+                    if isinstance(node, ast.Attribute):
+                        assert node.attr not in ("ravel", "tolist"), (name, node.attr)
+                        assert getattr(node.value, "id", None) != "np", (name, node.attr)
 
     def test_no_module_uses_functools_cached_property(self):
         """Per-instance values are built in constructors, never by ``functools.cached_property``.

@@ -33,6 +33,7 @@ from wva_costlab import (
 )
 from wva_costlab.costs import (
     UNIT_RATES,
+    classify_region,
     CostPoint,
     CostRates,
     boundary_curve,
@@ -50,7 +51,10 @@ from wva_costlab.experiment import (
     conditional_outcome_model,
     hwp_settings,
     mle_g,
+    run_campaign,
+    run_trial,
 )
+from wva_costlab.fisher import cfi_discrete, qfi_mixed, qfi_product_coupling
 from wva_costlab.postselect import (
     WvaSetup,
     fm_exact,
@@ -841,6 +845,43 @@ class TestScalarKet:
                 conj_row = [z.conjugate() for z in flat[row * dim:(row + 1) * dim]]
                 assert_close(got, conj_row, ys)
 
+    @staticmethod
+    def _seeded_parts(seed, rows, columns):
+        """Real and imaginary parts mixing signed zeros, subnormals, magnitudes near 1e154
+        (whose squared norm nears the float range) and normal values of any scale."""
+        rng = np.random.default_rng(seed)
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                    1e154, -9.7e153, 1.3e154, 1.0, -1.0]
+        normal = rng.normal(size=(rows, columns)) * 10.0 ** rng.uniform(-160.0, 150.0, (rows, 1))
+        pick = rng.integers(0, len(specials), size=normal.shape)
+        return np.where(rng.random(normal.shape) < 0.3, np.array(specials)[pick], normal)
+
+    def test_tuple_and_array_inputs_give_numpys_bytes(self):
+        """A tuple of amplitudes, the same amplitudes as an array and numpy's ``vec / norm`` agree.
+
+        Over 10^5 seeded pairs (a tuple of two complexes skips numpy) and 2x10^4 seeded
+        4-amplitude inputs, byte for byte, rejections included.
+        """
+        pairs = self._seeded_parts(35, 100_000, 4).view(complex).tolist()  # exact (re, im)
+        quads = self._seeded_parts(37, 20_000, 8).view(complex).tolist()
+        outcomes = set()
+        for amps in map(tuple, pairs + quads):
+            vec = np.array(amps)
+            norm = math.sqrt(states_module._norm_sq(amps))
+            try:
+                ket = Ket(amps)
+            except ContractViolationError as exc:
+                with pytest.raises(ContractViolationError, match=str(exc)):
+                    Ket(vec)
+                outcomes.add((len(amps), str(exc)))
+                continue
+            expected = (vec / norm).tobytes()
+            assert ket.amplitudes.tobytes() == Ket(vec).amplitudes.tobytes() == expected
+            assert np.array(ket._amps).tobytes() == expected
+            outcomes.add((len(amps), "accepted"))
+        assert outcomes == {(n, outcome) for n in (2, 4) for outcome in (
+            "accepted", "Ket: amplitudes must be finite", "Ket: cannot normalize a null vector")}
+
     def test_inner_and_moments_of_exact_values(self):
         """Sums that float arithmetic gives exactly: a cancellation to zero, products of integers."""
         a, b = Ket([1.0, 1j]), Ket([1.0, -1j])
@@ -849,6 +890,26 @@ class TestScalarKet:
         mean, omega = meter._moments(BASIS.ket0)
         assert (mean, omega) == (0.0, 4.0)
         assert HermitianOperator(np.diag([3.0, -1.0])).expectation(BASIS.ket1) == -1.0
+
+    def test_density_matrix_expectation_against_closed_forms(self):
+        """Tr(rho sigma_z) = rho00 - rho11 exactly; any H within rounding of numpy's trace."""
+        rng = np.random.default_rng(36)
+        for _ in range(300):
+            r = rng.normal(size=3)
+            r *= rng.uniform() ** (1.0 / 3.0) / np.linalg.norm(r)
+            rho = DensityMatrix(0.5 * np.array([[1 + r[2], r[0] - 1j * r[1]],
+                                                [r[0] + 1j * r[1], 1 - r[2]]]))
+            got = SIGMA_Z.expectation(rho)
+            assert type(got) is float and got == rho._flat[0].real - rho._flat[3].real
+            for dim in (2, 4):
+                H = random_hermitian(rng, dim)
+                psi = Ket(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+                state = DensityMatrix.from_ket(psi) if dim == 4 else rho
+                expected = np.trace(state.entries @ H.entries).real
+                scale = np.abs(state.entries).sum() * np.abs(H.entries).max()
+                assert abs(H.expectation(state) - expected) <= 8 * dim * 2.0**-52 * scale
+                if dim == 4:  # a pure state's trace is the ket's <psi|H|psi>
+                    assert H.expectation(state) == pytest.approx(H.expectation(psi), abs=1e-14)
 
 
 class TestSuperpositionMemo:
@@ -935,8 +996,9 @@ class TestCachedDerivations:
         "basis": (lambda: ReferenceBasis(Ket(np.array([1.0, 0.0])), Ket(np.array([0.0, 1.0]))),
                   ("_pairs", "_sigma", "_kets")),
         "ket-setup": (lambda: _sigma_z_setup(BASIS.superposition(0.3)), ("_out",)),
+        "density": (lambda: DensityMatrix([[0.6, 0.2], [0.2, 0.4]]), ("_flat",)),
         "rho-setup": (lambda: _sigma_z_setup(DensityMatrix([[0.6, 0.2], [0.2, 0.4]])),
-                      ("_out", "_collapsed")),
+                      ("_out", "_collapsed", "_factors")),
     }
 
     @pytest.mark.parametrize("case", BUILT)
@@ -962,6 +1024,27 @@ class TestCachedDerivations:
         assert vanishing._out[0] == 0.0 and "_collapsed" not in vars(vanishing)
         ket_setup = _sigma_z_setup(BASIS.superposition(0.3))
         assert "_collapsed" not in vars(ket_setup)  # a ket's collapsed state is formed where read
+        assert "_factors" not in vars(ket_setup)  # a ket's kernel runs once, unfactored
+
+    def test_density_flat_entries_are_the_stored_arrays_bits(self):
+        # every construction path: direct (signed zeros, 4x4 too), from_ket, mixture,
+        # and the collapsed state of a setup and of a meter-family probe
+        setup = _sigma_z_setup(DensityMatrix([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]))
+        states = [
+            DensityMatrix([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]),
+            DensityMatrix([[1.0, -0.0], [-0.0, complex(0.0, -0.0)]]),
+            DensityMatrix(np.eye(4) / 4.0),
+            DensityMatrix.from_ket(BASIS.superposition(0.3)),
+            DensityMatrix.from_ket(Ket([0.6j, -0.8])),
+            DensityMatrix.mixture([0.3, 0.7], [BASIS.ket0, BASIS.superposition(-1.1)]),
+            postselect_mixed(setup)[1],
+            postselected_meter_family(setup)(0.02),
+        ]
+        for rho in states:
+            assert rho._flat == rho.entries.ravel().tolist()
+            assert [(z.real.hex(), z.imag.hex()) for z in rho._flat] == [
+                (z.real.hex(), z.imag.hex()) for z in rho.entries.ravel().tolist()
+            ]
 
 
 def _sigma_z_setup(psi_si):
@@ -1032,6 +1115,26 @@ class TestMalformedInput:
              "expectation: state must be a Ket or DensityMatrix"),
             (lambda: DensityMatrix.mixture([0.5, 0.5], [BASIS.ket0, 0.3]),
              "mixture: kets must be Kets"),
+            (lambda: cost_point(4.0, 1.0, 4.0, None), "cost_point: rates must be a CostRates"),
+            (lambda: classify_region(None), "classify_region: point must be a CostPoint"),
+            (lambda: tradeoff_slack(None, 0.5), "tradeoff_slack: point must be a CostPoint"),
+            (lambda: run_campaign(None), "run_campaign: config must be an ExperimentConfig"),
+            (lambda: run_trial(None, 0), "run_trial: config must be an ExperimentConfig"),
+            (lambda: mle_g(None, 0.5, -0.5), "mle_g: counts must be a TrialCounts"),
+            (lambda: bloch_of(None, BASIS),
+             "bloch_of: psi must be a Ket and basis a ReferenceBasis"),
+            (lambda: bloch_of(BASIS.ket0, None),
+             "bloch_of: psi must be a Ket and basis a ReferenceBasis"),
+            (lambda: bloch_angle(None, None), "bloch_angle: ra and rb must be BlochVectors"),
+            (lambda: BASIS.ket0.inner(None), "inner: other must be a Ket"),
+            (lambda: qfi_product_coupling(None, METER_PLUS, SIGMA_Z, SIGMA_Z),
+             "qfi_product_coupling: rho_s must be a Ket or DensityMatrix, phi_m a Ket"),
+            (lambda: qfi_product_coupling(BASIS.ket0, None, SIGMA_Z, SIGMA_Z),
+             "qfi_product_coupling: rho_s must be a Ket or DensityMatrix, phi_m a Ket"),
+            (lambda: qfi_product_coupling(BASIS.ket0, METER_PLUS, np.eye(2), SIGMA_Z),
+             "qfi_product_coupling: rho_s must be a Ket or DensityMatrix, phi_m a Ket"),
+            (lambda: qfi_mixed(None, 0.1), "qfi_mixed: family must be callable"),
+            (lambda: cfi_discrete(None, 0.1), "cfi_discrete: law must be callable"),
         ],
         ids=["ket-str", "ket-mixed-list", "ket-big-int", "operator-str", "operator-ragged",
              "density-big-int", "mixture-str-weight", "mixture-complex-weight", "fm-omega-str",
@@ -1042,7 +1145,11 @@ class TestMalformedInput:
              "meter-family-none", "weak-margin-none", "in-weak-regime-none", "basis-float-ket",
              "from-ket-float", "weak-value-float-ket", "weak-value-str-observable",
              "overlap-float-ket", "optimal-float-ket", "near-orthogonal-str-observable",
-             "expectation-float-state", "mixture-float-ket"],
+             "expectation-float-state", "mixture-float-ket", "cost-point-none-rates",
+             "classify-none", "slack-none", "campaign-none", "trial-none", "mle-none-counts",
+             "bloch-of-none-ket", "bloch-of-none-basis", "bloch-angle-none", "inner-none",
+             "product-none-state", "product-none-meter", "product-array-observable",
+             "qfi-mixed-none", "cfi-none"],
     )
     def test_raises_contract_violation(self, call, message):
         with pytest.raises(ContractViolationError, match=message):

@@ -10,7 +10,10 @@ Each ingredient has one definition: :func:`leading_costs` (the leading-order
 cp, cm; the paper's Bloch-angle form of them is a test oracle only),
 :meth:`CostPoint.scaled` (raw costs from normalized ones) and
 :func:`preparation_coherence` (the l1 coherence of the preparation).
-:func:`boundary_curve` sweeps :func:`default_alpha_grid`.
+The leading-order costs have one path: :func:`boundary_curve` checks theta
+once, then calls :func:`leading_costs` at each angle of
+:func:`default_alpha_grid`, so every cos(alpha +- theta) comes from
+:func:`~wva_costlab.states.selection_cosines` (``math.cos``).
 
 A published variant of the bound omits the square on the coherence. That
 variant is strictly looser and cannot be saturated by physical points; it is
@@ -209,28 +212,10 @@ def leading_costs(theta: float, alpha: float) -> Optional[tuple[float, float]]:
     None where |cos(alpha + theta)| < ALPHA_SINGULARITY_TOL, as cp diverges there.
     The angles pass :func:`~wva_costlab.states.selection_cosines`.
     """
-    return _costs_of_cosines(*selection_cosines(theta, alpha, "leading_costs"))
-
-
-def _costs_of_cosines(c_plus: float, c_minus: float) -> Optional[tuple[float, float]]:
-    """:func:`leading_costs` from the cosines cos(alpha + theta), cos(alpha - theta)."""
+    c_plus, c_minus = selection_cosines(theta, alpha, "leading_costs")
     if abs(c_plus) < ALPHA_SINGULARITY_TOL:
         return None
     return 1.0 / c_plus**2, c_minus**2 / c_plus**2
-
-
-def _leading_sweep(theta: float, where: str):
-    """(alpha, cp, cm) of :func:`leading_costs` at each angle of :func:`default_alpha_grid`.
-
-    Singular angles (None) are skipped. theta is checked once, as ``<where>: theta``,
-    and the grid's angles are finite, so each angle takes the cosines of
-    :func:`~wva_costlab.states.selection_cosines` without its checks.
-    """
-    check_theta(theta, f"{where}: theta")
-    for alpha in default_alpha_grid():
-        costs = _costs_of_cosines(np.cos(alpha + theta), np.cos(alpha - theta))
-        if costs is not None:
-            yield alpha, *costs
 
 
 def boundary_curve(theta: float, *, printed_form: bool = False) -> list[TradeoffSample]:
@@ -245,10 +230,15 @@ def boundary_curve(theta: float, *, printed_form: bool = False) -> list[Tradeoff
     ``printed_form`` is keyword-only, so a stray second positional argument
     cannot select the printed form.
     """
+    check_theta(theta, "boundary_curve: theta")
     # (alpha, cp, cm) per cp bucket, and the cheapest one overall
     buckets: dict[int, tuple] = {}
     cheapest = None
-    for sample in _leading_sweep(theta, "boundary_curve"):
+    for alpha in default_alpha_grid():
+        costs = leading_costs(theta, alpha)
+        if costs is None:
+            continue
+        sample = (alpha, *costs)
         key = int(round(sample[1] / CP_BUCKET_WIDTH))
         best = buckets.get(key)
         if best is None or sample[2] < best[2]:

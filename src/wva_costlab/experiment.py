@@ -416,7 +416,7 @@ def _estimate(counts: TrialCounts, estimator: tuple[float, float, float]) -> flo
         return 0.0
     if q_hat >= q_max:
         return g_max
-    return float(np.arctan(np.sqrt(q_hat / (1.0 - q_hat) * ratio)))
+    return math.atan(math.sqrt(q_hat / (1.0 - q_hat) * ratio))
 
 
 def mle_g(counts: TrialCounts, theta: float, alpha: float, g_max: float = G_MAX) -> float:
@@ -558,7 +558,7 @@ def run_campaign(config: ExperimentConfig) -> CampaignReport:
     all_clipped = all(g in (0.0, G_MAX) for _, g in per_trial)
     degenerate = g_var is not None and (g_var == 0.0 or all_clipped)
     fm_emp = None
-    if g_var is not None and not degenerate and nu_eff > 0.0:
+    if g_var is not None and not degenerate:
         fm_emp = 1.0 / (nu_eff * g_var)
 
     total_prepared = sum(c.n_prepared for c, _ in per_trial)

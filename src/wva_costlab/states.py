@@ -457,9 +457,6 @@ class BlochVector:
         if max(map(abs, (self.r1, self.r2, self.r3))) > 1.0 + 1e-12 or self.norm() > 1.0 + 1e-12:
             raise ContractViolationError("BlochVector: norm exceeds 1")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.r1, self.r2, self.r3], dtype=float)
-
     def norm(self) -> float:
         return math.sqrt(self.r1**2 + self.r2**2 + self.r3**2)
 

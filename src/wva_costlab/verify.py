@@ -6,6 +6,13 @@ the worst observed slack together with a pass/fail verdict. Its ``detail``
 names the worst point under ``worst_at``: a pair or instance index, or the
 panel coordinates (theta, alpha, g) or (mu, alpha, g).
 
+Every suite but ``tradeoff-bound`` bounds one worst value by a tolerance and
+takes its verdict from :func:`_bound_verdict`: it passes when worst <= tolerance
+and the suite's other checks hold (``leading-order`` also asks worst < tolerance),
+its ``worst_slack`` is tolerance - worst, and its ``detail`` is
+``worst_<kind>``, ``tolerance``, the suite's own fields, then ``worst_at``.
+``tradeoff-bound`` passes when it is sound and saturated.
+
 * ``overlap-identity``: squared ket overlaps equal the Bloch half-angle form.
 * ``tradeoff-bound``: the coherence bound holds on the full postselection
   sweep of the seven :data:`DEFAULT_THETAS` and is saturated on the coplanar branch.
@@ -32,10 +39,10 @@ import numpy as np
 from .costs import (
     UNIT_RATES,
     CostPoint,
-    _leading_sweep,
     classify_region,
     cost_point,
     default_alpha_grid,
+    leading_costs,
     preparation_coherence,
     tradeoff_slack,
 )
@@ -89,9 +96,26 @@ class SuiteResult:
 
 def _extreme(rows, names: tuple[str, ...], pick=max) -> tuple[float, dict]:
     """Value of the row (value, *coordinates) that ``pick`` selects, first on a tie,
-    and its coordinates as floats named by ``names``."""
+    and its coordinates named by ``names``: an int index stays an int, the rest are floats."""
     value, *coords = pick(rows, key=itemgetter(0))
-    return float(value), {name: float(c) for name, c in zip(names, coords)}
+    return float(value), {name: c if type(c) is int else float(c) for name, c in zip(names, coords)}
+
+
+def _bound_verdict(name: str, kind: str, worst, tol: float, worst_at: dict, ok: bool = True,
+                   **fields) -> SuiteResult:
+    """The result of a suite whose worst value ``worst`` must not exceed ``tol``.
+
+    It passes when worst <= tol and the suite's other checks ``ok`` hold; its
+    worst_slack is tol - worst, and its detail is worst_<kind>, tolerance,
+    ``fields`` in their order, then worst_at.
+    """
+    worst = float(worst)
+    return SuiteResult(
+        name=name,
+        passed=bool(worst <= tol and ok),
+        worst_slack=tol - worst,
+        detail={f"worst_{kind}": worst, "tolerance": tol, **fields, "worst_at": worst_at},
+    )
 
 
 def _incoherent(mu: float) -> DensityMatrix:
@@ -103,23 +127,15 @@ def suite_overlap_identity(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     basis = ReferenceBasis.standard()
     n_pairs = 1000
-    errors = []
-    for _ in range(n_pairs):
+    errors = []  # (error, pair)
+    for pair in range(n_pairs):
         a = Ket(rng.normal(size=2) + 1j * rng.normal(size=2))
         b = Ket(rng.normal(size=2) + 1j * rng.normal(size=2))
         direct = overlap_sq(a, b)
         angle = bloch_angle(bloch_of(a, basis), bloch_of(b, basis))
-        errors.append(abs(direct - np.cos(angle / 2.0) ** 2))
-    pair = int(np.argmax(errors))
-    worst = float(errors[pair])
-    tol = 1e-10
-    return SuiteResult(
-        name="overlap-identity",
-        passed=worst <= tol,
-        worst_slack=tol - worst,
-        detail={"worst_abs_error": worst, "tolerance": tol, "pairs": n_pairs,
-                "worst_at": {"pair": pair}},
-    )
+        errors.append((abs(direct - np.cos(angle / 2.0) ** 2), pair))
+    worst, worst_at = _extreme(errors, ("pair",))
+    return _bound_verdict("overlap-identity", "abs_error", worst, 1e-10, worst_at, pairs=n_pairs)
 
 
 def suite_tradeoff_bound(printed_form: bool = False) -> SuiteResult:
@@ -133,8 +149,11 @@ def suite_tradeoff_bound(printed_form: bool = False) -> SuiteResult:
     slacks, gaps = [], []  # (slack, theta, alpha); (|slack|, theta, alpha) where saturating
     for theta in DEFAULT_THETAS:
         coherence = preparation_coherence(theta)
-        for alpha, cp_norm, cm_norm in _leading_sweep(theta, "tradeoff-bound"):
-            point = CostPoint.scaled(cp_norm, cm_norm, UNIT_RATES)
+        for alpha in default_alpha_grid():
+            costs = leading_costs(theta, alpha)
+            if costs is None:
+                continue
+            point = CostPoint.scaled(*costs, UNIT_RATES)
             slack = tradeoff_slack(point, coherence, printed_form=printed_form)
             slacks.append((slack, theta, alpha))
             if theta - np.pi / 2.0 <= alpha <= -theta:
@@ -180,14 +199,12 @@ def suite_incoherent_ceiling() -> SuiteResult:
                 point = cost_point(ceiling, postselect_mixed(setup)[0] * value, value, UNIT_RATES)
                 advantage_points += classify_region(point) != "trivial"
     worst_excess, worst_at = _extreme(excesses, ("mu", "alpha", "g"))
-    tol, oracle_tol = 1e-12, 1e-6
-    return SuiteResult(
-        name="incoherent-ceiling",
-        passed=bool(worst_excess <= tol and oracle_worst <= oracle_tol and not advantage_points),
-        worst_slack=tol - worst_excess,
-        detail={"worst_excess": worst_excess, "tolerance": tol,
-                "oracle_abs_difference": float(oracle_worst), "oracle_tolerance": oracle_tol,
-                "advantage_points": advantage_points, "worst_at": worst_at},
+    oracle_tol = 1e-6
+    return _bound_verdict(
+        "incoherent-ceiling", "excess", worst_excess, 1e-12, worst_at,
+        ok=oracle_worst <= oracle_tol and not advantage_points,
+        oracle_abs_difference=float(oracle_worst), oracle_tolerance=oracle_tol,
+        advantage_points=advantage_points,
     )
 
 
@@ -200,8 +217,8 @@ def suite_oracle_agreement(seed: int) -> SuiteResult:
     """Spectral unitary-family QFI vs the SLD computation on 100 random mixtures."""
     rng = np.random.default_rng(seed)
     n_instances = 100
-    differences = []
-    for _ in range(n_instances):
+    differences = []  # (difference, instance)
+    for instance in range(n_instances):
         dim = int(rng.choice([2, 4]))
         raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         H = HermitianOperator((raw + raw.conj().T) / 2.0)
@@ -221,17 +238,10 @@ def suite_oracle_agreement(seed: int) -> SuiteResult:
 
         spectral = qfi_spectral_unitary(weights, vectors, family_u, g)
         sld = qfi_mixed(rho_family, g)
-        differences.append(abs(spectral - sld))
-    instance = int(np.argmax(differences))
-    worst = differences[instance]
-    tol = 1e-6
-    return SuiteResult(
-        name="oracle-agreement",
-        passed=worst <= tol,
-        worst_slack=tol - worst,
-        detail={"worst_abs_difference": worst, "tolerance": tol, "instances": n_instances,
-                "worst_at": {"instance": instance}},
-    )
+        differences.append((abs(spectral - sld), instance))
+    worst, worst_at = _extreme(differences, ("instance",))
+    return _bound_verdict("oracle-agreement", "abs_difference", worst, 1e-6, worst_at,
+                          instances=n_instances)
 
 
 def suite_conventional_information() -> SuiteResult:
@@ -261,14 +271,8 @@ def suite_conventional_information() -> SuiteResult:
         closed = qfi_product_coupling(rho, METER_PLUS, STANDARD_SIGMA, STANDARD_SIGMA)
         rows.append((max(abs(closed - 4.0), abs(qfi_mixed(family, g) - 4.0)), mu, "mu"))
     worst, coordinate, name = max(rows, key=itemgetter(0))
-    tol = 1e-6
-    return SuiteResult(
-        name="conventional-information",
-        passed=worst <= tol,
-        worst_slack=tol - worst,
-        detail={"worst_abs_deviation": worst, "tolerance": tol, "points": len(rows),
-                "worst_at": {name: float(coordinate), "g": g}},
-    )
+    return _bound_verdict("conventional-information", "abs_deviation", worst, 1e-6,
+                          {name: float(coordinate), "g": g}, points=len(rows))
 
 
 def suite_leading_order() -> SuiteResult:
@@ -297,13 +301,9 @@ def suite_leading_order() -> SuiteResult:
             rows.append((d2 / target, theta, alpha, gs[-1]))
     worst, worst_at = _extreme(rows, ("theta", "alpha", "g"))
     tol = 1e-3
-    return SuiteResult(
-        name="leading-order",
-        passed=bool(worst < tol and monotone),
-        worst_slack=tol - worst,
-        detail={"worst_rel_distance": worst, "tolerance": tol, "monotone": monotone,
-                "points": len(rows), "worst_at": worst_at},
-    )
+    # strict: a distance of exactly tol fails
+    return _bound_verdict("leading-order", "rel_distance", worst, tol, worst_at,
+                          ok=worst < tol and monotone, monotone=monotone, points=len(rows))
 
 
 def suite_weighted_ceiling() -> SuiteResult:
@@ -332,14 +332,12 @@ def suite_weighted_ceiling() -> SuiteResult:
             gap = abs(probabilistic_qfi(optimal)[0] - ceiling) / ceiling
             attainment_gap, optimal_points = max(attainment_gap, gap), optimal_points + 1
     worst_excess, worst_at = _extreme(excesses, ("theta", "alpha", "g"))
-    tol, attainment_tol = 1e-12, 1e-3
-    return SuiteResult(
-        name="weighted-ceiling",
-        passed=bool(worst_excess <= tol and attainment_gap <= attainment_tol),
-        worst_slack=tol - worst_excess,
-        detail={"worst_excess": worst_excess, "tolerance": tol, "points": len(excesses),
-                "attainment_gap": float(attainment_gap), "attainment_tolerance": attainment_tol,
-                "optimal_points": optimal_points, "worst_at": worst_at},
+    attainment_tol = 1e-3
+    return _bound_verdict(
+        "weighted-ceiling", "excess", worst_excess, 1e-12, worst_at,
+        ok=attainment_gap <= attainment_tol, points=len(excesses),
+        attainment_gap=float(attainment_gap), attainment_tolerance=attainment_tol,
+        optimal_points=optimal_points,
     )
 
 

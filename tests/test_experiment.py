@@ -402,6 +402,21 @@ class TestMleG:
                 n_minus / 700.0, abs=1e-10
             )
 
+    def test_c08_cell_estimates_take_the_bits_of_math_atan(self):
+        # every unclipped count of the C08 cells' angles at nu = 200 and 700; numpy's
+        # AVX-512 arctan differs from math.atan by 1 ulp at some of them
+        theta, checked = np.pi / 6, 0
+        for alpha in (-np.pi / 6, -np.pi / 5, -np.pi / 4.5, -np.pi / 4):
+            ratio = math.cos(alpha - theta) ** 2 / math.cos(alpha + theta) ** 2
+            for nu in (200, 700):
+                for n_minus in range(nu + 1):
+                    got = mle_g(TrialCounts(nu, nu, nu - n_minus, n_minus), theta, alpha)
+                    if got not in (0.0, G_MAX):
+                        q_hat = n_minus / nu
+                        assert got == math.atan(math.sqrt(q_hat / (1.0 - q_hat) * ratio))
+                        checked += 1
+        assert checked == 3129  # of 3608 counts; the rest clip to 0 or G_MAX
+
     def test_ceiling_at_g_max(self):
         counts = TrialCounts(1000, 700, 0, 700)
         assert mle_g(counts, THETA, ALPHA, g_max=0.3) == 0.3
@@ -465,6 +480,25 @@ class TestRunCampaign:
         assert 0.0 in {g for _, g in report.per_trial}
         assert not report.degenerate
         assert report.fm_empirical is not None
+
+    def test_two_distinct_estimates_give_a_finite_cost_point(self):
+        report = run_campaign(config(g=0.0698, nu=700, reps=2, seed=4))
+        (_, first), (_, second) = report.per_trial
+        assert first != second and not {first, second} & {0.0, G_MAX}
+        assert not report.degenerate
+        for value in (report.fm_empirical, report.slack_empirical,
+                      report.cost_empirical.cp_norm, report.cost_empirical.cm_norm):
+            assert math.isfinite(value)
+
+    # g = 0: both estimates are 0; nu = 1: each is 0 or G_MAX, so both are clipped
+    @pytest.mark.parametrize("g, nu", [(0.0, 50), (0.05, 1)], ids=["equal", "clipped"])
+    def test_two_degenerate_estimates_leave_the_cost_point_undefined(self, g, nu):
+        report = run_campaign(config(g=g, nu=nu, reps=2, seed=6))
+        assert {est for _, est in report.per_trial} <= {0.0, G_MAX}
+        assert report.degenerate
+        assert report.fm_empirical is None
+        assert report.cost_empirical is None
+        assert report.slack_empirical is None
 
     def test_single_rep_leaves_variance_undefined(self):
         report = run_campaign(config(reps=1))
@@ -628,6 +662,20 @@ class TestCampaignThreads:
         assert experiment._worker_count(1, experiment._THREAD_MIN_DRAW) == 1
         monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
         assert experiment._worker_count(100, 10**6) == 1
+
+    def test_every_campaign_workload_configuration_runs_on_two_threads(self, monkeypatch):
+        # the benchmark's campaign items: theta = pi/6, two couplings, four angles, both
+        # stopping rules, 200 trials; each trial's fill must reach _THREAD_MIN_DRAW
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        theta = np.pi / 6
+        for g in (0.0349, 0.0698):
+            for alpha in (-np.pi / 6, -np.pi / 5, -np.pi / 4.5, -np.pi / 4):
+                prepared = round(700 / oracle_p(theta, alpha, g))
+                for stopping in (FixedPostselected(700), FixedPrepared(prepared)):
+                    cfg = ExperimentConfig(theta, alpha, g, stopping, 200, 1)
+                    p, _ = experiment._trial_law(cfg)
+                    _, width = experiment._speculation(stopping, p)
+                    assert experiment._worker_count(cfg.n_reps, width) == 2, (g, alpha, stopping)
 
     def test_empty_trial_raises_the_estimator_error(self):
         # FixedPrepared(1) at p ~ 2.5e-3: a trial postselects nothing

@@ -230,8 +230,8 @@ def test_pinned_bytes_hold_under_a_second_blas_kernel(tmp_path):
     kernel that the CPU supports, and checks that OpenBLAS took it. Only there,
     the four LAPACK_FIELDS in each verify file are left out of the comparison;
     every other byte is compared. On an AVX-512 CPU a second child
-    runs the verify cases with numpy's AVX-512 dispatch turned off, and all of
-    their bytes are compared. The variables are set in the children only.
+    runs the verify and simulate cases with numpy's AVX-512 dispatch turned off,
+    and all of their bytes are compared. The variables are set in the children only.
     """
     flags = cpu_flags()
     kernel = second_kernel(flags)
@@ -240,7 +240,8 @@ def test_pinned_bytes_hold_under_a_second_blas_kernel(tmp_path):
     verify = sorted(name for name in CASES if name.startswith("verify"))
     runs = {"kernel": ({"OPENBLAS_CORETYPE": kernel}, [*sorted(CASES), DIGEST])}
     if "avx512f" in flags:
-        runs["dispatch"] = ({"NPY_DISABLE_CPU_FEATURES": NO_AVX512}, verify)
+        runs["dispatch"] = ({"NPY_DISABLE_CPU_FEATURES": NO_AVX512},
+                            [*verify, "simulate_report.json"])
     children = {}
     for label, (extra, names) in runs.items():
         (tmp_path / label).mkdir()

@@ -66,6 +66,16 @@ def test_located_points_reproduce_the_reported_extremes():
     excess = probabilistic_qfi(setup)[0] - 4.0 * setup.omega
     assert excess == pytest.approx(weighted.detail["worst_excess"], abs=1e-15)
 
+
+def test_bound_verdict_passes_up_to_its_tolerance_and_orders_its_detail():
+    at = {"pair": 3}
+    result = verify._bound_verdict("s", "abs_error", 1e-3, 1e-3, at, pairs=5, monotone=True)
+    assert result.passed and result.worst_slack == 0.0
+    assert list(result.detail) == ["worst_abs_error", "tolerance", "pairs", "monotone", "worst_at"]
+    assert not verify._bound_verdict("s", "abs_error", np.nextafter(1e-3, 1.0), 1e-3, at).passed
+    assert not verify._bound_verdict("s", "abs_error", 0.0, 1e-3, at, ok=False).passed
+
+
 def test_acceptance_criteria_c01_to_c07_run_no_loop_of_their_own():
     # each criterion's panel loop lives in one verify suite; comprehensions may read it
     tree = ast.parse(ACCEPTANCE.read_text(encoding="utf-8"))

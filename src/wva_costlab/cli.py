@@ -16,6 +16,10 @@ numbers or null, and every file ends with a newline. Exit codes: 0 success,
 Costs are reported only on the normalized axes cp = C_p/(R_p N) and
 cm = C_m/(R_m N), where the per-sample rates and the sample count cancel, so
 no subcommand takes a rate.
+
+No module of the package imports numpy when it loads. ``qfi``, ``curve`` and
+every rejected request run in Python scalars and never import it;
+``simulate`` and ``verify`` import it in the sampler and the suites.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ import math
 import os
 import sys
 from typing import Optional
-
-import numpy as np
 
 from .costs import (
     UNIT_RATES,
@@ -55,7 +57,7 @@ from .postselect import (
     real_superposition_setup,
     weak_regime_margin,
 )
-from .states import check_theta, finite_real
+from .states import _numpy_types, check_theta, finite_real
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suites
 
 PROG = "wva-costlab"
@@ -77,11 +79,11 @@ def _json_ready(value):
         return {k: _json_ready(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_ready(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, (bool, *_numpy_types("bool_"))):
         return bool(value)
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, *_numpy_types("integer"))):
         return int(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, (float, *_numpy_types("floating"))):
         v = float(value)
         return v if math.isfinite(v) else None
     return value

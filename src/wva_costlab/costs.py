@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-import numpy as np
-
 from .errors import ContractViolationError, InfinitePreparationCostError
 from .states import (
     STANDARD_BASIS,
@@ -200,9 +198,15 @@ def tradeoff_slack(point: CostPoint, coherence: float, printed_form: bool = Fals
     return bound_rhs(coherence, printed_form) - lhs
 
 
-def default_alpha_grid() -> np.ndarray:
-    """Postselection-angle grid of DEFAULT_ALPHA_COUNT angles spanning [-pi/2, pi/2]."""
-    return np.linspace(-np.pi / 2.0, np.pi / 2.0, DEFAULT_ALPHA_COUNT)
+def default_alpha_grid() -> list[float]:
+    """Postselection-angle grid of DEFAULT_ALPHA_COUNT angles spanning [-pi/2, pi/2].
+
+    Angle k is -pi/2 + k (pi/720) and the last is pi/2: the Python floats of
+    ``np.linspace(-pi/2, pi/2, 721)``, bit for bit, which adds k * step to
+    the start and puts the stop at the end.
+    """
+    step = math.pi / (DEFAULT_ALPHA_COUNT - 1)
+    return [-math.pi / 2.0 + k * step for k in range(DEFAULT_ALPHA_COUNT - 1)] + [math.pi / 2.0]
 
 
 def leading_costs(theta: float, alpha: float) -> Optional[tuple[float, float]]:
@@ -251,12 +255,12 @@ def boundary_curve(theta: float, *, printed_form: bool = False) -> list[Tradeoff
         envelope.insert(0, cheapest)
     coherence = preparation_coherence(theta)
     pruned: list[TradeoffSample] = []
-    best_cm = np.inf
+    best_cm = math.inf
     for alpha, cp_norm, cm_norm in envelope:
         if cm_norm < best_cm:
             point = CostPoint.scaled(cp_norm, cm_norm, UNIT_RATES)
             slack = tradeoff_slack(point, coherence, printed_form=printed_form)
-            pruned.append(TradeoffSample(alpha=float(alpha), cost=point, slack=slack))
+            pruned.append(TradeoffSample(alpha=alpha, cost=point, slack=slack))
             best_cm = cm_norm
     return pruned
 

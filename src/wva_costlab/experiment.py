@@ -60,8 +60,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
-import numpy as np
-
 from .costs import UNIT_RATES, CostPoint, cost_point, preparation_coherence, tradeoff_slack
 from .errors import (
     ContractViolationError,
@@ -83,7 +81,7 @@ from .states import (
 from .streams import _block_seed_type, _block_size, _sample_blocks, _trial_rng
 
 PREPARATION_BUDGET = 10**9
-G_MAX = np.pi / 4.0
+G_MAX = math.pi / 4.0
 _DEGENERACY_TOL = 1e-12
 _PROB_FLOOR = 1e-30
 _MAX_CHUNK = 1 << 20
@@ -334,6 +332,8 @@ def _count_below(rng: np.random.Generator, n: int, threshold: float) -> int:
     The uniforms are drawn in slices of at most 2**20, which consume the same
     stream as one draw of ``n``, so no call holds more than 9 MB of them.
     """
+    import numpy as np
+
     count = 0
     for start in range(0, n, _MAX_CHUNK):
         count += int(np.count_nonzero(rng.random(min(_MAX_CHUNK, n - start)) < threshold))
@@ -346,6 +346,8 @@ def _sample_trial(rng: np.random.Generator, stopping: Stopping, p: float, q: flo
     The one definition of a trial's stream: :func:`run_trial` calls it, and so
     does a campaign for every trial whose block speculation misses.
     """
+    import numpy as np
+
     if isinstance(stopping, FixedPostselected):
         remaining = stopping.nu
         n_prepared = 0
@@ -434,7 +436,7 @@ def mle_g(counts: TrialCounts, theta: float, alpha: float, g_max: float = G_MAX)
     if any(_degenerate(c_plus, c_minus)):
         raise ContractViolationError("mle_g: degenerate configuration")
     g_max = finite_real(g_max, "mle_g", "g_max")
-    if not (0.0 < g_max <= np.pi / 2.0 - 1e-6):
+    if not (0.0 < g_max <= math.pi / 2.0 - 1e-6):
         raise ContractViolationError("mle_g: g_max out of range")
     return _estimate(counts, _estimator(theta, alpha, c_plus, c_minus, g_max))
 
@@ -490,6 +492,8 @@ def _run_trials(config: ExperimentConfig) -> list[tuple[TrialCounts, float]]:
     workers = _worker_count(n_reps, width)
     block = _block_size(width, workers)
     if block:
+        import numpy as np
+
         thresholds = np.full(width, q)
         thresholds[:prepare] = p
         nu = stopping.nu if isinstance(stopping, FixedPostselected) else None
@@ -545,6 +549,8 @@ def run_campaign(config: ExperimentConfig) -> CampaignReport:
     """
     if not isinstance(config, ExperimentConfig):
         raise ContractViolationError("run_campaign: config must be an ExperimentConfig")
+    import numpy as np
+
     per_trial = _run_trials(config)
     estimates = np.array([g for _, g in per_trial])
     g_mean = float(estimates.mean())
@@ -603,9 +609,9 @@ def hwp_settings(theta: float, alpha: float, g: float) -> dict[str, float]:
     selection_cosines(theta, alpha, "hwp_settings")
     _check_coupling("hwp_settings", "g", g)
     return {
-        "meter_hwp": np.pi / 8.0,
-        "hwp1": np.pi / 8.0 - theta / 2.0,
+        "meter_hwp": math.pi / 8.0,
+        "hwp1": math.pi / 8.0 - theta / 2.0,
         "hwp2": g / 2.0,
         "hwp3": -g / 2.0,
-        "hwp4": np.pi / 8.0 - alpha / 2.0,
+        "hwp4": math.pi / 8.0 - alpha / 2.0,
     }

@@ -21,15 +21,15 @@ A discrete outcome law is a plain callable ``g -> (probabilities, slopes)``
 with exact slopes. :func:`cfi_discrete` sums its information with no step, in
 Python scalars that keep numpy's ``**`` rounding. Its distribution check adds
 a law of fewer than 8 outcomes left to right, as numpy's pairwise sum does,
-and leaves a longer law to ``np.sum``.
+and leaves a longer law to ``np.sum``. A short law of Python floats, such as
+the readout's, never imports numpy; the finite-difference and LAPACK oracles
+import it when they run.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable, Sequence, Union
-
-import numpy as np
 
 from .errors import ContractViolationError, StepTooLargeError, UnsupportedInputError
 from .states import DensityMatrix, HermitianOperator, Ket, UnitaryOperator, _qubit_parts
@@ -47,6 +47,8 @@ def _floats(values) -> list[float]:
     """``values`` flattened to Python floats, as ``np.asarray(values, dtype=float)`` reads them."""
     if type(values) is tuple and all(type(v) is float for v in values):
         return list(values)  # already Python floats, as a law's short tuples are
+    import numpy as np
+
     return np.asarray(values, dtype=float).reshape(-1).tolist()
 
 
@@ -69,6 +71,8 @@ def _distribution(probabilities) -> list[float]:
         for v in values:
             total += v
     else:
+        import numpy as np
+
         total = float(np.sum(values))
     if abs(total - 1.0) > 1e-12:
         raise ContractViolationError("cfi_discrete: probabilities must sum to 1")
@@ -93,6 +97,8 @@ def qfi_pure(family: PureFamily, g: float) -> float:
     central difference with :data:`STEP` after phase alignment of the probe
     states.
     """
+    import numpy as np
+
     psi0 = family(g)
     plus = _aligned(psi0, family(g + STEP))
     minus = _aligned(psi0, family(g - STEP))
@@ -127,6 +133,7 @@ def qfi_product_coupling(
         rho_s = DensityMatrix.from_ket(rho_s)
     if rho_s.dim != 2 or phi_m.dim != 2:
         raise ContractViolationError("qfi_product_coupling: system and meter must be qubits")
+    import numpy as np
 
     a2 = HermitianOperator(A.entries @ A.entries)
     m2 = HermitianOperator(M.entries @ M.entries)
@@ -203,6 +210,8 @@ def qfi_mixed(family: MixedFamily, g: float) -> float:
     if rho0.dim == plus.dim == minus.dim == 2:
         lam, cross = _qubit_eigen_cross(rho0, plus, minus, 2.0 * STEP)
     else:
+        import numpy as np
+
         drho = (plus.entries - minus.entries) / (2.0 * STEP)
         lam, vecs = np.linalg.eigh(rho0.entries)
         lam, cross = lam.tolist(), (vecs.conj().T @ drho @ vecs).tolist()
@@ -230,6 +239,8 @@ def qfi_spectral_unitary(
         |<v_i|U^dag dU|v_j>|^2,
     with dU from a central difference with :data:`STEP`.
     """
+    import numpy as np
+
     lam = np.asarray(lambdas, dtype=float)
     if lam.size != len(vectors) or lam.size == 0:
         raise ContractViolationError("qfi_spectral_unitary: lambdas/vectors mismatch")
@@ -244,14 +255,15 @@ def qfi_spectral_unitary(
     kinetic = du.conj().T @ du
     w = u0.conj().T @ du
 
+    amplitudes = [v.amplitudes for v in vectors]  # each read builds an array
     total = 0.0
-    for i, vi in enumerate(vectors):
-        total += 4.0 * lam[i] * float(np.vdot(vi.amplitudes, kinetic @ vi.amplitudes).real)
-    for i, vi in enumerate(vectors):
-        for j, vj in enumerate(vectors):
+    for i, vi in enumerate(amplitudes):
+        total += 4.0 * lam[i] * float(np.vdot(vi, kinetic @ vi).real)
+    for i, vi in enumerate(amplitudes):
+        for j, vj in enumerate(amplitudes):
             denom = lam[i] + lam[j]
             if denom > RANK_CUTOFF:
-                amp = np.vdot(vi.amplitudes, w @ vj.amplitudes)
+                amp = np.vdot(vi, w @ vj)
                 total -= 8.0 * lam[i] * lam[j] / denom * abs(amp) ** 2
     return float(total)
 

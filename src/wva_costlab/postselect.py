@@ -71,8 +71,6 @@ import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
-import numpy as np
-
 from .errors import (
     ContractViolationError,
     ModelDimensionError,
@@ -230,7 +228,8 @@ def _collapsed_state(p: float, k: tuple) -> DensityMatrix:
     save the call and its tuple on every probe; a test holds the two to the
     same bytes. The entry above the diagonal is conj(k10) =
     (re, -im), and a diagonal entry's imaginary part is 0.0. The public
-    constructor runs every check on the result.
+    constructor reads these rows of Python complexes without numpy and runs
+    every check on them.
     """
     k00, k10, k11 = k
     s, re, im = 1.0 / p, k10.real, k10.imag
@@ -571,6 +570,8 @@ def optimal_postselection(psi_si: Ket, A: HermitianOperator) -> Ket:
         raise ContractViolationError(
             "optimal_postselection: psi_si must be a Ket, A a HermitianOperator"
         )
+    import numpy as np
+
     vec = A.apply(psi_si)
     if float(np.vdot(vec, vec).real) <= 1e-12:
         raise ContractViolationError("optimal_postselection: A annihilates the input")
@@ -599,6 +600,8 @@ def near_orthogonal_postselection(psi_si: Ket, A: HermitianOperator, epsilon: fl
         raise ContractViolationError(
             "near_orthogonal_postselection: epsilon out of range (0, 0.2]"
         )
+    import numpy as np
+
     raw = A.apply(psi_si)
     overlap = complex(np.vdot(psi_si.amplitudes, raw))
     residual = raw - overlap * psi_si.amplitudes

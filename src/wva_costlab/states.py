@@ -11,13 +11,18 @@ observable H = h0 I + K splits in closed form into eigenvalues h0 +- |K| with
 projectors (I +- K/|K|)/2, evaluated in Python complex scalars when the
 observable is built; the postselection kernel of
 :mod:`~wva_costlab.postselect` reads the same split. LAPACK serves only
-:func:`hermitian_eigs` and the 4x4 positivity check. The matrix types store a
-read-only complex copy of their input, read it once with ``tolist()`` and
-check finiteness, Hermiticity and trace in Python scalars. A :class:`Ket`
-normalizes its amplitudes in Python scalars by Smith's rule (:func:`_scaled`),
-bit for bit numpy's ``vec / norm``, and stores them twice: as a tuple of Python
-complexes, ``_amps``, and as a read-only array built from it. A tuple of two
-Python complexes is read as it is; other input is read through numpy.
+:func:`hermitian_eigs` and the 4x4 positivity check.
+
+Kets and matrices store one form: a tuple of Python complexes, a ket's
+amplitudes ``_amps`` and a matrix's flat row-major entries ``_flat``. Their
+public ``amplitudes`` and ``entries`` are read-only arrays built from that
+tuple on each read (:class:`_ArrayView`), so nothing on the per-point paths
+imports numpy. A matrix given as a square list or tuple of rows of Python
+floats and complexes is read as it is, and so is a ket given as a tuple of
+two Python complexes; other input is read through numpy, once, with
+``tolist()``. Finiteness, Hermiticity and trace are checked in Python
+scalars. A :class:`Ket` normalizes its amplitudes by Smith's rule
+(:func:`_scaled`), bit for bit numpy's ``vec / norm``.
 
 The per-point sums of products take no BLAS call. A ket's norm, inner
 products, an observable's action on a ket, its moments and its expectation in
@@ -25,16 +30,16 @@ a density matrix are fixed-order sums of Python scalar products
 (:func:`_norm_sq`, :func:`_inner`, :func:`_apply`),
 and angles go through ``math.cos``, ``math.sin`` and ``math.acos``, so their
 bits depend neither on the host's BLAS kernel nor on numpy's SIMD dispatch.
-Kets and matrices compare by value (equal stored arrays) and stay unhashable.
+Kets and matrices compare by value (equal stored tuples) and stay unhashable.
 The standard basis, its observable and the balanced meter kets are built once,
-as module constants.
+as module constants, from Python complexes.
 
 Every per-instance value (a ket's amplitude tuple; an observable's flat entries
 and split; a density matrix's flat entries; a basis's observable, amplitude
 pairs and empty superposition memo; a
 :class:`~wva_costlab.postselect.WvaSetup`'s kernel output, and for a
 density-matrix input its kernel factors and collapsed state) is computed in the
-constructor, outside equality, hashing and the repr. Only two pieces of state
+constructor. Only two pieces of state
 change later, with no lock: the memo, which may hand two threads distinct,
 equal kets for one angle, and the <M>/Omega slot of ``HermitianOperator._moments``,
 whose race costs only a later miss.
@@ -44,7 +49,8 @@ Each scenario input domain is decided in one function: :func:`finite_real`
 bool, a complex, None or a str), :func:`check_theta` (theta in (0, pi/4]),
 :func:`selection_cosines` (finite angles and their cos(alpha +- theta)),
 :func:`check_count` (integer counts) and :func:`check_seed` (64-bit seeds and
-trial indices).
+trial indices). A numpy integer passes the last two; the check looks for
+numpy's types only once numpy is loaded (:func:`_numpy_types`).
 """
 
 from __future__ import annotations
@@ -53,10 +59,9 @@ import cmath
 import dataclasses
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Sequence, Union
-
-import numpy as np
+import sys
+from dataclasses import InitVar, dataclass
+from typing import Optional, Sequence, Union
 
 from .errors import ContractViolationError, ModelDimensionError
 
@@ -98,6 +103,16 @@ def finite_real(value, *what: str) -> float:
     raise ContractViolationError(f"{': '.join(what)} must be finite")
 
 
+def _numpy_types(*names: str) -> tuple[type, ...]:
+    """numpy's types ``names`` (such as "integer") when numpy is loaded; else none.
+
+    A value can be a numpy scalar only once numpy is loaded, so a check that
+    accepts numpy scalars need not import numpy to look for them.
+    """
+    np = sys.modules.get("numpy")
+    return () if np is None else tuple(getattr(np, name) for name in names)
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     """Mark ``arr`` read-only and return it."""
     arr.setflags(write=False)
@@ -111,50 +126,87 @@ def _check_dim(dim: int, where: str) -> None:
         )
 
 
-# Flat row-major index pairs (ij, ji) of the upper triangle, diagonal included.
-_UPPER = {n: [(n * i + j, n * j + i) for i in range(n) for j in range(i, n)] for n in _VALID_DIMS}
+def _side(flat: tuple) -> int:
+    """The side n of an n x n matrix of a model dimension from its flat entries."""
+    return 2 if len(flat) == 4 else 4
+
+
+def _array(values: tuple, square: bool) -> np.ndarray:
+    """A fresh read-only complex array of stored ``values``, n x n when ``square``."""
+    import numpy as np
+
+    arr = np.array(values, dtype=complex)
+    return _readonly(arr.reshape(_side(values), -1) if square else arr)
+
+
+# Flat row-major index pairs (ij, ji) of a 4x4 upper triangle, diagonal included.
+_UPPER_4 = [(4 * i + j, 4 * j + i) for i in range(4) for j in range(i, 4)]
 # A qubit projector, row-major (P00, P01, P10, P11).
 _Projector = tuple[complex, complex, complex, complex]
 
 
-def _square_entries(
-    entries, where: str, hermitian: bool = True
-) -> tuple[np.ndarray, list[complex]]:
-    """Read-only complex square matrix of a model dimension, checked in Python scalars.
+def _scalar_rows(entries) -> Optional[tuple[complex, ...]]:
+    """Flat entries of a square list or tuple of rows of Python floats and complexes.
 
-    The matrix is read once, row-major, with ``tolist()``. Every entry must be
-    finite; with ``hermitian`` each |H_ij - conj(H_ji)| must also stay within
-    HERMITIAN_TOL. Returns the array to store and its flat entries.
+    Returns None for anything else: a size outside the model, a ragged row, an
+    array, or an entry of another type, a numpy scalar or an int included.
+    ``complex(x)`` of a float x is numpy's conversion, x + 0j.
     """
-    try:
-        mat = _readonly(np.array(entries, dtype=complex))
-    except (TypeError, ValueError, OverflowError):  # a str, a ragged list, an int beyond float
-        raise ContractViolationError(
-            f"{where}: entries must be a rectangular array of finite numbers"
-        ) from None
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ContractViolationError(f"{where}: entries must be square")
-    _check_dim(mat.shape[0], where)
-    flat = mat.ravel().tolist()
+    n = len(entries) if type(entries) in (list, tuple) else 0
+    if n not in _VALID_DIMS:
+        return None
+    flat = []
+    for row in entries:
+        if type(row) not in (list, tuple) or len(row) != n:
+            return None
+        flat += row
+    for z in flat:
+        if type(z) is not complex and type(z) is not float:
+            return None
+    return tuple(map(complex, flat))
+
+
+def _square_entries(entries, where: str, hermitian: bool = True) -> tuple[complex, ...]:
+    """Flat row-major entries of a square complex matrix of a model dimension, checked.
+
+    Rows of Python scalars are read by :func:`_scalar_rows`; any other input
+    is read once through numpy, with ``tolist()``, which gives the same
+    entries for those rows. Every entry must be finite; with ``hermitian``
+    each |H_ij - conj(H_ji)| must also stay within HERMITIAN_TOL, checked in
+    Python scalars.
+    """
+    flat = _scalar_rows(entries)
+    if flat is None:
+        import numpy as np
+
+        try:
+            mat = np.array(entries, dtype=complex)
+        except (TypeError, ValueError, OverflowError):  # a str, a ragged list, an int beyond float
+            raise ContractViolationError(
+                f"{where}: entries must be a rectangular array of finite numbers"
+            ) from None
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ContractViolationError(f"{where}: entries must be square")
+        _check_dim(mat.shape[0], where)
+        flat = tuple(mat.ravel().tolist())
     if not all(map(cmath.isfinite, flat)):
         raise ContractViolationError(f"{where}: entries must be finite")
     if hermitian:
         try:
-            if len(flat) == 4:  # a qubit: _UPPER[2]'s three pairs, written out
+            if len(flat) == 4:  # a qubit's three pairs, written out
                 h00, h01, h10, h11 = flat
                 skew = max(abs(h00 - h00.conjugate()), abs(h01 - h10.conjugate()),
                            abs(h11 - h11.conjugate()))
             else:
-                pairs = _UPPER[mat.shape[0]]
-                skew = max([abs(flat[ij] - flat[ji].conjugate()) for ij, ji in pairs])
+                skew = max([abs(flat[ij] - flat[ji].conjugate()) for ij, ji in _UPPER_4])
         except OverflowError:  # |z| beyond the float range, where numpy gives inf
             skew = math.inf
         if skew > HERMITIAN_TOL:
             raise ContractViolationError(f"{where}: entries are not Hermitian")
-    return mat, flat
+    return flat
 
 
-def _qubit_parts(flat: list[complex]) -> tuple[float, float, complex, float]:
+def _qubit_parts(flat: tuple[complex, ...]) -> tuple[float, float, complex, float]:
     """(h0, kz, h10, r) of a qubit H = h0 I + K: eigenvalues h0 +- r, h10 below the diagonal."""
     h00, _, h10, h11 = flat
     # halved before they meet, so diag(x, -x) stays finite up to the largest float
@@ -163,7 +215,7 @@ def _qubit_parts(flat: list[complex]) -> tuple[float, float, complex, float]:
     return d0 + d1, kz, h10, math.hypot(kz, h10.real, h10.imag)
 
 
-def _qubit_split(flat: list[complex]) -> tuple[tuple[float, _Projector], ...]:
+def _qubit_split(flat: tuple[complex, ...]) -> tuple[tuple[float, _Projector], ...]:
     """Closed-form spectral split of a qubit observable, in Python scalars.
 
     With H = h0 I + K and K traceless, the eigenvalues are h0 +- r with
@@ -226,39 +278,71 @@ def _apply(flat, y) -> list[complex]:
     return out
 
 
-class _ArrayValue:
-    """Value equality for the frozen types that hold one read-only array.
+class _ArrayView:
+    """The public array of a frozen value type, built read-only from its stored tuple per read.
 
-    Two instances of one class are equal when their stored arrays are equal
-    entry by entry. Like the arrays, the instances are unhashable: defining
-    ``__eq__`` sets ``__hash__`` to None.
+    ``stored`` names the tuple of Python complexes; ``square`` reshapes the
+    array to n x n. The view shares its name with the constructor's input, a
+    dataclass ``InitVar``: read on the class it raises AttributeError, so
+    dataclasses gives that input no default. Nothing is cached: each read
+    builds a fresh array.
     """
+
+    def __init__(self, stored: str, square: bool):
+        self.stored, self.square = stored, square
+
+    def __set_name__(self, owner, name):
+        self.name = name
+        owner._public, owner._stored = name, self.stored
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            raise AttributeError(f"{owner.__name__}.{self.name} is read on an instance")
+        return _array(getattr(instance, self.stored), self.square)
+
+
+class _FlatValue:
+    """Value equality and the repr of the frozen types that store one tuple (:class:`_ArrayView`).
+
+    Two instances of one class are equal when their stored tuples are equal
+    entry by entry, as ``np.array_equal`` finds their arrays (-0.0 equals
+    0.0). Defining ``__eq__`` sets ``__hash__`` to None, so, like arrays, the
+    instances are unhashable. The repr shows the array, as a dataclass over
+    it would.
+    """
+
+    _public: str  # the names of the array and the stored tuple, set by the view
+    _stored: str
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        name = dataclasses.fields(self)[0].name
-        return bool(np.array_equal(getattr(self, name), getattr(other, name)))
+        return getattr(self, self._stored) == getattr(other, self._stored)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._public}={getattr(self, self._public)!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class Ket(_ArrayValue):
+@dataclass(frozen=True, eq=False, repr=False)
+class Ket(_FlatValue):
     """Unit-norm complex state vector of dimension 2 or 4.
 
     The constructor normalizes its input by sqrt(:func:`_norm_sq`) in Python
     scalars (:func:`_scaled`); a vector of near-zero or non-finite norm is
     rejected. A tuple of two Python complexes is read as it is; any other input
-    is read through numpy. The normalized amplitudes are kept as the tuple
-    ``_amps``, which takes no part in equality or the repr, and stored
-    read-only as an array built from it.
+    is read through numpy. The normalized amplitudes are stored as the tuple
+    ``_amps``; ``amplitudes`` builds a read-only array from it on each read.
     """
 
-    amplitudes: np.ndarray
+    amplitudes: InitVar[Sequence[complex]] = _ArrayView("_amps", square=False)
+    _amps: tuple[complex, ...] = dataclasses.field(init=False)
 
-    def __post_init__(self):
-        amps = self.amplitudes
+    def __post_init__(self, amplitudes):
+        amps = amplitudes
         if not (type(amps) is tuple and len(amps) == 2
                 and type(amps[0]) is complex and type(amps[1]) is complex):
+            import numpy as np
+
             try:
                 vec = np.asarray(amps, dtype=complex).ravel()
             except (TypeError, ValueError, OverflowError):  # a str, a ragged list, a big int
@@ -270,9 +354,7 @@ class Ket(_ArrayValue):
             raise ContractViolationError("Ket: amplitudes must be finite")
         if norm < 1e-12:
             raise ContractViolationError("Ket: cannot normalize a null vector")
-        unit = _scaled(amps, norm)
-        object.__setattr__(self, "amplitudes", _readonly(np.array(unit)))
-        object.__setattr__(self, "_amps", unit)
+        object.__setattr__(self, "_amps", _scaled(amps, norm))
 
     @property
     def dim(self) -> int:
@@ -287,24 +369,29 @@ class Ket(_ArrayValue):
         return _inner(self._amps, other._amps)
 
     def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
+        import numpy as np
+
+        amplitudes = self.amplitudes
+        return np.outer(amplitudes, amplitudes.conj())
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianOperator(_ArrayValue):
+@dataclass(frozen=True, eq=False, repr=False)
+class HermitianOperator(_FlatValue):
     """Hermitian observable on a 2- or 4-dimensional space with finite entries.
 
-    The flat row-major entries ``_flat`` and a qubit observable's closed-form
-    spectral split ``_split`` (:func:`_qubit_split`) are computed at
-    construction and take no part in equality or the repr.
+    The flat row-major entries are stored as the tuple ``_flat``
+    (:func:`_square_entries`); ``entries`` builds a read-only array from it on
+    each read. A qubit observable's closed-form spectral split ``_split``
+    (:func:`_qubit_split`) is computed at construction and takes no part in
+    equality or the repr.
     """
 
-    entries: np.ndarray
+    entries: InitVar[np.ndarray] = _ArrayView("_flat", square=True)
+    _flat: tuple[complex, ...] = dataclasses.field(init=False)
 
-    def __post_init__(self):
-        mat, flat = _square_entries(self.entries, "HermitianOperator")
-        object.__setattr__(self, "entries", mat)
-        object.__setattr__(self, "_flat", tuple(flat))
+    def __post_init__(self, entries):
+        flat = _square_entries(entries, "HermitianOperator")
+        object.__setattr__(self, "_flat", flat)
         if len(flat) == 4:
             object.__setattr__(self, "_split", _qubit_split(flat))
 
@@ -325,7 +412,7 @@ class HermitianOperator(_ArrayValue):
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return _side(self._flat)
 
     def apply(self, psi: Ket) -> np.ndarray:
         """Return the raw (unnormalized) vector of the operator acting on a ket."""
@@ -356,24 +443,30 @@ class HermitianOperator(_ArrayValue):
         return trace
 
 
-@dataclass(frozen=True, eq=False)
-class UnitaryOperator(_ArrayValue):
-    """Unitary matrix on a 2- or 4-dimensional space (U U† = I within 1e-10)."""
+@dataclass(frozen=True, eq=False, repr=False)
+class UnitaryOperator(_FlatValue):
+    """Unitary matrix on a 2- or 4-dimensional space (U U† = I within 1e-10).
 
-    entries: np.ndarray
+    Stored as its flat entries ``_flat``, with ``entries`` built on each read.
+    """
 
-    def __post_init__(self):
-        mat, _ = _square_entries(self.entries, "UnitaryOperator", hermitian=False)
-        ident = np.eye(mat.shape[0])
+    entries: InitVar[np.ndarray] = _ArrayView("_flat", square=True)
+    _flat: tuple[complex, ...] = dataclasses.field(init=False)
+
+    def __post_init__(self, entries):
+        import numpy as np
+
+        flat = _square_entries(entries, "UnitaryOperator", hermitian=False)
+        mat = _array(flat, square=True)
         with np.errstate(over="ignore", invalid="ignore"):
-            residual = np.max(np.abs(mat @ mat.conj().T - ident))
+            residual = np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])))
         if not residual <= UNITARY_TOL:  # a U U† that overflows holds NaN: reject it too
             raise ContractViolationError("UnitaryOperator: entries are not unitary")
-        object.__setattr__(self, "entries", mat)
+        object.__setattr__(self, "_flat", flat)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return _side(self._flat)
 
     def apply(self, psi: Ket) -> Ket:
         if self.dim != psi.dim:
@@ -381,19 +474,20 @@ class UnitaryOperator(_ArrayValue):
         return Ket(self.entries @ psi.amplitudes)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix(_ArrayValue):
+@dataclass(frozen=True, eq=False, repr=False)
+class DensityMatrix(_FlatValue):
     """Positive unit-trace Hermitian matrix describing a (possibly mixed) state.
 
     Non-finite entries are rejected before the (for a qubit, closed-form) eigenvalue check.
-    The list of flat row-major entries that the check reads is kept as ``_flat``,
-    which takes no part in equality or the repr; nothing writes to it.
+    The flat row-major entries that the checks read are stored as the tuple
+    ``_flat``; ``entries`` builds a read-only array from it on each read.
     """
 
-    entries: np.ndarray
+    entries: InitVar[np.ndarray] = _ArrayView("_flat", square=True)
+    _flat: tuple[complex, ...] = dataclasses.field(init=False)
 
-    def __post_init__(self):
-        mat, flat = _square_entries(self.entries, "DensityMatrix")
+    def __post_init__(self, entries):
+        flat = _square_entries(entries, "DensityMatrix")
         # np.trace's summation order, so the accept/reject line is numpy's too
         if len(flat) == 4:
             trace = flat[0] + flat[3]
@@ -405,15 +499,16 @@ class DensityMatrix(_ArrayValue):
             h0, _, _, r = _qubit_parts(flat)
             lowest = h0 - r
         else:
-            lowest = np.min(np.linalg.eigvalsh(mat))
+            import numpy as np
+
+            lowest = np.min(np.linalg.eigvalsh(_array(flat, square=True)))
         if lowest < EIGENVALUE_FLOOR:
             raise ContractViolationError("DensityMatrix: negative eigenvalue")
-        object.__setattr__(self, "entries", mat)
         object.__setattr__(self, "_flat", flat)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return _side(self._flat)
 
     @classmethod
     def from_ket(cls, psi: Ket) -> "DensityMatrix":
@@ -424,6 +519,8 @@ class DensityMatrix(_ArrayValue):
     @classmethod
     def mixture(cls, weights: Sequence[float], kets: Sequence[Ket]) -> "DensityMatrix":
         """Return the convex mixture sum_k w_k |k><k| of same-size kets (weights sum to 1)."""
+        import numpy as np
+
         try:
             w = np.asarray(weights, dtype=float)
         except (TypeError, ValueError, OverflowError):  # a str, a complex, an int beyond float
@@ -465,8 +562,9 @@ class BlochVector:
 class ReferenceBasis:
     """Orthonormal qubit basis, the +1/-1 eigenstates of the system observable.
 
-    The constructor builds :meth:`sigma`'s observable, the pairs ``_pairs`` =
-    (<k|ket0>, <k|ket1>) in Python scalars and the empty memo ``_kets``.
+    The constructor builds, in Python scalars, :meth:`sigma`'s observable
+    |ket0><ket0| - |ket1><ket1| and the pairs ``_pairs`` = (<k|ket0>, <k|ket1>),
+    and the empty memo ``_kets``.
     """
 
     ket0: Ket
@@ -479,8 +577,10 @@ class ReferenceBasis:
             raise ModelDimensionError("ReferenceBasis: kets must be qubits")
         if abs(self.ket0.inner(self.ket1)) > 1e-12:
             raise ContractViolationError("ReferenceBasis: kets are not orthogonal")
-        object.__setattr__(self, "_pairs", list(zip(self.ket0._amps, self.ket1._amps)))
-        sigma = HermitianOperator(self.ket0.projector() - self.ket1.projector())
+        pairs = list(zip(self.ket0._amps, self.ket1._amps))
+        object.__setattr__(self, "_pairs", pairs)
+        sigma = HermitianOperator([[a * c.conjugate() - b * d.conjugate() for c, d in pairs]
+                                   for a, b in pairs])
         object.__setattr__(self, "_sigma", sigma)
         object.__setattr__(self, "_kets", {})
 
@@ -517,12 +617,12 @@ class ReferenceBasis:
         return self._sigma
 
 
-# Built once; every field is a frozen dataclass over a read-only array.
-STANDARD_BASIS = ReferenceBasis(Ket(np.array([1.0, 0.0])), Ket(np.array([0.0, 1.0])))
+# Built once, from Python complexes; every field is a frozen value.
+STANDARD_BASIS = ReferenceBasis(Ket((1.0 + 0j, 0j)), Ket((0j, 1.0 + 0j)))
 STANDARD_SIGMA = STANDARD_BASIS.sigma()
 # The balanced meter |+> = (|0> + |1>)/sqrt(2) and its partner |->.
-METER_PLUS = STANDARD_BASIS.superposition(np.pi / 4.0)
-METER_MINUS = STANDARD_BASIS.superposition(-np.pi / 4.0)
+METER_PLUS = STANDARD_BASIS.superposition(math.pi / 4.0)
+METER_MINUS = STANDARD_BASIS.superposition(-math.pi / 4.0)
 
 
 def check_theta(theta: float, where: str) -> float:
@@ -536,7 +636,7 @@ def check_theta(theta: float, where: str) -> float:
     """
     if type(theta) is not float:
         theta = _real(theta, (where,))
-    if not (0.0 < theta <= np.pi / 4.0 + 1e-12):
+    if not (0.0 < theta <= math.pi / 4.0 + 1e-12):
         raise ContractViolationError(f"{where} must lie in (0, pi/4]")
     return theta
 
@@ -557,7 +657,7 @@ def check_count(count, where: str, minimum: int = 1):
     """Return a Python or numpy integer, not a bool, of at least ``minimum``; else raise."""
     if type(count) is int and count >= minimum:  # the common case, before the type chain
         return count
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+    if isinstance(count, bool) or not isinstance(count, (int, *_numpy_types("integer"))):
         raise ContractViolationError(f"{where} must be an integer")
     if count < minimum:
         raise ContractViolationError(f"{where} must be >= {minimum}")
@@ -580,6 +680,8 @@ def tensor(a: KetOrOperator, b: KetOrOperator) -> KetOrOperator:
     The composite index is ordered system-major, meter-minor: basis state
     (i, j) of the factors maps to index 2*i + j of the product.
     """
+    import numpy as np
+
     if isinstance(a, Ket) and isinstance(b, Ket):
         if a.dim != 2 or b.dim != 2:
             raise ModelDimensionError("tensor: both kets must be qubits")
@@ -607,6 +709,8 @@ def hermitian_eigs(H: HermitianOperator) -> tuple[np.ndarray, list[Ket]]:
     """
     if not isinstance(H, HermitianOperator):
         raise ContractViolationError("hermitian_eigs: H must be a HermitianOperator")
+    import numpy as np
+
     vals, vecs = np.linalg.eigh(H.entries)
     order = np.argsort(-vals, kind="stable")
     return vals[order].astype(float), [Ket(_phase_fixed(vecs[:, k])) for k in order]
@@ -627,6 +731,8 @@ def coupling_unitary(A: HermitianOperator, M: HermitianOperator, g: float) -> Un
         raise ContractViolationError("coupling_unitary: A and M must be HermitianOperators")
     if A.dim != 2 or M.dim != 2:
         raise ModelDimensionError("coupling_unitary: A and M must act on qubits")
+    import numpy as np
+
     u = np.zeros((4, 4), dtype=complex)
     try:
         for a, P in A._split:

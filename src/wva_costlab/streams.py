@@ -8,7 +8,8 @@ block of 256 consecutive indices, and numpy's PCG64 seeds itself from each
 trial's row; the stream is numpy's to the bit. Zero-padding the entropy to
 the hash pool is exact: ``(s, i)`` is at most 4 32-bit words, and
 SeedSequence hashes 0 into every pool slot past its entropy.
-``numpy.random`` is imported on the first trial, not on import.
+numpy is imported by the functions that draw and count, so importing this
+module imports neither numpy nor ``numpy.random``; both load on the first trial.
 
 A campaign samples its trials in blocks (:func:`_sample_blocks`): one fill
 of each trial's stream and one compare against a threshold row keep a bool
@@ -24,8 +25,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Optional
 
-import numpy as np
-
 # A campaign samples its trials in blocks whose buffers fit this many bytes:
 # one threshold row shared by the workers and, per worker, a row of uniforms
 # and one bool row per trial of the block, at most _MAX_BLOCK trials. It keeps
@@ -37,7 +36,7 @@ import numpy as np
 _BLOCK_BUDGET = 3 << 18
 _MAX_BLOCK = 32
 # A word of eight 0/1 bytes times this holds the byte prefix sums of the word.
-_BYTE_ONES = np.uint64(0x0101010101010101)
+_BYTE_ONES = 0x0101010101010101
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx, after
 # M. E. O'Neill's seed_seq_fe), for a pool of 4 words.
@@ -66,6 +65,8 @@ def _seed_block(master_seed: int, block: int) -> np.ndarray:
     ``mix_entropy`` hashes 0 into each pool slot past the entropy, so
     zero-padding it to the pool size gives the same pool. Read-only.
     """
+    import numpy as np
+
     first = block * _SEED_BLOCK
     index = np.uint64(first) + np.arange(_SEED_BLOCK, dtype=np.uint64)
     columns = [np.full(_SEED_BLOCK, word, dtype=np.uint32) for word in _words(master_seed)]
@@ -107,10 +108,13 @@ def _seed_block(master_seed: int, block: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _block_seed_type() -> type:
-    """An ISeedSequence that hands PCG64 one row of a seed block.
+    """An ISeedSequence that hands PCG64 one row of a seed block; ``rng()`` builds the generator.
 
-    Built on first use, so importing this module does not import numpy.random.
+    Built on first use, so importing this module does not import numpy. The
+    generator's classes are bound here, once, so a trial looks up no numpy name.
     """
+    import numpy as np
+    from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
     class BlockSeed(ISeedSequence):
@@ -119,6 +123,9 @@ def _block_seed_type() -> type:
 
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
+
+        def rng(self) -> np.random.Generator:
+            return Generator(PCG64(self))
 
     return BlockSeed
 
@@ -131,8 +138,7 @@ def _trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     this trial. Both arguments lie in [0, 2**64).
     """
     block, offset = divmod(int(trial_index), _SEED_BLOCK)
-    words = _seed_block(int(master_seed), block)[offset]
-    return np.random.Generator(np.random.PCG64(_block_seed_type()(words)))
+    return _block_seed_type()(_seed_block(int(master_seed), block)[offset]).rng()
 
 
 def _read_block(
@@ -157,10 +163,12 @@ def _read_block(
     success lies in the first word whose running sum reaches nu, and a search
     among that word's eight bytes finds it.
     """
+    import numpy as np
+
     n_rows, n_words = bits.shape[0], bits.shape[1] // 8
     bits[:, width:] = False  # stale, or the previous block's products
     words = bits.view("<u8")
-    np.multiply(words, _BYTE_ONES, out=words)
+    np.multiply(words, np.uint64(_BYTE_ONES), out=words)
     in_word = bits.view(np.uint8)
     before = scratch[: n_rows * (n_words + 1)].reshape(n_rows, n_words + 1)
     before[:, 0] = 0
@@ -216,6 +224,8 @@ def _sample_blocks(
     stream that serial draws of the same sizes consume. :func:`_read_block`
     then reads the whole block; the counts of a miss are meaningless.
     """
+    import numpy as np
+
     if not indices:
         return
     width = thresholds.size

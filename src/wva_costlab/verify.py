@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-
-import numpy as np
 
 from .costs import (
     UNIT_RATES,
@@ -73,14 +72,16 @@ from .states import (
     tensor,
 )
 
-DEFAULT_THETAS = (np.pi / 16, np.pi / 12, np.pi / 8, np.pi / 6, np.pi / 5, np.pi / 4.5, np.pi / 4)
+DEFAULT_THETAS = (
+    math.pi / 16, math.pi / 12, math.pi / 8, math.pi / 6, math.pi / 5, math.pi / 4.5, math.pi / 4
+)
 DEFAULT_SEED = 20240
 # each name runs the module function suite_<name with "_" for "-">
 SUITE_NAMES = (
     "overlap-identity", "tradeoff-bound", "incoherent-ceiling", "oracle-agreement",
     "conventional-information", "leading-order", "weighted-ceiling",
 )
-_POPULATIONS = tuple(np.round(np.arange(0.1, 0.95, 0.1), 2))  # incoherent diag(mu, 1 - mu)
+_POPULATIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)  # incoherent diag(mu, 1 - mu)
 # the standard scenario (balanced meter, A = M = sigma_z) on prebuilt kets: (psi_si, psi_sf, g=g)
 _standard_setup = functools.partial(WvaSetup, phi_mi=METER_PLUS, A=STANDARD_SIGMA, M=STANDARD_SIGMA)
 _standard_coupling = functools.partial(coupling_unitary, STANDARD_SIGMA, STANDARD_SIGMA)
@@ -124,6 +125,8 @@ def _incoherent(mu: float) -> DensityMatrix:
 
 def suite_overlap_identity(seed: int) -> SuiteResult:
     """Squared overlap vs cos^2 of half the Bloch angle on 1000 random qubit ket pairs."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     basis = ReferenceBasis.standard()
     n_pairs = 1000
@@ -156,7 +159,7 @@ def suite_tradeoff_bound(printed_form: bool = False) -> SuiteResult:
             point = CostPoint.scaled(*costs, UNIT_RATES)
             slack = tradeoff_slack(point, coherence, printed_form=printed_form)
             slacks.append((slack, theta, alpha))
-            if theta - np.pi / 2.0 <= alpha <= -theta:
+            if theta - math.pi / 2.0 <= alpha <= -theta:
                 gaps.append((abs(slack), theta, alpha))
     min_slack, worst_at = _extreme(slacks, ("theta", "alpha"), pick=min)
     max_sat_gap, gap_at = _extreme(gaps, ("theta", "alpha"))
@@ -180,6 +183,8 @@ def suite_incoherent_ceiling() -> SuiteResult:
     of 4 Omega, agrees with :func:`~wva_costlab.fisher.qfi_mixed` on the meter
     family within 1e-6, and the cost point is classified "trivial".
     """
+    import numpy as np
+
     alphas = np.union1d(
         np.linspace(-np.pi / 2.0 + 0.05, np.pi / 2.0 - 0.05, 13), np.linspace(-1.4, 1.4, 13)
     )
@@ -209,12 +214,16 @@ def suite_incoherent_ceiling() -> SuiteResult:
 
 
 def _unitary_family(H: HermitianOperator):
+    import numpy as np
+
     vals, vecs = np.linalg.eigh(H.entries)
     return lambda g: UnitaryOperator((vecs * np.exp(-1j * g * vals)) @ vecs.conj().T)
 
 
 def suite_oracle_agreement(seed: int) -> SuiteResult:
     """Spectral unitary-family QFI vs the SLD computation on 100 random mixtures."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     n_instances = 100
     differences = []  # (difference, instance)
@@ -252,6 +261,8 @@ def suite_conventional_information() -> SuiteResult:
     coupled state, each incoherent input mu = 0.1, ..., 0.9 by the closed form
     and by ``qfi_mixed`` of the coupled joint state, all within 1e-6 of 4.
     """
+    import numpy as np
+
     g = 0.0349
     rows = []  # (largest deviation from 4, theta or mu, its name)
     for theta in DEFAULT_THETAS:
@@ -282,6 +293,8 @@ def suite_leading_order() -> SuiteResult:
     |cos(alpha - theta)| < 0.05, |A_w| < 1e-6 or 1e-2 |A_w| >= 0.1; each step
     may grow by 1e-6 relative plus 1e-12.
     """
+    import numpy as np
+
     gs = (1e-2, 1e-3, 1e-4)
     alphas = np.linspace(-1.4, 1.4, 25)
     finals = [STANDARD_BASIS.superposition(alpha) for alpha in alphas]
@@ -315,6 +328,8 @@ def suite_weighted_ceiling() -> SuiteResult:
     leading-order statement: it is checked where that postselection is not
     orthogonal (theta = pi/4 is) and :func:`in_weak_regime` holds.
     """
+    import numpy as np
+
     g = 1e-3
     alphas = default_alpha_grid()
     finals = [STANDARD_BASIS.superposition(alpha) for alpha in alphas]

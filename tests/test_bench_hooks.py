@@ -12,7 +12,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import math
+import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -120,6 +123,39 @@ def test_suite_details_carry_the_counts_the_tracer_sums():
         "conventional-information": {"points": 16}, "leading-order": {"points": 166},
         "weighted-ceiling": {"points": 5040},
     }
+
+
+def _fresh_env() -> dict:
+    return {**os.environ, "PYTHONPATH": str(BENCH.parent / "src")}
+
+
+def test_importing_the_cli_loads_every_traced_module_and_no_numpy():
+    # bench/cli_entry.py reads experiment's readout cache and the tracer looks each
+    # target module up in sys.modules right after this import; numpy stays unloaded
+    modules = sorted({module for module, _, _ in load_tracer().TARGETS})
+    code = (
+        "import sys\n"
+        "import wva_costlab.cli\n"
+        f"missing = [m for m in {modules!r} if 'wva_costlab.' + m not in sys.modules]\n"
+        "assert not missing, missing\n"
+        "assert sys.modules['wva_costlab.experiment']._readout_probabilities.cache_info()\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_traced_cli_entry_runs_a_qfi_request(tmp_path):
+    spans = tmp_path / "spans.json"
+    argv = ["qfi", "--theta", "0.5", "--alpha", "-0.7", "--g", "0.01"]
+    done = subprocess.run([sys.executable, str(BENCH / "cli_entry.py"), str(spans), *argv],
+                          env=_fresh_env(), cwd=BENCH.parent, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["theta"] == 0.5
+    names = {span[2] for span in json.loads(spans.read_text())["spans"]}
+    assert {"cli.import", "cli.main.qfi", "postselect.fm_exact", "fisher.cfi_discrete"} <= names
 
 
 def test_workloads_import_the_package_under_the_expected_aliases():

@@ -507,19 +507,67 @@ class TestSubcommandFlags:
                      "--compat-printed-bound", "--out", out]) == 0
 
 
-def test_qfi_and_curve_leave_numpy_random_unimported(tmp_path):
-    # numpy.random costs every CLI process about 15 ms to import; only the
-    # trial sampler needs it, so it is imported on the first trial.
-    code = (
-        "import sys\n"
-        "from wva_costlab.cli import main\n"
-        f"assert main(['qfi', '--theta', {THETA!r}, '--alpha', {ALPHA!r}, '--g', '1e-3']) == 0\n"
-        f"assert main(['curve', '--theta', {THETA!r}, '--out', {str(tmp_path / 'c.csv')!r}]) == 0\n"
-        "assert 'numpy.random' not in sys.modules\n"
-    )
+def _fresh_process(code: str) -> None:
+    """Run ``code`` after ``from wva_costlab.cli import main`` in a new interpreter."""
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
-        [sys.executable, "-W", "error", "-c", code],
+        [sys.executable, "-W", "error", "-c", "import sys\nfrom wva_costlab.cli import main\n" + code],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_qfi_curve_and_rejected_requests_leave_numpy_unimported(tmp_path):
+    # importing numpy is most of a qfi or curve process; only arrays need it
+    out = str(tmp_path / "out")
+    outside, cell = "1.0", ["simulate", "--theta", THETA, "--alpha", "-0.6", "--reps", "20"]
+    requests = [
+        (["qfi", "--theta", THETA, "--alpha", ALPHA, "--g", "1e-3", "--out", out], 0),
+        (["curve", "--theta", THETA, "--out", out], 0),
+        (["curve", "--theta", THETA, "--format", "json", "--out", out], 0),
+        # the out-of-domain requests of the benchmark's cli deck
+        (cell + ["--g", "nan"], 1),
+        (cell + ["--g", "-0.05"], 1),
+        (cell + ["--g", "1.2"], 1),
+        (["qfi", "--theta", THETA, "--alpha", "inf", "--g", "1e-3"], 1),
+        (["qfi", "--theta", outside, "--alpha", ALPHA, "--g", "1e-3"], 1),
+        (["curve", "--theta", outside], 1),
+    ]
+    _fresh_process(
+        f"for argv, status in {requests!r}:\n"
+        "    assert main(argv) == status, argv\n"
+        "try:\n"
+        "    main(['qfi', '--theta', '0.5'])\n"  # an argparse error
+        "except SystemExit as stop:\n"
+        "    assert stop.code == 1\n"
+        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--theta", THETA, "--alpha", "-0.6", "--g", "0.0349", "--nu", "20",
+     "--reps", "3"],
+    ["verify", "--suite", "overlap-identity"],
+])
+def test_simulate_and_verify_load_numpy(argv, tmp_path):
+    _fresh_process(
+        f"assert main({argv + ['--out', str(tmp_path / 'out')]!r}) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+
+
+def test_json_writer_and_count_checks_still_take_numpy_scalars():
+    # both look for numpy's scalar types only once numpy is loaded, as it is here
+    from wva_costlab.cli import _json_ready
+    from wva_costlab.errors import ContractViolationError
+    from wva_costlab.states import check_count, check_seed
+
+    got = _json_ready({"flag": np.bool_(True), "count": np.int64(3), "value": np.float64(0.5),
+                       "off": [np.float64(np.nan), np.float64(-np.inf)]})
+    assert got == {"flag": True, "count": 3, "value": 0.5, "off": [None, None]}
+    assert [type(got[k]) for k in ("flag", "count", "value")] == [bool, int, float]
+    assert check_count(np.int64(3), "n") == 3
+    assert check_seed(np.uint64(2**64 - 1), "seed") == 2**64 - 1
+    for bad in (np.float64(3.0), np.bool_(True)):
+        with pytest.raises(ContractViolationError, match="n must be an integer"):
+            check_count(bad, "n")

@@ -338,6 +338,12 @@ class TestBoundaryCurve:
         want = [x for row in case["rows"] for x in row[1:]]
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
+    def test_default_grid_is_numpys_linspace_bit_for_bit(self):
+        grid = default_alpha_grid()
+        expected = np.linspace(-np.pi / 2.0, np.pi / 2.0, 721).tolist()
+        assert all(type(alpha) is float for alpha in grid)
+        assert [a.hex() for a in grid] == [a.hex() for a in expected]
+
     def test_maximal_coherence_reaches_origin_corner(self):
         samples = boundary_curve(np.pi / 4)
         first = samples[0]

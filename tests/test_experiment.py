@@ -842,6 +842,13 @@ class TestPreparationBudget:
 
 
 class TestWavePlateSettings:
+    def test_math_pi_gives_numpys_bits(self):
+        assert type(G_MAX) is float and G_MAX == np.pi / 4.0
+        settings = hwp_settings(np.pi / 6, -np.pi / 6, 0.0349)
+        assert settings["meter_hwp"] == np.pi / 8.0
+        assert settings["hwp1"] == np.pi / 8.0 - np.pi / 12.0
+        assert settings["hwp4"] == np.pi / 8.0 + np.pi / 12.0
+
     def test_documented_mapping(self):
         settings = hwp_settings(np.pi / 6, -np.pi / 6, 0.0349)
         assert settings["meter_hwp"] == pytest.approx(np.pi / 8)

@@ -1435,10 +1435,12 @@ class TestModuleBoundaries:
     # Each entry is a private helper that one module lends another on purpose: the kernel
     # core to the standard-basis readout, two array helpers, the per-trial streams and
     # the block sampler that campaigns draw through, the qubit split h0 +- r that the SLD
-    # oracle reads for a qubit's eigenvalues, so that split keeps one owner, and the
-    # scalar sums <x|H|y> that the l1 coherence of a density matrix reads. A change that
-    # adds an entry says why.
+    # oracle reads for a qubit's eigenvalues, so that split keeps one owner, the
+    # scalar sums <x|H|y> that the l1 coherence of a density matrix reads, and the
+    # lookup of numpy's scalar types only once numpy is loaded, which the CLI's JSON
+    # writer shares with the count checks. A change that adds an entry says why.
     REVIEWED = {
+        ("cli", "states", "_numpy_types"),
         ("experiment", "postselect", "_meter_core"),
         ("experiment", "streams", "_block_seed_type"),
         ("experiment", "streams", "_block_size"),
@@ -1561,6 +1563,26 @@ class TestModuleBoundaries:
                     assert node.attr != "cached_property", path.name
                 if isinstance(node, ast.ImportFrom) and node.module == "functools":
                     assert "cached_property" not in {a.name for a in node.names}, path.name
+
+    def test_no_module_imports_numpy_when_it_loads(self):
+        """numpy is imported only inside the functions that build or read arrays.
+
+        So importing the package loads no numpy, and neither do the paths of
+        ``qfi``, ``curve`` and a rejected request (``tests/test_cli.py``).
+        """
+        for path in sorted(Path(postselect_module.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            in_functions = {id(node) for func in ast.walk(tree)
+                            if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "numpy" for name in names):
+                    assert id(node) in in_functions, (path.name, node.lineno)
 
     @staticmethod
     def _writes_instance_state(node) -> bool:

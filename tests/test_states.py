@@ -1,6 +1,7 @@
 """Exact linear-algebra layer: construction invariants, operations, geometry."""
 
 import dataclasses
+import inspect
 import math
 import sys
 import threading
@@ -1008,15 +1009,17 @@ class TestCachedDerivations:
 
     @pytest.mark.parametrize("case", BUILT)
     def test_values_stay_outside_equality_repr_and_hash(self, case):
+        # a ket's or matrix's stored tuple is its value, so only the derived ones are checked
         build, names = self.BUILT[case]
         instance, twin = build(), build()
+        derived = set(names) - {getattr(type(instance), "_stored", None)}
         field_names = {f.name for f in dataclasses.fields(instance)}
-        assert not field_names & set(names)  # so the generated __eq__, __repr__, __hash__ skip them
-        for name in names:
+        assert not field_names & derived  # so the generated __eq__, __repr__, __hash__ skip them
+        for name in derived:
             vars(twin)[name] = None
         assert instance == twin and repr(instance) == repr(twin)
         with pytest.raises(TypeError, match="unhashable"):
-            hash(instance)  # each type holds an array or a Ket, so none is hashable
+            hash(instance)  # each type holds a stored tuple or a Ket, so none is hashable
 
     def test_only_a_density_matrix_past_the_floor_keeps_a_collapsed_state(self):
         vanishing = WvaSetup(DensityMatrix.from_ket(BASIS.ket1), BASIS.ket0, METER_PLUS,
@@ -1026,7 +1029,7 @@ class TestCachedDerivations:
         assert "_collapsed" not in vars(ket_setup)  # a ket's collapsed state is formed where read
         assert "_factors" not in vars(ket_setup)  # a ket's kernel runs once, unfactored
 
-    def test_density_flat_entries_are_the_stored_arrays_bits(self):
+    def test_density_flat_entries_are_the_arrays_bits(self):
         # every construction path: direct (signed zeros, 4x4 too), from_ket, mixture,
         # and the collapsed state of a setup and of a meter-family probe
         setup = _sigma_z_setup(DensityMatrix([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]))
@@ -1041,10 +1044,116 @@ class TestCachedDerivations:
             postselected_meter_family(setup)(0.02),
         ]
         for rho in states:
-            assert rho._flat == rho.entries.ravel().tolist()
+            assert type(rho._flat) is tuple and list(rho._flat) == rho.entries.ravel().tolist()
             assert [(z.real.hex(), z.imag.hex()) for z in rho._flat] == [
                 (z.real.hex(), z.imag.hex()) for z in rho.entries.ravel().tolist()
             ]
+
+
+def _scalar_rows_panel(seed: int) -> list:
+    """Matrices as rows of Python floats and complexes, accepted and rejected alike.
+
+    Qubit and 4x4 density matrices and observables, with signed zeros, float
+    entries, tuple rows, a non-finite entry, a non-Hermitian pair and a wrong
+    trace; each is given both as a list of lists and as a tuple of tuples.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(40):
+        for dim in (2, 4):
+            rho = _random_state(rng, dim)
+            h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            for mat in (rho, h + h.conj().T, rho.real.astype(complex)):
+                rows = mat.tolist()
+                out.append(rows)
+                out.append([[z.real if z.imag == 0.0 else z for z in row] for row in rows])
+    zeros = [[1.0, -0.0], [complex(-0.0, 0.0), complex(0.0, -0.0)]]
+    out += [zeros, [[0.5, math.nan], [0.0, 0.5]], [[0.5, 0.1j], [0.1j, 0.5]], [[0.7, 0.0], [0.0, 0.7]]]
+    return out + [tuple(map(tuple, rows)) for rows in out]
+
+
+class TestStoredTuple:
+    """Kets and matrices store one tuple of Python complexes; arrays are built per read."""
+
+    @pytest.mark.parametrize("seed", [37, 38])
+    def test_scalar_rows_give_numpys_flat_bytes_and_verdicts(self, seed):
+        def outcome(cls, entries):
+            try:
+                return [(z.real.hex(), z.imag.hex()) for z in cls(entries)._flat]
+            except Exception as exc:  # noqa: BLE001 - the type and message are compared
+                return type(exc), str(exc)
+
+        verdicts = set()
+        for rows in _scalar_rows_panel(seed):
+            assert states_module._scalar_rows(rows) is not None  # the scalar read is taken
+            for cls in (HermitianOperator, DensityMatrix):
+                expected = outcome(cls, np.array(rows, dtype=complex))  # the numpy read
+                assert outcome(cls, rows) == expected, (cls.__name__, rows)
+                verdicts.add("accepted" if isinstance(expected, list) else expected[1])
+        assert {"accepted", "HermitianOperator: entries must be finite",
+                "HermitianOperator: entries are not Hermitian",
+                "DensityMatrix: trace must be 1"} <= verdicts
+
+    @pytest.mark.parametrize("entries", [
+        [[1, 0], [0, 0]],  # ints
+        [[np.float64(1.0), 0.0], [0.0, 0.0]],  # a numpy scalar
+        [[True, 0.0], [0.0, 0.0]],
+        [[1.0, 0.0], [0.0]],  # ragged
+        [[1.0, 0.0, 0.0]] * 3,  # outside the model
+        [1.0, 0.0, 0.0, 0.0],  # flat
+        np.eye(2),
+    ])
+    def test_other_input_takes_the_numpy_read(self, entries):
+        assert states_module._scalar_rows(entries) is None
+
+    def test_arrays_are_fresh_read_only_copies_of_the_tuple(self):
+        ket = Ket([0.6, 0.8j])
+        rho = DensityMatrix([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+        for value, read, stored in ((ket, "amplitudes", "_amps"), (rho, "entries", "_flat")):
+            first, second = getattr(value, read), getattr(value, read)
+            assert first is not second and not first.flags.writeable
+            assert first.dtype == complex and first.tobytes() == second.tobytes()
+            assert type(getattr(value, stored)) is tuple
+            assert first.ravel().tolist() == list(getattr(value, stored))
+            assert repr(value) == f"{type(value).__name__}({read}={first!r})"
+        assert rho.entries.shape == (2, 2) and ket.amplitudes.shape == (2,)
+
+    def test_equality_is_the_tuples_and_the_input_has_no_default(self):
+        assert Ket((1.0 + 0j, 0j)) == Ket(np.array([1.0, 0.0])) == Ket([1.0, -0.0])
+        assert Ket([1.0, 0.0]) != Ket([0.0, 1.0]) and Ket([1.0, 0.0]) != 1
+        assert DensityMatrix([[1.0, 0.0], [0.0, 0.0]]) != HermitianOperator([[1.0, 0.0], [0.0, 0.0]])
+        for cls, name in ((Ket, "amplitudes"), (DensityMatrix, "entries"),
+                          (HermitianOperator, "entries"), (UnitaryOperator, "entries")):
+            assert inspect.signature(cls).parameters[name].default is inspect.Parameter.empty
+            with pytest.raises(AttributeError):
+                getattr(cls, name)
+            with pytest.raises(TypeError):
+                cls()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Ket([1.0, 0.0]).amplitudes = np.array([0.0, 1.0])
+
+    def test_standard_constants_keep_the_numpy_built_bits(self):
+        ket0, ket1 = Ket(np.array([1.0, 0.0])), Ket(np.array([0.0, 1.0]))
+        sigma = HermitianOperator(ket0.projector() - ket1.projector())
+
+        def bits(values):
+            return [(z.real.hex(), z.imag.hex()) for z in values]
+
+        assert bits(STANDARD_BASIS.ket0._amps) == bits(ket0._amps)
+        assert bits(STANDARD_BASIS.ket1._amps) == bits(ket1._amps)
+        assert bits(STANDARD_SIGMA._flat) == bits(sigma._flat)
+        assert repr(STANDARD_SIGMA._split) == repr(sigma._split)  # signed zeros included
+        assert METER_PLUS._amps == ReferenceBasis(ket0, ket1).superposition(np.pi / 4.0)._amps
+
+    def test_a_bases_sigma_is_its_projectors_difference(self):
+        rng = np.random.default_rng(39)
+        for _ in range(50):
+            q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+            basis = ReferenceBasis(Ket(q[:, 0]), Ket(q[:, 1]))
+            expected = basis.ket0.projector() - basis.ket1.projector()
+            got = basis.sigma().entries
+            assert np.abs(got - expected).max() <= 4 * 2.0**-52  # numpy may fuse its products
+            assert (got == got.conj().T).all()  # exactly Hermitian in Python scalars
 
 
 def _sigma_z_setup(psi_si):
